@@ -27,10 +27,7 @@
 //!   reshuffle       §5.2.2 ablation: reshuffle bytes vs join-chain length
 //!   bench           perf trajectory: row baseline vs TAG, single- vs
 //!                   multi-thread, per query; --json writes machine-readable
-//!                   timings (the committed BENCH_*.json files); --compare
-//!                   gates the run against a committed baseline, exiting
-//!                   nonzero when totals parallel_speedup regresses beyond
-//!                   --tolerance
+//!                   timings (the committed BENCH_*.json files)
 //!   serve           multi-tenant serving bench: --tenants concurrent
 //!                   sessions over one shared TAG, closed loop at --qps per
 //!                   tenant, arbitrated vs unilateral vs static
@@ -58,7 +55,7 @@ use vcsql_dist::{tag_distributed, SparkModel};
 use vcsql_query::analyze::Analyzed;
 use vcsql_query::AggClass;
 use vcsql_relation::mem::human_bytes;
-use vcsql_relation::Database;
+use vcsql_relation::{Database, RelError};
 use vcsql_server::{Arbitration, FailureStats, QueryServer, ServerConfig, TenantSession};
 use vcsql_session::Cluster;
 use vcsql_tag::TagGraph;
@@ -69,7 +66,6 @@ usage: repro <mode> [--sf a,b,c] [--partitioning hash,colocate,refined,workload]
              [--profile-from tpch|tpcds] [--bandwidth bytes_per_sec]
              [--sessions n] [--restart-at k] [--migration-budget n]
              [--tenants n] [--qps q] [--threads n] [--json path]
-             [--compare path] [--tolerance f]
              [--checkpoint-every k] [--kill m@r] [--seed n]
 
 modes:
@@ -124,13 +120,6 @@ flags:
   --json path            `bench`/`serve`/`faults`: also write the
                          machine-readable report (trajectory timings, the
                          serve report or the fault report) to `path`
-  --compare path         `bench` only: compare this run's totals
-                         parallel_speedup against a committed trajectory
-                         baseline (a BENCH_*.json file) and exit nonzero if
-                         any workload regresses beyond the tolerance — the
-                         CI gate on parallel overhead
-  --tolerance f          allowed fractional regression for --compare, in
-                         [0, 1) (default 0.15)
   --checkpoint-every k   `faults` only: the checkpoint interval under test,
                          in supersteps (default 2; must be positive — the
                          sweep adds interval 0, checkpointing disabled, as
@@ -197,13 +186,6 @@ fn parse_positive(raw: &str, flag: &str) -> usize {
     }
 }
 
-fn parse_tolerance(raw: &str) -> f64 {
-    match raw.parse::<f64>() {
-        Ok(t) if t.is_finite() && (0.0..1.0).contains(&t) => t,
-        _ => usage_error(&format!("bad --tolerance value `{raw}` (want a fraction in [0, 1))")),
-    }
-}
-
 fn parse_qps(raw: &str) -> f64 {
     match raw.parse::<f64>() {
         Ok(q) if q.is_finite() && q > 0.0 => q,
@@ -244,8 +226,6 @@ fn main() {
     let mut qps: Option<f64> = None;
     let mut threads: Option<usize> = None;
     let mut json_path: Option<String> = None;
-    let mut compare_path: Option<String> = None;
-    let mut tolerance: Option<f64> = None;
     let mut checkpoint_every: Option<u64> = None;
     let mut kill: Option<(u32, u64)> = None;
     let mut seed: Option<u64> = None;
@@ -322,17 +302,6 @@ fn main() {
             "--json" => {
                 let raw = args.get(i + 1).unwrap_or_else(|| usage_error("--json needs a path"));
                 json_path = Some(raw.clone());
-                i += 2;
-            }
-            "--compare" => {
-                let raw = args.get(i + 1).unwrap_or_else(|| usage_error("--compare needs a path"));
-                compare_path = Some(raw.clone());
-                i += 2;
-            }
-            "--tolerance" => {
-                let raw =
-                    args.get(i + 1).unwrap_or_else(|| usage_error("--tolerance needs a value"));
-                tolerance = Some(parse_tolerance(raw));
                 i += 2;
             }
             "--checkpoint-every" => {
@@ -447,14 +416,7 @@ fn main() {
             usage_error(&format!("{flag} only applies to the `faults` mode"));
         }
     }
-    if compare_path.is_some() && mode != "bench" {
-        usage_error("--compare only applies to the `bench` mode");
-    }
-    if tolerance.is_some() && compare_path.is_none() {
-        usage_error("--tolerance requires --compare");
-    }
     let engine = threads.map(EngineConfig::with_threads).unwrap_or_default();
-    let compare = compare_path.as_deref().map(|p| (p, tolerance.unwrap_or(0.15)));
 
     match mode.as_str() {
         "loading" => loading(&sfs),
@@ -475,7 +437,7 @@ fn main() {
         "cost-model" => cost_model(),
         "triangle-theta" => triangle_theta(),
         "reshuffle" => reshuffle(last_sf),
-        "bench" => bench_trajectory(last_sf, threads, json_path.as_deref(), compare),
+        "bench" => bench_trajectory(last_sf, threads, json_path.as_deref()),
         "serve" => serve_bench(
             last_sf,
             tenants.unwrap_or(8),
@@ -1011,7 +973,7 @@ fn sessions_replay(sf: f64, n: usize, migration_budget: usize, bw: f64, restart_
         cluster.calibrated_session(&tag, &tpch_analyzed).expect("calibrated session opens");
     println!(
         "(placement calibrated on tpch: {} profiled edge labels)\n",
-        session.placement_profile().len()
+        session.accumulated_profile().len()
     );
 
     let mut rows = Vec::new();
@@ -1614,16 +1576,9 @@ fn faults_bench(
                             out = Some(o);
                             break;
                         }
-                        Err(e) => {
-                            let msg = format!("{e}");
-                            if msg.contains("transient fault") {
-                                arm.retries += 1;
-                            } else if msg.contains("fault:") {
-                                arm.reruns += 1;
-                            } else {
-                                panic!("{workload} interval {interval}: non-fault error: {msg}");
-                            }
-                        }
+                        Err(RelError::Fault { transient: true, .. }) => arm.retries += 1,
+                        Err(RelError::Fault { transient: false, .. }) => arm.reruns += 1,
+                        Err(e) => panic!("{workload} interval {interval}: non-fault error: {e}"),
                     }
                 }
                 let out = out.unwrap_or_else(|| {
@@ -1872,12 +1827,7 @@ struct TrajectoryEntry {
 /// reports the best of `REPS` runs, and every TAG result bag is checked
 /// against the row baseline — the bench doubles as an equivalence smoke
 /// across thread counts.
-fn bench_trajectory(
-    sf: f64,
-    threads: Option<usize>,
-    json_path: Option<&str>,
-    compare: Option<(&str, f64)>,
-) {
+fn bench_trajectory(sf: f64, threads: Option<usize>, json_path: Option<&str>) {
     const REPS: usize = 3;
     // Pinned default: `EngineConfig::default()` follows available_parallelism,
     // which would make the committed trajectory host-dependent.
@@ -1957,74 +1907,6 @@ fn bench_trajectory(
         }
         println!("wrote {path}");
     }
-    if let Some((path, tolerance)) = compare {
-        compare_against_baseline(&entries, path, tolerance);
-    }
-}
-
-/// The trajectory regression gate behind `bench --compare`: this run's
-/// totals `parallel_speedup` per workload must not fall more than
-/// `tolerance` below the committed baseline's. Exits 1 on regression (or an
-/// unreadable/shapeless baseline), so CI can gate PRs on parallel overhead.
-fn compare_against_baseline(entries: &[TrajectoryEntry], path: &str, tolerance: f64) {
-    let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("repro: cannot read baseline {path}: {e}");
-        std::process::exit(1);
-    });
-    println!("\n### Trajectory gate vs {path} (tolerance {tolerance})\n");
-    let mut rows = Vec::new();
-    let mut regressed = false;
-    for workload in ["tpch", "tpcds"] {
-        let (mut t1, mut tm) = (0.0, 0.0);
-        for e in entries.iter().filter(|e| e.workload == workload) {
-            t1 += e.tag_1t_s;
-            tm += e.tag_mt_s;
-        }
-        let fresh = t1 / tm.max(1e-12);
-        let base = baseline_total_speedup(&baseline, workload).unwrap_or_else(|| {
-            eprintln!("repro: {path} has no totals parallel_speedup for {workload}");
-            std::process::exit(1);
-        });
-        let floor = base * (1.0 - tolerance);
-        let ok = fresh >= floor;
-        regressed |= !ok;
-        rows.push(vec![
-            workload.to_string(),
-            format!("{base:.3}"),
-            format!("{fresh:.3}"),
-            format!("{floor:.3}"),
-            if ok { "ok" } else { "REGRESSED" }.to_string(),
-        ]);
-    }
-    println!(
-        "{}",
-        markdown_table(
-            &["workload", "baseline speedup", "current", "floor", "status"].map(String::from),
-            &rows
-        )
-    );
-    if regressed {
-        eprintln!(
-            "repro: totals parallel_speedup regressed beyond tolerance {tolerance} vs {path}"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Pull a workload's totals `parallel_speedup` out of a trajectory JSON
-/// (our own `trajectory_json` shape). Hand-rolled substring walk — the
-/// workspace is offline, so no serde.
-fn baseline_total_speedup(json: &str, workload: &str) -> Option<f64> {
-    let totals = &json[json.find("\"totals\"")?..];
-    let workload_obj = &totals[totals.find(&format!("\"{workload}\""))?..];
-    let key = "\"parallel_speedup\":";
-    let after = &workload_obj[workload_obj.find(key)? + key.len()..];
-    let num: String = after
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        .collect();
-    num.parse().ok()
 }
 
 /// Serialize the trajectory as JSON by hand (the workspace is offline — no

@@ -198,64 +198,6 @@ fn bad_restart_at_is_a_usage_error() {
 }
 
 #[test]
-fn bad_compare_and_tolerance_are_usage_errors() {
-    assert_usage_exit(&["bench", "--compare"], "--compare needs a path");
-    assert_usage_exit(&["bench", "--tolerance"], "--tolerance needs a value");
-    assert_usage_exit(&["bench", "--compare", "b.json", "--tolerance", "2"], "bad --tolerance");
-    assert_usage_exit(&["bench", "--compare", "b.json", "--tolerance", "-0.1"], "bad --tolerance");
-    assert_usage_exit(&["bench", "--compare", "b.json", "--tolerance", "soft"], "bad --tolerance");
-    assert_usage_exit(
-        &["tpch", "--compare", "b.json"],
-        "--compare only applies to the `bench` mode",
-    );
-    assert_usage_exit(&["bench", "--tolerance", "0.1"], "--tolerance requires --compare");
-}
-
-/// Write a minimal trajectory baseline with the given totals speedups.
-fn baseline_file(dir: &std::path::Path, tpch: f64, tpcds: f64) -> std::path::PathBuf {
-    let path = dir.join(format!("baseline-{tpch}-{tpcds}.json"));
-    let json = format!(
-        "{{\n  \"schema\": \"vcsql-bench-trajectory/v1\",\n  \"totals\": {{\n    \
-         \"tpch\": {{\"tag_1t_ms\": 1.0, \"tag_mt_ms\": 1.0, \"parallel_speedup\": {tpch}}},\n    \
-         \"tpcds\": {{\"tag_1t_ms\": 1.0, \"tag_mt_ms\": 1.0, \"parallel_speedup\": {tpcds}}}\n  }}\n}}\n"
-    );
-    std::fs::write(&path, json).unwrap();
-    path
-}
-
-#[test]
-fn bench_compare_gates_on_totals_speedup() {
-    let dir = std::env::temp_dir().join(format!("repro-compare-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    // Against a tiny baseline the fresh run can only look better: exit 0.
-    let low = baseline_file(&dir, 0.05, 0.05);
-    let out =
-        repro(&["bench", "--sf", "0.004", "--threads", "2", "--compare", low.to_str().unwrap()]);
-    assert!(
-        out.status.success(),
-        "compare against a low baseline must pass: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("Trajectory gate"), "{stdout}");
-    assert!(stdout.contains("ok"), "{stdout}");
-    // An absurdly high baseline must trip the gate: exit 1 with a clear
-    // message (not a usage error, not a panic).
-    let high = baseline_file(&dir, 1000.0, 1000.0);
-    let out =
-        repro(&["bench", "--sf", "0.004", "--threads", "2", "--compare", high.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "regression must exit 1");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("regressed beyond tolerance"), "{stderr}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSED"));
-    // A missing baseline file is a runtime error, exit 1.
-    let out = repro(&["bench", "--sf", "0.004", "--compare", "/no/such/baseline.json"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read baseline"));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn bench_smoke_emits_trajectory_json() {
     // End-to-end: the bench mode must run both workloads, print the
     // trajectory tables, and write well-formed JSON with the pinned schema

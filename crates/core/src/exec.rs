@@ -90,8 +90,8 @@ impl<'t> TagJoinExecutor<'t> {
     /// each fault fires at most once across the whole execution) injects
     /// the plan's faults and checkpoints at the injector's cadence.
     /// Recovered crashes never change results; unabsorbable faults surface
-    /// as [`RelError::Other`] — transient ones marked `transient fault` so
-    /// hosts can retry.
+    /// as [`RelError::Fault`], whose `transient` flag tells hosts whether a
+    /// retry is worthwhile.
     pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
         self.faults = Some(injector);
         self
@@ -686,15 +686,10 @@ impl<'t> TagJoinExecutor<'t> {
 // Vertex-side helpers (free functions so closures stay lean)
 // ---------------------------------------------------------------------------
 
-/// Map an engine fault to the executor's error type. Transient faults carry
-/// the `transient fault` marker substring so hosts (the server's retry loop)
-/// can distinguish retry-worthy failures without a new error variant.
+/// Map an engine fault to the executor's error type; retry-worthiness
+/// travels in the variant, so hosts (the server's retry loop) match on it.
 fn fault_to_rel(e: FaultError) -> RelError {
-    if e.is_transient() {
-        RelError::Other(format!("transient fault: {e}"))
-    } else {
-        RelError::Other(format!("fault: {e}"))
-    }
+    RelError::Fault { transient: e.is_transient(), message: e.to_string() }
 }
 
 /// Checkpoint size of one vertex's [`St`] in bytes, mirroring the wire

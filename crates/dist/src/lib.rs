@@ -144,12 +144,7 @@ fn execute_under(
     config: EngineConfig,
 ) -> Result<(ExecOutput, NetStats)> {
     let out = TagJoinExecutor::new(tag, config).with_partitioning(partitioning).execute(a)?;
-    let net = NetStats {
-        network_messages: out.stats.totals.network_messages,
-        network_bytes: out.stats.totals.network_bytes,
-        rounds: out.stats.supersteps,
-        ..Default::default()
-    };
+    let net = NetStats::from_run(&out.stats);
     Ok((out, net))
 }
 

@@ -10,6 +10,7 @@
 //! `vcsql_core::table`), the Spark model through [`unsafe_row_bytes`] —
 //! so the byte comparison is like for like.
 
+use vcsql_bsp::RunStats;
 use vcsql_relation::Value;
 
 /// Traffic that crossed simulated machine boundaries.
@@ -49,6 +50,26 @@ pub struct NetStats {
 }
 
 impl NetStats {
+    /// The network share of one TAG-join run: its cross-machine messages
+    /// and bytes, one round per superstep, and its fault-tolerance traffic
+    /// — checkpoint writes go to stable storage (itemized, outside the
+    /// totals), recovery re-ships the crashed partition's checkpoint state
+    /// over the wire (itemized and inside the totals, like migrations). The
+    /// engine keeps both out of its per-label `totals`, so nothing is
+    /// double-billed; a fault-free run has all three counters zero.
+    pub fn from_run(stats: &RunStats) -> NetStats {
+        let mut net = NetStats {
+            network_messages: stats.totals.network_messages,
+            network_bytes: stats.totals.network_bytes,
+            rounds: stats.supersteps,
+            ..Default::default()
+        };
+        let ft = &stats.faults;
+        net.record_checkpoint(ft.checkpoint_bytes);
+        net.record_recovery(ft.recovered_vertices, ft.recovery_bytes, ft.recovered_rounds);
+        net
+    }
+
     /// Fold another run's traffic into this one (e.g. a subquery's).
     pub fn absorb(&mut self, other: &NetStats) {
         self.network_messages += other.network_messages;

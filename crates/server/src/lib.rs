@@ -11,15 +11,16 @@
 //! derives a fresh target and walks there. With several tenants over one
 //! graph that policy thrashes — each tenant drags the placement toward its
 //! own mix, and vertices ping-pong on every mix switch. The server instead
-//! runs a single **arbitrated repartitioning loop**
-//! ([`Arbitration::Merged`]): each tenant *votes* with its exponentially
-//! decayed [`TrafficProfile`], the votes are merged byte-weighted (a
-//! tenant's weight is the traffic it actually generates) into one
-//! consensus workload, and only when *that* drifts past the threshold does
-//! the server derive one target and migrate toward it under a global
-//! budget. [`Arbitration::Unilateral`] (per-tenant targets that overwrite
-//! each other) and [`Arbitration::Static`] (never adapt) are kept as
-//! baselines for the `repro serve` benchmark.
+//! drives the same [`PlacementController`] a session owns with an
+//! **arbitrated vote** ([`Arbitration::Merged`]): each tenant votes with
+//! its exponentially decayed [`TrafficProfile`], the votes are merged
+//! byte-weighted (a tenant's weight is the traffic it actually generates)
+//! into one consensus workload, and only when *that* drifts past the
+//! threshold does the controller derive one target and migrate toward it
+//! under a global budget. [`Arbitration::Unilateral`] (per-tenant votes
+//! whose targets overwrite each other) and [`Arbitration::Static`] (no vote
+//! at all) are kept as baselines for the `repro serve` benchmark. The vote
+//! source is all that separates a session from a one-tenant server.
 //!
 //! Concurrency model: tenants call [`TenantSession::run_sql`] from any
 //! thread. Executions share the server's persistent
@@ -36,16 +37,15 @@ pub use admission::{AdmissionController, AdmissionPermit, AdmissionStats};
 pub use cache::{ShardedPlanCache, TenantCacheStats};
 
 use crate::sync::{Mutex, MutexGuard, RwLock};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, PoisonError};
 use vcsql_bsp::{
-    balance_cap, migrate_step, EngineConfig, FaultInjector, PartitionStrategy, Partitioning,
-    TrafficProfile, WorkerPool, DEFAULT_BALANCE_SLACK,
+    EngineConfig, FaultInjector, PartitionStrategy, Partitioning, TrafficProfile, WorkerPool,
+    DEFAULT_BALANCE_SLACK,
 };
-use vcsql_core::{ExecOutput, QueryPlan, TagJoinExecutor};
+use vcsql_core::{ExecOutput, QueryPlan};
 use vcsql_dist::NetStats;
 use vcsql_relation::RelError;
-use vcsql_session::{panic_message, vertex_state_bytes};
+use vcsql_session::{execute_placed, validate_knobs, PlacementController};
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -213,27 +213,6 @@ pub struct TenantStats {
     pub failures: FailureStats,
 }
 
-/// The placement every tenant shares, plus the in-flight arbitration walk.
-#[derive(Debug)]
-struct PlacementState {
-    /// Current placement (`None` when `machines == 1`). Mid-migration this
-    /// is the in-between placement the next execution runs under.
-    current: Option<Arc<Partitioning>>,
-    /// The profile the current placement was derived from — the standing
-    /// consensus.
-    profile: TrafficProfile,
-    pending: Option<PendingMigration>,
-}
-
-/// An in-flight arbitration: the target, the vote it was derived from, and
-/// (under [`Arbitration::Unilateral`]) which tenant proposed it.
-#[derive(Debug)]
-struct PendingMigration {
-    target: Partitioning,
-    profile: TrafficProfile,
-    proposer: Option<usize>,
-}
-
 /// One tenant's server-side state.
 #[derive(Debug)]
 struct TenantState {
@@ -251,7 +230,9 @@ pub struct QueryServer {
     tag: Arc<TagGraph>,
     config: ServerConfig,
     cache: ShardedPlanCache,
-    placement: RwLock<PlacementState>,
+    /// The placement every tenant shares (`None` when `machines == 1`):
+    /// read to execute, written by the arbitration step.
+    placement: Option<RwLock<PlacementController>>,
     tenants: Mutex<Vec<Arc<TenantState>>>,
     admission: AdmissionController,
     /// Persistent worker runtime shared by every tenant's executions
@@ -278,39 +259,18 @@ impl QueryServer {
     /// at least one cache shard and positive admission bounds.
     pub fn start(tag: &Arc<TagGraph>, config: ServerConfig) -> Result<Arc<QueryServer>> {
         let invalid = |msg: String| RelError::Other(format!("server config: {msg}"));
-        if config.machines == 0 {
-            return Err(invalid("at least one machine required".into()));
-        }
-        if config.machines > u16::MAX as usize {
-            return Err(invalid("machine count exceeds u16".into()));
-        }
+        validate_knobs(
+            "server",
+            config.machines,
+            config.plan_cache_capacity,
+            config.migration_budget,
+            config.drift_threshold,
+            config.balance_slack,
+            config.profile_half_life,
+        )
+        .map_err(|e| invalid(e.to_string()))?;
         if config.cache_shards == 0 {
             return Err(invalid("plan cache needs at least one shard".into()));
-        }
-        if config.plan_cache_capacity == 0 {
-            return Err(invalid("plan cache needs capacity for at least one plan".into()));
-        }
-        if config.migration_budget == 0 {
-            return Err(invalid("migration budget must allow at least one vertex".into()));
-        }
-        if !config.drift_threshold.is_finite() || config.drift_threshold <= 0.0 {
-            return Err(invalid(format!(
-                "drift threshold must be positive and finite, got {}",
-                config.drift_threshold
-            )));
-        }
-        if !config.balance_slack.is_finite() || config.balance_slack < 0.0 {
-            return Err(invalid(format!(
-                "balance slack must be non-negative, got {}",
-                config.balance_slack
-            )));
-        }
-        if let Some(h) = config.profile_half_life {
-            if !h.is_finite() || h <= 0.0 {
-                return Err(invalid(format!(
-                    "profile half-life must be positive and finite, got {h}"
-                )));
-            }
         }
         if config.max_in_flight_per_tenant == 0 || config.max_in_flight_total == 0 {
             return Err(invalid("admission bounds must admit at least one execution".into()));
@@ -332,19 +292,20 @@ impl QueryServer {
                 config.bandwidth_bytes_per_sec
             )));
         }
-        let current = (config.machines > 1).then(|| {
-            Arc::new(vcsql_dist::tag_partitioning(tag, config.machines, &config.strategy))
-        });
-        let profile = match &config.strategy {
-            PartitionStrategy::Workload(p) => p.clone(),
-            _ => TrafficProfile::new(),
-        };
+        let placement = PlacementController::new(
+            tag,
+            config.machines,
+            &config.strategy,
+            config.drift_threshold,
+            config.migration_budget,
+            config.balance_slack,
+        );
         let pool =
             (config.engine.threads > 1).then(|| Arc::new(WorkerPool::new(config.engine.threads)));
         Ok(Arc::new(QueryServer {
             tag: Arc::clone(tag),
             cache: ShardedPlanCache::new(config.cache_shards, config.plan_cache_capacity),
-            placement: RwLock::new(PlacementState { current, profile, pending: None }),
+            placement: placement.map(RwLock::new),
             tenants: Mutex::new(Vec::new()),
             admission: AdmissionController::new(
                 config.max_in_flight_per_tenant,
@@ -402,23 +363,30 @@ impl QueryServer {
     /// The placement every tenant currently runs under (`None` on a single
     /// machine).
     pub fn partitioning(&self) -> Option<Arc<Partitioning>> {
-        self.read_placement().current.clone()
+        self.read_placement(|p| Arc::clone(p.current()))
     }
 
     /// The standing consensus profile the current placement was derived
-    /// from.
-    pub fn placement_profile(&self) -> TrafficProfile {
-        self.read_placement().profile.clone()
+    /// from (`None` on a single machine).
+    pub fn placement_profile(&self) -> Option<TrafficProfile> {
+        self.read_placement(|p| p.profile().clone())
     }
 
     /// True iff an arbitration walk is in flight.
     pub fn migration_pending(&self) -> bool {
-        self.read_placement().pending.is_some()
+        self.read_placement(PlacementController::is_migrating).unwrap_or(false)
     }
 
     /// Lifetime counters, across all tenants.
     pub fn stats(&self) -> ServerStats {
-        lock(&self.stats).clone()
+        let mut stats = lock(&self.stats).clone();
+        self.read_placement(|p| {
+            stats.adaptations = p.adaptations;
+            stats.migration_steps = p.migration_steps;
+            stats.migrated_vertices = p.migrated_vertices;
+            stats.migration_bytes = p.migration_bytes;
+        });
+        stats
     }
 
     /// The persistent worker pool (`None` when the engine config is
@@ -427,95 +395,43 @@ impl QueryServer {
         self.pool.as_ref()
     }
 
-    fn read_placement(&self) -> impl std::ops::Deref<Target = PlacementState> + '_ {
-        self.placement.read().unwrap_or_else(PoisonError::into_inner)
+    fn read_placement<T>(&self, read: impl FnOnce(&PlacementController) -> T) -> Option<T> {
+        let placement = self.placement.as_ref()?;
+        Some(read(&placement.read().unwrap_or_else(PoisonError::into_inner)))
     }
 
     /// Merge every tenant's decayed profile into one byte-weighted vote:
     /// `absorb` sums raw counters, so a tenant's weight in the consensus is
-    /// exactly the traffic it generates. The second component is the
-    /// quorum: `true` iff every registered tenant has voted (executed at
-    /// least once). Deriving a target from a partial consensus is how a
-    /// fleet of unilateral sessions thrashes — the first tenant to run
-    /// would drag the shared placement toward its own mix before anyone
-    /// else was heard — so the merged policy refuses to re-shuffle shared
-    /// state until every seated tenant has spoken.
-    fn merged_vote(&self) -> (TrafficProfile, bool) {
+    /// exactly the traffic it generates. `None` without a quorum, i.e.
+    /// unless every registered tenant has voted (executed at least once).
+    /// Deriving a target from a partial consensus is how a fleet of
+    /// unilateral sessions thrashes — the first tenant to run would drag
+    /// the shared placement toward its own mix before anyone else was heard
+    /// — so the merged policy abstains until every seated tenant has spoken.
+    fn merged_vote(&self) -> Option<TrafficProfile> {
         let tenants: Vec<Arc<TenantState>> = lock(&self.tenants).clone();
         let mut vote = TrafficProfile::new();
-        let mut quorum = true;
         for t in &tenants {
             let profile = lock(&t.profile);
-            quorum &= !profile.is_empty();
+            if profile.is_empty() {
+                return None;
+            }
             vote.absorb(&profile);
         }
-        (vote, quorum)
+        Some(vote)
     }
 
-    /// The arbitration step run after each execution: form the vote
-    /// (consensus or the proposer's own profile, per policy), derive a
-    /// target when the vote drifts past the threshold, then walk the
-    /// shared placement toward the pending target one bounded migration
-    /// step at a time, charging migrated state to `net` (and so to the
-    /// execution that triggered the step).
-    fn arbitrate(&self, proposer: usize, net: &mut NetStats) {
-        if self.config.machines <= 1 || self.config.arbitration == Arbitration::Static {
-            return;
-        }
-        // The vote is formed before the placement write lock: merged votes
-        // take the tenant locks, and lock order is tenants → placement.
-        let (vote, quorum) = match self.config.arbitration {
+    /// The vote the arbitration policy hands the shared controller after
+    /// one of `proposer`'s executions — the one thing a server does
+    /// differently from a session, which always votes its own profile.
+    fn vote(&self, proposer: &TenantState) -> Option<TrafficProfile> {
+        match self.config.arbitration {
             Arbitration::Merged => self.merged_vote(),
-            // Unilateral tenants don't wait for anyone — that impatience is
-            // the baseline's defining (mis)behaviour.
-            Arbitration::Unilateral => {
-                let tenants = lock(&self.tenants);
-                let profile = lock(&tenants[proposer].profile);
-                (profile.clone(), true)
-            }
-            Arbitration::Static => unreachable!("static arbitration returned above"),
-        };
-        let mut pl = self.placement.write().unwrap_or_else(PoisonError::into_inner);
-        let drifted = || quorum && vote.byte_drift(&pl.profile) > self.config.drift_threshold;
-        let need_target = match (&pl.pending, self.config.arbitration) {
-            (None, _) => drifted(),
-            // Unilateral tenants fight: a drifted tenant overwrites another
-            // tenant's in-flight target with its own. This is the thrash
-            // the merged policy exists to prevent.
-            (Some(p), Arbitration::Unilateral) => p.proposer != Some(proposer) && drifted(),
-            (Some(_), _) => false,
-        };
-        if need_target {
-            let target = vcsql_dist::tag_partitioning(
-                &self.tag,
-                self.config.machines,
-                &PartitionStrategy::Workload(vote.clone()),
-            );
-            pl.pending = Some(PendingMigration { target, profile: vote, proposer: Some(proposer) });
-            lock(&self.stats).adaptations += 1;
-        }
-        let Some(pending) = &pl.pending else { return };
-        let current = pl.current.as_deref().expect("machines > 1 implies a placement");
-        let cap = balance_cap(
-            self.tag.graph().vertex_count(),
-            self.config.machines,
-            self.config.balance_slack,
-        );
-        let step = migrate_step(current, &pending.target, self.config.migration_budget, cap);
-        if !step.moves.is_empty() {
-            let bytes: u64 =
-                step.moves.iter().map(|m| vertex_state_bytes(&self.tag, m.vertex)).sum();
-            net.record_migration(step.moves.len() as u64, bytes);
-            let mut stats = lock(&self.stats);
-            stats.migration_steps += 1;
-            stats.migrated_vertices += step.moves.len() as u64;
-            stats.migration_bytes += bytes;
-        }
-        let done = step.remaining == 0 || step.moves.is_empty();
-        pl.current = Some(Arc::new(step.partitioning));
-        if done {
-            let finished = pl.pending.take().expect("pending checked above");
-            pl.profile = finished.profile;
+            // Unilateral tenants don't wait for anyone, and a drifted one
+            // overwrites another tenant's in-flight target with its own —
+            // the thrash the merged policy exists to prevent.
+            Arbitration::Unilateral => Some(lock(&proposer.profile).clone()),
+            Arbitration::Static => None,
         }
     }
 }
@@ -552,12 +468,13 @@ impl TenantSession {
     /// arbitration step shipped, plus checkpoint and recovery traffic when
     /// fault injection is armed.
     ///
-    /// Failure isolation: a panicking execution is caught here and becomes
-    /// a per-tenant error — the admission permit is released by its RAII
+    /// Failure isolation: a panicking execution is caught (by
+    /// [`execute_placed`]) and becomes a per-tenant [`RelError::Panicked`] — the admission permit is released by its RAII
     /// drop on *every* exit path (return, `?`, unwind), so a dying query
     /// never leaks an in-flight slot, and no tenant or server state is
     /// mutated by a failed run except the [`FailureStats`] that record it.
-    /// Transient injected faults (dropped deliveries) are retried up to
+    /// Transient injected faults ([`RelError::Fault`] with `transient` set:
+    /// dropped deliveries) are retried up to
     /// [`ServerConfig::max_retries`] times with exponential backoff on the
     /// modelled clock; crashes recover from checkpoints inside the engine;
     /// a configured modelled-clock deadline turns slow recoveries into
@@ -573,57 +490,49 @@ impl TenantSession {
         let mut waited = 0.0f64;
         let outcome = (|| {
             let plan = self.prepare(sql)?;
-            for attempt in 0..=cfg.max_retries {
-                let mut exec = TagJoinExecutor::new(&self.server.tag, cfg.engine);
-                if let Some(p) = self.server.partitioning() {
-                    exec = exec.with_partitioning_shared(p);
-                }
-                if let Some(pool) = &self.server.pool {
-                    exec = exec.with_worker_pool(Arc::clone(pool));
-                }
-                if let Some(inj) = &cfg.fault_injector {
-                    exec = exec.with_fault_injector(Arc::clone(inj));
-                }
-                // The executor only reads shared server state through Arcs
-                // (graph, placement, pool), so unwinding out of it cannot
-                // tear anything a later execution observes; the catch just
-                // converts the panic into this tenant's error.
-                let caught = catch_unwind(AssertUnwindSafe(|| exec.execute_plan(&plan)));
-                let err = match caught {
-                    Ok(Ok(out)) => return Ok(out),
-                    Ok(Err(e)) => e,
-                    Err(payload) => {
-                        // Panics are never retried: unlike a planned
-                        // transient fault, a panic's cause is unknown and
-                        // re-running it would just burn the budget.
+            let mut attempt = 0;
+            loop {
+                let err = match execute_placed(
+                    &self.server.tag,
+                    cfg.engine,
+                    self.server.partitioning(),
+                    self.server.pool.as_ref(),
+                    cfg.fault_injector.as_ref(),
+                    &plan,
+                ) {
+                    Ok(done) => return Ok(done),
+                    // Panics are never retried: unlike a planned transient
+                    // fault, a panic's cause is unknown and re-running it
+                    // would just burn the budget.
+                    Err(RelError::Panicked(msg)) => {
                         failures.panics += 1;
-                        return Err(RelError::Other(format!(
-                            "tenant {}: execution panicked: {}",
-                            self.tenant.id,
-                            panic_message(&*payload)
+                        return Err(RelError::Panicked(format!(
+                            "tenant {}: {msg}",
+                            self.tenant.id
                         )));
                     }
+                    Err(e) => e,
                 };
-                let transient = format!("{err}").contains("transient fault");
+                let transient = matches!(err, RelError::Fault { transient: true, .. });
                 if !transient || attempt == cfg.max_retries {
                     return Err(err);
                 }
                 // Exponential backoff on the modelled clock before the
                 // re-execution, bounded by the deadline if one is set.
                 waited += cfg.retry_backoff_secs * 2.0f64.powi(attempt as i32);
+                attempt += 1;
                 if cfg.deadline_secs.is_some_and(|d| waited > d) {
                     failures.timeouts += 1;
                     return Err(RelError::Other(format!(
-                        "tenant {}: deadline exceeded after {} retries ({waited:.3}s modelled backoff): {err}",
-                        self.tenant.id, attempt + 1
+                        "tenant {}: deadline exceeded after {attempt} retries ({waited:.3}s modelled backoff): {err}",
+                        self.tenant.id
                     )));
                 }
                 failures.retries += 1;
             }
-            unreachable!("retry loop returns on its last attempt")
         })();
-        let out = match outcome {
-            Ok(out) => out,
+        let (out, mut net) = match outcome {
+            Ok(done) => done,
             Err(e) => {
                 // A failed execution leaves the tenant's profile, the
                 // shared placement and the query counters untouched; only
@@ -634,18 +543,6 @@ impl TenantSession {
             }
         };
         failures.recoveries += out.stats.faults.crashes_recovered;
-        let mut net = NetStats {
-            network_messages: out.stats.totals.network_messages,
-            network_bytes: out.stats.totals.network_bytes,
-            rounds: out.stats.supersteps,
-            ..Default::default()
-        };
-        // Itemize fault-tolerance traffic the same way `vcsql-session`
-        // does: checkpoints to stable storage (outside the totals),
-        // recovery re-shipping over the wire (inside them).
-        let ft = &out.stats.faults;
-        net.record_checkpoint(ft.checkpoint_bytes);
-        net.record_recovery(ft.recovered_vertices, ft.recovery_bytes, ft.recovered_rounds);
         // The deadline covers the whole query: modelled backoff waits plus
         // the successful attempt's modelled runtime.
         if let Some(deadline) = cfg.deadline_secs {
@@ -668,7 +565,17 @@ impl TenantSession {
             }
             profile.absorb(&TrafficProfile::from_run(&out.stats, self.server.tag.graph()));
         }
-        self.server.arbitrate(self.tenant.id, &mut net);
+        if let Some(placement) = &self.server.placement {
+            // The vote is formed before the placement write lock: it takes
+            // the tenant locks, and lock order is tenants → placement.
+            let vote = self.server.vote(&self.tenant);
+            placement.write().unwrap_or_else(PoisonError::into_inner).step(
+                vote.as_ref(),
+                cfg.arbitration == Arbitration::Unilateral,
+                self.tenant.id,
+                &mut net,
+            );
+        }
         {
             let mut stats = lock(&self.tenant.stats);
             stats.queries += 1;
@@ -709,6 +616,7 @@ impl TenantSession {
 mod tests {
     use super::*;
     use vcsql_bsp::FaultPlan;
+    use vcsql_core::TagJoinExecutor;
     use vcsql_workload::tpch;
 
     const JOIN_SQL: &str = "SELECT c.c_name FROM customer c, orders o, lineitem l \
@@ -863,8 +771,9 @@ mod tests {
         let victim = server.open_session();
         let bystander = server.open_session();
         let err = victim.run_sql(JOIN_SQL).unwrap_err();
+        assert!(matches!(err, RelError::Panicked(_)), "{err}");
         let msg = format!("{err}");
-        assert!(msg.contains("tenant 0") && msg.contains("execution panicked"), "{msg}");
+        assert!(msg.starts_with("tenant 0: execution panicked: "), "{msg}");
         assert_eq!(server.admission.total_in_flight(), 0, "panicked query leaked its slot");
         assert_eq!(victim.failure_stats(), FailureStats { panics: 1, ..Default::default() });
         assert_eq!(victim.stats().queries, 0, "panicked run must not count as served");
@@ -950,7 +859,7 @@ mod tests {
         .unwrap();
         let tenant = server.open_session();
         let err = tenant.run_sql(JOIN_SQL).unwrap_err();
-        assert!(format!("{err}").contains("transient fault"), "{err}");
+        assert!(matches!(err, RelError::Fault { transient: true, .. }), "{err}");
         assert_eq!(tenant.stats().queries, 0);
         assert_eq!(server.admission.total_in_flight(), 0);
         // Fired once: the next run is clean.

@@ -187,7 +187,7 @@ mod tests {
                 .unwrap();
         // ...and the Cluster form of the same thing.
         let mut session = cluster.calibrated_session(&tag, workload).unwrap();
-        assert_eq!(session.placement_profile(), &profile);
+        assert_eq!(session.placement_profile(), Some(&profile));
         let (out, net) = session.run_sql(JOIN_SQL).unwrap();
         let (old_out, old_net) = &outputs[0];
         assert!(out.relation.same_bag_approx(&old_out.relation, 1e-9));

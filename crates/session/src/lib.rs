@@ -14,13 +14,14 @@
 //!   reusable [`PreparedQuery`];
 //! * [`Session::execute`] / [`Session::run_sql`] — run under the session's
 //!   current placement, fold the run's per-edge-label traffic into a
-//!   cross-query [`TrafficProfile`], and *adapt*: when the accumulated
-//!   profile drifts (byte-weighted total-variation distance,
-//!   [`TrafficProfile::byte_drift`]) past the configured threshold, the
-//!   session derives a fresh `Workload` placement and migrates vertices
-//!   toward it incrementally — at most [`SessionConfig::migration_budget`]
-//!   vertices per execution, never above the balance cap — charging every
-//!   migrated vertex's state to [`NetStats`] so adaptation cost is honest;
+//!   cross-query [`TrafficProfile`], and *adapt*: the accumulated profile
+//!   is the session's vote to its [`PlacementController`], which — when the
+//!   vote drifts (byte-weighted total-variation distance,
+//!   [`TrafficProfile::byte_drift`]) past the configured threshold —
+//!   derives a fresh `Workload` placement and migrates vertices toward it
+//!   incrementally — at most [`SessionConfig::migration_budget`] vertices
+//!   per execution, never above the balance cap — charging every migrated
+//!   vertex's state to [`NetStats`] so adaptation cost is honest;
 //! * [`PreparedQuery::with_placement_hint`] — per-query placement overrides
 //!   for conflicts no single placement can serve (the q17-style
 //!   part–lineitem clash: `lineitem` cannot co-partition with both `orders`
@@ -33,9 +34,11 @@
 
 mod cache;
 mod cluster;
+mod placement;
 
 pub use cache::PlanCache;
 pub use cluster::Cluster;
+pub use placement::PlacementController;
 pub use vcsql_core::{ExecOutput, QueryPlan, TagJoinExecutor};
 pub use vcsql_dist::NetStats;
 
@@ -43,10 +46,10 @@ use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use vcsql_bsp::{
-    balance_cap, migrate_step, EngineConfig, FaultInjector, PartitionStrategy, Partitioning,
-    TrafficProfile, VertexId, WorkerPool, DEFAULT_BALANCE_SLACK,
+    EngineConfig, FaultInjector, PartitionStrategy, Partitioning, TrafficProfile, WorkerPool,
+    DEFAULT_BALANCE_SLACK,
 };
-use vcsql_relation::{RelError, Value};
+use vcsql_relation::RelError;
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -164,15 +167,6 @@ impl PreparedQuery {
     }
 }
 
-/// An in-flight adaptation: the target placement and the profile snapshot it
-/// was derived from (adopted as the placement's profile once the walk
-/// completes).
-#[derive(Debug)]
-struct PendingMigration {
-    target: Partitioning,
-    profile: TrafficProfile,
-}
-
 /// A long-lived query session over one TAG graph: prepared statements, a
 /// plan cache, one placement shared across queries, and online
 /// repartitioning as the observed workload drifts. The graph is held by
@@ -182,73 +176,43 @@ pub struct Session {
     tag: Arc<TagGraph>,
     config: SessionConfig,
     cache: PlanCache,
-    /// Current placement (`None` when `machines == 1`), shared with the
-    /// executor per run instead of copied.
-    partitioning: Option<Arc<Partitioning>>,
+    /// The placement and its adaptation state (`None` when `machines == 1`).
+    placement: Option<PlacementController>,
     /// Persistent worker runtime shared across every execution this session
     /// performs (`None` for single-threaded engine configs). Workers park
     /// between queries, so prepared-query re-execution pays no thread churn.
     workers: Option<Arc<WorkerPool>>,
-    /// The profile the current placement was derived from (empty for the
-    /// static strategies — any observed traffic then drifts maximally and
-    /// self-tunes the session on first use).
-    placement_profile: TrafficProfile,
-    /// Cross-query observed traffic, seeded with the placement profile.
+    /// Cross-query observed traffic, seeded with the initial strategy's
+    /// calibration profile — the session's vote to its controller.
     accumulated: TrafficProfile,
-    pending: Option<PendingMigration>,
     /// Deterministic fault injection shared by every execution this session
     /// runs (`None` = fault-free). Fired-once semantics span queries.
     faults: Option<Arc<FaultInjector>>,
-    stats: SessionStats,
+    queries: u64,
+    net: NetStats,
 }
 
 impl Session {
     /// Open a session over `tag` (the handle is cloned; the graph itself is
-    /// shared). Validates the configuration: at least one machine, a
-    /// non-empty plan cache, a positive migration budget, a positive finite
-    /// drift threshold, non-negative balance slack and a positive finite
-    /// profile half-life when one is set.
+    /// shared). Validates the configuration with [`validate_knobs`].
     pub fn open(tag: &Arc<TagGraph>, config: SessionConfig) -> Result<Session> {
-        if config.machines == 0 {
-            return Err(RelError::Other("session needs at least one machine".into()));
-        }
-        if config.machines > u16::MAX as usize {
-            return Err(RelError::Other("session machine count exceeds u16".into()));
-        }
-        if config.plan_cache_capacity == 0 {
-            return Err(RelError::Other("plan cache needs capacity for at least one plan".into()));
-        }
-        if config.migration_budget == 0 {
-            return Err(RelError::Other(
-                "migration budget must allow at least one vertex per step".into(),
-            ));
-        }
-        if !config.drift_threshold.is_finite() || config.drift_threshold <= 0.0 {
-            return Err(RelError::Other(format!(
-                "drift threshold must be positive and finite, got {}",
-                config.drift_threshold
-            )));
-        }
-        if !config.balance_slack.is_finite() || config.balance_slack < 0.0 {
-            return Err(RelError::Other(format!(
-                "balance slack must be non-negative, got {}",
-                config.balance_slack
-            )));
-        }
-        if let Some(h) = config.profile_half_life {
-            if !h.is_finite() || h <= 0.0 {
-                return Err(RelError::Other(format!(
-                    "profile half-life must be positive and finite, got {h}"
-                )));
-            }
-        }
-        let partitioning = (config.machines > 1).then(|| {
-            Arc::new(vcsql_dist::tag_partitioning(tag, config.machines, &config.strategy))
-        });
-        let placement_profile = match &config.strategy {
-            PartitionStrategy::Workload(p) => p.clone(),
-            _ => TrafficProfile::new(),
-        };
+        validate_knobs(
+            "session",
+            config.machines,
+            config.plan_cache_capacity,
+            config.migration_budget,
+            config.drift_threshold,
+            config.balance_slack,
+            config.profile_half_life,
+        )?;
+        let placement = PlacementController::new(
+            tag,
+            config.machines,
+            &config.strategy,
+            config.drift_threshold,
+            config.migration_budget,
+            config.balance_slack,
+        );
         let cache = PlanCache::new(config.plan_cache_capacity);
         // One persistent worker pool for the session's whole life: its OS
         // threads spawn on the first superstep that actually fans out, and
@@ -257,13 +221,12 @@ impl Session {
             (config.engine.threads > 1).then(|| Arc::new(WorkerPool::new(config.engine.threads)));
         Ok(Session {
             tag: Arc::clone(tag),
-            accumulated: placement_profile.clone(),
-            placement_profile,
-            partitioning,
+            accumulated: placement::calibration_profile(&config.strategy),
+            placement,
             workers,
-            pending: None,
             faults: None,
-            stats: SessionStats::default(),
+            queries: 0,
+            net: NetStats::default(),
             cache,
             config,
         })
@@ -300,48 +263,25 @@ impl Session {
     /// contract as [`Session::load_profile`]'s error paths. Every session
     /// mutation below happens after the fallible execution returns `Ok`.
     pub fn execute(&mut self, prepared: &PreparedQuery) -> Result<(ExecOutput, NetStats)> {
-        let mut exec = TagJoinExecutor::new(&self.tag, self.config.engine);
-        if let Some(p) = self.placement_for(prepared) {
-            exec = exec.with_partitioning_shared(p);
-        }
-        if let Some(pool) = &self.workers {
-            exec = exec.with_worker_pool(Arc::clone(pool));
-        }
-        if let Some(inj) = &self.faults {
-            exec = exec.with_fault_injector(Arc::clone(inj));
-        }
-        // The executor borrows no session state mutably (graph and placement
-        // are shared by Arc), so unwinding out of it cannot leave the
-        // session torn — the catch only converts the panic into the same
-        // unchanged-session error path an `Err` takes.
-        let out = catch_unwind(AssertUnwindSafe(|| exec.execute_plan(prepared.plan()))).map_err(
-            |payload| RelError::Other(format!("execution panicked: {}", panic_message(&*payload))),
-        )??;
-        let mut net = NetStats {
-            network_messages: out.stats.totals.network_messages,
-            network_bytes: out.stats.totals.network_bytes,
-            rounds: out.stats.supersteps,
-            ..Default::default()
-        };
-        // Charge fault-tolerance traffic: checkpoint writes go to stable
-        // storage (itemized, outside the network totals); recovery re-ships
-        // the crashed partition's checkpoint state over the wire (itemized
-        // and counted in the totals, like migrations). The engine keeps
-        // these out of its per-label `totals`, so nothing is double-billed.
-        let ft = &out.stats.faults;
-        net.record_checkpoint(ft.checkpoint_bytes);
-        net.record_recovery(ft.recovered_vertices, ft.recovery_bytes, ft.recovered_rounds);
+        let (out, mut net) = execute_placed(
+            &self.tag,
+            self.config.engine,
+            self.placement_for(prepared),
+            self.workers.as_ref(),
+            self.faults.as_ref(),
+            prepared.plan(),
+        )?;
         if let Some(h) = self.config.profile_half_life {
             self.accumulated.decay(0.5f64.powf(1.0 / h));
         }
         self.accumulated.absorb(&TrafficProfile::from_run(&out.stats, self.tag.graph()));
-        self.stats.queries += 1;
+        self.queries += 1;
         // Hinted executions bypass adaptation entirely: their placement is
         // per-query, so neither the drift check nor a migration step runs.
-        if prepared.hint.is_none() {
-            self.adapt(&mut net);
+        if let (None, Some(placement)) = (&prepared.hint, &mut self.placement) {
+            placement.step(Some(&self.accumulated), false, 0, &mut net);
         }
-        self.stats.net.absorb(&net);
+        self.net.absorb(&net);
         Ok((out, net))
     }
 
@@ -355,81 +295,31 @@ impl Session {
     /// placement if any (rebuilt when the cached one was derived for a
     /// different machine count), else the session's current placement.
     fn placement_for(&self, prepared: &PreparedQuery) -> Option<Arc<Partitioning>> {
-        if self.config.machines <= 1 {
-            return None;
-        }
-        match &prepared.hint {
-            Some(profile) => {
-                let mut cached = prepared.hint_partitioning.borrow_mut();
-                match cached.as_ref() {
-                    Some((machines, p)) if *machines == self.config.machines => Some(Arc::clone(p)),
-                    _ => {
-                        let p = Arc::new(vcsql_dist::tag_partitioning(
-                            &self.tag,
-                            self.config.machines,
-                            &PartitionStrategy::Workload(profile.clone()),
-                        ));
-                        *cached = Some((self.config.machines, Arc::clone(&p)));
-                        Some(p)
-                    }
-                }
+        let session_placement = self.placement.as_ref()?.current();
+        let Some(profile) = &prepared.hint else {
+            return Some(Arc::clone(session_placement));
+        };
+        let mut cached = prepared.hint_partitioning.borrow_mut();
+        match cached.as_ref() {
+            Some((machines, p)) if *machines == self.config.machines => Some(Arc::clone(p)),
+            _ => {
+                let p = Arc::new(vcsql_dist::tag_partitioning(
+                    &self.tag,
+                    self.config.machines,
+                    &PartitionStrategy::Workload(profile.clone()),
+                ));
+                *cached = Some((self.config.machines, Arc::clone(&p)));
+                Some(p)
             }
-            None => self.partitioning.clone(),
-        }
-    }
-
-    /// The online-repartitioning step run after each unhinted execution:
-    /// derive a target placement when drift crosses the threshold, then walk
-    /// toward the pending target one bounded migration step at a time,
-    /// charging migrated vertex state to `net`.
-    fn adapt(&mut self, net: &mut NetStats) {
-        if self.config.machines <= 1 {
-            return;
-        }
-        if self.pending.is_none()
-            && self.accumulated.byte_drift(&self.placement_profile) > self.config.drift_threshold
-        {
-            let profile = self.accumulated.clone();
-            let target = vcsql_dist::tag_partitioning(
-                &self.tag,
-                self.config.machines,
-                &PartitionStrategy::Workload(profile.clone()),
-            );
-            self.pending = Some(PendingMigration { target, profile });
-            self.stats.adaptations += 1;
-        }
-        let Some(pending) = &self.pending else { return };
-        let current = self.partitioning.as_deref().expect("machines > 1 implies a placement");
-        let cap = balance_cap(
-            self.tag.graph().vertex_count(),
-            self.config.machines,
-            self.config.balance_slack,
-        );
-        let step = migrate_step(current, &pending.target, self.config.migration_budget, cap);
-        if !step.moves.is_empty() {
-            let bytes: u64 =
-                step.moves.iter().map(|m| vertex_state_bytes(&self.tag, m.vertex)).sum();
-            net.record_migration(step.moves.len() as u64, bytes);
-            self.stats.migration_steps += 1;
-            self.stats.migrated_vertices += step.moves.len() as u64;
-            self.stats.migration_bytes += bytes;
-        }
-        // Converged — or cap-blocked with no progress possible (loads no
-        // longer change): adopt the target's profile either way.
-        let done = step.remaining == 0 || step.moves.is_empty();
-        self.partitioning = Some(Arc::new(step.partitioning));
-        if done {
-            let finished = self.pending.take().expect("pending checked above");
-            self.placement_profile = finished.profile;
         }
     }
 
     /// Arm deterministic fault injection: every execution this session runs
     /// from now on shares `injector`, so its fired-once fault semantics span
-    /// queries. Injected faults surface as ordinary [`RelError`]s from
-    /// [`Session::execute`] (transient ones marked `transient fault:` for
-    /// retry policies upstream) and, per the failure contract there, a
-    /// failed execution leaves the session unchanged.
+    /// queries. Injected faults surface from [`Session::execute`] as
+    /// [`RelError::Fault`] (its `transient` flag is what retry policies
+    /// upstream match on) or [`RelError::Panicked`] and, per the failure
+    /// contract there, a failed execution leaves the session unchanged.
     pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) {
         self.faults = Some(injector);
     }
@@ -439,52 +329,17 @@ impl Session {
         self.faults.as_ref()
     }
 
-    /// Deterministically re-place a crashed machine's vertices: machine
-    /// `m`'s vertices are reassigned, in vertex-id order, each to the
-    /// currently least-loaded surviving machine (lowest machine id on
-    /// ties), and any in-flight migration is dropped — its target was
-    /// derived for loads that no longer exist. The machine count is
-    /// unchanged (`m` simply ends up empty), so a replacement machine is
-    /// refilled by later adaptation instead of by a special path. Returns
-    /// the number of vertices evacuated. Errors — leaving the session
-    /// unchanged — on a single-machine session or an out-of-range `m`.
-    ///
-    /// Determinism: the walk order (vertex id) and the tie-break (machine
-    /// id) are both total orders independent of thread count or timing, so
-    /// every session evacuating the same machine from the same placement
-    /// lands on the identical new placement.
+    /// Re-place a crashed machine's vertices onto the survivors (see
+    /// [`PlacementController::evacuate`]: deterministic, drops any in-flight
+    /// migration, keeps the machine count). Returns the number of vertices
+    /// evacuated. Errors — leaving the session unchanged — on a
+    /// single-machine session or an out-of-range `m`.
     pub fn evacuate_machine(&mut self, m: u16) -> Result<u64> {
-        let Some(current) = self.partitioning.as_deref() else {
-            return Err(RelError::Other(
-                "evacuate_machine: a single-machine session has no surviving machine".into(),
-            ));
-        };
-        let machines = current.machines();
-        if m as usize >= machines {
-            return Err(RelError::Other(format!(
-                "evacuate_machine: machine {m} out of range for {machines} machines"
-            )));
+        let err = |e: String| RelError::Other(format!("evacuate_machine: {e}"));
+        match &mut self.placement {
+            Some(placement) => placement.evacuate(m).map_err(err),
+            None => Err(err("a single-machine session has no surviving machine".into())),
         }
-        self.pending = None;
-        let n = self.tag.graph().vertex_count();
-        let mut assignment: Vec<u16> = (0..n).map(|v| current.machine_of(v as VertexId)).collect();
-        let mut load = current.load();
-        let mut moved = 0u64;
-        for slot in assignment.iter_mut() {
-            if *slot != m {
-                continue;
-            }
-            let target = (0..machines as u16)
-                .filter(|&t| t != m)
-                .min_by_key(|&t| (load[t as usize], t))
-                .expect("machines > 1 implies a surviving machine");
-            *slot = target;
-            load[m as usize] -= 1;
-            load[target as usize] += 1;
-            moved += 1;
-        }
-        self.partitioning = Some(Arc::new(Partitioning::from_assignment(assignment, machines)));
-        Ok(moved)
     }
 
     /// The TAG graph this session serves.
@@ -507,10 +362,10 @@ impl Session {
     pub fn save_profile(&self) -> String {
         let mut out = format!(
             "# vcsql session profile (machines={}, queries={})\n",
-            self.config.machines, self.stats.queries
+            self.config.machines, self.queries
         );
         out.push_str(&self.accumulated.to_text());
-        if let Some(p) = &self.partitioning {
+        if let Some(p) = self.partitioning() {
             out.push_str(&p.to_text());
         }
         out
@@ -530,33 +385,21 @@ impl Session {
             None => (text, None),
         };
         let profile = TrafficProfile::from_text(profile_text).map_err(err)?;
-        let partitioning = match placement_text {
-            Some(t) => {
-                let p = Partitioning::from_text(t).map_err(err)?;
-                if p.machines() != self.config.machines {
-                    return Err(err(format!(
-                        "placement saved for {} machines, session has {}",
-                        p.machines(),
-                        self.config.machines
-                    )));
-                }
-                let vertices = self.tag.graph().vertex_count();
-                if p.load().iter().sum::<usize>() != vertices {
-                    return Err(err(format!(
-                        "placement saved for a different graph (want {vertices} vertices)"
-                    )));
-                }
-                Some(Arc::new(p))
-            }
-            None if self.config.machines > 1 => {
+        let saved = placement_text.map(Partitioning::from_text).transpose().map_err(err)?;
+        match (&mut self.placement, saved) {
+            (Some(placement), Some(p)) => placement.restore(p, profile.clone()).map_err(err)?,
+            (Some(_), None) => {
                 return Err(err("no saved placement for a multi-machine session".into()))
             }
-            None => None,
-        };
-        self.partitioning = partitioning;
-        self.placement_profile = profile.clone();
+            (None, Some(p)) => {
+                return Err(err(format!(
+                    "placement saved for {} machines, session has 1",
+                    p.machines()
+                )))
+            }
+            (None, None) => {}
+        }
         self.accumulated = profile;
-        self.pending = None;
         Ok(())
     }
 
@@ -568,7 +411,7 @@ impl Session {
     /// The current placement (`None` on a single machine). Mid-migration
     /// this is the in-between placement the next query will run under.
     pub fn partitioning(&self) -> Option<&Partitioning> {
-        self.partitioning.as_deref()
+        self.placement.as_ref().map(|p| &**p.current())
     }
 
     /// The cross-query observed traffic profile (seeded with the initial
@@ -577,20 +420,28 @@ impl Session {
         &self.accumulated
     }
 
-    /// The profile the current placement was derived from.
-    pub fn placement_profile(&self) -> &TrafficProfile {
-        &self.placement_profile
+    /// The profile the current placement was derived from (`None` on a
+    /// single machine).
+    pub fn placement_profile(&self) -> Option<&TrafficProfile> {
+        self.placement.as_ref().map(PlacementController::profile)
     }
 
     /// True iff an adaptation is mid-walk (a target placement exists that
     /// the session has not fully migrated to yet).
     pub fn migration_pending(&self) -> bool {
-        self.pending.is_some()
+        self.placement.as_ref().is_some_and(PlacementController::is_migrating)
     }
 
     /// Lifetime counters.
-    pub fn stats(&self) -> &SessionStats {
-        &self.stats
+    pub fn stats(&self) -> SessionStats {
+        let mut stats = SessionStats { queries: self.queries, net: self.net, ..Default::default() };
+        if let Some(p) = &self.placement {
+            stats.adaptations = p.adaptations;
+            stats.migration_steps = p.migration_steps;
+            stats.migrated_vertices = p.migrated_vertices;
+            stats.migration_bytes = p.migration_bytes;
+        }
+        stats
     }
 
     /// The plan cache (capacity, occupancy, hit/miss counters).
@@ -599,10 +450,44 @@ impl Session {
     }
 }
 
+/// Run `plan` under a placement: assemble the executor from the host's
+/// shared pieces (graph, engine tuning, placement, worker pool, fault
+/// injector), execute, and split out the network share of the traffic. The
+/// one place hosts — [`Session::execute`], `vcsql-server`'s retry loop —
+/// start a placed run.
+///
+/// The executor borrows no host state mutably (everything shared arrives by
+/// `Arc`), so unwinding out of it cannot leave the host torn: a panic is
+/// caught here and becomes [`RelError::Panicked`], the same unchanged-host
+/// error path an `Err` takes.
+pub fn execute_placed(
+    tag: &TagGraph,
+    engine: EngineConfig,
+    placement: Option<Arc<Partitioning>>,
+    pool: Option<&Arc<WorkerPool>>,
+    faults: Option<&Arc<FaultInjector>>,
+    plan: &QueryPlan,
+) -> Result<(ExecOutput, NetStats)> {
+    let mut exec = TagJoinExecutor::new(tag, engine);
+    if let Some(p) = placement {
+        exec = exec.with_partitioning_shared(p);
+    }
+    if let Some(pool) = pool {
+        exec = exec.with_worker_pool(Arc::clone(pool));
+    }
+    if let Some(inj) = faults {
+        exec = exec.with_fault_injector(Arc::clone(inj));
+    }
+    let out = catch_unwind(AssertUnwindSafe(|| exec.execute_plan(plan))).map_err(|payload| {
+        RelError::Panicked(format!("execution panicked: {}", panic_message(&*payload)))
+    })??;
+    let net = NetStats::from_run(&out.stats);
+    Ok((out, net))
+}
+
 /// Best-effort text of a caught panic payload (`&str` and `String` cover
-/// every `panic!` in this workspace). Public so `vcsql-server`'s failure
-/// isolation renders the identical message.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+/// every `panic!` in this workspace).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
         .downcast_ref::<&str>()
         .copied()
@@ -610,21 +495,46 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// Wire size of one vertex's state, charged when the vertex migrates: the
-/// same 8-byte-word-plus-aligned-strings model both engines charge for
-/// messages (`Table::approx_bytes`, `unsafe_row_bytes`), plus one id word.
-/// Public so `vcsql-server`'s arbitrated migration charges the identical
-/// model.
-pub fn vertex_state_bytes(tag: &TagGraph, v: VertexId) -> u64 {
-    let value_words = |val: &Value| -> u64 {
-        8 + match val {
-            Value::Str(s) => (s.len() as u64).div_ceil(8) * 8,
-            _ => 0,
+/// Validate the knobs a [`SessionConfig`] and `vcsql-server`'s
+/// `ServerConfig` share (`who` names the host in the machine-count
+/// messages): 1 to `u16::MAX` machines, a non-empty plan cache, a positive
+/// migration budget, a positive finite drift threshold, non-negative
+/// balance slack and a positive finite profile half-life when one is set.
+pub fn validate_knobs(
+    who: &str,
+    machines: usize,
+    plan_cache_capacity: usize,
+    migration_budget: usize,
+    drift_threshold: f64,
+    balance_slack: f64,
+    profile_half_life: Option<f64>,
+) -> Result<()> {
+    let invalid = |msg: String| Err(RelError::Other(msg));
+    if machines == 0 {
+        return invalid(format!("{who} needs at least one machine"));
+    }
+    if machines > u16::MAX as usize {
+        return invalid(format!("{who} machine count exceeds u16"));
+    }
+    if plan_cache_capacity == 0 {
+        return invalid("plan cache needs capacity for at least one plan".into());
+    }
+    if migration_budget == 0 {
+        return invalid("migration budget must allow at least one vertex per step".into());
+    }
+    if !drift_threshold.is_finite() || drift_threshold <= 0.0 {
+        return invalid(format!(
+            "drift threshold must be positive and finite, got {drift_threshold}"
+        ));
+    }
+    if !balance_slack.is_finite() || balance_slack < 0.0 {
+        return invalid(format!("balance slack must be non-negative, got {balance_slack}"));
+    }
+    match profile_half_life {
+        Some(h) if !h.is_finite() || h <= 0.0 => {
+            invalid(format!("profile half-life must be positive and finite, got {h}"))
         }
-    };
-    8 + match tag.tuple(v) {
-        Some(t) => t.0.iter().map(value_words).sum::<u64>(),
-        None => tag.attr_value(v).map(value_words).unwrap_or(8),
+        _ => Ok(()),
     }
 }
 
@@ -745,7 +655,7 @@ mod tests {
         let mut fresh = Session::open(&tag, config.clone()).unwrap();
         fresh.load_profile(&saved).unwrap();
         assert_eq!(fresh.accumulated_profile(), s.accumulated_profile());
-        assert_eq!(fresh.placement_profile(), s.accumulated_profile());
+        assert_eq!(fresh.placement_profile(), Some(s.accumulated_profile()));
         assert!(!fresh.migration_pending());
         let restored = fresh.partitioning().unwrap();
         for v in tag.graph().vertices() {
@@ -802,7 +712,7 @@ mod tests {
     fn session_self_tunes_from_a_static_strategy() {
         let (tag, config) = session(6);
         let mut s = Session::open(&tag, config).unwrap();
-        assert!(s.placement_profile().is_empty());
+        assert!(s.placement_profile().unwrap().is_empty());
         let single =
             TagJoinExecutor::new(&tag, EngineConfig::sequential()).run_sql(JOIN_SQL).unwrap();
         let mut saw_migration = false;
@@ -896,7 +806,7 @@ mod tests {
         // Checkpointing disabled (interval 0): the crash is unrecoverable.
         s.set_fault_injector(Arc::new(FaultInjector::new(FaultPlan::new().crash(0, 1), 0)));
         let err = s.execute(&prepared).unwrap_err();
-        assert!(format!("{err}").contains("fault"), "unexpected error: {err}");
+        assert!(matches!(err, RelError::Fault { transient: false, .. }), "unexpected error: {err}");
         assert_eq!(s.stats().queries, queries, "failed run must not count as served");
         assert_eq!(s.accumulated_profile(), &accumulated, "partial traffic leaked into profile");
         assert_eq!(s.stats().net, net_before);
@@ -919,8 +829,9 @@ mod tests {
         let prepared = s.prepare(JOIN_SQL).unwrap();
         s.set_fault_injector(Arc::new(FaultInjector::new(FaultPlan::new().compute_panic(1), 0)));
         let err = s.execute(&prepared).unwrap_err();
+        assert!(matches!(err, RelError::Panicked(_)), "unexpected error: {err}");
         let msg = format!("{err}");
-        assert!(msg.contains("execution panicked"), "unexpected error: {msg}");
+        assert!(msg.starts_with("execution panicked: "), "unexpected error: {msg}");
         assert!(msg.contains("injected compute fault"), "payload text lost: {msg}");
         assert_eq!(s.stats().queries, 0);
         assert!(s.accumulated_profile().is_empty(), "panicked run polluted the profile");
@@ -931,6 +842,20 @@ mod tests {
             TagJoinExecutor::new(&tag, EngineConfig::sequential()).run_sql(JOIN_SQL).unwrap();
         assert!(out.relation.same_bag_approx(&oneshot.relation, 1e-9));
         assert_eq!(s.stats().queries, 1);
+    }
+
+    /// A dropped delivery is the one injected fault worth retrying as is, and
+    /// says so in its variant, not its text.
+    #[test]
+    fn dropped_delivery_is_a_transient_fault() {
+        let (tag, config) = session(4);
+        let mut s = Session::open(&tag, config).unwrap();
+        let prepared = s.prepare(JOIN_SQL).unwrap();
+        s.set_fault_injector(Arc::new(FaultInjector::new(FaultPlan::new().drop_link(0, 2, 1), 0)));
+        let err = s.execute(&prepared).unwrap_err();
+        assert!(matches!(err, RelError::Fault { transient: true, .. }), "unexpected error: {err}");
+        assert_eq!(s.stats().queries, 0);
+        assert!(s.execute(&prepared).is_ok(), "the fault fired once; the retry runs clean");
     }
 
     /// Checkpoint and recovery traffic reach the per-query `NetStats`

@@ -31,9 +31,9 @@ use std::path::{Path, PathBuf};
 /// Files allowed to use the `unsafe` keyword, exactly.
 const UNSAFE_ALLOW_FILES: &[&str] = &["crates/bsp/src/pool.rs", "crates/bsp/src/engine.rs"];
 
-/// Path prefixes allowed to use the `unsafe` keyword (`dist` wire sizing;
-/// `compat` shims mirror external crates' APIs).
-const UNSAFE_ALLOW_PREFIXES: &[&str] = &["crates/dist/src/", "crates/compat/"];
+/// Path prefixes allowed to use the `unsafe` keyword (`compat` shims mirror
+/// external crates' APIs).
+const UNSAFE_ALLOW_PREFIXES: &[&str] = &["crates/compat/"];
 
 /// Files allowed to name `thread::spawn` / `thread::Builder`: the pool (the
 /// one sanctioned thread owner), the server's admission dispatcher (one
@@ -60,6 +60,7 @@ const ACCOUNTING_FILES: &[&str] = &[
     "crates/dist/src/netstats.rs",
     "crates/dist/src/spark.rs",
     "crates/dist/src/lib.rs",
+    "crates/session/src/placement.rs",
 ];
 
 /// Prefixes exempt from `allow-needs-justification`: compat shims hold
@@ -515,12 +516,13 @@ mod tests {
     fn unsafe_outside_the_allowlist_is_flagged_even_with_a_cover() {
         let src = "// SAFETY: totally fine, promise.\nfn f(p: *const u8) -> u8 { unsafe { *p } }\n";
         assert_eq!(rules("crates/query/src/lib.rs", src), vec!["unsafe-outside-allowlist"]);
+        assert_eq!(rules("crates/dist/src/netstats.rs", src), vec!["unsafe-outside-allowlist"]);
     }
 
     #[test]
     fn unsafe_as_identifier_or_prose_is_not_flagged() {
         let src = "fn unsafe_row_bytes() -> usize { 0 }\n// this fn has no unsafe at all\nconst S: &str = \"unsafe\";\n";
-        assert!(rules("crates/query/src/lib.rs", src).is_empty());
+        assert!(rules("crates/dist/src/netstats.rs", src).is_empty());
     }
 
     #[test]
@@ -554,6 +556,10 @@ mod tests {
     fn instant_in_accounting_code_is_flagged() {
         let src = "fn f() {\n    let t = std::time::Instant::now();\n    let _ = t;\n}\n";
         assert_eq!(rules("crates/bsp/src/stats.rs", src), vec!["no-wall-clock-in-accounting"]);
+        assert_eq!(
+            rules("crates/session/src/placement.rs", src),
+            vec!["no-wall-clock-in-accounting"]
+        );
         // The same code is fine in a bench crate.
         assert!(rules("crates/bench/src/lib.rs", src).is_empty());
     }
