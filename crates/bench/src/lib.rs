@@ -1,9 +1,12 @@
 //! # vcsql-bench — the experiment harness
 //!
-//! Shared machinery for the `repro` binary and the Criterion benches: the
-//! four "systems" under comparison, timing helpers, and markdown table
-//! rendering. See DESIGN.md's experiment index for the mapping from paper
-//! tables/figures to harness modes.
+//! The four "systems" under comparison, timing helpers and markdown table
+//! rendering; the `repro` experiments built on them ([`repro`]); and the JSON
+//! value writer their reports are rendered with ([`json`]). See DESIGN.md's
+//! experiment index for the mapping from paper tables/figures to modes.
+
+pub mod json;
+pub mod repro;
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -62,7 +65,7 @@ impl Loaded {
 }
 
 /// Process-wide persistent [`WorkerPool`] per thread count, so repeated
-/// timed runs (queries x reps across a whole `repro bench` invocation)
+/// timed runs (every query of a whole `repro` invocation)
 /// reuse parked workers instead of measuring pool construction. Pools are
 /// cheap until their first fan-out, so keeping one per distinct thread
 /// count for the process lifetime costs nothing at rest.
@@ -92,17 +95,10 @@ pub fn prepare(loaded: &Loaded, sql: &str) -> Result<Analyzed> {
 }
 
 /// Run one query on one system, returning the result and wall seconds.
-/// Uses the default engine configuration for the TAG side — whose thread
-/// count follows `available_parallelism` and therefore **varies across
-/// hosts**; measurements that must be comparable should pin a count via
-/// [`run_system_with`].
-pub fn run_system(loaded: &Loaded, system: System, a: &Analyzed) -> Result<(Relation, f64)> {
-    run_system_with(loaded, system, a, EngineConfig::default())
-}
-
-/// [`run_system`] with an explicit engine configuration (thread-scaling
-/// runs). Only the TAG system is affected; the baselines are
-/// single-threaded by design.
+/// Only the TAG system reads `engine`; the baselines are single-threaded by
+/// design. `EngineConfig::default()`'s thread count follows
+/// `available_parallelism` and therefore **varies across hosts** —
+/// measurements that must be comparable should pin a count.
 pub fn run_system_with(
     loaded: &Loaded,
     system: System,
@@ -200,8 +196,12 @@ fn vectorizable_column(f: &Expr, a: &Analyzed, t: usize) -> Option<usize> {
     Some(first.1)
 }
 
-/// Render a markdown table.
-pub fn markdown_table(headers: &[String], rows: &[Vec<String>]) -> String {
+/// Print a markdown table and the blank line that ends it.
+pub fn print_table(headers: &[impl std::borrow::Borrow<str>], rows: &[Vec<String>]) {
+    println!("{}", markdown_table(headers, rows));
+}
+
+fn markdown_table(headers: &[impl std::borrow::Borrow<str>], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     out.push_str(&format!("| {} |\n", headers.join(" | ")));
     out.push_str(&format!("|{}\n", "---|".repeat(headers.len())));
@@ -238,9 +238,10 @@ mod tests {
              WHERE n.n_nationkey = c.c_nationkey AND c.c_acctbal > 0 GROUP BY n.n_name",
         )
         .unwrap();
-        let (reference, _) = run_system(&loaded, System::RowHash, &a).unwrap();
+        let (reference, _) =
+            run_system_with(&loaded, System::RowHash, &a, EngineConfig::default()).unwrap();
         for sys in System::ALL {
-            let (out, secs) = run_system(&loaded, sys, &a).unwrap();
+            let (out, secs) = run_system_with(&loaded, sys, &a, EngineConfig::default()).unwrap();
             assert!(out.same_bag_approx(&reference, 1e-9), "{} differs", sys.name());
             assert!(secs >= 0.0);
         }
@@ -257,14 +258,16 @@ mod tests {
         for f in &a.tables[0].filters {
             assert!(vectorizable_column(f, &a, 0).is_some());
         }
-        let (out, _) = run_system(&loaded, System::Columnar, &a).unwrap();
-        let (reference, _) = run_system(&loaded, System::RowHash, &a).unwrap();
+        let (out, _) =
+            run_system_with(&loaded, System::Columnar, &a, EngineConfig::default()).unwrap();
+        let (reference, _) =
+            run_system_with(&loaded, System::RowHash, &a, EngineConfig::default()).unwrap();
         assert!(out.same_bag_approx(&reference, 1e-9));
     }
 
     #[test]
     fn markdown_rendering() {
-        let t = markdown_table(&["a".into(), "b".into()], &[vec!["1".into(), "2".into()]]);
+        let t = markdown_table(&["a", "b"], &[vec!["1".into(), "2".into()]]);
         assert!(t.contains("| a | b |"));
         assert!(t.contains("| 1 | 2 |"));
     }

@@ -4,12 +4,41 @@
 //! spawned for real via the path Cargo exports to integration tests.
 
 use std::process::{Command, Output};
+use vcsql_bench::repro::{FLAGS, MODES};
 
-fn repro(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("repro binary spawns")
+/// `repro <cmdline>` (whitespace-separated arguments), not yet spawned.
+fn command(cmdline: &str) -> Command {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_repro"));
+    command.args(cmdline.split_whitespace());
+    command
 }
 
-fn assert_usage_exit(args: &[&str], expect_in_stderr: &str) {
+fn repro(cmdline: &str) -> Output {
+    command(cmdline).output().expect("repro binary spawns")
+}
+
+fn successful_stdout(cmdline: &str, out: Output) -> String {
+    assert!(out.status.success(), "{cmdline} failed: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The stdout of a run that must succeed.
+fn stdout_of(cmdline: &str) -> String {
+    successful_stdout(cmdline, repro(cmdline))
+}
+
+/// The stdout of a successful `--json` run and the report it wrote.
+fn stdout_and_report_of(cmdline: &str) -> (String, String) {
+    let mode = cmdline.split_whitespace().next().unwrap();
+    let path = std::env::temp_dir().join(format!("repro-{mode}-{}.json", std::process::id()));
+    let out = command(cmdline).arg("--json").arg(&path).output().expect("repro binary spawns");
+    let stdout = successful_stdout(cmdline, out);
+    let json = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    (stdout, json)
+}
+
+fn assert_usage_exit(args: &str, expect_in_stderr: &str) {
     let out = repro(args);
     assert_eq!(
         out.status.code(),
@@ -27,108 +56,118 @@ fn assert_usage_exit(args: &[&str], expect_in_stderr: &str) {
 
 #[test]
 fn bad_sf_value_is_a_usage_error() {
-    assert_usage_exit(&["tpch", "--sf", "abc"], "bad --sf value `abc`");
-    assert_usage_exit(&["tpch", "--sf", "0.01,nope"], "bad --sf value `nope`");
-    assert_usage_exit(&["tpch", "--sf", "-0.5"], "bad --sf value `-0.5`");
-    assert_usage_exit(&["tpch", "--sf", "0"], "bad --sf value `0`");
+    assert_usage_exit("tpch --sf abc", "bad --sf value `abc`");
+    assert_usage_exit("tpch --sf 0.01,nope", "bad --sf value `nope`");
+    assert_usage_exit("tpch --sf -0.5", "bad --sf value `-0.5`");
+    assert_usage_exit("tpch --sf 0", "bad --sf value `0`");
 }
 
 #[test]
 fn missing_flag_values_are_usage_errors() {
-    assert_usage_exit(&["tpch", "--sf"], "--sf needs a value");
-    assert_usage_exit(&["distributed", "--partitioning"], "--partitioning needs a value");
-    assert_usage_exit(&["distributed", "--profile-from"], "--profile-from needs a value");
-    assert_usage_exit(&["distributed", "--bandwidth"], "--bandwidth needs a value");
+    assert_usage_exit("tpch --sf", "--sf needs a value");
+    assert_usage_exit("distributed --partitioning", "--partitioning needs a value");
+    assert_usage_exit("distributed --profile-from", "--profile-from needs a value");
+    assert_usage_exit("distributed --bandwidth", "--bandwidth needs a value");
 }
 
 #[test]
 fn bad_partitioning_and_unknown_args_are_usage_errors() {
-    assert_usage_exit(&["distributed", "--partitioning", "metis"], "bad --partitioning value");
-    assert_usage_exit(&["--frobnicate"], "unknown flag");
-    assert_usage_exit(&["no-such-mode"], "unknown mode");
-    assert_usage_exit(&["tpch", "tpcds"], "unexpected extra argument");
+    assert_usage_exit("distributed --partitioning metis", "bad --partitioning value");
+    assert_usage_exit("--frobnicate", "unknown flag");
+    assert_usage_exit("no-such-mode", "unknown mode");
+    assert_usage_exit("tpch tpcds", "unexpected extra argument");
 }
 
 #[test]
 fn bad_profile_from_and_bandwidth_are_usage_errors() {
-    assert_usage_exit(&["distributed", "--profile-from", "mongodb"], "bad --profile-from value");
+    assert_usage_exit("distributed --profile-from mongodb", "bad --profile-from value");
     // A profile source without a `workload` strategy to consume it would be
     // silently ignored — reject it instead.
     assert_usage_exit(
-        &["distributed", "--profile-from", "tpch"],
+        "distributed --profile-from tpch",
         "--profile-from requires --partitioning to include `workload`",
-    );
-    // Likewise the distributed-only flags on a mode that never reads them.
-    assert_usage_exit(
-        &["tpch", "--bandwidth", "5e8"],
-        "--bandwidth only applies to the `distributed`, `serve` (or `all`) modes",
-    );
-    assert_usage_exit(
-        &["loading", "--partitioning", "hash"],
-        "--partitioning only applies to the `distributed` (or `all`) mode",
     );
     // Non-positive or unparsable bandwidth must be a usage error, never the
     // panic `modelled_runtime` used to raise deep in the run.
-    assert_usage_exit(&["distributed", "--bandwidth", "0"], "bad --bandwidth value");
-    assert_usage_exit(&["distributed", "--bandwidth", "-3"], "bad --bandwidth value");
-    assert_usage_exit(&["distributed", "--bandwidth", "fast"], "bad --bandwidth value");
-    assert_usage_exit(&["distributed", "--bandwidth", "inf"], "bad --bandwidth value");
+    assert_usage_exit("distributed --bandwidth 0", "bad --bandwidth value");
+    assert_usage_exit("distributed --bandwidth -3", "bad --bandwidth value");
+    assert_usage_exit("distributed --bandwidth fast", "bad --bandwidth value");
+    assert_usage_exit("distributed --bandwidth inf", "bad --bandwidth value");
 }
 
 #[test]
 fn bad_sessions_and_migration_budget_are_usage_errors() {
     // Zero/negative/non-numeric counts must exit 2, never panic.
-    assert_usage_exit(&["distributed", "--sessions", "0"], "bad --sessions value `0`");
-    assert_usage_exit(&["distributed", "--sessions", "-3"], "bad --sessions value `-3`");
-    assert_usage_exit(&["distributed", "--sessions", "many"], "bad --sessions value `many`");
-    assert_usage_exit(&["distributed", "--sessions"], "--sessions needs a value");
+    assert_usage_exit("distributed --sessions 0", "bad --sessions value `0`");
+    assert_usage_exit("distributed --sessions -3", "bad --sessions value `-3`");
+    assert_usage_exit("distributed --sessions many", "bad --sessions value `many`");
+    assert_usage_exit("distributed --sessions", "--sessions needs a value");
     assert_usage_exit(
-        &["distributed", "--sessions", "4", "--migration-budget", "0"],
+        "distributed --sessions 4 --migration-budget 0",
         "bad --migration-budget value `0`",
     );
     assert_usage_exit(
-        &["distributed", "--sessions", "4", "--migration-budget", "-5"],
+        "distributed --sessions 4 --migration-budget -5",
         "bad --migration-budget value `-5`",
     );
     assert_usage_exit(
-        &["distributed", "--sessions", "4", "--migration-budget", "x"],
+        "distributed --sessions 4 --migration-budget x",
         "bad --migration-budget value `x`",
     );
-    // The replay is a `distributed`-only experiment with a fixed drift.
+    // The replay is a dedicated experiment with a fixed drift.
     assert_usage_exit(
-        &["tpch", "--sessions", "4"],
-        "--sessions only applies to the `distributed` mode",
-    );
-    assert_usage_exit(
-        &["distributed", "--migration-budget", "10"],
+        "distributed --migration-budget 10",
         "--migration-budget requires --sessions",
     );
     assert_usage_exit(
-        &["distributed", "--sessions", "4", "--partitioning", "workload", "--profile-from", "tpch"],
+        "distributed --sessions 4 --partitioning workload --profile-from tpch",
         "drop --profile-from",
     );
     assert_usage_exit(
-        &["distributed", "--sessions", "4", "--partitioning", "hash"],
+        "distributed --sessions 4 --partitioning hash",
         "--sessions replay uses the `workload` strategy",
     );
 }
 
 #[test]
 fn bad_threads_and_json_are_usage_errors() {
-    // Thread counts must be positive integers, and both flags are rejected
-    // on modes that would silently ignore them.
-    assert_usage_exit(&["bench", "--threads", "0"], "bad --threads value `0`");
-    assert_usage_exit(&["bench", "--threads", "-2"], "bad --threads value `-2`");
-    assert_usage_exit(&["bench", "--threads", "lots"], "bad --threads value `lots`");
-    assert_usage_exit(&["bench", "--threads"], "--threads needs a value");
-    assert_usage_exit(&["bench", "--json"], "--json needs a path");
+    // Thread counts must be positive integers.
+    assert_usage_exit("tpch --threads 0", "bad --threads value `0`");
+    assert_usage_exit("tpch --threads -2", "bad --threads value `-2`");
+    assert_usage_exit("tpch --threads lots", "bad --threads value `lots`");
+    assert_usage_exit("tpch --threads", "--threads needs a value");
+    assert_usage_exit("serve --json", "--json needs a path");
+}
+
+#[test]
+fn every_flag_is_a_usage_error_on_every_mode_that_does_not_list_it() {
+    // No mode silently ignores a flag: the tables are the whole policy, so
+    // walk their cross product. The mode's row is consulted before the
+    // value, so a placeholder value serves every flag.
+    for mode in &MODES {
+        for flag in FLAGS.iter().filter(|f| !mode.accepts(f)) {
+            assert_usage_exit(&format!("{} {} 1", mode.name, flag.name), "only applies to");
+        }
+    }
+    // One exact text per shape of the message, which names the modes that
+    // do list the flag.
+    assert_usage_exit("tpch --sessions 4", "--sessions only applies to the `distributed` mode");
     assert_usage_exit(
-        &["distributed", "--threads", "4"],
-        "--threads only applies to the per-query runtime modes",
+        "loading --partitioning hash",
+        "--partitioning only applies to the `distributed` (or `all`) mode",
     );
     assert_usage_exit(
-        &["tpch", "--json", "out.json"],
-        "--json only applies to the `bench`, `serve` and `faults` modes",
+        "tpch --bandwidth 5e8",
+        "--bandwidth only applies to the `distributed`, `serve` (or `all`) modes",
+    );
+    assert_usage_exit(
+        "tpch --json out.json",
+        "--json only applies to the `serve` and `faults` modes",
+    );
+    assert_usage_exit(
+        "distributed --threads 4",
+        "--threads only applies to the per-query runtime modes (tpch, tpcds, tpch-classes, \
+         tpcds-matrix, tpcds-classes, agg-breakdown, all)",
     );
 }
 
@@ -136,116 +175,59 @@ fn bad_threads_and_json_are_usage_errors() {
 fn bad_fault_flags_are_usage_errors() {
     // `--kill` wants machine@superstep: a lone number, non-numeric halves
     // and a dangling `@` must all exit 2, never panic.
-    assert_usage_exit(&["faults", "--kill", "2"], "bad --kill value `2`");
-    assert_usage_exit(&["faults", "--kill", "x@y"], "bad --kill value `x@y`");
-    assert_usage_exit(&["faults", "--kill", "2@"], "bad --kill value `2@`");
-    assert_usage_exit(&["faults", "--kill", "@3"], "bad --kill value `@3`");
-    assert_usage_exit(&["faults", "--kill", "-1@3"], "bad --kill value `-1@3`");
-    assert_usage_exit(&["faults", "--kill"], "--kill needs a value");
+    assert_usage_exit("faults --kill 2", "bad --kill value `2`");
+    assert_usage_exit("faults --kill x@y", "bad --kill value `x@y`");
+    assert_usage_exit("faults --kill 2@", "bad --kill value `2@`");
+    assert_usage_exit("faults --kill @3", "bad --kill value `@3`");
+    assert_usage_exit("faults --kill -1@3", "bad --kill value `-1@3`");
+    assert_usage_exit("faults --kill", "--kill needs a value");
     // Interval 0 (checkpointing off) is an arm the sweep always includes;
     // asking for it explicitly is a contradiction, so reject it.
-    assert_usage_exit(&["faults", "--checkpoint-every", "0"], "bad --checkpoint-every value `0`");
-    assert_usage_exit(&["faults", "--checkpoint-every", "-2"], "bad --checkpoint-every value `-2`");
-    assert_usage_exit(
-        &["faults", "--checkpoint-every", "often"],
-        "bad --checkpoint-every value `often`",
-    );
-    assert_usage_exit(&["faults", "--checkpoint-every"], "--checkpoint-every needs a value");
-    assert_usage_exit(&["faults", "--seed", "abc"], "bad --seed value `abc`");
-    assert_usage_exit(&["faults", "--seed", "-7"], "bad --seed value `-7`");
-    assert_usage_exit(&["faults", "--seed"], "--seed needs a value");
-    // The fault flags steer only the `faults` sweep — reject them anywhere
-    // they would be silently ignored.
-    assert_usage_exit(&["tpch", "--kill", "2@3"], "--kill only applies to the `faults` mode");
-    assert_usage_exit(
-        &["bench", "--checkpoint-every", "2"],
-        "--checkpoint-every only applies to the `faults` mode",
-    );
-    assert_usage_exit(&["serve", "--seed", "7"], "--seed only applies to the `faults` mode");
+    assert_usage_exit("faults --checkpoint-every 0", "bad --checkpoint-every value `0`");
+    assert_usage_exit("faults --checkpoint-every -2", "bad --checkpoint-every value `-2`");
+    assert_usage_exit("faults --checkpoint-every often", "bad --checkpoint-every value `often`");
+    assert_usage_exit("faults --checkpoint-every", "--checkpoint-every needs a value");
+    assert_usage_exit("faults --seed abc", "bad --seed value `abc`");
+    assert_usage_exit("faults --seed -7", "bad --seed value `-7`");
+    assert_usage_exit("faults --seed", "--seed needs a value");
 }
 
 #[test]
 fn bad_serve_flags_are_usage_errors() {
-    // The serving bench's flags: positive counts and rates only, and both
-    // are rejected on modes that would silently ignore them.
-    assert_usage_exit(&["serve", "--tenants", "0"], "bad --tenants value `0`");
-    assert_usage_exit(&["serve", "--tenants", "-2"], "bad --tenants value `-2`");
-    assert_usage_exit(&["serve", "--tenants", "crowd"], "bad --tenants value `crowd`");
-    assert_usage_exit(&["serve", "--tenants"], "--tenants needs a value");
-    assert_usage_exit(&["serve", "--qps", "0"], "bad --qps value `0`");
-    assert_usage_exit(&["serve", "--qps", "-1.5"], "bad --qps value `-1.5`");
-    assert_usage_exit(&["serve", "--qps", "inf"], "bad --qps value `inf`");
-    assert_usage_exit(&["serve", "--qps", "fast"], "bad --qps value `fast`");
-    assert_usage_exit(&["serve", "--qps"], "--qps needs a value");
-    assert_usage_exit(&["tpch", "--tenants", "4"], "--tenants only applies to the `serve` mode");
-    assert_usage_exit(&["bench", "--qps", "8"], "--qps only applies to the `serve` mode");
+    // The serving bench's flags: positive counts and rates only.
+    assert_usage_exit("serve --tenants 0", "bad --tenants value `0`");
+    assert_usage_exit("serve --tenants -2", "bad --tenants value `-2`");
+    assert_usage_exit("serve --tenants crowd", "bad --tenants value `crowd`");
+    assert_usage_exit("serve --tenants", "--tenants needs a value");
+    assert_usage_exit("serve --qps 0", "bad --qps value `0`");
+    assert_usage_exit("serve --qps -1.5", "bad --qps value `-1.5`");
+    assert_usage_exit("serve --qps inf", "bad --qps value `inf`");
+    assert_usage_exit("serve --qps fast", "bad --qps value `fast`");
+    assert_usage_exit("serve --qps", "--qps needs a value");
 }
 
 #[test]
 fn bad_restart_at_is_a_usage_error() {
-    assert_usage_exit(&["distributed", "--sessions", "6", "--restart-at", "0"], "bad --restart-at");
-    assert_usage_exit(&["distributed", "--sessions", "6", "--restart-at", "x"], "bad --restart-at");
-    assert_usage_exit(&["distributed", "--restart-at", "3"], "--restart-at requires --sessions");
+    assert_usage_exit("distributed --sessions 6 --restart-at 0", "bad --restart-at");
+    assert_usage_exit("distributed --sessions 6 --restart-at x", "bad --restart-at");
+    assert_usage_exit("distributed --restart-at 3", "--restart-at requires --sessions");
     // Restarting at or past the end leaves nothing to replay — reject it.
     assert_usage_exit(
-        &["distributed", "--sessions", "6", "--restart-at", "6"],
+        "distributed --sessions 6 --restart-at 6",
         "--restart-at must be less than --sessions",
     );
     assert_usage_exit(
-        &["distributed", "--sessions", "6", "--restart-at", "9"],
+        "distributed --sessions 6 --restart-at 9",
         "--restart-at must be less than --sessions",
     );
-}
-
-#[test]
-fn bench_smoke_emits_trajectory_json() {
-    // End-to-end: the bench mode must run both workloads, print the
-    // trajectory tables, and write well-formed JSON with the pinned schema
-    // tag. Tiny SF keeps this fast in debug builds.
-    let dir = std::env::temp_dir().join(format!("repro-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("trajectory.json");
-    let out =
-        repro(&["bench", "--sf", "0.004", "--threads", "2", "--json", path.to_str().unwrap()]);
-    assert!(out.status.success(), "bench smoke failed: {}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("Perf trajectory"), "{stdout}");
-    assert!(stdout.contains("### tpch"), "{stdout}");
-    assert!(stdout.contains("### tpcds"), "{stdout}");
-    let json = std::fs::read_to_string(&path).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-    assert!(json.contains("\"schema\": \"vcsql-bench-trajectory/v1\""), "{json}");
-    assert!(json.contains("\"threads_multi\": 2"), "{json}");
-    assert!(json.contains("\"workload\": \"tpch\""), "{json}");
-    assert!(json.contains("\"workload\": \"tpcds\""), "{json}");
-    assert!(json.contains("\"tag_mt_ms\""), "{json}");
-    // Balanced braces/brackets — the cheap well-formedness check available
-    // without a JSON parser in the tree.
-    let count = |c: char| json.matches(c).count();
-    assert_eq!(count('{'), count('}'), "unbalanced braces:\n{json}");
-    assert_eq!(count('['), count(']'), "unbalanced brackets:\n{json}");
 }
 
 #[test]
 fn sessions_drift_replay_smoke() {
     // A tiny replay end to end: calibrate on TPC-H, drift to TPC-DS, adapt.
-    let out = repro(&[
-        "distributed",
-        "--sf",
-        "0.004",
-        "--sessions",
-        "6",
-        "--partitioning",
-        "workload",
-        "--migration-budget",
-        "512",
-    ]);
-    assert!(
-        out.status.success(),
-        "drift replay smoke failed: {}",
-        String::from_utf8_lossy(&out.stderr)
+    let stdout = stdout_of(
+        "distributed --sf 0.004 --sessions 6 --partitioning workload --migration-budget 512",
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Session drift replay"), "{stdout}");
     assert!(stdout.contains("placement calibrated on tpch"), "{stdout}");
     assert!(stdout.contains("migration"), "{stdout}");
@@ -257,25 +239,10 @@ fn sessions_drift_replay_smoke() {
 fn restart_replay_races_warm_against_cold() {
     // The durable-profile path end to end: restart mid-replay, warm start
     // reloads the saved profile text, cold start recalibrates.
-    let out = repro(&[
-        "distributed",
-        "--sf",
-        "0.004",
-        "--sessions",
-        "6",
-        "--restart-at",
-        "4",
-        "--partitioning",
-        "workload",
-        "--migration-budget",
-        "512",
-    ]);
-    assert!(
-        out.status.success(),
-        "restart replay smoke failed: {}",
-        String::from_utf8_lossy(&out.stderr)
+    let stdout = stdout_of(
+        "distributed --sf 0.004 --sessions 6 --restart-at 4 --partitioning workload \
+         --migration-budget 512",
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("restart before query 4"), "{stdout}");
     assert!(stdout.contains("warm start (saved profile reloaded"), "{stdout}");
     assert!(stdout.contains("cold start (recalibrated on tpch"), "{stdout}");
@@ -285,22 +252,14 @@ fn restart_replay_races_warm_against_cold() {
 #[test]
 fn serve_smoke_emits_report_json() {
     // The multi-tenant serving bench end to end at tiny scale: all three
-    // arbitration worlds, the per-tenant fairness table, and a well-formed
-    // vcsql-serve-report/v1 document.
-    let dir = std::env::temp_dir().join(format!("repro-serve-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("serve.json");
-    let out =
-        repro(&["serve", "--sf", "0.004", "--tenants", "2", "--json", path.to_str().unwrap()]);
-    assert!(out.status.success(), "serve smoke failed: {}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    // arbitration worlds, the per-tenant fairness table, and a
+    // vcsql-serve-report/v1 document that passed its own invariant check.
+    let (stdout, json) = stdout_and_report_of("serve --sf 0.004 --tenants 2");
     assert!(stdout.contains("Multi-tenant serving"), "{stdout}");
     for world in ["merged", "unilateral", "static"] {
         assert!(stdout.contains(world), "missing world `{world}`:\n{stdout}");
     }
     assert!(stdout.contains("Jain index"), "{stdout}");
-    let json = std::fs::read_to_string(&path).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
     assert!(json.contains("\"schema\": \"vcsql-serve-report/v1\""), "{json}");
     assert!(json.contains("\"tenants\": 2"), "{json}");
     assert!(json.contains("\"worlds\""), "{json}");
@@ -309,40 +268,20 @@ fn serve_smoke_emits_report_json() {
     // The failure-isolation counters are part of the report shape (and all
     // zero in a fault-free run).
     assert!(json.contains("\"failures\": {\"panics\": 0, \"timeouts\": 0"), "{json}");
-    let count = |c: char| json.matches(c).count();
-    assert_eq!(count('{'), count('}'), "unbalanced braces:\n{json}");
-    assert_eq!(count('['), count(']'), "unbalanced brackets:\n{json}");
 }
 
 #[test]
 fn faults_smoke_emits_fault_report_json() {
     // The fault sweep end to end at tiny scale: both workloads, every
     // checkpoint interval, result bags asserted identical to fault-free
-    // inside the binary, and a well-formed vcsql-fault-report/v1 document.
-    let dir = std::env::temp_dir().join(format!("repro-faults-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("faults.json");
-    let out = repro(&[
-        "faults",
-        "--sf",
-        "0.004",
-        "--kill",
-        "1@2",
-        "--checkpoint-every",
-        "2",
-        "--seed",
-        "7",
-        "--json",
-        path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "faults smoke failed: {}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    // inside the binary, and a vcsql-fault-report/v1 document that passed
+    // its own invariant check.
+    let (stdout, json) =
+        stdout_and_report_of("faults --sf 0.004 --kill 1@2 --checkpoint-every 2 --seed 7");
     assert!(stdout.contains("Fault-tolerant execution"), "{stdout}");
     assert!(stdout.contains("### tpch"), "{stdout}");
     assert!(stdout.contains("### tpcds"), "{stdout}");
     assert!(stdout.contains("crashes recovered"), "{stdout}");
-    let json = std::fs::read_to_string(&path).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
     assert!(json.contains("\"schema\": \"vcsql-fault-report/v1\""), "{json}");
     assert!(json.contains("\"kill\": {\"machine\": 1, \"superstep\": 2}"), "{json}");
     assert!(json.contains("\"checkpoint_every\": 2"), "{json}");
@@ -355,14 +294,11 @@ fn faults_smoke_emits_fault_report_json() {
     // actually recover somewhere in the sweep.
     assert!(json.contains("\"interval\": 0"), "{json}");
     assert!(json.contains("\"interval\": 1"), "{json}");
-    let count = |c: char| json.matches(c).count();
-    assert_eq!(count('{'), count('}'), "unbalanced braces:\n{json}");
-    assert_eq!(count('['), count(']'), "unbalanced brackets:\n{json}");
 }
 
 #[test]
 fn help_prints_usage_and_exits_zero() {
-    let out = repro(&["--help"]);
+    let out = repro("--help");
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage: repro"));
 }
@@ -371,19 +307,7 @@ fn help_prints_usage_and_exits_zero() {
 fn distributed_smoke_reports_all_strategies() {
     // Tiny scale factor keeps this fast even in debug builds. `workload`
     // adds a calibration phase before the per-strategy table.
-    let out = repro(&[
-        "distributed",
-        "--sf",
-        "0.004",
-        "--partitioning",
-        "hash,colocate,refined,workload",
-    ]);
-    assert!(
-        out.status.success(),
-        "distributed smoke failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stdout = stdout_of("distributed --sf 0.004 --partitioning hash,colocate,refined,workload");
     for name in ["tag net (hash)", "tag net (colocate)", "tag net (refined)", "tag net (workload)"]
     {
         assert!(stdout.contains(name), "missing column `{name}`:\n{stdout}");
@@ -397,23 +321,9 @@ fn distributed_smoke_reports_all_strategies() {
 fn distributed_smoke_cross_profiles_workloads() {
     // Calibrating TPC-H's placement with TPC-DS traffic (and vice versa)
     // must run end to end — the skew-sensitivity demonstration path.
-    let out = repro(&[
-        "distributed",
-        "--sf",
-        "0.004",
-        "--partitioning",
-        "workload",
-        "--profile-from",
-        "tpcds",
-        "--bandwidth",
-        "5e8",
-    ]);
-    assert!(
-        out.status.success(),
-        "cross-profiled smoke failed: {}",
-        String::from_utf8_lossy(&out.stderr)
+    let stdout = stdout_of(
+        "distributed --sf 0.004 --partitioning workload --profile-from tpcds --bandwidth 5e8",
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("calibrated on tpcds"), "{stdout}");
     assert!(stdout.contains("tag net (workload)"), "{stdout}");
 }

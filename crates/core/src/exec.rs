@@ -307,24 +307,23 @@ impl<'t> TagJoinExecutor<'t> {
         struct Desc {
             pass: Pass,
             cur: LabelId,
-            step: Step,
             prev: Option<(LabelId, bool)>,
         }
         let mut descs: Vec<Desc> = Vec::with_capacity(3 * steps.len());
         let mut prev: Option<(LabelId, bool)> = None;
         for s in &steps {
             let cur = q.label(*s)?;
-            descs.push(Desc { pass: Pass::Red { down: false }, cur, step: *s, prev });
+            descs.push(Desc { pass: Pass::Red { down: false }, cur, prev });
             prev = Some((cur, false));
         }
         for s in steps.iter().rev() {
             let cur = q.label(*s)?;
-            descs.push(Desc { pass: Pass::Red { down: true }, cur, step: *s, prev });
+            descs.push(Desc { pass: Pass::Red { down: true }, cur, prev });
             prev = Some((cur, true));
         }
         for s in &steps {
             let cur = q.label(*s)?;
-            descs.push(Desc { pass: Pass::Col, cur, step: *s, prev });
+            descs.push(Desc { pass: Pass::Col, cur, prev });
             prev = Some((cur, true));
         }
 
@@ -334,8 +333,8 @@ impl<'t> TagJoinExecutor<'t> {
         while i < descs.len() {
             let d = &descs[i];
             match d.pass {
-                Pass::Red { down } => self.reduction_step(comp, q, d.cur, d.step, d.prev, down),
-                Pass::Col => self.collection_step(comp, q, d.cur, d.step, d.prev),
+                Pass::Red { down } => self.reduction_step(comp, q, d.cur, d.prev, down),
+                Pass::Col => self.collection_step(comp, q, d.cur, d.prev),
             }
             if let Some(from) = comp.take_replay() {
                 debug_assert!(from >= base, "rollback past the phase-start checkpoint");
@@ -356,7 +355,6 @@ impl<'t> TagJoinExecutor<'t> {
         comp: &mut Computation<'_, St, TagMsg>,
         q: &QueryCtx,
         cur: LabelId,
-        step: Step,
         prev: Option<(LabelId, bool)>,
         down: bool,
     ) {
@@ -384,7 +382,6 @@ impl<'t> TagJoinExecutor<'t> {
                     edges.iter().map(|e| e.target).collect()
                 }
             };
-            let _ = step;
             for t in targets {
                 ctx.send_along(cur, t, TagMsg::Signal(vid));
             }
@@ -397,11 +394,9 @@ impl<'t> TagJoinExecutor<'t> {
         comp: &mut Computation<'_, St, TagMsg>,
         q: &QueryCtx,
         cur: LabelId,
-        step: Step,
         prev: Option<(LabelId, bool)>,
     ) {
         let tag = self.tag;
-        let _ = step;
         comp.superstep_simple(|ctx: &mut VertexCtx<'_, '_, St, TagMsg>| {
             // Signals still in flight from the reduction's last step update
             // marks; tables are collected.

@@ -15,10 +15,10 @@
 //!   [`Partitioning`] of the TAG graph over `k`
 //!   simulated machines, counting every message whose source and target
 //!   vertices live on different machines;
-//! * [`tag_calibrate`] / [`tag_profiled`] — the two-phase workload-aware
-//!   loop: a calibration run under the hash baseline observes per-edge-label
-//!   traffic (a [`TrafficProfile`]), which re-partitions the TAG under
-//!   [`PartitionStrategy::Workload`] for the measured run;
+//! * [`tag_calibrate`] — phase 1 of the workload-aware loop: a calibration
+//!   run under the hash baseline observes per-edge-label traffic (a
+//!   [`TrafficProfile`]), from which a [`PartitionStrategy::Workload`]
+//!   placement is built;
 //! * [`SparkModel`] — a shuffle-join network-cost model that executes the
 //!   same plan with exact intermediate cardinalities and charges Spark-style
 //!   exchanges (hash shuffles, broadcasts below the threshold);
@@ -27,9 +27,9 @@
 //!
 //! The multi-query lifecycle — prepared statements behind a plan cache, one
 //! placement shared across queries, *online* repartitioning as the mix
-//! drifts — lives in the `vcsql-session` crate (`Session` / `Cluster`); its
-//! `Cluster` builder subsumes the older strategy-taking free functions that
-//! once lived here.
+//! drifts — lives in the `vcsql-session` crate (`Session` / `Cluster`), whose
+//! `Cluster::calibrated_session` is the one calibrate → profile → serve path
+//! built on the functions above.
 
 pub mod netstats;
 pub mod spark;
@@ -84,36 +84,6 @@ pub fn tag_calibrate(
     }
     profile.cover_graph(tag.graph());
     Ok(profile)
-}
-
-/// What a calibrate-then-measure run produces: the traffic profile observed
-/// during calibration, the workload-aware partitioning built from it, and
-/// each measured query's output with its network-traffic share.
-pub type ProfiledRun = (TrafficProfile, Partitioning, Vec<(ExecOutput, NetStats)>);
-
-/// Phase 2 of the workload-aware loop: calibrate on `calibrate_on`, build a
-/// [`PartitionStrategy::Workload`] partitioning from the observed profile,
-/// and execute every query of `measure` under it. Returns the profile, the
-/// partitioning it produced, and the per-query outputs as a [`ProfiledRun`].
-///
-/// Calibrating and measuring the *same* workload demonstrates the gain;
-/// passing a different calibration workload demonstrates skew sensitivity
-/// (a mis-profiled placement decays toward the static `Refined` one).
-pub fn tag_profiled(
-    tag: &TagGraph,
-    calibrate_on: &[Analyzed],
-    measure: &[Analyzed],
-    machines: usize,
-    config: EngineConfig,
-) -> Result<ProfiledRun> {
-    let profile = tag_calibrate(tag, calibrate_on, machines, config)?;
-    let strategy = PartitionStrategy::Workload(profile.clone());
-    let partitioning = tag_partitioning(tag, machines, &strategy);
-    let mut outputs = Vec::with_capacity(measure.len());
-    for a in measure {
-        outputs.push(execute_under(tag, a, partitioning.clone(), config)?);
-    }
-    Ok((profile, partitioning, outputs))
 }
 
 /// Execute `a` with the vertex-centric TAG-join executor under a hash
@@ -362,12 +332,11 @@ mod tests {
         let local = TagJoinExecutor::new(&tag, EngineConfig::sequential()).execute(&a).unwrap();
         let (_, hash) =
             run_with(&tag, &a, 6, &PartitionStrategy::Hash, EngineConfig::sequential()).unwrap();
-        let workload = std::slice::from_ref(&a);
-        let (profile, partitioning, outputs) =
-            tag_profiled(&tag, workload, workload, 6, EngineConfig::sequential()).unwrap();
+        let profile =
+            tag_calibrate(&tag, std::slice::from_ref(&a), 6, EngineConfig::sequential()).unwrap();
         assert!(!profile.is_empty());
-        assert_eq!(partitioning.machines(), 6);
-        let (out, net) = &outputs[0];
+        let workload = PartitionStrategy::Workload(profile);
+        let (out, net) = run_with(&tag, &a, 6, &workload, EngineConfig::sequential()).unwrap();
         assert!(out.relation.same_bag_approx(&local.relation, 1e-9));
         assert_eq!(out.stats.total_messages(), local.stats.total_messages());
         assert!(

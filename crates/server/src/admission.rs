@@ -15,10 +15,10 @@
 //! closes the queue and joins the dispatcher.
 
 use crate::lock;
-use crate::sync::thread::{Builder, JoinHandle};
-use crate::sync::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, PoisonError};
+use vcsql_bsp::sync::thread::{Builder, JoinHandle};
+use vcsql_bsp::sync::{Condvar, Mutex, MutexGuard};
 
 /// Lifetime counters of the admission queue.
 #[derive(Debug, Clone, Copy, Default)]

@@ -12,9 +12,9 @@
 //! ([`PlanCache::insert`]).
 
 use crate::lock;
-use crate::sync::{Mutex, RwLock};
 use std::hash::Hasher;
 use std::sync::{Arc, PoisonError};
+use vcsql_bsp::sync::{Mutex, RwLock};
 use vcsql_core::QueryPlan;
 use vcsql_relation::fx::FxHasher;
 use vcsql_relation::schema::Schema;

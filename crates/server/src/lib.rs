@@ -31,13 +31,12 @@
 
 mod admission;
 mod cache;
-mod sync;
 
 pub use admission::{AdmissionController, AdmissionPermit, AdmissionStats};
 pub use cache::{ShardedPlanCache, TenantCacheStats};
 
-use crate::sync::{Mutex, MutexGuard, RwLock};
 use std::sync::{Arc, PoisonError};
+use vcsql_bsp::sync::{Mutex, MutexGuard, RwLock};
 use vcsql_bsp::{
     EngineConfig, FaultInjector, PartitionStrategy, Partitioning, TrafficProfile, WorkerPool,
     DEFAULT_BALANCE_SLACK,

@@ -1,7 +1,7 @@
 //! Loom model checks for admission-permit release on panic.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg vcsql_loom"` (the model-checking
-//! lane): the server's `sync` shim then re-exports the `loom` compat
+//! lane): `vcsql_bsp::sync` then re-exports the `loom` compat
 //! crate's shadow `Mutex`/`Condvar`/thread, so the whole admission
 //! controller — dispatcher thread included — runs under the deterministic
 //! scheduler, which explores every preemption-bounded interleaving inside

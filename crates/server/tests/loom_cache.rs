@@ -1,7 +1,7 @@
 //! Loom model checks for the sharded plan cache.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg vcsql_loom"` (the model-checking
-//! lane): the server's `sync` shim then re-exports the `loom` compat
+//! lane): `vcsql_bsp::sync` then re-exports the `loom` compat
 //! crate's shadow `RwLock`/`Mutex`, whose deterministic scheduler explores
 //! every preemption-bounded interleaving inside `loom::model`. Checked
 //! here, at preemption bound 2:

@@ -1,9 +1,8 @@
 //! The [`Cluster`] builder: one value describing a simulated cluster, from
 //! which sessions are opened.
 //!
-//! This subsumes the `vcsql-dist` free-function sprawl (`tag_partitioning` /
-//! `tag_calibrate` / `tag_profiled` / `tag_distributed{,_with,_under}`) into
-//! one fluent entry point:
+//! One fluent entry point over the `vcsql-dist` primitives it calls
+//! (`tag_calibrate`, `modelled_runtime`) and the session lifecycle:
 //!
 //! ```ignore
 //! let cluster = Cluster::new(6).bandwidth(1e9).strategy(PartitionStrategy::Refined);
@@ -88,7 +87,7 @@ impl Cluster {
 
     /// Disable online repartitioning: sessions keep their initial placement
     /// for their whole lifetime (drift is in `[0, 1]`, so a threshold of 2
-    /// can never trip). What the one-shot `vcsql-dist` entry points did.
+    /// can never trip). What the one-shot `vcsql-dist` entry points do.
     pub fn static_placement(self) -> Cluster {
         self.drift_threshold(2.0)
     }
@@ -116,10 +115,9 @@ impl Cluster {
     }
 
     /// Calibrate on `calibrate_on`, then open a session whose initial
-    /// placement is derived from the observed profile — the old
-    /// `tag_calibrate` → `tag_profiled` loop as one call, except the session
-    /// keeps observing and re-adapts online as the real mix drifts away
-    /// from the calibration workload.
+    /// placement is derived from the observed profile. The session keeps
+    /// observing and re-adapts online as the real mix drifts away from the
+    /// calibration workload.
     pub fn calibrated_session(
         &self,
         tag: &Arc<TagGraph>,
@@ -141,6 +139,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcsql_core::TagJoinExecutor;
     use vcsql_query::{analyze::analyze, parse};
     use vcsql_workload::tpch;
 
@@ -181,15 +180,21 @@ mod tests {
         let cluster = Cluster::new(6).engine(EngineConfig::sequential()).static_placement();
         let workload = std::slice::from_ref(&a);
 
-        // The old two-phase free-function loop...
-        let (profile, _, outputs) =
-            vcsql_dist::tag_profiled(&tag, workload, workload, 6, EngineConfig::sequential())
-                .unwrap();
-        // ...and the Cluster form of the same thing.
+        // The oracle: calibrate, place for the observed profile, run the
+        // executor under that placement by hand.
+        let profile =
+            vcsql_dist::tag_calibrate(&tag, workload, 6, EngineConfig::sequential()).unwrap();
+        let placement =
+            vcsql_dist::tag_partitioning(&tag, 6, &PartitionStrategy::Workload(profile.clone()));
+        let old_out = TagJoinExecutor::new(&tag, EngineConfig::sequential())
+            .with_partitioning(placement)
+            .execute(&a)
+            .unwrap();
+        let old_net = NetStats::from_run(&old_out.stats);
+        // The Cluster form of the same thing.
         let mut session = cluster.calibrated_session(&tag, workload).unwrap();
         assert_eq!(session.placement_profile(), Some(&profile));
         let (out, net) = session.run_sql(JOIN_SQL).unwrap();
-        let (old_out, old_net) = &outputs[0];
         assert!(out.relation.same_bag_approx(&old_out.relation, 1e-9));
         assert_eq!(net.network_bytes, old_net.network_bytes);
         assert_eq!(net.rounds, old_net.rounds);

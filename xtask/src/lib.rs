@@ -10,7 +10,7 @@
 //! |------|-------------|
 //! | `unsafe-needs-safety-comment` | every `unsafe` usage sits under a `// SAFETY:` comment or a `/// # Safety` doc section |
 //! | `unsafe-outside-allowlist` | the `unsafe` keyword appears only in `bsp::pool`, `bsp::engine`, `dist::*`, and `compat/*` |
-//! | `no-thread-spawn` | threads are spawned only by `bsp::pool` and the server admission dispatcher (each through its `sync` shim) and the `compat` shims |
+//! | `no-thread-spawn` | threads are spawned only by `bsp::pool` and the server admission dispatcher (both through the `bsp::sync` shim) and the `compat` shims |
 //! | `no-wall-clock-in-accounting` | byte/message accounting files never read `Instant` (determinism: counts must not depend on time) |
 //! | `allow-needs-justification` | every `#[allow(...)]` outside `compat/*` carries a comment explaining why |
 //!
@@ -37,14 +37,13 @@ const UNSAFE_ALLOW_PREFIXES: &[&str] = &["crates/compat/"];
 
 /// Files allowed to name `thread::spawn` / `thread::Builder`: the pool (the
 /// one sanctioned thread owner), the server's admission dispatcher (one
-/// long-lived arbiter thread), their std/loom indirections, and the
+/// long-lived arbiter thread), their shared std/loom indirection, and the
 /// model-check suites (which spawn *scheduler-controlled* loom threads).
 const SPAWN_ALLOW_FILES: &[&str] = &[
     "crates/bsp/src/pool.rs",
     "crates/bsp/src/sync.rs",
     "crates/bsp/tests/loom_pool.rs",
     "crates/server/src/admission.rs",
-    "crates/server/src/sync.rs",
     "crates/server/tests/loom_cache.rs",
     "crates/server/tests/loom_admission.rs",
 ];
@@ -380,7 +379,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                 file: path.to_string(),
                 line,
                 message: "threads are spawned only by bsp::pool, the server admission \
-                          dispatcher (each via its sync shim) and the compat shims; use \
+                          dispatcher (both via bsp::sync) and the compat shims; use \
                           the WorkerPool"
                     .to_string(),
             });
@@ -545,7 +544,6 @@ mod tests {
     fn the_admission_dispatcher_may_spawn_but_the_rest_of_the_server_may_not() {
         let src = "fn f() {\n    std::thread::Builder::new();\n}\n";
         assert!(rules("crates/server/src/admission.rs", src).is_empty());
-        assert!(rules("crates/server/src/sync.rs", src).is_empty());
         assert!(rules("crates/server/tests/loom_cache.rs", src).is_empty());
         assert!(rules("crates/server/tests/loom_admission.rs", src).is_empty());
         assert_eq!(rules("crates/server/src/lib.rs", src), vec!["no-thread-spawn"]);
