@@ -1,0 +1,559 @@
+//! Binding: a prepared [`QueryPlan`] resolved against one TAG graph.
+//!
+//! [`QueryCtx::build`] is the pass between planning and execution: it turns
+//! the plan's table/column references into this graph's vertex and edge
+//! labels, per-table tuple filters, own-row projections, the final value
+//! layout and everything bound to it (residual checks, output items, group
+//! keys, HAVING expressions). The drivers in [`crate::exec`] only read the
+//! result; nothing here runs a superstep.
+
+use crate::plan::QueryPlan;
+use crate::table::{ColKey, Partial, Table};
+use std::sync::Arc;
+use vcsql_bsp::LabelId;
+use vcsql_query::analyze::{Analyzed, OutputItem};
+use vcsql_query::tagplan::{Step, TagPlan};
+use vcsql_query::AggClass;
+use vcsql_relation::agg::{Accumulator, AggFunc};
+use vcsql_relation::expr::{BoundExpr, CmpOp, ColRef, Expr};
+use vcsql_relation::{FxHashMap, FxHashSet, RelError, Tuple, Value};
+use vcsql_tag::TagGraph;
+
+type Result<T> = std::result::Result<T, RelError>;
+
+/// Residual checks applied to final rows.
+pub(crate) enum ResCheck {
+    Expr(BoundExpr),
+    /// Broken-cycle equality between two layout positions.
+    Eq(usize, usize),
+    KeySet {
+        pos: Vec<usize>,
+        keys: Arc<FxHashSet<Vec<Value>>>,
+        negated: bool,
+    },
+    ScalarMap {
+        pos: Vec<usize>,
+        map: Arc<FxHashMap<Vec<Value>, Value>>,
+        expr: BoundExpr,
+        op: CmpOp,
+    },
+}
+
+impl ResCheck {
+    pub(crate) fn check(&self, row: &[Value]) -> Result<bool> {
+        Ok(match self {
+            ResCheck::Expr(e) => e.passes(row)?,
+            ResCheck::Eq(a, b) => row[*a].sql_eq(&row[*b]) == Some(true),
+            ResCheck::KeySet { pos, keys, negated } => {
+                let mut key = Vec::with_capacity(pos.len());
+                for &p in pos {
+                    if row[p].is_null() {
+                        return Ok(*negated);
+                    }
+                    key.push(row[p].clone());
+                }
+                keys.contains(&key) != *negated
+            }
+            ResCheck::ScalarMap { pos, map, expr, op } => {
+                let key: Vec<Value> = pos.iter().map(|&p| row[p].clone()).collect();
+                match map.get(&key) {
+                    Some(rhs) => expr.eval(row)?.sql_cmp(rhs).map(|o| op.holds(o)) == Some(true),
+                    None => false,
+                }
+            }
+        })
+    }
+}
+
+/// Subquery results lowered for this executor.
+pub(crate) enum LoweredCheck {
+    KeySet {
+        outer_cols: Vec<(usize, usize)>,
+        keys: Arc<FxHashSet<Vec<Value>>>,
+        negated: bool,
+    },
+    ScalarMap {
+        outer_cols: Vec<(usize, usize)>,
+        map: Arc<FxHashMap<Vec<Value>, Value>>,
+        expr: Expr,
+        op: CmpOp,
+    },
+}
+
+/// A bound output item.
+pub(crate) enum ProjItem {
+    Col(usize),
+    Expr(BoundExpr),
+    Agg { func: AggFunc, arg: Option<BoundExpr> },
+}
+
+impl ProjItem {
+    pub(crate) fn eval(&self, row: &[Value]) -> Result<Value> {
+        match self {
+            ProjItem::Col(p) => Ok(row[*p].clone()),
+            ProjItem::Expr(e) => e.eval(row),
+            ProjItem::Agg { .. } => Err(RelError::Other("aggregate outside grouping".into())),
+        }
+    }
+}
+
+/// Per-table filters folded to tuple-vertex checks.
+pub(crate) struct TupleFilter {
+    exprs: Vec<BoundExpr>,
+    checks: Vec<ResCheck>,
+}
+
+impl TupleFilter {
+    pub(crate) fn passes(&self, row: &[Value]) -> bool {
+        self.exprs.iter().all(|e| e.passes(row).unwrap_or(false))
+            && self.checks.iter().all(|c| c.check(row).unwrap_or(false))
+    }
+}
+
+/// Precomputed execution context.
+pub(crate) struct QueryCtx<'a> {
+    pub(crate) analyzed: &'a Analyzed,
+    /// Vertex label of each table's relation → table index.
+    pub(crate) table_of_label: FxHashMap<LabelId, usize>,
+    /// Relation vertex labels per table.
+    pub(crate) rel_label: Vec<LabelId>,
+    /// Per-table tuple filters (over schema row layout).
+    pub(crate) filters: Vec<TupleFilter>,
+    /// Per-table own-row spec: (output key, schema column); keys sorted.
+    own_specs: Vec<Vec<(ColKey, usize)>>,
+    /// One TAG plan per component (borrowed from the prepared plan).
+    pub(crate) plans: &'a [TagPlan],
+    pub(crate) steps: &'a [Vec<Step>],
+    /// Component whose roots assemble the final result.
+    pub(crate) primary: usize,
+    /// Component index by table.
+    component_of: &'a [usize],
+    /// The (sorted) final layout of value tables at the primary roots.
+    pub(crate) final_layout: Vec<ColKey>,
+    /// Residual checks bound to the final layout.
+    pub(crate) residuals: Vec<ResCheck>,
+    /// Output items bound to the final layout.
+    pub(crate) items: Vec<ProjItem>,
+    /// Positions of group-by keys in the final layout.
+    pub(crate) group_pos: Vec<usize>,
+    /// HAVING argument expressions (bound) and rhs expressions (bound).
+    having_args: Vec<Option<BoundExpr>>,
+    pub(crate) having_rhs: Vec<BoundExpr>,
+    /// Edge label routing local-aggregation partials from the primary root
+    /// to the group-key attribute vertex.
+    pub(crate) la_route: Option<LabelId>,
+    /// Edge LabelIds per traversal step (table, col).
+    step_labels: FxHashMap<(usize, usize), LabelId>,
+}
+
+impl<'a> QueryCtx<'a> {
+    pub(crate) fn build(
+        tag: &TagGraph,
+        plan: &'a QueryPlan,
+        lowered: &[LoweredCheck],
+    ) -> Result<QueryCtx<'a>> {
+        let a = plan.analyzed();
+        let dec = &plan.dec;
+        let n = a.tables.len();
+
+        // var_of as u32 keys.
+        let mut var_of: FxHashMap<(usize, usize), u32> = FxHashMap::default();
+        for (k, v) in &dec.var_of {
+            var_of.insert(*k, *v as u32);
+        }
+
+        // ---- needed columns per table --------------------------------------
+        let mut needed: Vec<FxHashSet<usize>> = vec![FxHashSet::default(); n];
+        let note_col = |needed: &mut Vec<FxHashSet<usize>>, t: usize, c: usize| {
+            needed[t].insert(c);
+        };
+        let note_expr = |needed: &mut Vec<FxHashSet<usize>>, e: &Expr| -> Result<()> {
+            let mut cols = Vec::new();
+            e.columns(&mut cols);
+            for c in cols {
+                let (t, col) = a.resolve(&c)?;
+                needed[t].insert(col);
+            }
+            Ok(())
+        };
+        for item in &a.items {
+            match item {
+                OutputItem::Col { table, col, .. } => note_col(&mut needed, *table, *col),
+                OutputItem::Expr { expr, .. } => note_expr(&mut needed, expr)?,
+                OutputItem::Agg { arg: Some(e), .. } => note_expr(&mut needed, e)?,
+                OutputItem::Agg { arg: None, .. } => {}
+            }
+        }
+        for &(t, c) in &a.group_by {
+            note_col(&mut needed, t, c);
+        }
+        for e in &a.residual {
+            note_expr(&mut needed, e)?;
+        }
+        for h in &a.having {
+            if let Some(e) = &h.arg {
+                note_expr(&mut needed, e)?;
+            }
+            note_expr(&mut needed, &h.rhs)?;
+        }
+        for j in &dec.broken {
+            note_col(&mut needed, j.left.0, j.left.1);
+            note_col(&mut needed, j.right.0, j.right.1);
+        }
+        for l in lowered {
+            match l {
+                LoweredCheck::KeySet { outer_cols, .. } => {
+                    for &(t, c) in outer_cols {
+                        note_col(&mut needed, t, c);
+                    }
+                }
+                LoweredCheck::ScalarMap { outer_cols, expr, .. } => {
+                    for &(t, c) in outer_cols {
+                        note_col(&mut needed, t, c);
+                    }
+                    note_expr(&mut needed, expr)?;
+                }
+            }
+        }
+
+        // ---- own-row specs ----------------------------------------------------
+        // A table's value row carries: a Var key for each join variable
+        // occurring in it, plus Plain keys for needed non-join columns.
+        let mut own_specs: Vec<Vec<(ColKey, usize)>> = Vec::with_capacity(n);
+        for (t, needed_cols) in needed.iter().enumerate() {
+            let mut spec: Vec<(ColKey, usize)> = Vec::new();
+            // Every occurrence of a variable in this table is listed: when a
+            // variable occurs in several columns of one tuple (equalities
+            // merged by transitivity), `own_row` rejects tuples whose values
+            // disagree — the implied intra-tuple equality.
+            for v in &dec.vars {
+                for &(tt, c) in &v.occurrences {
+                    let entry = (ColKey::Var(v.id as u32), c);
+                    if tt == t && !spec.contains(&entry) {
+                        spec.push(entry);
+                    }
+                }
+            }
+            for &c in needed_cols {
+                if !var_of.contains_key(&(t, c)) {
+                    spec.push((ColKey::Col { table: t as u16, col: c as u16 }, c));
+                }
+            }
+            spec.sort_by_key(|&(k, _)| k);
+            own_specs.push(spec);
+        }
+
+        // Which single table (if any) each lowered subquery check can be
+        // pushed to: all its outer columns and, for scalar comparisons, all
+        // columns of the compared expression must live on one table.
+        let mut fold_table: Vec<Option<usize>> = Vec::with_capacity(lowered.len());
+        for l in lowered {
+            let fold = match l {
+                LoweredCheck::KeySet { outer_cols, .. } => {
+                    single_table(outer_cols.iter().map(|&(t, _)| t))
+                }
+                LoweredCheck::ScalarMap { outer_cols, expr, .. } => {
+                    let mut cols = Vec::new();
+                    expr.columns(&mut cols);
+                    let mut tables: Vec<usize> = outer_cols.iter().map(|&(t, _)| t).collect();
+                    for c in &cols {
+                        tables.push(a.resolve(c)?.0);
+                    }
+                    single_table(tables.into_iter())
+                }
+            };
+            fold_table.push(fold);
+        }
+
+        // ---- filters ------------------------------------------------------------
+        let mut filters = Vec::with_capacity(n);
+        for (t, binding) in a.tables.iter().enumerate() {
+            let bind_schema = |e: &Expr| -> Result<BoundExpr> {
+                e.bind(&|c: &ColRef| {
+                    let (tt, cc) = a.resolve(c)?;
+                    if tt != t {
+                        return Err(RelError::Other(format!(
+                            "filter for table {t} references table {tt}"
+                        )));
+                    }
+                    Ok(cc)
+                })
+            };
+            let exprs: Vec<BoundExpr> =
+                binding.filters.iter().map(bind_schema).collect::<Result<_>>()?;
+            let mut checks = Vec::new();
+            for (l, fold) in lowered.iter().zip(&fold_table) {
+                if *fold != Some(t) {
+                    continue;
+                }
+                match l {
+                    LoweredCheck::KeySet { outer_cols, keys, negated } => {
+                        checks.push(ResCheck::KeySet {
+                            pos: outer_cols.iter().map(|&(_, c)| c).collect(),
+                            keys: Arc::clone(keys),
+                            negated: *negated,
+                        });
+                    }
+                    LoweredCheck::ScalarMap { outer_cols, map, expr, op } => {
+                        checks.push(ResCheck::ScalarMap {
+                            pos: outer_cols.iter().map(|&(_, c)| c).collect(),
+                            map: Arc::clone(map),
+                            expr: bind_schema(expr)?,
+                            op: *op,
+                        });
+                    }
+                }
+            }
+            filters.push(TupleFilter { exprs, checks });
+        }
+
+        // ---- plans (prebuilt, borrowed from the prepared QueryPlan) -----------
+        let plans = plan.plans.as_slice();
+        let steps = plan.steps.as_slice();
+        let primary = plan.primary;
+        let component_of = plan.component_of.as_slice();
+
+        // ---- labels ---------------------------------------------------------------
+        let mut rel_label = Vec::with_capacity(n);
+        let mut table_of_label = FxHashMap::default();
+        for (t, binding) in a.tables.iter().enumerate() {
+            let label = tag.relation_label(&binding.relation).ok_or_else(|| {
+                RelError::Other(format!("relation `{}` absent from TAG graph", binding.relation))
+            })?;
+            rel_label.push(label);
+            table_of_label.insert(label, t);
+        }
+        let mut step_labels = FxHashMap::default();
+        for steps in steps {
+            for s in steps {
+                let rel = &a.tables[s.table].relation;
+                let label = tag.column_label(rel, s.col).ok_or_else(|| {
+                    RelError::Other(format!(
+                        "join column {}.{} is not materialized as attribute vertices",
+                        rel, a.tables[s.table].schema.columns[s.col].name
+                    ))
+                })?;
+                step_labels.insert((s.table, s.col), label);
+            }
+        }
+
+        // ---- final layout -----------------------------------------------------------
+        let mut final_layout: Vec<ColKey> =
+            own_specs.iter().flat_map(|s| s.iter().map(|&(k, _)| k)).collect();
+        final_layout.sort_unstable();
+        final_layout.dedup();
+
+        let key_of = |t: usize, c: usize| -> ColKey {
+            match var_of.get(&(t, c)) {
+                Some(&v) => ColKey::Var(v),
+                None => ColKey::Col { table: t as u16, col: c as u16 },
+            }
+        };
+        let pos_of = |t: usize, c: usize| -> Result<usize> {
+            let k = key_of(t, c);
+            final_layout
+                .binary_search(&k)
+                .map_err(|_| RelError::Other(format!("column ({t},{c}) missing from layout")))
+        };
+        let bind_final = |e: &Expr| -> Result<BoundExpr> {
+            e.bind(&|c: &ColRef| {
+                let (t, col) = a.resolve(c)?;
+                pos_of(t, col)
+            })
+        };
+
+        // ---- residuals -----------------------------------------------------------------
+        let mut residuals = Vec::new();
+        for e in &a.residual {
+            residuals.push(ResCheck::Expr(bind_final(e)?));
+        }
+        for j in &dec.broken {
+            residuals
+                .push(ResCheck::Eq(pos_of(j.left.0, j.left.1)?, pos_of(j.right.0, j.right.1)?));
+        }
+        for (l, fold) in lowered.iter().zip(&fold_table) {
+            if fold.is_some() {
+                continue; // already pushed to a single table's scan
+            }
+            match l {
+                LoweredCheck::KeySet { outer_cols, keys, negated } => {
+                    residuals.push(ResCheck::KeySet {
+                        pos: outer_cols
+                            .iter()
+                            .map(|&(t, c)| pos_of(t, c))
+                            .collect::<Result<_>>()?,
+                        keys: Arc::clone(keys),
+                        negated: *negated,
+                    });
+                }
+                LoweredCheck::ScalarMap { outer_cols, map, expr, op } => {
+                    residuals.push(ResCheck::ScalarMap {
+                        pos: outer_cols
+                            .iter()
+                            .map(|&(t, c)| pos_of(t, c))
+                            .collect::<Result<_>>()?,
+                        map: Arc::clone(map),
+                        expr: bind_final(expr)?,
+                        op: *op,
+                    });
+                }
+            }
+        }
+
+        // ---- output items / group keys / having --------------------------------------------
+        let mut items = Vec::with_capacity(a.items.len());
+        for item in &a.items {
+            items.push(match item {
+                OutputItem::Col { table, col, .. } => ProjItem::Col(pos_of(*table, *col)?),
+                OutputItem::Expr { expr, .. } => ProjItem::Expr(bind_final(expr)?),
+                OutputItem::Agg { func, arg, .. } => ProjItem::Agg {
+                    func: *func,
+                    arg: match arg {
+                        Some(e) => Some(bind_final(e)?),
+                        None => None,
+                    },
+                },
+            });
+        }
+        let group_pos: Vec<usize> =
+            a.group_by.iter().map(|&(t, c)| pos_of(t, c)).collect::<Result<_>>()?;
+        let having_args: Vec<Option<BoundExpr>> = a
+            .having
+            .iter()
+            .map(|h| h.arg.as_ref().map(&bind_final).transpose())
+            .collect::<Result<_>>()?;
+        let having_rhs: Vec<BoundExpr> =
+            a.having.iter().map(|h| bind_final(&h.rhs)).collect::<Result<_>>()?;
+
+        // LA routing label: the primary root must own the first group column.
+        let la_route = if a.agg_class == AggClass::Local {
+            let (gt, gc) = a.group_by[0];
+            if plan.components[primary].root == gt {
+                tag.column_label(&a.tables[gt].relation, gc)
+            } else {
+                None
+            }
+        } else {
+            None
+        };
+
+        Ok(QueryCtx {
+            analyzed: a,
+            table_of_label,
+            rel_label,
+            filters,
+            own_specs,
+            plans,
+            steps,
+            primary,
+            component_of,
+            final_layout,
+            residuals,
+            items,
+            group_pos,
+            having_args,
+            having_rhs,
+            la_route,
+            step_labels,
+        })
+    }
+
+    /// Vertex label whose tuple vertices start component `ci`'s traversal.
+    pub(crate) fn start_label(&self, ci: usize) -> LabelId {
+        self.rel_label[self.plans[ci].start_table()]
+    }
+
+    /// The edge label of a traversal step.
+    pub(crate) fn label(&self, s: Step) -> Result<LabelId> {
+        self.step_labels
+            .get(&(s.table, s.col))
+            .copied()
+            .ok_or_else(|| RelError::Other("unlabelled step".into()))
+    }
+
+    /// Layout of a component's gathered tables.
+    pub(crate) fn component_layout(&self, ci: usize) -> Vec<ColKey> {
+        let mut keys: Vec<ColKey> = (0..self.own_specs.len())
+            .filter(|&t| self.component_of[t] == ci)
+            .flat_map(|t| self.own_specs[t].iter().map(|&(k, _)| k))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    /// The projected one-row table for a tuple vertex of table `t`.
+    /// Returns `None` when a join variable occurs in several columns of the
+    /// tuple with disagreeing values (implicit intra-tuple equality).
+    pub(crate) fn own_row(&self, t: usize, tuple: &Tuple) -> Option<Table> {
+        let spec = &self.own_specs[t];
+        let mut cols = Vec::with_capacity(spec.len());
+        let mut row = Vec::with_capacity(spec.len());
+        for &(k, c) in spec {
+            let v = tuple.get(c).clone();
+            if cols.last() == Some(&k) {
+                // Same variable twice in this tuple (implicit intra-tuple
+                // equality): values must agree or the tuple is dead.
+                if row.last() != Some(&v) {
+                    return None;
+                }
+                continue;
+            }
+            cols.push(k);
+            row.push(v);
+        }
+        Some(Table::one_row(cols, row))
+    }
+
+    /// Evaluate the output items for one final row (NoAgg path).
+    pub(crate) fn project_row(&self, row: &[Value]) -> Result<Box<[Value]>> {
+        let mut out = Vec::with_capacity(self.items.len());
+        for item in &self.items {
+            out.push(item.eval(row)?);
+        }
+        Ok(out.into_boxed_slice())
+    }
+
+    /// A fresh partial for a group, seeded with a representative row.
+    pub(crate) fn fresh_partial(&self, rep: &[Value]) -> Partial {
+        Partial {
+            accs: self
+                .items
+                .iter()
+                .map(|i| match i {
+                    ProjItem::Agg { func, .. } => Accumulator::new(*func),
+                    _ => Accumulator::new(AggFunc::CountStar),
+                })
+                .collect(),
+            having: self.analyzed.having.iter().map(|h| Accumulator::new(h.func)).collect(),
+            rep: rep.to_vec().into_boxed_slice(),
+        }
+    }
+
+    /// Feed one final row into a group's partial.
+    pub(crate) fn update_partial(&self, part: &mut Partial, row: &[Value]) -> Result<()> {
+        for (item, acc) in self.items.iter().zip(&mut part.accs) {
+            if let ProjItem::Agg { arg, .. } = item {
+                let v = match arg {
+                    Some(e) => e.eval(row)?,
+                    None => Value::Int(1),
+                };
+                acc.update(&v)?;
+            }
+        }
+        for (h, acc) in self.having_args.iter().zip(&mut part.having) {
+            let v = match h {
+                Some(e) => e.eval(row)?,
+                None => Value::Int(1),
+            };
+            acc.update(&v)?;
+        }
+        Ok(())
+    }
+}
+
+/// The unique table in `tables`, if all entries agree (and there is one).
+fn single_table(mut tables: impl Iterator<Item = usize>) -> Option<usize> {
+    let first = tables.next()?;
+    tables.all(|t| t == first).then_some(first)
+}

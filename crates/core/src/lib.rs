@@ -20,6 +20,7 @@
 //! * [`outer`] — two-way left/right/full outer joins (Section 7).
 //! * [`semi`] — standalone semi-joins and anti-joins (Section 7).
 
+mod bind;
 pub mod cartesian;
 pub mod cyclic;
 pub mod exec;
