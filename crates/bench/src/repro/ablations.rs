@@ -4,11 +4,13 @@
 
 use super::{Args, SEED, TPCH};
 use crate::print_table;
-use vcsql_bsp::EngineConfig;
+use std::sync::Arc;
+use vcsql_bsp::{EngineConfig, PartitionStrategy};
 use vcsql_core::cyclic;
 use vcsql_core::twoway::{two_way_join, TwoWaySpec};
-use vcsql_dist::{tag_distributed, SparkModel};
+use vcsql_dist::SparkModel;
 use vcsql_relation::mem::human_bytes;
+use vcsql_session::Cluster;
 use vcsql_tag::TagGraph;
 use vcsql_workload::synthetic;
 
@@ -74,7 +76,7 @@ pub(super) fn triangle_theta(_: &Args) {
 pub(super) fn reshuffle(a: &Args) {
     println!("\n## A4 — Reshuffle bytes vs join-chain length (paper §5.2.2)\n");
     let db = (TPCH.generate)(a.sf(), SEED);
-    let tag = TagGraph::build(&db);
+    let tag = Arc::new(TagGraph::build(&db));
     let chains = [
         ("2-way", "SELECT c.c_name FROM customer c, orders o WHERE c.c_custkey = o.o_custkey"),
         (
@@ -96,11 +98,17 @@ pub(super) fn reshuffle(a: &Args) {
         ),
     ];
     let spark = SparkModel { machines: 6, broadcast_threshold: 0 };
+    let mut session = Cluster::new(6)
+        .strategy(PartitionStrategy::Hash)
+        .engine(EngineConfig::with_threads(4))
+        .static_placement()
+        .session(&tag)
+        .unwrap();
     let mut rows = Vec::new();
     for (label, sql) in chains {
         let q = vcsql_query::analyze::analyze(&vcsql_query::parse(sql).unwrap(), tag.schemas())
             .unwrap();
-        let (_, net) = tag_distributed(&tag, &q, 6, EngineConfig::with_threads(4)).unwrap();
+        let (_, net) = session.run_sql(sql).unwrap();
         let shuffle = spark.run(&q, &db).unwrap();
         rows.push(vec![
             label.to_string(),

@@ -39,13 +39,21 @@
 //! phase only fans out when its work item count reaches
 //! [`EngineConfig::parallel_threshold`]; below it the phase runs on the
 //! calling thread, so short supersteps pay no synchronization tax at all.
+//! Both cases are one code path: compute and delivery each hand their
+//! per-worker / per-shard job to `fan_out`, which runs it on the pool or
+//! inline.
+//!
+//! Fault tolerance is not in this file. A superstep always runs and never
+//! consults a fault injector; checkpointing, rollback and replay wrap the
+//! driver's superstep loop from outside ([`Computation::run_phase`], in
+//! [`crate::recovery`]).
 
-use crate::fault::{FaultError, FaultInjector};
 use crate::graph::{Edge, Graph, VertexId};
 use crate::interner::LabelId;
 use crate::partition::Partitioning;
 use crate::pool::WorkerPool;
 use crate::program::{Aggregator, Message};
+use crate::recovery::FaultRuntime;
 use crate::stats::{LabelTraffic, RunStats, StepStats};
 use std::sync::Arc;
 
@@ -175,13 +183,10 @@ impl<'a, 'p, V, M: Message> VertexCtx<'a, 'p, V, M> {
 pub struct Outbox<'p, M: Message> {
     shards: Vec<Vec<(VertexId, M)>>,
     partitioning: Option<&'p Partitioning>,
-    messages: u64,
-    bytes: u64,
-    network_messages: u64,
-    network_bytes: u64,
-    /// Per-label traffic of this worker's sends. A superstep touches only a
-    /// handful of labels (TAG traversals: exactly one), so a linear-scan vec
-    /// beats a map on the send hot path.
+    /// Per-label traffic of this worker's sends — the only counters `send`
+    /// keeps; the superstep's totals are their sum. A superstep touches only
+    /// a handful of labels (TAG traversals: exactly one), so a linear-scan
+    /// vec beats a map on the send hot path.
     per_label: Vec<(LabelId, LabelTraffic)>,
 }
 
@@ -192,27 +197,13 @@ impl<'p, M: Message> Outbox<'p, M> {
         partitioning: Option<&'p Partitioning>,
     ) -> Outbox<'p, M> {
         debug_assert!(shards.iter().all(Vec::is_empty), "pooled shard buffer not drained");
-        Outbox {
-            shards,
-            partitioning,
-            messages: 0,
-            bytes: 0,
-            network_messages: 0,
-            network_bytes: 0,
-            per_label: Vec::new(),
-        }
+        Outbox { shards, partitioning, per_label: Vec::new() }
     }
 
     #[inline]
     fn send(&mut self, source: VertexId, target: VertexId, label: LabelId, msg: M) {
         let size = msg.byte_size() as u64;
-        self.messages += 1;
-        self.bytes += size;
         let crossing = self.partitioning.is_some_and(|p| p.crosses(source, target));
-        if crossing {
-            self.network_messages += 1;
-            self.network_bytes += size;
-        }
         let entry = match self.per_label.iter_mut().find(|(l, _)| *l == label) {
             Some((_, t)) => t,
             None => {
@@ -333,53 +324,31 @@ fn shrink_recycled<T>(buf: &mut Vec<T>, used: usize) {
     }
 }
 
-/// A superstep checkpoint: everything needed to roll the computation back
-/// to the start of superstep `superstep` — per-vertex state, the pending
-/// inboxes (messages delivered but not yet consumed), the active set, and
-/// the statistics as of that point (so a replay re-records identically).
-struct Snapshot<V, M: Message> {
-    superstep: u64,
-    states: Vec<V>,
-    inboxes: Vec<Vec<M>>,
-    active: Vec<VertexId>,
-    stats: RunStats,
-}
-
-/// Fault-tolerance runtime attached via [`Computation::set_fault_injector`]:
-/// the armed injector, the last checkpoint, and the driver hand-off fields
-/// ([`Computation::take_replay`], [`Computation::take_fault_error`]).
-struct FaultRuntime<V, M: Message> {
-    injector: Arc<FaultInjector>,
-    /// `V::clone`, captured where `V: Clone` is known (the
-    /// `set_fault_injector` impl block) so the `V: Send` engine impl can
-    /// snapshot without carrying the bound everywhere.
-    clone_state: fn(&V) -> V,
-    /// Checkpoint size of one vertex's state in bytes. Defaults to
-    /// `size_of::<V>()`; hosts with heap-holding state install a real
-    /// sizer via [`Computation::set_state_sizer`].
-    sizer: Box<dyn Fn(&V) -> u64 + Send + Sync>,
-    checkpoint: Option<Snapshot<V, M>>,
-    /// Set when a rollback landed before the current driver step: the
-    /// driver must resume issuing supersteps from this index.
-    pending_replay: Option<u64>,
-    /// Set when an injected fault aborted the execution (no checkpoint, or
-    /// a transient delivery failure): the driver must surface it.
-    error: Option<FaultError>,
+/// Run `job(w)` once for every `w < n`: as one epoch of `pool` when there is
+/// one (`WorkerPool::run` itself runs a single participant inline), on the
+/// calling thread otherwise — a `threads == 1` engine never has a pool, and
+/// a phase below the parallel threshold passes `None`.
+fn fan_out<F: Fn(usize) + Sync>(pool: Option<&WorkerPool>, n: usize, job: &F) {
+    match pool {
+        Some(pool) => pool.run(n, job),
+        None => (0..n).for_each(job),
+    }
 }
 
 /// A running vertex-centric computation: graph + states + inboxes + active
-/// set + statistics.
+/// set + statistics. The `pub(crate)` fields are what a checkpoint captures
+/// and a rollback rewinds ([`crate::recovery`]).
 pub struct Computation<'g, V, M: Message> {
     graph: &'g Graph,
     config: EngineConfig,
-    states: Vec<V>,
-    inboxes: Vec<Vec<M>>,
+    pub(crate) states: Vec<V>,
+    pub(crate) inboxes: Vec<Vec<M>>,
     active: Vec<VertexId>,
     /// True when `active` holds unsorted/duplicated host injections;
     /// normalized lazily at the next superstep (keeps `inject` O(1)).
     active_dirty: bool,
-    stats: RunStats,
-    partitioning: Option<Arc<Partitioning>>,
+    pub(crate) stats: RunStats,
+    pub(crate) partitioning: Option<Arc<Partitioning>>,
     /// Recycled outbox shard buffers (always drained): each superstep takes
     /// `workers x shards` buffers here and returns them after delivery, so
     /// steady-state supersteps reuse capacity instead of reallocating.
@@ -389,9 +358,9 @@ pub struct Computation<'g, V, M: Message> {
     /// lazily — and its OS threads spawn lazier still, on the first phase
     /// that actually fans out.
     workers: Option<Arc<WorkerPool>>,
-    /// Fault-tolerance runtime (`None` = no injection, no checkpoints —
-    /// the fault-free path stays byte-identical).
-    faults: Option<FaultRuntime<V, M>>,
+    /// Fault-tolerance runtime, consulted by [`Computation::run_phase`] only
+    /// (`None` = no injection, no checkpoints).
+    pub(crate) faults: Option<FaultRuntime<V, M>>,
 }
 
 impl<'g, V: Send, M: Message> Computation<'g, V, M> {
@@ -489,7 +458,7 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
     }
 
     /// Sort + dedup the active list if host injections left it dirty.
-    fn normalize_active(&mut self) {
+    pub(crate) fn normalize_active(&mut self) {
         if self.active_dirty {
             self.active.sort_unstable();
             self.active.dedup();
@@ -514,11 +483,6 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
         &self.states[v as usize]
     }
 
-    /// Mutate a vertex's state from the host (between supersteps).
-    pub fn state_mut(&mut self, v: VertexId) -> &mut V {
-        &mut self.states[v as usize]
-    }
-
     /// All vertex states, indexed by vertex id.
     pub fn states(&self) -> &[V] {
         &self.states
@@ -534,165 +498,6 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
         (self.states, self.stats)
     }
 
-    /// Approximate inbox working-set size in bytes (user states excluded —
-    /// callers size those with knowledge of `V`).
-    pub fn inbox_bytes(&self) -> usize {
-        self.inboxes
-            .iter()
-            .map(|b| {
-                b.iter().map(|m| m.byte_size()).sum::<usize>()
-                    + b.capacity() * std::mem::size_of::<M>()
-            })
-            .sum()
-    }
-
-    /// If a replay is pending (a crash rolled the computation back past the
-    /// driver's current step), take the superstep index the driver must
-    /// resume from. Engine state (vertex state, inboxes, active set, stats)
-    /// is already rewound; the driver re-issues its supersteps from the
-    /// returned index — determinism of the engine makes the replay produce
-    /// bit-identical results.
-    pub fn take_replay(&mut self) -> Option<u64> {
-        self.faults.as_mut().and_then(|rt| rt.pending_replay.take())
-    }
-
-    /// If an injected fault aborted execution (machine lost with no
-    /// checkpoint, or a transient delivery failure), take the error. The
-    /// superstep that hit it was skipped (nothing recorded); the driver
-    /// surfaces the error and may retry the whole execution — the injector
-    /// fires each fault at most once, so a rerun proceeds past it.
-    pub fn take_fault_error(&mut self) -> Option<FaultError> {
-        self.faults.as_mut().and_then(|rt| rt.error.take())
-    }
-
-    /// The armed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.faults.as_ref().map(|rt| &rt.injector)
-    }
-
-    /// Force a checkpoint right now (no-op without an injector or with
-    /// checkpointing disabled). Drivers call this immediately before a
-    /// superstep whose effect escapes the engine the moment it returns — an
-    /// aggregator read, a barrier — so a crash there is always recovered
-    /// *within* the superstep call (the checkpoint is at the current index)
-    /// and never defers a replay past the escaped value.
-    pub fn checkpoint_now(&mut self) {
-        let armed = self.faults.as_ref().is_some_and(|rt| rt.injector.checkpoint_every() > 0);
-        if armed {
-            self.normalize_active();
-            self.take_checkpoint();
-        }
-    }
-
-    /// Snapshot the full computation state and charge the checkpoint cost:
-    /// the active list (8 bytes per id) plus every vertex's state (via the
-    /// sizer) and pending inbox bytes. Charged to the itemized
-    /// `stats.faults` — checkpoints model stable-storage writes, not
-    /// network traffic.
-    fn take_checkpoint(&mut self) {
-        debug_assert!(!self.active_dirty, "checkpoint of a dirty active list");
-        let Some(rt) = self.faults.as_mut() else { return };
-        let mut bytes = self.active.len() as u64 * 8;
-        for (v, state) in self.states.iter().enumerate() {
-            bytes += (rt.sizer)(state);
-            bytes += self.inboxes[v].iter().map(|m| m.byte_size() as u64).sum::<u64>();
-        }
-        rt.checkpoint = Some(Snapshot {
-            superstep: self.stats.supersteps,
-            states: self.states.iter().map(rt.clone_state).collect(),
-            inboxes: self.inboxes.clone(),
-            active: self.active.clone(),
-            stats: self.stats.clone(),
-        });
-        self.stats.faults.checkpoint_bytes += bytes;
-        self.stats.faults.checkpoints += 1;
-    }
-
-    /// Roll back to the last checkpoint after machine `machine` crashed:
-    /// restore state/inboxes/active, rewind the statistics to the snapshot
-    /// (so the replayed supersteps re-record identically), and charge the
-    /// recovery — re-shipping the crashed machine's partition share of the
-    /// checkpoint (the survivors still hold theirs; without a partitioning
-    /// the whole snapshot is charged) plus the rolled-back rounds.
-    fn restore(&mut self, machine: u32) {
-        let crashed_at = self.stats.supersteps;
-        // Live fault counters survive the rewind: checkpoints taken and
-        // recoveries performed are real costs even though the replayed
-        // supersteps' traffic is recorded only once.
-        let live = self.stats.faults;
-        let rt = self.faults.as_mut().expect("restore requires a fault runtime");
-        let snap = rt.checkpoint.as_ref().expect("restore requires a checkpoint");
-        let mut vertices = 0u64;
-        let mut bytes = 0u64;
-        for (v, state) in snap.states.iter().enumerate() {
-            let lost = self
-                .partitioning
-                .as_deref()
-                .is_none_or(|p| p.machine_of(v as VertexId) == machine as u16);
-            if !lost {
-                continue;
-            }
-            vertices += 1;
-            bytes += (rt.sizer)(state);
-            bytes += snap.inboxes[v].iter().map(|m| m.byte_size() as u64).sum::<u64>();
-        }
-        self.states = snap.states.iter().map(rt.clone_state).collect();
-        self.inboxes = snap.inboxes.clone();
-        self.active = snap.active.clone();
-        self.active_dirty = false;
-        self.stats = snap.stats.clone();
-        self.stats.faults = live;
-        self.stats.faults.recovery_bytes += bytes;
-        self.stats.faults.recovered_vertices += vertices;
-        self.stats.faults.recovered_rounds += crashed_at - snap.superstep;
-        self.stats.faults.crashes_recovered += 1;
-    }
-
-    /// Fault-injection gate at the top of every superstep. Returns `true`
-    /// when the superstep should run. `false` means the superstep is
-    /// skipped without recording anything: either a rollback landed before
-    /// the driver's current step (`take_replay`) or the execution aborted
-    /// on an unabsorbable fault (`take_fault_error`).
-    fn fault_hook(&mut self) -> bool {
-        if self.faults.is_none() {
-            return true;
-        }
-        let k = self.stats.supersteps;
-        let rt = self.faults.as_ref().expect("checked above");
-        let every = rt.injector.checkpoint_every();
-        let due = every > 0 && rt.checkpoint.as_ref().is_none_or(|c| k - c.superstep >= every);
-        if due {
-            self.take_checkpoint();
-        }
-        let injector = Arc::clone(&self.faults.as_ref().expect("checked above").injector);
-        if injector.claim_panic(k) {
-            panic!("injected compute fault at superstep {k}");
-        }
-        if let Some((from, to)) = injector.claim_drop(k) {
-            let rt = self.faults.as_mut().expect("checked above");
-            rt.error = Some(FaultError::DeliveryFailed { from, to, superstep: k });
-            return false;
-        }
-        if let Some(machine) = injector.claim_crash(k) {
-            let rt = self.faults.as_mut().expect("checked above");
-            let Some(cp) = rt.checkpoint.as_ref().map(|c| c.superstep) else {
-                rt.error = Some(FaultError::MachineLost { machine, superstep: k });
-                return false;
-            };
-            self.restore(machine);
-            if cp == k {
-                // The checkpoint is at this very superstep (the restore was
-                // a data no-op charged as recovery): run it now.
-                return true;
-            }
-            // Rolled back past earlier supersteps: hand the replay index to
-            // the driver and skip this call.
-            self.faults.as_mut().expect("checked above").pending_replay = Some(cp);
-            return false;
-        }
-        true
-    }
-
     /// Run one superstep with a global aggregator.
     ///
     /// `compute` runs once per active vertex and may fold into its worker's
@@ -701,47 +506,41 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
     /// paper's aggregation vertex: a value every vertex can contribute to,
     /// visible to the host (and passable back into the next superstep).
     ///
-    /// With a fault injector attached, the superstep may instead be
-    /// *skipped* (returning zeroed stats and a default aggregate, recording
-    /// nothing): check [`Computation::take_replay`] and
-    /// [`Computation::take_fault_error`] after each superstep.
+    /// The call always runs and records exactly one superstep. Fault
+    /// injection and checkpoint recovery wrap it from outside
+    /// ([`Computation::run_phase`]); nothing in here consults the injector.
     pub fn superstep<G, F>(&mut self, compute: F) -> (StepStats, G)
     where
         G: Aggregator,
         F: for<'x, 'y> Fn(&mut VertexCtx<'x, 'y, V, M>, &mut G) + Sync,
     {
         self.normalize_active();
-        if !self.fault_hook() {
-            return (StepStats::default(), G::default());
-        }
         let shards = self.config.threads;
         let threshold = self.config.parallel_threshold;
         let active = std::mem::take(&mut self.active);
         // Adaptive sequential fallback: below the threshold the pool
-        // hand-off would cost more than it buys, so the phase runs inline.
-        // The shard layout is identical either way, so results (and the
+        // hand-off would cost more than it buys, so the phase gets a single
+        // worker (none when nothing is active — the superstep is still
+        // recorded so the count matches the driver's step sequence). The
+        // shard layout is identical either way, so results (and the
         // documented delivery determinism) don't depend on this choice.
-        let workers = if !active.is_empty() && active.len() >= threshold {
-            self.config.threads.min(active.len())
-        } else {
-            1
-        };
-        let chunk = active.len().div_ceil(workers).max(1);
+        let workers = active.len().min(if active.len() >= threshold { shards } else { 1 });
+        let chunk = active.len().div_ceil(workers.max(1));
         // The persistent runtime. Creating the pool is free (OS threads
         // spawn on the first fan-out inside `WorkerPool::run`), so a
         // multi-thread config materializes one here even if every phase
         // ends up taking the sequential fallback.
-        if self.config.threads > 1 && self.workers.is_none() {
-            self.workers = Some(Arc::new(WorkerPool::new(self.config.threads)));
+        if shards > 1 && self.workers.is_none() {
+            self.workers = Some(Arc::new(WorkerPool::new(shards)));
         }
         let worker_pool = self.workers.clone();
 
         // Recycled shard buffers: hand each worker `shards` drained buffers
         // from the pool (topped up with fresh ones on the first supersteps).
         let mut buf_pool = std::mem::take(&mut self.shard_pool);
-        let take_shard_set = |buf_pool: &mut Vec<Vec<(VertexId, M)>>| {
+        let mut take_shard_set = || {
             let start = buf_pool.len().saturating_sub(shards);
-            let mut set: Vec<Vec<(VertexId, M)>> = buf_pool.drain(start..).collect();
+            let mut set: ShardSet<M> = buf_pool.drain(start..).collect();
             set.resize_with(shards, Vec::new);
             set
         };
@@ -752,15 +551,23 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
         let partitioning = self.partitioning.as_deref();
 
         // --- compute phase -------------------------------------------------
-        let mut results: Vec<(Outbox<'_, M>, G)> = Vec::with_capacity(workers);
-        if active.is_empty() {
-            // Nothing to run, but the superstep is still recorded so the
-            // count matches the driver's step sequence.
-        } else if workers == 1 {
-            let mut out = Outbox::new(take_shard_set(&mut buf_pool), partitioning);
-            let mut agg = G::default();
-            for &v in &active {
-                // SAFETY: single worker — trivially disjoint.
+        // One slot per worker, pre-filled with its outbox and aggregate and
+        // written back through `SharedMut` — a fan-out runs every worker
+        // index exactly once, so slot `w` is touched by one thread only.
+        let mut slots: Vec<Option<(Outbox<'_, M>, G)>> = (0..workers)
+            .map(|_| Some((Outbox::new(take_shard_set(), partitioning), G::default())))
+            .collect();
+        let slots_ptr = SharedMut::new(slots.as_mut_ptr());
+        fan_out(worker_pool.as_deref(), workers, &|w| {
+            // SAFETY: one fan-out runs index `w` once — disjoint slots.
+            let slot = unsafe { slots_ptr.get(w) };
+            let Some((mut out, mut agg)) = slot.take() else { return };
+            let lo = (w * chunk).min(active.len());
+            let hi = ((w + 1) * chunk).min(active.len());
+            for &v in &active[lo..hi] {
+                // SAFETY: the active list is deduplicated and workers take
+                // disjoint chunks, so each vertex's state and inbox is
+                // touched by one worker only.
                 let state = unsafe { states.get(v as usize) };
                 let inbox = unsafe { inboxes.get(v as usize) };
                 let mut ctx =
@@ -768,58 +575,20 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
                 compute(&mut ctx, &mut agg);
                 inbox.clear();
             }
-            results.push((out, agg));
-        } else {
-            let pool_ref =
-                worker_pool.as_deref().expect("multi-thread config always carries a pool");
-            let compute_ref = &compute;
-            let active_ref = &active;
-            let states_ref = &states;
-            let inboxes_ref = &inboxes;
-            // Per-worker input buffers and output slots, written through
-            // `SharedMut` — the pool runs every worker index exactly once
-            // per epoch, so index `w` is touched by one thread only.
-            let mut worker_bufs: Vec<Option<ShardSet<M>>> =
-                (0..workers).map(|_| Some(take_shard_set(&mut buf_pool))).collect();
-            let mut slots: Vec<Option<(Outbox<'_, M>, G)>> = Vec::new();
-            slots.resize_with(workers, || None);
-            let bufs_ptr = SharedMut::new(worker_bufs.as_mut_ptr());
-            let slots_ptr = SharedMut::new(slots.as_mut_ptr());
-            pool_ref.run(workers, &|w| {
-                // SAFETY: one epoch runs index `w` once — disjoint slots.
-                let bufs = unsafe { bufs_ptr.get(w) }.take().expect("worker buffers set");
-                let mut out = Outbox::new(bufs, partitioning);
-                let mut agg = G::default();
-                let lo = (w * chunk).min(active_ref.len());
-                let hi = ((w + 1) * chunk).min(active_ref.len());
-                for &v in &active_ref[lo..hi] {
-                    // SAFETY: the active list is deduplicated and workers
-                    // take disjoint chunks, so each vertex's state and
-                    // inbox is touched by one worker only.
-                    let state = unsafe { states_ref.get(v as usize) };
-                    let inbox = unsafe { inboxes_ref.get(v as usize) };
-                    let mut ctx =
-                        VertexCtx { vid: v, graph, state, msgs: inbox.as_slice(), out: &mut out };
-                    compute_ref(&mut ctx, &mut agg);
-                    inbox.clear();
-                }
-                // SAFETY: as above — slot `w` belongs to this worker.
-                *unsafe { slots_ptr.get(w) } = Some((out, agg));
-            });
-            results = slots.into_iter().map(|s| s.expect("pool ran every worker")).collect();
-        }
+            *slot = Some((out, agg));
+        });
 
         // --- merge aggregates and counters ----------------------------------
+        // The step's traffic totals are the sum of the per-label counters
+        // (the only ones `Outbox::send` keeps), so the per-label breakdown
+        // adds up to the totals by construction.
         let mut step = StepStats { active_vertices: active.len() as u64, ..Default::default() };
         let mut global = G::default();
-        let mut worker_shards: Vec<Vec<Vec<(VertexId, M)>>> = Vec::with_capacity(results.len());
+        let mut worker_shards: Vec<ShardSet<M>> = Vec::with_capacity(workers);
         let mut step_labels: Vec<(LabelId, LabelTraffic)> = Vec::new();
-        for (out, agg) in results {
-            step.messages += out.messages;
-            step.message_bytes += out.bytes;
-            step.network_messages += out.network_messages;
-            step.network_bytes += out.network_bytes;
+        for (out, agg) in slots.into_iter().flatten() {
             for (label, t) in &out.per_label {
+                step.add_traffic(t);
                 match step_labels.iter_mut().find(|(l, _)| l == label) {
                     Some((_, acc)) => acc.add(t),
                     None => step_labels.push((*label, *t)),
@@ -831,41 +600,42 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
 
         // --- delivery phase ---------------------------------------------------
         // Shard `s` owns inboxes of vertices with `v % shards == s`; shards
-        // run in parallel (sequentially below the threshold — same order
+        // fan out over the pool (inline below the threshold — same order
         // either way), and within a shard worker outboxes are drained in
         // worker order, which preserves global source order. Messages are
         // *moved* into inboxes (the outbox held the only copy), and drained
         // shard buffers return to the pool — in shard-major, worker-minor
         // order, independent of which delivery thread finished first —
         // shrunk first when their capacity dwarfs this step's use.
-        let mut newly_active: Vec<Vec<VertexId>> = Vec::new();
+        let mut next: Vec<VertexId> = Vec::new();
         if step.messages > 0 {
             // Phase boundary: inbox ownership switches from active-list
             // chunks (compute) to `v % shards` (delivery) behind the epoch
             // barrier above, so compute-phase claims must not carry over.
             #[cfg(debug_assertions)]
             inboxes.reset_claims();
-            let inboxes_ref = &inboxes;
             // Transpose to per-shard groups, preserving worker order within
-            // each group (the determinism invariant above).
-            let mut groups: Vec<Vec<Vec<(VertexId, M)>>> = (0..shards)
-                .map(|s| worker_shards.iter_mut().map(|ws| std::mem::take(&mut ws[s])).collect())
+            // each group (the determinism invariant above); each group
+            // carries the slot for the vertices its delivery wakes.
+            let mut groups: Vec<(ShardSet<M>, Vec<VertexId>)> = (0..shards)
+                .map(|s| {
+                    let bufs = worker_shards.iter_mut().map(|ws| std::mem::take(&mut ws[s]));
+                    (bufs.collect(), Vec::new())
+                })
                 .collect();
-            let mut woken_slots: Vec<Option<Vec<VertexId>>> = Vec::new();
-            woken_slots.resize_with(shards, || None);
             let groups_ptr = SharedMut::new(groups.as_mut_ptr());
-            let woken_ptr = SharedMut::new(woken_slots.as_mut_ptr());
-            let deliver = |s: usize| {
-                // SAFETY: one epoch runs shard `s` once — disjoint slots.
-                let group = unsafe { groups_ptr.get(s) };
+            let pool = worker_pool.as_deref().filter(|_| step.messages >= threshold as u64);
+            fan_out(pool, shards, &|s| {
+                // SAFETY: one fan-out runs shard `s` once — disjoint slots.
+                let (bufs, woken_slot) = unsafe { groups_ptr.get(s) };
                 let mut woken = Vec::new();
-                for buf in group.iter_mut() {
+                for buf in bufs.iter_mut() {
                     let used = buf.len();
                     for (v, m) in buf.drain(..) {
                         // SAFETY: every message in this group targets
                         // v % shards == s by construction of Outbox::send,
                         // so only this shard's worker touches inboxes[v].
-                        let inbox = unsafe { inboxes_ref.get(v as usize) };
+                        let inbox = unsafe { inboxes.get(v as usize) };
                         if inbox.is_empty() {
                             woken.push(v);
                         }
@@ -873,23 +643,13 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
                     }
                     shrink_recycled(buf, used);
                 }
-                // SAFETY: as above — slot `s` belongs to this shard.
-                *unsafe { woken_ptr.get(s) } = Some(woken);
-            };
-            if shards > 1 && step.messages >= threshold as u64 {
-                worker_pool
-                    .as_deref()
-                    .expect("multi-thread config always carries a pool")
-                    .run(shards, &deliver);
-            } else {
-                for s in 0..shards {
-                    deliver(s);
-                }
+                *woken_slot = woken;
+            });
+            for (bufs, woken) in groups {
+                next.extend(woken);
+                buf_pool.extend(bufs);
             }
-            for (woken, group) in woken_slots.into_iter().zip(groups) {
-                newly_active.push(woken.expect("every shard delivered"));
-                buf_pool.extend(group);
-            }
+            next.sort_unstable();
         } else {
             // No messages this step: the shard buffers are already empty;
             // recycle them (and their capacity) directly.
@@ -898,9 +658,6 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
             }
         }
         self.shard_pool = buf_pool;
-
-        let mut next: Vec<VertexId> = newly_active.into_iter().flatten().collect();
-        next.sort_unstable();
         self.active = next;
         self.stats.record_step(step, &step_labels);
         (step, global)
@@ -912,37 +669,6 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
         F: for<'x, 'y> Fn(&mut VertexCtx<'x, 'y, V, M>) + Sync,
     {
         self.superstep::<(), _>(|ctx, _| compute(ctx)).0
-    }
-}
-
-impl<'g, V: Send + Clone, M: Message> Computation<'g, V, M> {
-    /// Arm a fault injector: subsequent supersteps consult its plan, and
-    /// checkpoints are taken every `injector.checkpoint_every()` supersteps
-    /// (`0` disables checkpointing — an injected crash then aborts the run
-    /// with [`FaultError::MachineLost`] instead of recovering).
-    ///
-    /// Lives in a `V: Clone` impl block only to capture the clone fn; the
-    /// rest of the fault machinery (`take_replay`, `checkpoint_now`, …)
-    /// stays on the base impl.
-    pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) {
-        self.faults = Some(FaultRuntime {
-            injector,
-            clone_state: |v: &V| v.clone(),
-            sizer: Box::new(|_| std::mem::size_of::<V>() as u64),
-            checkpoint: None,
-            pending_replay: None,
-            error: None,
-        });
-    }
-
-    /// Install a checkpoint sizer for vertex state (bytes per vertex).
-    /// The default charges `size_of::<V>()`, which undercounts heap-holding
-    /// state; hosts that know `V`'s layout install an honest one. No-op
-    /// until an injector is armed.
-    pub fn set_state_sizer(&mut self, sizer: impl Fn(&V) -> u64 + Send + Sync + 'static) {
-        if let Some(rt) = self.faults.as_mut() {
-            rt.sizer = Box::new(sizer);
-        }
     }
 }
 
@@ -1316,199 +1042,5 @@ mod tests {
         let stats = comp.superstep_simple(|_| {});
         assert_eq!(stats.active_vertices, 0);
         assert_eq!(comp.stats().supersteps, 1);
-    }
-
-    // ----- fault injection / checkpoint recovery ---------------------------
-
-    use crate::fault::{FaultError, FaultInjector, FaultPlan};
-
-    /// Drive the wave program of `wave_propagates_and_halts` to completion,
-    /// cooperating with the fault runtime: a pending replay just re-enters
-    /// the loop (every superstep runs the same closure), a fault error
-    /// aborts. Returns the final states and stats.
-    fn run_wave(
-        g: &Graph,
-        threads: usize,
-        injector: Option<Arc<FaultInjector>>,
-    ) -> Result<(Vec<u64>, RunStats), FaultError> {
-        let mut comp: Computation<'_, u64, u64> = Computation::new(
-            g,
-            EngineConfig::with_threads(threads).with_parallel_threshold(0),
-            |_| 0,
-        );
-        comp.set_partitioning(Partitioning::from_assignment(
-            (0..g.vertex_count()).map(|v| (v % 2) as u16).collect(),
-            2,
-        ));
-        if let Some(inj) = injector {
-            comp.set_fault_injector(inj);
-        }
-        comp.activate([0]);
-        let mut guard = 0;
-        while !comp.halted() {
-            comp.superstep_simple(|ctx| {
-                let incoming = ctx.messages().iter().copied().max().unwrap_or(0);
-                *ctx.state = incoming;
-                let next = ctx.id() + 1;
-                if (next as usize) < ctx.graph().vertex_count() {
-                    ctx.send(next, incoming + 1);
-                }
-            });
-            if comp.take_replay().is_some() {
-                continue; // state rewound; the uniform closure replays as-is
-            }
-            if let Some(e) = comp.take_fault_error() {
-                return Err(e);
-            }
-            guard += 1;
-            assert!(guard < 100, "wave did not halt");
-        }
-        let (states, stats) = comp.finish();
-        Ok((states, stats))
-    }
-
-    #[test]
-    fn crash_recovers_from_checkpoint_with_identical_results() {
-        let g = line(8);
-        let (base_states, base) = run_wave(&g, 1, None).unwrap();
-        // Crash machine 1 just before superstep 5; checkpoints every 2
-        // supersteps put the last one at superstep 4 → one rolled-back round.
-        let inj = Arc::new(FaultInjector::new(FaultPlan::new().crash(1, 5), 2));
-        let (states, stats) = run_wave(&g, 1, Some(Arc::clone(&inj))).unwrap();
-        assert!(inj.any_fired(), "the crash must actually fire");
-        assert_eq!(states, base_states, "recovery must not change results");
-        // Non-fault statistics replay identically…
-        assert_eq!(stats.supersteps, base.supersteps);
-        assert_eq!(stats.totals, base.totals);
-        assert_eq!(stats.steps, base.steps);
-        // …while the fault costs are itemized on the side.
-        assert_eq!(stats.faults.crashes_recovered, 1);
-        assert_eq!(stats.faults.recovered_rounds, 1, "checkpoint at 4, crash at 5");
-        assert!(stats.faults.checkpoints >= 3);
-        assert!(stats.faults.checkpoint_bytes > 0);
-        assert!(stats.faults.recovery_bytes > 0);
-        assert!(
-            stats.faults.recovery_bytes < stats.faults.checkpoint_bytes,
-            "recovery re-ships only the crashed machine's partition share"
-        );
-        assert!(stats.faults.recovered_vertices == g.vertex_count() as u64 / 2);
-        assert_eq!(base.faults, crate::stats::FaultTraffic::default(), "fault-free run is clean");
-    }
-
-    #[test]
-    fn recovery_is_identical_across_thread_counts() {
-        let g = line(64);
-        let (base_states, base) = run_wave(&g, 1, None).unwrap();
-        for threads in [1, 4] {
-            let inj = Arc::new(FaultInjector::new(FaultPlan::new().crash(0, 3), 1));
-            let (states, stats) = run_wave(&g, threads, Some(inj)).unwrap();
-            assert_eq!(states, base_states, "threads={threads}");
-            assert_eq!(stats.totals, base.totals, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn crash_at_checkpointed_superstep_recovers_in_call() {
-        let g = line(6);
-        let (base_states, base) = run_wave(&g, 1, None).unwrap();
-        // checkpoint_every=1 and a crash at superstep 2: the checkpoint due
-        // at 2 is taken in the same hook call, so the restore is a charged
-        // data no-op and the superstep still runs — no replay rounds.
-        let inj = Arc::new(FaultInjector::new(FaultPlan::new().crash(0, 2), 1));
-        let (states, stats) = run_wave(&g, 1, Some(inj)).unwrap();
-        assert_eq!(states, base_states);
-        assert_eq!(stats.supersteps, base.supersteps);
-        assert_eq!(stats.faults.crashes_recovered, 1);
-        assert_eq!(stats.faults.recovered_rounds, 0, "in-call recovery replays nothing");
-        assert!(stats.faults.recovery_bytes > 0, "the restore itself is still charged");
-    }
-
-    #[test]
-    fn crash_without_checkpoint_aborts_then_rerun_succeeds() {
-        let g = line(5);
-        // checkpoint_every=0: checkpointing disabled.
-        let inj = Arc::new(FaultInjector::new(FaultPlan::new().crash(1, 1), 0));
-        let err = run_wave(&g, 1, Some(Arc::clone(&inj))).unwrap_err();
-        assert_eq!(err, FaultError::MachineLost { machine: 1, superstep: 1 });
-        assert!(!err.is_transient());
-        // The fault is spent: a rerun sharing the injector goes clean.
-        let (states, stats) = run_wave(&g, 1, Some(inj)).unwrap();
-        assert_eq!(states, run_wave(&g, 1, None).unwrap().0);
-        assert_eq!(stats.faults.checkpoints, 0, "interval 0 takes no checkpoints");
-        assert_eq!(stats.faults.crashes_recovered, 0);
-    }
-
-    #[test]
-    fn transient_drop_aborts_then_rerun_succeeds() {
-        let g = line(5);
-        let inj = Arc::new(FaultInjector::new(FaultPlan::new().drop_link(0, 1, 2), 2));
-        let err = run_wave(&g, 1, Some(Arc::clone(&inj))).unwrap_err();
-        assert_eq!(err, FaultError::DeliveryFailed { from: 0, to: 1, superstep: 2 });
-        assert!(err.is_transient());
-        let (states, _) = run_wave(&g, 1, Some(inj)).unwrap();
-        assert_eq!(states, run_wave(&g, 1, None).unwrap().0);
-    }
-
-    #[test]
-    fn injected_panic_unwinds_out_of_superstep() {
-        let g = line(4);
-        let inj = Arc::new(FaultInjector::new(FaultPlan::new().compute_panic(0), 0));
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_wave(&g, 1, Some(Arc::clone(&inj))).ok();
-        }));
-        assert!(r.is_err(), "an injected compute panic must unwind to the host");
-        assert_eq!(inj.fired_count(), 1);
-        // Spent: the rerun completes.
-        assert!(run_wave(&g, 1, Some(inj)).is_ok());
-    }
-
-    #[test]
-    fn forced_checkpoint_covers_aggregator_supersteps() {
-        let g = line(4);
-        let inj = Arc::new(FaultInjector::new(FaultPlan::new().crash(0, 0), 4));
-        let mut comp: Computation<'_, u64, u64> =
-            Computation::new(&g, EngineConfig::sequential(), |_| 0);
-        comp.set_fault_injector(inj);
-        comp.activate(g.vertices());
-        // A driver about to read an aggregate forces a checkpoint first, so
-        // the crash at this superstep is recovered within the call and the
-        // aggregate below is valid (no deferred replay).
-        comp.checkpoint_now();
-        #[derive(Default)]
-        struct Count(u64);
-        impl Aggregator for Count {
-            fn merge(&mut self, other: Self) {
-                self.0 += other.0;
-            }
-        }
-        let (_, agg) = comp.superstep(|_, agg: &mut Count| agg.0 += 1);
-        assert_eq!(comp.take_replay(), None, "forced checkpoint prevents deferred replay");
-        assert_eq!(comp.take_fault_error(), None);
-        assert_eq!(agg.0, 4, "aggregate computed after in-call recovery");
-        assert_eq!(comp.stats().faults.crashes_recovered, 1);
-    }
-
-    #[test]
-    fn default_sizer_and_custom_sizer_price_checkpoints() {
-        let g = line(3);
-        let run = |sizer: Option<fn(&u64) -> u64>| {
-            let inj = Arc::new(FaultInjector::new(FaultPlan::new(), 1));
-            let mut comp: Computation<'_, u64, u64> =
-                Computation::new(&g, EngineConfig::sequential(), |_| 0);
-            comp.set_fault_injector(inj);
-            if let Some(s) = sizer {
-                comp.set_state_sizer(s);
-            }
-            comp.activate([0]);
-            comp.superstep_simple(|_| {});
-            comp.stats().faults
-        };
-        // One checkpoint before the only superstep: 1 active id (8 bytes) +
-        // 3 vertex states, no pending inbox bytes.
-        let default = run(None);
-        assert_eq!(default.checkpoints, 1);
-        assert_eq!(default.checkpoint_bytes, 8 + 3 * std::mem::size_of::<u64>() as u64);
-        let custom = run(Some(|_| 100));
-        assert_eq!(custom.checkpoint_bytes, 8 + 3 * 100);
     }
 }

@@ -19,15 +19,13 @@
 //!   baseline, anchor co-location, label-propagation refinement) and
 //!   edge-cut/balance [`PartitionDiagnostics`].
 //!
-//! Two levels of API:
-//!
-//! * [`Computation`] — a driver-controlled superstep loop. Each call to
-//!   [`Computation::superstep`] runs one BSP superstep; the host decides what
-//!   each superstep does (exactly how the paper's Algorithm 2 is "driven by"
-//!   a stack of edge labels, and how TigerGraph queries are sequences of
-//!   one-hop traversals).
-//! * [`VertexProgram`] + [`run_program`] — the classic Pregel loop: run until
-//!   no vertex is active.
+//! The API is [`Computation`], a driver-controlled superstep loop. Each call
+//! to [`Computation::superstep`] runs one BSP superstep; the host decides
+//! what each superstep does (exactly how the paper's Algorithm 2 is "driven
+//! by" a stack of edge labels, and how TigerGraph queries are sequences of
+//! one-hop traversals). Fault tolerance is a layer around that loop, not part
+//! of it: a driver that wants checkpoint/rollback/replay wraps its supersteps
+//! in [`Computation::run_phase`] ([`recovery`]) and arms a [`FaultInjector`].
 
 pub mod engine;
 pub mod fault;
@@ -36,6 +34,7 @@ pub mod interner;
 pub mod partition;
 pub mod pool;
 pub mod program;
+pub mod recovery;
 pub mod stats;
 pub mod sync;
 
@@ -48,5 +47,5 @@ pub use partition::{
     PartitionStrategy, Partitioning, RefineConfig, DEFAULT_BALANCE_SLACK,
 };
 pub use pool::WorkerPool;
-pub use program::{run_program, Aggregator, Message, VertexProgram};
+pub use program::{Aggregator, Message};
 pub use stats::{FaultTraffic, LabelTraffic, RunStats, StepStats, TrafficProfile};

@@ -1,14 +1,6 @@
-//! The classic Pregel program abstraction, built on top of the superstep API.
-//!
-//! [`VertexProgram`] captures a complete vertex-centric computation: which
-//! vertices start active, what a vertex does each superstep, and a global
-//! aggregator. [`run_program`] loops supersteps until no vertex is active —
-//! the paper's termination condition ("the computation terminates when there
-//! are no active vertices").
-
-use crate::engine::{Computation, EngineConfig, VertexCtx};
-use crate::graph::{Graph, VertexId};
-use crate::stats::RunStats;
+//! The two traits a vertex program's types implement: [`Message`] (what
+//! vertices send each other) and [`Aggregator`] (the per-superstep global
+//! value, the paper's aggregation vertex).
 
 /// Messages exchanged between vertices.
 ///
@@ -59,157 +51,5 @@ impl Aggregator for u64 {
 impl<T: Send + Sync> Aggregator for Vec<T> {
     fn merge(&mut self, mut other: Self) {
         self.append(&mut other);
-    }
-}
-
-/// A complete vertex-centric computation.
-pub trait VertexProgram: Sync {
-    /// Per-vertex mutable state.
-    type State: Send;
-    /// Message type.
-    type Msg: Message;
-    /// Global aggregator merged every superstep.
-    type Global: Aggregator;
-
-    /// Initial state for every vertex.
-    fn init_state(&self, graph: &Graph, v: VertexId) -> Self::State;
-
-    /// Vertices active in superstep 0.
-    fn initial_active(&self, graph: &Graph) -> Vec<VertexId>;
-
-    /// Per-vertex work for superstep `step`. `global` is the merged
-    /// aggregate of the *previous* superstep.
-    fn compute(
-        &self,
-        step: u64,
-        ctx: &mut VertexCtx<'_, '_, Self::State, Self::Msg>,
-        global: &Self::Global,
-        agg: &mut Self::Global,
-    );
-
-    /// Optional superstep cap (safety net against non-terminating programs).
-    fn max_supersteps(&self) -> u64 {
-        10_000
-    }
-}
-
-/// Run a [`VertexProgram`] to completion; returns final states, the final
-/// global aggregate, and run statistics.
-pub fn run_program<P: VertexProgram>(
-    graph: &Graph,
-    config: EngineConfig,
-    program: &P,
-) -> (Vec<P::State>, P::Global, RunStats) {
-    let mut comp: Computation<'_, P::State, P::Msg> =
-        Computation::new(graph, config, |v| program.init_state(graph, v));
-    comp.activate(program.initial_active(graph));
-    let mut global = P::Global::default();
-    let mut step = 0u64;
-    while !comp.halted() {
-        assert!(
-            step < program.max_supersteps(),
-            "vertex program exceeded {} supersteps",
-            program.max_supersteps()
-        );
-        let g_prev = &global;
-        let (_, g) = comp.superstep(|ctx, agg| program.compute(step, ctx, g_prev, agg));
-        global = g;
-        step += 1;
-    }
-    let (states, stats) = comp.finish();
-    (states, global, stats)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::graph::GraphBuilder;
-
-    /// Connected components by min-label propagation — a classic Pregel
-    /// program exercising init/active/halting and the aggregator.
-    struct MinLabel;
-
-    impl VertexProgram for MinLabel {
-        type State = u32;
-        type Msg = u32;
-        type Global = u64; // counts label changes per superstep
-
-        fn init_state(&self, _g: &Graph, v: VertexId) -> u32 {
-            v
-        }
-
-        fn initial_active(&self, g: &Graph) -> Vec<VertexId> {
-            g.vertices().collect()
-        }
-
-        fn compute(
-            &self,
-            step: u64,
-            ctx: &mut VertexCtx<'_, '_, u32, u32>,
-            _global: &u64,
-            agg: &mut u64,
-        ) {
-            let best = ctx.messages().iter().copied().min().unwrap_or(u32::MAX);
-            let changed = best < *ctx.state;
-            if changed {
-                *ctx.state = best;
-                *agg += 1;
-            }
-            if step == 0 || changed {
-                let label = *ctx.state;
-                let targets: Vec<VertexId> = ctx.edges().iter().map(|e| e.target).collect();
-                for t in targets {
-                    ctx.send(t, label);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn connected_components() {
-        // Two components: {0,1,2} and {3,4}.
-        let mut b = GraphBuilder::new();
-        let vl = b.vertex_label("v");
-        let el = b.edge_label("e");
-        for _ in 0..5 {
-            b.add_vertex(vl);
-        }
-        b.add_undirected_edge(0, 1, el);
-        b.add_undirected_edge(1, 2, el);
-        b.add_undirected_edge(3, 4, el);
-        let g = b.finish();
-
-        let (states, _, stats) = run_program(&g, EngineConfig::with_threads(2), &MinLabel);
-        assert_eq!(states, vec![0, 0, 0, 3, 3]);
-        assert!(stats.supersteps >= 3);
-        assert!(stats.total_messages() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeded")]
-    fn runaway_program_is_stopped() {
-        struct PingPong;
-        impl VertexProgram for PingPong {
-            type State = ();
-            type Msg = ();
-            type Global = ();
-            fn init_state(&self, _: &Graph, _: VertexId) {}
-            fn initial_active(&self, _: &Graph) -> Vec<VertexId> {
-                vec![0, 1]
-            }
-            fn compute(&self, _s: u64, ctx: &mut VertexCtx<'_, '_, (), ()>, _g: &(), _a: &mut ()) {
-                let other = 1 - ctx.id();
-                ctx.send(other, ());
-            }
-            fn max_supersteps(&self) -> u64 {
-                50
-            }
-        }
-        let mut b = GraphBuilder::new();
-        let vl = b.vertex_label("v");
-        b.add_vertex(vl);
-        b.add_vertex(vl);
-        let g = b.finish();
-        run_program(&g, EngineConfig::sequential(), &PingPong);
     }
 }

@@ -45,6 +45,14 @@ impl StepStats {
         self.network_messages += other.network_messages;
         self.network_bytes += other.network_bytes;
     }
+
+    /// Fold one label's traffic into this step's message/byte counters.
+    pub(crate) fn add_traffic(&mut self, t: &LabelTraffic) {
+        self.messages += t.messages;
+        self.message_bytes += t.bytes;
+        self.network_messages += t.network_messages;
+        self.network_bytes += t.network_bytes;
+    }
 }
 
 /// Traffic attributed to one edge label (or to [`LabelId::NONE`]): the
@@ -153,10 +161,7 @@ impl RunStats {
     /// the per-step list do not — so round counts stay those of the actual
     /// BSP execution.
     pub fn record_traffic(&mut self, traffic: LabelTraffic) {
-        self.totals.messages += traffic.messages;
-        self.totals.message_bytes += traffic.bytes;
-        self.totals.network_messages += traffic.network_messages;
-        self.totals.network_bytes += traffic.network_bytes;
+        self.totals.add_traffic(&traffic);
         self.per_label.entry(LabelId::NONE).or_default().add(&traffic);
     }
 

@@ -33,6 +33,7 @@
 use crate::bind::{LoweredCheck, ProjItem, QueryCtx};
 use crate::plan::QueryPlan;
 use crate::table::{Partial, Table, TagMsg};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use vcsql_bsp::program::Aggregator;
 use vcsql_bsp::{
@@ -274,26 +275,21 @@ impl<'t> TagJoinExecutor<'t> {
     /// Run the three traversal passes for component `ci`, leaving the
     /// component's root tuple vertices active with pending value tables.
     ///
-    /// The passes are flattened to a descriptor list and driven by a
-    /// *rewindable* loop: when an injected crash rolls the engine back to a
-    /// checkpoint, [`Computation::take_replay`] hands back the superstep to
-    /// resume from and the loop re-issues the corresponding descriptors —
-    /// the engine's determinism makes the replay bit-identical. A forced
-    /// checkpoint at the phase start pins the earliest possible rollback to
-    /// this traversal (earlier phases' effects already escaped to the host
-    /// and could not be replayed).
+    /// The passes are flattened to a descriptor list — one descriptor, one
+    /// superstep — and issued as one engine phase, so a recovered crash
+    /// re-issues the descriptors from the rewound index and never rolls
+    /// back into an earlier phase, whose results already reached the host.
     fn run_traversal(
         &self,
         comp: &mut Computation<'_, St, TagMsg>,
         q: &QueryCtx,
         ci: usize,
     ) -> Result<()> {
-        let plan = &q.plans[ci];
         comp.activate_label(q.start_label(ci));
-        if plan.is_empty() {
+        let steps = &q.steps[ci];
+        if steps.is_empty() {
             return Ok(()); // single table: roots are the activated tuples
         }
-        let steps = q.steps[ci].clone();
 
         // Flatten the three passes: reduction bottom-up, reduction top-down
         // (reversed list; sends follow marks and receivers replace marks),
@@ -309,7 +305,7 @@ impl<'t> TagJoinExecutor<'t> {
         }
         let mut descs: Vec<Desc> = Vec::with_capacity(3 * steps.len());
         let mut prev: Option<(LabelId, bool)> = None;
-        for s in &steps {
+        for s in steps {
             let cur = q.label(*s)?;
             descs.push(Desc { pass: Pass::Red { down: false }, cur, prev });
             prev = Some((cur, false));
@@ -319,32 +315,25 @@ impl<'t> TagJoinExecutor<'t> {
             descs.push(Desc { pass: Pass::Red { down: true }, cur, prev });
             prev = Some((cur, true));
         }
-        for s in &steps {
+        for s in steps {
             let cur = q.label(*s)?;
             descs.push(Desc { pass: Pass::Col, cur, prev });
             prev = Some((cur, true));
         }
 
-        comp.checkpoint_now();
-        let base = comp.stats().supersteps;
-        let mut i = 0usize;
-        while i < descs.len() {
+        comp.run_phase(|comp, i| {
             let d = &descs[i];
             match d.pass {
                 Pass::Red { down } => self.reduction_step(comp, q, d.cur, d.prev, down),
                 Pass::Col => self.collection_step(comp, q, d.cur, d.prev),
             }
-            if let Some(from) = comp.take_replay() {
-                debug_assert!(from >= base, "rollback past the phase-start checkpoint");
-                i = (from - base) as usize;
-                continue;
+            if i + 1 == descs.len() {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            if let Some(e) = comp.take_fault_error() {
-                return Err(fault_to_rel(e));
-            }
-            i += 1;
-        }
-        Ok(())
+        })
+        .map_err(fault_to_rel)
     }
 
     /// One reduction superstep (Algorithm 2 lines 7-25).
@@ -436,12 +425,8 @@ impl<'t> TagJoinExecutor<'t> {
                 self.0.append(&mut other.0);
             }
         }
-        // Aggregator superstep: its value escapes the engine the moment it
-        // returns, so force a checkpoint — a crash here is then recovered
-        // within the call and the gathered tables are valid.
-        comp.checkpoint_now();
-        let (_, gathered) =
-            comp.superstep(|ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Tables| {
+        let gathered =
+            single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Tables| {
                 record_marks(ctx, None);
                 if !passes_filter(ctx, q, tag) {
                     return;
@@ -449,11 +434,7 @@ impl<'t> TagJoinExecutor<'t> {
                 if let Some(v) = compute_value(ctx, q, tag) {
                     g.0.push((ctx.id(), v));
                 }
-            });
-        debug_assert!(comp.take_replay().is_none(), "forced checkpoint precludes replay");
-        if let Some(e) = comp.take_fault_error() {
-            return Err(fault_to_rel(e));
-        }
+            })?;
         Ok(gathered.0)
     }
 
@@ -488,10 +469,7 @@ impl<'t> TagJoinExecutor<'t> {
             }
         }
 
-        // Aggregator superstep (see `gather_component`): force a checkpoint
-        // so a crash here recovers in-call and `fin` is valid.
-        comp.checkpoint_now();
-        let (_, fin) = comp.superstep(|ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
+        let fin = single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
             record_marks(ctx, None);
             if !passes_filter(ctx, q, tag) {
                 return;
@@ -556,11 +534,7 @@ impl<'t> TagJoinExecutor<'t> {
                     }
                 }
             }
-        });
-        debug_assert!(comp.take_replay().is_none(), "forced checkpoint precludes replay");
-        if let Some(e) = comp.take_fault_error() {
-            return Err(fault_to_rel(e));
-        }
+        })?;
 
         // ---- assemble output --------------------------------------------------
         match a.agg_class {
@@ -574,10 +548,7 @@ impl<'t> TagJoinExecutor<'t> {
                 // partials they received (each group computed in parallel at
                 // its own vertex — the paper's local-aggregation strength).
                 let la_attrs: Vec<VertexId> = comp.active().to_vec();
-                // The merged `la` states are read from the host right after
-                // this superstep: checkpoint so a crash recovers in-call.
-                comp.checkpoint_now();
-                comp.superstep_simple(|ctx: &mut VertexCtx<'_, '_, St, TagMsg>| {
+                single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, _: &mut ()| {
                     let mut received: Vec<(Box<[Value]>, Partial)> = Vec::new();
                     for m in ctx.messages() {
                         if let TagMsg::Partial(kp) = m {
@@ -591,11 +562,7 @@ impl<'t> TagJoinExecutor<'t> {
                     for (k, p) in received {
                         merge_group(la, k, p);
                     }
-                });
-                debug_assert!(comp.take_replay().is_none(), "forced checkpoint precludes replay");
-                if let Some(e) = comp.take_fault_error() {
-                    return Err(fault_to_rel(e));
-                }
+                })?;
                 let mut groups = fin.groups;
                 for v in la_attrs {
                     if let Some(map) = &comp.state(v).la {
@@ -678,6 +645,17 @@ impl<'t> TagJoinExecutor<'t> {
 // ---------------------------------------------------------------------------
 // Vertex-side helpers (free functions so closures stay lean)
 // ---------------------------------------------------------------------------
+
+/// A one-superstep phase. Its result — the aggregate, or vertex state the
+/// host reads next — leaves the engine the moment it returns, so it is its
+/// own unit of recovery: a crash here is absorbed before the value exists.
+fn single_step<G, F>(comp: &mut Computation<'_, St, TagMsg>, compute: F) -> Result<G>
+where
+    G: Aggregator,
+    F: for<'x, 'y> Fn(&mut VertexCtx<'x, 'y, St, TagMsg>, &mut G) + Sync,
+{
+    comp.run_phase(|comp, _| ControlFlow::Break(comp.superstep(&compute).1)).map_err(fault_to_rel)
+}
 
 /// Map an engine fault to the executor's error type; retry-worthiness
 /// travels in the variant, so hosts (the server's retry loop) match on it.

@@ -11,10 +11,10 @@
 //!
 //! This crate makes the claim reproducible without a cluster:
 //!
-//! * [`tag_distributed`] — run the real TAG-join executor under a hash
-//!   [`Partitioning`] of the TAG graph over `k`
-//!   simulated machines, counting every message whose source and target
-//!   vertices live on different machines;
+//! * [`tag_partitioning`] — place the TAG graph over `k` simulated machines
+//!   with a [`PartitionStrategy`]; the real TAG-join executor run under that
+//!   [`Partitioning`] counts every message whose source and target vertices
+//!   live on different machines, and [`NetStats::from_run`] itemizes them;
 //! * [`tag_calibrate`] — phase 1 of the workload-aware loop: a calibration
 //!   run under the hash baseline observes per-edge-label traffic (a
 //!   [`TrafficProfile`]), from which a [`PartitionStrategy::Workload`]
@@ -39,7 +39,7 @@ pub use spark::SparkModel;
 pub use vcsql_bsp::{PartitionDiagnostics, PartitionStrategy, TrafficProfile};
 
 use vcsql_bsp::{EngineConfig, Partitioning};
-use vcsql_core::{ExecOutput, TagJoinExecutor};
+use vcsql_core::TagJoinExecutor;
 use vcsql_query::analyze::Analyzed;
 use vcsql_relation::RelError;
 use vcsql_tag::TagGraph;
@@ -76,46 +76,18 @@ pub fn tag_calibrate(
     if machines == 0 {
         return Err(RelError::Other("cluster needs at least one machine".into()));
     }
-    let p = tag_partitioning(tag, machines, &PartitionStrategy::Hash);
+    let executor = TagJoinExecutor::new(tag, config).with_partitioning(tag_partitioning(
+        tag,
+        machines,
+        &PartitionStrategy::Hash,
+    ));
     let mut profile = TrafficProfile::new();
     for a in workload {
-        let (out, _) = execute_under(tag, a, p.clone(), config)?;
+        let out = executor.execute(a)?;
         profile.absorb(&TrafficProfile::from_run(&out.stats, tag.graph()));
     }
     profile.cover_graph(tag.graph());
     Ok(profile)
-}
-
-/// Execute `a` with the vertex-centric TAG-join executor under a hash
-/// partitioning of the TAG over `machines` simulated machines.
-///
-/// Returns the full execution output (result relation + run statistics) and
-/// the network share of its traffic. Partitioning is pure accounting: the
-/// result bag and total message counts are identical to a single-machine
-/// run (see `tests/robustness.rs`).
-pub fn tag_distributed(
-    tag: &TagGraph,
-    a: &Analyzed,
-    machines: usize,
-    config: EngineConfig,
-) -> Result<(ExecOutput, NetStats)> {
-    if machines == 0 {
-        return Err(RelError::Other("cluster needs at least one machine".into()));
-    }
-    execute_under(tag, a, tag_partitioning(tag, machines, &PartitionStrategy::Hash), config)
-}
-
-/// Shared body of the one-shot entry points: run under a prebuilt
-/// partitioning and split out the network share of the traffic.
-fn execute_under(
-    tag: &TagGraph,
-    a: &Analyzed,
-    partitioning: Partitioning,
-    config: EngineConfig,
-) -> Result<(ExecOutput, NetStats)> {
-    let out = TagJoinExecutor::new(tag, config).with_partitioning(partitioning).execute(a)?;
-    let net = NetStats::from_run(&out.stats);
-    Ok((out, net))
 }
 
 /// Modelled end-to-end runtime: local compute plus network transfer at
@@ -140,6 +112,7 @@ pub fn modelled_runtime(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcsql_core::ExecOutput;
     use vcsql_query::{analyze::analyze, parse};
     use vcsql_workload::tpch;
 
@@ -147,7 +120,8 @@ mod tests {
         analyze(&parse(sql).unwrap(), tag.schemas()).unwrap()
     }
 
-    /// Strategy-driven run via the shared body.
+    /// Run `a` under `strategy`'s placement over `machines` machines and
+    /// split out the network share of the traffic.
     fn run_with(
         tag: &TagGraph,
         a: &Analyzed,
@@ -155,19 +129,24 @@ mod tests {
         strategy: &PartitionStrategy,
         config: EngineConfig,
     ) -> Result<(ExecOutput, NetStats)> {
-        execute_under(tag, a, tag_partitioning(tag, machines, strategy), config)
+        let out = TagJoinExecutor::new(tag, config)
+            .with_partitioning(tag_partitioning(tag, machines, strategy))
+            .execute(a)?;
+        let net = NetStats::from_run(&out.stats);
+        Ok((out, net))
     }
 
     const JOIN_SQL: &str = "SELECT c.c_name FROM customer c, orders o, lineitem l \
                             WHERE c.c_custkey = o.o_custkey AND o.o_orderkey = l.l_orderkey";
 
     #[test]
-    fn tag_distributed_matches_local_results() {
+    fn hash_partitioned_run_matches_local_results() {
         let db = tpch::generate(0.01, 11);
         let tag = TagGraph::build(&db);
         let a = analyzed(&tag, JOIN_SQL);
         let local = TagJoinExecutor::new(&tag, EngineConfig::sequential()).execute(&a).unwrap();
-        let (out, net) = tag_distributed(&tag, &a, 6, EngineConfig::sequential()).unwrap();
+        let (out, net) =
+            run_with(&tag, &a, 6, &PartitionStrategy::Hash, EngineConfig::sequential()).unwrap();
         assert!(out.relation.same_bag_approx(&local.relation, 1e-9));
         assert!(net.network_bytes > 0, "a 6-machine run must use the network");
         assert!(net.network_bytes <= out.stats.total_bytes());
@@ -179,10 +158,12 @@ mod tests {
         let db = tpch::generate(0.01, 11);
         let tag = TagGraph::build(&db);
         let a = analyzed(&tag, JOIN_SQL);
-        let (_, net) = tag_distributed(&tag, &a, 1, EngineConfig::sequential()).unwrap();
+        let (_, net) =
+            run_with(&tag, &a, 1, &PartitionStrategy::Hash, EngineConfig::sequential()).unwrap();
         assert_eq!(net.network_bytes, 0);
         assert_eq!(net.network_messages, 0);
-        assert!(tag_distributed(&tag, &a, 0, EngineConfig::sequential()).is_err());
+        let workload = std::slice::from_ref(&a);
+        assert!(tag_calibrate(&tag, workload, 0, EngineConfig::sequential()).is_err());
     }
 
     #[test]
@@ -233,7 +214,8 @@ mod tests {
         let db = tpch::generate(0.02, 42);
         let tag = TagGraph::build(&db);
         let a = analyzed(&tag, JOIN_SQL);
-        let (_, tag_net) = tag_distributed(&tag, &a, 6, EngineConfig::with_threads(4)).unwrap();
+        let (_, tag_net) =
+            run_with(&tag, &a, 6, &PartitionStrategy::Hash, EngineConfig::with_threads(4)).unwrap();
         let spark = SparkModel { machines: 6, broadcast_threshold: 0 };
         let spark_net = spark.run(&a, &db).unwrap();
         assert!(
@@ -275,8 +257,9 @@ mod tests {
         let spark = SparkModel { machines: 6, broadcast_threshold: 0 };
         for q in tpch::queries() {
             let a = analyzed(&tag, q.sql);
-            let (_, tag_net) = tag_distributed(&tag, &a, 6, EngineConfig::with_threads(4))
-                .unwrap_or_else(|e| panic!("{}: tag_distributed: {e}", q.id));
+            let (_, tag_net) =
+                run_with(&tag, &a, 6, &PartitionStrategy::Hash, EngineConfig::with_threads(4))
+                    .unwrap_or_else(|e| panic!("{}: tag-join under hash: {e}", q.id));
             let spark_net =
                 spark.run(&a, &db).unwrap_or_else(|e| panic!("{}: spark model: {e}", q.id));
             // Both sides of the comparison must produce *some* accounting.

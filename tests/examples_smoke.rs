@@ -3,14 +3,16 @@
 //! runtime. `examples/quickstart.rs` and `examples/distributed_cluster.rs`
 //! stay the human-readable tour; these keep them honest.
 
-use vcsql::bsp::EngineConfig;
+use std::sync::Arc;
+use vcsql::bsp::{EngineConfig, PartitionStrategy};
 use vcsql::core::TagJoinExecutor;
-use vcsql::dist::{modelled_runtime, tag_distributed, NetStats, SparkModel};
+use vcsql::dist::{modelled_runtime, NetStats, SparkModel};
 use vcsql::query::{analyze::analyze, parse};
 use vcsql::relation::schema::{Column, Schema};
 use vcsql::relation::{DataType, Database, Relation, Tuple, Value};
 use vcsql::tag::TagGraph;
 use vcsql::workload::tpch;
+use vcsql::Cluster;
 
 /// The quickstart flow: build a tiny database, encode, run grouped SQL.
 #[test]
@@ -68,16 +70,22 @@ fn quickstart_flow() {
 #[test]
 fn distributed_cluster_flow() {
     let db = tpch::generate(0.01, 42);
-    let tag = TagGraph::build(&db);
+    let tag = Arc::new(TagGraph::build(&db));
     let spark = SparkModel { machines: 6, broadcast_threshold: 0 };
+    let mut session = Cluster::new(6)
+        .strategy(PartitionStrategy::Hash)
+        .engine(EngineConfig::with_threads(4))
+        .static_placement()
+        .session(&tag)
+        .unwrap();
 
     let mut tag_total = NetStats::default();
     let mut spark_total = NetStats::default();
     let mut tag_wins_a_join_query = false;
     for q in tpch::queries() {
         let a = analyze(&parse(q.sql).unwrap(), tag.schemas()).unwrap();
-        let (out, net) = tag_distributed(&tag, &a, 6, EngineConfig::with_threads(4))
-            .unwrap_or_else(|e| panic!("{}: tag_distributed: {e}", q.id));
+        let (out, net) =
+            session.run_sql(q.sql).unwrap_or_else(|e| panic!("{}: tag-join session: {e}", q.id));
         let shuffle = spark.run(&a, &db).unwrap_or_else(|e| panic!("{}: spark: {e}", q.id));
         assert!(net.network_bytes <= out.stats.total_bytes(), "{}", q.id);
         if a.tables.len() >= 2 && shuffle.network_bytes > net.network_bytes {
