@@ -19,12 +19,6 @@ pub enum Json {
 }
 
 impl Json {
-    /// `x` rounded to `decimals` places (report ratios and latencies).
-    pub fn rounded(x: f64, decimals: i32) -> Json {
-        let scale = 10f64.powi(decimals);
-        Json::Float((x * scale).round() / scale)
-    }
-
     /// The document text, newline-terminated. The root breaks one child per
     /// line, as do its children that themselves hold containers; everything
     /// deeper stays on one line (one sweep arm or tenant per line).
@@ -100,14 +94,12 @@ mod tests {
             Json::Float(8.0),
             Json::Float(0.01),
             Json::Float(1e-7),
-            Json::rounded(1.26204, 4),
-            Json::rounded(0.99996, 4),
             Json::Float(f64::NAN),
             Json::Int(u64::MAX),
         ]);
         assert_eq!(
             doc.render(),
-            "[\n  8,\n  8.0,\n  0.01,\n  1e-7,\n  1.262,\n  1.0,\n  null,\n  18446744073709551615\n]\n"
+            "[\n  8,\n  8.0,\n  0.01,\n  1e-7,\n  null,\n  18446744073709551615\n]\n"
         );
     }
 

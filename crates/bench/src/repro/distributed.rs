@@ -148,7 +148,7 @@ fn distributed(a: &Args) {
 }
 
 /// TPC-H and TPC-DS in one database (their relation names are disjoint).
-pub(super) fn combined_db(sf: f64) -> Database {
+fn combined_db(sf: f64) -> Database {
     let mut db = (TPCH.generate)(sf, SEED);
     for rel in (TPCDS.generate)(sf, SEED).relations() {
         db.add(rel.clone());

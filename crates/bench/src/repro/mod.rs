@@ -13,7 +13,6 @@ mod ablations;
 mod distributed;
 mod faults;
 mod local;
-mod serve;
 
 use crate::json::Json;
 use crate::Loaded;
@@ -54,8 +53,6 @@ pub struct Args {
     sessions: Option<usize>,
     restart_at: Option<usize>,
     migration_budget: Option<usize>,
-    tenants: usize,
-    qps: f64,
     threads: Option<usize>,
     json: Option<String>,
     checkpoint_every: u64,
@@ -73,8 +70,6 @@ impl Default for Args {
             sessions: None,
             restart_at: None,
             migration_budget: None,
-            tenants: 8,
-            qps: 8.0,
             threads: None,
             json: None,
             checkpoint_every: 2,
@@ -186,8 +181,7 @@ static BANDWIDTH: Flag = Flag {
         positive_f64(f, raw, "a positive number of bytes/sec").map(|b| a.bandwidth = b)
     },
     help: "modelled network bandwidth in bytes/sec for the\n\
-           distributed runtime and serving latency models\n\
-           (default 1e9)",
+           distributed runtime model (default 1e9)",
 };
 static SESSIONS: Flag = Flag {
     name: "--sessions",
@@ -220,25 +214,6 @@ static MIGRATION_BUDGET: Flag = Flag {
     set: |a, f, raw| positive_int(f, raw).map(|n| a.migration_budget = Some(n)),
     help: "most vertices the session replay migrates per query\n\
            while adapting (default 2048)",
-};
-static TENANTS: Flag = Flag {
-    name: "--tenants",
-    metavar: "n",
-    group: None,
-    set: |a, f, raw| positive_int(f, raw).map(|n| a.tenants = n),
-    help: "concurrent tenant sessions over the shared TAG\n\
-           (default 8); even tenants run TPC-H joins, odd\n\
-           tenants TPC-DS",
-};
-static QPS: Flag = Flag {
-    name: "--qps",
-    metavar: "q",
-    group: None,
-    set: |a, f, raw| positive_f64(f, raw, "a positive query rate").map(|q| a.qps = q),
-    help: "per-tenant offered query rate of the closed-loop\n\
-           pacing model (default 8; per-query latency = queueing\n\
-           behind the tenant's previous query + modelled service\n\
-           time at the modelled bandwidth)",
 };
 static THREADS: Flag = Flag {
     name: "--threads",
@@ -292,7 +267,7 @@ static SEED_FLAG: Flag = Flag {
 };
 
 /// Every value flag, in usage order.
-pub static FLAGS: [&Flag; 14] = [
+pub static FLAGS: [&Flag; 12] = [
     &SF,
     &PARTITIONING,
     &PROFILE_FROM,
@@ -300,8 +275,6 @@ pub static FLAGS: [&Flag; 14] = [
     &SESSIONS,
     &RESTART_AT,
     &MIGRATION_BUDGET,
-    &TENANTS,
-    &QPS,
     &THREADS,
     &JSON,
     &CHECKPOINT_EVERY,
@@ -341,7 +314,7 @@ const ALL: Mode = Mode {
 };
 
 /// Every mode, in usage (and `all`) order.
-pub static MODES: [Mode; 16] = [
+pub static MODES: [Mode; 15] = [
     Mode {
         name: "loading",
         summary: "Tables 1-2: data loading times",
@@ -442,16 +415,6 @@ pub static MODES: [Mode; 16] = [
         flags: &[&SF],
         in_all: true,
         run: ablations::reshuffle,
-    },
-    Mode {
-        name: "serve",
-        summary: "multi-tenant serving over one shared TAG: arbitrated vs\n\
-         unilateral vs static repartitioning, per-tenant p50/p95\n\
-         modelled latency, plan-cache hit rate and fairness vs\n\
-         solo-refined baselines (--json: vcsql-serve-report/v1)",
-        flags: &[&SF, &BANDWIDTH, &TENANTS, &QPS, &JSON],
-        in_all: false,
-        run: serve::run,
     },
     Mode {
         name: "faults",

@@ -136,7 +136,7 @@ fn bad_threads_and_json_are_usage_errors() {
     assert_usage_exit("tpch --threads -2", "bad --threads value `-2`");
     assert_usage_exit("tpch --threads lots", "bad --threads value `lots`");
     assert_usage_exit("tpch --threads", "--threads needs a value");
-    assert_usage_exit("serve --json", "--json needs a path");
+    assert_usage_exit("faults --json", "--json needs a path");
 }
 
 #[test]
@@ -158,12 +158,9 @@ fn every_flag_is_a_usage_error_on_every_mode_that_does_not_list_it() {
     );
     assert_usage_exit(
         "tpch --bandwidth 5e8",
-        "--bandwidth only applies to the `distributed`, `serve` (or `all`) modes",
+        "--bandwidth only applies to the `distributed` (or `all`) mode",
     );
-    assert_usage_exit(
-        "tpch --json out.json",
-        "--json only applies to the `serve` and `faults` modes",
-    );
+    assert_usage_exit("tpch --json out.json", "--json only applies to the `faults` mode");
     assert_usage_exit(
         "distributed --threads 4",
         "--threads only applies to the per-query runtime modes (tpch, tpcds, tpch-classes, \
@@ -190,20 +187,6 @@ fn bad_fault_flags_are_usage_errors() {
     assert_usage_exit("faults --seed abc", "bad --seed value `abc`");
     assert_usage_exit("faults --seed -7", "bad --seed value `-7`");
     assert_usage_exit("faults --seed", "--seed needs a value");
-}
-
-#[test]
-fn bad_serve_flags_are_usage_errors() {
-    // The serving bench's flags: positive counts and rates only.
-    assert_usage_exit("serve --tenants 0", "bad --tenants value `0`");
-    assert_usage_exit("serve --tenants -2", "bad --tenants value `-2`");
-    assert_usage_exit("serve --tenants crowd", "bad --tenants value `crowd`");
-    assert_usage_exit("serve --tenants", "--tenants needs a value");
-    assert_usage_exit("serve --qps 0", "bad --qps value `0`");
-    assert_usage_exit("serve --qps -1.5", "bad --qps value `-1.5`");
-    assert_usage_exit("serve --qps inf", "bad --qps value `inf`");
-    assert_usage_exit("serve --qps fast", "bad --qps value `fast`");
-    assert_usage_exit("serve --qps", "--qps needs a value");
 }
 
 #[test]
@@ -247,27 +230,6 @@ fn restart_replay_races_warm_against_cold() {
     assert!(stdout.contains("warm start (saved profile reloaded"), "{stdout}");
     assert!(stdout.contains("cold start (recalibrated on tpch"), "{stdout}");
     assert!(stdout.contains("session (post-restart)"), "{stdout}");
-}
-
-#[test]
-fn serve_smoke_emits_report_json() {
-    // The multi-tenant serving bench end to end at tiny scale: all three
-    // arbitration worlds, the per-tenant fairness table, and a
-    // vcsql-serve-report/v1 document that passed its own invariant check.
-    let (stdout, json) = stdout_and_report_of("serve --sf 0.004 --tenants 2");
-    assert!(stdout.contains("Multi-tenant serving"), "{stdout}");
-    for world in ["merged", "unilateral", "static"] {
-        assert!(stdout.contains(world), "missing world `{world}`:\n{stdout}");
-    }
-    assert!(stdout.contains("Jain index"), "{stdout}");
-    assert!(json.contains("\"schema\": \"vcsql-serve-report/v1\""), "{json}");
-    assert!(json.contains("\"tenants\": 2"), "{json}");
-    assert!(json.contains("\"worlds\""), "{json}");
-    assert!(json.contains("\"merged_tenants\""), "{json}");
-    assert!(json.contains("\"fairness_jain\""), "{json}");
-    // The failure-isolation counters are part of the report shape (and all
-    // zero in a fault-free run).
-    assert!(json.contains("\"failures\": {\"panics\": 0, \"timeouts\": 0"), "{json}");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Synchronization-primitive shim for the BSP runtime and the server.
 //!
 //! Everything in `pool.rs` — and in `vcsql-server`'s plan cache, admission
-//! dispatcher and placement lock — that parks, wakes, locks, counts, or
+//! queue and placement lock — that parks, wakes, locks, counts, or
 //! spawns goes through this module instead of naming `std::sync` /
 //! `std::thread` directly. In a
 //! normal build the re-exports *are* the std types — zero cost, zero
@@ -9,7 +9,7 @@
 //! `RUSTFLAGS="--cfg vcsql_loom"` in CI) they swap for the `loom` compat
 //! crate's shadow types, whose deterministic scheduler explores every
 //! preemption-bounded interleaving of the pool's hand-off protocol (and the
-//! server's sharded plan cache and admission permits) inside `loom::model`. Outside a model the shadow types degrade to std, so the
+//! server's plan cache and admission permits) inside `loom::model`. Outside a model the shadow types degrade to std, so the
 //! regular test suite runs unchanged in that configuration too.
 //!
 //! Only the types the pool and the server actually use are re-exported; adding a primitive
@@ -31,8 +31,8 @@ pub mod atomic {
 }
 
 /// Thread spawning: std by default, loom-controlled threads under
-/// `--cfg vcsql_loom`. Only the pool and the server's admission dispatcher
-/// spawn (see `xtask`'s no-thread-spawn lint allowlist).
+/// `--cfg vcsql_loom`. Only the pool spawns (see `xtask`'s
+/// no-thread-spawn lint allowlist).
 pub mod thread {
     #[cfg(not(vcsql_loom))]
     pub use std::thread::{Builder, JoinHandle};

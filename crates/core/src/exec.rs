@@ -678,11 +678,7 @@ fn st_state_bytes(st: &St) -> u64 {
     }
     if let Some(la) = &st.la {
         for (key, p) in la {
-            bytes += 32
-                + key.len() as u64 * 16
-                + p.accs.len() as u64 * 24
-                + p.having.len() as u64 * 24
-                + p.rep.len() as u64 * 16;
+            bytes += p.wire_bytes(key) as u64;
         }
     }
     bytes

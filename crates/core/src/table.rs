@@ -42,10 +42,7 @@ pub enum ColKey {
 /// Wire bytes a single value contributes beyond its fixed 8-byte slot.
 #[inline]
 fn value_str_bytes(v: &Value) -> usize {
-    match v {
-        Value::Str(s) => s.len().div_ceil(8) * 8,
-        _ => 0,
-    }
+    v.wire_bytes() - 8
 }
 
 /// One immutable column-major segment of a [`Table`].
@@ -449,6 +446,15 @@ pub struct Partial {
     pub rep: Box<[Value]>,
 }
 
+impl Partial {
+    /// Wire size of this partial shipped (or checkpointed) under group key
+    /// `key`: 16 bytes per key and representative value, 24 per
+    /// accumulator, a 32-byte envelope.
+    pub fn wire_bytes(&self, key: &[Value]) -> usize {
+        32 + key.len() * 16 + self.accs.len() * 24 + self.having.len() * 24 + self.rep.len() * 16
+    }
+}
+
 /// Messages of the TAG-join vertex program.
 #[derive(Debug, Clone)]
 pub enum TagMsg {
@@ -467,10 +473,7 @@ impl Message for TagMsg {
         match self {
             TagMsg::Signal(_) => 8,
             TagMsg::Table(t) => t.approx_bytes(),
-            TagMsg::Partial(kp) => {
-                let (k, p) = &**kp;
-                32 + k.len() * 16 + p.accs.len() * 24 + p.having.len() * 24 + p.rep.len() * 16
-            }
+            TagMsg::Partial(kp) => kp.1.wire_bytes(&kp.0),
         }
     }
 }

@@ -91,22 +91,18 @@ pub fn tag_calibrate(
 }
 
 /// Modelled end-to-end runtime: local compute plus network transfer at
-/// `bandwidth_bytes_per_sec` (the paper's Fig 16 combines both the same
+/// `bytes_per_sec` (the paper's Fig 16 combines both the same
 /// way; latency per round is dominated by transfer at these sizes).
 ///
 /// Bandwidth comes from callers' configuration (e.g. `repro --bandwidth`),
 /// so a non-positive or non-finite value is an error, not a panic.
-pub fn modelled_runtime(
-    compute_secs: f64,
-    net: &NetStats,
-    bandwidth_bytes_per_sec: f64,
-) -> Result<f64> {
-    if !bandwidth_bytes_per_sec.is_finite() || bandwidth_bytes_per_sec <= 0.0 {
+pub fn modelled_runtime(compute_secs: f64, net: &NetStats, bytes_per_sec: f64) -> Result<f64> {
+    if !bytes_per_sec.is_finite() || bytes_per_sec <= 0.0 {
         return Err(RelError::Other(format!(
-            "bandwidth must be a positive number of bytes/sec, got {bandwidth_bytes_per_sec}"
+            "bandwidth must be a positive number of bytes/sec, got {bytes_per_sec}"
         )));
     }
-    Ok(compute_secs + net.network_bytes as f64 / bandwidth_bytes_per_sec)
+    Ok(compute_secs + net.network_bytes as f64 / bytes_per_sec)
 }
 
 #[cfg(test)]

@@ -4,11 +4,10 @@
 //! The paper (Section 8.6) measures *total network traffic during query
 //! execution* with `sar` on a 6-machine cluster. Both simulated engines here
 //! report that quantity as a [`NetStats`]: bytes (and message/tuple counts)
-//! that crossed a machine boundary. Both sides charge the same wire model —
-//! one 8-byte word per value plus 8-byte-aligned variable-length string
-//! payloads: the TAG executor through `Table::approx_bytes` (see
-//! `vcsql_core::table`), the Spark model through [`unsafe_row_bytes`] —
-//! so the byte comparison is like for like.
+//! that crossed a machine boundary. Both sides charge the same wire model,
+//! [`Value::wire_bytes`] per value: the TAG executor through
+//! `Table::approx_bytes` (see `vcsql_core::table`), the Spark model through
+//! [`unsafe_row_bytes`] — so the byte comparison is like for like.
 
 use vcsql_bsp::RunStats;
 use vcsql_relation::Value;
@@ -119,21 +118,14 @@ impl NetStats {
 }
 
 /// Modelled size of one row in Spark's `UnsafeRow` shuffle format: an
-/// 8-byte null bitmap word (per 64 columns), one 8-byte word per field, and
-/// 8-byte-aligned variable-length data for strings. This is what Spark's
-/// shuffle serializer actually writes, so the shuffle-join model charges it
-/// instead of an idealized packed encoding.
+/// 8-byte null bitmap word (per 64 columns) plus [`Value::wire_bytes`] per
+/// field (one 8-byte word, and 8-byte-aligned variable-length data for
+/// strings). This is what Spark's shuffle serializer actually writes, so
+/// the shuffle-join model charges it instead of an idealized packed
+/// encoding.
 pub fn unsafe_row_bytes(row: &[Value]) -> u64 {
     let bitmap = 8 * (row.len() as u64).div_ceil(64).max(1);
-    let fixed = 8 * row.len() as u64;
-    let variable: u64 = row
-        .iter()
-        .map(|v| match v {
-            Value::Str(s) => (s.len() as u64).div_ceil(8) * 8,
-            _ => 0,
-        })
-        .sum();
-    bitmap + fixed + variable
+    bitmap + row.iter().map(|v| v.wire_bytes() as u64).sum::<u64>()
 }
 
 #[cfg(test)]

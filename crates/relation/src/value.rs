@@ -138,6 +138,18 @@ impl Value {
         Value::Str(Arc::from(s.as_ref()))
     }
 
+    /// Bytes this value occupies in the wire model every byte count in the
+    /// workspace is priced with (TAG messages, the Spark shuffle model,
+    /// migrated vertex state): one 8-byte word, plus the 8-byte-aligned
+    /// payload of a string.
+    #[inline]
+    pub fn wire_bytes(&self) -> usize {
+        8 + match self {
+            Value::Str(s) => s.len().div_ceil(8) * 8,
+            _ => 0,
+        }
+    }
+
     /// The data type of this value, or `None` for NULL.
     pub fn data_type(&self) -> Option<DataType> {
         match self {

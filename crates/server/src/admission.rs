@@ -3,22 +3,17 @@
 //!
 //! Every [`TenantSession::run_sql`](crate::TenantSession::run_sql) first
 //! acquires an [`AdmissionPermit`]. Requests beyond the per-tenant or global
-//! in-flight bound queue up per tenant; a single background dispatcher
-//! thread — the only thread this crate spawns — grants tickets in round-
-//! robin order over the tenant queues, so a tenant hammering the server
-//! cannot starve a quiet one: each admission scan starts at the tenant
-//! *after* the last one served.
-//!
-//! The dispatcher parks on a condvar when nothing is grantable and is woken
-//! by submissions and permit drops; waiters park on a second condvar and
-//! re-check whether their ticket was granted. Dropping the controller
-//! closes the queue and joins the dispatcher.
+//! in-flight bound queue up per tenant. Nothing runs in the background:
+//! whoever changes the state — a caller queueing its ticket, a permit
+//! dropping — runs the round-robin scan itself under the state mutex and
+//! wakes the waiters whose tickets it granted. A tenant hammering the
+//! server cannot starve a quiet one: each admission scan starts at the
+//! tenant *after* the last one served.
 
 use crate::lock;
 use std::collections::{HashSet, VecDeque};
-use std::sync::{Arc, PoisonError};
-use vcsql_bsp::sync::thread::{Builder, JoinHandle};
-use vcsql_bsp::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::PoisonError;
+use vcsql_bsp::sync::{Condvar, Mutex};
 
 /// Lifetime counters of the admission queue.
 #[derive(Debug, Clone, Copy, Default)]
@@ -30,16 +25,8 @@ pub struct AdmissionStats {
     pub peak_in_flight: usize,
 }
 
-/// Shared between the controller handle, every permit, and the dispatcher.
-struct Shared {
-    state: Mutex<State>,
-    /// The dispatcher parks here; submissions and permit drops notify.
-    work: Condvar,
-    /// Waiters park here; the dispatcher notifies after granting.
-    granted: Condvar,
-}
-
-/// Everything the dispatcher arbitrates over, under one lock.
+/// Everything admission arbitrates over, under one lock.
+#[derive(Default)]
 struct State {
     /// Per-tenant FIFO of waiting ticket ids, grown on demand.
     queues: Vec<VecDeque<u64>>,
@@ -54,7 +41,6 @@ struct State {
     granted: HashSet<u64>,
     per_tenant: usize,
     total: usize,
-    closed: bool,
     stats: AdmissionStats,
 }
 
@@ -93,21 +79,18 @@ impl State {
     }
 }
 
-fn wait<'a, T>(cond: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cond.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The admission queue: [`AdmissionController::acquire`] blocks until the
 /// caller's tenant is within both bounds, returning a permit whose `Drop`
 /// releases the slot.
 pub struct AdmissionController {
-    shared: Arc<Shared>,
-    dispatcher: Option<JoinHandle<()>>,
+    state: Mutex<State>,
+    /// Waiters park here; whoever grants a ticket notifies.
+    granted: Condvar,
 }
 
 impl std::fmt::Debug for AdmissionController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = lock(&self.shared.state);
+        let st = lock(&self.state);
         f.debug_struct("AdmissionController")
             .field("per_tenant", &st.per_tenant)
             .field("total", &st.total)
@@ -123,110 +106,75 @@ impl AdmissionController {
     pub fn new(per_tenant: usize, total: usize) -> AdmissionController {
         assert!(per_tenant > 0, "per-tenant admission bound must admit at least one");
         assert!(total > 0, "global admission bound must admit at least one");
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queues: Vec::new(),
-                in_flight: Vec::new(),
-                total_in_flight: 0,
-                cursor: 0,
-                next_ticket: 0,
-                granted: HashSet::new(),
-                per_tenant,
-                total,
-                closed: false,
-                stats: AdmissionStats::default(),
-            }),
-            work: Condvar::new(),
+        AdmissionController {
+            state: Mutex::new(State { per_tenant, total, ..State::default() }),
             granted: Condvar::new(),
-        });
-        let for_loop = Arc::clone(&shared);
-        let dispatcher = Builder::new()
-            .name("vcsql-admission".into())
-            .spawn(move || dispatch_loop(&for_loop))
-            .expect("spawn admission dispatcher");
-        AdmissionController { shared, dispatcher: Some(dispatcher) }
+        }
     }
 
-    /// Queue `tenant` and block until the dispatcher grants a slot. FIFO
-    /// within a tenant, round-robin across tenants.
-    pub fn acquire(&self, tenant: usize) -> AdmissionPermit {
-        let mut st = lock(&self.shared.state);
-        assert!(!st.closed, "admission controller is shut down");
+    /// Queue `tenant` and block until its ticket is granted. FIFO within a
+    /// tenant, round-robin across tenants.
+    pub fn acquire(&self, tenant: usize) -> AdmissionPermit<'_> {
+        let mut st = lock(&self.state);
         st.ensure_tenant(tenant);
         let ticket = st.next_ticket;
         st.next_ticket += 1;
         st.queues[tenant].push_back(ticket);
-        self.shared.work.notify_all();
+        self.grant_ready(&mut st);
         while !st.granted.remove(&ticket) {
-            st = wait(&self.shared.granted, st);
+            st = self.granted.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
-        drop(st);
-        AdmissionPermit { shared: Arc::clone(&self.shared), tenant }
+        AdmissionPermit { controller: self, tenant }
+    }
+
+    /// Grant every ticket that is admissible now and wake the waiters. Runs
+    /// under the state mutex after every change to it (a ticket queued, a
+    /// slot released), so between changes nothing grantable is ever left
+    /// queued.
+    fn grant_ready(&self, st: &mut State) {
+        let mut any = false;
+        while st.grant_next() {
+            any = true;
+        }
+        if any {
+            self.granted.notify_all();
+        }
     }
 
     /// Lifetime counters.
     pub fn stats(&self) -> AdmissionStats {
-        lock(&self.shared.state).stats
+        lock(&self.state).stats
     }
 
     /// Executions in flight right now, across all tenants.
     pub fn total_in_flight(&self) -> usize {
-        lock(&self.shared.state).total_in_flight
+        lock(&self.state).total_in_flight
     }
 
     /// Executions in flight for one tenant.
     pub fn in_flight(&self, tenant: usize) -> usize {
-        lock(&self.shared.state).in_flight.get(tenant).copied().unwrap_or(0)
+        lock(&self.state).in_flight.get(tenant).copied().unwrap_or(0)
     }
 
     /// Requests queued (not yet admitted) across all tenants.
     pub fn waiting(&self) -> usize {
-        lock(&self.shared.state).queues.iter().map(VecDeque::len).sum()
+        lock(&self.state).queues.iter().map(VecDeque::len).sum()
     }
 }
 
-impl Drop for AdmissionController {
-    fn drop(&mut self) {
-        {
-            let mut st = lock(&self.shared.state);
-            st.closed = true;
-        }
-        self.shared.work.notify_all();
-        if let Some(handle) = self.dispatcher.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn dispatch_loop(shared: &Shared) {
-    let mut st = lock(&shared.state);
-    loop {
-        if st.closed {
-            return;
-        }
-        if st.grant_next() {
-            shared.granted.notify_all();
-            continue;
-        }
-        st = wait(&shared.work, st);
-    }
-}
-
-/// An admitted execution slot; dropping it releases the slot and wakes the
-/// dispatcher.
-pub struct AdmissionPermit {
-    shared: Arc<Shared>,
+/// An admitted execution slot; dropping it releases the slot and hands it
+/// to the next waiter in round-robin order.
+pub struct AdmissionPermit<'a> {
+    controller: &'a AdmissionController,
     tenant: usize,
 }
 
-impl Drop for AdmissionPermit {
+impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
-        {
-            let mut st = lock(&self.shared.state);
-            st.in_flight[self.tenant] -= 1;
-            st.total_in_flight -= 1;
-        }
-        self.shared.work.notify_all();
+        let mut st = lock(&self.controller.state);
+        st.in_flight[self.tenant] -= 1;
+        st.total_in_flight -= 1;
+        self.controller.grant_ready(&mut st);
     }
 }
 
@@ -240,18 +188,7 @@ mod tests {
     /// tenant and a quiet one alternate, and bounds hold at every step.
     #[test]
     fn round_robin_interleaves_backlogged_tenants() {
-        let mut st = State {
-            queues: Vec::new(),
-            in_flight: Vec::new(),
-            total_in_flight: 0,
-            cursor: 0,
-            next_ticket: 0,
-            granted: HashSet::new(),
-            per_tenant: 2,
-            total: 3,
-            closed: false,
-            stats: AdmissionStats::default(),
-        };
+        let mut st = State { per_tenant: 2, total: 3, ..State::default() };
         st.ensure_tenant(1);
         // Tenant 0 floods the queue before tenant 1 shows up at all.
         st.queues[0].extend([10, 11, 12, 13]);
@@ -275,18 +212,7 @@ mod tests {
 
     #[test]
     fn per_tenant_bound_holds_even_with_global_headroom() {
-        let mut st = State {
-            queues: Vec::new(),
-            in_flight: Vec::new(),
-            total_in_flight: 0,
-            cursor: 0,
-            next_ticket: 0,
-            granted: HashSet::new(),
-            per_tenant: 1,
-            total: 8,
-            closed: false,
-            stats: AdmissionStats::default(),
-        };
+        let mut st = State { per_tenant: 1, total: 8, ..State::default() };
         st.ensure_tenant(0);
         st.queues[0].extend([1, 2, 3]);
         assert!(st.grant_next());
@@ -294,7 +220,7 @@ mod tests {
         assert_eq!(st.total_in_flight, 1);
     }
 
-    /// End-to-end through the dispatcher thread: concurrent acquirers never
+    /// End-to-end through the condvar: concurrent acquirers never
     /// exceed the global bound, and everyone is eventually admitted.
     #[test]
     fn concurrent_acquires_respect_the_global_bound() {
@@ -318,6 +244,38 @@ mod tests {
         assert!(stats.peak_in_flight <= 2);
         assert_eq!(ctl.total_in_flight(), 0);
         assert_eq!(ctl.waiting(), 0);
+    }
+
+    /// Real threads through `acquire`: the flooder holds the only slot with
+    /// three more requests queued behind it when the quiet tenant shows up;
+    /// the quiet tenant is admitted after at most one of them.
+    #[test]
+    fn flooding_tenant_cannot_starve_a_quiet_one() {
+        let ctl = AdmissionController::new(1, 1);
+        let held = Mutex::new(Some(ctl.acquire(0)));
+        let order = Mutex::new(Vec::new());
+        let pool = WorkerPool::new(5);
+        pool.run(5, &|w| {
+            if w == 4 {
+                // Release the held slot only once all four are queued.
+                while ctl.waiting() < 4 {
+                    std::thread::yield_now();
+                }
+                drop(lock(&held).take());
+                return;
+            }
+            let tenant = usize::from(w == 3);
+            let permit = ctl.acquire(tenant);
+            // Total bound 1: pushes are serialized in grant order.
+            lock(&order).push(tenant);
+            drop(permit);
+        });
+        let order = lock(&order).clone();
+        assert_eq!(order.len(), 4);
+        let quiet_at = order.iter().position(|&t| t == 1).expect("quiet tenant admitted");
+        assert!(quiet_at <= 1, "quiet tenant waited out the flood: {order:?}");
+        assert_eq!(ctl.stats().peak_in_flight, 1);
+        assert_eq!(ctl.total_in_flight(), 0);
     }
 
     #[test]

@@ -1,22 +1,19 @@
-//! The server-wide shared plan cache: one bounded [`PlanCache`] per shard
-//! behind an `RwLock`, keyed by SQL hash, with per-tenant hit/miss counters.
+//! The server-wide shared plan cache: one bounded [`PlanCache`] and the
+//! per-tenant hit/miss counters behind one mutex, keyed by SQL text.
 //!
 //! Plans depend only on the SQL text and the schemas, so every tenant of a
 //! [`QueryServer`](crate::QueryServer) shares one cache: a statement planned
-//! for one tenant is a hit for all of them. Sharding keeps the lock
-//! fine-grained — two tenants preparing different statements almost never
-//! contend — and planning itself always happens *outside* any lock
-//! ([`ShardedPlanCache::get_or_prepare`]), so a cold compile stalls no one.
-//! Two tenants racing to plan the same SQL both succeed; the first insert
-//! wins and both end up holding the same plan allocation
+//! for one tenant is a hit for all of them. A lookup holds the lock for one
+//! LRU probe and one counter bump; planning itself always happens *outside*
+//! it ([`SharedPlanCache::get_or_prepare`]), so a cold compile stalls no
+//! one. Two tenants racing to plan the same SQL both succeed; the first
+//! insert wins and both end up holding the same plan allocation
 //! ([`PlanCache::insert`]).
 
 use crate::lock;
-use std::hash::Hasher;
-use std::sync::{Arc, PoisonError};
-use vcsql_bsp::sync::{Mutex, RwLock};
+use std::sync::Arc;
+use vcsql_bsp::sync::Mutex;
 use vcsql_core::QueryPlan;
-use vcsql_relation::fx::FxHasher;
 use vcsql_relation::schema::Schema;
 use vcsql_relation::RelError;
 use vcsql_session::PlanCache;
@@ -31,45 +28,28 @@ pub struct TenantCacheStats {
     pub misses: u64,
 }
 
-/// A sharded, concurrently usable [`PlanCache`]: `shards` independent LRU
-/// caches, each behind its own `RwLock`, plus per-tenant hit/miss counters.
+/// A concurrently usable [`PlanCache`] plus per-tenant hit/miss counters
+/// (indexed by tenant id and grown on demand — tenant ids are dense, the
+/// server hands them out), under one lock.
 #[derive(Debug)]
-pub struct ShardedPlanCache {
-    shards: Vec<RwLock<PlanCache>>,
-    /// Per-tenant hit/miss counters, indexed by tenant id and grown on
-    /// demand (tenant ids are dense — the server hands them out).
-    tenants: Mutex<Vec<TenantCacheStats>>,
+pub struct SharedPlanCache {
+    inner: Mutex<(PlanCache, Vec<TenantCacheStats>)>,
 }
 
-impl ShardedPlanCache {
-    /// A cache of `shards` shards holding at most `capacity_per_shard`
-    /// plans each. Panics on zero shards or zero capacity (the server
-    /// validates its configuration before building one).
-    pub fn new(shards: usize, capacity_per_shard: usize) -> ShardedPlanCache {
-        assert!(shards > 0, "plan cache needs at least one shard");
-        ShardedPlanCache {
-            shards: (0..shards).map(|_| RwLock::new(PlanCache::new(capacity_per_shard))).collect(),
-            tenants: Mutex::new(Vec::new()),
-        }
+impl SharedPlanCache {
+    /// A cache holding at most `capacity` plans. Panics on zero capacity
+    /// (the server validates its configuration before building one).
+    pub fn new(capacity: usize) -> SharedPlanCache {
+        SharedPlanCache { inner: Mutex::new((PlanCache::new(capacity), Vec::new())) }
     }
 
-    /// The shard serving `sql`.
-    fn shard_of(&self, sql: &str) -> usize {
-        let mut h = FxHasher::default();
-        h.write(sql.as_bytes());
-        (h.finish() % self.shards.len() as u64) as usize
-    }
-
-    /// Look up `sql` for `tenant`: a hit refreshes shard recency and counts
+    /// Look up `sql` for `tenant`: a hit refreshes recency and counts
     /// toward the tenant's hit counter, a miss counts toward its misses and
-    /// returns `None`. Takes one shard's write lock briefly (recency and
-    /// counters mutate even on the hit path).
+    /// returns `None`.
     pub fn get(&self, tenant: usize, sql: &str) -> Option<Arc<QueryPlan>> {
-        let plan = {
-            let mut shard = self.write_shard(self.shard_of(sql));
-            shard.get(sql)
-        };
-        let mut tenants = lock(&self.tenants);
+        let mut inner = lock(&self.inner);
+        let (cache, tenants) = &mut *inner;
+        let plan = cache.get(sql);
         if tenants.len() <= tenant {
             tenants.resize(tenant + 1, TenantCacheStats::default());
         }
@@ -80,15 +60,15 @@ impl ShardedPlanCache {
         plan
     }
 
-    /// Insert a plan built outside any lock. If `sql` is already cached —
+    /// Insert a plan built outside the lock. If `sql` is already cached —
     /// two tenants raced to plan the same statement — the first insert wins
     /// and every caller gets the cached allocation back.
     pub fn insert(&self, sql: &str, plan: Arc<QueryPlan>) -> Arc<QueryPlan> {
-        self.write_shard(self.shard_of(sql)).insert(sql, plan)
+        lock(&self.inner).0.insert(sql, plan)
     }
 
     /// The full lookup path: consult the cache, and on a miss plan `sql`
-    /// against `schemas` *outside* every lock before inserting the result.
+    /// against `schemas` *outside* the lock before inserting the result.
     /// Planning errors are returned as-is and cache nothing.
     pub fn get_or_prepare(
         &self,
@@ -103,15 +83,14 @@ impl ShardedPlanCache {
         Ok(self.insert(sql, plan))
     }
 
-    /// True iff `sql` is currently cached (read lock; no recency/stat
-    /// effects).
+    /// True iff `sql` is currently cached (no recency/stat effects).
     pub fn contains(&self, sql: &str) -> bool {
-        self.read_shard(self.shard_of(sql)).contains(sql)
+        lock(&self.inner).0.contains(sql)
     }
 
-    /// Cached plans right now, across all shards.
+    /// Cached plans right now.
     pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|s| self.read_shard(s).len()).sum()
+        lock(&self.inner).0.len()
     }
 
     /// True iff nothing is cached.
@@ -119,34 +98,21 @@ impl ShardedPlanCache {
         self.len() == 0
     }
 
-    /// Shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Aggregate hits across all shards (tenant-attributed hits are in
-    /// [`ShardedPlanCache::tenant_stats`]).
+    /// Aggregate hits (tenant-attributed hits are in
+    /// [`SharedPlanCache::tenant_stats`]).
     pub fn hits(&self) -> u64 {
-        (0..self.shards.len()).map(|s| self.read_shard(s).hits()).sum()
+        lock(&self.inner).0.hits()
     }
 
-    /// Aggregate misses across all shards.
+    /// Aggregate misses.
     pub fn misses(&self) -> u64 {
-        (0..self.shards.len()).map(|s| self.read_shard(s).misses()).sum()
+        lock(&self.inner).0.misses()
     }
 
     /// One tenant's hit/miss counters (zeros for a tenant that never looked
     /// anything up).
     pub fn tenant_stats(&self, tenant: usize) -> TenantCacheStats {
-        lock(&self.tenants).get(tenant).copied().unwrap_or_default()
-    }
-
-    fn read_shard(&self, s: usize) -> impl std::ops::Deref<Target = PlanCache> + '_ {
-        self.shards[s].read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write_shard(&self, s: usize) -> impl std::ops::DerefMut<Target = PlanCache> + '_ {
-        self.shards[s].write().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.inner).1.get(tenant).copied().unwrap_or_default()
     }
 }
 
@@ -165,7 +131,7 @@ mod tests {
 
     #[test]
     fn tenants_share_plans_and_keep_private_counters() {
-        let cache = ShardedPlanCache::new(4, 8);
+        let cache = SharedPlanCache::new(8);
         let s = schemas();
         let q = "SELECT r.a FROM r";
         let first = cache.get_or_prepare(0, q, &s).unwrap();
@@ -182,7 +148,7 @@ mod tests {
 
     #[test]
     fn racing_inserts_agree_on_the_first_plan() {
-        let cache = ShardedPlanCache::new(2, 4);
+        let cache = SharedPlanCache::new(4);
         let s = schemas();
         let q = "SELECT r.b FROM r";
         // Two callers both missed and both planned (get_or_prepare plans
@@ -197,8 +163,8 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_per_shard_and_eviction_stays_local() {
-        let cache = ShardedPlanCache::new(1, 2);
+    fn capacity_bounds_the_cache_and_eviction_is_lru() {
+        let cache = SharedPlanCache::new(2);
         let s = schemas();
         let (a, b, c) = ("SELECT r.a FROM r", "SELECT r.b FROM r", "SELECT r.a, r.b FROM r");
         cache.get_or_prepare(0, a, &s).unwrap();
@@ -211,15 +177,9 @@ mod tests {
 
     #[test]
     fn planning_errors_cache_nothing() {
-        let cache = ShardedPlanCache::new(3, 4);
+        let cache = SharedPlanCache::new(4);
         assert!(cache.get_or_prepare(0, "SELECT nope FROM nowhere", &schemas()).is_err());
         assert!(cache.is_empty());
         assert_eq!(cache.tenant_stats(0).misses, 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_shards_panic() {
-        ShardedPlanCache::new(0, 4);
     }
 }

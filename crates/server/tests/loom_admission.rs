@@ -2,10 +2,9 @@
 //!
 //! Compiled only under `RUSTFLAGS="--cfg vcsql_loom"` (the model-checking
 //! lane): `vcsql_bsp::sync` then re-exports the `loom` compat
-//! crate's shadow `Mutex`/`Condvar`/thread, so the whole admission
-//! controller — dispatcher thread included — runs under the deterministic
-//! scheduler, which explores every preemption-bounded interleaving inside
-//! `loom::model`. Checked here:
+//! crate's shadow `Mutex`/`Condvar`, so the whole admission controller
+//! runs under the deterministic scheduler, which explores every
+//! preemption-bounded interleaving inside `loom::model`. Checked here:
 //!
 //! * a permit holder that **panics** releases its slot under every
 //!   schedule — the RAII `Drop` runs during the unwind, so
@@ -16,10 +15,8 @@
 //!   with a global bound of one, the bystander can only ever be admitted
 //!   because the unwind gave the slot back.
 //!
-//! The controller is built *inside* the model so its mutex, condvars and
-//! dispatcher thread all register with the model's scheduler, and dropped
-//! inside it too (drop joins the dispatcher — a leaked dispatcher would
-//! fail the model as a leaked thread).
+//! The controller is built *inside* the model so its mutex and condvar
+//! register with the model's scheduler.
 #![cfg(vcsql_loom)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -67,10 +64,10 @@ fn panicking_holder_releases_its_slot_under_every_schedule() {
         assert_eq!(ctrl.total_in_flight(), 1);
         drop(permit);
         assert_eq!(ctrl.total_in_flight(), 0);
-        // `ctrl` drops here, joining the dispatcher inside the model.
     });
+    // One thread, so one schedule: what the model adds over a plain test is
+    // loom's deadlock verdict on a leaked slot.
     assert!(explored.complete, "interleaving space must be fully explored");
-    assert!(explored.iterations >= 2, "the unwind must be scheduled more than one way");
 }
 
 #[test]

@@ -26,7 +26,7 @@ type Result<T> = std::result::Result<T, RelError>;
 #[derive(Debug, Clone)]
 pub struct Cluster {
     machines: usize,
-    bandwidth_bytes_per_sec: f64,
+    bytes_per_sec: f64,
     config: SessionConfig,
 }
 
@@ -37,14 +37,14 @@ impl Cluster {
     pub fn new(machines: usize) -> Cluster {
         Cluster {
             machines,
-            bandwidth_bytes_per_sec: 1e9,
+            bytes_per_sec: 1e9,
             config: SessionConfig { machines, ..SessionConfig::default() },
         }
     }
 
     /// Modelled network bandwidth for [`Cluster::modelled_runtime`].
     pub fn bandwidth(mut self, bytes_per_sec: f64) -> Cluster {
-        self.bandwidth_bytes_per_sec = bytes_per_sec;
+        self.bytes_per_sec = bytes_per_sec;
         self
     }
 
@@ -132,7 +132,7 @@ impl Cluster {
     /// Modelled end-to-end runtime at this cluster's bandwidth: measured
     /// local compute plus network transfer (the paper's Fig 16 model).
     pub fn modelled_runtime(&self, compute_secs: f64, net: &NetStats) -> Result<f64> {
-        vcsql_dist::modelled_runtime(compute_secs, net, self.bandwidth_bytes_per_sec)
+        vcsql_dist::modelled_runtime(compute_secs, net, self.bytes_per_sec)
     }
 }
 

@@ -235,20 +235,15 @@ pub(crate) fn calibration_profile(strategy: &PartitionStrategy) -> TrafficProfil
     }
 }
 
-/// Wire size of one vertex's state, charged when the vertex migrates: the
-/// same 8-byte-word-plus-aligned-strings model both engines charge for
-/// messages (`Table::approx_bytes`, `unsafe_row_bytes`), plus one id word.
+/// Wire size of one vertex's state, charged when the vertex migrates: its
+/// values at [`Value::wire_bytes`] — the model both engines charge for
+/// messages — plus one id word.
 fn vertex_state_bytes(tag: &TagGraph, v: VertexId) -> u64 {
-    let value_words = |val: &Value| -> u64 {
-        8 + match val {
-            Value::Str(s) => (s.len() as u64).div_ceil(8) * 8,
-            _ => 0,
-        }
+    let bytes = match tag.tuple(v) {
+        Some(t) => t.0.iter().map(Value::wire_bytes).sum(),
+        None => tag.attr_value(v).map_or(8, Value::wire_bytes),
     };
-    8 + match tag.tuple(v) {
-        Some(t) => t.0.iter().map(value_words).sum::<u64>(),
-        None => tag.attr_value(v).map(value_words).unwrap_or(8),
-    }
+    8 + bytes as u64
 }
 
 #[cfg(test)]

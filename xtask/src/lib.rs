@@ -10,7 +10,7 @@
 //! |------|-------------|
 //! | `unsafe-needs-safety-comment` | every `unsafe` usage sits under a `// SAFETY:` comment or a `/// # Safety` doc section |
 //! | `unsafe-outside-allowlist` | the `unsafe` keyword appears only in `bsp::pool`, `bsp::engine`, and `compat/*` |
-//! | `no-thread-spawn` | threads are spawned only by `bsp::pool` and the server admission dispatcher (both through the `bsp::sync` shim) and the `compat` shims |
+//! | `no-thread-spawn` | threads are spawned only by `bsp::pool` (through the `bsp::sync` shim) and the `compat` shims; `crates/server` spawns none |
 //! | `no-wall-clock-in-accounting` | byte/message accounting files never read `Instant` (determinism: counts must not depend on time) |
 //! | `allow-needs-justification` | every `#[allow(...)]` outside `compat/*` carries a comment explaining why |
 //!
@@ -36,14 +36,12 @@ const UNSAFE_ALLOW_FILES: &[&str] = &["crates/bsp/src/pool.rs", "crates/bsp/src/
 const UNSAFE_ALLOW_PREFIXES: &[&str] = &["crates/compat/"];
 
 /// Files allowed to name `thread::spawn` / `thread::Builder`: the pool (the
-/// one sanctioned thread owner), the server's admission dispatcher (one
-/// long-lived arbiter thread), their shared std/loom indirection, and the
+/// one sanctioned thread owner), its std/loom indirection, and the
 /// model-check suites (which spawn *scheduler-controlled* loom threads).
 const SPAWN_ALLOW_FILES: &[&str] = &[
     "crates/bsp/src/pool.rs",
     "crates/bsp/src/sync.rs",
     "crates/bsp/tests/loom_pool.rs",
-    "crates/server/src/admission.rs",
     "crates/server/tests/loom_cache.rs",
     "crates/server/tests/loom_admission.rs",
 ];
@@ -379,9 +377,8 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                 rule: "no-thread-spawn",
                 file: path.to_string(),
                 line,
-                message: "threads are spawned only by bsp::pool, the server admission \
-                          dispatcher (both via bsp::sync) and the compat shims; use \
-                          the WorkerPool"
+                message: "threads are spawned only by bsp::pool (via bsp::sync) and the \
+                          compat shims; use the WorkerPool"
                     .to_string(),
             });
         }
@@ -544,13 +541,19 @@ mod tests {
     }
 
     #[test]
-    fn the_admission_dispatcher_may_spawn_but_the_rest_of_the_server_may_not() {
+    fn no_file_of_the_server_may_spawn() {
         let src = "fn f() {\n    std::thread::Builder::new();\n}\n";
-        assert!(rules("crates/server/src/admission.rs", src).is_empty());
+        for path in [
+            "crates/server/src/admission.rs",
+            "crates/server/src/cache.rs",
+            "crates/server/src/lib.rs",
+            "crates/server/tests/arbitration.rs",
+        ] {
+            assert_eq!(rules(path, src), vec!["no-thread-spawn"], "{path}");
+        }
+        // Only the model-check suites' scheduler-controlled loom threads.
         assert!(rules("crates/server/tests/loom_cache.rs", src).is_empty());
         assert!(rules("crates/server/tests/loom_admission.rs", src).is_empty());
-        assert_eq!(rules("crates/server/src/lib.rs", src), vec!["no-thread-spawn"]);
-        assert_eq!(rules("crates/server/src/cache.rs", src), vec!["no-thread-spawn"]);
     }
 
     #[test]
