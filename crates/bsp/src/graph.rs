@@ -22,12 +22,16 @@ pub struct Edge {
 }
 
 /// Mutable graph under construction; finalize with [`GraphBuilder::finish`].
+///
+/// Edges are kept as one flat `(source, edge)` list in the order they were
+/// added; [`GraphBuilder::finish`] turns it into CSR by counting sort, so
+/// building a graph allocates per array, not per vertex.
 #[derive(Debug, Default)]
 pub struct GraphBuilder {
     vertex_labels: Interner,
     edge_labels: Interner,
     vlabel_of: Vec<LabelId>,
-    adjacency: Vec<Vec<Edge>>,
+    edges: Vec<(VertexId, Edge)>,
 }
 
 impl GraphBuilder {
@@ -50,13 +54,13 @@ impl GraphBuilder {
     pub fn add_vertex(&mut self, label: LabelId) -> VertexId {
         let id = self.vlabel_of.len() as VertexId;
         self.vlabel_of.push(label);
-        self.adjacency.push(Vec::new());
         id
     }
 
-    /// Add a directed edge.
+    /// Add a directed edge. Both endpoints must exist by
+    /// [`GraphBuilder::finish`].
     pub fn add_edge(&mut self, source: VertexId, target: VertexId, label: LabelId) {
-        self.adjacency[source as usize].push(Edge { label, target });
+        self.edges.push((source, Edge { label, target }));
     }
 
     /// Add an undirected edge (two directed edges with the same label).
@@ -70,32 +74,56 @@ impl GraphBuilder {
         self.vlabel_of.len()
     }
 
-    /// Freeze into a CSR [`Graph`].
+    /// Freeze into a CSR [`Graph`] by counting sort: out-degrees, prefix
+    /// sum, then one stable fill pass.
+    ///
+    /// Every vertex's range ends up sorted by `(label, target)` so per-label
+    /// ranges are contiguous and iteration order is deterministic. The fill
+    /// keeps each source's edges in the order they were added, so a caller
+    /// that adds edges label by label, targets ascending within a label,
+    /// gets that order without any sorting; a range is sorted only where a
+    /// check finds it is not.
     pub fn finish(self) -> Graph {
-        let n = self.vlabel_of.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::with_capacity(self.adjacency.iter().map(Vec::len).sum());
-        offsets.push(0u64);
-        for mut adj in self.adjacency {
-            // Sort by label (then target) so per-label ranges are contiguous
-            // and iteration order is deterministic.
-            adj.sort_unstable_by_key(|e| (e.label, e.target));
-            edges.extend_from_slice(&adj);
-            offsets.push(edges.len() as u64);
+        let GraphBuilder { vertex_labels, edge_labels, vlabel_of, edges: added } = self;
+        let n = vlabel_of.len();
+        // `offsets[v + 1]` is the fill cursor of `v`: it starts at the
+        // beginning of `v`'s range and ends at its end, which is where
+        // `v + 1`'s range begins. Degrees are therefore counted two slots
+        // up, and the last vertex's (which no start depends on) not at all.
+        let mut offsets = vec![0u64; n + 1];
+        for &(source, _) in &added {
+            assert!((source as usize) < n, "edge from unknown vertex {source}");
+            if let Some(degree) = offsets.get_mut(source as usize + 2) {
+                *degree += 1;
+            }
+        }
+        for v in 2..=n {
+            offsets[v] += offsets[v - 1];
+        }
+        let mut edges = vec![Edge { label: LabelId(0), target: 0 }; added.len()];
+        for &(source, edge) in &added {
+            let cursor = &mut offsets[source as usize + 1];
+            edges[*cursor as usize] = edge;
+            *cursor += 1;
+        }
+        drop(added);
+        for v in 0..n {
+            let range = &mut edges[offsets[v] as usize..offsets[v + 1] as usize];
+            if !range.is_sorted_by_key(|e| (e.label, e.target)) {
+                range.sort_unstable_by_key(|e| (e.label, e.target));
+            }
         }
         // Per-vertex-label vertex lists, for `activate_label`-style seeding.
-        let mut by_label: Vec<Vec<VertexId>> = vec![Vec::new(); self.vertex_labels.len()];
-        for (v, l) in self.vlabel_of.iter().enumerate() {
-            by_label[l.0 as usize].push(v as VertexId);
+        let mut sizes = vec![0usize; vertex_labels.len()];
+        for l in &vlabel_of {
+            sizes[l.0 as usize] += 1;
         }
-        Graph {
-            vertex_labels: self.vertex_labels,
-            edge_labels: self.edge_labels,
-            vlabel_of: self.vlabel_of,
-            offsets,
-            edges,
-            vertices_by_label: by_label,
+        let mut vertices_by_label: Vec<Vec<VertexId>> =
+            sizes.into_iter().map(Vec::with_capacity).collect();
+        for (v, l) in vlabel_of.iter().enumerate() {
+            vertices_by_label[l.0 as usize].push(v as VertexId);
         }
+        Graph { vertex_labels, edge_labels, vlabel_of, offsets, edges, vertices_by_label }
     }
 }
 
@@ -252,6 +280,31 @@ mod tests {
         assert_eq!(g.vertices_with_label(lr), &[0, 1]);
         assert_eq!(g.vertex_label_name(g.label_of(3)), "S");
         assert!(g.vertex_label_id("missing").is_none());
+    }
+
+    #[test]
+    fn edges_fed_in_reverse_label_order_still_freeze_sorted() {
+        let mut b = GraphBuilder::new();
+        let l = b.vertex_label("V");
+        let labels: Vec<LabelId> = (0..3).map(|i| b.edge_label(&format!("e{i}"))).collect();
+        let hub = b.add_vertex(l);
+        let spokes: Vec<VertexId> = (0..4).map(|_| b.add_vertex(l)).collect();
+        for &label in labels.iter().rev() {
+            for &s in spokes.iter().rev() {
+                b.add_undirected_edge(hub, s, label);
+            }
+        }
+        let g = b.finish();
+        let want: Vec<Edge> = labels
+            .iter()
+            .flat_map(|&label| spokes.iter().map(move |&target| Edge { label, target }))
+            .collect();
+        assert_eq!(g.out_edges(hub), want.as_slice());
+        for &s in &spokes {
+            let got: Vec<LabelId> = g.out_edges(s).iter().map(|e| e.label).collect();
+            assert_eq!(got, labels, "spoke {s}");
+            assert_eq!(g.degree_with_label(s, labels[1]), 1);
+        }
     }
 
     #[test]

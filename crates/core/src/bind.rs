@@ -16,7 +16,7 @@ use vcsql_query::tagplan::{Step, TagPlan};
 use vcsql_query::AggClass;
 use vcsql_relation::agg::{Accumulator, AggFunc};
 use vcsql_relation::expr::{BoundExpr, CmpOp, ColRef, Expr};
-use vcsql_relation::{FxHashMap, FxHashSet, RelError, Tuple, Value};
+use vcsql_relation::{FxHashMap, FxHashSet, RelError, Value};
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -485,12 +485,12 @@ impl<'a> QueryCtx<'a> {
     /// The projected one-row table for a tuple vertex of table `t`.
     /// Returns `None` when a join variable occurs in several columns of the
     /// tuple with disagreeing values (implicit intra-tuple equality).
-    pub(crate) fn own_row(&self, t: usize, tuple: &Tuple) -> Option<Table> {
+    pub(crate) fn own_row(&self, t: usize, tuple: &[Value]) -> Option<Table> {
         let spec = &self.own_specs[t];
         let mut cols = Vec::with_capacity(spec.len());
         let mut row = Vec::with_capacity(spec.len());
         for &(k, c) in spec {
-            let v = tuple.get(c).clone();
+            let v = tuple[c].clone();
             if cols.last() == Some(&k) {
                 // Same variable twice in this tuple (implicit intra-tuple
                 // equality): values must agree or the tuple is dead.

@@ -39,7 +39,7 @@ impl Aggregator for Ids {
 fn own_table(tag: &TagGraph, table_idx: u16, v: VertexId) -> Option<Table> {
     let tuple = tag.tuple(v)?;
     let entries: Vec<(ColKey, Value)> = tuple
-        .values()
+        .iter()
         .enumerate()
         .map(|(c, val)| (ColKey::Col { table: table_idx, col: c as u16 }, val.clone()))
         .collect();

@@ -711,7 +711,7 @@ fn passes_filter(ctx: &mut VertexCtx<'_, '_, St, TagMsg>, q: &QueryCtx, tag: &Ta
     }
     let verdict = match q.table_of_label.get(&ctx.label()) {
         Some(&t) => match tag.tuple(ctx.id()) {
-            Some(tuple) => q.filters[t].passes(&tuple.0),
+            Some(tuple) => q.filters[t].passes(tuple),
             None => true,
         },
         None => true, // attribute vertex (or unrelated relation)

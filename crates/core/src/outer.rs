@@ -110,7 +110,7 @@ pub fn outer_join(
                 .iter()
                 .map(|&(lc, rc)| {
                     let c = if side == 0 { lc } else { rc };
-                    Ok::<Value, RelError>(tuple.get(schema.column_index(c)?).clone())
+                    Ok::<Value, RelError>(tuple[schema.column_index(c)?].clone())
                 })
                 .collect::<Result<_>>()?;
             let dangling = key.iter().any(Value::is_null) || !matched.contains(&key);
@@ -123,13 +123,13 @@ pub fn outer_join(
                 let pos = layout
                     .binary_search(&ColKey::Col { table: side, col: ci })
                     .expect("output column in layout");
-                row[pos] = tuple.get(ci as usize).clone();
+                row[pos] = tuple[ci as usize].clone();
             }
             // Companion vars take the preserved side's values.
             for (i, &(lc, rc)) in on_cols.iter().enumerate().skip(1) {
                 let c = if side == 0 { lc } else { rc };
                 if let Ok(pos) = layout.binary_search(&ColKey::Var(i as u32)) {
-                    row[pos] = tuple.get(schema.column_index(c)?).clone();
+                    row[pos] = tuple[schema.column_index(c)?].clone();
                 }
             }
             out.push_row(row);

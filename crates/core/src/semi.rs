@@ -78,7 +78,7 @@ pub fn semi_join(
     let (_, gathered) =
         comp.superstep(|ctx: &mut VertexCtx<'_, '_, (), u32>, g: &mut TupleGather| {
             if let Some(t) = tag.tuple(ctx.id()) {
-                g.0.push(t.clone());
+                g.0.push(Tuple::new(t.to_vec()));
             }
         });
 
@@ -92,8 +92,8 @@ pub fn semi_join(
         if let Some(rel_label) = tag.relation_label(left) {
             for &v in graph.vertices_with_label(rel_label) {
                 if let Some(t) = tag.tuple(v) {
-                    if t.get(lcol).is_null() {
-                        out.push(t.clone())?;
+                    if t[lcol].is_null() {
+                        out.push(Tuple::new(t.to_vec()))?;
                     }
                 }
             }

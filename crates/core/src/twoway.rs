@@ -197,7 +197,7 @@ pub fn two_way_join(
         for (attr, side) in msgs {
             let spec = if side == 0 { &lspec } else { &rspec };
             let entries: Vec<(ColKey, Value)> =
-                spec.iter().map(|&(k, c)| (k, tuple.get(c).clone())).collect();
+                spec.iter().map(|&(k, c)| (k, tuple[c].clone())).collect();
             ctx.send(attr, TwMsg::Row(side, Arc::new(Table::singleton(&entries))));
         }
     });

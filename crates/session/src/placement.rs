@@ -240,7 +240,7 @@ pub(crate) fn calibration_profile(strategy: &PartitionStrategy) -> TrafficProfil
 /// messages — plus one id word.
 fn vertex_state_bytes(tag: &TagGraph, v: VertexId) -> u64 {
     let bytes = match tag.tuple(v) {
-        Some(t) => t.0.iter().map(Value::wire_bytes).sum(),
+        Some(t) => t.iter().map(Value::wire_bytes).sum(),
         None => tag.attr_value(v).map_or(8, Value::wire_bytes),
     };
     8 + bytes as u64

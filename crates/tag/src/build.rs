@@ -1,46 +1,22 @@
 //! TAG construction and maintenance.
+//!
+//! The load path works on flat arrays: labels are numbers from the moment a
+//! schema is registered, every undirected edge is one entry of one link
+//! list, and payload values sit in one arena in vertex-id order. Freezing
+//! compacts the arena in place, buckets the links by label and hands them to
+//! [`GraphBuilder`], whose counting sort then has nothing left to sort.
 
 use vcsql_bsp::{Graph, GraphBuilder, LabelId, VertexId};
 use vcsql_relation::{fx, Database, FxHashMap, RelError, Relation, Schema, Tuple, Value};
 
-/// What a vertex stands for.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Payload {
-    /// A tuple vertex: the relation's tuple, stored in vertex state
-    /// (step (1) of the encoding).
-    Tuple(Tuple),
-    /// An attribute vertex: one distinct value of the active domain
-    /// (step (2) of the encoding).
-    Attr(Value),
-}
-
-impl Payload {
-    /// The tuple, if this is a tuple vertex.
-    pub fn tuple(&self) -> Option<&Tuple> {
-        match self {
-            Payload::Tuple(t) => Some(t),
-            Payload::Attr(_) => None,
-        }
-    }
-
-    /// The value, if this is an attribute vertex.
-    pub fn value(&self) -> Option<&Value> {
-        match self {
-            Payload::Attr(v) => Some(v),
-            Payload::Tuple(_) => None,
-        }
-    }
-
-    /// Approximate footprint in bytes.
-    pub fn deep_size(&self) -> usize {
-        match self {
-            Payload::Tuple(t) => t.deep_size(),
-            Payload::Attr(v) => v.deep_size(),
-        }
-    }
-}
-
 /// Decides which columns receive attribute vertices (paper Section 3).
+///
+/// Refusal is per column where joins are concerned: a column the policy
+/// skips has no edge label at all, and a column *any* of whose non-NULL
+/// values the policy refused (a string over `max_string_len`) keeps the
+/// edges of its other values but reports no
+/// [`column label`](TagGraph::column_label) — a join through it would miss
+/// the refused values silently, so binding such a join is an error instead.
 #[derive(Debug, Clone)]
 pub struct MaterializePolicy {
     /// Materialize strings only up to this length (long descriptions and
@@ -68,41 +44,84 @@ impl MaterializePolicy {
         c.materialize && !self.skip.iter().any(|(r, n)| r == &schema.name && n == &c.name)
     }
 
+    /// Whether a non-NULL value gets an attribute vertex.
     fn value_allowed(&self, v: &Value) -> bool {
         match v {
-            Value::Null => false, // NULL never joins; no vertex for it
             Value::Str(s) => self.max_string_len.is_none_or(|m| s.len() <= m),
             _ => true,
         }
     }
 }
 
-/// Attribute-vertex label per value type.
-fn attr_label_name(v: &Value) -> &'static str {
+/// Attribute-vertex label per value type, indexed by [`attr_type`].
+const ATTR_LABELS: [&str; 5] = ["@bool", "@int", "@float", "@str", "@date"];
+
+/// Index into [`ATTR_LABELS`].
+fn attr_type(v: &Value) -> u8 {
     match v {
-        Value::Bool(_) => "@bool",
-        Value::Int(_) => "@int",
-        Value::Float(_) => "@float",
-        Value::Str(_) => "@str",
-        Value::Date(_) => "@date",
+        Value::Bool(_) => 0,
+        Value::Int(_) => 1,
+        Value::Float(_) => 2,
+        Value::Str(_) => 3,
+        Value::Date(_) => 4,
         Value::Null => unreachable!("NULL has no attribute vertex"),
     }
 }
 
+/// A vertex label inside the builder, numbered when its schema is
+/// registered so that inserting a tuple formats and clones no name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum VLabel {
+    /// Tuple vertex of `relations[i]`.
+    Rel(u32),
+    /// Attribute vertex of type `ATTR_LABELS[i]`.
+    Attr(u8),
+}
+
+/// A registered relation: its schema plus what inserting a tuple needs per
+/// column, decided once.
+struct Registered {
+    schema: Schema,
+    /// Columns that receive attribute vertices under the builder's policy.
+    materialized: Vec<bool>,
+    /// Materialized columns that held a non-NULL value the policy refused.
+    refused: Vec<bool>,
+    /// Builder-wide number of column 0's edge label `rel.col`; column `c`'s
+    /// is `first_edge_label + c`.
+    first_edge_label: u32,
+}
+
+/// One undirected TAG edge: `tuple` holds the value of `attr` in the column
+/// whose edge label is number `label`.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    tuple: VertexId,
+    label: u32,
+    attr: VertexId,
+}
+
 /// Mutable TAG under construction / maintenance.
 ///
-/// Adjacency is per-vertex `Vec`s so inserting or deleting a tuple touches
-/// only that tuple's vertex, its attribute vertices, and their incident
-/// edges — the paper's "no reorganization" maintenance claim. Freezing into
-/// the CSR [`Graph`] used by the engine is a linear pass.
+/// Inserting a tuple appends its vertex, its values, the attribute vertices
+/// of its first-seen values and one link per materialized field; deleting
+/// one sets a tombstone. Nothing already stored is visited either way — the
+/// paper's "no reorganization" maintenance claim. Freezing into the CSR
+/// [`Graph`] used by the engine is a linear pass.
 pub struct TagBuilder {
     policy: MaterializePolicy,
-    schemas: Vec<Schema>,
-    payloads: Vec<Payload>,
-    vertex_label_of: Vec<String>,
-    adjacency: Vec<Vec<(String, VertexId)>>,
-    attr_index: FxHashMap<Value, VertexId>,
+    relations: Vec<Registered>,
+    /// Per vertex, in id order: its label, where its values start in
+    /// `values`, and whether it is a deleted tuple vertex.
+    vlabel: Vec<VLabel>,
+    value_start: Vec<u32>,
     deleted: Vec<bool>,
+    /// Payloads in vertex-id order: a tuple vertex's fields, an attribute
+    /// vertex's one value.
+    values: Vec<Value>,
+    /// Every link ever made, in insertion order (so by ascending tuple
+    /// vertex); the links of deleted tuples are skipped at freeze.
+    links: Vec<Link>,
+    attr_index: FxHashMap<Value, VertexId>,
 }
 
 impl TagBuilder {
@@ -110,44 +129,76 @@ impl TagBuilder {
     pub fn new(policy: MaterializePolicy) -> TagBuilder {
         TagBuilder {
             policy,
-            schemas: Vec::new(),
-            payloads: Vec::new(),
-            vertex_label_of: Vec::new(),
-            adjacency: Vec::new(),
-            attr_index: fx::map_with_capacity(1024),
+            relations: Vec::new(),
+            vlabel: Vec::new(),
+            value_start: Vec::new(),
             deleted: Vec::new(),
+            values: Vec::new(),
+            links: Vec::new(),
+            attr_index: fx::map_with_capacity(1024),
         }
     }
 
     /// Register a relation's schema (needed before inserting its tuples).
     pub fn add_schema(&mut self, schema: Schema) {
-        if !self.schemas.iter().any(|s| s.name == schema.name) {
-            self.schemas.push(schema);
+        if self.relation_index(&schema.name).is_some() {
+            return;
         }
+        let materialized: Vec<bool> =
+            (0..schema.arity()).map(|c| self.policy.column_allowed(&schema, c)).collect();
+        let refused = vec![false; schema.arity()];
+        let first_edge_label =
+            self.relations.last().map_or(0, |r| r.first_edge_label + r.schema.arity() as u32);
+        self.relations.push(Registered { schema, materialized, refused, first_edge_label });
+    }
+
+    fn relation_index(&self, rel: &str) -> Option<usize> {
+        self.relations.iter().position(|r| r.schema.name == rel)
     }
 
     /// Insert one tuple of relation `rel`: creates its tuple vertex, creates
     /// any missing attribute vertices, and links them (steps (1)–(3) of the
     /// encoding). Cost is local: O(arity) plus hash lookups.
     pub fn insert_tuple(&mut self, rel: &str, tuple: Tuple) -> Result<VertexId, RelError> {
-        let schema = self
-            .schemas
-            .iter()
-            .position(|s| s.name == rel)
-            .ok_or_else(|| RelError::UnknownRelation(rel.to_string()))?;
-        let schema = self.schemas[schema].clone();
-        if tuple.arity() != schema.arity() {
-            return Err(RelError::ArityMismatch { expected: schema.arity(), found: tuple.arity() });
+        let r =
+            self.relation_index(rel).ok_or_else(|| RelError::UnknownRelation(rel.to_string()))?;
+        self.insert_row(r, tuple.0.into_vec().into_iter())
+    }
+
+    /// [`TagBuilder::insert_tuple`] for registered relation number `r`.
+    fn insert_row(
+        &mut self,
+        r: usize,
+        row: impl ExactSizeIterator<Item = Value>,
+    ) -> Result<VertexId, RelError> {
+        let arity = self.relations[r].schema.arity();
+        if row.len() != arity {
+            return Err(RelError::ArityMismatch { expected: arity, found: row.len() });
         }
-        let tv = self.fresh_vertex(rel.to_string(), Payload::Tuple(tuple.clone()));
-        for (c, v) in tuple.values().enumerate() {
-            if !self.policy.column_allowed(&schema, c) || !self.policy.value_allowed(v) {
+        let tv = self.fresh_vertex(VLabel::Rel(r as u32));
+        let start = self.values.len();
+        self.values.extend(row);
+        let first_edge_label = self.relations[r].first_edge_label;
+        for c in 0..arity {
+            let v = &self.values[start + c];
+            if !self.relations[r].materialized[c] || v.is_null() {
+                continue; // NULL never joins; no vertex for it
+            }
+            if !self.policy.value_allowed(v) {
+                self.relations[r].refused[c] = true;
                 continue;
             }
-            let av = self.attr_vertex_for(v);
-            let label = format!("{}.{}", rel, schema.columns[c].name);
-            self.adjacency[tv as usize].push((label.clone(), av));
-            self.adjacency[av as usize].push((label, tv));
+            let av = match self.attr_index.get(v) {
+                Some(&av) => av,
+                None => {
+                    let v = v.clone();
+                    let av = self.fresh_vertex(VLabel::Attr(attr_type(&v)));
+                    self.values.push(v.clone());
+                    self.attr_index.insert(v, av);
+                    av
+                }
+            };
+            self.links.push(Link { tuple: tv, label: first_edge_label + c as u32, attr: av });
         }
         Ok(tv)
     }
@@ -156,34 +207,21 @@ impl TagBuilder {
     /// stay (they may serve other tuples; an isolated attribute vertex is
     /// harmless and is dropped at freeze time).
     pub fn delete_tuple(&mut self, tv: VertexId) -> Result<(), RelError> {
-        if self.payloads.get(tv as usize).and_then(Payload::tuple).is_none()
-            || self.deleted[tv as usize]
-        {
-            return Err(RelError::Other(format!("vertex {tv} is not a live tuple vertex")));
+        match self.vlabel.get(tv as usize) {
+            Some(VLabel::Rel(_)) if !self.deleted[tv as usize] => {
+                self.deleted[tv as usize] = true;
+                Ok(())
+            }
+            _ => Err(RelError::Other(format!("vertex {tv} is not a live tuple vertex"))),
         }
-        self.deleted[tv as usize] = true;
-        let edges = std::mem::take(&mut self.adjacency[tv as usize]);
-        for (_, av) in edges {
-            self.adjacency[av as usize].retain(|&(_, t)| t != tv);
-        }
-        Ok(())
     }
 
-    fn fresh_vertex(&mut self, label: String, payload: Payload) -> VertexId {
-        let id = self.payloads.len() as VertexId;
-        self.payloads.push(payload);
-        self.vertex_label_of.push(label);
-        self.adjacency.push(Vec::new());
+    /// A new vertex whose values start at the arena's current end.
+    fn fresh_vertex(&mut self, label: VLabel) -> VertexId {
+        let id = self.vlabel.len() as VertexId;
+        self.vlabel.push(label);
+        self.value_start.push(u32::try_from(self.values.len()).expect("arena offsets are u32"));
         self.deleted.push(false);
-        id
-    }
-
-    fn attr_vertex_for(&mut self, v: &Value) -> VertexId {
-        if let Some(&id) = self.attr_index.get(v) {
-            return id;
-        }
-        let id = self.fresh_vertex(attr_label_name(v).to_string(), Payload::Attr(v.clone()));
-        self.attr_index.insert(v.clone(), id);
         id
     }
 
@@ -191,82 +229,124 @@ impl TagBuilder {
     /// isolated-attribute vertices are dropped and ids are compacted.
     pub fn build(self) -> TagGraph {
         let TagBuilder {
-            policy: _, schemas, payloads, vertex_label_of, adjacency, deleted, ..
+            policy: _,
+            relations,
+            vlabel,
+            mut value_start,
+            deleted,
+            mut values,
+            links,
+            mut attr_index,
         } = self;
+        let live = |l: &&Link| !deleted[l.tuple as usize];
 
         // Keep live tuple vertices and attribute vertices with >= 1 edge.
-        let keep: Vec<bool> = payloads
+        let mut keep: Vec<bool> = vlabel
             .iter()
-            .enumerate()
-            .map(|(i, p)| match p {
-                Payload::Tuple(_) => !deleted[i],
-                Payload::Attr(_) => !adjacency[i].is_empty(),
-            })
+            .zip(&deleted)
+            .map(|(l, &dead)| matches!(l, VLabel::Rel(_)) && !dead)
             .collect();
-        let mut remap = vec![u32::MAX; payloads.len()];
-        let mut next = 0u32;
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                remap[i] = next;
-                next += 1;
-            }
+        for l in links.iter().filter(live) {
+            keep[l.attr as usize] = true;
         }
 
         let mut gb = GraphBuilder::new();
-        // Pre-intern every relation's vertex label and every materializable
-        // column's edge label so empty relations still resolve (queries over
-        // them return empty results instead of "unknown label" errors).
-        for s in &schemas {
-            gb.vertex_label(&s.name);
-            for c in &s.columns {
-                if c.materialize {
-                    gb.edge_label(&format!("{}.{}", s.name, c.name));
-                }
+        // Intern every relation's vertex label and every materialized
+        // column's edge label up front, in schema order, so empty relations
+        // still resolve (queries over them return empty results instead of
+        // "unknown label" errors) and label ids do not depend on the data.
+        let mut rel_labels = Vec::with_capacity(relations.len());
+        let mut edge_labels: Vec<Option<LabelId>> = Vec::new();
+        for r in &relations {
+            rel_labels.push(gb.vertex_label(&r.schema.name));
+            for (col, &materialized) in r.schema.columns.iter().zip(&r.materialized) {
+                let name = format!("{}.{}", r.schema.name, col.name);
+                edge_labels.push(materialized.then(|| gb.edge_label(&name)));
             }
         }
-        let mut new_payloads = Vec::with_capacity(next as usize);
-        for (i, p) in payloads.iter().enumerate() {
+
+        // Vertices in id order, their values moved down over the dropped
+        // ones' (a no-op when nothing was dropped).
+        let mut remap = vec![u32::MAX; vlabel.len()];
+        let mut attr_labels = [None; ATTR_LABELS.len()];
+        value_start.push(u32::try_from(values.len()).expect("arena offsets are u32"));
+        let mut end = 0usize;
+        for (i, &label) in vlabel.iter().enumerate() {
             if !keep[i] {
                 continue;
             }
-            let label = gb.vertex_label(&vertex_label_of[i]);
+            let label = match label {
+                VLabel::Rel(r) => rel_labels[r as usize],
+                VLabel::Attr(a) => *attr_labels[a as usize]
+                    .get_or_insert_with(|| gb.vertex_label(ATTR_LABELS[a as usize])),
+            };
             let v = gb.add_vertex(label);
-            debug_assert_eq!(v, remap[i]);
-            new_payloads.push(p.clone());
-        }
-        for (i, adj) in adjacency.iter().enumerate() {
-            if !keep[i] {
-                continue;
-            }
-            for (label, t) in adj {
-                debug_assert!(keep[*t as usize], "edge to dropped vertex");
-                let l = gb.edge_label(label);
-                gb.add_edge(remap[i], remap[*t as usize], l);
+            remap[i] = v;
+            let from = value_start[i] as usize..value_start[i + 1] as usize;
+            value_start[v as usize] = end as u32;
+            for k in from {
+                values.swap(end, k);
+                end += 1;
             }
         }
+        value_start[gb.vertex_count()] = end as u32;
+        value_start.truncate(gb.vertex_count() + 1);
+        value_start.shrink_to_fit();
+        values.truncate(end);
+        values.shrink_to_fit();
+
+        // Live links bucketed by label: fed label by label, and within a
+        // label by ascending tuple vertex, every vertex's CSR range comes
+        // out of `finish` already sorted.
+        let mut bucket = vec![0usize; edge_labels.len() + 1];
+        for l in links.iter().filter(live) {
+            bucket[l.label as usize + 1] += 1;
+        }
+        for k in 1..bucket.len() {
+            bucket[k] += bucket[k - 1];
+        }
+        let mut by_label = vec![(0, 0); bucket[edge_labels.len()]];
+        for l in links.iter().filter(live) {
+            let slot = &mut bucket[l.label as usize];
+            by_label[*slot] = (remap[l.tuple as usize], remap[l.attr as usize]);
+            *slot += 1;
+        }
+        drop(links);
+        // `bucket[k]` is now where label `k`'s links end.
+        let mut from = 0;
+        for (label, &to) in edge_labels.iter().zip(&bucket) {
+            for &(tv, av) in &by_label[from..to] {
+                let label = label.expect("links follow materialized columns");
+                gb.add_undirected_edge(tv, av, label);
+            }
+            from = to;
+        }
+        drop(by_label);
         let graph = gb.finish();
 
-        // Rebuild the value -> attribute-vertex index over compacted ids.
-        let mut attr_index = fx::map_with_capacity(new_payloads.len() / 2);
-        for (v, p) in new_payloads.iter().enumerate() {
-            if let Payload::Attr(val) = p {
-                attr_index.insert(val.clone(), v as VertexId);
-            }
-        }
+        // The value -> attribute-vertex index, moved over to compacted ids.
+        attr_index.retain(|_, v| {
+            let kept = keep[*v as usize];
+            *v = remap[*v as usize];
+            kept
+        });
 
-        // Per relation: LabelId of each column's edge label (None when not
-        // materialized / label absent because no value ever produced an edge).
+        // Per relation: LabelId of each column's edge label (None when the
+        // policy skipped the column or refused one of its values).
         let mut col_labels: FxHashMap<String, Vec<Option<LabelId>>> = FxHashMap::default();
-        for s in &schemas {
-            let labels = s
-                .columns
+        let mut schemas = Vec::with_capacity(relations.len());
+        for r in relations {
+            let first = r.first_edge_label as usize;
+            let labels = edge_labels[first..first + r.schema.arity()]
                 .iter()
-                .map(|c| graph.edge_label_id(&format!("{}.{}", s.name, c.name)))
+                .zip(&r.refused)
+                .map(|(&label, &refused)| label.filter(|_| !refused))
                 .collect();
-            col_labels.insert(s.name.clone(), labels);
+            col_labels.insert(r.schema.name.clone(), labels);
+            schemas.push(r.schema);
         }
 
-        TagGraph { graph, payloads: new_payloads, attr_index, schemas, col_labels }
+        TagGraph { graph, values, value_start, attr_index, schemas, col_labels }
     }
 }
 
@@ -281,11 +361,16 @@ pub struct TagStats {
     pub bytes: usize,
 }
 
-/// The frozen, executable TAG: CSR graph + per-vertex payloads + value index
-/// + the source schemas.
+/// The frozen, executable TAG: CSR graph + payload arena + value index + the
+/// source schemas.
 pub struct TagGraph {
     graph: Graph,
-    payloads: Vec<Payload>,
+    /// Every vertex's payload in vertex-id order — a tuple vertex's fields,
+    /// an attribute vertex's one value — so the rows a superstep walks in id
+    /// order are next to each other whatever the allocator did at load time.
+    values: Vec<Value>,
+    /// `values[value_start[v]..value_start[v + 1]]` is `v`'s payload.
+    value_start: Vec<u32>,
     attr_index: FxHashMap<Value, VertexId>,
     schemas: Vec<Schema>,
     col_labels: FxHashMap<String, Vec<Option<LabelId>>>,
@@ -304,8 +389,9 @@ impl TagGraph {
             b.add_schema(rel.schema.clone());
         }
         for rel in db.relations() {
+            let r = b.relation_index(rel.name()).expect("schema registered above");
             for t in &rel.tuples {
-                b.insert_tuple(rel.name(), t.clone()).expect("schema registered above");
+                b.insert_row(r, t.0.iter().cloned()).expect("tuples match their schema");
             }
         }
         b.build()
@@ -316,27 +402,33 @@ impl TagGraph {
         &self.graph
     }
 
-    /// Payload of a vertex.
     #[inline]
-    pub fn payload(&self, v: VertexId) -> &Payload {
-        &self.payloads[v as usize]
+    fn payload(&self, v: VertexId) -> &[Value] {
+        let (start, end) = (self.value_start[v as usize], self.value_start[v as usize + 1]);
+        &self.values[start as usize..end as usize]
     }
 
     /// The tuple stored at a tuple vertex.
     #[inline]
-    pub fn tuple(&self, v: VertexId) -> Option<&Tuple> {
-        self.payloads[v as usize].tuple()
+    pub fn tuple(&self, v: VertexId) -> Option<&[Value]> {
+        self.is_tuple_vertex(v).then(|| self.payload(v))
     }
 
     /// The value of an attribute vertex.
     #[inline]
     pub fn attr_value(&self, v: VertexId) -> Option<&Value> {
-        self.payloads[v as usize].value()
+        if self.is_tuple_vertex(v) {
+            None
+        } else {
+            self.payload(v).first()
+        }
     }
 
-    /// True iff `v` is a tuple vertex.
+    /// True iff `v` is a tuple vertex: relation labels are interned before
+    /// any attribute-type label, so they are the first `schemas.len()` ids.
+    #[inline]
     pub fn is_tuple_vertex(&self, v: VertexId) -> bool {
-        matches!(self.payloads[v as usize], Payload::Tuple(_))
+        (self.graph.label_of(v).0 as usize) < self.schemas.len()
     }
 
     /// The attribute vertex representing `value`, if materialized.
@@ -350,7 +442,8 @@ impl TagGraph {
     }
 
     /// The edge label for `rel.column` (None if the column is not
-    /// materialized or produced no edges).
+    /// materialized, or held a value the policy refused — see
+    /// [`MaterializePolicy`]).
     pub fn column_label(&self, rel: &str, col: usize) -> Option<LabelId> {
         self.col_labels.get(rel).and_then(|v| v.get(col).copied().flatten())
     }
@@ -374,22 +467,17 @@ impl TagGraph {
 
     /// Size statistics for the loading/size experiments.
     pub fn stats(&self) -> TagStats {
-        let mut tuple_vertices = 0;
-        let mut attr_vertices = 0;
-        let mut payload_bytes = 0;
-        for p in &self.payloads {
-            match p {
-                Payload::Tuple(_) => tuple_vertices += 1,
-                Payload::Attr(_) => attr_vertices += 1,
-            }
-            payload_bytes += p.deep_size();
-        }
+        let tuple_vertices: usize = (0..self.schemas.len() as u32)
+            .map(|l| self.graph.vertices_with_label(LabelId(l)).len())
+            .sum();
+        let arena_bytes = self.values.iter().map(Value::deep_size).sum::<usize>()
+            + self.value_start.len() * std::mem::size_of::<u32>();
         let index_bytes = self.attr_index.len() * (std::mem::size_of::<(Value, VertexId)>() + 16);
         TagStats {
             tuple_vertices,
-            attr_vertices,
+            attr_vertices: self.graph.vertex_count() - tuple_vertices,
             edges: self.graph.edge_count(),
-            bytes: self.graph.deep_size() + payload_bytes + index_bytes,
+            bytes: self.graph.deep_size() + arena_bytes + index_bytes,
         }
     }
 
@@ -401,8 +489,8 @@ impl TagGraph {
             let mut rel = Relation::empty(s.clone());
             if let Some(label) = self.relation_label(&s.name) {
                 for &v in self.graph.vertices_with_label(label) {
-                    let t = self.tuple(v).expect("tuple vertex has tuple payload").clone();
-                    rel.push(t).expect("stored tuple matches schema");
+                    let t = self.tuple(v).expect("tuple vertex has tuple payload");
+                    rel.push(Tuple::new(t.to_vec())).expect("stored tuple matches schema");
                 }
             }
             db.add(rel);
@@ -578,7 +666,7 @@ mod tests {
         // Tuple payloads still carry the full values.
         let rl = tag.relation_label("R").unwrap();
         let tv = tag.graph().vertices_with_label(rl)[0];
-        assert_eq!(tag.tuple(tv).unwrap().get(1), &Value::Float(9.99));
+        assert_eq!(tag.tuple(tv).unwrap()[1], Value::Float(9.99));
     }
 
     #[test]
@@ -630,6 +718,34 @@ mod tests {
         assert!(tag.attr_vertex(&Value::Int(100)).is_none());
         // Value 10 still serves CUSTOMER_10.
         assert!(tag.attr_vertex(&Value::Int(10)).is_some());
+    }
+
+    /// Deleting is a tombstone per tuple: emptying a relation whose column
+    /// has one distinct value (a hub of `n` edges) rewrites no link, where
+    /// scanning the hub's adjacency per delete would visit n²/2 of them.
+    #[test]
+    fn deleting_a_hub_relation_touches_each_link_once() {
+        let n = 1_000;
+        let mut b = TagBuilder::new(MaterializePolicy::default());
+        b.add_schema(Schema::new(
+            "R",
+            vec![Column::new("k", DataType::Int), Column::new("g", DataType::Int)],
+        ));
+        let tuples: Vec<VertexId> = (0..n)
+            .map(|k| b.insert_tuple("R", Tuple::new(vec![Value::Int(k), Value::Int(-1)])).unwrap())
+            .collect();
+        assert_eq!(b.links.len(), 2 * n as usize);
+        for &tv in &tuples {
+            b.delete_tuple(tv).unwrap();
+        }
+        // The deletes' whole footprint: n tombstones, the link list as it was.
+        assert_eq!(b.deleted.iter().filter(|&&d| d).count(), n as usize);
+        assert_eq!(b.links.len(), 2 * n as usize);
+        let tag = b.build();
+        assert_eq!(tag.graph().vertex_count(), 0);
+        assert_eq!(tag.graph().edge_count(), 0);
+        assert!(tag.attr_vertex(&Value::Int(-1)).is_none(), "the hub went with its last edge");
+        assert!(tag.relation_label("R").is_some());
     }
 
     #[test]

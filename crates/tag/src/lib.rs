@@ -22,10 +22,12 @@
 //! [`MaterializePolicy`].
 //!
 //! [`TagBuilder`] is the mutable form supporting the paper's cheap local
-//! maintenance (insert/delete of tuples touches only the affected vertices
-//! and their incident edges); building yields the immutable CSR graph the BSP
-//! engine executes over.
+//! maintenance (inserting a tuple appends its vertices and links, deleting
+//! one sets a tombstone); building yields the immutable CSR graph the BSP
+//! engine executes over. Both forms are flat arrays — numbered labels, one
+//! link list, payload values in one arena in vertex-id order — so loading
+//! allocates per array, not per vertex.
 
 pub mod build;
 
-pub use build::{MaterializePolicy, Payload, TagBuilder, TagGraph, TagStats};
+pub use build::{MaterializePolicy, TagBuilder, TagGraph, TagStats};

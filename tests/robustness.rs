@@ -2,13 +2,13 @@
 //! execution consistency, empty relations, SQL display round-trips, thread
 //! count invariance, and failure reporting.
 
-use vcsql::baseline::{execute as baseline, ExecConfig};
+use vcsql::baseline::{execute as baseline, ExecConfig, JoinAlgo};
 use vcsql::bsp::{EngineConfig, Partitioning};
 use vcsql::core::TagJoinExecutor;
 use vcsql::query::{analyze::analyze, parse};
 use vcsql::relation::schema::{Column, Schema};
-use vcsql::relation::{DataType, Database, Relation};
-use vcsql::tag::TagGraph;
+use vcsql::relation::{DataType, Database, Relation, Tuple, Value};
+use vcsql::tag::{MaterializePolicy, TagGraph};
 use vcsql::workload::{tpcds, tpch};
 
 /// Hash-partitioned execution must return the same bags as single-machine
@@ -120,6 +120,64 @@ fn error_paths_are_clean() {
     assert!(exec.run_sql("SELECT SUM(*) FROM customer c").is_err());
     // Baseline mirrors the same failures at analysis time.
     assert!(parse("SELECT c.c_name FROM customer c WHERE").is_err());
+}
+
+/// A join through a column the materialization policy refused — wholly
+/// (`skip`) or for one over-long value — must be the bind error, never a
+/// short count: the refused values have no attribute vertex to meet at.
+#[test]
+fn joins_on_ill_materialized_columns_error_instead_of_undercounting() {
+    let count = |rel: &Relation| rel.tuples[0].get(0).clone();
+    let check = |db: &Database, tag: &TagGraph, sql: &str, want: i64| {
+        let err = TagJoinExecutor::new(tag, EngineConfig::sequential())
+            .run_sql(sql)
+            .expect_err("tag-join must refuse the join");
+        assert!(err.to_string().contains("not materialized"), "{sql}: {err}");
+        let a = analyze(&parse(sql).unwrap(), tag.schemas()).unwrap();
+        for join in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
+            let got = baseline(&a, db, ExecConfig { join }).unwrap();
+            assert_eq!(count(&got), Value::Int(want), "{sql}: baseline {join:?}");
+        }
+    };
+
+    // A column skipped by policy has no edge label at all.
+    let db = tpch::generate(0.01, 42);
+    let sql = "SELECT COUNT(*) FROM nation n, region r WHERE n.n_regionkey = r.r_regionkey";
+    let policy = MaterializePolicy {
+        skip: vec![("nation".to_string(), "n_regionkey".to_string())],
+        ..MaterializePolicy::default()
+    };
+    let tag = TagGraph::build_with_policy(&db, policy);
+    assert_eq!(tag.column_label_by_name("nation", "n_regionkey"), None);
+    assert_eq!(tag.graph().edge_label_id("nation.n_regionkey"), None);
+    check(&db, &tag, sql, 25);
+    let default = TagGraph::build(&db);
+    let ok = TagJoinExecutor::new(&default, EngineConfig::sequential()).run_sql(sql).unwrap();
+    assert_eq!(count(&ok.relation), Value::Int(25), "default policy answers");
+
+    // One value over `max_string_len` takes the whole column out of joins.
+    let long = "k".repeat(100);
+    let mut db = Database::new();
+    for name in ["a", "b"] {
+        let schema = Schema::new(
+            name,
+            vec![Column::new("k", DataType::Str), Column::new("v", DataType::Int)],
+        );
+        let rows = vec![
+            Tuple::new(vec![Value::str(&long), Value::Int(1)]),
+            Tuple::new(vec![Value::str("short"), Value::Int(2)]),
+        ];
+        db.add(Relation::from_tuples(schema, rows).unwrap());
+    }
+    let tag = TagGraph::build(&db);
+    assert_eq!(tag.column_label_by_name("a", "k"), None);
+    assert!(tag.column_label_by_name("a", "v").is_some());
+    check(&db, &tag, "SELECT COUNT(*) FROM a, b WHERE a.k = b.k", 2);
+    let all = TagGraph::build_with_policy(&db, MaterializePolicy::all());
+    let ok = TagJoinExecutor::new(&all, EngineConfig::sequential())
+        .run_sql("SELECT COUNT(*) FROM a, b WHERE a.k = b.k")
+        .unwrap();
+    assert_eq!(count(&ok.relation), Value::Int(2), "no length limit, no refusal");
 }
 
 /// The baseline executors agree with each other across the full workload at

@@ -9,7 +9,7 @@
 //! | rule | requirement |
 //! |------|-------------|
 //! | `unsafe-needs-safety-comment` | every `unsafe` usage sits under a `// SAFETY:` comment or a `/// # Safety` doc section |
-//! | `unsafe-outside-allowlist` | the `unsafe` keyword appears only in `bsp::pool`, `bsp::engine`, and `compat/*` |
+//! | `unsafe-outside-allowlist` | the `unsafe` keyword appears only in `bsp::pool`, `bsp::engine`, `compat/*`, and the one test binary that installs a counting `#[global_allocator]` (`crates/tag/tests/alloc_budget.rs`) |
 //! | `no-thread-spawn` | threads are spawned only by `bsp::pool` (through the `bsp::sync` shim) and the `compat` shims; `crates/server` spawns none |
 //! | `no-wall-clock-in-accounting` | byte/message accounting files never read `Instant` (determinism: counts must not depend on time) |
 //! | `allow-needs-justification` | every `#[allow(...)]` outside `compat/*` carries a comment explaining why |
@@ -28,8 +28,11 @@ use std::path::{Path, PathBuf};
 // Rule configuration
 // ---------------------------------------------------------------------------
 
-/// Files allowed to use the `unsafe` keyword, exactly.
-const UNSAFE_ALLOW_FILES: &[&str] = &["crates/bsp/src/pool.rs", "crates/bsp/src/engine.rs"];
+/// Files allowed to use the `unsafe` keyword, exactly. The test binary is
+/// there for its `unsafe impl GlobalAlloc` (a counting allocator cannot be
+/// written without one); no product code outside `bsp` may join this list.
+const UNSAFE_ALLOW_FILES: &[&str] =
+    &["crates/bsp/src/pool.rs", "crates/bsp/src/engine.rs", "crates/tag/tests/alloc_budget.rs"];
 
 /// Path prefixes allowed to use the `unsafe` keyword (`compat` shims mirror
 /// external crates' APIs).
@@ -354,7 +357,8 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                     rule: "unsafe-outside-allowlist",
                     file: path.to_string(),
                     line,
-                    message: "`unsafe` is confined to bsp::pool, bsp::engine and compat; \
+                    message: "`unsafe` is confined to bsp::pool, bsp::engine, compat and the \
+                              counting-allocator test; \
                               refactor or extend the allowlist deliberately"
                         .to_string(),
                 });
@@ -516,6 +520,22 @@ mod tests {
         assert_eq!(rules("crates/dist/src/netstats.rs", src), vec!["unsafe-outside-allowlist"]);
         // The fault layer sits next to the engine but is not of it.
         assert_eq!(rules("crates/bsp/src/recovery.rs", src), vec!["unsafe-outside-allowlist"]);
+    }
+
+    #[test]
+    fn the_counting_allocator_test_is_the_only_unsafe_outside_bsp_and_compat() {
+        let src = "// SAFETY: forwards to the system allocator.\nunsafe impl GlobalAlloc for Counting {}\n";
+        assert!(rules("crates/tag/tests/alloc_budget.rs", src).is_empty());
+        let bare = "unsafe impl GlobalAlloc for Counting {}\n";
+        assert_eq!(
+            rules("crates/tag/tests/alloc_budget.rs", bare),
+            vec!["unsafe-needs-safety-comment"]
+        );
+        for path in
+            ["crates/tag/tests/maintenance.rs", "crates/tag/src/build.rs", "tests/runtime.rs"]
+        {
+            assert_eq!(rules(path, src), vec!["unsafe-outside-allowlist"], "{path}");
+        }
     }
 
     #[test]
