@@ -1,11 +1,10 @@
 //! # vcsql-bench — the experiment harness
 //!
 //! The four "systems" under comparison, timing helpers and markdown table
-//! rendering; the `repro` experiments built on them ([`repro`]); and the JSON
-//! value writer their reports are rendered with ([`json`]). See DESIGN.md's
-//! experiment index for the mapping from paper tables/figures to modes.
+//! rendering, and the `repro` experiments built on them ([`repro`]). See
+//! DESIGN.md's experiment index for the mapping from paper tables/figures to
+//! modes.
 
-pub mod json;
 pub mod repro;
 
 use std::sync::{Arc, Mutex, OnceLock};

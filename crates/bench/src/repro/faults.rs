@@ -1,13 +1,11 @@
-//! E17: the fault-tolerance sweep and its `vcsql-fault-report/v1` document.
+//! E17: the fault-tolerance sweep and the invariants it must show.
 
 use super::distributed::analyze_suite;
-use super::{write_report, Args, SEED, SUITES};
-use crate::json::Json;
+use super::{Args, SEED, SUITES};
 use crate::print_table;
 use std::sync::Arc;
 use vcsql_bsp::{EngineConfig, FaultInjector, FaultPlan, PartitionStrategy};
 use vcsql_core::TagJoinExecutor;
-use vcsql_relation::mem::human_bytes;
 use vcsql_relation::RelError;
 use vcsql_tag::TagGraph;
 
@@ -19,7 +17,6 @@ use vcsql_tag::TagGraph;
 struct FaultArm {
     workload: &'static str,
     interval: u64,
-    queries: u64,
     checkpoints: u64,
     checkpoint_bytes: u64,
     crashes_recovered: u64,
@@ -40,7 +37,9 @@ struct FaultArm {
 /// fault-free network byte total (recovery traffic is itemized separately),
 /// so the table is a pure overhead-vs-recovery-cost tradeoff: small
 /// intervals pay checkpoint bytes per superstep, large ones replay more
-/// rounds per crash, and interval 0 falls back to a full rerun.
+/// rounds per crash, and interval 0 falls back to a full rerun. The table
+/// prints exact byte counts; [`FaultReport::check`] then asserts the
+/// tradeoff, and a violation exits 1.
 pub(super) fn run(a: &Args) {
     let (sf, checkpoint_every, seed) = (a.sf(), a.checkpoint_every, a.seed);
     let (kill_machine, kill_superstep) = a.kill;
@@ -116,7 +115,6 @@ pub(super) fn run(a: &Args) {
                      (recovery must be itemized, not folded in)"
                 );
                 let ft = &out.stats.faults;
-                arm.queries += 1;
                 arm.checkpoints += ft.checkpoints;
                 arm.checkpoint_bytes += ft.checkpoint_bytes;
                 arm.crashes_recovered += ft.crashes_recovered;
@@ -127,7 +125,7 @@ pub(super) fn run(a: &Args) {
             arms.push(arm);
         }
     }
-    let report = FaultReport { sf, seed, machines, checkpoint_every, kill: a.kill, arms };
+    let report = FaultReport { arms };
     for suite in SUITES {
         let workload = suite.name;
         let rows: Vec<Vec<String>> = report
@@ -138,13 +136,13 @@ pub(super) fn run(a: &Args) {
                 vec![
                     if a.interval == 0 { "off".to_string() } else { a.interval.to_string() },
                     a.checkpoints.to_string(),
-                    human_bytes(a.checkpoint_bytes as usize),
+                    a.checkpoint_bytes.to_string(),
                     a.crashes_recovered.to_string(),
                     a.recovered_rounds.to_string(),
-                    human_bytes(a.recovery_bytes as usize),
+                    a.recovery_bytes.to_string(),
                     a.retries.to_string(),
                     a.reruns.to_string(),
-                    human_bytes(a.network_bytes as usize),
+                    a.network_bytes.to_string(),
                 ]
             })
             .collect();
@@ -164,20 +162,15 @@ pub(super) fn run(a: &Args) {
             &rows,
         );
     }
-    if let Some(path) = &a.json {
-        write_report(path, report.check(), &report.to_json());
+    if let Err(e) = report.check() {
+        eprintln!("repro: fault sweep invariant violated: {e}");
+        std::process::exit(1);
     }
 }
 
-/// The `vcsql-fault-report/v1` document, typed: the sweep's parameters and
-/// one arm per (workload, checkpoint interval), workload-major in ascending
-/// interval order.
+/// The sweep's result: one arm per (workload, checkpoint interval),
+/// workload-major in ascending interval order.
 struct FaultReport {
-    sf: f64,
-    seed: u64,
-    machines: usize,
-    checkpoint_every: u64,
-    kill: (u32, u64),
     arms: Vec<FaultArm>,
 }
 
@@ -212,35 +205,6 @@ impl FaultReport {
         }
         Ok(())
     }
-
-    fn to_json(&self) -> Json {
-        let int = |n: u64| Json::Int(n);
-        let arm = |a: &FaultArm| {
-            Json::Object(vec![
-                ("workload", Json::Str(a.workload.to_string())),
-                ("interval", int(a.interval)),
-                ("queries", int(a.queries)),
-                ("checkpoints", int(a.checkpoints)),
-                ("checkpoint_bytes", int(a.checkpoint_bytes)),
-                ("crashes_recovered", int(a.crashes_recovered)),
-                ("recovered_rounds", int(a.recovered_rounds)),
-                ("recovery_bytes", int(a.recovery_bytes)),
-                ("retries", int(a.retries)),
-                ("reruns", int(a.reruns)),
-                ("network_bytes", int(a.network_bytes)),
-            ])
-        };
-        let kill = [("machine", int(self.kill.0 as u64)), ("superstep", int(self.kill.1))];
-        Json::Object(vec![
-            ("schema", Json::Str("vcsql-fault-report/v1".into())),
-            ("sf", Json::Float(self.sf)),
-            ("seed", int(self.seed)),
-            ("machines", int(self.machines as u64)),
-            ("checkpoint_every", int(self.checkpoint_every)),
-            ("kill", Json::Object(kill.into())),
-            ("sweep", Json::Array(self.arms.iter().map(arm).collect())),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +218,6 @@ mod tests {
             FaultArm {
                 workload,
                 interval,
-                queries: 3,
                 checkpoints: 4 * on,
                 checkpoint_bytes,
                 crashes_recovered: on,
@@ -271,7 +234,7 @@ mod tests {
             arm("tpcds", 0, 0, 70),
             arm("tpcds", 1, 950, 70),
         ];
-        FaultReport { sf: 0.01, seed: 42, machines: 4, checkpoint_every: 2, kill: (2, 3), arms }
+        FaultReport { arms }
     }
 
     /// `violate` breaks one invariant of the valid report; `check` must say so.

@@ -14,7 +14,6 @@ mod distributed;
 mod faults;
 mod local;
 
-use crate::json::Json;
 use crate::Loaded;
 use vcsql_bsp::{EngineConfig, PartitionStrategy};
 use vcsql_relation::Database;
@@ -50,11 +49,7 @@ pub struct Args {
     strategies: Option<Vec<PartitionStrategy>>,
     profile_from: Option<&'static Suite>,
     bandwidth: f64,
-    sessions: Option<usize>,
-    restart_at: Option<usize>,
-    migration_budget: Option<usize>,
     threads: Option<usize>,
-    json: Option<String>,
     checkpoint_every: u64,
     kill: (u32, u64),
     seed: u64,
@@ -67,11 +62,7 @@ impl Default for Args {
             strategies: None,
             profile_from: None,
             bandwidth: 1e9,
-            sessions: None,
-            restart_at: None,
-            migration_budget: None,
             threads: None,
-            json: None,
             checkpoint_every: 2,
             kill: (1, 3),
             seed: SEED,
@@ -183,38 +174,6 @@ static BANDWIDTH: Flag = Flag {
     help: "modelled network bandwidth in bytes/sec for the\n\
            distributed runtime model (default 1e9)",
 };
-static SESSIONS: Flag = Flag {
-    name: "--sessions",
-    metavar: "n",
-    group: None,
-    set: |a, f, raw| positive_int(f, raw).map(|n| a.sessions = Some(n)),
-    help: "instead of the per-strategy table, replay n session\n\
-           queries through one long-lived Session — a shuffled\n\
-           TPC-H phase, then a shuffled TPC-DS phase over a\n\
-           combined database — with the placement calibrated on\n\
-           TPC-H, and report bytes-per-query before/after the\n\
-           session's online repartitioning (migration bytes are\n\
-           itemized per query)",
-};
-static RESTART_AT: Flag = Flag {
-    name: "--restart-at",
-    metavar: "k",
-    group: None,
-    set: |a, f, raw| positive_int(f, raw).map(|n| a.restart_at = Some(n)),
-    help: "restart the session replay before query k (so k\n\
-           queries run first; 0 < k < n), replacing the session\n\
-           with a warm successor that reloads its saved profile\n\
-           text, and racing a cold twin that recalibrates from\n\
-           scratch over the remaining queries",
-};
-static MIGRATION_BUDGET: Flag = Flag {
-    name: "--migration-budget",
-    metavar: "n",
-    group: None,
-    set: |a, f, raw| positive_int(f, raw).map(|n| a.migration_budget = Some(n)),
-    help: "most vertices the session replay migrates per query\n\
-           while adapting (default 2048)",
-};
 static THREADS: Flag = Flag {
     name: "--threads",
     metavar: "n",
@@ -222,17 +181,6 @@ static THREADS: Flag = Flag {
     set: |a, f, raw| positive_int(f, raw).map(|n| a.threads = Some(n)),
     help: "engine worker threads for the TAG side (default: the\n\
            machine's parallelism, capped at 16)",
-};
-static JSON: Flag = Flag {
-    name: "--json",
-    metavar: "path",
-    group: None,
-    set: |a, _, raw| {
-        a.json = Some(raw.to_string());
-        Ok(())
-    },
-    help: "also write the machine-readable report to `path`, after\n\
-           checking its invariants (a violation exits 1)",
 };
 static CHECKPOINT_EVERY: Flag = Flag {
     name: "--checkpoint-every",
@@ -267,20 +215,8 @@ static SEED_FLAG: Flag = Flag {
 };
 
 /// Every value flag, in usage order.
-pub static FLAGS: [&Flag; 12] = [
-    &SF,
-    &PARTITIONING,
-    &PROFILE_FROM,
-    &BANDWIDTH,
-    &SESSIONS,
-    &RESTART_AT,
-    &MIGRATION_BUDGET,
-    &THREADS,
-    &JSON,
-    &CHECKPOINT_EVERY,
-    &KILL,
-    &SEED_FLAG,
-];
+pub static FLAGS: [&Flag; 8] =
+    [&SF, &PARTITIONING, &PROFILE_FROM, &BANDWIDTH, &THREADS, &CHECKPOINT_EVERY, &KILL, &SEED_FLAG];
 
 /// One experiment: the flags it reads (any other flag is a usage error
 /// rather than silently ignored), whether `all` runs it, and its run
@@ -303,8 +239,7 @@ impl Mode {
 static TIMED: [&Flag; 2] = [&SF, &THREADS];
 
 /// The default mode: every `in_all` row in table order. Its flags are the
-/// ones that steer those rows' default experiments (so not `--sessions`,
-/// which swaps `distributed` for the drift replay).
+/// ones that steer those rows' experiments.
 const ALL: Mode = Mode {
     name: "all",
     summary: "everything above except",
@@ -381,17 +316,8 @@ pub static MODES: [Mode; 15] = [
     Mode {
         name: "distributed",
         summary: "Fig 16 + Tables 16-17: modelled runtime + network traffic per\n\
-         placement strategy; with --sessions, the online-repartitioning\n\
-         drift replay (TPC-H profile, then TPC-DS queries arrive)",
-        flags: &[
-            &SF,
-            &PARTITIONING,
-            &PROFILE_FROM,
-            &BANDWIDTH,
-            &SESSIONS,
-            &RESTART_AT,
-            &MIGRATION_BUDGET,
-        ],
+         placement strategy",
+        flags: &[&SF, &PARTITIONING, &PROFILE_FROM, &BANDWIDTH],
         in_all: true,
         run: distributed::run,
     },
@@ -421,9 +347,9 @@ pub static MODES: [Mode; 15] = [
         summary: "fault-tolerance sweep: one machine crash plus two seeded link\n\
          drops into every TPC-H/TPC-DS query at each checkpoint\n\
          interval in {0,1,2,4,8} ∪ {--checkpoint-every}, every result\n\
-         bag asserted identical to fault-free (--json:\n\
-         vcsql-fault-report/v1)",
-        flags: &[&SF, &CHECKPOINT_EVERY, &KILL, &SEED_FLAG, &JSON],
+         bag asserted identical to fault-free and the sweep's\n\
+         invariants checked (a violation exits 1)",
+        flags: &[&SF, &CHECKPOINT_EVERY, &KILL, &SEED_FLAG],
         in_all: false,
         run: faults::run,
     },
@@ -504,27 +430,7 @@ fn constraints(a: &Args) -> Result<(), &'static str> {
     if a.profile_from.is_some() && !a.wants_workload() {
         return Err("--profile-from requires --partitioning to include `workload`");
     }
-    // The drift replay always calibrates its placement on TPC-H (the
-    // pre-drift workload), so flags steering the per-strategy table make no
-    // sense with it.
-    if a.sessions.is_some() {
-        if a.profile_from.is_some() {
-            return Err("--sessions replays a fixed TPC-H -> TPC-DS drift; drop --profile-from");
-        }
-        if a.strategies.is_some() && !a.wants_workload() {
-            return Err(
-                "--sessions replay uses the `workload` strategy; include it or drop --partitioning",
-            );
-        }
-    }
-    match (a.sessions, a.restart_at) {
-        (None, _) if a.migration_budget.is_some() => Err("--migration-budget requires --sessions"),
-        (None, Some(_)) => Err("--restart-at requires --sessions"),
-        (Some(n), Some(k)) if k >= n => {
-            Err("--restart-at must be less than --sessions (queries must remain to replay)")
-        }
-        _ => Ok(()),
-    }
+    Ok(())
 }
 
 /// Parse a command line into the mode to run and its validated arguments;
@@ -542,8 +448,7 @@ pub fn parse(argv: &[String]) -> Result<Option<(&'static Mode, Args)>, String> {
                 .iter()
                 .find(|f| f.name == arg)
                 .ok_or_else(|| format!("unknown flag `{arg}`"))?;
-            let noun = if flag.metavar == "path" { "path" } else { "value" };
-            let raw = it.next().ok_or_else(|| format!("{} needs a {noun}", flag.name))?;
+            let raw = it.next().ok_or_else(|| format!("{} needs a value", flag.name))?;
             given.push((flag, raw));
         } else if mode_name.replace(arg).is_some() {
             return Err(format!("unexpected extra argument `{arg}`"));
@@ -573,21 +478,6 @@ pub fn main() {
         Err(msg) => {
             eprint!("repro: {msg}\n\n{}", usage());
             std::process::exit(2);
-        }
-    }
-}
-
-/// Write a `--json` report: `checked` is the report's own `check()` — a
-/// violated invariant writes nothing and exits 1, as does an I/O error.
-fn write_report(path: &str, checked: Result<(), String>, doc: &Json) {
-    let written = checked.map_err(|e| format!("report invariant violated: {e}")).and_then(|()| {
-        std::fs::write(path, doc.render()).map_err(|e| format!("cannot write {path}: {e}"))
-    });
-    match written {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("repro: {e}");
-            std::process::exit(1);
         }
     }
 }

@@ -27,17 +27,6 @@ fn stdout_of(cmdline: &str) -> String {
     successful_stdout(cmdline, repro(cmdline))
 }
 
-/// The stdout of a successful `--json` run and the report it wrote.
-fn stdout_and_report_of(cmdline: &str) -> (String, String) {
-    let mode = cmdline.split_whitespace().next().unwrap();
-    let path = std::env::temp_dir().join(format!("repro-{mode}-{}.json", std::process::id()));
-    let out = command(cmdline).arg("--json").arg(&path).output().expect("repro binary spawns");
-    let stdout = successful_stdout(cmdline, out);
-    let json = std::fs::read_to_string(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    (stdout, json)
-}
-
 fn assert_usage_exit(args: &str, expect_in_stderr: &str) {
     let out = repro(args);
     assert_eq!(
@@ -96,47 +85,23 @@ fn bad_profile_from_and_bandwidth_are_usage_errors() {
 }
 
 #[test]
-fn bad_sessions_and_migration_budget_are_usage_errors() {
-    // Zero/negative/non-numeric counts must exit 2, never panic.
-    assert_usage_exit("distributed --sessions 0", "bad --sessions value `0`");
-    assert_usage_exit("distributed --sessions -3", "bad --sessions value `-3`");
-    assert_usage_exit("distributed --sessions many", "bad --sessions value `many`");
-    assert_usage_exit("distributed --sessions", "--sessions needs a value");
-    assert_usage_exit(
-        "distributed --sessions 4 --migration-budget 0",
-        "bad --migration-budget value `0`",
-    );
-    assert_usage_exit(
-        "distributed --sessions 4 --migration-budget -5",
-        "bad --migration-budget value `-5`",
-    );
-    assert_usage_exit(
-        "distributed --sessions 4 --migration-budget x",
-        "bad --migration-budget value `x`",
-    );
-    // The replay is a dedicated experiment with a fixed drift.
-    assert_usage_exit(
-        "distributed --migration-budget 10",
-        "--migration-budget requires --sessions",
-    );
-    assert_usage_exit(
-        "distributed --sessions 4 --partitioning workload --profile-from tpch",
-        "drop --profile-from",
-    );
-    assert_usage_exit(
-        "distributed --sessions 4 --partitioning hash",
-        "--sessions replay uses the `workload` strategy",
-    );
+fn deleted_flags_are_unknown() {
+    // The drift replay belongs to `benchmark/`'s `cluster_drift` and
+    // `tests/session.rs`, and `faults` writes no report: their flags are
+    // plain unknown flags, on any mode.
+    assert_usage_exit("faults --json x", "unknown flag");
+    for flag in ["sessions", "restart-at", "migration-budget"] {
+        assert_usage_exit(&format!("distributed --{flag} 4"), "unknown flag");
+    }
 }
 
 #[test]
-fn bad_threads_and_json_are_usage_errors() {
+fn bad_threads_are_usage_errors() {
     // Thread counts must be positive integers.
     assert_usage_exit("tpch --threads 0", "bad --threads value `0`");
     assert_usage_exit("tpch --threads -2", "bad --threads value `-2`");
     assert_usage_exit("tpch --threads lots", "bad --threads value `lots`");
     assert_usage_exit("tpch --threads", "--threads needs a value");
-    assert_usage_exit("faults --json", "--json needs a path");
 }
 
 #[test]
@@ -151,7 +116,7 @@ fn every_flag_is_a_usage_error_on_every_mode_that_does_not_list_it() {
     }
     // One exact text per shape of the message, which names the modes that
     // do list the flag.
-    assert_usage_exit("tpch --sessions 4", "--sessions only applies to the `distributed` mode");
+    assert_usage_exit("tpch --kill 2@3", "--kill only applies to the `faults` mode");
     assert_usage_exit(
         "loading --partitioning hash",
         "--partitioning only applies to the `distributed` (or `all`) mode",
@@ -160,7 +125,6 @@ fn every_flag_is_a_usage_error_on_every_mode_that_does_not_list_it() {
         "tpch --bandwidth 5e8",
         "--bandwidth only applies to the `distributed` (or `all`) mode",
     );
-    assert_usage_exit("tpch --json out.json", "--json only applies to the `faults` mode");
     assert_usage_exit(
         "distributed --threads 4",
         "--threads only applies to the per-query runtime modes (tpch, tpcds, tpch-classes, \
@@ -190,72 +154,39 @@ fn bad_fault_flags_are_usage_errors() {
 }
 
 #[test]
-fn bad_restart_at_is_a_usage_error() {
-    assert_usage_exit("distributed --sessions 6 --restart-at 0", "bad --restart-at");
-    assert_usage_exit("distributed --sessions 6 --restart-at x", "bad --restart-at");
-    assert_usage_exit("distributed --restart-at 3", "--restart-at requires --sessions");
-    // Restarting at or past the end leaves nothing to replay — reject it.
-    assert_usage_exit(
-        "distributed --sessions 6 --restart-at 6",
-        "--restart-at must be less than --sessions",
-    );
-    assert_usage_exit(
-        "distributed --sessions 6 --restart-at 9",
-        "--restart-at must be less than --sessions",
-    );
-}
-
-#[test]
-fn sessions_drift_replay_smoke() {
-    // A tiny replay end to end: calibrate on TPC-H, drift to TPC-DS, adapt.
-    let stdout = stdout_of(
-        "distributed --sf 0.004 --sessions 6 --partitioning workload --migration-budget 512",
-    );
-    assert!(stdout.contains("Session drift replay"), "{stdout}");
-    assert!(stdout.contains("placement calibrated on tpch"), "{stdout}");
-    assert!(stdout.contains("migration"), "{stdout}");
-    assert!(stdout.contains("self-profiled yardstick"), "{stdout}");
-    assert!(stdout.contains("plan cache"), "{stdout}");
-}
-
-#[test]
-fn restart_replay_races_warm_against_cold() {
-    // The durable-profile path end to end: restart mid-replay, warm start
-    // reloads the saved profile text, cold start recalibrates.
-    let stdout = stdout_of(
-        "distributed --sf 0.004 --sessions 6 --restart-at 4 --partitioning workload \
-         --migration-budget 512",
-    );
-    assert!(stdout.contains("restart before query 4"), "{stdout}");
-    assert!(stdout.contains("warm start (saved profile reloaded"), "{stdout}");
-    assert!(stdout.contains("cold start (recalibrated on tpch"), "{stdout}");
-    assert!(stdout.contains("session (post-restart)"), "{stdout}");
-}
-
-#[test]
-fn faults_smoke_emits_fault_report_json() {
+fn faults_smoke_prints_exact_byte_columns() {
     // The fault sweep end to end at tiny scale: both workloads, every
-    // checkpoint interval, result bags asserted identical to fault-free
-    // inside the binary, and a vcsql-fault-report/v1 document that passed
-    // its own invariant check.
-    let (stdout, json) =
-        stdout_and_report_of("faults --sf 0.004 --kill 1@2 --checkpoint-every 2 --seed 7");
+    // checkpoint interval, result bags asserted identical to fault-free and
+    // the sweep's invariants checked inside the binary (a violation exits 1).
+    let stdout = stdout_of("faults --sf 0.004 --kill 1@2 --checkpoint-every 2 --seed 7");
     assert!(stdout.contains("Fault-tolerant execution"), "{stdout}");
-    assert!(stdout.contains("### tpch"), "{stdout}");
-    assert!(stdout.contains("### tpcds"), "{stdout}");
     assert!(stdout.contains("crashes recovered"), "{stdout}");
-    assert!(json.contains("\"schema\": \"vcsql-fault-report/v1\""), "{json}");
-    assert!(json.contains("\"kill\": {\"machine\": 1, \"superstep\": 2}"), "{json}");
-    assert!(json.contains("\"checkpoint_every\": 2"), "{json}");
-    assert!(json.contains("\"workload\": \"tpch\""), "{json}");
-    assert!(json.contains("\"workload\": \"tpcds\""), "{json}");
-    for key in ["checkpoint_bytes", "crashes_recovered", "recovered_rounds", "recovery_bytes"] {
-        assert!(json.contains(&format!("\"{key}\"")), "missing `{key}`:\n{json}");
+    for workload in ["tpch", "tpcds"] {
+        let table = stdout
+            .split(&format!("### {workload} "))
+            .nth(1)
+            .unwrap_or_else(|| panic!("no {workload} table:\n{stdout}"));
+        // Data rows: `| ckpt every | checkpoints | ckpt bytes | … |`, one per
+        // interval, `off` (interval 0) first.
+        let rows: Vec<Vec<&str>> = table
+            .lines()
+            .skip_while(|l| !l.starts_with("|---"))
+            .skip(1)
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| l.trim_matches('|').split('|').map(str::trim).collect())
+            .collect();
+        let intervals: Vec<&str> = rows.iter().map(|r| r[0]).collect();
+        assert_eq!(intervals, ["off", "1", "2", "4", "8"], "{workload}:\n{table}");
+        for row in &rows {
+            // Every count, bytes included, is an exact integer.
+            for cell in &row[1..] {
+                assert!(cell.parse::<u64>().is_ok(), "{workload}: `{cell}` is not exact:\n{table}");
+            }
+        }
+        // Interval 1 checkpoints every superstep: the crash at superstep 2
+        // is recovered in place.
+        assert_ne!(rows[1][3], "0", "{workload}: no crash recovered at interval 1:\n{table}");
     }
-    // Interval 1 checkpoints every superstep: the crash at superstep 2 must
-    // actually recover somewhere in the sweep.
-    assert!(json.contains("\"interval\": 0"), "{json}");
-    assert!(json.contains("\"interval\": 1"), "{json}");
 }
 
 #[test]

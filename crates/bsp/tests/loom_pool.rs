@@ -12,6 +12,14 @@
 //! everything it asserts holds on every interleaving, not just the one the OS
 //! happened to produce. A hang anywhere (including `Drop`'s join) shows up as
 //! a reported deadlock instead of a wedged test.
+//!
+//! Every model here fails under a mutation of `pool.rs` that leaves every
+//! non-loom test green (CHANGES.md, PR 21's audit): a worker recording its
+//! panic after signalling the barrier, the caller's own panic escaping before
+//! the barrier, a worker counting itself `live` only after its first epoch.
+//! The epoch hand-off has no model of its own: every mutation of it tried
+//! also hung or failed the non-loom suites, and each model here drives it on
+//! every schedule.
 
 #![cfg(vcsql_loom)]
 
@@ -19,48 +27,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use vcsql_bsp::sync::atomic::{AtomicUsize, Ordering};
 use vcsql_bsp::WorkerPool;
-
-/// Epoch dispatch: with two participants, one `run` executes the job exactly
-/// once for worker 0 (the caller) and once for worker 1 (the pool thread),
-/// and does not return before both finished — on every schedule.
-#[test]
-fn epoch_handoff_runs_every_participant_exactly_once() {
-    let explored = loom::model(|| {
-        let pool = WorkerPool::new(2);
-        let hits: Vec<AtomicUsize> = (0..2).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(2, &|w| {
-            hits[w].fetch_add(1, Ordering::SeqCst);
-        });
-        // `run` returned: the completion barrier guarantees both slots ran.
-        assert_eq!(hits[0].load(Ordering::SeqCst), 1, "caller slot");
-        assert_eq!(hits[1].load(Ordering::SeqCst), 1, "worker slot");
-        // Dropping the pool joins the worker; a worker that misses the
-        // shutdown flag deadlocks the model here.
-    });
-    assert!(explored.complete, "exploration must be exhaustive");
-}
-
-/// Epoch sequencing: a second `run` on the same pool dispatches the *new*
-/// closure, never a stale one — the epoch counter prevents a worker that
-/// slept through epoch 1 from running its job after the caller moved on.
-#[test]
-fn sequential_epochs_dispatch_fresh_jobs() {
-    let explored = loom::model(|| {
-        let pool = WorkerPool::new(2);
-        let first = AtomicUsize::new(0);
-        pool.run(2, &|_| {
-            first.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(first.load(Ordering::SeqCst), 2);
-        let second = AtomicUsize::new(0);
-        pool.run(2, &|_| {
-            second.fetch_add(10, Ordering::SeqCst);
-        });
-        assert_eq!(first.load(Ordering::SeqCst), 2, "epoch 1 job must not rerun");
-        assert_eq!(second.load(Ordering::SeqCst), 20);
-    });
-    assert!(explored.complete, "exploration must be exhaustive");
-}
 
 /// Completion barrier under a worker panic: the panic is caught on the
 /// worker, `run` still waits for the epoch to drain, re-raises on the
@@ -111,36 +77,6 @@ fn caller_panic_waits_for_workers_before_unwinding() {
             1,
             "worker must finish before the caller's panic escapes `run`"
         );
-    });
-    assert!(explored.complete, "exploration must be exhaustive");
-}
-
-/// `run_lock` sharing: two caller threads drive the same pool concurrently;
-/// epochs serialize instead of corrupting each other's dispatch state, and
-/// both callers' jobs run to completion.
-#[test]
-fn concurrent_callers_serialize_through_run_lock() {
-    // Four model threads (main + two callers + one worker): the largest
-    // model here, ~10k schedules at preemption bound 2. The explicit budget
-    // keeps a regression in the state-space size from hanging CI.
-    let explored = loom::Builder::new().preemptions(2).max_iterations(60_000).check(|| {
-        let pool = Arc::new(WorkerPool::new(2));
-        let total = Arc::new(AtomicUsize::new(0));
-        let callers: Vec<_> = (0..2)
-            .map(|_| {
-                let pool = Arc::clone(&pool);
-                let total = Arc::clone(&total);
-                loom::thread::spawn(move || {
-                    pool.run(2, &|_| {
-                        total.fetch_add(1, Ordering::SeqCst);
-                    });
-                })
-            })
-            .collect();
-        for c in callers {
-            c.join().expect("caller threads must not panic");
-        }
-        assert_eq!(total.load(Ordering::SeqCst), 4, "2 callers x 2 participants");
     });
     assert!(explored.complete, "exploration must be exhaustive");
 }

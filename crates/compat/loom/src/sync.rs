@@ -282,176 +282,6 @@ impl Condvar {
     }
 }
 
-/// Reader/writer bookkeeping of a model-mode [`RwLock`], protected by a
-/// shadow [`Mutex`] so every transition is a scheduling point.
-#[derive(Debug, Default)]
-struct RwState {
-    readers: usize,
-    writer: bool,
-}
-
-/// A readers-writer lock (shadow of [`std::sync::RwLock`]).
-///
-/// Model mode composes the existing shadow primitives instead of extending
-/// the scheduler: admission is a classic `Mutex<RwState>` + [`Condvar`]
-/// readers-writer protocol (every acquire/release is a yield point, waits
-/// park in model time, so preemption bounding and deadlock detection apply
-/// unchanged), and the data still lives in a real [`std::sync::RwLock`]
-/// acquired with `try_read`/`try_write` once the protocol has admitted the
-/// thread — the same no-`unsafe` construction as the shadow [`Mutex`].
-pub struct RwLock<T> {
-    inner: std::sync::RwLock<T>,
-    state: Mutex<RwState>,
-    cond: Condvar,
-    /// Chosen at creation, like every shadow primitive.
-    model: bool,
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RwLock").field("inner", &self.inner).finish()
-    }
-}
-
-/// RAII shared guard for [`RwLock`] (shadow of
-/// [`std::sync::RwLockReadGuard`]).
-pub struct RwLockReadGuard<'a, T> {
-    std: Option<std::sync::RwLockReadGuard<'a, T>>,
-    lock: &'a RwLock<T>,
-}
-
-/// RAII exclusive guard for [`RwLock`] (shadow of
-/// [`std::sync::RwLockWriteGuard`]).
-pub struct RwLockWriteGuard<'a, T> {
-    std: Option<std::sync::RwLockWriteGuard<'a, T>>,
-    lock: &'a RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Create a readers-writer lock; model-mode iff called from inside a
-    /// model execution.
-    pub fn new(value: T) -> RwLock<T> {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-            state: Mutex::new(RwState::default()),
-            cond: Condvar::new(),
-            model: current_ctx().is_some(),
-        }
-    }
-
-    /// Acquire shared access. Model mode parks (in model time) while a
-    /// writer holds the lock.
-    pub fn read(&self) -> LockResult<RwLockReadGuard<'_, T>> {
-        if !self.model {
-            return match self.inner.read() {
-                Ok(g) => Ok(RwLockReadGuard { std: Some(g), lock: self }),
-                Err(p) => {
-                    Err(PoisonError::new(RwLockReadGuard { std: Some(p.into_inner()), lock: self }))
-                }
-            };
-        }
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while st.writer {
-            st = self.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        st.readers += 1;
-        drop(st);
-        Ok(RwLockReadGuard { std: Some(self.try_read_std()), lock: self })
-    }
-
-    /// Acquire exclusive access. Model mode parks (in model time) while any
-    /// reader or writer holds the lock.
-    pub fn write(&self) -> LockResult<RwLockWriteGuard<'_, T>> {
-        if !self.model {
-            return match self.inner.write() {
-                Ok(g) => Ok(RwLockWriteGuard { std: Some(g), lock: self }),
-                Err(p) => Err(PoisonError::new(RwLockWriteGuard {
-                    std: Some(p.into_inner()),
-                    lock: self,
-                })),
-            };
-        }
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while st.writer || st.readers > 0 {
-            st = self.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        st.writer = true;
-        drop(st);
-        Ok(RwLockWriteGuard { std: Some(self.try_write_std()), lock: self })
-    }
-
-    /// Take the real read lock after the protocol admitted this reader: no
-    /// writer can hold the std lock (the protocol excludes one), so this
-    /// cannot contend. Poison is recovered like the shadow mutex does.
-    fn try_read_std(&self) -> std::sync::RwLockReadGuard<'_, T> {
-        match self.inner.try_read() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                unreachable!("protocol-admitted read contended at std level")
-            }
-        }
-    }
-
-    /// Take the real write lock after the protocol admitted this writer.
-    fn try_write_std(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-        match self.inner.try_write() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                unreachable!("protocol-admitted write contended at std level")
-            }
-        }
-    }
-}
-
-impl<T> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.std.as_ref().expect("guard holds the lock")
-    }
-}
-
-impl<T> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        drop(self.std.take());
-        if self.lock.model {
-            let mut st = self.lock.state.lock().unwrap_or_else(PoisonError::into_inner);
-            st.readers -= 1;
-            let last = st.readers == 0;
-            drop(st);
-            if last {
-                self.lock.cond.notify_all();
-            }
-        }
-    }
-}
-
-impl<T> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.std.as_ref().expect("guard holds the lock")
-    }
-}
-
-impl<T> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.std.as_mut().expect("guard holds the lock")
-    }
-}
-
-impl<T> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        drop(self.std.take());
-        if self.lock.model {
-            let mut st = self.lock.state.lock().unwrap_or_else(PoisonError::into_inner);
-            st.writer = false;
-            drop(st);
-            self.lock.cond.notify_all();
-        }
-    }
-}
-
 /// Shadow of [`std::sync::atomic`]: real atomics with a model yield point
 /// before every operation. Orderings are accepted for API compatibility and
 /// ignored — the model is sequentially consistent (the runtime only uses

@@ -273,7 +273,8 @@ fn analyze_scoped(
     for j in &stmt.joins {
         if j.kind != JoinKind::Inner {
             return Err(RelError::Other(format!(
-                "{} is supported via the dedicated outer-join executor, not the general planner",
+                "{}: the SQL planner does not support outer joins \
+                 (`vcsql_core::outer::outer_join` is a library operator, not a SQL path)",
                 j.kind
             )));
         }

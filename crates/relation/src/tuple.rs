@@ -125,12 +125,6 @@ impl Relation {
         &self.schema.name
     }
 
-    /// The values of one column, in tuple order.
-    pub fn column_values(&self, name: &str) -> Result<Vec<Value>> {
-        let i = self.schema.column_index(name)?;
-        Ok(self.tuples.iter().map(|t| t.get(i).clone()).collect())
-    }
-
     /// Sort tuples (total value order) — handy for order-insensitive
     /// comparisons in tests and for the sort-merge baseline.
     pub fn sorted(mut self) -> Relation {

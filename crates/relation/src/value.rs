@@ -193,22 +193,6 @@ impl Value {
         }
     }
 
-    /// Date view (Date only).
-    pub fn as_date(&self) -> Option<Date> {
-        match self {
-            Value::Date(d) => Some(*d),
-            _ => None,
-        }
-    }
-
-    /// Boolean view (Bool only).
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// SQL comparison with three-valued logic: `None` when either side is
     /// NULL (unknown), numeric coercion between Int and Float, and `None` for
     /// incomparable cross-type pairs.

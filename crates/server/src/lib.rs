@@ -18,18 +18,21 @@
 //! into one consensus workload, and only when *that* drifts past the
 //! threshold does the controller derive one target and migrate toward it
 //! under a global budget. [`Arbitration::Unilateral`] (per-tenant votes
-//! whose targets overwrite each other) and [`Arbitration::Static`] (no vote
-//! at all) are kept as baselines for `tests/arbitration.rs`. The vote
-//! source is all that separates a session from a one-tenant server.
+//! whose targets overwrite each other) is kept as the thrashing baseline
+//! `tests/arbitration.rs` measures it against; static serving is no policy
+//! of its own but a `drift_threshold` above 1, which no vote can cross. The
+//! vote source is all that separates a session from a one-tenant server.
 //!
 //! Concurrency model: tenants call [`TenantSession::run_sql`] from any
 //! thread. Executions share the server's persistent
 //! [`vcsql_bsp::WorkerPool`] (fan-outs are serialized by the
 //! pool's own run lock), the plan cache and the admission queue are one
 //! mutex each, every tenant's ledger (vote + counters) is one mutex, and
-//! the placement sits behind one `RwLock` (read to execute, write to
-//! adapt). Lock order: tenant registry → tenant → placement. This crate
-//! spawns no thread: callers grant their own admission tickets.
+//! the placement sits behind one mutex too: executing only clones its
+//! `Arc<Partitioning>` under it, and the arbitration step, which would
+//! block every reader under any lock, holds it to adapt. Lock order: tenant
+//! registry → tenant → placement. This crate spawns no thread: callers
+//! grant their own admission tickets.
 
 mod admission;
 mod cache;
@@ -38,7 +41,7 @@ pub use admission::{AdmissionController, AdmissionPermit, AdmissionStats};
 pub use cache::{SharedPlanCache, TenantCacheStats};
 
 use std::sync::{Arc, PoisonError};
-use vcsql_bsp::sync::{Mutex, MutexGuard, RwLock};
+use vcsql_bsp::sync::{Mutex, MutexGuard};
 use vcsql_bsp::{
     EngineConfig, FaultInjector, PartitionStrategy, Partitioning, TrafficProfile, WorkerPool,
     DEFAULT_BALANCE_SLACK,
@@ -72,8 +75,6 @@ pub enum Arbitration {
     /// tenant overwrites another tenant's in-flight target. Kept as the
     /// thrashing baseline.
     Unilateral,
-    /// Never adapt: the initial placement serves every tenant forever.
-    Static,
 }
 
 /// Configuration of a [`QueryServer`].
@@ -91,7 +92,9 @@ pub struct ServerConfig {
     /// Plan-cache capacity (must be at least 1).
     pub plan_cache_capacity: usize,
     /// Arbitration trigger: adapt when the vote's byte-weighted drift from
-    /// the placement's profile exceeds this.
+    /// the placement's profile exceeds this. Drift lives in `[0, 1]`, so any
+    /// threshold above `1.0` serves the initial placement forever (static
+    /// placement).
     pub drift_threshold: f64,
     /// Global migration budget: most vertices migrated per arbitration
     /// step, across all tenants (must be at least 1).
@@ -212,8 +215,8 @@ pub struct QueryServer {
     config: ServerConfig,
     cache: SharedPlanCache,
     /// The placement every tenant shares (`None` when `machines == 1`):
-    /// read to execute, written by the arbitration step.
-    placement: Option<RwLock<PlacementController>>,
+    /// read to execute, stepped by arbitration.
+    placement: Option<Mutex<PlacementController>>,
     tenants: Mutex<Vec<Arc<Mutex<TenantState>>>>,
     admission: AdmissionController,
     /// Persistent worker runtime shared by every tenant's executions
@@ -265,7 +268,7 @@ impl QueryServer {
         Ok(Arc::new(QueryServer {
             tag: Arc::clone(tag),
             cache: SharedPlanCache::new(config.plan_cache_capacity),
-            placement: placement.map(RwLock::new),
+            placement: placement.map(Mutex::new),
             tenants: Mutex::new(Vec::new()),
             admission: AdmissionController::new(
                 config.max_in_flight_per_tenant,
@@ -287,11 +290,6 @@ impl QueryServer {
 
     /// The TAG graph this server serves.
     pub fn tag(&self) -> &TagGraph {
-        &self.tag
-    }
-
-    /// The shared graph handle.
-    pub fn tag_handle(&self) -> &Arc<TagGraph> {
         &self.tag
     }
 
@@ -358,8 +356,7 @@ impl QueryServer {
     }
 
     fn read_placement<T>(&self, read: impl FnOnce(&PlacementController) -> T) -> Option<T> {
-        let placement = self.placement.as_ref()?;
-        Some(read(&placement.read().unwrap_or_else(PoisonError::into_inner)))
+        Some(read(&lock(self.placement.as_ref()?)))
     }
 
     /// Merge every tenant's decayed profile into one byte-weighted vote:
@@ -392,7 +389,6 @@ impl QueryServer {
             // overwrites another tenant's in-flight target with its own —
             // the thrash the merged policy exists to prevent.
             Arbitration::Unilateral => Some(lock(proposer).profile.clone()),
-            Arbitration::Static => None,
         }
     }
 }
@@ -491,10 +487,10 @@ impl TenantSession {
         tenant.profile.absorb(&TrafficProfile::from_run(&out.stats, self.server.tag.graph()));
         drop(tenant);
         if let Some(placement) = &self.server.placement {
-            // The vote is formed before the placement write lock: it takes
-            // the tenant locks, and lock order is tenants → placement.
+            // The vote is formed before the placement lock: it takes the
+            // tenant locks, and lock order is tenants → placement.
             let vote = self.server.vote(&self.tenant);
-            placement.write().unwrap_or_else(PoisonError::into_inner).step(
+            lock(placement).step(
                 vote.as_ref(),
                 cfg.arbitration == Arbitration::Unilateral,
                 self.id,
@@ -638,12 +634,10 @@ mod tests {
     #[test]
     fn unilateral_tenants_thrash_where_merged_tenants_settle() {
         let (tag, config) = setup(4);
-        let run_mixed = |arbitration: Arbitration| -> u64 {
-            let server = QueryServer::start(
-                &tag,
-                ServerConfig { arbitration, migration_budget: 100_000, ..config.clone() },
-            )
-            .unwrap();
+        let run_mixed = |config: ServerConfig| -> u64 {
+            let server =
+                QueryServer::start(&tag, ServerConfig { migration_budget: 100_000, ..config })
+                    .unwrap();
             let a = server.open_session();
             let b = server.open_session();
             // Two tenants with *conflicting* placement preferences: the
@@ -656,9 +650,11 @@ mod tests {
             }
             server.stats().migration_bytes
         };
-        let merged = run_mixed(Arbitration::Merged);
-        let unilateral = run_mixed(Arbitration::Unilateral);
-        let static_bytes = run_mixed(Arbitration::Static);
+        let merged = run_mixed(config.clone());
+        let unilateral =
+            run_mixed(ServerConfig { arbitration: Arbitration::Unilateral, ..config.clone() });
+        // Drift lies in `[0, 1]`: a threshold of 2 never adapts.
+        let static_bytes = run_mixed(ServerConfig { drift_threshold: 2.0, ..config });
         assert_eq!(static_bytes, 0, "static placement never migrates");
         assert!(
             merged < unilateral,

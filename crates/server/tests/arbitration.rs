@@ -74,14 +74,20 @@ fn server_config(arbitration: Arbitration) -> ServerConfig {
     }
 }
 
+/// Static refined placement: drift lies in `[0, 1]`, so a threshold of 2
+/// never adapts.
+fn static_config() -> ServerConfig {
+    ServerConfig { drift_threshold: 2.0, ..server_config(Arbitration::Merged) }
+}
+
 /// Serve every tenant's mix for [`ROUNDS`] rounds; return
 /// (total bytes shipped — `network_bytes` already includes the itemized
 /// migration bytes — and per-tenant *query* bytes with the one-time
 /// migration charge separated back out, since fairness is about steady
 /// execution efficiency, not about which tenant's query happened to
 /// trigger the walk).
-fn serve(tag: &Arc<TagGraph>, arbitration: Arbitration) -> (u64, Vec<u64>) {
-    let server = QueryServer::start(tag, server_config(arbitration)).unwrap();
+fn serve(tag: &Arc<TagGraph>, config: ServerConfig) -> (u64, Vec<u64>) {
+    let server = QueryServer::start(tag, config).unwrap();
     let sessions: Vec<TenantSession> = (0..TENANTS).map(|_| server.open_session()).collect();
     for _ in 0..ROUNDS {
         for session in &sessions {
@@ -103,7 +109,7 @@ fn serve(tag: &Arc<TagGraph>, arbitration: Arbitration) -> (u64, Vec<u64>) {
 /// A tenant's solo-refined baseline: the same mix, same rounds, alone on a
 /// static refined placement.
 fn solo_refined_bytes(tag: &Arc<TagGraph>, mix: &[&str]) -> u64 {
-    let server = QueryServer::start(tag, server_config(Arbitration::Static)).unwrap();
+    let server = QueryServer::start(tag, static_config()).unwrap();
     let session = server.open_session();
     for _ in 0..ROUNDS {
         for sql in mix {
@@ -117,9 +123,9 @@ fn solo_refined_bytes(tag: &Arc<TagGraph>, mix: &[&str]) -> u64 {
 fn arbitrated_placement_beats_both_baselines_and_stays_fair() {
     let tag = mixed_tag();
 
-    let (merged_total, merged_per_tenant) = serve(&tag, Arbitration::Merged);
-    let (unilateral_total, _) = serve(&tag, Arbitration::Unilateral);
-    let (static_total, _) = serve(&tag, Arbitration::Static);
+    let (merged_total, merged_per_tenant) = serve(&tag, server_config(Arbitration::Merged));
+    let (unilateral_total, _) = serve(&tag, server_config(Arbitration::Unilateral));
+    let (static_total, _) = serve(&tag, static_config());
 
     assert!(
         merged_total < unilateral_total,

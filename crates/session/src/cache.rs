@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vcsql_core::QueryPlan;
-use vcsql_relation::{FxHashMap, RelError};
+use vcsql_relation::FxHashMap;
 
 /// A cached plan plus the generation stamp of its latest use.
 #[derive(Debug)]
@@ -61,40 +61,10 @@ impl PlanCache {
         }
     }
 
-    /// Look up `sql`, building and inserting the plan on a miss. A hit
-    /// refreshes the entry's recency; an insert beyond capacity evicts the
-    /// least recently used plan. Planning errors are returned as-is and
-    /// cache nothing.
-    pub fn get_or_try_insert(
-        &mut self,
-        sql: &str,
-        build: impl FnOnce() -> Result<QueryPlan, RelError>,
-    ) -> Result<Arc<QueryPlan>, RelError> {
-        self.clock += 1;
-        let gen = self.clock;
-        if let Some(entry) = self.plans.get_mut(sql) {
-            self.hits += 1;
-            entry.gen = gen;
-            let plan = Arc::clone(&entry.plan);
-            self.order.push_back((gen, sql.to_string()));
-            self.compact();
-            return Ok(plan);
-        }
-        let plan = Arc::new(build()?);
-        self.misses += 1;
-        if self.plans.len() == self.capacity {
-            self.evict_lru();
-        }
-        self.plans.insert(sql.to_string(), Entry { plan: Arc::clone(&plan), gen });
-        self.order.push_back((gen, sql.to_string()));
-        Ok(plan)
-    }
-
-    /// Look up `sql` alone: a hit refreshes recency and returns the plan, a
-    /// miss counts and returns `None`. Together with [`PlanCache::insert`]
-    /// this splits [`PlanCache::get_or_try_insert`] so a caller holding a
-    /// shared lock (the `vcsql-server` sharded cache) can plan *outside*
-    /// the critical section and insert the finished plan afterwards.
+    /// Look up `sql`: a hit refreshes recency and returns the plan, a miss
+    /// counts and returns `None`. The caller plans on a miss and hands the
+    /// plan to [`PlanCache::insert`] — outside the critical section, when
+    /// the cache sits behind the `vcsql-server` lock.
     pub fn get(&mut self, sql: &str) -> Option<Arc<QueryPlan>> {
         self.clock += 1;
         let gen = self.clock;
@@ -202,9 +172,12 @@ mod tests {
         )]
     }
 
+    /// `Session::prepare`'s lookup path: `get`, and on a miss plan and
+    /// `insert`.
     fn plan_for(cache: &mut PlanCache, sql: &str) -> Arc<QueryPlan> {
-        let s = schemas();
-        cache.get_or_try_insert(sql, || QueryPlan::prepare(sql, &s)).unwrap()
+        cache.get(sql).unwrap_or_else(|| {
+            cache.insert(sql, Arc::new(QueryPlan::prepare(sql, &schemas()).unwrap()))
+        })
     }
 
     #[test]
@@ -268,7 +241,7 @@ mod tests {
     }
 
     #[test]
-    fn split_get_insert_matches_the_combined_path() {
+    fn insert_counts_nothing_and_the_first_insert_wins() {
         let mut cache = PlanCache::new(2);
         let s = schemas();
         let q = "SELECT r.a FROM r";
@@ -292,16 +265,6 @@ mod tests {
         cache.insert(c, Arc::new(QueryPlan::prepare(c, &s).unwrap()));
         assert_eq!(cache.len(), 2);
         assert!(!cache.contains(q) || !cache.contains(b), "capacity bound holds");
-    }
-
-    #[test]
-    fn planning_errors_cache_nothing() {
-        let mut cache = PlanCache::new(2);
-        let s = schemas();
-        let bad = "SELECT nope FROM nowhere";
-        assert!(cache.get_or_try_insert(bad, || QueryPlan::prepare(bad, &s)).is_err());
-        assert!(cache.is_empty());
-        assert_eq!(cache.capacity(), 2);
     }
 
     #[test]

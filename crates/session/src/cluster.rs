@@ -25,7 +25,6 @@ type Result<T> = std::result::Result<T, RelError>;
 /// strategy and session knobs. Build once, open any number of sessions.
 #[derive(Debug, Clone)]
 pub struct Cluster {
-    machines: usize,
     bytes_per_sec: f64,
     config: SessionConfig,
 }
@@ -36,7 +35,6 @@ impl Cluster {
     /// adaptation on).
     pub fn new(machines: usize) -> Cluster {
         Cluster {
-            machines,
             bytes_per_sec: 1e9,
             config: SessionConfig { machines, ..SessionConfig::default() },
         }
@@ -60,41 +58,18 @@ impl Cluster {
         self
     }
 
-    /// Plan-cache capacity for sessions of this cluster.
-    pub fn plan_cache_capacity(mut self, capacity: usize) -> Cluster {
-        self.config.plan_cache_capacity = capacity;
-        self
-    }
-
-    /// Online-repartitioning drift threshold (see
-    /// [`SessionConfig::drift_threshold`]).
-    pub fn drift_threshold(mut self, threshold: f64) -> Cluster {
-        self.config.drift_threshold = threshold;
-        self
-    }
-
     /// Per-step migration budget (see [`SessionConfig::migration_budget`]).
     pub fn migration_budget(mut self, budget: usize) -> Cluster {
         self.config.migration_budget = budget;
         self
     }
 
-    /// Balance slack for placement and migration.
-    pub fn balance_slack(mut self, slack: f64) -> Cluster {
-        self.config.balance_slack = slack;
-        self
-    }
-
     /// Disable online repartitioning: sessions keep their initial placement
     /// for their whole lifetime (drift is in `[0, 1]`, so a threshold of 2
     /// can never trip). What the one-shot `vcsql-dist` entry points do.
-    pub fn static_placement(self) -> Cluster {
-        self.drift_threshold(2.0)
-    }
-
-    /// Machine count.
-    pub fn machines(&self) -> usize {
-        self.machines
+    pub fn static_placement(mut self) -> Cluster {
+        self.config.drift_threshold = 2.0;
+        self
     }
 
     /// The session configuration sessions of this cluster are opened with.
@@ -111,7 +86,7 @@ impl Cluster {
     /// label traffic under the untuned hash baseline (every edge label of
     /// the TAG covered, explicit zeros for untraversed columns).
     pub fn calibrate(&self, tag: &TagGraph, workload: &[Analyzed]) -> Result<TrafficProfile> {
-        vcsql_dist::tag_calibrate(tag, workload, self.machines, self.config.engine)
+        vcsql_dist::tag_calibrate(tag, workload, self.config.machines, self.config.engine)
     }
 
     /// Calibrate on `calibrate_on`, then open a session whose initial
@@ -152,16 +127,12 @@ mod tests {
             .bandwidth(5e8)
             .strategy(PartitionStrategy::CoLocate)
             .engine(EngineConfig::sequential())
-            .plan_cache_capacity(3)
-            .drift_threshold(0.5)
-            .migration_budget(99)
-            .balance_slack(0.3);
-        assert_eq!(c.machines(), 6);
-        assert_eq!(c.config().plan_cache_capacity, 3);
+            .migration_budget(99);
+        assert_eq!(c.config().machines, 6);
         assert_eq!(c.config().migration_budget, 99);
         assert_eq!(c.config().strategy, PartitionStrategy::CoLocate);
-        assert!((c.config().drift_threshold - 0.5).abs() < 1e-12);
-        assert!((c.config().balance_slack - 0.3).abs() < 1e-12);
+        assert_eq!(c.config().engine.threads, 1);
+        assert!(c.clone().static_placement().config().drift_threshold > 1.0, "never adapts");
         let net = NetStats { network_bytes: 5u64 * 100_000_000, ..Default::default() };
         assert!((c.modelled_runtime(1.0, &net).unwrap() - 2.0).abs() < 1e-9);
         assert!(c.bandwidth(0.0).modelled_runtime(1.0, &net).is_err());

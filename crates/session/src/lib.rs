@@ -160,11 +160,6 @@ impl PreparedQuery {
         self.hint_partitioning = RefCell::new(None);
         self
     }
-
-    /// The placement hint, if any.
-    pub fn placement_hint(&self) -> Option<&TrafficProfile> {
-        self.hint.as_ref()
-    }
 }
 
 /// A long-lived query session over one TAG graph: prepared statements, a
@@ -239,10 +234,17 @@ impl Session {
     }
 
     /// Prepare a statement: parse → analyze → GYO → TAG plan, served from
-    /// the plan cache when this SQL was prepared before.
+    /// the plan cache when this SQL was prepared before. The lookup path is
+    /// the server's (`get`, plan on a miss, `insert`), so a failed prepare
+    /// counts one miss and caches nothing on either host.
     pub fn prepare(&mut self, sql: &str) -> Result<PreparedQuery> {
-        let schemas = self.tag.schemas();
-        let plan = self.cache.get_or_try_insert(sql, || QueryPlan::prepare(sql, schemas))?;
+        let plan = match self.cache.get(sql) {
+            Some(plan) => plan,
+            None => {
+                let plan = Arc::new(QueryPlan::prepare(sql, self.tag.schemas())?);
+                self.cache.insert(sql, plan)
+            }
+        };
         Ok(PreparedQuery {
             sql: sql.to_string(),
             plan,
@@ -344,12 +346,6 @@ impl Session {
 
     /// The TAG graph this session serves.
     pub fn tag(&self) -> &TagGraph {
-        &self.tag
-    }
-
-    /// The shared graph handle (clone to open further sessions over the
-    /// same TAG).
-    pub fn tag_handle(&self) -> &Arc<TagGraph> {
         &self.tag
     }
 
@@ -706,6 +702,19 @@ mod tests {
         let (out2, _) = s.execute(&again).unwrap();
         assert!(out2.relation.same_bag_approx(&oneshot.relation, 1e-9));
         assert_eq!(s.stats().queries, 2);
+    }
+
+    /// A prepare that fails to plan is one lookup that missed: it counts
+    /// exactly one miss, caches nothing and serves no query — the same
+    /// accounting as the server's `SharedPlanCache::get_or_prepare`.
+    #[test]
+    fn failed_prepare_counts_one_miss_and_caches_nothing() {
+        let (tag, config) = session(1);
+        let mut s = Session::open(&tag, config).unwrap();
+        assert!(s.prepare("SELECT nope FROM nowhere").is_err());
+        assert_eq!((s.plan_cache().hits(), s.plan_cache().misses()), (0, 1));
+        assert!(s.plan_cache().is_empty());
+        assert_eq!(s.stats().queries, 0);
     }
 
     #[test]

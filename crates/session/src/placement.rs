@@ -15,9 +15,8 @@
 //! Callers differ only in the vote they feed it. A [`crate::Session`] owns
 //! a controller and votes with its accumulated profile; `vcsql-server`
 //! keeps one behind a lock and votes with the merged tenant consensus (or
-//! one tenant's profile, or nothing at all — see `Arbitration`). A
-//! controller exists only for `machines > 1`: a single machine has no
-//! placement to control.
+//! one tenant's profile — see `Arbitration`). A controller exists only for
+//! `machines > 1`: a single machine has no placement to control.
 
 use std::sync::Arc;
 use vcsql_bsp::{
@@ -108,9 +107,9 @@ impl PlacementController {
     }
 
     /// One controller step, run after an execution. `vote` is the traffic
-    /// the caller wants the placement to serve — `None` abstains (a static
-    /// policy, or a consensus without quorum): no target is derived, though
-    /// a walk already in flight continues. A drifted vote derives a target
+    /// the caller wants the placement to serve — `None` abstains (a
+    /// consensus without quorum): no target is derived, though a walk
+    /// already in flight continues. A drifted vote derives a target
     /// when none is pending, or — only if `may_retarget` — overwrites one a
     /// *different* `proposer` is still walking toward (the thrashing
     /// unilateral baseline). Then the placement moves one budgeted,

@@ -8,8 +8,8 @@
 //!
 //! Everything runs through the session API: one [`Cluster`] describes the
 //! simulated machines, each strategy gets a [`Session`] (static placement
-//! here, so strategies stay comparable; see the `repro distributed
-//! --sessions` drift replay for the online-repartitioning loop), and every
+//! here, so strategies stay comparable; see `benchmark/`'s `cluster_drift`
+//! workload for the online-repartitioning loop), and every
 //! query is prepared once and served from the session's plan cache.
 //!
 //! Run with: `cargo run --release --example distributed_cluster`

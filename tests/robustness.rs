@@ -2,6 +2,7 @@
 //! execution consistency, empty relations, SQL display round-trips, thread
 //! count invariance, and failure reporting.
 
+use std::sync::Arc;
 use vcsql::baseline::{execute as baseline, ExecConfig, JoinAlgo};
 use vcsql::bsp::{EngineConfig, Partitioning};
 use vcsql::core::TagJoinExecutor;
@@ -10,6 +11,7 @@ use vcsql::relation::schema::{Column, Schema};
 use vcsql::relation::{DataType, Database, Relation, Tuple, Value};
 use vcsql::tag::{MaterializePolicy, TagGraph};
 use vcsql::workload::{tpcds, tpch};
+use vcsql::{Session, SessionConfig};
 
 /// Hash-partitioned execution must return the same bags as single-machine
 /// execution — partitioning only affects accounting, never results.
@@ -120,6 +122,38 @@ fn error_paths_are_clean() {
     assert!(exec.run_sql("SELECT SUM(*) FROM customer c").is_err());
     // Baseline mirrors the same failures at analysis time.
     assert!(parse("SELECT c.c_name FROM customer c WHERE").is_err());
+}
+
+/// No SQL entry point reaches the outer-join operator: every outer join
+/// kind is a clean planner error — from the one-shot executor and from a
+/// session alike — that names the library operator instead of promising an
+/// executor, and a refused statement is not served.
+#[test]
+fn outer_joins_are_a_clean_planner_error_on_every_sql_path() {
+    let tag = Arc::new(TagGraph::build(&tpch::generate(0.01, 3)));
+    let exec = TagJoinExecutor::new(&tag, EngineConfig::sequential());
+    let mut session = Session::open(
+        &tag,
+        SessionConfig { engine: EngineConfig::sequential(), ..SessionConfig::default() },
+    )
+    .unwrap();
+    for kind in ["LEFT", "RIGHT", "FULL"] {
+        let sql = format!(
+            "SELECT n.n_name, r.r_name FROM nation n {kind} JOIN region r \
+             ON n.n_regionkey = r.r_regionkey"
+        );
+        let errors = [
+            exec.run_sql(&sql).map(|_| ()).expect_err("executor must refuse"),
+            session.run_sql(&sql).map(|_| ()).expect_err("session must refuse"),
+        ];
+        for err in errors {
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("{kind} JOIN")), "{msg}");
+            assert!(msg.contains("the SQL planner does not support outer joins"), "{msg}");
+            assert!(msg.contains("library operator"), "{msg}");
+        }
+    }
+    assert_eq!(session.stats().queries, 0, "a refused statement was counted as served");
 }
 
 /// A join through a column the materialization policy refused — wholly

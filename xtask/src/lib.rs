@@ -45,7 +45,6 @@ const SPAWN_ALLOW_FILES: &[&str] = &[
     "crates/bsp/src/pool.rs",
     "crates/bsp/src/sync.rs",
     "crates/bsp/tests/loom_pool.rs",
-    "crates/server/tests/loom_cache.rs",
     "crates/server/tests/loom_admission.rs",
 ];
 
@@ -572,7 +571,6 @@ mod tests {
             assert_eq!(rules(path, src), vec!["no-thread-spawn"], "{path}");
         }
         // Only the model-check suites' scheduler-controlled loom threads.
-        assert!(rules("crates/server/tests/loom_cache.rs", src).is_empty());
         assert!(rules("crates/server/tests/loom_admission.rs", src).is_empty());
     }
 
