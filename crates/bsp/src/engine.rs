@@ -478,11 +478,6 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
         self.active.is_empty()
     }
 
-    /// Read a vertex's state.
-    pub fn state(&self, v: VertexId) -> &V {
-        &self.states[v as usize]
-    }
-
     /// All vertex states, indexed by vertex id.
     pub fn states(&self) -> &[V] {
         &self.states
@@ -872,7 +867,7 @@ mod tests {
         comp.superstep_simple(|ctx| {
             *ctx.state = ctx.messages()[0];
         });
-        assert_eq!(*comp.state(1), 42);
+        assert_eq!(comp.states()[1], 42);
         assert_eq!(comp.stats().total_messages(), 0);
     }
 
@@ -973,9 +968,9 @@ mod tests {
         comp.superstep_simple(|ctx| {
             *ctx.state = ctx.messages().iter().sum();
         });
-        assert_eq!(*comp.state(5), 4 + 6 + 7 + 8, "neighbour ids plus both injections");
-        assert_eq!(*comp.state(0), 1 + 100);
-        assert_eq!(*comp.state(63), 62 + 1);
+        assert_eq!(comp.states()[5], 4 + 6 + 7 + 8, "neighbour ids plus both injections");
+        assert_eq!(comp.states()[0], 1 + 100);
+        assert_eq!(comp.states()[63], 62 + 1);
         assert_eq!(comp.worker_pool().unwrap().live_workers(), 3, "workers survive injection");
     }
 
@@ -1031,7 +1026,7 @@ mod tests {
         comp.superstep_simple(|ctx| {
             *ctx.state = ctx.messages().iter().sum();
         });
-        assert_eq!(*comp.state(1), 1);
+        assert_eq!(comp.states()[1], 1);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! [`GraphBuilder::add_undirected_edge`].
 
 use crate::interner::{Interner, LabelId};
+use std::ops::Range;
 
 /// Vertex identifier — dense, starting at zero.
 pub type VertexId = u32;
@@ -162,13 +163,18 @@ impl Graph {
         &self.edges[lo..hi]
     }
 
-    /// Out-edges of `v` carrying `label` (a contiguous subslice thanks to the
-    /// per-vertex label sort).
-    pub fn out_edges_with_label(&self, v: VertexId, label: LabelId) -> &[Edge] {
+    /// Positions within `out_edges(v)` of the edges carrying `label` — a
+    /// contiguous run thanks to the per-vertex `(label, target)` sort, empty
+    /// at the label's insertion point when `v` has none. Per-edge vertex
+    /// state (one bit per own edge) is indexed by these positions.
+    pub fn label_range(&self, v: VertexId, label: LabelId) -> Range<usize> {
         let all = self.out_edges(v);
-        let start = all.partition_point(|e| e.label < label);
-        let end = all[start..].partition_point(|e| e.label == label) + start;
-        &all[start..end]
+        all.partition_point(|e| e.label < label)..all.partition_point(|e| e.label <= label)
+    }
+
+    /// Out-edges of `v` carrying `label`: the [`Graph::label_range`] slice.
+    pub fn out_edges_with_label(&self, v: VertexId, label: LabelId) -> &[Edge] {
+        &self.out_edges(v)[self.label_range(v, label)]
     }
 
     /// Out-degree.

@@ -4,22 +4,26 @@
 //! superstep per traversal step, in three passes over the `GenSteps` list:
 //!
 //! 1. **Reduction, bottom-up** — active vertices send their id along edges
-//!    with the current step's label; receivers mark the sender edges. Tuple
-//!    vertices check their pushed-down filters before forwarding (Section 7
-//!    selection pushdown). By Lemma 5.1 this computes the projection/semijoin
-//!    sequence of a Yannakakis-style reducer.
+//!    with the current step's label; a receiver marks its own edge back to
+//!    each sender — one bit per CSR out-edge in its [`St`], the slot found by
+//!    binary search in its `(label, target)`-sorted run. Tuple vertices
+//!    check their pushed-down filters before forwarding (Section 7 selection
+//!    pushdown). By Lemma 5.1 this computes the projection/semijoin sequence
+//!    of a Yannakakis-style reducer.
 //! 2. **Reduction, top-down** — the reversed list; sends go only along edges
-//!    marked by the bottom-up pass, and receivers *replace* their marks, so
-//!    surviving marks are exactly the edges on join-result paths.
+//!    whose bit the bottom-up pass set, and receivers *replace* the bits of
+//!    that label's run, so surviving marks are exactly the edges of tuples
+//!    in the full join.
 //! 3. **Collection, bottom-up** — values (intermediate tables) flow along
 //!    marked edges; attribute vertices union incoming tables, tuple vertices
 //!    natural-join them with their own (projected) tuple.
 //!
 //! A final superstep at the plan root assembles output rows, applies residual
 //! predicates, and performs aggregation: local aggregation routes partial
-//! aggregates to group-key attribute vertices (one extra superstep), global
-//! and scalar aggregation fold into the engine's global aggregator — the
-//! paper's aggregation vertex.
+//! aggregates to group-key attribute vertices (one extra superstep, whose
+//! merged groups leave through the aggregator), global and scalar
+//! aggregation fold into the engine's global aggregator — the paper's
+//! aggregation vertex.
 //!
 //! Cartesian products across join-graph components follow Section 6.3's
 //! Algorithm B: secondary components are evaluated first, gathered, and
@@ -52,13 +56,11 @@ type Result<T> = std::result::Result<T, RelError>;
 /// fault-tolerance checkpoints can snapshot it.
 #[derive(Default, Clone)]
 pub struct St {
-    /// Marked edges per label: the witnesses recorded during reduction
-    /// (Algorithm 2 line 9/19).
-    marked: FxHashMap<LabelId, FxHashSet<VertexId>>,
+    /// Reduction marks (Algorithm 2 lines 9/19): bit `i` is set iff the
+    /// vertex's `i`-th CSR out-edge is marked. Empty until the first signal.
+    marks: Box<[u64]>,
     /// Cached filter verdict for tuple vertices.
     pass: Option<bool>,
-    /// Local-aggregation state at group-key attribute vertices.
-    la: Option<FxHashMap<Box<[Value]>, Partial>>,
 }
 
 /// Execution result: the output relation plus the run's communication and
@@ -356,22 +358,7 @@ impl<'t> TagJoinExecutor<'t> {
             // (c) send own id along edges with the current label; top-down
             // sends follow bottom-up marks (line 17).
             let vid = ctx.id();
-            let targets: Vec<VertexId> = {
-                let edges = ctx.edges_with(cur);
-                if down {
-                    let marked = ctx.state.marked.get(&cur);
-                    edges
-                        .iter()
-                        .filter(|e| marked.is_some_and(|m| m.contains(&e.target)))
-                        .map(|e| e.target)
-                        .collect()
-                } else {
-                    edges.iter().map(|e| e.target).collect()
-                }
-            };
-            for t in targets {
-                ctx.send_along(cur, t, TagMsg::Signal(vid));
-            }
+            send_along_marks(ctx, cur, !down, || TagMsg::Signal(vid));
         });
     }
 
@@ -388,24 +375,9 @@ impl<'t> TagJoinExecutor<'t> {
             // Signals still in flight from the reduction's last step update
             // marks; tables are collected.
             record_marks(ctx, prev);
-            let value = match compute_value(ctx, q, tag) {
-                Some(v) => v,
-                None => return,
-            };
-            let marked = match ctx.state.marked.get(&cur) {
-                Some(m) if !m.is_empty() => m.clone(),
-                _ => return,
-            };
+            let Some(value) = compute_value(ctx, q, tag) else { return };
             let value = Arc::new(value);
-            let targets: Vec<VertexId> = ctx
-                .edges_with(cur)
-                .iter()
-                .filter(|e| marked.contains(&e.target))
-                .map(|e| e.target)
-                .collect();
-            for t in targets {
-                ctx.send_along(cur, t, TagMsg::Table(Arc::clone(&value)));
-            }
+            send_along_marks(ctx, cur, false, || TagMsg::Table(Arc::clone(&value)));
         });
     }
 
@@ -427,7 +399,6 @@ impl<'t> TagJoinExecutor<'t> {
         }
         let gathered =
             single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Tables| {
-                record_marks(ctx, None);
                 if !passes_filter(ctx, q, tag) {
                     return;
                 }
@@ -469,8 +440,7 @@ impl<'t> TagJoinExecutor<'t> {
             }
         }
 
-        let fin = single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
-            record_marks(ctx, None);
+        let mut fin = single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
             if !passes_filter(ctx, q, tag) {
                 return;
             }
@@ -546,32 +516,20 @@ impl<'t> TagJoinExecutor<'t> {
             AggClass::Local => {
                 // One more superstep: group-key attribute vertices merge the
                 // partials they received (each group computed in parallel at
-                // its own vertex — the paper's local-aggregation strength).
-                let la_attrs: Vec<VertexId> = comp.active().to_vec();
-                single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, _: &mut ()| {
-                    let mut received: Vec<(Box<[Value]>, Partial)> = Vec::new();
-                    for m in ctx.messages() {
-                        if let TagMsg::Partial(kp) = m {
-                            received.push((kp.0.clone(), kp.1.clone()));
+                // its own vertex — the paper's local-aggregation strength)
+                // and hand them to the host through the aggregator. Every
+                // partial of a key sits in one inbox, so its fold order is
+                // that inbox's order.
+                let la =
+                    single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
+                        for m in ctx.messages() {
+                            if let TagMsg::Partial(kp) = m {
+                                merge_group(&mut g.groups, kp.0.clone(), kp.1.clone());
+                            }
                         }
-                    }
-                    if received.is_empty() {
-                        return;
-                    }
-                    let la = ctx.state.la.get_or_insert_with(FxHashMap::default);
-                    for (k, p) in received {
-                        merge_group(la, k, p);
-                    }
-                })?;
-                let mut groups = fin.groups;
-                for v in la_attrs {
-                    if let Some(map) = &comp.state(v).la {
-                        for (k, p) in map {
-                            merge_group(&mut groups, k.clone(), p.clone());
-                        }
-                    }
-                }
-                self.groups_to_output(a, q, groups)
+                    })?;
+                fin.merge(la);
+                self.groups_to_output(a, q, fin.groups)
             }
             AggClass::Global | AggClass::Scalar => {
                 let mut groups = fin.groups;
@@ -646,9 +604,9 @@ impl<'t> TagJoinExecutor<'t> {
 // Vertex-side helpers (free functions so closures stay lean)
 // ---------------------------------------------------------------------------
 
-/// A one-superstep phase. Its result — the aggregate, or vertex state the
-/// host reads next — leaves the engine the moment it returns, so it is its
-/// own unit of recovery: a crash here is absorbed before the value exists.
+/// A one-superstep phase. Its aggregate leaves the engine the moment it
+/// returns, so it is its own unit of recovery: a crash here is absorbed
+/// before the value exists.
 fn single_step<G, F>(comp: &mut Computation<'_, St, TagMsg>, compute: F) -> Result<G>
 where
     G: Aggregator,
@@ -663,43 +621,60 @@ fn fault_to_rel(e: FaultError) -> RelError {
     RelError::Fault { transient: e.is_transient(), message: e.to_string() }
 }
 
-/// Checkpoint size of one vertex's [`St`] in bytes, mirroring the wire
-/// model of `TagMsg::byte_size` (8-byte words, 16 per value, 24 per
-/// accumulator): marks are 8 bytes per witness edge plus a word per label
-/// entry, cached filter verdicts a word, local-aggregation groups the same
-/// price as a shipped `TagMsg::Partial`.
+/// Checkpoint size of one vertex's [`St`] in bytes, in the 8-byte words of
+/// `TagMsg::byte_size`'s wire model: a header word, the mark bitmap's words
+/// and a word for a cached filter verdict.
 fn st_state_bytes(st: &St) -> u64 {
-    let mut bytes = 8; // fixed per-vertex header word
-    for marks in st.marked.values() {
-        bytes += 8 + 8 * marks.len() as u64;
-    }
-    if st.pass.is_some() {
-        bytes += 8;
-    }
-    if let Some(la) = &st.la {
-        for (key, p) in la {
-            bytes += p.wire_bytes(key) as u64;
-        }
-    }
-    bytes
+    8 * (1 + st.marks.len() as u64 + u64::from(st.pass.is_some()))
+}
+
+/// Whether out-edge slot `i` carries a reduction mark.
+fn marked(marks: &[u64], i: usize) -> bool {
+    marks.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
 }
 
 /// Record reduction marks from incoming signals: union during bottom-up,
-/// replace during top-down (Algorithm 2 lines 9 and 19).
+/// replace during top-down (Algorithm 2 lines 9 and 19). A signal marks the
+/// receiver's own edge back to its sender, found by binary search in the
+/// receiver's `label` run (CSR ranges are `(label, target)`-sorted).
 fn record_marks(ctx: &mut VertexCtx<'_, '_, St, TagMsg>, prev: Option<(LabelId, bool)>) {
     let Some((label, replace)) = prev else { return };
-    let mut senders: Option<FxHashSet<VertexId>> = None;
+    let edges = ctx.edges();
+    let run = ctx.graph().label_range(ctx.id(), label);
+    let mut clear = replace;
     for m in ctx.messages() {
-        if let TagMsg::Signal(from) = m {
-            senders.get_or_insert_with(FxHashSet::default).insert(*from);
+        let TagMsg::Signal(from) = m else { continue };
+        let marks = &mut ctx.state.marks;
+        if marks.is_empty() {
+            *marks = vec![0; edges.len().div_ceil(64)].into();
+        }
+        if std::mem::take(&mut clear) {
+            for i in run.clone() {
+                marks[i / 64] &= !(1 << (i % 64));
+            }
+        }
+        // TAG edges are undirected with one label (footnote 3), so every
+        // sender sits in the receiver's run.
+        let slot = edges[run.clone()].binary_search_by_key(from, |e| e.target);
+        debug_assert!(slot.is_ok(), "signal from {from} travelled no edge labelled {label:?}");
+        if let Ok(i) = slot.map(|i| run.start + i) {
+            marks[i / 64] |= 1 << (i % 64);
         }
     }
-    if let Some(s) = senders {
-        let entry = ctx.state.marked.entry(label).or_default();
-        if replace {
-            *entry = s;
-        } else {
-            entry.extend(s);
+}
+
+/// Send `msg()` along this vertex's `label` edges: every one when `all`,
+/// else only the marked ones.
+fn send_along_marks(
+    ctx: &mut VertexCtx<'_, '_, St, TagMsg>,
+    label: LabelId,
+    all: bool,
+    msg: impl Fn() -> TagMsg,
+) {
+    let edges = ctx.edges();
+    for i in ctx.graph().label_range(ctx.id(), label) {
+        if all || marked(&ctx.state.marks, i) {
+            ctx.send_along(label, edges[i].target, msg());
         }
     }
 }
