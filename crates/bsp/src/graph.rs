@@ -277,6 +277,14 @@ mod tests {
         let targets: Vec<VertexId> =
             g.out_edges_with_label(a0, ra).iter().map(|e| e.target).collect();
         assert_eq!(targets, vec![0, 1]);
+        // Positions within `out_edges(a0)`: R.A's run first, then S.B's.
+        assert_eq!(g.label_range(a0, ra), 0..2);
+        assert_eq!(g.label_range(a0, sb), 2..3);
+        for v in g.vertices() {
+            for l in [ra, sb] {
+                assert_eq!(g.out_edges_with_label(v, l), &g.out_edges(v)[g.label_range(v, l)]);
+            }
+        }
     }
 
     #[test]
@@ -316,7 +324,13 @@ mod tests {
     #[test]
     fn missing_label_gives_empty_slice() {
         let g = tiny();
+        let ra = g.edge_label_id("R.A").unwrap();
         let sb = g.edge_label_id("S.B").unwrap();
         assert!(g.out_edges_with_label(0, sb).is_empty());
+        // The empty range sits at the label's insertion point: after r0's
+        // one R.A edge, before s0's one S.B edge.
+        assert_eq!(g.label_range(0, sb), 1..1);
+        assert_eq!(g.label_range(3, ra), 0..0);
+        assert_eq!(&g.out_edges(0)[g.label_range(0, sb)], g.out_edges_with_label(0, sb));
     }
 }

@@ -104,10 +104,27 @@ pub(crate) struct TupleFilter {
 }
 
 impl TupleFilter {
-    pub(crate) fn passes(&self, row: &[Value]) -> bool {
-        self.exprs.iter().all(|e| e.passes(row).unwrap_or(false))
-            && self.checks.iter().all(|c| c.check(row).unwrap_or(false))
+    /// Whether the tuple passes every filter; the first failed evaluation
+    /// is the error, as in the relational baselines.
+    pub(crate) fn passes(&self, row: &[Value]) -> Result<bool> {
+        for e in &self.exprs {
+            if !e.passes(row)? {
+                return Ok(false);
+            }
+        }
+        all_hold(&self.checks, row)
     }
+}
+
+/// Whether every check holds on `row`, stopping at the first that does not
+/// and propagating the first failed evaluation.
+pub(crate) fn all_hold(checks: &[ResCheck], row: &[Value]) -> Result<bool> {
+    for c in checks {
+        if !c.check(row)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// Precomputed execution context.

@@ -34,7 +34,7 @@
 //! treatment); the dedicated worst-case-optimal cycle programs live in
 //! [`crate::cyclic`].
 
-use crate::bind::{LoweredCheck, ProjItem, QueryCtx};
+use crate::bind::{all_hold, LoweredCheck, ProjItem, QueryCtx};
 use crate::plan::QueryPlan;
 use crate::table::{Partial, Table, TagMsg};
 use std::ops::ControlFlow;
@@ -276,6 +276,8 @@ impl<'t> TagJoinExecutor<'t> {
 
     /// Run the three traversal passes for component `ci`, leaving the
     /// component's root tuple vertices active with pending value tables.
+    /// A reduction superstep whose filter evaluation failed ends the phase
+    /// with that error.
     ///
     /// The passes are flattened to a descriptor list — one descriptor, one
     /// superstep — and issued as one engine phase, so a recovered crash
@@ -288,57 +290,30 @@ impl<'t> TagJoinExecutor<'t> {
         ci: usize,
     ) -> Result<()> {
         comp.activate_label(q.start_label(ci));
-        let steps = &q.steps[ci];
-        if steps.is_empty() {
+        let descs = traversal(q, ci)?;
+        if descs.is_empty() {
             return Ok(()); // single table: roots are the activated tuples
         }
-
-        // Flatten the three passes: reduction bottom-up, reduction top-down
-        // (reversed list; sends follow marks and receivers replace marks),
-        // collection bottom-up. One descriptor = one superstep.
-        enum Pass {
-            Red { down: bool },
-            Col,
-        }
-        struct Desc {
-            pass: Pass,
-            cur: LabelId,
-            prev: Option<(LabelId, bool)>,
-        }
-        let mut descs: Vec<Desc> = Vec::with_capacity(3 * steps.len());
-        let mut prev: Option<(LabelId, bool)> = None;
-        for s in steps {
-            let cur = q.label(*s)?;
-            descs.push(Desc { pass: Pass::Red { down: false }, cur, prev });
-            prev = Some((cur, false));
-        }
-        for s in steps.iter().rev() {
-            let cur = q.label(*s)?;
-            descs.push(Desc { pass: Pass::Red { down: true }, cur, prev });
-            prev = Some((cur, true));
-        }
-        for s in steps {
-            let cur = q.label(*s)?;
-            descs.push(Desc { pass: Pass::Col, cur, prev });
-            prev = Some((cur, true));
-        }
-
         comp.run_phase(|comp, i| {
             let d = &descs[i];
-            match d.pass {
+            let mut err = match d.pass {
                 Pass::Red { down } => self.reduction_step(comp, q, d.cur, d.prev, down),
-                Pass::Col => self.collection_step(comp, q, d.cur, d.prev),
-            }
-            if i + 1 == descs.len() {
-                ControlFlow::Break(())
+                Pass::Col => {
+                    self.collection_step(comp, q, d.cur, d.prev);
+                    FirstError::default()
+                }
+            };
+            if err.0.is_some() || i + 1 == descs.len() {
+                ControlFlow::Break(err.check())
             } else {
                 ControlFlow::Continue(())
             }
         })
-        .map_err(fault_to_rel)
+        .map_err(fault_to_rel)?
     }
 
-    /// One reduction superstep (Algorithm 2 lines 7-25).
+    /// One reduction superstep (Algorithm 2 lines 7-25), returning the
+    /// first filter evaluation that failed.
     fn reduction_step(
         &self,
         comp: &mut Computation<'_, St, TagMsg>,
@@ -346,20 +321,21 @@ impl<'t> TagJoinExecutor<'t> {
         cur: LabelId,
         prev: Option<(LabelId, bool)>,
         down: bool,
-    ) {
+    ) -> FirstError {
         let tag = self.tag;
-        comp.superstep_simple(|ctx: &mut VertexCtx<'_, '_, St, TagMsg>| {
+        comp.superstep(|ctx: &mut VertexCtx<'_, '_, St, TagMsg>, err: &mut FirstError| {
             // (a) record marks from the previous step's messages.
             record_marks(ctx, prev);
             // (b) tuple-vertex filter guard (selection pushdown).
-            if !passes_filter(ctx, q, tag) {
+            if err.ok(passes_filter(ctx, q, tag)) != Some(true) {
                 return;
             }
             // (c) send own id along edges with the current label; top-down
             // sends follow bottom-up marks (line 17).
             let vid = ctx.id();
             send_along_marks(ctx, cur, !down, || TagMsg::Signal(vid));
-        });
+        })
+        .1
     }
 
     /// One collection superstep (Algorithm 2 lines 28-44).
@@ -391,22 +367,27 @@ impl<'t> TagJoinExecutor<'t> {
     ) -> Result<Vec<(VertexId, Table)>> {
         let tag = self.tag;
         #[derive(Default)]
-        struct Tables(Vec<(VertexId, Table)>);
+        struct Tables {
+            pieces: Vec<(VertexId, Table)>,
+            err: FirstError,
+        }
         impl Aggregator for Tables {
             fn merge(&mut self, mut other: Self) {
-                self.0.append(&mut other.0);
+                self.pieces.append(&mut other.pieces);
+                self.err.merge(other.err);
             }
         }
-        let gathered =
+        let mut gathered =
             single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Tables| {
-                if !passes_filter(ctx, q, tag) {
+                if g.err.ok(passes_filter(ctx, q, tag)) != Some(true) {
                     return;
                 }
                 if let Some(v) = compute_value(ctx, q, tag) {
-                    g.0.push((ctx.id(), v));
+                    g.pieces.push((ctx.id(), v));
                 }
             })?;
-        Ok(gathered.0)
+        gathered.err.check()?;
+        Ok(gathered.pieces)
     }
 
     // --------------------------------------------------------------- finish
@@ -430,6 +411,7 @@ impl<'t> TagJoinExecutor<'t> {
         struct Fin {
             rows: Vec<Box<[Value]>>,
             groups: FxHashMap<Box<[Value]>, Partial>,
+            err: FirstError,
         }
         impl Aggregator for Fin {
             fn merge(&mut self, mut other: Self) {
@@ -437,11 +419,12 @@ impl<'t> TagJoinExecutor<'t> {
                 for (k, p) in other.groups.drain() {
                     merge_group(&mut self.groups, k, p);
                 }
+                self.err.merge(other.err);
             }
         }
 
         let mut fin = single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
-            if !passes_filter(ctx, q, tag) {
+            if g.err.ok(passes_filter(ctx, q, tag)) != Some(true) {
                 return;
             }
             let mut value = match compute_value(ctx, q, tag) {
@@ -454,14 +437,14 @@ impl<'t> TagJoinExecutor<'t> {
             debug_assert_eq!(value.cols, q.final_layout, "unexpected final layout");
             // Residual predicates (cross-table filters, broken cycle
             // equalities, multi-table subquery checks).
-            value.retain(|row| q.residuals.iter().all(|r| r.check(row).unwrap_or(false)));
+            value.retain(|row| g.err.ok(all_hold(&q.residuals, row)) == Some(true));
             if value.is_empty() {
                 return;
             }
             match a.agg_class {
                 AggClass::NoAgg => {
                     value.for_each_row(|row| {
-                        if let Ok(out) = q.project_row(row) {
+                        if let Some(out) = g.err.ok(q.project_row(row)) {
                             g.rows.push(out);
                         }
                     });
@@ -473,7 +456,7 @@ impl<'t> TagJoinExecutor<'t> {
                         let key: Box<[Value]> =
                             q.group_pos.iter().map(|&p| row[p].clone()).collect();
                         let part = local.entry(key).or_insert_with(|| q.fresh_partial(row));
-                        let _ = q.update_partial(part, row);
+                        g.err.ok(q.update_partial(part, row));
                     });
                     if a.agg_class == AggClass::Local {
                         // Route each group's partial to the group-key
@@ -505,6 +488,7 @@ impl<'t> TagJoinExecutor<'t> {
                 }
             }
         })?;
+        fin.err.check()?;
 
         // ---- assemble output --------------------------------------------------
         match a.agg_class {
@@ -600,6 +584,45 @@ impl<'t> TagJoinExecutor<'t> {
     }
 }
 
+/// The pass a traversal superstep belongs to.
+enum Pass {
+    Red { down: bool },
+    Col,
+}
+
+/// One traversal superstep: its pass, the label it sends along, and the
+/// label (with replace flag) of the signals it receives.
+struct Desc {
+    pass: Pass,
+    cur: LabelId,
+    prev: Option<(LabelId, bool)>,
+}
+
+/// Component `ci`'s three passes flattened, one descriptor per superstep:
+/// reduction bottom-up, reduction top-down (reversed list; sends follow
+/// marks and receivers replace marks), collection bottom-up.
+fn traversal(q: &QueryCtx, ci: usize) -> Result<Vec<Desc>> {
+    let steps = &q.steps[ci];
+    let mut descs: Vec<Desc> = Vec::with_capacity(3 * steps.len());
+    let mut prev: Option<(LabelId, bool)> = None;
+    for s in steps {
+        let cur = q.label(*s)?;
+        descs.push(Desc { pass: Pass::Red { down: false }, cur, prev });
+        prev = Some((cur, false));
+    }
+    for s in steps.iter().rev() {
+        let cur = q.label(*s)?;
+        descs.push(Desc { pass: Pass::Red { down: true }, cur, prev });
+        prev = Some((cur, true));
+    }
+    for s in steps {
+        let cur = q.label(*s)?;
+        descs.push(Desc { pass: Pass::Col, cur, prev });
+        prev = Some((cur, true));
+    }
+    Ok(descs)
+}
+
 // ---------------------------------------------------------------------------
 // Vertex-side helpers (free functions so closures stay lean)
 // ---------------------------------------------------------------------------
@@ -619,6 +642,38 @@ where
 /// travels in the variant, so hosts (the server's retry loop) match on it.
 fn fault_to_rel(e: FaultError) -> RelError {
     RelError::Fault { transient: e.is_transient(), message: e.to_string() }
+}
+
+/// The first expression error a superstep met, in vertex-id order: workers
+/// hold contiguous chunks of the sorted active list and merge in worker
+/// order, so every thread count reports the same error.
+#[derive(Default)]
+struct FirstError(Option<RelError>);
+
+impl FirstError {
+    /// `r`'s value, or `None` with its error kept if it is the first.
+    fn ok<T>(&mut self, r: Result<T>) -> Option<T> {
+        match r {
+            Ok(v) => Some(v),
+            Err(e) => {
+                self.0.get_or_insert(e);
+                None
+            }
+        }
+    }
+
+    /// The kept error, if any.
+    fn check(&mut self) -> Result<()> {
+        self.0.take().map_or(Ok(()), Err)
+    }
+}
+
+impl Aggregator for FirstError {
+    fn merge(&mut self, other: Self) {
+        if self.0.is_none() {
+            self.0 = other.0;
+        }
+    }
 }
 
 /// Checkpoint size of one vertex's [`St`] in bytes, in the 8-byte words of
@@ -680,19 +735,23 @@ fn send_along_marks(
 }
 
 /// Tuple-vertex filter check with caching; attribute vertices always pass.
-fn passes_filter(ctx: &mut VertexCtx<'_, '_, St, TagMsg>, q: &QueryCtx, tag: &TagGraph) -> bool {
+fn passes_filter(
+    ctx: &mut VertexCtx<'_, '_, St, TagMsg>,
+    q: &QueryCtx,
+    tag: &TagGraph,
+) -> Result<bool> {
     if let Some(p) = ctx.state.pass {
-        return p;
+        return Ok(p);
     }
     let verdict = match q.table_of_label.get(&ctx.label()) {
         Some(&t) => match tag.tuple(ctx.id()) {
-            Some(tuple) => q.filters[t].passes(tuple),
+            Some(tuple) => q.filters[t].passes(tuple)?,
             None => true,
         },
         None => true, // attribute vertex (or unrelated relation)
     };
     ctx.state.pass = Some(verdict);
-    verdict
+    Ok(verdict)
 }
 
 /// Collection-phase value at a vertex: union of incoming tables, joined with
@@ -775,4 +834,121 @@ fn build_output(a: &Analyzed, rows: Vec<Vec<Value>>) -> Result<Relation> {
         rel.push(Tuple::new(r))?;
     }
     Ok(rel)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vcsql_bsp::GraphBuilder;
+    use vcsql_relation::Database;
+
+    /// `R(a) ⋈ S(a, b) ⋈ T(b)`: `R(5)`, `S(4, 40)` and `T(70)` dangle at
+    /// one end or the other, `S(2, 60)` finds no `T`, and `S(3, 30)` would
+    /// join `R(3)` and `T(30)` but for the pushed-down `s.b <> 30`.
+    fn chain() -> Database {
+        let int = |name: &str| Column::new(name, DataType::Int);
+        let rel = |name: &str, cols: Vec<Column>, rows: &[&[i64]]| {
+            let rows = rows.iter().map(|r| Tuple::new(r.iter().map(|&v| Value::Int(v)).collect()));
+            Relation::from_tuples(Schema::new(name, cols), rows.collect()).unwrap()
+        };
+        let mut db = Database::new();
+        db.add(rel("r", vec![int("a")], &[&[1], &[2], &[3], &[5]]));
+        db.add(rel(
+            "s",
+            vec![int("a"), int("b")],
+            &[&[1, 10], &[2, 20], &[3, 30], &[4, 40], &[2, 60]],
+        ));
+        db.add(rel("t", vec![int("b")], &[&[10], &[20], &[30], &[70]]));
+        db
+    }
+
+    /// Lemma 5.1 on the bitmap: after both reduction passes, every vertex
+    /// that sends along a `GenSteps` label in the collection pass has a bit
+    /// set on exactly the edges whose tuple endpoint occurs in the full,
+    /// unprojected join.
+    #[test]
+    fn reduction_marks_exactly_the_edges_of_full_join_tuples() {
+        let db = chain();
+        let tag = TagGraph::build(&db);
+        let g = tag.graph();
+        let sql = "SELECT r.a, t.b FROM r, s, t WHERE r.a = s.a AND s.b = t.b AND s.b <> 30";
+        let plan = QueryPlan::prepare(sql, tag.schemas()).unwrap();
+        let q = QueryCtx::build(&tag, &plan, &[]).unwrap();
+        let exec = TagJoinExecutor::new(&tag, EngineConfig::sequential());
+        let mut comp = Computation::new(g, exec.config, |_| St::default());
+
+        // The two reduction passes, then a superstep that only records the
+        // top-down pass's last signals (the collection pass's first step
+        // would record them too).
+        let ci = q.primary;
+        comp.activate_label(q.start_label(ci));
+        let descs = traversal(&q, ci).unwrap();
+        let mut in_flight = None;
+        for d in &descs {
+            let Pass::Red { down } = d.pass else {
+                in_flight = d.prev;
+                break;
+            };
+            assert!(exec.reduction_step(&mut comp, &q, d.cur, d.prev, down).0.is_none());
+        }
+        comp.superstep_simple(|ctx| record_marks(ctx, in_flight));
+
+        let tuples = |name: &str| g.vertices_with_label(tag.relation_label(name).unwrap());
+        let mut in_join = FxHashSet::default();
+        for &r in tuples("r") {
+            for &s in tuples("s") {
+                for &t in tuples("t") {
+                    let [r_, s_, t_] = [r, s, t].map(|v| tag.tuple(v).unwrap());
+                    if r_[0] == s_[0] && s_[1] == t_[0] && s_[1] != Value::Int(30) {
+                        in_join.extend([r, s, t]);
+                    }
+                }
+            }
+        }
+        assert_eq!(in_join.len(), 6, "R(1) S(1, 10) T(10) and R(2) S(2, 20) T(20)");
+
+        // Steps alternate tuple → attribute → tuple, starting from tuples.
+        let mut checked = 0;
+        for (j, step) in q.steps[ci].iter().enumerate() {
+            let label = q.label(*step).unwrap();
+            for v in g.vertices().filter(|&v| tag.is_tuple_vertex(v) == (j % 2 == 0)) {
+                let marks = &comp.states()[v as usize].marks;
+                for i in g.label_range(v, label) {
+                    let target = g.out_edges(v)[i].target;
+                    let tuple = if tag.is_tuple_vertex(v) { v } else { target };
+                    let want = in_join.contains(&tuple);
+                    assert_eq!(marked(marks, i), want, "step {j}: edge {v} -> {target}");
+                    checked += usize::from(want);
+                }
+            }
+        }
+        assert_eq!(checked, 2 * q.steps[ci].len(), "two join paths per step");
+    }
+
+    /// A checkpoint copies a header word, the bitmap's words and a word for
+    /// a cached verdict: 8 bytes fresh, 24 for a 70-edge vertex once marked
+    /// (two words), 32 with its verdict cached.
+    #[test]
+    fn st_state_bytes_prices_header_bitmap_words_and_verdict() {
+        let mut b = GraphBuilder::new();
+        let vl = b.vertex_label("v");
+        let label = b.edge_label("hub.spoke");
+        let hub = b.add_vertex(vl);
+        for _ in 0..70 {
+            let spoke = b.add_vertex(vl);
+            b.add_undirected_edge(hub, spoke, label);
+        }
+        let g = b.finish();
+        let mut comp: Computation<'_, St, TagMsg> =
+            Computation::new(&g, EngineConfig::sequential(), |_| St::default());
+        assert_eq!(st_state_bytes(&comp.states()[hub as usize]), 8);
+
+        comp.inject(hub, TagMsg::Signal(70));
+        comp.superstep_simple(|ctx| record_marks(ctx, Some((label, false))));
+        let st = &comp.states()[hub as usize];
+        let set: Vec<usize> = (0..70).filter(|&i| marked(&st.marks, i)).collect();
+        assert_eq!(set, [69], "the last spoke sits in the second word's slot 5");
+        assert_eq!(st_state_bytes(st), 24);
+        assert_eq!(st_state_bytes(&St { pass: Some(true), ..st.clone() }), 32);
+    }
 }

@@ -5,10 +5,10 @@
 use std::sync::Arc;
 use vcsql::baseline::{execute as baseline, ExecConfig, JoinAlgo};
 use vcsql::bsp::{EngineConfig, Partitioning};
-use vcsql::core::TagJoinExecutor;
+use vcsql::core::{QueryPlan, TagJoinExecutor};
 use vcsql::query::{analyze::analyze, parse};
 use vcsql::relation::schema::{Column, Schema};
-use vcsql::relation::{DataType, Database, Relation, Tuple, Value};
+use vcsql::relation::{DataType, Database, RelError, Relation, Tuple, Value};
 use vcsql::tag::{MaterializePolicy, TagGraph};
 use vcsql::workload::{tpcds, tpch};
 use vcsql::{Session, SessionConfig};
@@ -212,6 +212,52 @@ fn joins_on_ill_materialized_columns_error_instead_of_undercounting() {
         .run_sql("SELECT COUNT(*) FROM a, b WHERE a.k = b.k")
         .unwrap();
     assert_eq!(count(&ok.relation), Value::Int(2), "no length limit, no refusal");
+}
+
+/// An expression that fails to evaluate fails the statement on the TAG-join
+/// path, as it does in both relational baselines — never a dropped row, a
+/// skipped aggregate input or a tuple filtered out — and it is the same
+/// error on every thread count and through a session, which serves nothing.
+#[test]
+fn expression_errors_fail_the_statement_instead_of_changing_the_answer() {
+    let db = tpch::generate(0.01, 42);
+    let tag = Arc::new(TagGraph::build(&db));
+    let statements = [
+        // projection
+        "SELECT c.c_name + 1 FROM customer c",
+        // scalar aggregate input
+        "SELECT SUM(c.c_name) FROM customer c",
+        // grouped aggregate input
+        "SELECT c.c_nationkey, SUM(c.c_name) FROM customer c GROUP BY c.c_nationkey",
+        // pushed-down filter at the root
+        "SELECT c.c_name FROM customer c WHERE c.c_acctbal + c.c_name > 0",
+        // residual
+        "SELECT c.c_name FROM customer c, nation n \
+         WHERE c.c_nationkey = n.n_nationkey AND c.c_name + n.n_name > 0",
+        // pushed-down filter during reduction
+        "SELECT n.n_name FROM customer c, nation n \
+         WHERE c.c_nationkey = n.n_nationkey AND c.c_acctbal + c.c_name > 0",
+    ];
+    let configs =
+        [EngineConfig::sequential(), EngineConfig::with_threads(2).with_parallel_threshold(0)];
+    for sql in statements {
+        let a = analyze(&parse(sql).unwrap(), tag.schemas()).unwrap();
+        for join in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
+            let err = baseline(&a, &db, ExecConfig { join }).expect_err(sql);
+            assert!(matches!(err, RelError::TypeMismatch { .. }), "{sql}: {join:?}: {err}");
+        }
+        let plan = QueryPlan::prepare(sql, tag.schemas()).unwrap();
+        let first = TagJoinExecutor::new(&tag, configs[0]).execute_plan(&plan).expect_err(sql);
+        assert!(matches!(first, RelError::TypeMismatch { .. }), "{sql}: {first}");
+        for engine in configs {
+            let err = TagJoinExecutor::new(&tag, engine).execute_plan(&plan).expect_err(sql);
+            assert_eq!(err, first, "{sql}: {engine:?}");
+            let mut session =
+                Session::open(&tag, SessionConfig { engine, ..SessionConfig::default() }).unwrap();
+            assert_eq!(session.run_sql(sql).map(|_| ()).expect_err(sql), first, "{sql}");
+            assert_eq!(session.stats().queries, 0, "{sql}: a failed statement was served");
+        }
+    }
 }
 
 /// The baseline executors agree with each other across the full workload at
