@@ -16,9 +16,10 @@
 //! stream, so the same seed always produces the same faults, and every
 //! fault fires **at most once** per injector lifetime (the injector tracks
 //! fired faults across computations and retries). Combined with the
-//! engine's checkpoint/replay (which restores state, inboxes, the active
-//! set, and the statistics to the snapshot before re-running), an injected
-//! crash never changes query results — only the itemized recovery cost.
+//! engine's checkpoint/replay (which restores state, pending messages, the
+//! active set, and the statistics to the snapshot before re-running), an
+//! injected crash never changes query results — only the itemized recovery
+//! cost.
 
 use std::fmt;
 use std::sync::{Mutex, PoisonError};

@@ -6,7 +6,8 @@
 //! supersteps. The engine provides
 //!
 //! * a labelled, immutable [`Graph`] (CSR adjacency, interned labels),
-//! * per-vertex user state and double-buffered message inboxes,
+//! * per-vertex user state and one pending-message table per superstep
+//!   (messages grouped by target vertex),
 //! * thread parallelism over shards of the active vertex set, driven by a
 //!   persistent [`WorkerPool`] (workers park between supersteps; small
 //!   supersteps fall back to sequential execution automatically),
@@ -44,7 +45,7 @@ pub use graph::{Edge, Graph, GraphBuilder, VertexId};
 pub use interner::{Interner, LabelId};
 pub use partition::{
     balance_cap, migrate_step, MigrationMove, MigrationStep, PartitionDiagnostics,
-    PartitionStrategy, Partitioning, RefineConfig, DEFAULT_BALANCE_SLACK,
+    PartitionStrategy, Partitioning, DEFAULT_BALANCE_SLACK,
 };
 pub use pool::WorkerPool;
 pub use program::{Aggregator, Message};

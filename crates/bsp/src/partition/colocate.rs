@@ -28,7 +28,7 @@
 //! vertex falls back to the least-loaded machine, which is always under the
 //! cap.
 
-use super::refine::{EdgeImportance, WeightModel};
+use super::refine::WeightModel;
 use super::{balance_cap, hash_machine, Partitioning, DEFAULT_BALANCE_SLACK};
 use crate::graph::{Graph, VertexId};
 
@@ -41,7 +41,7 @@ pub(super) fn co_locate(
     machines: usize,
     is_anchor: &dyn Fn(VertexId) -> bool,
 ) -> Partitioning {
-    co_locate_with(graph, machines, is_anchor, &WeightModel::Static(EdgeImportance::build(graph)))
+    co_locate_with(graph, machines, is_anchor, &WeightModel::shape(graph))
 }
 
 /// [`co_locate`] under an explicit edge-weight model (the `Workload`

@@ -17,10 +17,10 @@
 //!   most likely to route traversal messages — while anchors themselves are
 //!   hash placed. Guarantees at least one local incident edge per tuple
 //!   while staying query-independent; see the [`colocate`](self) submodule.
-//! * [`Partitioning::greedy_refine`] — a label-propagation pass over any
-//!   starting assignment: vertices iteratively move to the machine holding
-//!   the (degree-discounted) majority of their neighbours, subject to a
-//!   balance cap. This is the classic edge-cut-minimizing refinement (a
+//! * [`PartitionStrategy::Refined`] — the co-location seed, then a
+//!   label-propagation pass: vertices iteratively move to the machine
+//!   holding the (degree-discounted) majority of their neighbours, subject
+//!   to a balance cap. This is the classic edge-cut-minimizing refinement (a
 //!   lightweight stand-in for METIS-style partitioning) and recovers most of
 //!   the locality the paper's real cluster deployment enjoys.
 //! * [`PartitionStrategy::Workload`] — the same co-locate + refine pipeline,
@@ -40,7 +40,6 @@ mod refine;
 mod workload;
 
 pub use migrate::{migrate_step, MigrationMove, MigrationStep};
-pub use refine::RefineConfig;
 
 use crate::graph::{Graph, VertexId};
 use crate::stats::TrafficProfile;
@@ -151,14 +150,10 @@ impl PartitionStrategy {
         match self {
             PartitionStrategy::Hash => Partitioning::hash(graph, machines),
             PartitionStrategy::CoLocate => Partitioning::co_locate(graph, machines, is_anchor),
+            // With no profile every label keeps its static weight.
             PartitionStrategy::Refined => {
                 assert!(machines > 0 && machines <= u16::MAX as usize);
-                // One static weight model shared by both phases (building
-                // the per-vertex family table is O(V+E); no need to pay it
-                // twice on the same immutable graph).
-                let weights = refine::WeightModel::for_config(graph, &RefineConfig::default());
-                let seed = colocate::co_locate_with(graph, machines, is_anchor, &weights);
-                refine::greedy_refine_with(&seed, graph, RefineConfig::default(), &weights)
+                workload::workload_partition(graph, machines, is_anchor, &TrafficProfile::new())
             }
             PartitionStrategy::Workload(profile) => {
                 assert!(machines > 0 && machines <= u16::MAX as usize);
@@ -220,18 +215,6 @@ impl Partitioning {
     ) -> Partitioning {
         assert!(machines > 0 && machines <= u16::MAX as usize);
         colocate::co_locate(graph, machines, is_anchor)
-    }
-
-    /// Refine this partitioning by greedy label propagation: vertices move to
-    /// the machine holding the weighted majority of their neighbours, subject
-    /// to `config`'s balance cap. Returns the refined assignment.
-    pub fn greedy_refine(&self, graph: &Graph, config: RefineConfig) -> Partitioning {
-        assert_eq!(
-            self.machine_of.len(),
-            graph.vertex_count(),
-            "partitioning built for a different graph"
-        );
-        refine::greedy_refine(self, graph, config)
     }
 
     /// Build from an explicit assignment.
@@ -450,7 +433,7 @@ mod tests {
     fn refine_never_worsens_star_cut() {
         let (g, anchor_label) = star_graph(40, 6);
         let seed = Partitioning::co_locate(&g, 3, &|v| g.label_of(v) == anchor_label);
-        let refined = seed.greedy_refine(&g, RefineConfig::default());
+        let refined = refine::greedy_refine(&seed, &g, &refine::WeightModel::shape(&g));
         let (ds, dr) = (seed.diagnostics(&g), refined.diagnostics(&g));
         assert!(dr.cut_edges <= ds.cut_edges, "refine worsened cut: {ds:?} -> {dr:?}");
         assert_eq!(refined.load().iter().sum::<usize>(), g.vertex_count());
@@ -460,9 +443,8 @@ mod tests {
     fn refine_respects_balance_cap() {
         let (g, anchor_label) = star_graph(10, 10);
         let seed = Partitioning::co_locate(&g, 4, &|v| g.label_of(v) == anchor_label);
-        let cfg = RefineConfig::default();
-        let refined = seed.greedy_refine(&g, cfg);
-        let cap = balance_cap(g.vertex_count(), 4, cfg.balance_slack)
+        let refined = refine::greedy_refine(&seed, &g, &refine::WeightModel::shape(&g));
+        let cap = balance_cap(g.vertex_count(), 4, DEFAULT_BALANCE_SLACK)
             .max(seed.load().into_iter().max().unwrap_or(0));
         assert!(refined.load().into_iter().max().unwrap() <= cap);
     }

@@ -8,7 +8,7 @@
 //! sweep never overshoots the cap, and the fixed sweep order plus
 //! strict-improvement rule make the outcome deterministic.
 //!
-//! Votes are **traffic-weighted** by default, using [`EdgeImportance`]: edge
+//! Votes are **traffic-weighted**, using [`EdgeImportance`]: edge
 //! labels of the form `R.A` are grouped into *families* by their `R.`
 //! prefix (the relation, in TAG terms), and an endpoint `y` of an edge in
 //! family `F` contributes `crossdeg_F(y) / deg(y)²` to the edge's weight,
@@ -28,37 +28,20 @@
 //! objective. A tuple vertex's edges are all in its own relation's family,
 //! so its side contributes 0 and the weight reduces to the attribute side —
 //! no TAG-specific knowledge needed beyond the `R.A` label convention.
-//! Setting [`RefineConfig::traffic_weighted`] to `false` recovers plain
-//! neighbour-majority voting (every edge votes 1), the textbook
-//! cut-minimizing refinement.
+//! A workload profile overrides the weight label by label
+//! ([`WeightModel::observed`]).
 
 use super::{balance_cap, Partitioning, DEFAULT_BALANCE_SLACK};
 use crate::graph::{Edge, Graph, VertexId};
-use crate::interner::LabelId;
 use vcsql_relation::FxHashMap;
 
-/// Tuning for [`Partitioning::greedy_refine`].
-#[derive(Debug, Clone, Copy)]
-pub struct RefineConfig {
-    /// Maximum full sweeps over the vertex set (stops early when a sweep
-    /// moves nothing).
-    pub rounds: usize,
-    /// Relative headroom over the ideal per-machine load.
-    pub balance_slack: f64,
-    /// Weight votes by cross-family fraction × selectivity (see module docs)
-    /// instead of 1 per edge.
-    pub traffic_weighted: bool,
-}
-
-impl Default for RefineConfig {
-    fn default() -> RefineConfig {
-        RefineConfig { rounds: 8, balance_slack: DEFAULT_BALANCE_SLACK, traffic_weighted: true }
-    }
-}
+/// Maximum full sweeps over the vertex set (refinement stops early when a
+/// sweep moves nothing).
+const ROUNDS: usize = 8;
 
 /// Precomputed per-vertex label-family degree table backing the traffic
 /// weights (see module docs). Built once per graph in O(edges).
-pub(super) struct EdgeImportance {
+struct EdgeImportance {
     /// Edge label id -> family id (labels sharing a `R.` prefix).
     family_of_label: Vec<u32>,
     /// Per-vertex slices into `pairs`.
@@ -68,7 +51,7 @@ pub(super) struct EdgeImportance {
 }
 
 impl EdgeImportance {
-    pub(super) fn build(graph: &Graph) -> EdgeImportance {
+    fn build(graph: &Graph) -> EdgeImportance {
         let nlabels = graph.edge_labels().len();
         let mut family_ids: FxHashMap<String, u32> = FxHashMap::default();
         let mut family_of_label = Vec::with_capacity(nlabels);
@@ -113,7 +96,7 @@ impl EdgeImportance {
     /// The symmetric vote weight of edge `e` out of `source` (see module
     /// docs). Zero when neither endpoint has cross-family traffic.
     #[inline]
-    pub(super) fn weight(&self, graph: &Graph, source: VertexId, e: &Edge) -> f64 {
+    fn weight(&self, graph: &Graph, source: VertexId, e: &Edge) -> f64 {
         let family = self.family_of_label[e.label.0 as usize];
         let side = |y: VertexId| {
             let d = graph.degree(y);
@@ -128,84 +111,59 @@ impl EdgeImportance {
 
 /// How much one edge's endpoints pull toward sharing a machine. Shared by
 /// the co-location seed and the label-propagation refinement, so both
-/// descend on one weighted-cut objective per strategy:
-///
-/// * `Uniform` — every edge votes 1 (textbook label propagation);
-/// * `Static` — the cross-family × selectivity score of [`EdgeImportance`]
-///   (see module docs), derived from graph shape alone;
-/// * `Observed` — workload-aware: a per-edge-label weight measured from a
-///   calibration run's `TrafficProfile` (normalized to `[0, 1]`, times the
-///   same `1/deg` selectivity discount on both endpoints so selective join
-///   values pull hardest), falling back to the static score for labels the
-///   profile never saw. Labels the profile *did* see carrying nothing weigh
-///   exactly 0 — the placement ignores columns the workload never traverses.
-pub(super) enum WeightModel {
-    Uniform,
-    Static(EdgeImportance),
-    Observed {
-        /// Per-label normalized traffic weight, indexed by `LabelId`;
-        /// `None` = label not covered by the profile (use the fallback).
-        norm: Vec<Option<f64>>,
-        fallback: EdgeImportance,
-    },
+/// descend on one weighted-cut objective per strategy. A label with an
+/// observed weight — measured from a calibration run's `TrafficProfile`,
+/// normalized to `[0, 1]` — pulls that weight times the same `1/deg`
+/// selectivity discount on both endpoints, so selective join values pull
+/// hardest; every other label falls back to the static cross-family ×
+/// selectivity score of [`EdgeImportance`] (see module docs), derived from
+/// graph shape alone. Labels the profile *did* see carrying nothing weigh
+/// exactly 0 — the placement ignores columns the workload never traverses.
+pub(super) struct WeightModel {
+    /// Per-label normalized traffic weight, indexed by `LabelId`; `None` (or
+    /// past the end) = label not covered by the profile (use the fallback).
+    norm: Vec<Option<f64>>,
+    fallback: EdgeImportance,
 }
 
 impl WeightModel {
     /// Vote weight of edge `e` out of `source` (symmetric in the endpoints).
     #[inline]
     pub(super) fn weight(&self, graph: &Graph, source: VertexId, e: &Edge) -> f64 {
-        match self {
-            WeightModel::Uniform => 1.0,
-            WeightModel::Static(imp) => imp.weight(graph, source, e),
-            WeightModel::Observed { norm, fallback } => {
-                match norm.get(e.label.0 as usize).copied().flatten() {
-                    Some(w) => {
-                        let side = |y: VertexId| {
-                            let d = graph.degree(y);
-                            if d == 0 {
-                                0.0
-                            } else {
-                                1.0 / d as f64
-                            }
-                        };
-                        w * (side(source) + side(e.target))
+        match self.norm.get(e.label.0 as usize).copied().flatten() {
+            Some(w) => {
+                let side = |y: VertexId| {
+                    let d = graph.degree(y);
+                    if d == 0 {
+                        0.0
+                    } else {
+                        1.0 / d as f64
                     }
-                    None => fallback.weight(graph, source, e),
-                }
+                };
+                w * (side(source) + side(e.target))
             }
+            None => self.fallback.weight(graph, source, e),
         }
     }
 
-    /// The model `config` asks for when no observed profile is in play.
-    pub(super) fn for_config(graph: &Graph, config: &RefineConfig) -> WeightModel {
-        if config.traffic_weighted {
-            WeightModel::Static(EdgeImportance::build(graph))
-        } else {
-            WeightModel::Uniform
-        }
+    /// Graph-shape weights only: every label uses the static score.
+    pub(super) fn shape(graph: &Graph) -> WeightModel {
+        WeightModel { norm: Vec::new(), fallback: EdgeImportance::build(graph) }
     }
 
     /// Workload-aware model: `label_weight[l]` is the observed normalized
     /// weight of edge label `l` (`None` = unseen, static fallback).
     pub(super) fn observed(graph: &Graph, label_weight: Vec<Option<f64>>) -> WeightModel {
         debug_assert_eq!(label_weight.len(), graph.edge_labels().len());
-        let _ = LabelId::NONE; // labels indexing `norm` are dense graph ids
-        WeightModel::Observed { norm: label_weight, fallback: EdgeImportance::build(graph) }
+        WeightModel { norm: label_weight, fallback: EdgeImportance::build(graph) }
     }
 }
 
+/// Refine `seed` by label propagation under `weights` and the default
+/// balance cap (module docs).
 pub(super) fn greedy_refine(
     seed: &Partitioning,
     graph: &Graph,
-    config: RefineConfig,
-) -> Partitioning {
-    greedy_refine_with(seed, graph, config, &WeightModel::for_config(graph, &config))
-}
-
-pub(super) fn greedy_refine_with(
-    seed: &Partitioning,
-    graph: &Graph,
-    config: RefineConfig,
     weights: &WeightModel,
 ) -> Partitioning {
     let n = graph.vertex_count();
@@ -217,7 +175,7 @@ pub(super) fn greedy_refine_with(
     // A seed may already exceed the cap (it can come from any source); moves
     // *into* an over-cap machine are blocked, moves away are free, so loads
     // only ever approach the cap from above.
-    let cap = balance_cap(n, machines, config.balance_slack);
+    let cap = balance_cap(n, machines, DEFAULT_BALANCE_SLACK);
     let mut load = p.load();
 
     // Scratch tally, reset per vertex via the touched list (machines can be
@@ -225,7 +183,7 @@ pub(super) fn greedy_refine_with(
     let mut score = vec![0.0f64; machines];
     let mut touched: Vec<u16> = Vec::new();
 
-    for _ in 0..config.rounds {
+    for _ in 0..ROUNDS {
         let mut moves = 0usize;
         for v in graph.vertices() {
             let edges = graph.out_edges(v);
@@ -275,48 +233,45 @@ pub(super) fn greedy_refine_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{GraphBuilder, VertexId};
+    use crate::graph::GraphBuilder;
 
-    /// Two cliques of `k` vertices joined by one bridge edge.
-    fn two_cliques(k: usize) -> Graph {
+    /// `groups` TAG-shaped join groups: one attribute vertex (a join value)
+    /// with `k` tuples of relation `r` and `k` of relation `s` on it, so
+    /// every edge carries cross-relation weight.
+    fn join_groups(groups: usize, k: usize) -> Graph {
         let mut b = GraphBuilder::new();
-        let l = b.vertex_label("v");
-        let e = b.edge_label("e");
-        for _ in 0..2 * k {
-            b.add_vertex(l);
-        }
-        for side in 0..2 {
-            let base = side * k;
-            for i in 0..k {
-                for j in (i + 1)..k {
-                    b.add_undirected_edge((base + i) as VertexId, (base + j) as VertexId, e);
-                }
+        let (lr, ls, la) = (b.vertex_label("r"), b.vertex_label("s"), b.vertex_label("@a"));
+        let (ra, sa) = (b.edge_label("r.a"), b.edge_label("s.a"));
+        for _ in 0..groups {
+            let a = b.add_vertex(la);
+            for _ in 0..k {
+                let r = b.add_vertex(lr);
+                b.add_undirected_edge(r, a, ra);
+                let s = b.add_vertex(ls);
+                b.add_undirected_edge(s, a, sa);
             }
         }
-        b.add_undirected_edge(0, k as VertexId, e);
         b.finish()
     }
 
     #[test]
-    fn refine_separates_cliques_from_a_bad_seed() {
-        let g = two_cliques(8);
+    fn refine_gathers_join_groups_from_a_bad_seed() {
+        let g = join_groups(4, 3);
         // Worst-case seed: alternating machines.
-        let seed =
-            Partitioning::from_assignment((0..16).map(|v| (v % 2) as u16).collect::<Vec<u16>>(), 2);
-        let cfg = RefineConfig { traffic_weighted: false, ..RefineConfig::default() };
-        let refined = seed.greedy_refine(&g, cfg);
+        let seed = Partitioning::from_assignment((0..28).map(|v| (v % 2) as u16).collect(), 2);
+        let refined = greedy_refine(&seed, &g, &WeightModel::shape(&g));
         let (ds, dr) = (seed.diagnostics(&g), refined.diagnostics(&g));
         assert!(dr.cut_edges < ds.cut_edges, "{ds:?} -> {dr:?}");
-        // Each clique ends on one machine; only the bridge can cross.
-        assert!(dr.cut_edges <= 2, "cut {dr:?}");
-        assert_eq!(refined.load(), vec![8, 8]);
+        // Each group ends on its value's machine: nothing crosses.
+        assert_eq!(dr.cut_edges, 0, "cut {dr:?}");
+        assert_eq!(refined.load(), vec![14, 14]);
     }
 
     #[test]
     fn single_machine_is_a_fixed_point() {
-        let g = two_cliques(4);
+        let g = join_groups(4, 2);
         let seed = Partitioning::hash(&g, 1);
-        let refined = seed.greedy_refine(&g, RefineConfig::default());
+        let refined = greedy_refine(&seed, &g, &WeightModel::shape(&g));
         for v in g.vertices() {
             assert_eq!(refined.machine_of(v), 0);
         }
@@ -326,27 +281,8 @@ mod tests {
     fn empty_graph_is_handled() {
         let g = GraphBuilder::new().finish();
         let seed = Partitioning::hash(&g, 4);
-        let refined = seed.greedy_refine(&g, RefineConfig::default());
+        let refined = greedy_refine(&seed, &g, &WeightModel::shape(&g));
         assert_eq!(refined.machines(), 4);
         assert_eq!(refined.load().iter().sum::<usize>(), 0);
-    }
-
-    #[test]
-    fn moves_stop_at_the_balance_cap() {
-        // A star: without a cap every leaf would join the hub's machine.
-        let mut b = GraphBuilder::new();
-        let l = b.vertex_label("v");
-        let e = b.edge_label("e");
-        let hub = b.add_vertex(l);
-        for _ in 0..30 {
-            let leaf = b.add_vertex(l);
-            b.add_undirected_edge(hub, leaf, e);
-        }
-        let g = b.finish();
-        let seed = Partitioning::hash(&g, 3);
-        let cfg = RefineConfig { traffic_weighted: false, ..RefineConfig::default() };
-        let refined = seed.greedy_refine(&g, cfg);
-        let cap = balance_cap(31, 3, cfg.balance_slack);
-        assert!(refined.load().into_iter().max().unwrap() <= cap);
     }
 }

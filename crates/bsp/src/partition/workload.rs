@@ -11,7 +11,7 @@
 //! message to the edge label it travelled along, and the resulting
 //! [`TrafficProfile`] maps label names to observed messages/bytes.
 //!
-//! This module turns a profile into the [`WeightModel::Observed`] edge
+//! This module turns a profile into the [`WeightModel::observed`] edge
 //! weights and reuses the whole co-locate + greedy-refine machinery under
 //! them (same anchor hash placement, heavy/light fallback, and 20%-slack
 //! balance cap as the static strategies):
@@ -30,7 +30,7 @@
 //! Like every strategy, the result is pure accounting — placements never
 //! change results or message counts, only which traffic is network traffic.
 
-use super::refine::{greedy_refine_with, RefineConfig, WeightModel};
+use super::refine::{greedy_refine, WeightModel};
 use super::{colocate, Partitioning};
 use crate::graph::{Graph, VertexId};
 use crate::stats::TrafficProfile;
@@ -45,7 +45,7 @@ pub(super) fn workload_partition(
 ) -> Partitioning {
     let weights = WeightModel::observed(graph, label_weights(graph, profile));
     let seed = colocate::co_locate_with(graph, machines, is_anchor, &weights);
-    greedy_refine_with(&seed, graph, RefineConfig::default(), &weights)
+    greedy_refine(&seed, graph, &weights)
 }
 
 /// Per-`LabelId` normalized observed weight: `Some(bytes_per_edge / max)`

@@ -10,12 +10,12 @@
 //! ```
 //!
 //! **The phase contract.** A *phase* is a run of supersteps whose effects
-//! stay inside the engine until the phase returns (vertex state, inboxes,
-//! the active set, statistics). The driver hands [`Computation::run_phase`]
-//! a step closure that issues exactly one superstep per call, chosen by the
-//! phase-relative index `i`; it returns `ControlFlow::Continue(())` to be
-//! called again with `i + 1` and `ControlFlow::Break(value)` to end the
-//! phase. Fixed-length phases break on their last index, run-until-halted
+//! stay inside the engine until the phase returns (vertex state, pending
+//! messages, the active set, statistics). The driver hands
+//! [`Computation::run_phase`] a step closure that issues exactly one
+//! superstep per call, chosen by the phase-relative index `i`; it returns
+//! `ControlFlow::Continue(())` to be called again with `i + 1` and
+//! `ControlFlow::Break(value)` to end the phase. Fixed-length phases break on their last index, run-until-halted
 //! loops break when [`Computation::halted`], and a single superstep whose
 //! aggregate the host reads next is a one-step phase that breaks with it.
 //! That is all a driver does for fault tolerance. In return the phase
@@ -24,7 +24,7 @@
 //!   phase, whose results already escaped to the host) and then every
 //!   [`FaultInjector::checkpoint_every`] supersteps,
 //! * before each step fires the faults the plan pins to that superstep: a
-//!   crash restores the last checkpoint — state, inboxes, active set and
+//!   crash restores the last checkpoint — state, message table and
 //!   statistics — and the closure is simply called again from the rewound
 //!   index (the engine is deterministic, so the replay is bit-identical),
 //! * returns the faults it cannot absorb — a crash with checkpointing
@@ -46,15 +46,21 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// A superstep checkpoint: everything needed to roll the computation back
-/// to the start of superstep `superstep` — per-vertex state, the pending
-/// inboxes (messages delivered but not yet consumed), the active set, and
-/// the statistics as of that point (so a replay re-records identically).
+/// to the start of superstep `superstep` — per-vertex state, the message
+/// table (the active set and the messages delivered but not yet consumed),
+/// and the statistics as of that point (so a replay re-records identically).
 struct Snapshot<V, M: Message> {
     superstep: u64,
     states: Vec<V>,
-    inboxes: Vec<Vec<M>>,
     active: Vec<VertexId>,
+    inbox: Vec<M>,
+    starts: Vec<usize>,
     stats: RunStats,
+}
+
+/// Checkpoint size of some pending messages.
+fn message_bytes<M: Message>(msgs: &[M]) -> u64 {
+    msgs.iter().map(|m| m.byte_size() as u64).sum()
 }
 
 /// Fault-tolerance runtime attached via [`Computation::set_fault_injector`]:
@@ -74,26 +80,20 @@ pub(crate) struct FaultRuntime<V, M: Message> {
 }
 
 impl<V: Send, M: Message> FaultRuntime<V, M> {
-    /// Checkpoint size of vertex `v`: its state (via the sizer) plus its
-    /// pending inbox bytes.
-    fn vertex_bytes(&self, state: &V, inbox: &[M]) -> u64 {
-        (self.sizer)(state) + inbox.iter().map(|m| m.byte_size() as u64).sum::<u64>()
-    }
-
     /// Snapshot the full computation state and charge the checkpoint cost:
-    /// the active list (8 bytes per id) plus every vertex's state and
-    /// pending inbox bytes. Charged to the itemized `stats.faults` —
+    /// the active list (8 bytes per id) plus every vertex's state and every
+    /// pending message. Charged to the itemized `stats.faults` —
     /// checkpoints model stable-storage writes, not network traffic.
     fn take_checkpoint(&mut self, comp: &mut Computation<'_, V, M>) {
-        comp.normalize_active();
-        let vertices = comp.states.iter().zip(&comp.inboxes);
-        let bytes = comp.active().len() as u64 * 8
-            + vertices.map(|(state, inbox)| self.vertex_bytes(state, inbox)).sum::<u64>();
+        let bytes = comp.active.len() as u64 * 8
+            + comp.states.iter().map(|state| (self.sizer)(state)).sum::<u64>()
+            + message_bytes(&comp.inbox);
         self.checkpoint = Some(Snapshot {
             superstep: comp.stats.supersteps,
             states: comp.states.iter().map(self.clone_state).collect(),
-            inboxes: comp.inboxes.clone(),
-            active: comp.active().to_vec(),
+            active: comp.active.clone(),
+            inbox: comp.inbox.clone(),
+            starts: comp.starts.clone(),
             stats: comp.stats.clone(),
         });
         comp.stats.faults.checkpoint_bytes += bytes;
@@ -101,28 +101,32 @@ impl<V: Send, M: Message> FaultRuntime<V, M> {
     }
 
     /// Roll back to the last checkpoint after machine `machine` crashed:
-    /// restore state/inboxes/active, rewind the statistics to the snapshot
-    /// (so the replayed supersteps re-record identically), and charge the
-    /// recovery — re-shipping the crashed machine's partition share of the
-    /// checkpoint (the survivors still hold theirs; without a partitioning
-    /// the whole snapshot is charged) plus the rolled-back rounds. Without
-    /// a checkpoint the machine is lost for good.
+    /// restore state and message table, rewind the statistics to the
+    /// snapshot (so the replayed supersteps re-record identically), and
+    /// charge the recovery — re-shipping the crashed machine's partition
+    /// share of the checkpoint, i.e. the states of its vertices and the
+    /// messages pending for them (the survivors still hold theirs; without
+    /// a partitioning the whole snapshot is charged), plus the rolled-back
+    /// rounds. Without a checkpoint the machine is lost for good.
     fn restore(&self, comp: &mut Computation<'_, V, M>, machine: u32) -> Result<(), FaultError> {
         let crashed_at = comp.stats.supersteps;
         let snap = self
             .checkpoint
             .as_ref()
             .ok_or(FaultError::MachineLost { machine, superstep: crashed_at })?;
+        let partitioning = comp.partitioning.as_deref();
+        let lost = |v: VertexId| partitioning.is_none_or(|p| p.machine_of(v) == machine as u16);
         let mut vertices = 0u64;
         let mut bytes = 0u64;
-        for (v, (state, inbox)) in snap.states.iter().zip(&snap.inboxes).enumerate() {
-            let lost = comp
-                .partitioning
-                .as_deref()
-                .is_none_or(|p| p.machine_of(v as VertexId) == machine as u16);
-            if lost {
+        for (v, state) in snap.states.iter().enumerate() {
+            if lost(v as VertexId) {
                 vertices += 1;
-                bytes += self.vertex_bytes(state, inbox);
+                bytes += (self.sizer)(state);
+            }
+        }
+        for (&t, run) in snap.active.iter().zip(snap.starts.windows(2)) {
+            if lost(t) {
+                bytes += message_bytes(&snap.inbox[run[0]..run[1]]);
             }
         }
         // Live fault counters survive the rewind: checkpoints taken and
@@ -134,8 +138,9 @@ impl<V: Send, M: Message> FaultRuntime<V, M> {
         faults.recovered_rounds += crashed_at - snap.superstep;
         faults.crashes_recovered += 1;
         comp.states = snap.states.iter().map(self.clone_state).collect();
-        comp.inboxes = snap.inboxes.clone();
-        comp.activate(snap.active.iter().copied());
+        comp.active.clone_from(&snap.active);
+        comp.inbox.clone_from(&snap.inbox);
+        comp.starts.clone_from(&snap.starts);
         comp.stats = snap.stats.clone();
         comp.stats.faults = faults;
         Ok(())
@@ -534,7 +539,7 @@ mod tests {
             comp.stats().faults
         };
         // One checkpoint before the only superstep: 1 active id (8 bytes) +
-        // 3 vertex states, no pending inbox bytes.
+        // 3 vertex states, no pending messages.
         let default = run(None);
         assert_eq!(default.checkpoints, 1);
         assert_eq!(default.checkpoint_bytes, 8 + 3 * std::mem::size_of::<u64>() as u64);

@@ -92,7 +92,7 @@ impl LabelTraffic {
 /// these to also bill as network traffic (see `vcsql-dist`'s `NetStats`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultTraffic {
-    /// Bytes written to checkpoints (vertex state + pending inboxes + the
+    /// Bytes written to checkpoints (vertex state + pending messages + the
     /// active set) over the run.
     pub checkpoint_bytes: u64,
     /// Number of checkpoints taken.

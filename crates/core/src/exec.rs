@@ -502,8 +502,8 @@ impl<'t> TagJoinExecutor<'t> {
                 // partials they received (each group computed in parallel at
                 // its own vertex — the paper's local-aggregation strength)
                 // and hand them to the host through the aggregator. Every
-                // partial of a key sits in one inbox, so its fold order is
-                // that inbox's order.
+                // partial of a key is a message to one vertex, so its fold
+                // order is that vertex's message order.
                 let la =
                     single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
                         for m in ctx.messages() {
@@ -943,7 +943,8 @@ mod tests {
             Computation::new(&g, EngineConfig::sequential(), |_| St::default());
         assert_eq!(st_state_bytes(&comp.states()[hub as usize]), 8);
 
-        comp.inject(hub, TagMsg::Signal(70));
+        comp.activate([70]);
+        comp.superstep_simple(|ctx| ctx.send_along(label, hub, TagMsg::Signal(ctx.id())));
         comp.superstep_simple(|ctx| record_marks(ctx, Some((label, false))));
         let st = &comp.states()[hub as usize];
         let set: Vec<usize> = (0..70).filter(|&i| marked(&st.marks, i)).collect();

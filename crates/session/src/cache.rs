@@ -8,38 +8,28 @@
 //!
 //! [`Session::prepare`]: crate::Session::prepare
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use vcsql_core::QueryPlan;
 use vcsql_relation::FxHashMap;
 
-/// A cached plan plus the generation stamp of its latest use.
+/// A cached plan plus the stamp of its latest use.
 #[derive(Debug)]
 struct Entry {
     plan: Arc<QueryPlan>,
-    /// Generation of this entry's most recent hit or insert; older stamps
-    /// for the same SQL in `order` are stale.
-    gen: u64,
+    last_use: u64,
 }
 
 /// A bounded LRU cache of prepared [`QueryPlan`]s, keyed by SQL text.
 ///
-/// Recency is tracked with generation counters instead of a reordered
-/// list: every hit appends a freshly-stamped `(generation, sql)` pair to
-/// `order` and bumps the stamp in the map, leaving the old pair behind as
-/// a stale tombstone. Hits are therefore O(1) amortized (the old
-/// linked-order variant scanned and spliced the recency list — O(capacity)
-/// per hit), and eviction pops from the front, skipping pairs whose stamp
-/// no longer matches the map. `order` is compacted in place whenever the
-/// tombstones outnumber live entries 4:1, which bounds it at
-/// O(capacity) space amortized.
+/// Each plan carries the stamp of its latest use, from a counter bumped on
+/// every hit and insert. A hit is one map probe and a stamp write. An insert
+/// into a full cache evicts the smallest stamp, found by a scan over the
+/// `capacity` cached entries (128 in a default session, 64 in a default
+/// server) — and only after a miss, which has just paid for planning.
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
     plans: FxHashMap<String, Entry>,
-    /// Recency log: front = oldest stamp. Pairs whose generation differs
-    /// from the map's entry are stale and skipped at eviction.
-    order: VecDeque<(u64, String)>,
     /// Monotonic stamp source.
     clock: u64,
     hits: u64,
@@ -51,14 +41,7 @@ impl PlanCache {
     /// session validates its configuration before building one).
     pub fn new(capacity: usize) -> PlanCache {
         assert!(capacity > 0, "plan cache needs capacity for at least one plan");
-        PlanCache {
-            capacity,
-            plans: FxHashMap::default(),
-            order: VecDeque::new(),
-            clock: 0,
-            hits: 0,
-            misses: 0,
-        }
+        PlanCache { capacity, plans: FxHashMap::default(), clock: 0, hits: 0, misses: 0 }
     }
 
     /// Look up `sql`: a hit refreshes recency and returns the plan, a miss
@@ -66,18 +49,14 @@ impl PlanCache {
     /// plan to [`PlanCache::insert`] — outside the critical section, when
     /// the cache sits behind the `vcsql-server` lock.
     pub fn get(&mut self, sql: &str) -> Option<Arc<QueryPlan>> {
-        self.clock += 1;
-        let gen = self.clock;
         let Some(entry) = self.plans.get_mut(sql) else {
             self.misses += 1;
             return None;
         };
         self.hits += 1;
-        entry.gen = gen;
-        let plan = Arc::clone(&entry.plan);
-        self.order.push_back((gen, sql.to_string()));
-        self.compact();
-        Some(plan)
+        self.clock += 1;
+        entry.last_use = self.clock;
+        Some(Arc::clone(&entry.plan))
     }
 
     /// Insert a plan built elsewhere, evicting the LRU entry beyond
@@ -88,44 +67,17 @@ impl PlanCache {
     /// already counted this lookup).
     pub fn insert(&mut self, sql: &str, plan: Arc<QueryPlan>) -> Arc<QueryPlan> {
         self.clock += 1;
-        let gen = self.clock;
         if let Some(entry) = self.plans.get_mut(sql) {
-            entry.gen = gen;
-            let existing = Arc::clone(&entry.plan);
-            self.order.push_back((gen, sql.to_string()));
-            self.compact();
-            return existing;
+            entry.last_use = self.clock;
+            return Arc::clone(&entry.plan);
         }
         if self.plans.len() == self.capacity {
-            self.evict_lru();
+            // Stamps are unique, so this removes exactly the LRU entry.
+            let oldest = self.plans.values().map(|e| e.last_use).min();
+            self.plans.retain(|_, e| Some(e.last_use) != oldest);
         }
-        self.plans.insert(sql.to_string(), Entry { plan: Arc::clone(&plan), gen });
-        self.order.push_back((gen, sql.to_string()));
+        self.plans.insert(sql.to_string(), Entry { plan: Arc::clone(&plan), last_use: self.clock });
         plan
-    }
-
-    /// Pop recency pairs from the front until one still matches its map
-    /// entry's stamp; evict that plan. Each stale pair is popped exactly
-    /// once over its lifetime, so the cost amortizes to O(1) per operation.
-    fn evict_lru(&mut self) {
-        while let Some((gen, sql)) = self.order.pop_front() {
-            let live = self.plans.get(&sql).is_some_and(|e| e.gen == gen);
-            if live {
-                self.plans.remove(&sql);
-                return;
-            }
-        }
-        debug_assert!(self.plans.is_empty(), "entries must be reachable from the recency log");
-    }
-
-    /// Rebuild `order` without tombstones once they dominate. Amortized
-    /// O(1): a compaction scanning `4 * capacity` pairs is paid for by the
-    /// at least `3 * capacity` hits that created the tombstones.
-    fn compact(&mut self) {
-        if self.order.len() >= 4 * self.capacity.max(1) {
-            let plans = &self.plans;
-            self.order.retain(|(gen, sql)| plans.get(sql).is_some_and(|e| e.gen == *gen));
-        }
     }
 
     /// True iff `sql` is currently cached (does not affect recency/stats).
@@ -216,23 +168,16 @@ mod tests {
     }
 
     #[test]
-    fn hit_storms_keep_the_recency_log_bounded_and_lru_exact() {
+    fn hit_storms_keep_lru_exact() {
         let mut cache = PlanCache::new(2);
         let (a, b, c) = ("SELECT r.a FROM r", "SELECT r.b FROM r", "SELECT r.a, r.b FROM r");
         plan_for(&mut cache, a);
         plan_for(&mut cache, b);
-        // A hot statement hit thousands of times must not grow the recency
-        // log past the compaction bound (the old implementation paid an
-        // O(capacity) splice per hit instead).
+        // A hot statement hit thousands of times.
         for _ in 0..1000 {
             plan_for(&mut cache, a);
         }
         assert_eq!(cache.hits(), 1000);
-        assert!(
-            cache.order.len() <= 4 * cache.capacity(),
-            "stale recency pairs must be compacted, log holds {}",
-            cache.order.len()
-        );
         // Eviction still finds the true LRU after the storm.
         plan_for(&mut cache, c);
         assert!(cache.contains(a), "hot entry must survive");
