@@ -18,10 +18,12 @@
 //! three flat vectors: `active` (sorted, distinct targets), `inbox` and
 //! `starts`, where `active[k]`'s messages are
 //! `inbox[starts[k]..starts[k + 1]]`. Compute splits `active` into
-//! contiguous chunks, one per worker; workers read the table by shared
-//! borrow, write only the states of their own vertices (the `SharedMut`
-//! wrapper below encapsulates that invariant), and append their sends, in
-//! send order, to their own outbox.
+//! contiguous chunks, one per worker; since `active` is sorted and
+//! distinct, the chunks cover disjoint vertex-id ranges, and the states
+//! vector is split (`split_at_mut`) at the range boundaries, so each worker
+//! holds `&mut` to its own range's states only. Workers read the table by
+//! shared borrow and append their sends, in send order, to their own
+//! outbox.
 //!
 //! Delivery is one counting sort by target on the calling thread. The
 //! outboxes are taken in worker order, which is source-vertex order;
@@ -51,7 +53,7 @@ use crate::pool::WorkerPool;
 use crate::program::{Aggregator, Message};
 use crate::recovery::FaultRuntime;
 use crate::stats::{LabelTraffic, RunStats, StepStats};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Default for [`EngineConfig::parallel_threshold`]: supersteps with fewer
 /// active vertices than this compute on the calling thread. Chosen so the
@@ -203,77 +205,6 @@ impl<'p, M: Message> Outbox<'p, M> {
             entry.network_bytes += size;
         }
         self.sent.push((target, msg));
-    }
-}
-
-/// Pointer wrapper allowing disjoint `&mut` access to a slice from several
-/// workers.
-///
-/// # Safety invariant
-/// Every index is written by at most one worker per fan-out: a compute worker
-/// owns its own slot and the states of its chunk of the (deduplicated)
-/// active list.
-///
-/// In debug builds the invariant is also *checked*: every [`SharedMut::get`]
-/// records which thread claimed the index, and a second thread claiming the
-/// same index panics instead of racing. A wrapper serves one fan-out, so its
-/// claims end with the phase that made them.
-struct SharedMut<T> {
-    ptr: *mut T,
-    /// Debug-build shadow of the invariant: index -> first claiming thread.
-    #[cfg(debug_assertions)]
-    claims: std::sync::Mutex<std::collections::HashMap<usize, std::thread::ThreadId>>,
-}
-
-// SAFETY: `SharedMut` hands out `&mut T` across threads, which is sound only
-// under the type's disjoint-index invariant; given that, it is equivalent to
-// partitioning one `&mut [T]` into per-worker sub-slices, so `T: Send`
-// suffices for both bounds.
-unsafe impl<T: Send> Send for SharedMut<T> {}
-// SAFETY: as above — shared handles never produce aliasing `&mut T` because
-// each index belongs to exactly one worker per fan-out.
-unsafe impl<T: Send> Sync for SharedMut<T> {}
-
-impl<T> SharedMut<T> {
-    fn new(ptr: *mut T) -> SharedMut<T> {
-        SharedMut {
-            ptr,
-            #[cfg(debug_assertions)]
-            claims: std::sync::Mutex::new(std::collections::HashMap::new()),
-        }
-    }
-
-    /// # Safety
-    /// Caller must uphold the disjoint-index invariant described on the type.
-    //
-    // `&mut` out of `&self` is the point of this type (clippy::mut_from_ref):
-    // exclusivity is provided by the disjoint-index protocol — enforced
-    // dynamically in debug builds by `record_claim` — not the borrow checker.
-    #[allow(clippy::mut_from_ref)]
-    #[inline]
-    unsafe fn get(&self, index: usize) -> &mut T {
-        #[cfg(debug_assertions)]
-        self.record_claim(index);
-        // SAFETY: forwarded to the caller, who owns `index` this fan-out; the
-        // pointee outlives the wrapper (it borrows the engine's Vec).
-        unsafe { &mut *self.ptr.add(index) }
-    }
-
-    /// Debug-build disjointness check: the first claim owns the index for
-    /// the wrapper's life; a claim from any other thread is exactly the data
-    /// race the `# Safety` contract forbids, caught before the aliasing
-    /// `&mut` is created.
-    #[cfg(debug_assertions)]
-    fn record_claim(&self, index: usize) {
-        let me = std::thread::current().id();
-        let mut claims = self.claims.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(owner) = claims.insert(index, me) {
-            assert!(
-                owner == me,
-                "SharedMut disjointness violated: index {index} claimed by \
-                 {owner:?} and {me:?} in the same phase"
-            );
-        }
     }
 }
 
@@ -459,31 +390,38 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
         }
 
         // --- compute phase -------------------------------------------------
-        // One slot per worker, pre-filled with its outbox and aggregate and
-        // written back through `SharedMut` — a fan-out runs every worker
-        // index exactly once, so slot `w` is touched by one thread only.
+        // Worker `w` owns one part: its chunk `lo..hi` of the active list,
+        // the id its state range starts at, the states from the previous
+        // worker's boundary up to `active[hi]` (the last worker: up to |V|),
+        // its outbox and its aggregate. The active list is sorted and
+        // distinct, so every chunk's vertices lie in its own range. A part
+        // sits behind a lock that only its worker ever takes.
         let (active, inbox, starts) = (&self.active, &self.inbox, &self.starts);
-        let states = SharedMut::new(self.states.as_mut_ptr());
         let graph = self.graph;
         let partitioning = self.partitioning.as_deref();
-        let outbox = || Outbox { sent: Vec::new(), partitioning, per_label: Vec::new() };
-        let mut slots: Vec<_> = (0..workers).map(|_| Some((outbox(), G::default()))).collect();
-        let slots_ptr = SharedMut::new(slots.as_mut_ptr());
+        let mut rest = self.states.as_mut_slice();
+        let mut first = 0;
+        let parts: Vec<_> = (0..workers)
+            .map(|w| {
+                let (lo, hi) = ((w * chunk).min(n), ((w + 1) * chunk).min(n));
+                let end = active.get(hi).map_or(graph.vertex_count(), |&v| v as usize);
+                let (states, tail) = std::mem::take(&mut rest).split_at_mut(end - first);
+                let out = Outbox { sent: Vec::new(), partitioning, per_label: Vec::new() };
+                let part = (lo..hi, first as VertexId, states, out, G::default());
+                (rest, first) = (tail, end);
+                Mutex::new(part)
+            })
+            .collect();
         fan_out(self.workers.as_deref(), workers, &|w| {
-            // SAFETY: one fan-out runs index `w` once — disjoint slots.
-            let slot = unsafe { slots_ptr.get(w) };
-            let Some((mut out, mut agg)) = slot.take() else { return };
-            let (lo, hi) = ((w * chunk).min(n), ((w + 1) * chunk).min(n));
-            for (&v, run) in active[lo..hi].iter().zip(starts[lo..=hi].windows(2)) {
-                // SAFETY: the active list is deduplicated and workers take
-                // disjoint chunks, so each vertex's state is touched by one
-                // worker only.
-                let state = unsafe { states.get(v as usize) };
+            let mut part = parts[w].lock().expect("only worker `w` takes part `w`");
+            let (lo_hi, first, states, out, agg) = &mut *part;
+            let runs = starts[lo_hi.start..=lo_hi.end].windows(2);
+            for (&v, run) in active[lo_hi.clone()].iter().zip(runs) {
+                let state = &mut states[(v - *first) as usize];
                 let msgs = &inbox[run[0]..run[1]];
-                let mut ctx = VertexCtx { vid: v, graph, state, msgs, out: &mut out };
-                compute(&mut ctx, &mut agg);
+                let mut ctx = VertexCtx { vid: v, graph, state, msgs, out };
+                compute(&mut ctx, agg);
             }
-            *slot = Some((out, agg));
         });
 
         // --- merge aggregates and counters ----------------------------------
@@ -494,7 +432,8 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
         let mut global = G::default();
         let mut outboxes = Vec::with_capacity(workers);
         let mut step_labels: Vec<(LabelId, LabelTraffic)> = Vec::new();
-        for (out, agg) in slots.into_iter().flatten() {
+        for part in parts {
+            let (.., out, agg) = part.into_inner().expect("a panicked phase never merges");
             for (label, t) in &out.per_label {
                 step.add_traffic(t);
                 match step_labels.iter_mut().find(|(l, _)| l == label) {
@@ -571,25 +510,6 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
-
-    /// The dynamic checker rejects two threads claiming the same index: the
-    /// pool runs both workers through `get(0)`, and whichever claims second
-    /// must panic before its `&mut` is created (re-raised by `run`).
-    #[cfg(debug_assertions)]
-    #[test]
-    fn shared_mut_overlapping_claims_panic() {
-        let mut data = vec![0usize; 4];
-        let shared = SharedMut::new(data.as_mut_ptr());
-        let pool = WorkerPool::new(2);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(2, &|_| {
-                // SAFETY: deliberately violated — both workers claim index 0
-                // so the debug checker must fire (that is the test).
-                *unsafe { shared.get(0) } += 1;
-            });
-        }));
-        assert!(r.is_err(), "overlapping SharedMut claims must panic in debug builds");
-    }
 
     /// A line graph 0 - 1 - 2 - ... - (n-1) with one edge label.
     fn line(n: usize) -> Graph {
@@ -668,6 +588,49 @@ mod tests {
         let (s1, m1) = run(1);
         for threads in [2, 4, 7] {
             assert_eq!(run(threads), (s1.clone(), m1), "threads={threads}");
+        }
+    }
+
+    /// A sparse active set leaves gaps between the workers' id ranges, and
+    /// at 8 threads some chunks hold one vertex or none: every state lands
+    /// at its own vertex, and inactive vertices keep their initial state.
+    #[test]
+    fn sparse_active_sets_split_states_at_chunk_boundaries() {
+        let g = line(64);
+        let init = |v: VertexId| 7 * v as u64 + 3;
+        let run = |threads: usize| {
+            let mut comp: Computation<'_, u64, u64> = Computation::new(
+                &g,
+                EngineConfig::with_threads(threads).with_parallel_threshold(0),
+                init,
+            );
+            comp.activate([0, 1, 9, 10, 11, 40, 63]);
+            comp.superstep_simple(|ctx| {
+                let id = ctx.id() as u64;
+                *ctx.state = 1000 + id;
+                let targets: Vec<VertexId> = ctx.edges().iter().map(|e| e.target).collect();
+                for t in targets {
+                    ctx.send(t, id);
+                }
+            });
+            comp.superstep_simple(|ctx| {
+                let folded = ctx
+                    .messages()
+                    .iter()
+                    .fold(*ctx.state, |acc, &m| acc.wrapping_mul(131).wrapping_add(m + 1));
+                *ctx.state = folded;
+            });
+            let (states, stats) = comp.finish();
+            (states, stats.totals, stats.steps)
+        };
+        let reference = run(1);
+        let touched = [0, 1, 2, 8, 9, 10, 11, 12, 39, 40, 41, 62, 63];
+        for v in (0..64).filter(|v| !touched.contains(v)) {
+            assert_eq!(reference.0[v as usize], init(v), "vertex {v} was never active");
+        }
+        assert_eq!((reference.0[40], reference.0[63]), (1040, 1063));
+        for threads in [2, 3, 4, 8] {
+            assert_eq!(run(threads), reference, "threads={threads}");
         }
     }
 

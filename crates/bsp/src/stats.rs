@@ -73,15 +73,6 @@ impl LabelTraffic {
         self.network_messages += other.network_messages;
         self.network_bytes += other.network_bytes;
     }
-
-    fn of_step(step: &StepStats) -> LabelTraffic {
-        LabelTraffic {
-            messages: step.messages,
-            bytes: step.message_bytes,
-            network_messages: step.network_messages,
-            network_bytes: step.network_bytes,
-        }
-    }
 }
 
 /// Byte/round costs of fault tolerance, kept **separate** from the BSP
@@ -138,13 +129,6 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Record a completed superstep whose traffic carries no label detail
-    /// (it all lands in the [`LabelId::NONE`] bucket).
-    pub fn record(&mut self, step: StepStats) {
-        let all = LabelTraffic::of_step(&step);
-        self.record_step(step, &[(LabelId::NONE, all)]);
-    }
-
     /// Record a completed superstep together with its per-label traffic
     /// breakdown (the engine's path; `labels` must sum to `step`'s traffic).
     pub fn record_step(&mut self, step: StepStats, labels: &[(LabelId, LabelTraffic)]) {
@@ -394,24 +378,16 @@ mod tests {
     #[test]
     fn record_accumulates() {
         let mut r = RunStats::default();
-        r.record(StepStats {
-            active_vertices: 3,
-            messages: 5,
-            message_bytes: 40,
-            ..Default::default()
-        });
-        r.record(StepStats {
-            active_vertices: 2,
-            messages: 1,
-            message_bytes: 8,
-            ..Default::default()
-        });
+        for (active_vertices, messages, bytes) in [(3, 5, 40), (2, 1, 8)] {
+            r.record_step(
+                StepStats { active_vertices, messages, message_bytes: bytes, ..Default::default() },
+                &[(LabelId::NONE, LabelTraffic { messages, bytes, ..Default::default() })],
+            );
+        }
         assert_eq!(r.supersteps, 2);
         assert_eq!(r.total_messages(), 6);
         assert_eq!(r.total_bytes(), 48);
         assert_eq!(r.steps.len(), 2);
-        // Label-less records land in the NONE bucket, keeping the sum
-        // invariant.
         assert_eq!(r.label_traffic(LabelId::NONE).messages, 6);
 
         let mut s = RunStats::default();
@@ -443,7 +419,10 @@ mod tests {
     #[test]
     fn record_traffic_skips_rounds() {
         let mut r = RunStats::default();
-        r.record(StepStats { messages: 1, message_bytes: 8, ..Default::default() });
+        r.record_step(
+            StepStats { messages: 1, message_bytes: 8, ..Default::default() },
+            &[(LabelId::NONE, LabelTraffic { messages: 1, bytes: 8, ..Default::default() })],
+        );
         r.record_traffic(LabelTraffic {
             messages: 10,
             bytes: 100,

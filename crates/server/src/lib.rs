@@ -1,7 +1,7 @@
 //! # vcsql-server — a multi-tenant query server over one shared TAG
 //!
 //! One process encodes the database once and serves many clients: a
-//! [`QueryServer`] owns the shared `Arc<TagGraph>`, a [`SharedPlanCache`]
+//! [`QueryServer`] owns the shared `Arc<TagGraph>`, a [`PlanCache`]
 //! (a statement planned for one tenant is a hit for all), an
 //! [`AdmissionController`] bounding in-flight executions, and —
 //! the part a single [`vcsql_session::Session`] cannot model — **one**
@@ -35,16 +35,14 @@
 //! grant their own admission tickets.
 
 mod admission;
-mod cache;
 
 pub use admission::{AdmissionController, AdmissionPermit, AdmissionStats};
-pub use cache::{SharedPlanCache, TenantCacheStats};
+pub use vcsql_session::{PlanCache, TenantCacheStats};
 
 use std::sync::{Arc, PoisonError};
 use vcsql_bsp::sync::{Mutex, MutexGuard};
 use vcsql_bsp::{
     EngineConfig, FaultInjector, PartitionStrategy, Partitioning, TrafficProfile, WorkerPool,
-    DEFAULT_BALANCE_SLACK,
 };
 use vcsql_core::{ExecOutput, QueryPlan};
 use vcsql_dist::NetStats;
@@ -99,9 +97,6 @@ pub struct ServerConfig {
     /// Global migration budget: most vertices migrated per arbitration
     /// step, across all tenants (must be at least 1).
     pub migration_budget: usize,
-    /// Relative headroom over the ideal per-machine load that placement
-    /// and migration may use.
-    pub balance_slack: f64,
     /// Exponential forgetting of each tenant's traffic profile, as a
     /// half-life in that tenant's executions (see
     /// [`vcsql_session::SessionConfig::profile_half_life`]). The server
@@ -132,7 +127,6 @@ impl Default for ServerConfig {
             plan_cache_capacity: 64,
             drift_threshold: 0.25,
             migration_budget: 2048,
-            balance_slack: DEFAULT_BALANCE_SLACK,
             profile_half_life: Some(8.0),
             arbitration: Arbitration::Merged,
             max_in_flight_per_tenant: 4,
@@ -213,7 +207,7 @@ struct TenantState {
 pub struct QueryServer {
     tag: Arc<TagGraph>,
     config: ServerConfig,
-    cache: SharedPlanCache,
+    cache: PlanCache,
     /// The placement every tenant shares (`None` when `machines == 1`):
     /// read to execute, stepped by arbitration.
     placement: Option<Mutex<PlacementController>>,
@@ -248,7 +242,6 @@ impl QueryServer {
             config.plan_cache_capacity,
             config.migration_budget,
             config.drift_threshold,
-            config.balance_slack,
             config.profile_half_life,
         )
         .map_err(|e| invalid(e.to_string()))?;
@@ -261,13 +254,12 @@ impl QueryServer {
             &config.strategy,
             config.drift_threshold,
             config.migration_budget,
-            config.balance_slack,
         );
         let pool =
             (config.engine.threads > 1).then(|| Arc::new(WorkerPool::new(config.engine.threads)));
         Ok(Arc::new(QueryServer {
             tag: Arc::clone(tag),
-            cache: SharedPlanCache::new(config.plan_cache_capacity),
+            cache: PlanCache::new(config.plan_cache_capacity),
             placement: placement.map(Mutex::new),
             tenants: Mutex::new(Vec::new()),
             admission: AdmissionController::new(
@@ -299,7 +291,7 @@ impl QueryServer {
     }
 
     /// The shared plan cache (aggregate and per-tenant counters).
-    pub fn plan_cache(&self) -> &SharedPlanCache {
+    pub fn plan_cache(&self) -> &PlanCache {
         &self.cache
     }
 
@@ -505,11 +497,6 @@ impl TenantSession {
         Ok((out, net))
     }
 
-    /// This tenant's failure-isolation counters.
-    pub fn failure_stats(&self) -> FailureStats {
-        lock(&self.tenant).stats.failures
-    }
-
     /// This tenant's lifetime counters.
     pub fn stats(&self) -> TenantStats {
         lock(&self.tenant).stats.clone()
@@ -557,7 +544,6 @@ mod tests {
             ServerConfig { migration_budget: 0, ..config.clone() },
             ServerConfig { drift_threshold: 0.0, ..config.clone() },
             ServerConfig { drift_threshold: f64::NAN, ..config.clone() },
-            ServerConfig { balance_slack: -0.1, ..config.clone() },
             ServerConfig { profile_half_life: Some(0.0), ..config.clone() },
             ServerConfig { profile_half_life: Some(f64::INFINITY), ..config.clone() },
             ServerConfig { max_in_flight_per_tenant: 0, ..config.clone() },
@@ -682,7 +668,7 @@ mod tests {
         let msg = format!("{err}");
         assert!(msg.starts_with("tenant 0: execution panicked: "), "{msg}");
         assert_eq!(server.admission.total_in_flight(), 0, "panicked query leaked its slot");
-        assert_eq!(victim.failure_stats(), FailureStats { panics: 1, ..Default::default() });
+        assert_eq!(victim.stats().failures, FailureStats { panics: 1, ..Default::default() });
         assert_eq!(victim.stats().queries, 0, "panicked run must not count as served");
         // The bystander — and even the victim, since the fault fired once —
         // still get served through the same admission queue.
@@ -692,7 +678,7 @@ mod tests {
         let (out_v, _) = victim.run_sql(JOIN_SQL).unwrap();
         assert!(out_b.relation.same_bag_approx(&lone.relation, 1e-9));
         assert!(out_v.relation.same_bag_approx(&lone.relation, 1e-9));
-        assert_eq!(bystander.failure_stats(), FailureStats::default());
+        assert_eq!(bystander.stats().failures, FailureStats::default());
         assert_eq!(server.stats().failures.panics, 1);
         assert_eq!(server.admission.total_in_flight(), 0);
     }
@@ -746,7 +732,7 @@ mod tests {
         let (out, _) = tenant.run_sql(JOIN_SQL).unwrap();
         assert!(inj.any_fired(), "the planned delivery fault never fired");
         assert!(out.relation.same_bag_approx(&lone.relation, 1e-9));
-        let failures = tenant.failure_stats();
+        let failures = tenant.stats().failures;
         assert_eq!(failures.retries, 1, "one transient fault, one retry");
         assert_eq!(failures.panics, 0);
         assert_eq!(tenant.stats().queries, 1);
@@ -857,7 +843,7 @@ mod tests {
         assert!(net.checkpoint_bytes > 0, "checkpointing run itemized no checkpoint bytes");
         assert!(net.recovery_bytes > 0, "recovered crash itemized no recovery bytes");
         assert!(net.recovery_bytes <= net.network_bytes);
-        let failures = tenant.failure_stats();
+        let failures = tenant.stats().failures;
         assert_eq!(failures.recoveries, 1);
         assert_eq!(failures.retries, 0, "in-engine recovery needs no server retry");
         assert_eq!(tenant.stats().queries, 1);

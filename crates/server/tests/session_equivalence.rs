@@ -39,7 +39,6 @@ fn session_equals_a_one_tenant_merged_server_over_a_drift_schedule() {
         strategy: server_config.strategy.clone(),
         drift_threshold: server_config.drift_threshold,
         migration_budget: server_config.migration_budget,
-        balance_slack: server_config.balance_slack,
         profile_half_life: server_config.profile_half_life,
         ..SessionConfig::default()
     };

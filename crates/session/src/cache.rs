@@ -1,16 +1,31 @@
-//! The bounded, SQL-keyed plan cache behind [`Session::prepare`].
+//! The bounded, SQL-keyed plan cache behind [`Session::prepare`] and
+//! `vcsql-server`'s tenants.
 //!
 //! Plans depend only on the SQL text and the schemas, never on the data, so
-//! a session over one TAG can cache them indefinitely; the cache is bounded
-//! (least-recently-used eviction) so a session serving ad-hoc traffic cannot
-//! grow without limit, and it keeps hit/miss statistics so operators can see
-//! whether their workload actually reuses statements.
+//! a host over one TAG can cache them indefinitely; the cache is bounded
+//! (least-recently-used eviction) so ad-hoc traffic cannot grow it without
+//! limit, and it keeps per-tenant hit/miss counters so operators can see
+//! whether their workload actually reuses statements. A session is tenant 0;
+//! a server shares one cache across its tenants, so a statement planned for
+//! one tenant is a hit for all of them.
 //!
 //! [`Session::prepare`]: crate::Session::prepare
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
+use vcsql_bsp::sync::{Mutex, MutexGuard};
 use vcsql_core::QueryPlan;
-use vcsql_relation::FxHashMap;
+use vcsql_relation::schema::Schema;
+use vcsql_relation::{FxHashMap, RelError};
+
+/// One tenant's view of the cache: how often its lookups were served from
+/// plans already cached (by anyone) versus planned from scratch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TenantCacheStats {
+    /// Lookups served from the cache.
+    pub hits: u64,
+    /// Lookups that had to plan from scratch.
+    pub misses: u64,
+}
 
 /// A cached plan plus the stamp of its latest use.
 #[derive(Debug)]
@@ -19,7 +34,19 @@ struct Entry {
     last_use: u64,
 }
 
-/// A bounded LRU cache of prepared [`QueryPlan`]s, keyed by SQL text.
+/// What the lock guards.
+#[derive(Debug, Default)]
+struct Inner {
+    plans: FxHashMap<String, Entry>,
+    /// Monotonic stamp source.
+    clock: u64,
+    /// Per-tenant counters, indexed by tenant id and grown on demand
+    /// (tenant ids are dense).
+    tenants: Vec<TenantCacheStats>,
+}
+
+/// A bounded LRU cache of prepared [`QueryPlan`]s, keyed by SQL text, with
+/// per-tenant hit/miss counters, behind one lock.
 ///
 /// Each plan carries the stamp of its latest use, from a counter bumped on
 /// every hit and insert. A hit is one map probe and a stamp write. An insert
@@ -29,92 +56,117 @@ struct Entry {
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
-    plans: FxHashMap<String, Entry>,
-    /// Monotonic stamp source.
-    clock: u64,
-    hits: u64,
-    misses: u64,
+    inner: Mutex<Inner>,
 }
 
 impl PlanCache {
     /// A cache holding at most `capacity` plans. Panics on zero capacity (a
-    /// session validates its configuration before building one).
+    /// host validates its configuration before building one).
     pub fn new(capacity: usize) -> PlanCache {
         assert!(capacity > 0, "plan cache needs capacity for at least one plan");
-        PlanCache { capacity, plans: FxHashMap::default(), clock: 0, hits: 0, misses: 0 }
+        PlanCache { capacity, inner: Mutex::new(Inner::default()) }
     }
 
-    /// Look up `sql`: a hit refreshes recency and returns the plan, a miss
-    /// counts and returns `None`. The caller plans on a miss and hands the
-    /// plan to [`PlanCache::insert`] — outside the critical section, when
-    /// the cache sits behind the `vcsql-server` lock.
-    pub fn get(&mut self, sql: &str) -> Option<Arc<QueryPlan>> {
-        let Some(entry) = self.plans.get_mut(sql) else {
-            self.misses += 1;
+    /// Poison-tolerant lock: every mutation under it is panic-atomic, so a
+    /// poisoned lock still guards a consistent cache.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The one lookup path: consult the cache for `tenant`, and on a miss
+    /// plan `sql` against `schemas` *outside* the lock, so a cold compile
+    /// stalls no one, before inserting the result. Two tenants racing to
+    /// plan the same SQL both succeed; the first insert wins and both get
+    /// the same plan allocation. A planning error counts one miss, caches
+    /// nothing and is returned as is.
+    pub fn get_or_prepare(
+        &self,
+        tenant: usize,
+        sql: &str,
+        schemas: &[Schema],
+    ) -> Result<Arc<QueryPlan>, RelError> {
+        if let Some(plan) = self.get(tenant, sql) {
+            return Ok(plan);
+        }
+        let plan = Arc::new(QueryPlan::prepare(sql, schemas)?);
+        Ok(self.insert(sql, plan))
+    }
+
+    /// Look up `sql` for `tenant`: a hit refreshes recency and counts toward
+    /// the tenant's hits, a miss counts toward its misses and returns `None`.
+    fn get(&self, tenant: usize, sql: &str) -> Option<Arc<QueryPlan>> {
+        let mut inner = self.lock();
+        let Inner { plans, clock, tenants } = &mut *inner;
+        if tenants.len() <= tenant {
+            tenants.resize(tenant + 1, TenantCacheStats::default());
+        }
+        let Some(entry) = plans.get_mut(sql) else {
+            tenants[tenant].misses += 1;
             return None;
         };
-        self.hits += 1;
-        self.clock += 1;
-        entry.last_use = self.clock;
+        tenants[tenant].hits += 1;
+        *clock += 1;
+        entry.last_use = *clock;
         Some(Arc::clone(&entry.plan))
     }
 
-    /// Insert a plan built elsewhere, evicting the LRU entry beyond
+    /// Insert a plan built outside the lock, evicting the LRU entry beyond
     /// capacity. If `sql` is already cached — two callers raced to build
     /// the same plan — the **first** insert wins and the cached plan is
-    /// returned, so every caller agrees on one plan allocation. Does not
-    /// touch the hit/miss counters (the preceding [`PlanCache::get`]
-    /// already counted this lookup).
-    pub fn insert(&mut self, sql: &str, plan: Arc<QueryPlan>) -> Arc<QueryPlan> {
-        self.clock += 1;
-        if let Some(entry) = self.plans.get_mut(sql) {
-            entry.last_use = self.clock;
+    /// returned. Counts nothing (the preceding `get` already did).
+    fn insert(&self, sql: &str, plan: Arc<QueryPlan>) -> Arc<QueryPlan> {
+        let mut inner = self.lock();
+        let Inner { plans, clock, .. } = &mut *inner;
+        *clock += 1;
+        if let Some(entry) = plans.get_mut(sql) {
+            entry.last_use = *clock;
             return Arc::clone(&entry.plan);
         }
-        if self.plans.len() == self.capacity {
+        if plans.len() == self.capacity {
             // Stamps are unique, so this removes exactly the LRU entry.
-            let oldest = self.plans.values().map(|e| e.last_use).min();
-            self.plans.retain(|_, e| Some(e.last_use) != oldest);
+            let oldest = plans.values().map(|e| e.last_use).min();
+            plans.retain(|_, e| Some(e.last_use) != oldest);
         }
-        self.plans.insert(sql.to_string(), Entry { plan: Arc::clone(&plan), last_use: self.clock });
+        plans.insert(sql.to_string(), Entry { plan: Arc::clone(&plan), last_use: *clock });
         plan
     }
 
     /// True iff `sql` is currently cached (does not affect recency/stats).
     pub fn contains(&self, sql: &str) -> bool {
-        self.plans.contains_key(sql)
+        self.lock().plans.contains_key(sql)
     }
 
     /// Cached plans right now.
     pub fn len(&self) -> usize {
-        self.plans.len()
+        self.lock().plans.len()
     }
 
     /// True iff nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
+        self.len() == 0
     }
 
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Lookups served from cache.
+    /// Lookups served from cache, over all tenants.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.lock().tenants.iter().map(|t| t.hits).sum()
     }
 
-    /// Lookups that had to plan from scratch.
+    /// Lookups that had to plan from scratch, over all tenants.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.lock().tenants.iter().map(|t| t.misses).sum()
+    }
+
+    /// One tenant's hit/miss counters (zeros for a tenant that never looked
+    /// anything up).
+    pub fn tenant_stats(&self, tenant: usize) -> TenantCacheStats {
+        self.lock().tenants.get(tenant).copied().unwrap_or_default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcsql_relation::schema::{Column, Schema};
+    use vcsql_relation::schema::Column;
     use vcsql_relation::DataType;
 
     fn schemas() -> Vec<Schema> {
@@ -124,92 +176,87 @@ mod tests {
         )]
     }
 
-    /// `Session::prepare`'s lookup path: `get`, and on a miss plan and
-    /// `insert`.
-    fn plan_for(cache: &mut PlanCache, sql: &str) -> Arc<QueryPlan> {
-        cache.get(sql).unwrap_or_else(|| {
-            cache.insert(sql, Arc::new(QueryPlan::prepare(sql, &schemas()).unwrap()))
-        })
+    fn plan_for(cache: &PlanCache, sql: &str) -> Arc<QueryPlan> {
+        cache.get_or_prepare(0, sql, &schemas()).unwrap()
     }
 
     #[test]
-    fn repeated_prepare_hits_distinct_sql_misses() {
-        let mut cache = PlanCache::new(8);
-        let q1 = "SELECT r.a FROM r";
-        let q2 = "SELECT r.b FROM r";
-        let first = plan_for(&mut cache, q1);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let again = plan_for(&mut cache, q1);
+    fn tenants_share_plans_and_keep_private_counters() {
+        let cache = PlanCache::new(8);
+        let s = schemas();
+        let q = "SELECT r.a FROM r";
+        let first = cache.get_or_prepare(0, q, &s).unwrap();
+        let second = cache.get_or_prepare(1, q, &s).unwrap();
+        // One plan allocation serves both tenants.
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(cache.len(), 1);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        // A hit returns the very same plan allocation.
-        assert!(Arc::ptr_eq(&first, &again));
-        plan_for(&mut cache, q2);
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.tenant_stats(0), TenantCacheStats { hits: 0, misses: 1 });
+        assert_eq!(cache.tenant_stats(1), TenantCacheStats { hits: 1, misses: 0 });
+        // A tenant that never looked up reads zeros, not a panic.
+        assert_eq!(cache.tenant_stats(7), TenantCacheStats::default());
     }
 
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
-        let mut cache = PlanCache::new(2);
+        let cache = PlanCache::new(2);
         let (a, b, c) = ("SELECT r.a FROM r", "SELECT r.b FROM r", "SELECT r.a, r.b FROM r");
-        plan_for(&mut cache, a);
-        plan_for(&mut cache, b);
+        plan_for(&cache, a);
+        plan_for(&cache, b);
         // Touch `a` so `b` becomes the LRU entry, then overflow with `c`.
-        plan_for(&mut cache, a);
-        plan_for(&mut cache, c);
+        plan_for(&cache, a);
+        plan_for(&cache, c);
         assert_eq!(cache.len(), 2);
         assert!(cache.contains(a), "recently used entry must survive");
         assert!(!cache.contains(b), "LRU entry must be evicted");
         assert!(cache.contains(c));
         // Re-preparing the evicted statement is a miss again.
-        plan_for(&mut cache, b);
+        plan_for(&cache, b);
         assert_eq!(cache.misses(), 4);
         assert!(!cache.contains(a), "a became LRU after c and b were touched");
     }
 
     #[test]
     fn hit_storms_keep_lru_exact() {
-        let mut cache = PlanCache::new(2);
+        let cache = PlanCache::new(2);
         let (a, b, c) = ("SELECT r.a FROM r", "SELECT r.b FROM r", "SELECT r.a, r.b FROM r");
-        plan_for(&mut cache, a);
-        plan_for(&mut cache, b);
+        plan_for(&cache, a);
+        plan_for(&cache, b);
         // A hot statement hit thousands of times.
         for _ in 0..1000 {
-            plan_for(&mut cache, a);
+            plan_for(&cache, a);
         }
         assert_eq!(cache.hits(), 1000);
         // Eviction still finds the true LRU after the storm.
-        plan_for(&mut cache, c);
+        plan_for(&cache, c);
         assert!(cache.contains(a), "hot entry must survive");
         assert!(!cache.contains(b), "cold entry must be the one evicted");
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
-    fn insert_counts_nothing_and_the_first_insert_wins() {
-        let mut cache = PlanCache::new(2);
+    fn racing_inserts_agree_on_the_first_plan() {
+        let cache = PlanCache::new(4);
         let s = schemas();
-        let q = "SELECT r.a FROM r";
-        assert!(cache.get(q).is_none());
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let built = Arc::new(QueryPlan::prepare(q, &s).unwrap());
-        let stored = cache.insert(q, Arc::clone(&built));
-        assert!(Arc::ptr_eq(&stored, &built));
-        // Insert counts nothing; the next get is a hit on the same plan.
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let hit = cache.get(q).unwrap();
-        assert!(Arc::ptr_eq(&hit, &built));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        // A racing second insert loses: first plan wins for everyone.
-        let other = Arc::new(QueryPlan::prepare(q, &s).unwrap());
-        let kept = cache.insert(q, other);
-        assert!(Arc::ptr_eq(&kept, &built));
-        // Inserts still evict by recency beyond capacity.
-        let (b, c) = ("SELECT r.b FROM r", "SELECT r.a, r.b FROM r");
-        cache.insert(b, Arc::new(QueryPlan::prepare(b, &s).unwrap()));
-        cache.insert(c, Arc::new(QueryPlan::prepare(c, &s).unwrap()));
-        assert_eq!(cache.len(), 2);
-        assert!(!cache.contains(q) || !cache.contains(b), "capacity bound holds");
+        let q = "SELECT r.b FROM r";
+        // Two callers both missed and both planned (`get_or_prepare` plans
+        // outside the lock, so this is the real race shape).
+        assert!(cache.get(0, q).is_none());
+        assert!(cache.get(1, q).is_none());
+        let a = cache.insert(q, Arc::new(QueryPlan::prepare(q, &s).unwrap()));
+        let b = cache.insert(q, Arc::new(QueryPlan::prepare(q, &s).unwrap()));
+        assert!(Arc::ptr_eq(&a, &b), "first insert must win for every caller");
+        // Inserts count nothing: two lookups, two misses.
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn failed_prepare_counts_one_miss_and_caches_nothing() {
+        let cache = PlanCache::new(4);
+        assert!(cache.get_or_prepare(0, "SELECT nope FROM nowhere", &schemas()).is_err());
+        assert!(cache.is_empty());
+        assert_eq!(cache.tenant_stats(0), TenantCacheStats { hits: 0, misses: 1 });
     }
 
     #[test]

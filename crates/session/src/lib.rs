@@ -36,7 +36,7 @@ mod cache;
 mod cluster;
 mod placement;
 
-pub use cache::PlanCache;
+pub use cache::{PlanCache, TenantCacheStats};
 pub use cluster::Cluster;
 pub use placement::PlacementController;
 pub use vcsql_core::{ExecOutput, QueryPlan, TagJoinExecutor};
@@ -47,7 +47,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use vcsql_bsp::{
     EngineConfig, FaultInjector, PartitionStrategy, Partitioning, TrafficProfile, WorkerPool,
-    DEFAULT_BALANCE_SLACK,
 };
 use vcsql_relation::RelError;
 use vcsql_tag::TagGraph;
@@ -76,9 +75,6 @@ pub struct SessionConfig {
     /// Most vertices migrated per execution step while walking toward an
     /// adaptation target (must be at least 1).
     pub migration_budget: usize,
-    /// Relative headroom over the ideal per-machine load that placement and
-    /// migration may use (the partitioning subsystem's 20% cap by default).
-    pub balance_slack: f64,
     /// Exponential forgetting of the accumulated traffic profile, expressed
     /// as a half-life in executions: before each execution's traffic is
     /// folded in, every accumulated counter is scaled by `0.5^(1/h)`, so
@@ -98,7 +94,6 @@ impl Default for SessionConfig {
             plan_cache_capacity: 128,
             drift_threshold: 0.25,
             migration_budget: 2048,
-            balance_slack: DEFAULT_BALANCE_SLACK,
             profile_half_life: None,
         }
     }
@@ -197,7 +192,6 @@ impl Session {
             config.plan_cache_capacity,
             config.migration_budget,
             config.drift_threshold,
-            config.balance_slack,
             config.profile_half_life,
         )?;
         let placement = PlacementController::new(
@@ -206,7 +200,6 @@ impl Session {
             &config.strategy,
             config.drift_threshold,
             config.migration_budget,
-            config.balance_slack,
         );
         let cache = PlanCache::new(config.plan_cache_capacity);
         // One persistent worker pool for the session's whole life: its OS
@@ -234,17 +227,11 @@ impl Session {
     }
 
     /// Prepare a statement: parse → analyze → GYO → TAG plan, served from
-    /// the plan cache when this SQL was prepared before. The lookup path is
-    /// the server's (`get`, plan on a miss, `insert`), so a failed prepare
-    /// counts one miss and caches nothing on either host.
+    /// the plan cache when this SQL was prepared before. The session is the
+    /// cache's tenant 0 ([`PlanCache::get_or_prepare`], the server's lookup
+    /// path too), so a failed prepare counts one miss and caches nothing.
     pub fn prepare(&mut self, sql: &str) -> Result<PreparedQuery> {
-        let plan = match self.cache.get(sql) {
-            Some(plan) => plan,
-            None => {
-                let plan = Arc::new(QueryPlan::prepare(sql, self.tag.schemas())?);
-                self.cache.insert(sql, plan)
-            }
-        };
+        let plan = self.cache.get_or_prepare(0, sql, self.tag.schemas())?;
         Ok(PreparedQuery {
             sql: sql.to_string(),
             plan,
@@ -324,11 +311,6 @@ impl Session {
     /// contract there, a failed execution leaves the session unchanged.
     pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) {
         self.faults = Some(injector);
-    }
-
-    /// The armed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.faults.as_ref()
     }
 
     /// Re-place a crashed machine's vertices onto the survivors (see
@@ -440,7 +422,7 @@ impl Session {
         stats
     }
 
-    /// The plan cache (capacity, occupancy, hit/miss counters).
+    /// The plan cache (occupancy, hit/miss counters).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.cache
     }
@@ -494,15 +476,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// Validate the knobs a [`SessionConfig`] and `vcsql-server`'s
 /// `ServerConfig` share (`who` names the host in the machine-count
 /// messages): 1 to `u16::MAX` machines, a non-empty plan cache, a positive
-/// migration budget, a positive finite drift threshold, non-negative
-/// balance slack and a positive finite profile half-life when one is set.
+/// migration budget, a positive finite drift threshold and a positive
+/// finite profile half-life when one is set.
 pub fn validate_knobs(
     who: &str,
     machines: usize,
     plan_cache_capacity: usize,
     migration_budget: usize,
     drift_threshold: f64,
-    balance_slack: f64,
     profile_half_life: Option<f64>,
 ) -> Result<()> {
     let invalid = |msg: String| Err(RelError::Other(msg));
@@ -522,9 +503,6 @@ pub fn validate_knobs(
         return invalid(format!(
             "drift threshold must be positive and finite, got {drift_threshold}"
         ));
-    }
-    if !balance_slack.is_finite() || balance_slack < 0.0 {
-        return invalid(format!("balance slack must be non-negative, got {balance_slack}"));
     }
     match profile_half_life {
         Some(h) if !h.is_finite() || h <= 0.0 => {
@@ -595,9 +573,6 @@ mod tests {
         );
         assert!(Session::open(&tag, SessionConfig { drift_threshold: f64::NAN, ..config.clone() })
             .is_err());
-        assert!(
-            Session::open(&tag, SessionConfig { balance_slack: -0.1, ..config.clone() }).is_err()
-        );
         assert!(Session::open(
             &tag,
             SessionConfig { profile_half_life: Some(0.0), ..config.clone() }
@@ -702,19 +677,6 @@ mod tests {
         let (out2, _) = s.execute(&again).unwrap();
         assert!(out2.relation.same_bag_approx(&oneshot.relation, 1e-9));
         assert_eq!(s.stats().queries, 2);
-    }
-
-    /// A prepare that fails to plan is one lookup that missed: it counts
-    /// exactly one miss, caches nothing and serves no query — the same
-    /// accounting as the server's `SharedPlanCache::get_or_prepare`.
-    #[test]
-    fn failed_prepare_counts_one_miss_and_caches_nothing() {
-        let (tag, config) = session(1);
-        let mut s = Session::open(&tag, config).unwrap();
-        assert!(s.prepare("SELECT nope FROM nowhere").is_err());
-        assert_eq!((s.plan_cache().hits(), s.plan_cache().misses()), (0, 1));
-        assert!(s.plan_cache().is_empty());
-        assert_eq!(s.stats().queries, 0);
     }
 
     #[test]

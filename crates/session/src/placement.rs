@@ -21,6 +21,7 @@
 use std::sync::Arc;
 use vcsql_bsp::{
     balance_cap, migrate_step, PartitionStrategy, Partitioning, TrafficProfile, VertexId,
+    DEFAULT_BALANCE_SLACK,
 };
 use vcsql_dist::NetStats;
 use vcsql_relation::Value;
@@ -50,7 +51,9 @@ pub struct PlacementController {
     pending: Option<PendingMigration>,
     drift_threshold: f64,
     migration_budget: usize,
-    /// Per-machine vertex quota no migration step may exceed.
+    /// Per-machine vertex quota no migration step may exceed: the cap every
+    /// target placement is built under (`DEFAULT_BALANCE_SLACK`), so a walk
+    /// can reach any target it is given.
     cap: usize,
     /// Targets derived (drift-threshold crossings).
     pub adaptations: u64,
@@ -74,7 +77,6 @@ impl PlacementController {
         strategy: &PartitionStrategy,
         drift_threshold: f64,
         migration_budget: usize,
-        balance_slack: f64,
     ) -> Option<PlacementController> {
         (machines > 1).then(|| PlacementController {
             tag: Arc::clone(tag),
@@ -83,7 +85,7 @@ impl PlacementController {
             pending: None,
             drift_threshold,
             migration_budget,
-            cap: balance_cap(tag.graph().vertex_count(), machines, balance_slack),
+            cap: balance_cap(tag.graph().vertex_count(), machines, DEFAULT_BALANCE_SLACK),
             adaptations: 0,
             migration_steps: 0,
             migrated_vertices: 0,
@@ -253,7 +255,7 @@ mod tests {
 
     fn controller(budget: usize) -> PlacementController {
         let tag = Arc::new(TagGraph::build(&tpch::generate(0.004, 42)));
-        PlacementController::new(&tag, 4, &PartitionStrategy::Refined, 0.25, budget, 0.2)
+        PlacementController::new(&tag, 4, &PartitionStrategy::Refined, 0.25, budget)
             .expect("four machines have a placement")
     }
 
@@ -268,9 +270,7 @@ mod tests {
     #[test]
     fn single_machine_has_no_controller() {
         let tag = Arc::new(TagGraph::build(&tpch::generate(0.004, 42)));
-        assert!(
-            PlacementController::new(&tag, 1, &PartitionStrategy::Refined, 0.25, 8, 0.2).is_none()
-        );
+        assert!(PlacementController::new(&tag, 1, &PartitionStrategy::Refined, 0.25, 8).is_none());
     }
 
     #[test]
