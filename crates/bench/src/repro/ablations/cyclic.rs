@@ -1,5 +1,6 @@
 //! Cycle queries (paper Sections 6.1–6.2): vertex-centric counting of
-//! triangles and n-way cycles with the NPRR-style heavy/light split.
+//! triangles and n-way cycles with the NPRR-style heavy/light split,
+//! measured by `repro triangle-theta` (A2) across θ.
 //!
 //! The query shape is `E0(x0,x1) ⋈ E1(x1,x2) ⋈ ... ⋈ E{n-1}(x{n-1},x0)` over
 //! binary relations with columns `(src, dst)`.
@@ -81,7 +82,7 @@ enum StageFilter {
 /// Count the n-cycles (tuple combinations closing the cycle) among the given
 /// binary relations. `theta = None` runs the vanilla algorithm from `x0`;
 /// `Some(θ)` runs the heavy/light split of Section 6.1.2.
-pub fn count_cycles(
+pub(super) fn count_cycles(
     tag: &TagGraph,
     relations: &[&str],
     theta: Option<usize>,
@@ -318,43 +319,43 @@ fn gather(msgs: &[Paths]) -> (FxHashMap<VertexId, u64>, FxHashMap<VertexId, u64>
     (left, right)
 }
 
-/// Brute-force cycle count over the raw relations (test oracle).
-pub fn brute_force_cycles(db: &vcsql_relation::Database, relations: &[&str]) -> Result<u64> {
-    let n = relations.len();
-    let rels: Vec<&vcsql_relation::Relation> =
-        relations.iter().map(|r| db.get(r)).collect::<Result<_>>()?;
-    let mut paths: FxHashMap<(vcsql_relation::Value, vcsql_relation::Value), u64> =
-        FxHashMap::default();
-    for t in &rels[0].tuples {
-        *paths.entry((t.get(0).clone(), t.get(1).clone())).or_insert(0) += 1;
-    }
-    for rel in &rels[1..n - 1] {
-        let mut next: FxHashMap<(vcsql_relation::Value, vcsql_relation::Value), u64> =
-            FxHashMap::default();
-        for ((first, cur), count) in &paths {
-            for t in &rel.tuples {
-                if t.get(0) == cur {
-                    *next.entry((first.clone(), t.get(1).clone())).or_insert(0) += count;
-                }
-            }
-        }
-        paths = next;
-    }
-    let mut total = 0u64;
-    for ((first, cur), count) in &paths {
-        for t in &rels[n - 1].tuples {
-            if t.get(0) == cur && t.get(1) == first {
-                total += count;
-            }
-        }
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vcsql_workload::synthetic::cycle_db;
+
+    /// Brute-force cycle count over the raw relations (test oracle).
+    fn brute_force_cycles(db: &vcsql_relation::Database, relations: &[&str]) -> Result<u64> {
+        let n = relations.len();
+        let rels: Vec<&vcsql_relation::Relation> =
+            relations.iter().map(|r| db.get(r)).collect::<Result<_>>()?;
+        let mut paths: FxHashMap<(vcsql_relation::Value, vcsql_relation::Value), u64> =
+            FxHashMap::default();
+        for t in &rels[0].tuples {
+            *paths.entry((t.get(0).clone(), t.get(1).clone())).or_insert(0) += 1;
+        }
+        for rel in &rels[1..n - 1] {
+            let mut next: FxHashMap<(vcsql_relation::Value, vcsql_relation::Value), u64> =
+                FxHashMap::default();
+            for ((first, cur), count) in &paths {
+                for t in &rel.tuples {
+                    if t.get(0) == cur {
+                        *next.entry((first.clone(), t.get(1).clone())).or_insert(0) += count;
+                    }
+                }
+            }
+            paths = next;
+        }
+        let mut total = 0u64;
+        for ((first, cur), count) in &paths {
+            for t in &rels[n - 1].tuples {
+                if t.get(0) == cur && t.get(1) == first {
+                    total += count;
+                }
+            }
+        }
+        Ok(total)
+    }
 
     fn check(n: usize, rows: usize, domain: i64, seed: u64) {
         let db = cycle_db(n, rows, domain, seed);

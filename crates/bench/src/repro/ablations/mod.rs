@@ -1,13 +1,17 @@
 //! A1, A2, A4: ablations of the paper's analytic claims — two-way join
 //! communication bounds, the triangle heavy/light threshold, and the
-//! no-reshuffle property of join chains.
+//! no-reshuffle property of join chains. A1 and A2 run standalone vertex
+//! programs no SQL statement reaches (§4's two-way join, §6.1–6.2's cycle
+//! counting), so they live here rather than in `vcsql-core`.
+
+mod cyclic;
+mod twoway;
 
 use super::{Args, SEED, TPCH};
 use crate::print_table;
 use std::sync::Arc;
+use twoway::{two_way_join, TwoWaySpec};
 use vcsql_bsp::{EngineConfig, PartitionStrategy};
-use vcsql_core::cyclic;
-use vcsql_core::twoway::{two_way_join, TwoWaySpec};
 use vcsql_dist::SparkModel;
 use vcsql_relation::mem::human_bytes;
 use vcsql_session::Cluster;

@@ -1,4 +1,5 @@
-//! The standalone two-way join of paper Section 4.
+//! The standalone two-way join of paper Section 4, measured by `repro
+//! cost-model` (A1) against its `min(IN, OUT)` communication bound.
 //!
 //! Three supersteps over the TAG graph:
 //!
@@ -10,13 +11,12 @@
 //!    attributes so the coordinating attribute vertex can intersect them;
 //! 3. the attribute vertex intersects both sides on the companion attributes
 //!    and keeps the factorized pair (left rows, right rows) — the factorized
-//!    representation of Section 4.1; [`TwoWayResult::expand`] produces the
-//!    flat bag-of-tuples form.
+//!    representation of Section 4.1.
 
-use crate::table::{ColKey, RowRef, Table};
 use std::sync::Arc;
 use vcsql_bsp::program::Aggregator;
 use vcsql_bsp::{Computation, EngineConfig, Message, RunStats, VertexCtx, VertexId};
+use vcsql_core::table::{ColKey, RowRef, Table};
 use vcsql_relation::{RelError, Value};
 use vcsql_tag::TagGraph;
 
@@ -24,55 +24,35 @@ type Result<T> = std::result::Result<T, RelError>;
 
 /// A join specification: `left.cols[i] = right.cols[i]` for each i; the
 /// first pair is the coordinating attribute (Section 4.2 reduces to it).
-#[derive(Debug, Clone)]
-pub struct TwoWaySpec<'a> {
-    pub left: &'a str,
-    pub right: &'a str,
+pub(super) struct TwoWaySpec<'a> {
+    pub(super) left: &'a str,
+    pub(super) right: &'a str,
     /// Join column pairs (by name); at least one.
-    pub on: Vec<(&'a str, &'a str)>,
+    pub(super) on: Vec<(&'a str, &'a str)>,
     /// Output columns of the left relation (names).
-    pub left_out: Vec<&'a str>,
+    pub(super) left_out: Vec<&'a str>,
     /// Output columns of the right relation (names).
-    pub right_out: Vec<&'a str>,
+    pub(super) right_out: Vec<&'a str>,
 }
 
 /// One join value's factorized result.
-#[derive(Debug, Clone)]
-pub struct FactorGroup {
-    pub join_value: Value,
-    pub left: Table,
-    pub right: Table,
+struct FactorGroup {
+    join_value: Value,
+    left: Table,
+    right: Table,
 }
 
 /// The factorized join output, distributed over attribute vertices in the
 /// computation and gathered here.
-#[derive(Debug)]
-pub struct TwoWayResult {
-    pub groups: Vec<FactorGroup>,
-    pub stats: RunStats,
+pub(super) struct TwoWayResult {
+    groups: Vec<FactorGroup>,
+    pub(super) stats: RunStats,
 }
 
 impl TwoWayResult {
-    /// Expand the factorized representation into the flat join result
-    /// (Section 4.1, Superstep 3's Cartesian product per join value).
-    pub fn expand(&self) -> Table {
-        let mut out: Option<Table> = None;
-        for g in &self.groups {
-            let joined = g.left.natural_join(&g.right);
-            out = Some(match out {
-                None => joined,
-                Some(mut acc) => {
-                    acc.append(joined);
-                    acc
-                }
-            });
-        }
-        out.unwrap_or_else(|| Table::empty(Vec::new()))
-    }
-
     /// Upper bound on the flat output size without materializing it (exact
     /// for single-attribute joins — the factorized-representation benefit).
-    pub fn output_size(&self) -> usize {
+    pub(super) fn output_size(&self) -> usize {
         self.groups.iter().map(|g| g.left.len() * g.right.len()).sum()
     }
 }
@@ -104,7 +84,7 @@ impl Aggregator for GroupsAgg {
 
 /// Execute a two-way join (paper Sections 4.1–4.2), returning the factorized
 /// result.
-pub fn two_way_join(
+pub(super) fn two_way_join(
     tag: &TagGraph,
     config: EngineConfig,
     spec: &TwoWaySpec<'_>,
@@ -127,8 +107,9 @@ pub fn two_way_join(
         RelError::Other(format!("{}.{} not materialized", spec.right, spec.on[0].1))
     })?;
 
-    // Row specs: companion join columns as Var(i) (i = index into `on`,
-    // from 1), output columns as Plain keys (table 0 = left, 1 = right).
+    // Row layouts: companion join columns as Var(i) (i = index into `on`,
+    // from 1), output columns as Plain keys (table 0 = left, 1 = right);
+    // sorted keys, each with the tuple column it reads.
     let lon: Vec<usize> =
         spec.on.iter().map(|&(c, _)| lschema.column_index(c)).collect::<Result<_>>()?;
     let ron: Vec<usize> =
@@ -148,7 +129,8 @@ pub fn two_way_join(
             s.push((ColKey::Col { table: side, col: c as u16 }, c));
         }
         s.sort_by_key(|&(k, _)| k);
-        s
+        s.dedup_by_key(|&mut (k, _)| k);
+        s.into_iter().unzip::<_, _, Vec<ColKey>, Vec<usize>>()
     };
     let lspec = row_spec(0, &lon, &lout);
     let rspec = row_spec(1, &ron, &rout);
@@ -195,10 +177,9 @@ pub fn two_way_join(
             .collect();
         let Some(tuple) = tag.tuple(ctx.id()) else { return };
         for (attr, side) in msgs {
-            let spec = if side == 0 { &lspec } else { &rspec };
-            let entries: Vec<(ColKey, Value)> =
-                spec.iter().map(|&(k, c)| (k, tuple[c].clone())).collect();
-            ctx.send(attr, TwMsg::Row(side, Arc::new(Table::singleton(&entries))));
+            let (cols, pos) = if side == 0 { &lspec } else { &rspec };
+            let row = pos.iter().map(|&c| tuple[c].clone()).collect();
+            ctx.send(attr, TwMsg::Row(side, Arc::new(Table::one_row(cols.clone(), row))));
         }
     });
 
@@ -261,30 +242,35 @@ fn intersect_companions(mut l: Table, mut r: Table) -> (Table, Table) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vcsql_relation::schema::{Column, Schema};
     use vcsql_relation::{DataType, Database, Relation, Tuple};
 
-    fn db(rs: Vec<(i64, i64)>, ss: Vec<(i64, i64)>) -> Database {
+    /// `R(a, b)` and `S(b, c)` over the given rows.
+    fn db_of(rs: Vec<[Value; 2]>, ss: Vec<[Value; 2]>) -> Database {
+        let rel = |name: &str, cols: [&str; 2], rows: Vec<[Value; 2]>| {
+            let cols = cols.map(|c| Column::new(c, DataType::Int)).to_vec();
+            let rows = rows.into_iter().map(|r| Tuple::new(r.to_vec())).collect();
+            Relation::from_tuples(Schema::new(name, cols), rows).unwrap()
+        };
         let mut db = Database::new();
-        let r = Relation::from_tuples(
-            Schema::new(
-                "R",
-                vec![Column::new("a", DataType::Int), Column::new("b", DataType::Int)],
-            ),
-            rs.into_iter().map(|(a, b)| Tuple::new(vec![Value::Int(a), Value::Int(b)])).collect(),
-        )
-        .unwrap();
-        let s = Relation::from_tuples(
-            Schema::new(
-                "S",
-                vec![Column::new("b", DataType::Int), Column::new("c", DataType::Int)],
-            ),
-            ss.into_iter().map(|(b, c)| Tuple::new(vec![Value::Int(b), Value::Int(c)])).collect(),
-        )
-        .unwrap();
-        db.add(r);
-        db.add(s);
+        db.add(rel("R", ["a", "b"], rs));
+        db.add(rel("S", ["b", "c"], ss));
         db
+    }
+
+    fn db(rs: Vec<(i64, i64)>, ss: Vec<(i64, i64)>) -> Database {
+        let ints = |rows: Vec<(i64, i64)>| {
+            rows.into_iter().map(|(x, y)| [Value::Int(x), Value::Int(y)]).collect()
+        };
+        db_of(ints(rs), ints(ss))
+    }
+
+    /// The flat join result: each join value's factorized pair expanded to
+    /// its Cartesian product (Section 4.1, Superstep 3).
+    fn expand(res: &TwoWayResult) -> Table {
+        let joined: Vec<Table> = res.groups.iter().map(|g| g.left.natural_join(&g.right)).collect();
+        Table::union(&joined).unwrap_or_else(|| Table::empty(Vec::new()))
     }
 
     fn spec<'a>() -> TwoWaySpec<'a> {
@@ -310,7 +296,7 @@ mod tests {
         assert_eq!(res.groups[0].left.len(), 3);
         assert_eq!(res.groups[0].right.len(), 3);
         assert_eq!(res.output_size(), 9);
-        assert_eq!(res.expand().len(), 9);
+        assert_eq!(expand(&res).len(), 9);
         // Exactly three supersteps (paper Section 4.1.1).
         assert_eq!(res.stats.supersteps, 3);
     }
@@ -377,7 +363,7 @@ mod tests {
         let res = two_way_join(&tag, EngineConfig::sequential(), &spec).unwrap();
         // Only (a=1, b=10) joins; b=20 disagrees on a and is pruned by the
         // intersection.
-        assert_eq!(res.expand().len(), 1);
+        assert_eq!(expand(&res).len(), 1);
     }
 
     #[test]
@@ -386,6 +372,24 @@ mod tests {
         let tag = TagGraph::build(&db);
         let res = two_way_join(&tag, EngineConfig::sequential(), &spec()).unwrap();
         assert!(res.groups.is_empty());
-        assert_eq!(res.expand().len(), 0);
+        assert_eq!(expand(&res).len(), 0);
+    }
+
+    proptest! {
+        #[test]
+        fn two_way_join_matches_nested_loop(
+            rs in prop::collection::vec((0i64..8, prop::option::of(0i64..8)), 0..25),
+            ss in prop::collection::vec((0i64..8, 0i64..8), 0..25),
+        ) {
+            let tag = TagGraph::build(&db_of(
+                rs.iter().map(|&(a, b)| [Value::Int(a), b.map_or(Value::Null, Value::Int)]).collect(),
+                ss.iter().map(|&(b, c)| [Value::Int(b), Value::Int(c)]).collect(),
+            ));
+            let res = two_way_join(&tag, EngineConfig::sequential(), &spec()).unwrap();
+            // Nested-loop oracle: a NULL `R.b` joins nothing.
+            let expected: usize =
+                rs.iter().map(|&(_, b)| ss.iter().filter(|&&(sb, _)| Some(sb) == b).count()).sum();
+            prop_assert_eq!(expand(&res).len(), expected);
+        }
     }
 }

@@ -31,8 +31,8 @@
 //!
 //! Cyclic join graphs are handled by breaking the cycle (the demoted
 //! predicate is enforced as a residual equality — the Section 6.1.1 PK-FK
-//! treatment); the dedicated worst-case-optimal cycle programs live in
-//! [`crate::cyclic`].
+//! treatment); the worst-case-optimal cycle program of Sections 6.1–6.2 is an
+//! ablation, run by `repro triangle-theta`.
 
 use crate::bind::{all_hold, LoweredCheck, ProjItem, QueryCtx};
 use crate::plan::QueryPlan;

@@ -9,26 +9,22 @@
 //!   program of Algorithm 2 (bottom-up reduction, top-down reduction,
 //!   collection), plus the Section 7 operators: pushed-down selections and
 //!   projections, local/global/scalar aggregation, HAVING, and (correlated)
-//!   subqueries via semi/anti-join key sets and scalar maps.
-//! * [`twoway`] — the standalone two-way join of Section 4, including the
-//!   multi-attribute intersection protocol (Section 4.2) and the factorized
-//!   output option.
-//! * [`cyclic`] — worst-case-optimal triangle and n-cycle counting with the
-//!   heavy/light split of Sections 6.1–6.2.
-//! * [`cartesian`] — Cartesian products via a global aggregation vertex
-//!   (Section 6.3, Algorithms A and B).
-//! * [`outer`] — two-way left/right/full outer joins (Section 7).
-//! * [`semi`] — standalone semi-joins and anti-joins (Section 7).
+//!   subqueries via semi/anti-join key sets and scalar maps. Cartesian
+//!   products across join-graph components run Section 6.3's Algorithm B.
+//! * [`plan::QueryPlan`] — a prepared statement: the analyzed query and its
+//!   TAG plans, reusable across executions.
+//! * [`table::Table`] — the columnar intermediate tables of the collection
+//!   phase, and [`table::TagMsg`], the program's messages.
+//!
+//! Every vertex program here is the SQL path, and runs inside the engine's
+//! recoverable phases. The standalone §4 two-way join and §6.1–6.2 cycle
+//! counting are ablations of the paper's cost claims; they live with the
+//! `repro cost-model` and `repro triangle-theta` experiments.
 
 mod bind;
-pub mod cartesian;
-pub mod cyclic;
 pub mod exec;
-pub mod outer;
 pub mod plan;
-pub mod semi;
 pub mod table;
-pub mod twoway;
 
 pub use exec::{ExecOutput, TagJoinExecutor};
 pub use plan::QueryPlan;

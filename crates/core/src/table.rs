@@ -11,9 +11,9 @@
 //! # Storage
 //!
 //! A table is a sequence of immutable column-major [`Chunk`]s behind `Arc`s.
-//! [`Table::union`] and [`Table::append`] splice whole chunks instead of
-//! copying values, so fanning a collection table out to many vertices (or
-//! accumulating incoming tables at one) is O(chunks), not O(cells). Row
+//! [`Table::union`] splices whole chunks instead of copying values, so
+//! fanning a collection table out to many vertices (or accumulating
+//! incoming tables at one) is O(chunks), not O(cells). Row
 //! access goes through the [`RowRef`] cursor or the scratch-row helper
 //! [`Table::for_each_row`]; nothing outside this module sees the chunk
 //! boundaries, which carry no meaning (equality, joins and the wire-byte
@@ -96,19 +96,9 @@ impl<'a> RowRef<'a> {
         self.chunk.get(col, self.row)
     }
 
-    /// Number of columns.
-    pub fn width(&self) -> usize {
-        self.chunk.columns.len()
-    }
-
     /// Left-to-right values of this row.
     pub fn values(&self) -> impl Iterator<Item = &'a Value> + '_ {
         self.chunk.columns.iter().map(move |c| &c[self.row])
-    }
-
-    /// Materialize the row (tests, sorting, padding).
-    pub fn to_boxed(&self) -> Box<[Value]> {
-        self.values().cloned().collect()
     }
 }
 
@@ -130,17 +120,6 @@ impl Table {
         cols.sort_unstable();
         cols.dedup();
         Table { cols, chunks: Vec::new(), len: 0, str_bytes: 0 }
-    }
-
-    /// A one-row table. `entries` may be unsorted and may repeat keys (the
-    /// first value wins).
-    pub fn singleton(entries: &[(ColKey, Value)]) -> Table {
-        let mut sorted: Vec<(ColKey, Value)> = entries.to_vec();
-        sorted.sort_by_key(|&(k, _)| k);
-        sorted.dedup_by_key(|&mut (k, _)| k);
-        let cols = sorted.iter().map(|&(k, _)| k).collect();
-        let row = sorted.into_iter().map(|(_, v)| v).collect();
-        Table::one_row(cols, row)
     }
 
     /// A one-row table over already-sorted, deduplicated keys.
@@ -220,45 +199,6 @@ impl Table {
                 f(&scratch);
             }
         }
-    }
-
-    /// Materialize all rows (tests, result normalization).
-    pub fn to_rows(&self) -> Vec<Box<[Value]>> {
-        self.iter().map(|r| r.to_boxed()).collect()
-    }
-
-    /// Append one row. Extends the last chunk when uniquely owned (cheap
-    /// for repeated pushes into a private table); a shared chunk is left
-    /// untouched and a fresh chunk is started.
-    pub fn push_row(&mut self, row: Vec<Value>) {
-        debug_assert_eq!(row.len(), self.cols.len(), "push_row width mismatch");
-        let row_str: usize = row.iter().map(value_str_bytes).sum();
-        self.len += 1;
-        self.str_bytes += row_str;
-        if let Some(chunk) = self.chunks.last_mut().and_then(Arc::get_mut) {
-            for (c, v) in row.into_iter().enumerate() {
-                chunk.columns[c].push(v);
-            }
-            chunk.rows += 1;
-            chunk.str_bytes += row_str;
-            return;
-        }
-        let mut chunk = Chunk::new(self.cols.len());
-        for (c, v) in row.into_iter().enumerate() {
-            chunk.columns[c].push(v);
-        }
-        chunk.rows = 1;
-        chunk.str_bytes = row_str;
-        self.chunks.push(Arc::new(chunk));
-    }
-
-    /// Splice another same-schema table onto this one (bag union). Moves
-    /// chunk handles; no values are copied.
-    pub fn append(&mut self, other: Table) {
-        debug_assert_eq!(self.cols, other.cols, "append of mismatched layouts");
-        self.chunks.extend(other.chunks);
-        self.len += other.len;
-        self.str_bytes += other.str_bytes;
     }
 
     /// Union of same-schema tables (bag semantics). Shares chunk storage
@@ -486,21 +426,6 @@ mod tests {
         Value::Int(i)
     }
 
-    fn rows_of(t: &Table) -> Vec<Box<[Value]>> {
-        t.to_rows()
-    }
-
-    #[test]
-    fn singleton_sorts_and_dedups() {
-        let t = Table::singleton(&[
-            (ColKey::Col { table: 1, col: 0 }, v(10)),
-            (ColKey::Var(0), v(1)),
-            (ColKey::Var(0), v(999)), // duplicate key: first kept after sort
-        ]);
-        assert_eq!(t.cols, vec![ColKey::Var(0), ColKey::Col { table: 1, col: 0 }]);
-        assert_eq!(*t.iter().next().unwrap().get(0), v(1));
-    }
-
     #[test]
     fn natural_join_on_var() {
         // L(var0, a) ⋈ R(var0, b)
@@ -552,16 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn push_row_does_not_mutate_sharers() {
-        let mut a = Table::from_rows(vec![ColKey::Var(0)], vec![vec![v(1)]]);
-        let u = Table::union([&a]).unwrap();
-        a.push_row(vec![v(2)]); // chunk is shared: must not grow `u`
-        assert_eq!(a.len(), 2);
-        assert_eq!(u.len(), 1);
-        assert_eq!(rows_of(&u), vec![vec![v(1)].into_boxed_slice()]);
-    }
-
-    #[test]
     fn retain_reuses_fully_kept_chunks() {
         let a = Table::from_rows(vec![ColKey::Var(0)], vec![vec![v(1)], vec![v(2)]]);
         let b = Table::from_rows(vec![ColKey::Var(0)], vec![vec![v(3)], vec![v(4)]]);
@@ -604,7 +519,8 @@ mod tests {
         let a = l.natural_join(&r);
         let b = r.natural_join(&l);
         let norm = |t: &Table| {
-            let mut rows = t.to_rows();
+            let mut rows: Vec<Vec<Value>> =
+                t.iter().map(|r| r.values().cloned().collect()).collect();
             rows.sort();
             (t.cols.clone(), rows)
         };

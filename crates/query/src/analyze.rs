@@ -273,8 +273,7 @@ fn analyze_scoped(
     for j in &stmt.joins {
         if j.kind != JoinKind::Inner {
             return Err(RelError::Other(format!(
-                "{}: the SQL planner does not support outer joins \
-                 (`vcsql_core::outer::outer_join` is a library operator, not a SQL path)",
+                "{}: the SQL planner does not support outer joins",
                 j.kind
             )));
         }

@@ -10,8 +10,7 @@
 //! Cyclic queries: [`decompose`] breaks cycles by demoting join predicates to
 //! residual filters until GYO succeeds (sound — the demoted equality is still
 //! enforced when rows are assembled, exactly the "PK-FK cycle" treatment of
-//! Section 6.1.1), and reports pure-cycle metadata so the dedicated
-//! worst-case-optimal cycle executor can be used instead when applicable.
+//! Section 6.1.1).
 
 use crate::analyze::JoinPred;
 use vcsql_relation::FxHashMap;
@@ -148,8 +147,6 @@ pub struct Decomposition {
     pub broken: Vec<JoinPred>,
     /// True iff the original join graph was cyclic.
     pub cyclic: bool,
-    /// When the cyclic core was a pure cycle: the tables around it, in order.
-    pub pure_cycle: Option<Vec<usize>>,
 }
 
 /// Union-find.
@@ -298,7 +295,6 @@ pub fn decompose(n_tables: usize, joins: &[JoinPred]) -> Decomposition {
     let mut active: Vec<JoinPred> = joins.to_vec();
     let mut broken = Vec::new();
     let mut cyclic = false;
-    let mut pure_cycle = None;
 
     loop {
         let (vars, var_of) = join_vars(n_tables, &active);
@@ -355,13 +351,10 @@ pub fn decompose(n_tables: usize, joins: &[JoinPred]) -> Decomposition {
 
         match failure {
             None => {
-                return Decomposition { components, vars, var_of, broken, cyclic, pure_cycle };
+                return Decomposition { components, vars, var_of, broken, cyclic };
             }
             Some(residue) => {
                 cyclic = true;
-                if pure_cycle.is_none() && is_pure_cycle(&residue, &table_vars, &vars) {
-                    pure_cycle = Some(order_cycle(&residue, &table_vars, &vars));
-                }
                 // Break the cycle: demote one active join predicate whose
                 // both sides lie in the residual core.
                 let pick = active
@@ -372,48 +365,6 @@ pub fn decompose(n_tables: usize, joins: &[JoinPred]) -> Decomposition {
             }
         }
     }
-}
-
-/// True iff the residual hypergraph is a simple cycle: every table has
-/// exactly two live vars, every var exactly two tables.
-fn is_pure_cycle(
-    residue: &[usize],
-    table_vars: &FxHashMap<usize, Vec<usize>>,
-    vars: &[JoinVar],
-) -> bool {
-    residue.iter().all(|t| {
-        let live: Vec<usize> = table_vars[t]
-            .iter()
-            .copied()
-            .filter(|&v| vars[v].tables().filter(|x| residue.contains(x)).count() == 2)
-            .collect();
-        live.len() == 2
-    })
-}
-
-/// Order the tables of a pure cycle by walking neighbours.
-fn order_cycle(
-    residue: &[usize],
-    table_vars: &FxHashMap<usize, Vec<usize>>,
-    vars: &[JoinVar],
-) -> Vec<usize> {
-    let mut order = vec![residue[0]];
-    let mut prev = None;
-    while order.len() < residue.len() {
-        let cur = *order.last().unwrap();
-        let next = table_vars[&cur]
-            .iter()
-            .flat_map(|&v| vars[v].tables().collect::<Vec<_>>())
-            .find(|&t| t != cur && Some(t) != prev && residue.contains(&t) && !order.contains(&t));
-        match next {
-            Some(n) => {
-                prev = Some(cur);
-                order.push(n);
-            }
-            None => break,
-        }
-    }
-    order
 }
 
 #[cfg(test)]
@@ -469,15 +420,13 @@ mod tests {
     }
 
     #[test]
-    fn triangle_is_cyclic_and_detected_as_pure_cycle() {
+    fn triangle_is_cyclic_and_breaks_one_predicate() {
         let joins = [jp((0, 1), (1, 0)), jp((1, 1), (2, 0)), jp((2, 1), (0, 0))];
         let d = decompose(3, &joins);
         assert!(d.cyclic);
         assert_eq!(d.broken.len(), 1);
         assert_eq!(d.components.len(), 1);
         assert_eq!(d.components[0].tables.len(), 3);
-        let cyc = d.pure_cycle.expect("pure cycle metadata");
-        assert_eq!(cyc.len(), 3);
     }
 
     #[test]
@@ -539,6 +488,5 @@ mod tests {
         assert!(d.cyclic);
         assert_eq!(d.broken.len(), 1);
         assert_eq!(d.components.len(), 1);
-        assert_eq!(d.pure_cycle.as_ref().unwrap().len(), 5);
     }
 }

@@ -474,24 +474,23 @@ proptest! {
     fn two_way_join_matches_nested_loop(
         db in arb_db(2),
     ) {
-        use vcsql::core::twoway::{two_way_join, TwoWaySpec};
         let tag = TagGraph::build(&db);
-        let spec = TwoWaySpec {
-            left: "t0", right: "t1",
-            on: vec![("b", "a")],
-            left_out: vec!["a"], right_out: vec!["b"],
-        };
-        let res = two_way_join(&tag, EngineConfig::sequential(), &spec).unwrap();
-        // Nested-loop oracle.
+        let out = TagJoinExecutor::new(&tag, EngineConfig::sequential())
+            .run_sql("SELECT t0.a, t1.b FROM t0, t1 WHERE t0.b = t1.a")
+            .unwrap();
+        // Nested-loop oracle, compared as a bag.
         let (r, s) = (db.get("t0").unwrap(), db.get("t1").unwrap());
-        let mut expected = 0usize;
+        let mut expected = Vec::new();
         for x in &r.tuples {
             for y in &s.tuples {
                 if !x.get(1).is_null() && x.get(1) == y.get(0) {
-                    expected += 1;
+                    expected.push(vec![x.get(0).clone(), y.get(1).clone()]);
                 }
             }
         }
-        prop_assert_eq!(res.expand().len(), expected);
+        expected.sort();
+        let mut got: Vec<Vec<Value>> = out.relation.tuples.iter().map(|t| t.0.to_vec()).collect();
+        got.sort();
+        prop_assert_eq!(got, expected);
     }
 }
