@@ -3,9 +3,9 @@
 //! Each column is stored as a dictionary of distinct values plus a vector of
 //! u32 codes — the compressed columnar format the paper credits for the IM
 //! engine's fast scans, filters and scalar aggregation. The store offers
-//! vectorized selection (predicate over one column → row-id bitmap) and
-//! column-at-a-time aggregation; joins materialize rows and reuse the row
-//! engine (like the hybrid row/column execution of real systems).
+//! vectorized selection (predicate over one column → row-id bitmap); joins
+//! and aggregation materialize rows and reuse the row engine (like the
+//! hybrid row/column execution of real systems).
 
 use vcsql_relation::{fx, Database, FxHashMap, Relation, Value};
 
@@ -66,24 +66,6 @@ impl ColumnChunk {
             .iter()
             .map(|&c| if c == NULL_CODE { false } else { dict_pass[c as usize] })
             .collect()
-    }
-
-    /// Column-at-a-time SUM over the selected rows (Int/Float columns).
-    pub fn sum(&self, selected: Option<&[bool]>) -> (f64, u64) {
-        // Pre-decode dictionary to f64 once.
-        let as_f64: Vec<Option<f64>> = self.dict.iter().map(Value::as_f64).collect();
-        let mut total = 0.0;
-        let mut n = 0;
-        for (i, &c) in self.codes.iter().enumerate() {
-            if c == NULL_CODE || selected.is_some_and(|s| !s[i]) {
-                continue;
-            }
-            if let Some(x) = as_f64[c as usize] {
-                total += x;
-                n += 1;
-            }
-        }
-        (total, n)
     }
 
     /// Approximate footprint in bytes (codes + dictionary).
@@ -184,16 +166,10 @@ mod tests {
     }
 
     #[test]
-    fn select_and_sum() {
+    fn select_marks_matching_rows() {
         let t = ColumnarTable::from_relation(&rel());
         let sel = t.columns[0].select(|v| v.as_i64() == Some(1));
         assert_eq!(sel, vec![true, false, true]);
-        let (total, n) = t.columns[0].sum(Some(&sel));
-        assert_eq!(total, 2.0);
-        assert_eq!(n, 2);
-        let (total_all, n_all) = t.columns[0].sum(None);
-        assert_eq!(total_all, 4.0);
-        assert_eq!(n_all, 3);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Hash indexes on relation columns.
 //!
 //! Stand-ins for the B-tree PK/FK indexes the TPC protocol prescribes for
-//! the RDBMS contenders: built after load (their build time and size feed
-//! the Table 1/2 and Fig 14 experiments) and used by index-nested-loop
-//! lookups.
+//! the RDBMS contenders: built after load, their build time and size feed
+//! the Table 1/2 and Fig 14 experiments.
 
 use vcsql_relation::{fx, FxHashMap, Relation, Value};
 

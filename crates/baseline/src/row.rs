@@ -1,4 +1,4 @@
-//! Row-store operators: the classical join/selection/aggregation toolbox.
+//! Row-store operators: the classical selection and join toolbox.
 //!
 //! All operators work on a lightweight `(columns, rows)` representation where
 //! columns are identified by `(table, col)` pairs from the analyzed query, so
@@ -166,29 +166,6 @@ pub fn sort_merge_join(left: &Inter, right: &Inter, on: &[(ColId, ColId)]) -> Re
     Ok(out)
 }
 
-/// Nested-loop join with an arbitrary row predicate (used for non-equi
-/// conditions and as the brute-force oracle in property tests).
-pub fn nested_loop_join(
-    left: &Inter,
-    right: &Inter,
-    mut pred: impl FnMut(&[Value], &[Value]) -> Result<bool>,
-) -> Result<Inter> {
-    let mut out = Inter {
-        cols: left.cols.iter().chain(right.cols.iter()).copied().collect(),
-        rows: Vec::new(),
-    };
-    for l in &left.rows {
-        for r in &right.rows {
-            if pred(l, r)? {
-                let mut row = l.clone();
-                row.extend_from_slice(r);
-                out.rows.push(row);
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Cartesian product.
 pub fn cross_join(left: &Inter, right: &Inter) -> Inter {
     let mut out = Inter {
@@ -205,60 +182,6 @@ pub fn cross_join(left: &Inter, right: &Inter) -> Inter {
     out
 }
 
-/// Semi-join: rows of `left` with at least one `right` partner on `on`.
-/// With `anti = true`, rows with **no** partner (NULL keys never match, so a
-/// NULL-keyed left row survives an anti-join — matching `NOT EXISTS`
-/// semantics with an equality correlation).
-pub fn semi_join(left: Inter, right: &Inter, on: &[(ColId, ColId)], anti: bool) -> Result<Inter> {
-    let lkeys: Vec<usize> = on.iter().map(|&(l, _)| left.col_index(l)).collect::<Result<_>>()?;
-    let rkeys: Vec<usize> = on.iter().map(|&(_, r)| right.col_index(r)).collect::<Result<_>>()?;
-    let mut keys: vcsql_relation::FxHashSet<Vec<Value>> =
-        vcsql_relation::fx::set_with_capacity(right.len());
-    'rows: for row in &right.rows {
-        let mut key = Vec::with_capacity(rkeys.len());
-        for &k in &rkeys {
-            if row[k].is_null() {
-                continue 'rows;
-            }
-            key.push(row[k].clone());
-        }
-        keys.insert(key);
-    }
-    left.filter(|row| {
-        let mut key = Vec::with_capacity(lkeys.len());
-        for &k in &lkeys {
-            if row[k].is_null() {
-                return Ok(anti); // NULL never matches
-            }
-            key.push(row[k].clone());
-        }
-        Ok(keys.contains(&key) != anti)
-    })
-}
-
-/// One join-tree edge for [`yannakakis_reduce`]: `(child, parent, on)` with
-/// `on` the child-to-parent column equalities.
-pub type JoinTreeEdge = (usize, usize, Vec<(ColId, ColId)>);
-
-/// One semi-join reduction pass of Yannakakis' algorithm over a join tree:
-/// children reduce parents bottom-up, then parents reduce children top-down.
-/// `edges` lists `(child, parent, on)` in bottom-up order. Returns the
-/// reduced relations.
-pub fn yannakakis_reduce(mut rels: Vec<Inter>, edges: &[JoinTreeEdge]) -> Result<Vec<Inter>> {
-    // Bottom-up: parent ⋉ child.
-    for (child, parent, on) in edges {
-        let flipped: Vec<(ColId, ColId)> = on.iter().map(|&(c, p)| (p, c)).collect();
-        let reduced = semi_join(rels[*parent].clone(), &rels[*child], &flipped, false)?;
-        rels[*parent] = reduced;
-    }
-    // Top-down: child ⋉ parent.
-    for (child, parent, on) in edges.iter().rev() {
-        let reduced = semi_join(rels[*child].clone(), &rels[*parent], on, false)?;
-        rels[*child] = reduced;
-    }
-    Ok(rels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,6 +191,28 @@ mod tests {
             cols: (0..rows.first().map_or(0, Vec::len)).map(|c| (t, c)).collect(),
             rows: rows.into_iter().map(|r| r.into_iter().map(Value::Int).collect()).collect(),
         }
+    }
+
+    /// The brute-force oracle of `hash_join_matches_nested_loop`.
+    fn nested_loop_join(
+        left: &Inter,
+        right: &Inter,
+        mut pred: impl FnMut(&[Value], &[Value]) -> Result<bool>,
+    ) -> Result<Inter> {
+        let mut out = Inter {
+            cols: left.cols.iter().chain(right.cols.iter()).copied().collect(),
+            rows: Vec::new(),
+        };
+        for l in &left.rows {
+            for r in &right.rows {
+                if pred(l, r)? {
+                    let mut row = l.clone();
+                    row.extend_from_slice(r);
+                    out.rows.push(row);
+                }
+            }
+        }
+        Ok(out)
     }
 
     #[test]
@@ -298,17 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn semi_and_anti_partition() {
-        let l = inter(0, vec![vec![1], vec![2], vec![3]]);
-        let r = inter(1, vec![vec![2], vec![2], vec![4]]);
-        let on = [((0, 0), (1, 0))];
-        let semi = semi_join(l.clone(), &r, &on, false).unwrap();
-        let anti = semi_join(l.clone(), &r, &on, true).unwrap();
-        assert_eq!(semi.len() + anti.len(), l.len());
-        assert_eq!(semi.rows, vec![vec![Value::Int(2)]]);
-    }
-
-    #[test]
     fn multi_key_join() {
         let l = inter(0, vec![vec![1, 1, 7], vec![1, 2, 8]]);
         let r = inter(1, vec![vec![1, 1, 9], vec![1, 3, 9]]);
@@ -316,20 +250,6 @@ mod tests {
         let j = hash_join(&l, &r, &on).unwrap();
         assert_eq!(j.len(), 1);
         assert_eq!(j.rows[0][2], Value::Int(7));
-    }
-
-    #[test]
-    fn yannakakis_removes_dangling() {
-        // R(a) - S(a,b) - T(b): chain; only a=2 b=5 survives everywhere.
-        let r = inter(0, vec![vec![1], vec![2]]);
-        let s = inter(1, vec![vec![2, 5], vec![2, 6], vec![9, 5]]);
-        let t = inter(2, vec![vec![5], vec![7]]);
-        // Edges bottom-up: (R child of S on a), (T child of S on b) then root S.
-        let edges = vec![(0, 1, vec![((0, 0), (1, 0))]), (2, 1, vec![((2, 0), (1, 1))])];
-        let reduced = yannakakis_reduce(vec![r, s, t], &edges).unwrap();
-        assert_eq!(reduced[1].rows, vec![vec![Value::Int(2), Value::Int(5)]]);
-        assert_eq!(reduced[0].rows, vec![vec![Value::Int(2)]]);
-        assert_eq!(reduced[2].rows, vec![vec![Value::Int(5)]]);
     }
 
     #[test]

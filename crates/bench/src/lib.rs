@@ -8,7 +8,6 @@
 pub mod repro;
 
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 use vcsql_baseline::{execute as row_execute, ColumnarDatabase, ExecConfig, JoinAlgo};
 use vcsql_bsp::{EngineConfig, WorkerPool};
 use vcsql_core::TagJoinExecutor;
@@ -82,8 +81,9 @@ pub fn shared_pool(threads: usize) -> Arc<WorkerPool> {
 }
 
 /// Time a closure, returning (result, seconds).
+#[allow(clippy::disallowed_types, reason = "the experiments' one stopwatch")]
 pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
+    let start = std::time::Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())
 }

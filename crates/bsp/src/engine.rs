@@ -452,6 +452,7 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
     /// Replace the consumed message table by the outboxes' messages, by one
     /// stable counting sort on target. `outboxes` come in worker order (=
     /// source-vertex order), each holding its worker's sends in send order.
+    #[allow(unsafe_code, reason = "one `set_len` over slots written exactly once")]
     fn deliver(&mut self, outboxes: Vec<Vec<(VertexId, M)>>) {
         let total = outboxes.iter().map(Vec::len).sum::<usize>();
         assert!(u32::try_from(total).is_ok(), "{total} messages in one superstep");

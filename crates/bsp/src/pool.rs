@@ -27,6 +27,9 @@
 //! recorded, and re-raised on the caller after the barrier), so the closure —
 //! and everything it borrows from the caller's stack — outlives every use.
 
+#![allow(unsafe_code, reason = "the type-erased epoch job; see the module's Safety section")]
+#![allow(clippy::disallowed_methods, reason = "the pool is the one owner of OS threads")]
+
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{Condvar, Mutex, MutexGuard};
@@ -50,8 +53,12 @@ struct Job {
 unsafe impl Send for Job {}
 
 fn erase<F: Fn(usize) + Sync>(f: &F) -> Job {
-    // SAFETY contract: `data` must be the `&F` this `Job` was erased from,
-    // still live — upheld by the epoch barrier in `WorkerPool::run`.
+    /// Calls the erased closure for `worker`.
+    ///
+    /// # Safety
+    ///
+    /// `data` must be the `&F` this `Job` was erased from, still live —
+    /// upheld by the epoch barrier in `WorkerPool::run`.
     unsafe fn call<F: Fn(usize)>(data: *const (), worker: usize) {
         // SAFETY: `data` came from `erase(&F)` this epoch; the caller keeps
         // the closure alive until the epoch's barrier.

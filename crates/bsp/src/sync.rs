@@ -32,8 +32,8 @@ pub mod atomic {
 }
 
 /// Thread spawning: std by default, loom-controlled threads under
-/// `--cfg vcsql_loom`. Only the pool spawns (see `xtask`'s
-/// no-thread-spawn lint allowlist).
+/// `--cfg vcsql_loom`. Only the pool spawns (see `disallowed-methods` in
+/// `crates/clippy.toml`).
 pub mod thread {
     #[cfg(not(vcsql_loom))]
     pub use std::thread::{Builder, JoinHandle};

@@ -62,6 +62,8 @@
 //!   `std` behaviour, which is what lets the whole regular test suite run
 //!   unmodified under `--cfg vcsql_loom`.
 
+#![allow(clippy::disallowed_methods, reason = "every model thread is a real OS thread")]
+
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;

@@ -490,7 +490,7 @@ mod tests {
     fn failure_panics_with_case_info() {
         proptest! {
             #![proptest_config(ProptestConfig { cases: 3, .. ProptestConfig::default() })]
-            #[allow(unused)]
+            #[allow(unused, reason = "the macro must pass item attributes through")]
             fn always_fails(x in 0i64..4) {
                 prop_assert!(x < 0, "x was {}", x);
             }

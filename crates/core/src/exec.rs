@@ -41,8 +41,8 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 use vcsql_bsp::program::Aggregator;
 use vcsql_bsp::{
-    Computation, EngineConfig, FaultError, FaultInjector, LabelId, LabelTraffic, PartitionStrategy,
-    Partitioning, RunStats, VertexCtx, VertexId, WorkerPool,
+    Computation, EngineConfig, FaultError, FaultInjector, LabelId, LabelTraffic, Partitioning,
+    RunStats, VertexCtx, VertexId, WorkerPool,
 };
 use vcsql_query::analyze::{lower_subquery, Analyzed, LoweredSubquery};
 use vcsql_query::AggClass;
@@ -118,16 +118,6 @@ impl<'t> TagJoinExecutor<'t> {
     pub fn with_partitioning_shared(mut self, p: Arc<Partitioning>) -> Self {
         self.partitioning = Some(p);
         self
-    }
-
-    /// Attach a partitioning built by `strategy` over `machines` simulated
-    /// machines. The TAG's attribute vertices are the anchors of the
-    /// locality-aware strategies (tuple vertices co-locate with them);
-    /// network accounting is the only effect — results never change.
-    pub fn with_partition_strategy(self, strategy: &PartitionStrategy, machines: usize) -> Self {
-        let tag = self.tag;
-        let p = strategy.partition(tag.graph(), machines, &|v| !tag.is_tuple_vertex(v));
-        self.with_partitioning(p)
     }
 
     /// The attached partitioning, if any (for diagnostics).

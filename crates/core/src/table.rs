@@ -362,18 +362,6 @@ impl Table {
     }
 }
 
-/// Row-sequence equality (chunk boundaries carry no meaning).
-impl PartialEq for Table {
-    fn eq(&self, other: &Self) -> bool {
-        self.cols == other.cols
-            && self.len == other.len
-            && self
-                .iter()
-                .zip(other.iter())
-                .all(|(a, b)| a.values().zip(b.values()).all(|(x, y)| x == y))
-    }
-}
-
 /// A partially aggregated group (what roots ship to aggregation vertices).
 #[derive(Debug, Clone)]
 pub struct Partial {

@@ -42,7 +42,7 @@ fn a_crash_at_every_superstep_of_a_cartesian_local_aggregate_changes_nothing() {
         let mut priced_here = Vec::new();
         let run = |injector: Option<Arc<FaultInjector>>| {
             let mut executor = TagJoinExecutor::new(&tag, engine)
-                .with_partition_strategy(&PartitionStrategy::Hash, MACHINES);
+                .with_partitioning(tag.partition(&PartitionStrategy::Hash, MACHINES));
             if let Some(injector) = injector {
                 executor = executor.with_fault_injector(injector);
             }

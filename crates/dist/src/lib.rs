@@ -11,9 +11,9 @@
 //!
 //! This crate makes the claim reproducible without a cluster:
 //!
-//! * [`tag_partitioning`] — place the TAG graph over `k` simulated machines
-//!   with a [`PartitionStrategy`]; the real TAG-join executor run under that
-//!   [`Partitioning`] counts every message whose source and target vertices
+//! * [`TagGraph::partition`] (in `vcsql-tag`) places the TAG graph over `k`
+//!   simulated machines with a [`PartitionStrategy`]; the real TAG-join
+//!   executor run under that `Partitioning` counts every message whose source and target vertices
 //!   live on different machines, and [`NetStats::from_run`] itemizes them;
 //! * [`tag_calibrate`] — phase 1 of the workload-aware loop: a calibration
 //!   run under the hash baseline observes per-edge-label traffic (a
@@ -38,24 +38,13 @@ pub use netstats::{unsafe_row_bytes, NetStats};
 pub use spark::SparkModel;
 pub use vcsql_bsp::{PartitionDiagnostics, PartitionStrategy, TrafficProfile};
 
-use vcsql_bsp::{EngineConfig, Partitioning};
+use vcsql_bsp::EngineConfig;
 use vcsql_core::TagJoinExecutor;
 use vcsql_query::analyze::Analyzed;
 use vcsql_relation::RelError;
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
-
-/// Build a machine partitioning of `tag` with the given strategy. The TAG's
-/// attribute vertices are the anchors: under `CoLocate`/`Refined` they
-/// hash-place and tuple vertices cluster around them.
-pub fn tag_partitioning(
-    tag: &TagGraph,
-    machines: usize,
-    strategy: &PartitionStrategy,
-) -> Partitioning {
-    strategy.partition(tag.graph(), machines, &|v| !tag.is_tuple_vertex(v))
-}
 
 /// Phase 1 of the workload-aware loop: run `workload` once under the hash
 /// baseline on `machines` simulated machines and return the observed
@@ -76,11 +65,8 @@ pub fn tag_calibrate(
     if machines == 0 {
         return Err(RelError::Other("cluster needs at least one machine".into()));
     }
-    let executor = TagJoinExecutor::new(tag, config).with_partitioning(tag_partitioning(
-        tag,
-        machines,
-        &PartitionStrategy::Hash,
-    ));
+    let executor = TagJoinExecutor::new(tag, config)
+        .with_partitioning(tag.partition(&PartitionStrategy::Hash, machines));
     let mut profile = TrafficProfile::new();
     for a in workload {
         let out = executor.execute(a)?;
@@ -126,7 +112,7 @@ mod tests {
         config: EngineConfig,
     ) -> Result<(ExecOutput, NetStats)> {
         let out = TagJoinExecutor::new(tag, config)
-            .with_partitioning(tag_partitioning(tag, machines, strategy))
+            .with_partitioning(tag.partition(strategy, machines))
             .execute(a)?;
         let net = NetStats::from_run(&out.stats);
         Ok((out, net))
@@ -193,8 +179,8 @@ mod tests {
         let db = tpch::generate(0.01, 7);
         let tag = TagGraph::build(&db);
         let g = tag.graph();
-        let hash = tag_partitioning(&tag, 6, &PartitionStrategy::Hash).diagnostics(g);
-        let refined = tag_partitioning(&tag, 6, &PartitionStrategy::Refined).diagnostics(g);
+        let hash = tag.partition(&PartitionStrategy::Hash, 6).diagnostics(g);
+        let refined = tag.partition(&PartitionStrategy::Refined, 6).diagnostics(g);
         assert!(
             refined.edge_cut_fraction < hash.edge_cut_fraction,
             "refined {:.3} vs hash {:.3}",

@@ -116,27 +116,6 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Feed a row counted `weight` times — used when aggregating over
-    /// pre-aggregated partials where a group stands for `weight` rows.
-    pub fn update_weighted(&mut self, v: &Value, weight: u64) -> Result<()> {
-        match self {
-            Accumulator::Count(n) => {
-                if !v.is_null() {
-                    *n += weight;
-                }
-                Ok(())
-            }
-            Accumulator::Sum { .. } | Accumulator::Avg { .. } => {
-                for _ in 0..weight {
-                    self.update(v)?;
-                }
-                Ok(())
-            }
-            // MIN/MAX are idempotent in weight.
-            _ => self.update(v),
-        }
-    }
-
     /// Merge another accumulator of the same function into this one.
     pub fn merge(&mut self, other: &Accumulator) -> Result<()> {
         match (self, other) {
@@ -268,13 +247,6 @@ mod tests {
             left.merge(&right).unwrap();
             assert_eq!(left.finish(), whole.finish(), "{f}");
         }
-    }
-
-    #[test]
-    fn weighted_count() {
-        let mut a = Accumulator::new(AggFunc::CountStar);
-        a.update_weighted(&Value::Int(1), 5).unwrap();
-        assert_eq!(a.finish(), Value::Int(5));
     }
 
     #[test]

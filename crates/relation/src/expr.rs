@@ -63,18 +63,6 @@ impl CmpOp {
             CmpOp::Ge => ord != Ordering::Less,
         }
     }
-
-    /// The operator with sides swapped (`a op b` ≡ `b op.flip() a`).
-    pub fn flip(self) -> CmpOp {
-        match self {
-            CmpOp::Eq => CmpOp::Eq,
-            CmpOp::Ne => CmpOp::Ne,
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
-        }
-    }
 }
 
 impl fmt::Display for CmpOp {

@@ -1,40 +1,9 @@
-//! Delimited-text import/export for relations (a minimal `dbgen`-style `.tbl`
-//! reader/writer: `|`-separated fields, one tuple per line).
-//!
-//! Used by the loading experiments (Table 1 / Table 2 shapes) so that the
-//! "load a database" path exercises real parsing work, like the RDBMS bulk
-//! loaders the paper times.
+//! Text parsing of values: `YYYY-MM-DD` dates, as SQL `DATE` literals spell
+//! them.
 
 use crate::error::RelError;
-use crate::schema::Schema;
-use crate::tuple::{Relation, Tuple};
-use crate::value::{DataType, Date, Value};
+use crate::value::Date;
 use crate::Result;
-use std::io::{BufRead, Write};
-
-/// Parse a single field according to a column type. Empty text is NULL.
-pub fn parse_value(text: &str, ty: DataType) -> Result<Value> {
-    if text.is_empty() {
-        return Ok(Value::Null);
-    }
-    match ty {
-        DataType::Bool => match text {
-            "true" | "t" | "1" => Ok(Value::Bool(true)),
-            "false" | "f" | "0" => Ok(Value::Bool(false)),
-            _ => Err(RelError::Parse(format!("bad bool: {text}"))),
-        },
-        DataType::Int => text
-            .parse::<i64>()
-            .map(Value::Int)
-            .map_err(|e| RelError::Parse(format!("bad int `{text}`: {e}"))),
-        DataType::Float => text
-            .parse::<f64>()
-            .map(Value::Float)
-            .map_err(|e| RelError::Parse(format!("bad float `{text}`: {e}"))),
-        DataType::Str => Ok(Value::str(text)),
-        DataType::Date => parse_date(text).map(Value::Date),
-    }
-}
 
 /// Parse `YYYY-MM-DD`.
 pub fn parse_date(text: &str) -> Result<Date> {
@@ -54,90 +23,9 @@ pub fn parse_date(text: &str) -> Result<Date> {
     }
 }
 
-/// Read a relation from `|`-delimited lines.
-pub fn read_relation<R: BufRead>(schema: Schema, reader: R) -> Result<Relation> {
-    let mut rel = Relation::empty(schema);
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| RelError::Parse(format!("io error: {e}")))?;
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split('|').collect();
-        if fields.len() != rel.schema.arity() {
-            return Err(RelError::Parse(format!(
-                "line {}: expected {} fields, found {}",
-                lineno + 1,
-                rel.schema.arity(),
-                fields.len()
-            )));
-        }
-        let mut values = Vec::with_capacity(fields.len());
-        for (field, col) in fields.iter().zip(rel.schema.columns.clone()) {
-            values.push(parse_value(field, col.ty)?);
-        }
-        rel.push(Tuple::new(values))?;
-    }
-    Ok(rel)
-}
-
-/// Write a relation as `|`-delimited lines (NULL as empty field).
-pub fn write_relation<W: Write>(rel: &Relation, writer: &mut W) -> std::io::Result<()> {
-    let mut out = std::io::BufWriter::new(writer);
-    for t in &rel.tuples {
-        for (i, v) in t.values().enumerate() {
-            if i > 0 {
-                out.write_all(b"|")?;
-            }
-            if !v.is_null() {
-                write!(out, "{v}")?;
-            }
-        }
-        out.write_all(b"\n")?;
-    }
-    out.flush()
-}
-
-/// Serialize a relation to a string (round-trips through [`read_relation`]).
-pub fn to_string(rel: &Relation) -> String {
-    let mut buf = Vec::new();
-    write_relation(rel, &mut buf).expect("write to Vec cannot fail");
-    String::from_utf8(buf).expect("relation text is valid utf8")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Column;
-
-    fn schema() -> Schema {
-        Schema::new(
-            "t",
-            vec![
-                Column::new("id", DataType::Int),
-                Column::new("name", DataType::Str),
-                Column::new("born", DataType::Date),
-                Column::new("score", DataType::Float),
-            ],
-        )
-    }
-
-    #[test]
-    fn roundtrip() {
-        let text = "1|alice|1990-02-28|3.5\n2|bob||1.25\n3||2000-12-01|\n";
-        let rel = read_relation(schema(), text.as_bytes()).unwrap();
-        assert_eq!(rel.len(), 3);
-        assert_eq!(rel.tuples[1].get(2), &Value::Null);
-        assert_eq!(rel.tuples[2].get(1), &Value::Null);
-        let back = to_string(&rel);
-        assert_eq!(back, text);
-    }
-
-    #[test]
-    fn arity_and_type_errors() {
-        assert!(read_relation(schema(), "1|a\n".as_bytes()).is_err());
-        assert!(read_relation(schema(), "x|a|1990-01-01|1.0\n".as_bytes()).is_err());
-        assert!(read_relation(schema(), "1|a|1990-13-01|1.0\n".as_bytes()).is_err());
-    }
 
     #[test]
     fn date_parsing() {

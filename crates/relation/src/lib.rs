@@ -3,8 +3,7 @@
 //! The foundation layer shared by every other crate in the workspace:
 //! SQL-style [`Value`]s with NULL semantics, [`Schema`]s and [`Relation`]s,
 //! an in-memory [`Database`], scalar [`expr::Expr`]essions (comparisons,
-//! arithmetic, `CASE`, `LIKE`, date functions), aggregate functions, and a
-//! delimited-text loader.
+//! arithmetic, `CASE`, `LIKE`, date functions) and aggregate functions.
 //!
 //! Nothing in this crate knows about graphs or vertex-centric execution; it is
 //! the "relational instance" side of the paper's TAG encoding (Section 3) and

@@ -107,11 +107,6 @@ impl Schema {
     pub fn is_pk_column(&self, name: &str) -> bool {
         self.column_index(name).map(|i| self.primary_key.contains(&i)).unwrap_or(false)
     }
-
-    /// True if `name` participates in some foreign key of this relation.
-    pub fn is_fk_column(&self, name: &str) -> bool {
-        self.foreign_keys.iter().any(|fk| fk.columns.iter().any(|c| c == name))
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +140,6 @@ mod tests {
         let s = sample();
         assert!(s.is_pk_column("o_orderkey"));
         assert!(!s.is_pk_column("o_custkey"));
-        assert!(s.is_fk_column("o_custkey"));
     }
 
     #[test]

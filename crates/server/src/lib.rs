@@ -300,11 +300,6 @@ impl QueryServer {
         self.admission.stats()
     }
 
-    /// Registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        lock(&self.tenants).len()
-    }
-
     /// The placement every tenant currently runs under (`None` on a single
     /// machine).
     pub fn partitioning(&self) -> Option<Arc<Partitioning>> {
@@ -562,7 +557,6 @@ mod tests {
         let alice = server.open_session();
         let bob = server.open_session();
         assert_eq!((alice.id(), bob.id()), (0, 1));
-        assert_eq!(server.tenant_count(), 2);
         let lone =
             TagJoinExecutor::new(&tag, EngineConfig::sequential()).run_sql(JOIN_SQL).unwrap();
         let (out_a, net_a) = alice.run_sql(JOIN_SQL).unwrap();

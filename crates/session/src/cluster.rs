@@ -155,8 +155,7 @@ mod tests {
         // executor under that placement by hand.
         let profile =
             vcsql_dist::tag_calibrate(&tag, workload, 6, EngineConfig::sequential()).unwrap();
-        let placement =
-            vcsql_dist::tag_partitioning(&tag, 6, &PartitionStrategy::Workload(profile.clone()));
+        let placement = tag.partition(&PartitionStrategy::Workload(profile.clone()), 6);
         let old_out = TagJoinExecutor::new(&tag, EngineConfig::sequential())
             .with_partitioning(placement)
             .execute(&a)

@@ -292,10 +292,9 @@ impl Session {
         match cached.as_ref() {
             Some((machines, p)) if *machines == self.config.machines => Some(Arc::clone(p)),
             _ => {
-                let p = Arc::new(vcsql_dist::tag_partitioning(
-                    &self.tag,
-                    self.config.machines,
+                let p = Arc::new(self.tag.partition(
                     &PartitionStrategy::Workload(profile.clone()),
+                    self.config.machines,
                 ));
                 *cached = Some((self.config.machines, Arc::clone(&p)));
                 Some(p)

@@ -80,7 +80,7 @@ impl PlacementController {
     ) -> Option<PlacementController> {
         (machines > 1).then(|| PlacementController {
             tag: Arc::clone(tag),
-            current: Arc::new(vcsql_dist::tag_partitioning(tag, machines, strategy)),
+            current: Arc::new(tag.partition(strategy, machines)),
             profile: calibration_profile(strategy),
             pending: None,
             drift_threshold,
@@ -131,11 +131,9 @@ impl PlacementController {
         if let Some(vote) =
             vote.filter(|v| open && v.byte_drift(&self.profile) > self.drift_threshold)
         {
-            let target = vcsql_dist::tag_partitioning(
-                &self.tag,
-                self.current.machines(),
-                &PartitionStrategy::Workload(vote.clone()),
-            );
+            let target = self
+                .tag
+                .partition(&PartitionStrategy::Workload(vote.clone()), self.current.machines());
             self.pending = Some(PendingMigration { target, profile: vote.clone(), proposer });
             self.adaptations += 1;
         }

@@ -6,7 +6,7 @@
 //! compacts the arena in place, buckets the links by label and hands them to
 //! [`GraphBuilder`], whose counting sort then has nothing left to sort.
 
-use vcsql_bsp::{Graph, GraphBuilder, LabelId, VertexId};
+use vcsql_bsp::{Graph, GraphBuilder, LabelId, PartitionStrategy, Partitioning, VertexId};
 use vcsql_relation::{fx, Database, FxHashMap, RelError, Relation, Schema, Tuple, Value};
 
 /// Decides which columns receive attribute vertices (paper Section 3).
@@ -429,6 +429,15 @@ impl TagGraph {
     #[inline]
     pub fn is_tuple_vertex(&self, v: VertexId) -> bool {
         (self.graph.label_of(v).0 as usize) < self.schemas.len()
+    }
+
+    /// Place this TAG over `machines` simulated machines with `strategy`.
+    /// Attribute vertices anchor the placement: under the locality-aware
+    /// strategies they hash-place and tuple vertices cluster around them.
+    /// Running under a placement changes the network accounting, never a
+    /// result.
+    pub fn partition(&self, strategy: &PartitionStrategy, machines: usize) -> Partitioning {
+        strategy.partition(&self.graph, machines, &|v| !self.is_tuple_vertex(v))
     }
 
     /// The attribute vertex representing `value`, if materialized.

@@ -13,6 +13,8 @@
 //! The count is taken per thread, so it repeats exactly whatever else the
 //! test harness is doing.
 
+#![allow(unsafe_code, reason = "a counting `GlobalAlloc` cannot be written without `unsafe`")]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use vcsql_relation::Database;
@@ -38,13 +40,11 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.alloc(layout) }
     }
 
-    // SAFETY: `GlobalAlloc::dealloc`'s own contract, unchanged.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.dealloc(ptr, layout) }
     }
 
-    // SAFETY: `GlobalAlloc::realloc`'s own contract, unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
         // SAFETY: the caller's obligations are passed on as they are.

@@ -83,18 +83,6 @@ pub fn cycle_db(n: usize, rows_per_relation: usize, domain: i64, seed: u64) -> D
     db
 }
 
-/// The SQL text of the `n`-cycle query over [`cycle_db`] relations.
-pub fn cycle_sql(n: usize) -> String {
-    let mut from = Vec::new();
-    let mut preds = Vec::new();
-    for i in 0..n {
-        from.push(format!("e{i}"));
-        let j = (i + 1) % n;
-        preds.push(format!("e{i}.dst = e{j}.src"));
-    }
-    format!("SELECT COUNT(*) AS cycles FROM {} WHERE {}", from.join(", "), preds.join(" AND "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,12 +96,8 @@ mod tests {
     }
 
     #[test]
-    fn cycle_db_and_sql() {
+    fn cycle_db_shapes() {
         let db = cycle_db(3, 200, 100, 2);
         assert_eq!(db.len(), 3);
-        let sql = cycle_sql(3);
-        assert!(sql.contains("e2.dst = e0.src"));
-        let stmt = vcsql_query::parse(&sql).unwrap();
-        assert_eq!(stmt.from.len(), 3);
     }
 }

@@ -364,7 +364,7 @@ proptest! {
         let analyzed = analyze(&parse(&sql).unwrap(), tag.schemas()).unwrap();
         let strategy = PartitionStrategy::Hash;
         let free = TagJoinExecutor::new(&tag, EngineConfig::sequential())
-            .with_partition_strategy(&strategy, machines)
+            .with_partitioning(tag.partition(&strategy, machines))
             .execute(&analyzed)
             .unwrap();
         prop_assert_eq!(
@@ -377,7 +377,7 @@ proptest! {
         let retries_needed = plan.len();
         let inj = Arc::new(FaultInjector::new(plan, checkpoint_every));
         let exec = TagJoinExecutor::new(&tag, EngineConfig::sequential())
-            .with_partition_strategy(&strategy, machines)
+            .with_partitioning(tag.partition(&strategy, machines))
             .with_fault_injector(Arc::clone(&inj));
         // Bounded retry: every fault fires at most once per injector, so at
         // most one rerun per planned fault is ever needed.

@@ -87,7 +87,7 @@ fn structure(name: &str, seed: u64, db: &Database, out: &mut String) {
 fn traffic(db: &Database, queries: &[BenchQuery], out: &mut String) {
     let tag = TagGraph::build(db);
     let exec = TagJoinExecutor::new(&tag, EngineConfig::sequential())
-        .with_partition_strategy(&PartitionStrategy::Hash, MACHINES);
+        .with_partitioning(tag.partition(&PartitionStrategy::Hash, MACHINES));
     for q in queries {
         let plan = QueryPlan::prepare(q.sql, tag.schemas()).expect("plans");
         let stats = exec.execute_plan(&plan).expect("executes").stats;
