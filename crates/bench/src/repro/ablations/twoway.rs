@@ -16,11 +16,54 @@
 use std::sync::Arc;
 use vcsql_bsp::program::Aggregator;
 use vcsql_bsp::{Computation, EngineConfig, Message, RunStats, VertexCtx, VertexId};
-use vcsql_core::table::{ColKey, RowRef, Table};
-use vcsql_relation::{RelError, Value};
+use vcsql_core::table::{str_payload, ColKey};
+use vcsql_relation::{FxHashSet, RelError, Value};
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
+
+/// Projected tuple values over sorted column keys: what the two-way join
+/// ships, intersects and keeps per join value. Priced in the collection
+/// phase's wire model, `16 + rows x cols x 8` plus every string cell's
+/// padded payload.
+#[derive(Debug, Clone)]
+struct Table {
+    cols: Vec<ColKey>,
+    rows: Vec<Vec<Value>>,
+}
+
+impl Table {
+    /// A one-row table over sorted, deduplicated keys.
+    fn one_row(cols: Vec<ColKey>, row: Vec<Value>) -> Table {
+        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "one_row cols must be sorted");
+        debug_assert_eq!(cols.len(), row.len(), "one_row width mismatch");
+        Table { cols, rows: vec![row] }
+    }
+
+    /// Union of same-layout tables (bag semantics).
+    fn union<'a>(tables: impl IntoIterator<Item = &'a Table>) -> Option<Table> {
+        let mut tables = tables.into_iter();
+        let mut out = tables.next()?.clone();
+        for t in tables {
+            debug_assert_eq!(out.cols, t.cols, "union of mismatched layouts");
+            out.rows.extend(t.rows.iter().cloned());
+        }
+        Some(out)
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    fn approx_bytes(&self) -> usize {
+        let strings: usize = self.rows.iter().flatten().map(str_payload).sum();
+        16 + self.rows.len() * self.cols.len() * 8 + strings
+    }
+}
 
 /// A join specification: `left.cols[i] = right.cols[i]` for each i; the
 /// first pair is the coordinating attribute (Section 4.2 reduces to it).
@@ -221,21 +264,16 @@ fn intersect_companions(mut l: Table, mut r: Table) -> (Table, Table) {
         return (l, r);
     }
     let key_positions = |t: &Table| -> Vec<usize> {
-        comp_cols.iter().map(|&k| t.col_index(k).expect("companion col")).collect()
+        comp_cols.iter().map(|k| t.cols.binary_search(k).expect("companion col")).collect()
     };
     let (lp, rp) = (key_positions(&l), key_positions(&r));
     let key = |row: &[Value], pos: &[usize]| -> Vec<Value> {
         pos.iter().map(|&p| row[p].clone()).collect()
     };
-    let row_key = |row: RowRef<'_>, pos: &[usize]| -> Vec<Value> {
-        pos.iter().map(|&p| row.get(p).clone()).collect()
-    };
-    let lkeys: vcsql_relation::FxHashSet<Vec<Value>> =
-        l.iter().map(|row| row_key(row, &lp)).collect();
-    let rkeys: vcsql_relation::FxHashSet<Vec<Value>> =
-        r.iter().map(|row| row_key(row, &rp)).collect();
-    l.retain(|row| rkeys.contains(&key(row, &lp)));
-    r.retain(|row| lkeys.contains(&key(row, &rp)));
+    let lkeys: FxHashSet<Vec<Value>> = l.rows.iter().map(|row| key(row, &lp)).collect();
+    let rkeys: FxHashSet<Vec<Value>> = r.rows.iter().map(|row| key(row, &rp)).collect();
+    l.rows.retain(|row| rkeys.contains(&key(row, &lp)));
+    r.rows.retain(|row| lkeys.contains(&key(row, &rp)));
     (l, r)
 }
 
@@ -266,11 +304,42 @@ mod tests {
         db_of(ints(rs), ints(ss))
     }
 
+    impl Table {
+        /// Natural join on the shared column keys (nested loops).
+        fn natural_join(&self, other: &Table) -> Table {
+            let mut cols: Vec<ColKey> = self.cols.iter().chain(&other.cols).copied().collect();
+            cols.sort_unstable();
+            cols.dedup();
+            let mut rows = Vec::new();
+            for a in &self.rows {
+                for b in &other.rows {
+                    let agree =
+                        self.cols.iter().enumerate().all(|(i, k)| {
+                            other.cols.binary_search(k).map_or(true, |j| a[i] == b[j])
+                        });
+                    if agree {
+                        rows.push(
+                            cols.iter()
+                                .map(|k| match self.cols.binary_search(k) {
+                                    Ok(i) => a[i].clone(),
+                                    Err(_) => {
+                                        b[other.cols.binary_search(k).expect("a key")].clone()
+                                    }
+                                })
+                                .collect(),
+                        );
+                    }
+                }
+            }
+            Table { cols, rows }
+        }
+    }
+
     /// The flat join result: each join value's factorized pair expanded to
     /// its Cartesian product (Section 4.1, Superstep 3).
     fn expand(res: &TwoWayResult) -> Table {
         let joined: Vec<Table> = res.groups.iter().map(|g| g.left.natural_join(&g.right)).collect();
-        Table::union(&joined).unwrap_or_else(|| Table::empty(Vec::new()))
+        Table::union(&joined).unwrap_or_else(|| Table { cols: Vec::new(), rows: Vec::new() })
     }
 
     fn spec<'a>() -> TwoWaySpec<'a> {

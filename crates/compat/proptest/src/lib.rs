@@ -73,14 +73,18 @@ pub fn fnv1a(s: &str) -> u64 {
 pub struct ProptestConfig {
     /// Number of random cases per test.
     pub cases: u32,
-    /// Unused; present so `.. ProptestConfig::default()` update syntax works
-    /// with code written against upstream proptest.
-    pub max_shrink_iters: u32,
+}
+
+impl ProptestConfig {
+    /// The default configuration with `cases` random cases per test.
+    pub fn with_cases(cases: u32) -> ProptestConfig {
+        ProptestConfig { cases }
+    }
 }
 
 impl Default for ProptestConfig {
     fn default() -> ProptestConfig {
-        ProptestConfig { cases: 64, max_shrink_iters: 0 }
+        ProptestConfig::with_cases(64)
     }
 }
 
@@ -474,7 +478,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig::with_cases(16))]
 
         #[test]
         fn macro_binds_patterns(x in 0i64..10, (a, b) in (0usize..5, any::<bool>())) {
@@ -489,7 +493,7 @@ mod tests {
     #[should_panic(expected = "proptest `always_fails` failed")]
     fn failure_panics_with_case_info() {
         proptest! {
-            #![proptest_config(ProptestConfig { cases: 3, .. ProptestConfig::default() })]
+            #![proptest_config(ProptestConfig::with_cases(3))]
             #[allow(unused, reason = "the macro must pass item attributes through")]
             fn always_fails(x in 0i64..4) {
                 prop_assert!(x < 0, "x was {}", x);

@@ -2,13 +2,14 @@
 //!
 //! [`QueryCtx::build`] is the pass between planning and execution: it turns
 //! the plan's table/column references into this graph's vertex and edge
-//! labels, per-table tuple filters, own-row projections, the final value
+//! labels, per-table tuple filters, the collection [`Visit`]s (what a tuple
+//! vertex does with the id rows it receives at each step), the final value
 //! layout and everything bound to it (residual checks, output items, group
 //! keys, HAVING expressions). The drivers in [`crate::exec`] only read the
 //! result; nothing here runs a superstep.
 
 use crate::plan::QueryPlan;
-use crate::table::{ColKey, Partial, Table};
+use crate::table::{ColKey, Layout, Partial};
 use std::sync::Arc;
 use vcsql_bsp::LabelId;
 use vcsql_query::analyze::{Analyzed, OutputItem};
@@ -127,6 +128,29 @@ pub(crate) fn all_hold(checks: &[ResCheck], row: &[Value]) -> Result<bool> {
     Ok(true)
 }
 
+/// What a tuple vertex does with the id rows it receives at one collection
+/// superstep. The plan fixes it: every vertex of a superstep sees rows over
+/// the same visited tables.
+pub(crate) enum Visit {
+    /// The table's first visit: every row the checks pass gains the
+    /// vertex's id (where the traversal starts, the vertex's id is the one
+    /// row).
+    First {
+        /// The rows' layout after the visit.
+        layout: Arc<Layout>,
+        /// `(layout position, its tuple's column, own column)` of each join
+        /// variable the rows already hold and the traversed edge did not
+        /// prove: a row whose tuple disagrees with the vertex's is dropped.
+        checks: Vec<(usize, usize, usize)>,
+        /// Own columns of the keys the visit adds, whose string payload
+        /// every row gains.
+        added: Vec<usize>,
+    },
+    /// A revisit on a backtracking step: the rows whose id at layout
+    /// position `pos` is the vertex's.
+    Again { pos: usize },
+}
+
 /// Precomputed execution context.
 pub(crate) struct QueryCtx<'a> {
     pub(crate) analyzed: &'a Analyzed,
@@ -136,16 +160,23 @@ pub(crate) struct QueryCtx<'a> {
     pub(crate) rel_label: Vec<LabelId>,
     /// Per-table tuple filters (over schema row layout).
     pub(crate) filters: Vec<TupleFilter>,
-    /// Per-table own-row spec: (output key, schema column); keys sorted.
+    /// Per-table row spec: (column key, schema column); keys sorted.
     own_specs: Vec<Vec<(ColKey, usize)>>,
+    /// Per table, the pairs of columns that hold one join variable: a tuple
+    /// whose values there disagree joins nothing.
+    pub(crate) dups: Vec<Vec<(usize, usize)>>,
     /// One TAG plan per component (borrowed from the prepared plan).
     pub(crate) plans: &'a [TagPlan],
     pub(crate) steps: &'a [Vec<Step>],
     /// Component whose roots assemble the final result.
     pub(crate) primary: usize,
-    /// Component index by table.
-    component_of: &'a [usize],
-    /// The (sorted) final layout of value tables at the primary roots.
+    /// Per component, what its tuple vertices do at collection superstep
+    /// `2k` (entry `k`): the start table's visit at superstep 0, then one
+    /// per step that enters a table; the root's is last.
+    pub(crate) visits: Vec<Vec<Visit>>,
+    /// Per component, the layout of the rows its roots hold.
+    pub(crate) root_layouts: Vec<Arc<Layout>>,
+    /// The (sorted) final layout of value rows at the primary roots.
     pub(crate) final_layout: Vec<ColKey>,
     /// Residual checks bound to the final layout.
     pub(crate) residuals: Vec<ResCheck>,
@@ -233,15 +264,15 @@ impl<'a> QueryCtx<'a> {
             }
         }
 
-        // ---- own-row specs ----------------------------------------------------
-        // A table's value row carries: a Var key for each join variable
+        // ---- row specs ----------------------------------------------------------
+        // A table's tuples stand for: a Var key for each join variable
         // occurring in it, plus Plain keys for needed non-join columns.
         let mut own_specs: Vec<Vec<(ColKey, usize)>> = Vec::with_capacity(n);
         for (t, needed_cols) in needed.iter().enumerate() {
             let mut spec: Vec<(ColKey, usize)> = Vec::new();
             // Every occurrence of a variable in this table is listed: when a
             // variable occurs in several columns of one tuple (equalities
-            // merged by transitivity), `own_row` rejects tuples whose values
+            // merged by transitivity), `dups` rejects tuples whose values
             // disagree — the implied intra-tuple equality.
             for v in &dec.vars {
                 for &(tt, c) in &v.occurrences {
@@ -259,6 +290,12 @@ impl<'a> QueryCtx<'a> {
             spec.sort_by_key(|&(k, _)| k);
             own_specs.push(spec);
         }
+        let dups = own_specs
+            .iter()
+            .map(|spec| {
+                spec.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| (w[0].1, w[1].1)).collect()
+            })
+            .collect();
 
         // Which single table (if any) each lowered subquery check can be
         // pushed to: all its outer columns and, for scalar comparisons, all
@@ -328,7 +365,6 @@ impl<'a> QueryCtx<'a> {
         let plans = plan.plans.as_slice();
         let steps = plan.steps.as_slice();
         let primary = plan.primary;
-        let component_of = plan.component_of.as_slice();
 
         // ---- labels ---------------------------------------------------------------
         let mut rel_label = Vec::with_capacity(n);
@@ -352,6 +388,30 @@ impl<'a> QueryCtx<'a> {
                 })?;
                 step_labels.insert((s.table, s.col), label);
             }
+        }
+
+        // ---- collection visits ------------------------------------------------------
+        // A traversal walks the plan tree, so it alternates tuple and
+        // attribute vertices: tuple vertices compute at the even collection
+        // supersteps — the start table at 0, then the table each odd step
+        // enters (a step's label names its relation side), the root last.
+        let mut visits = Vec::with_capacity(plans.len());
+        let mut root_layouts = Vec::with_capacity(plans.len());
+        for (plan, steps) in plans.iter().zip(steps) {
+            debug_assert!(steps.len().is_multiple_of(2), "a traversal ends at a relation");
+            let mut layout = Arc::new(Layout::default());
+            let mut vs = vec![first_visit(&own_specs, &mut layout, plan.start_table(), None)];
+            for s in steps.iter().skip(1).step_by(2) {
+                vs.push(match layout.tables.iter().position(|&t| t == s.table) {
+                    Some(pos) => Visit::Again { pos },
+                    None => {
+                        let proved = var_of.get(&(s.table, s.col)).copied();
+                        first_visit(&own_specs, &mut layout, s.table, proved)
+                    }
+                });
+            }
+            visits.push(vs);
+            root_layouts.push(layout);
         }
 
         // ---- final layout -----------------------------------------------------------
@@ -460,10 +520,12 @@ impl<'a> QueryCtx<'a> {
             rel_label,
             filters,
             own_specs,
+            dups,
             plans,
             steps,
             primary,
-            component_of,
+            visits,
+            root_layouts,
             final_layout,
             residuals,
             items,
@@ -488,38 +550,13 @@ impl<'a> QueryCtx<'a> {
             .ok_or_else(|| RelError::Other("unlabelled step".into()))
     }
 
-    /// Layout of a component's gathered tables.
-    pub(crate) fn component_layout(&self, ci: usize) -> Vec<ColKey> {
-        let mut keys: Vec<ColKey> = (0..self.own_specs.len())
-            .filter(|&t| self.component_of[t] == ci)
-            .flat_map(|t| self.own_specs[t].iter().map(|&(k, _)| k))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys
-    }
-
-    /// The projected one-row table for a tuple vertex of table `t`.
-    /// Returns `None` when a join variable occurs in several columns of the
-    /// tuple with disagreeing values (implicit intra-tuple equality).
-    pub(crate) fn own_row(&self, t: usize, tuple: &[Value]) -> Option<Table> {
-        let spec = &self.own_specs[t];
-        let mut cols = Vec::with_capacity(spec.len());
-        let mut row = Vec::with_capacity(spec.len());
-        for &(k, c) in spec {
-            let v = tuple[c].clone();
-            if cols.last() == Some(&k) {
-                // Same variable twice in this tuple (implicit intra-tuple
-                // equality): values must agree or the tuple is dead.
-                if row.last() != Some(&v) {
-                    return None;
-                }
-                continue;
-            }
-            cols.push(k);
-            row.push(v);
-        }
-        Some(Table::one_row(cols, row))
+    /// Where each final-layout column of a row over `tables` is read: the
+    /// layout position of the first table holding it, and its column there.
+    pub(crate) fn reader(&self, tables: &[usize]) -> Vec<(usize, usize)> {
+        self.final_layout
+            .iter()
+            .map(|&k| holder(&self.own_specs, tables, k).expect("every table is visited"))
+            .collect()
     }
 
     /// Evaluate the output items for one final row (NoAgg path).
@@ -573,4 +610,48 @@ impl<'a> QueryCtx<'a> {
 fn single_table(mut tables: impl Iterator<Item = usize>) -> Option<usize> {
     let first = tables.next()?;
     tables.all(|t| t == first).then_some(first)
+}
+
+/// Table `t`'s first visit to rows over `layout`, which becomes the layout
+/// after it. `proved` is the join variable of the edge the rows travelled,
+/// equal on both sides by construction; every other variable the rows
+/// already hold is checked.
+fn first_visit(
+    own_specs: &[Vec<(ColKey, usize)>],
+    layout: &mut Arc<Layout>,
+    t: usize,
+    proved: Option<u32>,
+) -> Visit {
+    let (mut checks, mut added) = (Vec::new(), Vec::new());
+    let mut cols = layout.cols.clone();
+    let mut prev = None;
+    for &(k, c) in &own_specs[t] {
+        if prev.replace(k) == Some(k) {
+            continue; // the variable's further columns: equal, see `dups`
+        }
+        if layout.cols.binary_search(&k).is_err() {
+            added.push(c);
+            cols.push(k);
+        } else if Some(k) != proved.map(ColKey::Var) {
+            let (pos, col) = holder(own_specs, &layout.tables, k).expect("a held key has a table");
+            checks.push((pos, col, c));
+        }
+    }
+    cols.sort_unstable();
+    let mut tables = layout.tables.clone();
+    tables.push(t);
+    *layout = Arc::new(Layout { tables, cols });
+    Visit::First { layout: Arc::clone(layout), checks, added }
+}
+
+/// The first of `tables` whose tuples stand for column `k`: its position
+/// and the schema column holding `k`.
+fn holder(
+    own_specs: &[Vec<(ColKey, usize)>],
+    tables: &[usize],
+    k: ColKey,
+) -> Option<(usize, usize)> {
+    tables.iter().enumerate().find_map(|(pos, &t)| {
+        own_specs[t].iter().find(|&&(key, _)| key == k).map(|&(_, c)| (pos, c))
+    })
 }

@@ -14,14 +14,18 @@
 //!    whose bit the bottom-up pass set, and receivers *replace* the bits of
 //!    that label's run, so surviving marks are exactly the edges of tuples
 //!    in the full join.
-//! 3. **Collection, bottom-up** — values (intermediate tables) flow along
-//!    marked edges; attribute vertices union incoming tables, tuple vertices
-//!    natural-join them with their own (projected) tuple.
+//! 3. **Collection, bottom-up** — intermediate tables of tuple-vertex ids
+//!    ([`crate::table`]) flow along marked edges. Attribute vertices union
+//!    the tables they receive. A tuple vertex's first visit appends its id
+//!    to every row, checking by arena reads only the join variables the
+//!    traversed edge did not prove; a revisit on a backtracking step keeps
+//!    exactly the rows that hold its id. No value is hashed or cloned.
 //!
-//! A final superstep at the plan root assembles output rows, applies residual
-//! predicates, and performs aggregation: local aggregation routes partial
-//! aggregates to group-key attribute vertices (one extra superstep, whose
-//! merged groups leave through the aggregator), global and scalar
+//! A final superstep at the plan root reads the rows' values from the TAG's
+//! arena — the only superstep that does — applies residual predicates,
+//! assembles output rows and performs aggregation: local aggregation routes
+//! partial aggregates to group-key attribute vertices (one extra superstep,
+//! whose merged groups leave through the aggregator), global and scalar
 //! aggregation fold into the engine's global aggregator — the paper's
 //! aggregation vertex.
 //!
@@ -34,9 +38,9 @@
 //! treatment); the worst-case-optimal cycle program of Sections 6.1–6.2 is an
 //! ablation, run by `repro triangle-theta`.
 
-use crate::bind::{all_hold, LoweredCheck, ProjItem, QueryCtx};
+use crate::bind::{all_hold, LoweredCheck, ProjItem, QueryCtx, Visit};
 use crate::plan::QueryPlan;
-use crate::table::{Partial, Table, TagMsg};
+use crate::table::{str_payload, Partial, Table, TagMsg};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use vcsql_bsp::program::Aggregator;
@@ -184,7 +188,7 @@ impl<'t> TagJoinExecutor<'t> {
         let mut gather = LabelTraffic::default();
         for &ci in &order[..order.len() - 1] {
             self.run_traversal(&mut comp, &q, ci)?;
-            let pieces = self.gather_component(&mut comp, &q)?;
+            let pieces = self.gather_component(&mut comp, &q, ci)?;
             for (v, t) in &pieces {
                 let (rows, bytes) = (t.len() as u64, t.approx_bytes() as u64);
                 gather.messages += rows;
@@ -197,10 +201,10 @@ impl<'t> TagJoinExecutor<'t> {
                 }
             }
             let gathered = Table::union(pieces.iter().map(|(_, t)| t))
-                .unwrap_or_else(|| Table::empty(q.component_layout(ci)));
+                .unwrap_or_else(|| Table::empty(Arc::clone(&q.root_layouts[ci])));
             secondary = Some(match secondary {
                 None => gathered,
-                Some(prev) => prev.natural_join(&gathered), // disjoint keys: cross product
+                Some(prev) => prev.product(&gathered),
             });
         }
         if let Some(sec) = &secondary {
@@ -265,7 +269,7 @@ impl<'t> TagJoinExecutor<'t> {
     // ------------------------------------------------------------------ plan
 
     /// Run the three traversal passes for component `ci`, leaving the
-    /// component's root tuple vertices active with pending value tables.
+    /// component's root tuple vertices active with pending id tables.
     /// A reduction superstep whose filter evaluation failed ends the phase
     /// with that error.
     ///
@@ -288,8 +292,8 @@ impl<'t> TagJoinExecutor<'t> {
             let d = &descs[i];
             let mut err = match d.pass {
                 Pass::Red { down } => self.reduction_step(comp, q, d.cur, d.prev, down),
-                Pass::Col => {
-                    self.collection_step(comp, q, d.cur, d.prev);
+                Pass::Col { step } => {
+                    self.collection_step(comp, q, ci, step, d.cur, d.prev);
                     FirstError::default()
                 }
             };
@@ -328,11 +332,14 @@ impl<'t> TagJoinExecutor<'t> {
         .1
     }
 
-    /// One collection superstep (Algorithm 2 lines 28-44).
+    /// One collection superstep (Algorithm 2 lines 28-44), the `step`-th of
+    /// component `ci`'s collection pass.
     fn collection_step(
         &self,
         comp: &mut Computation<'_, St, TagMsg>,
         q: &QueryCtx,
+        ci: usize,
+        step: usize,
         cur: LabelId,
         prev: Option<(LabelId, bool)>,
     ) {
@@ -341,7 +348,7 @@ impl<'t> TagJoinExecutor<'t> {
             // Signals still in flight from the reduction's last step update
             // marks; tables are collected.
             record_marks(ctx, prev);
-            let Some(value) = compute_value(ctx, q, tag) else { return };
+            let Some(value) = compute_value(ctx, q, tag, ci, step) else { return };
             let value = Arc::new(value);
             send_along_marks(ctx, cur, false, || TagMsg::Table(Arc::clone(&value)));
         });
@@ -354,8 +361,10 @@ impl<'t> TagJoinExecutor<'t> {
         &self,
         comp: &mut Computation<'_, St, TagMsg>,
         q: &QueryCtx,
+        ci: usize,
     ) -> Result<Vec<(VertexId, Table)>> {
         let tag = self.tag;
+        let root = q.steps[ci].len();
         #[derive(Default)]
         struct Tables {
             pieces: Vec<(VertexId, Table)>,
@@ -372,7 +381,7 @@ impl<'t> TagJoinExecutor<'t> {
                 if g.err.ok(passes_filter(ctx, q, tag)) != Some(true) {
                     return;
                 }
-                if let Some(v) = compute_value(ctx, q, tag) {
+                if let Some(v) = compute_value(ctx, q, tag, ci, root) {
                     g.pieces.push((ctx.id(), v));
                 }
             })?;
@@ -382,8 +391,8 @@ impl<'t> TagJoinExecutor<'t> {
 
     // --------------------------------------------------------------- finish
 
-    /// Final superstep at the primary roots: assemble rows, residuals,
-    /// aggregation, output.
+    /// Final superstep at the primary roots: read the rows' values, apply
+    /// residuals, aggregate, output.
     fn finish(
         &self,
         comp: &mut Computation<'_, St, TagMsg>,
@@ -392,7 +401,15 @@ impl<'t> TagJoinExecutor<'t> {
     ) -> Result<Relation> {
         let tag = self.tag;
         let a = q.analyzed;
-        let secondary = secondary.map(Arc::new);
+        let root = q.steps[q.primary].len();
+        // A final row holds the primary component's ids, then Algorithm B's
+        // secondary ones; `reader` says where each final column is read.
+        let mut tables = q.root_layouts[q.primary].tables.clone();
+        if let Some(sec) = &secondary {
+            tables.extend_from_slice(&sec.layout().tables);
+        }
+        let reader = q.reader(&tables);
+        let width = reader.len();
 
         // Aggregator: NoAgg gathers projected rows; aggregate classes gather
         // partial groups (LA additionally *sends* partials to attribute
@@ -406,10 +423,10 @@ impl<'t> TagJoinExecutor<'t> {
         impl Aggregator for Fin {
             fn merge(&mut self, mut other: Self) {
                 self.rows.append(&mut other.rows);
-                for (k, p) in other.groups.drain() {
-                    merge_group(&mut self.groups, k, p);
-                }
                 self.err.merge(other.err);
+                for (k, p) in other.groups.drain() {
+                    self.err.ok(merge_group(&mut self.groups, k, p));
+                }
             }
         }
 
@@ -417,37 +434,41 @@ impl<'t> TagJoinExecutor<'t> {
             if g.err.ok(passes_filter(ctx, q, tag)) != Some(true) {
                 return;
             }
-            let mut value = match compute_value(ctx, q, tag) {
-                Some(v) => v,
-                None => return,
-            };
+            let Some(mut value) = compute_value(ctx, q, tag, q.primary, root) else { return };
             if let Some(sec) = &secondary {
-                value = value.natural_join(sec);
+                value = value.product(sec);
             }
-            debug_assert_eq!(value.cols, q.final_layout, "unexpected final layout");
+            debug_assert_eq!(value.cols(), q.final_layout, "unexpected final layout");
+            debug_assert_eq!(value.layout().tables, tables, "unexpected final tables");
+            let cells = read_values(tag, &value, &reader);
+            let row = |i: usize| &cells[i * width..(i + 1) * width];
             // Residual predicates (cross-table filters, broken cycle
-            // equalities, multi-table subquery checks).
-            value.retain(|row| g.err.ok(all_hold(&q.residuals, row)) == Some(true));
-            if value.is_empty() {
+            // equalities, multi-table subquery checks), over every row
+            // before any is projected.
+            let kept: Vec<usize> = (0..value.len())
+                .filter(|&i| g.err.ok(all_hold(&q.residuals, row(i))) == Some(true))
+                .collect();
+            if kept.is_empty() {
                 return;
             }
             match a.agg_class {
                 AggClass::NoAgg => {
-                    value.for_each_row(|row| {
-                        if let Some(out) = g.err.ok(q.project_row(row)) {
+                    for &i in &kept {
+                        if let Some(out) = g.err.ok(q.project_row(row(i))) {
                             g.rows.push(out);
                         }
-                    });
+                    }
                 }
                 _ => {
                     // Partial aggregation per group key.
                     let mut local: FxHashMap<Box<[Value]>, Partial> = FxHashMap::default();
-                    value.for_each_row(|row| {
+                    for &i in &kept {
+                        let row = row(i);
                         let key: Box<[Value]> =
                             q.group_pos.iter().map(|&p| row[p].clone()).collect();
                         let part = local.entry(key).or_insert_with(|| q.fresh_partial(row));
                         g.err.ok(q.update_partial(part, row));
-                    });
+                    }
                     if a.agg_class == AggClass::Local {
                         // Route each group's partial to the group-key
                         // attribute vertex along this root's own edge
@@ -467,12 +488,14 @@ impl<'t> TagJoinExecutor<'t> {
                                     target,
                                     TagMsg::Partial(Arc::new((key, part))),
                                 ),
-                                None => merge_group(&mut g.groups, key, part),
+                                None => {
+                                    g.err.ok(merge_group(&mut g.groups, key, part));
+                                }
                             }
                         }
                     } else {
                         for (key, part) in local {
-                            merge_group(&mut g.groups, key, part);
+                            g.err.ok(merge_group(&mut g.groups, key, part));
                         }
                     }
                 }
@@ -498,11 +521,12 @@ impl<'t> TagJoinExecutor<'t> {
                     single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
                         for m in ctx.messages() {
                             if let TagMsg::Partial(kp) = m {
-                                merge_group(&mut g.groups, kp.0.clone(), kp.1.clone());
+                                g.err.ok(merge_group(&mut g.groups, kp.0.clone(), kp.1.clone()));
                             }
                         }
                     })?;
                 fin.merge(la);
+                fin.err.check()?;
                 self.groups_to_output(a, q, fin.groups)
             }
             AggClass::Global | AggClass::Scalar => {
@@ -574,10 +598,11 @@ impl<'t> TagJoinExecutor<'t> {
     }
 }
 
-/// The pass a traversal superstep belongs to.
+/// The pass a traversal superstep belongs to; a collection superstep knows
+/// its index in its pass.
 enum Pass {
     Red { down: bool },
-    Col,
+    Col { step: usize },
 }
 
 /// One traversal superstep: its pass, the label it sends along, and the
@@ -605,9 +630,9 @@ fn traversal(q: &QueryCtx, ci: usize) -> Result<Vec<Desc>> {
         descs.push(Desc { pass: Pass::Red { down: true }, cur, prev });
         prev = Some((cur, true));
     }
-    for s in steps {
+    for (step, s) in steps.iter().enumerate() {
         let cur = q.label(*s)?;
-        descs.push(Desc { pass: Pass::Col, cur, prev });
+        descs.push(Desc { pass: Pass::Col { step }, cur, prev });
         prev = Some((cur, true));
     }
     Ok(descs)
@@ -744,30 +769,59 @@ fn passes_filter(
     Ok(verdict)
 }
 
-/// Collection-phase value at a vertex: union of incoming tables, joined with
-/// the vertex's own (projected) tuple when it is a tuple vertex.
+/// Collection-phase value at a vertex in collection superstep `step` of
+/// component `ci` (its roots compute at `steps.len()`): an attribute vertex
+/// unions the tables it received; a tuple vertex visits them, or is the one
+/// row of a traversal that starts at it. `None` when there is nothing to
+/// send: no table arrived, or the tuple's columns of one join variable
+/// disagree.
 fn compute_value(
-    ctx: &mut VertexCtx<'_, '_, St, TagMsg>,
+    ctx: &VertexCtx<'_, '_, St, TagMsg>,
     q: &QueryCtx,
     tag: &TagGraph,
+    ci: usize,
+    step: usize,
 ) -> Option<Table> {
-    let mut incoming: Vec<&Table> = Vec::new();
-    for m in ctx.messages() {
-        if let TagMsg::Table(t) = m {
-            incoming.push(t);
-        }
+    let incoming = Table::union(ctx.messages().iter().filter_map(|m| match m {
+        TagMsg::Table(t) => Some(&**t),
+        _ => None,
+    }));
+    let Some(&t) = q.table_of_label.get(&ctx.label()) else { return incoming };
+    let id = ctx.id();
+    let own = tag.tuple(id)?;
+    if q.dups[t].iter().any(|&(x, y)| own[x] != own[y]) {
+        return None;
     }
-    let unioned = Table::union(incoming.iter().copied());
-    match q.table_of_label.get(&ctx.label()) {
-        Some(&t) => {
-            let own = q.own_row(t, tag.tuple(ctx.id())?)?;
-            Some(match unioned {
-                Some(u) => u.natural_join(&own),
-                None => own,
-            })
+    let payload = |added: &[usize]| added.iter().map(|&c| str_payload(&own[c])).sum::<usize>();
+    match (&q.visits[ci][step / 2], incoming) {
+        (Visit::First { layout, added, .. }, None) if step == 0 => {
+            Some(Table::single(Arc::clone(layout), id, payload(added)))
         }
-        None => unioned,
+        (Visit::First { layout, checks, added }, Some(rows)) => {
+            let agree = |ids: &[VertexId]| {
+                checks.iter().all(|&(pos, col, own_col)| {
+                    tag.tuple(ids[pos]).is_some_and(|other| other[col] == own[own_col])
+                })
+            };
+            Some(rows.extend(Arc::clone(layout), id, payload(added), agree))
+        }
+        (Visit::Again { pos }, Some(rows)) => Some(rows.select(*pos, id)),
+        (_, None) => None,
     }
+}
+
+/// The values of `value`'s rows, row-major, in `reader`'s `(layout
+/// position, column)` order: where a statement reads the TAG's arena for
+/// its output.
+fn read_values(tag: &TagGraph, value: &Table, reader: &[(usize, usize)]) -> Vec<Value> {
+    let mut cells = Vec::with_capacity(value.len() * reader.len());
+    let mut tuples: Vec<&[Value]> = Vec::new();
+    for ids in value.rows() {
+        tuples.clear();
+        tuples.extend(ids.iter().map(|&id| tag.tuple(id).expect("rows hold tuple vertices")));
+        cells.extend(reader.iter().map(|&(pos, col)| tuples[pos][col].clone()));
+    }
+    cells
 }
 
 /// The Algorithm B gather site: the machine holding the plurality of the
@@ -790,21 +844,26 @@ fn gather_site(q: &QueryCtx, order: &[usize], tag: &TagGraph, p: &Partitioning) 
     origin
 }
 
-fn merge_group(groups: &mut FxHashMap<Box<[Value]>, Partial>, key: Box<[Value]>, p: Partial) {
+/// Fold partial `p` into `groups` under `key`. Accumulators that cannot
+/// merge (a kind mismatch) are the statement's error.
+fn merge_group(
+    groups: &mut FxHashMap<Box<[Value]>, Partial>,
+    key: Box<[Value]>,
+    p: Partial,
+) -> Result<()> {
     match groups.entry(key) {
         std::collections::hash_map::Entry::Occupied(mut e) => {
             let g = e.get_mut();
-            for (a, b) in g.accs.iter_mut().zip(&p.accs) {
-                let _ = a.merge(b);
-            }
-            for (a, b) in g.having.iter_mut().zip(&p.having) {
-                let _ = a.merge(b);
+            let accs = g.accs.iter_mut().zip(&p.accs);
+            for (a, b) in accs.chain(g.having.iter_mut().zip(&p.having)) {
+                a.merge(b)?;
             }
         }
         std::collections::hash_map::Entry::Vacant(e) => {
             e.insert(p);
         }
     }
+    Ok(())
 }
 
 /// Build the output relation, inferring column types from the first non-NULL

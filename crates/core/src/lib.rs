@@ -13,8 +13,8 @@
 //!   products across join-graph components run Section 6.3's Algorithm B.
 //! * [`plan::QueryPlan`] — a prepared statement: the analyzed query and its
 //!   TAG plans, reusable across executions.
-//! * [`table::Table`] — the columnar intermediate tables of the collection
-//!   phase, and [`table::TagMsg`], the program's messages.
+//! * [`table::Table`] — the collection phase's intermediate tables, rows of
+//!   tuple-vertex ids, and [`table::TagMsg`], the program's messages.
 //!
 //! Every vertex program here is the SQL path, and runs inside the engine's
 //! recoverable phases. The standalone §4 two-way join and §6.1–6.2 cycle

@@ -34,8 +34,6 @@ pub struct QueryPlan {
     pub(crate) steps: Vec<Vec<Step>>,
     /// Component whose roots assemble the final result.
     pub(crate) primary: usize,
-    /// Component index by table.
-    pub(crate) component_of: Vec<usize>,
 }
 
 impl QueryPlan {
@@ -89,7 +87,7 @@ impl QueryPlan {
             components.iter().map(|c| TagPlan::from_join_tree(c, &dec)).collect();
         let steps: Vec<Vec<Step>> = plans.iter().map(TagPlan::gen_steps).collect();
 
-        Ok(QueryPlan { analyzed, dec, components, plans, steps, primary, component_of })
+        Ok(QueryPlan { analyzed, dec, components, plans, steps, primary })
     }
 
     /// Parse, analyze and plan a SQL string against `schemas` — the whole

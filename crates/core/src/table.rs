@@ -1,34 +1,51 @@
 //! Intermediate result tables exchanged during the collection phase.
 //!
-//! Columns are identified by [`ColKey`]: join columns by their join
-//! *variable* (so equi-joined columns from different relations unify under
-//! one key — what lets a tuple vertex natural-join an incoming table against
-//! its own row), everything else by its `(table, column)` provenance.
-//! Column lists are kept **sorted**, which makes layouts predictable (the
-//! final layout of a traversal is statically known) and shared-column
-//! detection a linear merge.
+//! A collection row says *which* tuples it joins, not what they hold: one
+//! `u32` tuple-vertex id per query table the traversal has visited, in visit
+//! order. A TAG edge has already proved the join equality it carries, so the
+//! collection phase never compares or copies a value to join (see
+//! [`crate::exec`]):
+//!
+//! * a tuple vertex's **first visit** appends its own id to every incoming
+//!   row ([`Table::extend`]), after its caller has checked, by arena reads,
+//!   the shared join variables the traversed edge did not prove;
+//! * a **revisit** on a backtracking step keeps exactly the rows whose id
+//!   for that table is the vertex ([`Table::select`]);
+//! * an attribute vertex **unions** ([`Table::union`]).
+//!
+//! Values are read from the TAG's arena only at the root, for residuals,
+//! group keys, aggregate arguments and output.
+//!
+//! # Layout
+//!
+//! Every table of one superstep shares one [`Layout`]: the visited tables
+//! and the value columns their tuples stand for. Columns are [`ColKey`]s —
+//! join columns by their join *variable* (so equi-joined columns from
+//! different relations unify under one key), everything else by its `(table,
+//! column)` provenance — kept sorted. No column is stored: the columns price
+//! a row on the wire and bind it at the root.
 //!
 //! # Storage
 //!
-//! A table is a sequence of immutable column-major [`Chunk`]s behind `Arc`s.
-//! [`Table::union`] splices whole chunks instead of copying values, so
-//! fanning a collection table out to many vertices (or accumulating
-//! incoming tables at one) is O(chunks), not O(cells). Row
-//! access goes through the [`RowRef`] cursor or the scratch-row helper
-//! [`Table::for_each_row`]; nothing outside this module sees the chunk
-//! boundaries, which carry no meaning (equality, joins and the wire-byte
-//! model are all chunk-agnostic).
+//! A table is a sequence of immutable row-major chunks behind `Arc`s.
+//! [`Table::union`] splices whole chunks instead of copying rows, so fanning a
+//! collection table out to many vertices (or accumulating incoming tables at
+//! one) is O(chunks), and [`Table::select`] reuses every chunk it keeps
+//! whole. Chunk boundaries carry no meaning.
 //!
-//! The wire model ([`Table::approx_bytes`]) is maintained incrementally at
-//! construction — `16 + rows x cols x 8` plus the 8-byte-padded payload of
-//! every string cell, exactly the bytes the row-major layout reported — so
-//! [`TagMsg::byte_size`] is O(1) and every measured spark/tag byte ratio is
-//! unchanged by the columnar layout.
+//! # Wire model
+//!
+//! Wire bytes stay the paper's value bytes: [`Table::approx_bytes`] is
+//! `16 + rows x cols x 8` plus the 8-byte-padded payload of every string
+//! value the rows stand for. Each row carries the payload of the columns it
+//! added — a join variable's column is counted once, by the visit that added
+//! it — so the model is maintained incrementally and [`TagMsg::byte_size`] is
+//! O(1).
 
 use std::sync::Arc;
 use vcsql_bsp::{Message, VertexId};
 use vcsql_relation::agg::Accumulator;
-use vcsql_relation::{fx, Value};
+use vcsql_relation::Value;
 
 /// A column key of an intermediate table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,73 +56,51 @@ pub enum ColKey {
     Col { table: u16, col: u16 },
 }
 
-/// Wire bytes a single value contributes beyond its fixed 8-byte slot.
+/// Wire bytes a value adds beyond its fixed 8-byte slot: a string's length
+/// rounded up to 8.
 #[inline]
-fn value_str_bytes(v: &Value) -> usize {
+pub fn str_payload(v: &Value) -> usize {
     v.wire_bytes() - 8
 }
 
-/// One immutable column-major segment of a [`Table`].
-///
-/// `columns` is parallel to the owning table's `cols`; `rows` is explicit so
-/// zero-column tables (legal cross-product degenerate) still count rows.
+/// What every row of a table holds and stands for.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Layout {
+    /// The query tables whose tuple-vertex ids a row holds, in visit order.
+    pub tables: Vec<usize>,
+    /// The value columns those tuples stand for, sorted.
+    pub cols: Vec<ColKey>,
+}
+
+/// One immutable segment of a [`Table`]: each row is the layout's
+/// `tables.len()` ids followed by the row's string payload in bytes.
 #[derive(Debug)]
-pub struct Chunk {
-    columns: Vec<Vec<Value>>,
-    rows: usize,
-    /// Padded string payload of every cell in this chunk (wire model).
+struct Chunk {
+    words: Vec<u32>,
+    /// Sum of the rows' payloads.
     str_bytes: usize,
 }
 
 impl Chunk {
-    fn new(width: usize) -> Chunk {
-        Chunk { columns: vec![Vec::new(); width], rows: 0, str_bytes: 0 }
+    fn with_capacity(words: usize) -> Chunk {
+        Chunk { words: Vec::with_capacity(words), str_bytes: 0 }
     }
 
+    /// Append a row: `ids`, then `more` ids, with `payload` string bytes.
     #[inline]
-    fn get(&self, col: usize, row: usize) -> &Value {
-        &self.columns[col][row]
-    }
-
-    /// Append one value to column `col`; call [`Chunk::commit_row`] once per
-    /// row after all columns are written.
-    #[inline]
-    fn push_at(&mut self, col: usize, v: Value) {
-        self.str_bytes += value_str_bytes(&v);
-        self.columns[col].push(v);
-    }
-
-    #[inline]
-    fn commit_row(&mut self) {
-        self.rows += 1;
+    fn push(&mut self, ids: &[VertexId], more: &[VertexId], payload: usize) {
+        self.words.extend_from_slice(ids);
+        self.words.extend_from_slice(more);
+        self.words.push(payload as u32);
+        self.str_bytes += payload;
     }
 }
 
-/// A borrowed row: a cursor into one chunk. `Copy`, 16 bytes — cheap to
-/// hand around during joins.
-#[derive(Clone, Copy)]
-pub struct RowRef<'a> {
-    chunk: &'a Chunk,
-    row: usize,
-}
-
-impl<'a> RowRef<'a> {
-    /// The value in column position `col` (position in the table's `cols`).
-    #[inline]
-    pub fn get(&self, col: usize) -> &'a Value {
-        self.chunk.get(col, self.row)
-    }
-
-    /// Left-to-right values of this row.
-    pub fn values(&self) -> impl Iterator<Item = &'a Value> + '_ {
-        self.chunk.columns.iter().map(move |c| &c[self.row])
-    }
-}
-
-/// An intermediate table: sorted column keys + chunked column-major rows.
+/// An intermediate table: a shared [`Layout`] plus chunked rows of
+/// tuple-vertex ids.
 #[derive(Debug, Clone)]
 pub struct Table {
-    pub cols: Vec<ColKey>,
+    layout: Arc<Layout>,
     /// Shared storage; cloning a table or unioning tables bumps refcounts.
     chunks: Vec<Arc<Chunk>>,
     /// Total row count across chunks (incremental, O(1) reads).
@@ -115,51 +110,45 @@ pub struct Table {
 }
 
 impl Table {
-    /// Empty table over sorted keys.
-    pub fn empty(mut cols: Vec<ColKey>) -> Table {
-        cols.sort_unstable();
-        cols.dedup();
-        Table { cols, chunks: Vec::new(), len: 0, str_bytes: 0 }
+    /// An empty table over `layout`.
+    pub fn empty(layout: Arc<Layout>) -> Table {
+        Table { layout, chunks: Vec::new(), len: 0, str_bytes: 0 }
     }
 
-    /// A one-row table over already-sorted, deduplicated keys.
-    pub fn one_row(cols: Vec<ColKey>, row: Vec<Value>) -> Table {
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "one_row cols must be sorted");
-        debug_assert_eq!(cols.len(), row.len(), "one_row width mismatch");
-        let str_bytes: usize = row.iter().map(value_str_bytes).sum();
-        let chunk =
-            Chunk { columns: row.into_iter().map(|v| vec![v]).collect(), rows: 1, str_bytes };
-        Table { cols, chunks: vec![Arc::new(chunk)], len: 1, str_bytes }
+    /// A tuple vertex's own one-row table (the first visit of a traversal's
+    /// start): `layout` names its table alone, and its `payload` is that of
+    /// every column the layout lists.
+    pub fn single(layout: Arc<Layout>, id: VertexId, payload: usize) -> Table {
+        debug_assert_eq!(layout.tables.len(), 1, "a single row names one tuple");
+        let mut chunk = Chunk::with_capacity(2);
+        chunk.push(&[id], &[], payload);
+        Table::from_chunk(layout, chunk)
     }
 
-    /// Build from row-major data (tests, fixtures). `cols` must be sorted
-    /// and deduplicated, every row as wide as `cols`.
-    pub fn from_rows(cols: Vec<ColKey>, rows: Vec<Vec<Value>>) -> Table {
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "from_rows cols must be sorted");
-        let mut chunk = Chunk::new(cols.len());
-        for row in rows {
-            debug_assert_eq!(row.len(), cols.len(), "from_rows width mismatch");
-            for (c, v) in row.into_iter().enumerate() {
-                chunk.push_at(c, v);
-            }
-            chunk.commit_row();
-        }
-        Table::from_chunk(cols, chunk)
-    }
-
-    fn from_chunk(cols: Vec<ColKey>, chunk: Chunk) -> Table {
-        let mut t = Table { cols, chunks: Vec::new(), len: 0, str_bytes: 0 };
-        if chunk.rows > 0 {
-            t.len = chunk.rows;
-            t.str_bytes = chunk.str_bytes;
-            t.chunks.push(Arc::new(chunk));
-        }
+    fn from_chunk(layout: Arc<Layout>, chunk: Chunk) -> Table {
+        let mut t = Table::empty(layout);
+        t.add(Arc::new(chunk));
         t
     }
 
-    /// Position of a key.
-    pub fn col_index(&self, key: ColKey) -> Option<usize> {
-        self.cols.binary_search(&key).ok()
+    /// Append a chunk, keeping the counters; empty chunks are dropped.
+    fn add(&mut self, chunk: Arc<Chunk>) {
+        let rows = chunk.words.len() / (self.layout.tables.len() + 1);
+        if rows > 0 {
+            self.len += rows;
+            self.str_bytes += chunk.str_bytes;
+            self.chunks.push(chunk);
+        }
+    }
+
+    /// The layout every row shares.
+    pub fn layout(&self) -> &Arc<Layout> {
+        &self.layout
+    }
+
+    /// The value columns the rows stand for.
+    pub fn cols(&self) -> &[ColKey] {
+        &self.layout.cols
     }
 
     /// Number of rows.
@@ -173,43 +162,36 @@ impl Table {
     }
 
     /// Approximate serialized payload bytes (used for message accounting):
-    /// one 8-byte word per value plus the contents of variable-length
-    /// values — the same wire model the distributed simulation charges the
-    /// shuffle-join side, so TAG-vs-Spark byte comparisons are like for
-    /// like. O(1): both terms are maintained incrementally at construction.
+    /// one 8-byte word per value the rows stand for plus the contents of
+    /// variable-length values — the same wire model the distributed
+    /// simulation charges the shuffle-join side, so TAG-vs-Spark byte
+    /// comparisons are like for like. O(1): both terms are maintained
+    /// incrementally at construction.
     pub fn approx_bytes(&self) -> usize {
-        16 + self.len * self.cols.len() * 8 + self.str_bytes
+        16 + self.len * self.layout.cols.len() * 8 + self.str_bytes
     }
 
-    /// Iterate rows as [`RowRef`] cursors (no materialization).
-    pub fn iter(&self) -> impl Iterator<Item = RowRef<'_>> {
-        self.chunks.iter().flat_map(|c| (0..c.rows).map(move |row| RowRef { chunk: c, row }))
+    /// Rows with their payload word: `tables.len() + 1` words each.
+    fn words(&self) -> impl Iterator<Item = &[u32]> {
+        let stride = self.layout.tables.len() + 1;
+        self.chunks.iter().flat_map(move |c| c.words.chunks_exact(stride))
     }
 
-    /// Call `f` with each row materialized into a reused scratch slice —
-    /// for consumers (expression evaluation, accumulators) that need a
-    /// contiguous `&[Value]` row.
-    pub fn for_each_row(&self, mut f: impl FnMut(&[Value])) {
-        let width = self.cols.len();
-        let mut scratch: Vec<Value> = Vec::with_capacity(width);
-        for chunk in &self.chunks {
-            for r in 0..chunk.rows {
-                scratch.clear();
-                scratch.extend(chunk.columns.iter().map(|c| c[r].clone()));
-                f(&scratch);
-            }
-        }
+    /// Rows as id slices, one id per layout table, in layout order.
+    pub fn rows(&self) -> impl Iterator<Item = &[VertexId]> {
+        let width = self.layout.tables.len();
+        self.words().map(move |w| &w[..width])
     }
 
-    /// Union of same-schema tables (bag semantics). Shares chunk storage
-    /// with every operand — the first included — so no row is cloned.
+    /// Union of same-layout tables (bag semantics). Shares chunk storage
+    /// with every operand — the first included — so no row is copied.
     pub fn union<'a>(tables: impl IntoIterator<Item = &'a Table>) -> Option<Table> {
         let mut out: Option<Table> = None;
         for t in tables {
             match &mut out {
                 None => out = Some(t.clone()),
                 Some(acc) => {
-                    debug_assert_eq!(acc.cols, t.cols, "union of mismatched layouts");
+                    debug_assert_eq!(acc.layout, t.layout, "union of mismatched layouts");
                     acc.chunks.extend(t.chunks.iter().cloned());
                     acc.len += t.len;
                     acc.str_bytes += t.str_bytes;
@@ -219,146 +201,74 @@ impl Table {
         out
     }
 
-    /// Natural join on shared column keys (hash join on the smaller side;
-    /// cross product when no keys are shared). Join values use `Value`'s
-    /// total equality (never NULL for `Var` keys — attribute vertices exist
-    /// only for non-NULL values).
-    pub fn natural_join(&self, other: &Table) -> Table {
-        // Shared keys: linear merge of the sorted col lists.
-        let mut shared = Vec::new();
-        {
-            let (mut i, mut j) = (0, 0);
-            while i < self.cols.len() && j < other.cols.len() {
-                match self.cols[i].cmp(&other.cols[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        shared.push(self.cols[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
+    /// A tuple vertex's first visit: every row `keep` accepts, extended by
+    /// the vertex's `id` and `payload` — the padded strings of the columns it
+    /// adds. `layout` is this table's with the vertex's table appended.
+    pub fn extend(
+        &self,
+        layout: Arc<Layout>,
+        id: VertexId,
+        payload: usize,
+        mut keep: impl FnMut(&[VertexId]) -> bool,
+    ) -> Table {
+        let width = self.layout.tables.len();
+        debug_assert_eq!(layout.tables.len(), width + 1, "a visit appends one table");
+        let mut out = Chunk::with_capacity(self.len * (width + 2));
+        for w in self.words() {
+            if keep(&w[..width]) {
+                out.push(&w[..width], &[id], w[width] as usize + payload);
             }
         }
-        // Output layout: sorted union.
-        let mut out_cols: Vec<ColKey> =
-            self.cols.iter().chain(other.cols.iter()).copied().collect();
-        out_cols.sort_unstable();
-        out_cols.dedup();
-
-        let (build, probe) = if self.len() <= other.len() { (self, other) } else { (other, self) };
-        let bkey: Vec<usize> =
-            shared.iter().map(|&k| build.col_index(k).expect("shared key")).collect();
-        let pkey: Vec<usize> =
-            shared.iter().map(|&k| probe.col_index(k).expect("shared key")).collect();
-
-        // `(source column, output position)` emission plans. Each output
-        // column is written exactly once per row: the probe side covers its
-        // own columns, the build side everything else (on shared keys both
-        // values are equal by construction, so dropping build's copy is the
-        // column-wise equivalent of the old "probe overrides" row merge).
-        let idx = |k: ColKey| out_cols.binary_search(&k).expect("out key");
-        let mut probe_covers = vec![false; out_cols.len()];
-        let p_emit: Vec<(usize, usize)> = probe
-            .cols
-            .iter()
-            .enumerate()
-            .map(|(c, &k)| {
-                let pos = idx(k);
-                probe_covers[pos] = true;
-                (c, pos)
-            })
-            .collect();
-        let b_emit: Vec<(usize, usize)> = build
-            .cols
-            .iter()
-            .enumerate()
-            .filter_map(|(c, &k)| {
-                let pos = idx(k);
-                (!probe_covers[pos]).then_some((c, pos))
-            })
-            .collect();
-
-        let mut out = Chunk::new(out_cols.len());
-        let emit = |out: &mut Chunk, b: RowRef<'_>, p: RowRef<'_>| {
-            for &(c, pos) in &b_emit {
-                out.push_at(pos, b.get(c).clone());
-            }
-            for &(c, pos) in &p_emit {
-                out.push_at(pos, p.get(c).clone());
-            }
-            out.commit_row();
-        };
-
-        if shared.is_empty() {
-            for b in build.iter() {
-                for p in probe.iter() {
-                    emit(&mut out, b, p);
-                }
-            }
-            return Table::from_chunk(out_cols, out);
-        }
-
-        // Hash join: index the smaller side by key, locate rows by
-        // `(chunk, row)` so matches read straight from shared storage.
-        let mut index: vcsql_relation::FxHashMap<Vec<Value>, Vec<(u32, u32)>> =
-            fx::map_with_capacity(build.len());
-        for (ci, chunk) in build.chunks.iter().enumerate() {
-            for r in 0..chunk.rows {
-                let key: Vec<Value> = bkey.iter().map(|&k| chunk.get(k, r).clone()).collect();
-                index.entry(key).or_default().push((ci as u32, r as u32));
-            }
-        }
-        let mut key = Vec::with_capacity(pkey.len());
-        for p in probe.iter() {
-            key.clear();
-            key.extend(pkey.iter().map(|&k| p.get(k).clone()));
-            if let Some(matches) = index.get(&key) {
-                for &(ci, r) in matches {
-                    let b = RowRef { chunk: &build.chunks[ci as usize], row: r as usize };
-                    emit(&mut out, b, p);
-                }
-            }
-        }
-        Table::from_chunk(out_cols, out)
+        Table::from_chunk(layout, out)
     }
 
-    /// Keep rows passing `pred`. Chunks that keep every row are reused
-    /// as-is (shared storage, no copy); partially-kept chunks are rebuilt.
-    pub fn retain(&mut self, mut pred: impl FnMut(&[Value]) -> bool) {
-        let width = self.cols.len();
-        let mut scratch: Vec<Value> = Vec::with_capacity(width);
-        let chunks = std::mem::take(&mut self.chunks);
-        self.len = 0;
-        self.str_bytes = 0;
-        for chunk in chunks {
-            let keep: Vec<bool> = (0..chunk.rows)
-                .map(|r| {
-                    scratch.clear();
-                    scratch.extend(chunk.columns.iter().map(|c| c[r].clone()));
-                    pred(&scratch)
-                })
-                .collect();
-            let kept = keep.iter().filter(|&&k| k).count();
-            if kept == chunk.rows {
-                self.len += chunk.rows;
-                self.str_bytes += chunk.str_bytes;
-                self.chunks.push(chunk);
+    /// A tuple vertex's revisit: the rows whose id at layout position `pos`
+    /// is `id`. Chunks kept whole are shared, the others rebuilt.
+    pub fn select(&self, pos: usize, id: VertexId) -> Table {
+        let stride = self.layout.tables.len() + 1;
+        let mut out = Table::empty(Arc::clone(&self.layout));
+        for chunk in &self.chunks {
+            let rows = chunk.words.chunks_exact(stride);
+            let kept = rows.clone().filter(|w| w[pos] == id).count();
+            if kept == rows.len() {
+                out.add(Arc::clone(chunk));
             } else if kept > 0 {
-                let mut filtered = Chunk::new(width);
-                for (r, &k) in keep.iter().enumerate() {
-                    if k {
-                        for c in 0..width {
-                            filtered.push_at(c, chunk.get(c, r).clone());
-                        }
-                        filtered.commit_row();
-                    }
+                let mut part = Chunk::with_capacity(kept * stride);
+                for w in rows.filter(|w| w[pos] == id) {
+                    part.push(&w[..stride - 1], &[], w[stride - 1] as usize);
                 }
-                self.len += filtered.rows;
-                self.str_bytes += filtered.str_bytes;
-                self.chunks.push(Arc::new(filtered));
+                out.add(Arc::new(part));
             }
         }
+        out
+    }
+
+    /// Cross product with a table over disjoint tables and columns (Section
+    /// 6.3's Algorithm B): each row's ids are this table's, then `other`'s.
+    /// The smaller side is the outer loop, so each inner run of rows follows
+    /// the larger side's order.
+    pub fn product(&self, other: &Table) -> Table {
+        let mut cols: Vec<ColKey> = self.cols().iter().chain(other.cols()).copied().collect();
+        cols.sort_unstable();
+        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "product over shared columns");
+        let tables = self.layout.tables.iter().chain(&other.layout.tables).copied().collect();
+        let layout = Arc::new(Layout { tables, cols });
+
+        let (w, v) = (self.layout.tables.len(), other.layout.tables.len());
+        let mut out = Chunk::with_capacity(self.len * other.len * (w + v + 1));
+        let mut emit = |a: &[u32], b: &[u32]| {
+            out.push(&a[..w], &b[..v], (a[w] + b[v]) as usize);
+        };
+        if self.len <= other.len {
+            for a in self.words() {
+                other.words().for_each(|b| emit(a, b));
+            }
+        } else {
+            for b in other.words() {
+                self.words().for_each(|a| emit(a, b));
+            }
+        }
+        Table::from_chunk(layout, out)
     }
 }
 
@@ -410,114 +320,125 @@ impl Message for TagMsg {
 mod tests {
     use super::*;
 
-    fn v(i: i64) -> Value {
-        Value::Int(i)
+    fn s(text: &str) -> Value {
+        Value::str(text)
+    }
+
+    /// The value-row wire model id rows must reproduce: `16 + rows x cols x
+    /// 8` plus every string cell's padded payload.
+    fn value_row_bytes(cols: usize, rows: &[Vec<Value>]) -> usize {
+        16 + rows.len() * cols * 8 + rows.iter().flatten().map(str_payload).sum::<usize>()
+    }
+
+    fn layout(tables: Vec<usize>, mut cols: Vec<ColKey>) -> Arc<Layout> {
+        cols.sort_unstable();
+        Arc::new(Layout { tables, cols })
+    }
+
+    const X: ColKey = ColKey::Var(0);
+    const fn col(table: u16, col: u16) -> ColKey {
+        ColKey::Col { table, col }
+    }
+
+    /// Table 0 over `(x, name)`: tuple 10 is `(1, "abc")`, tuple 11 is
+    /// `(1, "abcdefghi")` — two one-row tables unioned.
+    fn names() -> Table {
+        let l = layout(vec![0], vec![X, col(0, 1)]);
+        let a = Table::single(Arc::clone(&l), 10, str_payload(&s("abc")));
+        let b = Table::single(l, 11, str_payload(&s("abcdefghi")));
+        Table::union([&a, &b]).unwrap()
     }
 
     #[test]
-    fn natural_join_on_var() {
-        // L(var0, a) ⋈ R(var0, b)
-        let l = Table::from_rows(
-            vec![ColKey::Var(0), ColKey::Col { table: 0, col: 1 }],
-            vec![vec![v(1), v(10)], vec![v(2), v(20)]],
+    fn first_visit_prices_the_strings_it_adds() {
+        let rows = names();
+        assert_eq!(
+            rows.approx_bytes(),
+            value_row_bytes(
+                2,
+                &[vec![Value::Int(1), s("abc")], vec![Value::Int(1), s("abcdefghi")]]
+            )
         );
-        let r = Table::from_rows(
-            vec![ColKey::Var(0), ColKey::Col { table: 1, col: 1 }],
-            vec![vec![v(1), v(100)], vec![v(1), v(101)], vec![v(3), v(300)]],
-        );
-        let j = l.natural_join(&r);
-        assert_eq!(j.cols.len(), 3);
-        assert_eq!(j.len(), 2);
-        for row in j.iter() {
-            assert_eq!(*row.get(0), v(1));
-        }
+        // Tuple 20 of table 1 joins on x (proved by the edge) and adds a
+        // 3-byte and a 9-byte string: 8 + 16 padded bytes on every row.
+        let added = [s("abc"), s("abcdefghi")];
+        let payload: usize = added.iter().map(str_payload).sum();
+        assert_eq!(payload, 8 + 16);
+        let l = layout(vec![0, 1], vec![X, col(0, 1), col(1, 1), col(1, 2)]);
+        let t = rows.extend(l, 20, payload, |_| true);
+        let rows: Vec<&[VertexId]> = t.rows().collect();
+        assert_eq!(rows, [[10, 20], [11, 20]]);
+        let want = [
+            vec![Value::Int(1), s("abc"), added[0].clone(), added[1].clone()],
+            vec![Value::Int(1), s("abcdefghi"), added[0].clone(), added[1].clone()],
+        ];
+        assert_eq!(t.approx_bytes(), value_row_bytes(4, &want));
+        assert_eq!(t.approx_bytes(), 16 + 2 * 4 * 8 + (8 + 24) + (16 + 24));
+
+        // A row the caller's check rejects leaves with its payload.
+        let l = layout(vec![0, 1], vec![X, col(0, 1), col(1, 1), col(1, 2)]);
+        let one = names().extend(l, 20, payload, |ids| ids[0] == 11);
+        assert_eq!(one.approx_bytes(), value_row_bytes(4, &want[1..]));
     }
 
     #[test]
-    fn join_without_shared_keys_is_cross() {
-        let l =
-            Table::from_rows(vec![ColKey::Col { table: 0, col: 0 }], vec![vec![v(1)], vec![v(2)]]);
-        let r = Table::from_rows(
-            vec![ColKey::Col { table: 1, col: 0 }],
-            vec![vec![v(7)], vec![v(8)], vec![v(9)]],
-        );
-        assert_eq!(l.natural_join(&r).len(), 6);
+    fn revisit_drops_the_rows_of_other_tuples() {
+        // Rows from tuples 10 and 11 (identical except for the string) meet
+        // at tuple 11's revisit: it keeps its own row only.
+        let t = names();
+        let own = t.select(0, 11);
+        assert_eq!(own.rows().collect::<Vec<_>>(), [[11]]);
+        assert_eq!(own.approx_bytes(), value_row_bytes(2, &[vec![Value::Int(1), s("abcdefghi")]]));
+        // A chunk kept whole is shared, not copied; no match is empty.
+        assert!(Arc::ptr_eq(&own.chunks[0], &t.chunks[1]));
+        let none = t.select(0, 12);
+        assert!(none.is_empty());
+        assert_eq!(none.approx_bytes(), 16);
     }
 
     #[test]
-    fn union_accumulates_rows() {
-        let a = Table::from_rows(vec![ColKey::Var(0)], vec![vec![v(1)]]);
-        let b = Table::from_rows(vec![ColKey::Var(0)], vec![vec![v(2)], vec![v(3)]]);
+    fn union_splices_chunks_and_adds_bytes() {
+        let a = names();
+        let b = names().select(0, 10);
         let u = Table::union([&a, &b]).unwrap();
         assert_eq!(u.len(), 3);
+        assert_eq!(u.chunks.len(), 3);
+        assert!(Arc::ptr_eq(&u.chunks[0], &a.chunks[0]));
+        assert!(Arc::ptr_eq(&u.chunks[2], &b.chunks[0]));
+        let rows = [
+            vec![Value::Int(1), s("abc")],
+            vec![Value::Int(1), s("abcdefghi")],
+            vec![Value::Int(1), s("abc")],
+        ];
+        assert_eq!(u.approx_bytes(), value_row_bytes(2, &rows));
         assert!(Table::union(std::iter::empty::<&Table>()).is_none());
     }
 
     #[test]
-    fn union_shares_chunk_storage() {
-        let a = Table::from_rows(vec![ColKey::Var(0)], vec![vec![v(1)], vec![v(2)]]);
-        let b = Table::from_rows(vec![ColKey::Var(0)], vec![vec![v(3)]]);
-        let u = Table::union([&a, &b]).unwrap();
-        // No cell was cloned: the union's chunks are the operands' chunks.
-        assert!(Arc::ptr_eq(&u.chunks[0], &a.chunks[0]));
-        assert!(Arc::ptr_eq(&u.chunks[1], &b.chunks[0]));
-        assert_eq!(u.approx_bytes(), 16 + 3 * 8);
+    fn empty_table_is_its_sixteen_byte_header() {
+        let t = Table::empty(layout(vec![0, 1], vec![X, col(0, 1), col(1, 1)]));
+        assert!(t.is_empty());
+        assert_eq!(t.approx_bytes(), 16);
+        assert_eq!(t.approx_bytes(), value_row_bytes(3, &[]));
+        assert_eq!(TagMsg::Table(Arc::new(t)).byte_size(), 16);
     }
 
     #[test]
-    fn retain_reuses_fully_kept_chunks() {
-        let a = Table::from_rows(vec![ColKey::Var(0)], vec![vec![v(1)], vec![v(2)]]);
-        let b = Table::from_rows(vec![ColKey::Var(0)], vec![vec![v(3)], vec![v(4)]]);
-        let mut u = Table::union([&a, &b]).unwrap();
-        u.retain(|row| row[0] != v(3));
-        assert_eq!(u.len(), 3);
-        // First chunk kept every row: still the shared Arc. Second rebuilt.
-        assert!(Arc::ptr_eq(&u.chunks[0], &a.chunks[0]));
-        assert!(!Arc::ptr_eq(&u.chunks[1], &b.chunks[0]));
-        assert_eq!(u.approx_bytes(), 16 + 3 * 8);
-    }
-
-    #[test]
-    fn approx_bytes_matches_wire_model() {
-        // 2 rows x 2 cols x 8 bytes + strings padded to 8: "abc" -> 8,
-        // "abcdefghi" -> 16. Base 16.
-        let t = Table::from_rows(
-            vec![ColKey::Var(0), ColKey::Col { table: 0, col: 1 }],
-            vec![vec![v(1), Value::Str("abc".into())], vec![v(2), Value::Str("abcdefghi".into())]],
-        );
-        assert_eq!(t.approx_bytes(), 16 + 2 * 2 * 8 + 8 + 16);
-        // The same total survives union splicing and a no-op retain.
-        let u = Table::union([&t, &t]).unwrap();
-        assert_eq!(u.approx_bytes(), 16 + 4 * 2 * 8 + 2 * (8 + 16));
-        let mut r = u.clone();
-        r.retain(|row| row[0] == v(1));
-        assert_eq!(r.approx_bytes(), 16 + 2 * 2 * 8 + 2 * 8);
-    }
-
-    #[test]
-    fn join_is_commutative_on_bags() {
-        let l = Table::from_rows(
-            vec![ColKey::Var(0), ColKey::Col { table: 0, col: 1 }],
-            vec![vec![v(1), v(10)], vec![v(1), v(11)]],
-        );
-        let r = Table::from_rows(
-            vec![ColKey::Var(0), ColKey::Col { table: 1, col: 1 }],
-            vec![vec![v(1), v(7)]],
-        );
-        let a = l.natural_join(&r);
-        let b = r.natural_join(&l);
-        let norm = |t: &Table| {
-            let mut rows: Vec<Vec<Value>> =
-                t.iter().map(|r| r.values().cloned().collect()).collect();
-            rows.sort();
-            (t.cols.clone(), rows)
-        };
-        assert_eq!(norm(&a), norm(&b));
-    }
-
-    #[test]
-    fn message_sizes() {
-        let t = Table::from_rows(vec![ColKey::Var(0)], vec![vec![v(1)]]);
-        assert!(TagMsg::Table(Arc::new(t)).byte_size() > TagMsg::Signal(0).byte_size());
+    fn product_pairs_every_row_and_sums_payloads() {
+        let l = names();
+        let r = Table::union([
+            &Table::single(layout(vec![2], vec![col(2, 0)]), 30, 0),
+            &Table::single(layout(vec![2], vec![col(2, 0)]), 31, 0),
+            &Table::single(layout(vec![2], vec![col(2, 0)]), 32, 0),
+        ])
+        .unwrap();
+        let p = l.product(&r);
+        assert_eq!(p.len(), 6);
+        assert_eq!(p.layout().tables, [0, 2]);
+        assert_eq!(p.cols(), [X, col(0, 1), col(2, 0)]);
+        // The smaller side (`l`) is the outer loop.
+        assert_eq!(p.rows().next(), Some(&[10, 30][..]));
+        assert_eq!(p.approx_bytes(), 16 + 6 * 3 * 8 + 3 * (8 + 16));
+        assert_eq!(r.product(&l).approx_bytes(), p.approx_bytes());
     }
 }

@@ -331,7 +331,7 @@ mod prop_tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// GenSteps invariants (Algorithm 1): every plan edge's label occurs
         /// once (rightmost path) or twice (revisited subtree); the traversal

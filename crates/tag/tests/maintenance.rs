@@ -83,7 +83,7 @@ fn flatten(tag: &TagGraph) -> (Vertices, Edges) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn interleaved_maintenance_freezes_to_the_survivors_graph(

@@ -13,7 +13,7 @@ use vcsql::bsp::{
     balance_cap, migrate_step, Computation, EngineConfig, Graph, GraphBuilder, LabelId,
     LabelTraffic, PartitionStrategy, Partitioning, TrafficProfile, VertexId, DEFAULT_BALANCE_SLACK,
 };
-use vcsql::core::TagJoinExecutor;
+use vcsql::core::{QueryPlan, TagJoinExecutor};
 use vcsql::query::{analyze::analyze, parse};
 use vcsql::relation::schema::{Column, Schema};
 use vcsql::relation::{DataType, Database, Relation, Tuple, Value};
@@ -69,6 +69,27 @@ fn chain_sql(n: usize, filter_lit: i64, agg: bool) -> String {
     }
 }
 
+/// A four-table join tree with a branching node, so the traversal
+/// backtracks: `t1` (or `t0`) joins one table on one column and two on the
+/// other, by `shape`. Grouping by `t1.a` roots the plan at `t1`, whose
+/// tuples the traversal then revisits.
+fn branching_sql(shape: usize, filter_lit: i64, agg: bool) -> String {
+    let joins = [
+        "t0.b = t1.a AND t1.b = t2.a AND t1.b = t3.a",
+        "t0.b = t1.a AND t1.b = t2.a AND t2.a = t3.b",
+        "t0.a = t1.a AND t0.b = t2.b AND t0.b = t3.a",
+    ][shape];
+    let from = "t0, t1, t2, t3";
+    if agg {
+        format!(
+            "SELECT t1.a, COUNT(*) AS cnt, SUM(t3.b) AS s FROM {from} \
+             WHERE {joins} AND t0.a <= {filter_lit} GROUP BY t1.a"
+        )
+    } else {
+        format!("SELECT t0.a, t1.b, t2.b, t3.b FROM {from} WHERE {joins} AND t0.a <= {filter_lit}")
+    }
+}
+
 /// A random bipartite TAG-shaped graph: `tuples` tuple vertices over two
 /// relation labels, `attrs` attribute vertices, and random `r.x`/`s.y`
 /// edges between them. Returns the graph; anchors are the `@v`-labelled
@@ -99,7 +120,7 @@ fn bipartite_graph(tuples: usize, attrs: usize, edges: &[(usize, usize)]) -> Gra
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Partitioning invariants for every strategy on random graphs and
     /// machine counts: total-preserving loads, assignments within bounds,
@@ -421,6 +442,33 @@ proptest! {
         let expected = baseline(&analyzed, &db, ExecConfig::default()).unwrap();
         let exec = TagJoinExecutor::new(&tag, EngineConfig::with_threads(2));
         let got = exec.execute(&analyzed).unwrap();
+        prop_assert!(
+            got.relation.same_bag_approx(&expected, 1e-9),
+            "query `{sql}`\n tag rows {} vs baseline rows {}",
+            got.relation.len(),
+            expected.len()
+        );
+    }
+
+    /// TAG-join equals row-hash on join trees whose traversal backtracks,
+    /// over `arb_db`'s 0..8 domain, where duplicate projected tuples are
+    /// common: a revisited tuple keeps its own rows, never a twin's.
+    #[test]
+    fn tag_join_matches_baseline_on_branching_trees(
+        db in arb_db(4),
+        shape in 0usize..3,
+        filter in 0i64..8,
+        agg in any::<bool>(),
+    ) {
+        let sql = branching_sql(shape, filter, agg);
+        let tag = TagGraph::build(&db);
+        let plan = QueryPlan::prepare(&sql, tag.schemas()).unwrap();
+        // Two join variables over 2 + 3 tables make five plan edges; a
+        // longer walk revisits some.
+        prop_assert!(plan.traversal_steps() > 5, "`{sql}` does not backtrack");
+        let expected = baseline(plan.analyzed(), &db, ExecConfig::default()).unwrap();
+        let exec = TagJoinExecutor::new(&tag, EngineConfig::with_threads(2));
+        let got = exec.execute_plan(&plan).unwrap();
         prop_assert!(
             got.relation.same_bag_approx(&expected, 1e-9),
             "query `{sql}`\n tag rows {} vs baseline rows {}",

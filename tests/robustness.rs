@@ -258,6 +258,45 @@ fn expression_errors_fail_the_statement_instead_of_changing_the_answer() {
     }
 }
 
+/// Identical tuples of a table the traversal revisits stay distinct: `s`
+/// holds `(1, 1, 5)` twice, and joining the rows that reach `s` again on
+/// values matched each copy against its twin's rows as well as its own,
+/// counting `(5, 20)` where the bag is `(5, 12)`.
+#[test]
+fn revisited_duplicate_tuples_do_not_cross_match() {
+    let rel = |name: &str, cols: &[&str], rows: &[&[i64]]| {
+        let cols = cols.iter().map(|&c| Column::new(c, DataType::Int)).collect();
+        let rows = rows.iter().map(|r| Tuple::new(r.iter().map(|&v| Value::Int(v)).collect()));
+        Relation::from_tuples(Schema::new(name, cols), rows.collect()).unwrap()
+    };
+    let mut db = Database::new();
+    db.add(rel("r", &["x", "p"], &[&[1, 7], &[1, 7], &[2, 8]]));
+    db.add(rel("s", &["x", "y", "v"], &[&[1, 1, 5], &[1, 1, 5], &[2, 2, 6], &[1, 2, 5]]));
+    db.add(rel("t", &["y", "q"], &[&[1, 3], &[1, 3], &[2, 4]]));
+    db.add(rel("u", &["y", "w"], &[&[1, 9], &[2, 9], &[2, 9]]));
+    let tag = TagGraph::build(&db);
+    let sql = "SELECT s.v, COUNT(*) AS c FROM r, s, t, u \
+               WHERE r.x = s.x AND s.y = t.y AND t.y = u.y GROUP BY s.v";
+    let plan = QueryPlan::prepare(sql, tag.schemas()).unwrap();
+    assert!(plan.traversal_steps() > 5, "five plan edges; the traversal must backtrack");
+    let bag = |rel: &Relation| {
+        let mut rows: Vec<Vec<Value>> = rel.tuples.iter().map(|t| t.0.to_vec()).collect();
+        rows.sort();
+        rows
+    };
+    let want = vec![vec![Value::Int(5), Value::Int(12)], vec![Value::Int(6), Value::Int(2)]];
+    for join in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
+        let got = baseline(plan.analyzed(), &db, ExecConfig { join }).unwrap();
+        assert_eq!(bag(&got), want, "baseline {join:?}");
+    }
+    for engine in
+        [EngineConfig::sequential(), EngineConfig::with_threads(2).with_parallel_threshold(0)]
+    {
+        let out = TagJoinExecutor::new(&tag, engine).execute_plan(&plan).unwrap();
+        assert_eq!(bag(&out.relation), want, "{engine:?}");
+    }
+}
+
 /// The baseline executors agree with each other across the full workload at
 /// a third seed (hash vs sort-merge cross-validation).
 #[test]
