@@ -289,15 +289,9 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
     }
 
     /// Attach a machine partitioning: subsequent supersteps will count
-    /// cross-machine traffic in their [`StepStats`].
-    pub fn set_partitioning(&mut self, p: Partitioning) {
-        self.partitioning = Some(Arc::new(p));
-    }
-
-    /// [`Computation::set_partitioning`] without copying: callers that hold
-    /// a placement across many computations (a session serving a workload)
-    /// share one allocation instead of cloning the per-vertex assignment
-    /// into every run.
+    /// cross-machine traffic in their [`StepStats`]. The placement is
+    /// shared, not copied: callers that hold one across many computations
+    /// (a session serving a workload) hand every run the same allocation.
     pub fn set_partitioning_shared(&mut self, p: Arc<Partitioning>) {
         self.partitioning = Some(p);
     }
@@ -685,7 +679,7 @@ mod tests {
         let mut comp: Computation<'_, (), u64> =
             Computation::new(&g, EngineConfig::sequential(), |_| ());
         // machines: [0,0,1,1] — only the 1-2 edge crosses.
-        comp.set_partitioning(Partitioning::from_assignment(vec![0, 0, 1, 1], 2));
+        comp.set_partitioning_shared(Arc::new(Partitioning::from_assignment(vec![0, 0, 1, 1], 2)));
         comp.activate(g.vertices());
         let stats = comp.superstep_simple(|ctx| {
             let targets: Vec<VertexId> = ctx.edges().iter().map(|e| e.target).collect();
@@ -704,7 +698,10 @@ mod tests {
         let label = g.edge_label_id("next").unwrap();
         let mut comp: Computation<'_, (), u64> =
             Computation::new(&g, EngineConfig::with_threads(3).with_parallel_threshold(0), |_| ());
-        comp.set_partitioning(Partitioning::from_assignment(vec![0, 0, 1, 1, 0, 1], 2));
+        comp.set_partitioning_shared(Arc::new(Partitioning::from_assignment(
+            vec![0, 0, 1, 1, 0, 1],
+            2,
+        )));
         comp.activate(g.vertices());
         comp.superstep_simple(|ctx| {
             // Labeled sends along real edges, plus one unlabeled send.

@@ -50,9 +50,6 @@ use vcsql_relation::fx::FxHasher;
 /// strategies are allowed to use (20%).
 pub const DEFAULT_BALANCE_SLACK: f64 = 0.2;
 
-/// Magic first line of the [`Partitioning::to_text`] format.
-const PARTITIONING_HEADER: &str = "vcsql-partitioning v1";
-
 /// Per-machine vertex quota for `vertices` vertices on `machines` machines
 /// with `slack` relative headroom over the ideal load. Always at least 1 and
 /// at least the ceiling of the ideal load, so an assignment within the cap
@@ -122,9 +119,9 @@ impl PartitionStrategy {
     pub fn parse(s: &str) -> Option<PartitionStrategy> {
         match s {
             "hash" => Some(PartitionStrategy::Hash),
-            "colocate" | "co_locate" | "co-locate" => Some(PartitionStrategy::CoLocate),
-            "refined" | "refine" => Some(PartitionStrategy::Refined),
-            "workload" | "profiled" => Some(PartitionStrategy::Workload(TrafficProfile::new())),
+            "colocate" => Some(PartitionStrategy::CoLocate),
+            "refined" => Some(PartitionStrategy::Refined),
+            "workload" => Some(PartitionStrategy::Workload(TrafficProfile::new())),
             _ => None,
         }
     }
@@ -248,76 +245,6 @@ impl Partitioning {
             counts[m as usize] += 1;
         }
         counts
-    }
-
-    /// Serialize to a line-oriented text format (the placement half of a
-    /// durable session profile; the traffic half is
-    /// [`TrafficProfile::to_text`]):
-    ///
-    /// ```text
-    /// vcsql-partitioning v1
-    /// machines <m>
-    /// vertices <n>
-    /// <machine ids in vertex-id order, whitespace-separated>
-    /// ```
-    pub fn to_text(&self) -> String {
-        let mut out = format!(
-            "{PARTITIONING_HEADER}\nmachines {}\nvertices {}\n",
-            self.machines,
-            self.machine_of.len()
-        );
-        for chunk in self.machine_of.chunks(32) {
-            let line: Vec<String> = chunk.iter().map(|m| m.to_string()).collect();
-            out.push_str(&line.join(" "));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse the [`Partitioning::to_text`] format. Blank lines and `#`
-    /// comments are skipped (before the header too). Errors on a bad header,
-    /// a machine id outside `0..machines`, or a vertex count mismatch — a
-    /// saved placement only fits the graph it was built for.
-    pub fn from_text(text: &str) -> Result<Partitioning, String> {
-        let mut lines =
-            text.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#'));
-        match lines.next() {
-            Some(PARTITIONING_HEADER) => {}
-            other => {
-                return Err(format!(
-                    "bad partitioning header: {other:?} (want {PARTITIONING_HEADER:?})"
-                ))
-            }
-        }
-        let field = |line: Option<&str>, key: &str| -> Result<usize, String> {
-            let line = line.ok_or_else(|| format!("missing `{key}` line"))?;
-            match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-                [k, v] if *k == key => {
-                    v.parse::<usize>().map_err(|_| format!("bad {key} count `{v}`"))
-                }
-                _ => Err(format!("bad `{key}` line: `{line}`")),
-            }
-        };
-        let machines = field(lines.next(), "machines")?;
-        if machines == 0 || machines > u16::MAX as usize {
-            return Err(format!("machine count {machines} outside 1..={}", u16::MAX));
-        }
-        let vertices = field(lines.next(), "vertices")?;
-        let mut machine_of = Vec::with_capacity(vertices);
-        for token in lines.flat_map(str::split_whitespace) {
-            let m = token.parse::<u16>().map_err(|_| format!("bad machine id `{token}`"))?;
-            if (m as usize) >= machines {
-                return Err(format!("machine id {m} outside 0..{machines}"));
-            }
-            machine_of.push(m);
-        }
-        if machine_of.len() != vertices {
-            return Err(format!(
-                "vertex count mismatch: header says {vertices}, found {}",
-                machine_of.len()
-            ));
-        }
-        Ok(Partitioning { machine_of, machines })
     }
 
     /// Edge-cut and load-balance diagnostics against the graph this
@@ -455,6 +382,10 @@ mod tests {
             assert_eq!(PartitionStrategy::parse(s.name()), Some(s));
         }
         assert_eq!(PartitionStrategy::parse("metis"), None);
+        // One name per strategy: no undocumented aliases.
+        for alias in ["co_locate", "co-locate", "refine", "profiled"] {
+            assert_eq!(PartitionStrategy::parse(alias), None, "alias {alias} parsed");
+        }
     }
 
     #[test]
@@ -467,40 +398,6 @@ mod tests {
                 assert_eq!(a.machine_of(v), b.machine_of(v), "{} not deterministic", s.name());
             }
         }
-    }
-
-    #[test]
-    fn partitioning_roundtrips_through_text() {
-        let g = graph(100);
-        let p = Partitioning::hash(&g, 7);
-        let text = p.to_text();
-        let q = Partitioning::from_text(&text).unwrap();
-        assert_eq!(q.machines(), 7);
-        for v in g.vertices() {
-            assert_eq!(p.machine_of(v), q.machine_of(v));
-        }
-        // Comments and banners are tolerated, like the profile format.
-        let banner = format!("# saved placement\n{text}");
-        assert_eq!(Partitioning::from_text(&banner).unwrap().machines(), 7);
-    }
-
-    #[test]
-    fn partitioning_rejects_malformed_text() {
-        assert!(Partitioning::from_text("").is_err());
-        assert!(Partitioning::from_text("not-a-partitioning\n").is_err());
-        assert!(Partitioning::from_text("vcsql-partitioning v1\nmachines 0\nvertices 0\n").is_err());
-        assert!(Partitioning::from_text("vcsql-partitioning v1\nmachines 2\n").is_err());
-        // Machine id out of range.
-        assert!(
-            Partitioning::from_text("vcsql-partitioning v1\nmachines 2\nvertices 1\n5\n").is_err()
-        );
-        // Vertex count mismatch.
-        assert!(Partitioning::from_text("vcsql-partitioning v1\nmachines 2\nvertices 3\n0 1\n")
-            .is_err());
-        // Non-numeric machine id.
-        assert!(
-            Partitioning::from_text("vcsql-partitioning v1\nmachines 2\nvertices 1\nx\n").is_err()
-        );
     }
 
     #[test]

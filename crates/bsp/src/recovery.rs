@@ -284,10 +284,10 @@ mod tests {
     ) -> Computation<'g, u64, u64> {
         let config = EngineConfig::with_threads(threads).with_parallel_threshold(0);
         let mut comp = Computation::new(g, config, |_| 0);
-        comp.set_partitioning(Partitioning::from_assignment(
+        comp.set_partitioning_shared(Arc::new(Partitioning::from_assignment(
             (0..g.vertex_count()).map(|v| (v % 2) as u16).collect(),
             2,
-        ));
+        )));
         if let Some(inj) = injector {
             comp.set_fault_injector(inj);
         }

@@ -177,14 +177,10 @@ impl RunStats {
     }
 }
 
-/// Magic first line of the profile text format.
-const PROFILE_HEADER: &str = "vcsql-traffic-profile v1";
-
 /// Observed per-edge-label traffic of one or more runs, keyed by label
-/// *name* so it survives across processes and graphs (label ids are
-/// graph-local). This is the hand-off between a calibration run and a
-/// later `PartitionStrategy::Workload` placement: serialize with
-/// [`TrafficProfile::to_text`], load with [`TrafficProfile::from_text`].
+/// *name* so a profile observed on one graph can place another (label ids
+/// are graph-local). This is the in-process hand-off between a calibration
+/// run and a later `PartitionStrategy::Workload` placement.
 ///
 /// The [`LabelId::NONE`] bucket is deliberately excluded — label-less
 /// traffic names no edge and cannot guide placement.
@@ -313,61 +309,6 @@ impl TrafficProfile {
             t.network_bytes = scale(t.network_bytes);
         }
     }
-
-    /// Serialize to the line-oriented text format:
-    ///
-    /// ```text
-    /// vcsql-traffic-profile v1
-    /// <label-name> <messages> <bytes> <network_messages> <network_bytes>
-    /// ```
-    ///
-    /// Label names follow the TAG `R.A` convention and must not contain
-    /// whitespace.
-    pub fn to_text(&self) -> String {
-        let mut out = String::from(PROFILE_HEADER);
-        out.push('\n');
-        for (name, t) in &self.entries {
-            debug_assert!(!name.contains(char::is_whitespace), "label name with whitespace");
-            out.push_str(&format!(
-                "{name} {} {} {} {}\n",
-                t.messages, t.bytes, t.network_messages, t.network_bytes
-            ));
-        }
-        out
-    }
-
-    /// Parse the [`TrafficProfile::to_text`] format. Duplicate label lines
-    /// accumulate; blank lines and `#` comments are skipped (before the
-    /// header line too, so a saved profile may carry a leading banner).
-    pub fn from_text(text: &str) -> Result<TrafficProfile, String> {
-        let mut lines =
-            text.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#'));
-        match lines.next() {
-            Some(PROFILE_HEADER) => {}
-            other => {
-                return Err(format!("bad profile header: {other:?} (want {PROFILE_HEADER:?})"))
-            }
-        }
-        let mut p = TrafficProfile::new();
-        for line in lines {
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            if fields.len() != 5 {
-                return Err(format!("bad profile line (want 5 fields): `{line}`"));
-            }
-            let num =
-                |s: &str| s.parse::<u64>().map_err(|_| format!("bad count `{s}` in `{line}`"));
-            p.record(
-                fields[0],
-                LabelTraffic {
-                    messages: num(fields[1])?,
-                    bytes: num(fields[2])?,
-                    network_messages: num(fields[3])?,
-                    network_bytes: num(fields[4])?,
-                },
-            );
-        }
-        Ok(p)
-    }
 }
 
 #[cfg(test)]
@@ -434,34 +375,6 @@ mod tests {
         assert_eq!(r.total_messages(), 11);
         assert_eq!(r.total_bytes(), 108);
         assert_eq!(r.totals.network_bytes, 40);
-    }
-
-    #[test]
-    fn profile_roundtrips_through_text() {
-        let mut p = TrafficProfile::new();
-        p.record(
-            "lineitem.l_orderkey",
-            LabelTraffic { messages: 10, bytes: 800, network_messages: 5, network_bytes: 400 },
-        );
-        p.record("orders.o_custkey", LabelTraffic { messages: 3, bytes: 24, ..Default::default() });
-        let text = p.to_text();
-        let q = TrafficProfile::from_text(&text).unwrap();
-        assert_eq!(p, q);
-        assert_eq!(q.get("lineitem.l_orderkey").unwrap().bytes, 800);
-        assert_eq!(q.get("missing"), None);
-    }
-
-    #[test]
-    fn profile_rejects_malformed_text() {
-        assert!(TrafficProfile::from_text("").is_err());
-        assert!(TrafficProfile::from_text("not-a-profile\n").is_err());
-        assert!(TrafficProfile::from_text("vcsql-traffic-profile v1\nr.a 1 2\n").is_err());
-        assert!(TrafficProfile::from_text("vcsql-traffic-profile v1\nr.a 1 2 3 x\n").is_err());
-        // Comments and blank lines are fine, including before the header.
-        let ok = TrafficProfile::from_text("vcsql-traffic-profile v1\n\n# hi\nr.a 1 2 3 4\n");
-        assert_eq!(ok.unwrap().get("r.a").unwrap().network_bytes, 4);
-        let banner = TrafficProfile::from_text("# banner\nvcsql-traffic-profile v1\nr.a 1 2 3 4\n");
-        assert_eq!(banner.unwrap().get("r.a").unwrap().messages, 1);
     }
 
     #[test]

@@ -111,14 +111,9 @@ impl<'t> TagJoinExecutor<'t> {
         self
     }
 
-    /// Attach a simulated machine partitioning (network accounting).
-    pub fn with_partitioning(self, p: Partitioning) -> Self {
-        self.with_partitioning_shared(Arc::new(p))
-    }
-
-    /// [`TagJoinExecutor::with_partitioning`] without copying: callers that
-    /// keep one placement across many queries (sessions) share the
-    /// allocation instead of cloning the per-vertex assignment per run.
+    /// Attach a simulated machine partitioning (network accounting). The
+    /// placement is shared, not copied: callers that keep one placement
+    /// across many queries (sessions) hand every run the same allocation.
     pub fn with_partitioning_shared(mut self, p: Arc<Partitioning>) -> Self {
         self.partitioning = Some(p);
         self

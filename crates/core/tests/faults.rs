@@ -41,8 +41,9 @@ fn a_crash_at_every_superstep_of_a_cartesian_local_aggregate_changes_nothing() {
     {
         let mut priced_here = Vec::new();
         let run = |injector: Option<Arc<FaultInjector>>| {
-            let mut executor = TagJoinExecutor::new(&tag, engine)
-                .with_partitioning(tag.partition(&PartitionStrategy::Hash, MACHINES));
+            let mut executor = TagJoinExecutor::new(&tag, engine).with_partitioning_shared(
+                Arc::new(tag.partition(&PartitionStrategy::Hash, MACHINES)),
+            );
             if let Some(injector) = injector {
                 executor = executor.with_fault_injector(injector);
             }

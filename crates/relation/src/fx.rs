@@ -83,11 +83,6 @@ pub fn map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
     FxHashMap::with_capacity_and_hasher(cap, BuildHasherDefault::default())
 }
 
-/// Convenience constructor mirroring `HashSet::with_capacity`.
-pub fn set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
-    FxHashSet::with_capacity_and_hasher(cap, BuildHasherDefault::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,8 +114,5 @@ mod tests {
         m.insert("a", 1);
         m.insert("b", 2);
         assert_eq!(m.get("a"), Some(&1));
-        let mut s: FxHashSet<u32> = set_with_capacity(2);
-        s.insert(7);
-        assert!(s.contains(&7));
     }
 }

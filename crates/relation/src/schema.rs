@@ -102,11 +102,6 @@ impl Schema {
     pub fn column_names(&self) -> impl Iterator<Item = &str> {
         self.columns.iter().map(|c| c.name.as_str())
     }
-
-    /// True if `name` is a primary-key column of this relation.
-    pub fn is_pk_column(&self, name: &str) -> bool {
-        self.column_index(name).map(|i| self.primary_key.contains(&i)).unwrap_or(false)
-    }
 }
 
 #[cfg(test)]
@@ -133,13 +128,6 @@ mod tests {
         assert_eq!(s.column_index("o_custkey").unwrap(), 1);
         assert!(s.column_index("nope").is_err());
         assert_eq!(s.arity(), 4);
-    }
-
-    #[test]
-    fn key_flags() {
-        let s = sample();
-        assert!(s.is_pk_column("o_orderkey"));
-        assert!(!s.is_pk_column("o_custkey"));
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl Tuple {
         self.0.iter()
     }
 
-    /// Project onto the given column positions.
-    pub fn project(&self, cols: &[usize]) -> Tuple {
-        Tuple(cols.iter().map(|&i| self.0[i].clone()).collect())
-    }
-
     /// Approximate heap+inline footprint in bytes.
     pub fn deep_size(&self) -> usize {
         std::mem::size_of::<Tuple>() + self.0.iter().map(Value::deep_size).sum::<usize>()
@@ -212,12 +207,5 @@ mod tests {
         let c = Relation::from_tuples(schema(), vec![t2.clone(), t2.clone(), t1.clone()]).unwrap();
         assert!(a.same_bag(&b));
         assert!(!a.same_bag(&c));
-    }
-
-    #[test]
-    fn projection() {
-        let t = Tuple::new(vec![Value::Int(1), Value::str("x")]);
-        assert_eq!(t.project(&[1]), Tuple::new(vec![Value::str("x")]));
-        assert_eq!(t.project(&[1, 0, 1]).arity(), 3);
     }
 }

@@ -81,33 +81,6 @@ impl Date {
     pub fn add_days(self, days: i32) -> Date {
         Date(self.0 + days)
     }
-
-    /// This date shifted by (approximately) `months` calendar months, clamping
-    /// the day-of-month when the target month is shorter (SQL `INTERVAL`
-    /// semantics).
-    pub fn add_months(self, months: i32) -> Date {
-        let (y, m, d) = self.to_ymd();
-        let total = y * 12 + (m as i32 - 1) + months;
-        let (ny, nm) = (total.div_euclid(12), total.rem_euclid(12) as u32 + 1);
-        let max_day = days_in_month(ny, nm);
-        Date::from_ymd(ny, nm, d.min(max_day))
-    }
-}
-
-fn days_in_month(year: i32, month: u32) -> u32 {
-    match month {
-        1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
-        4 | 6 | 9 | 11 => 30,
-        2 => {
-            let leap = (year % 4 == 0 && year % 100 != 0) || year % 400 == 0;
-            if leap {
-                29
-            } else {
-                28
-            }
-        }
-        _ => unreachable!("invalid month {month}"),
-    }
 }
 
 impl fmt::Display for Date {
@@ -333,14 +306,9 @@ mod tests {
     #[test]
     fn date_arithmetic() {
         let d = Date::from_ymd(1995, 1, 31);
-        assert_eq!(d.add_months(1), Date::from_ymd(1995, 2, 28));
-        assert_eq!(d.add_months(12), Date::from_ymd(1996, 1, 31));
         assert_eq!(d.add_days(1), Date::from_ymd(1995, 2, 1));
         assert_eq!(d.year(), 1995);
         assert_eq!(d.month(), 1);
-        let e = Date::from_ymd(1995, 11, 15);
-        assert_eq!(e.add_months(2), Date::from_ymd(1996, 1, 15));
-        assert_eq!(e.add_months(-12), Date::from_ymd(1994, 11, 15));
     }
 
     #[test]

@@ -157,7 +157,7 @@ mod tests {
             vcsql_dist::tag_calibrate(&tag, workload, 6, EngineConfig::sequential()).unwrap();
         let placement = tag.partition(&PartitionStrategy::Workload(profile.clone()), 6);
         let old_out = TagJoinExecutor::new(&tag, EngineConfig::sequential())
-            .with_partitioning(placement)
+            .with_partitioning_shared(Arc::new(placement))
             .execute(&a)
             .unwrap();
         let old_net = NetStats::from_run(&old_out.stats);

@@ -21,12 +21,11 @@
 //!   derives a fresh `Workload` placement and migrates vertices toward it
 //!   incrementally — at most [`SessionConfig::migration_budget`] vertices
 //!   per execution, never above the balance cap — charging every migrated
-//!   vertex's state to [`NetStats`] so adaptation cost is honest;
-//! * [`PreparedQuery::with_placement_hint`] — per-query placement overrides
-//!   for conflicts no single placement can serve (the q17-style
-//!   part–lineitem clash: `lineitem` cannot co-partition with both `orders`
-//!   and `part`). Hint precedence: query hint > session placement > initial
-//!   strategy.
+//!   vertex's state to [`NetStats`] so adaptation cost is honest.
+//!
+//! A placement belongs to the running session: every execution runs under
+//! [`PlacementController::current`], and the traffic profile the session
+//! learns never leaves the process and graph that observed it.
 //!
 //! [`Cluster`] is the builder that subsumes the old `vcsql-dist`
 //! calibrate→profile→execute free functions:
@@ -42,7 +41,6 @@ pub use placement::PlacementController;
 pub use vcsql_core::{ExecOutput, QueryPlan, TagJoinExecutor};
 pub use vcsql_dist::NetStats;
 
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use vcsql_bsp::{
@@ -117,19 +115,13 @@ pub struct SessionStats {
     pub net: NetStats,
 }
 
-/// A prepared statement: a cached, reusable plan plus optional per-query
-/// placement hints.
+/// A prepared statement: a cached, reusable plan. It holds no placement
+/// and no interior mutability, so one statement may be shared across
+/// threads and executed on any session over the same TAG.
 #[derive(Debug)]
 pub struct PreparedQuery {
     sql: String,
     plan: Arc<QueryPlan>,
-    hint: Option<TrafficProfile>,
-    /// Placement derived from the hint, built lazily on first execution and
-    /// reused while the executing session's machine count matches the
-    /// cached one (a prepared statement may outlive one session and be
-    /// executed on another — over the same TAG, since plans are
-    /// schema-bound — with a different cluster size).
-    hint_partitioning: RefCell<Option<(usize, Arc<Partitioning>)>>,
 }
 
 impl PreparedQuery {
@@ -141,19 +133,6 @@ impl PreparedQuery {
     /// The underlying plan.
     pub fn plan(&self) -> &QueryPlan {
         &self.plan
-    }
-
-    /// Attach a per-query placement hint: executions of this statement run
-    /// under a dedicated `Workload(profile)` placement instead of the
-    /// session's, taking precedence over session adaptation (which neither
-    /// sees hinted placements nor migrates because of them). This serves
-    /// q17-style conflicts where no single placement can win: a profile of
-    /// the query's own traffic keeps `lineitem` with `part` for this
-    /// statement while the session placement keeps it with `orders`.
-    pub fn with_placement_hint(mut self, profile: TrafficProfile) -> PreparedQuery {
-        self.hint = Some(profile);
-        self.hint_partitioning = RefCell::new(None);
-        self
     }
 }
 
@@ -232,30 +211,24 @@ impl Session {
     /// path too), so a failed prepare counts one miss and caches nothing.
     pub fn prepare(&mut self, sql: &str) -> Result<PreparedQuery> {
         let plan = self.cache.get_or_prepare(0, sql, self.tag.schemas())?;
-        Ok(PreparedQuery {
-            sql: sql.to_string(),
-            plan,
-            hint: None,
-            hint_partitioning: RefCell::new(None),
-        })
+        Ok(PreparedQuery { sql: sql.to_string(), plan })
     }
 
-    /// Execute a prepared statement under the session's placement (or the
-    /// statement's hint placement), returning the execution output and the
-    /// network share of its traffic — including, itemized, the bytes of any
-    /// vertex migration this execution's adaptation step performed and of
-    /// any checkpoint/recovery traffic fault injection caused.
+    /// Execute a prepared statement under the session's placement, returning
+    /// the execution output and the network share of its traffic —
+    /// including, itemized, the bytes of any vertex migration this
+    /// execution's adaptation step performed and of any checkpoint/recovery
+    /// traffic fault injection caused.
     ///
     /// Failure contract: an execution that errors *or panics* mid-flight
     /// leaves the session unchanged — no query counted, no traffic folded
-    /// into the accumulated profile, no adaptation step taken — the same
-    /// contract as [`Session::load_profile`]'s error paths. Every session
+    /// into the accumulated profile, no adaptation step taken. Every session
     /// mutation below happens after the fallible execution returns `Ok`.
     pub fn execute(&mut self, prepared: &PreparedQuery) -> Result<(ExecOutput, NetStats)> {
         let (out, mut net) = execute_placed(
             &self.tag,
             self.config.engine,
-            self.placement_for(prepared),
+            self.placement.as_ref().map(|p| Arc::clone(p.current())),
             self.workers.as_ref(),
             self.faults.as_ref(),
             prepared.plan(),
@@ -265,9 +238,7 @@ impl Session {
         }
         self.accumulated.absorb(&TrafficProfile::from_run(&out.stats, self.tag.graph()));
         self.queries += 1;
-        // Hinted executions bypass adaptation entirely: their placement is
-        // per-query, so neither the drift check nor a migration step runs.
-        if let (None, Some(placement)) = (&prepared.hint, &mut self.placement) {
+        if let Some(placement) = &mut self.placement {
             placement.step(Some(&self.accumulated), false, 0, &mut net);
         }
         self.net.absorb(&net);
@@ -280,28 +251,6 @@ impl Session {
         self.execute(&prepared)
     }
 
-    /// The placement this execution runs under: the statement's hint
-    /// placement if any (rebuilt when the cached one was derived for a
-    /// different machine count), else the session's current placement.
-    fn placement_for(&self, prepared: &PreparedQuery) -> Option<Arc<Partitioning>> {
-        let session_placement = self.placement.as_ref()?.current();
-        let Some(profile) = &prepared.hint else {
-            return Some(Arc::clone(session_placement));
-        };
-        let mut cached = prepared.hint_partitioning.borrow_mut();
-        match cached.as_ref() {
-            Some((machines, p)) if *machines == self.config.machines => Some(Arc::clone(p)),
-            _ => {
-                let p = Arc::new(self.tag.partition(
-                    &PartitionStrategy::Workload(profile.clone()),
-                    self.config.machines,
-                ));
-                *cached = Some((self.config.machines, Arc::clone(&p)));
-                Some(p)
-            }
-        }
-    }
-
     /// Arm deterministic fault injection: every execution this session runs
     /// from now on shares `injector`, so its fired-once fault semantics span
     /// queries. Injected faults surface from [`Session::execute`] as
@@ -312,72 +261,9 @@ impl Session {
         self.faults = Some(injector);
     }
 
-    /// Re-place a crashed machine's vertices onto the survivors (see
-    /// [`PlacementController::evacuate`]: deterministic, drops any in-flight
-    /// migration, keeps the machine count). Returns the number of vertices
-    /// evacuated. Errors — leaving the session unchanged — on a
-    /// single-machine session or an out-of-range `m`.
-    pub fn evacuate_machine(&mut self, m: u16) -> Result<u64> {
-        let err = |e: String| RelError::Other(format!("evacuate_machine: {e}"));
-        match &mut self.placement {
-            Some(placement) => placement.evacuate(m).map_err(err),
-            None => Err(err("a single-machine session has no surviving machine".into())),
-        }
-    }
-
     /// The TAG graph this session serves.
     pub fn tag(&self) -> &TagGraph {
         &self.tag
-    }
-
-    /// Serialize the session's learned state — the accumulated
-    /// [`TrafficProfile`] and, on a multi-machine session, the current
-    /// [`Partitioning`] — to one text document, reusing the two existing
-    /// line formats back to back. Feed the result to
-    /// [`Session::load_profile`] on a fresh session over the same TAG to
-    /// warm-start it: no re-calibration, no re-migration.
-    pub fn save_profile(&self) -> String {
-        let mut out = format!(
-            "# vcsql session profile (machines={}, queries={})\n",
-            self.config.machines, self.queries
-        );
-        out.push_str(&self.accumulated.to_text());
-        if let Some(p) = self.partitioning() {
-            out.push_str(&p.to_text());
-        }
-        out
-    }
-
-    /// Restore state saved by [`Session::save_profile`]: the accumulated
-    /// profile becomes both the session's observed traffic and its
-    /// placement profile (a warm-started session is converged by
-    /// construction), the saved placement replaces the current one, and any
-    /// in-flight migration is dropped. Errors if the document is malformed
-    /// or its placement was built for a different graph or machine count;
-    /// the session is unchanged on error.
-    pub fn load_profile(&mut self, text: &str) -> Result<()> {
-        let err = |e: String| RelError::Other(format!("load_profile: {e}"));
-        let (profile_text, placement_text) = match text.find("vcsql-partitioning v1") {
-            Some(at) => (&text[..at], Some(&text[at..])),
-            None => (text, None),
-        };
-        let profile = TrafficProfile::from_text(profile_text).map_err(err)?;
-        let saved = placement_text.map(Partitioning::from_text).transpose().map_err(err)?;
-        match (&mut self.placement, saved) {
-            (Some(placement), Some(p)) => placement.restore(p, profile.clone()).map_err(err)?,
-            (Some(_), None) => {
-                return Err(err("no saved placement for a multi-machine session".into()))
-            }
-            (None, Some(p)) => {
-                return Err(err(format!(
-                    "placement saved for {} machines, session has 1",
-                    p.machines()
-                )))
-            }
-            (None, None) => {}
-        }
-        self.accumulated = profile;
-        Ok(())
     }
 
     /// The session's configuration.
@@ -612,51 +498,12 @@ mod tests {
         assert!(undecayed.accumulated_profile().total_bytes() >= 10 * after_one);
     }
 
+    /// A prepared statement carries no per-session state, so it can be
+    /// shared across threads (checked at compile time).
     #[test]
-    fn save_load_roundtrips_profile_and_placement() {
-        let (tag, config) = session(4);
-        let mut s = Session::open(&tag, config.clone()).unwrap();
-        // Run until the self-tuning migration settles.
-        for _ in 0..6 {
-            s.run_sql(JOIN_SQL).unwrap();
-        }
-        let saved = s.save_profile();
-        let placement = s.partitioning().unwrap().clone();
-        let mut fresh = Session::open(&tag, config.clone()).unwrap();
-        fresh.load_profile(&saved).unwrap();
-        assert_eq!(fresh.accumulated_profile(), s.accumulated_profile());
-        assert_eq!(fresh.placement_profile(), Some(s.accumulated_profile()));
-        assert!(!fresh.migration_pending());
-        let restored = fresh.partitioning().unwrap();
-        for v in tag.graph().vertices() {
-            assert_eq!(placement.machine_of(v), restored.machine_of(v));
-        }
-        // The warm session is converged: re-running the profiled workload
-        // must not migrate.
-        let (_, net) = fresh.run_sql(JOIN_SQL).unwrap();
-        assert_eq!(net.migration_bytes, 0, "warm-started session re-migrated");
-
-        // Mismatches are rejected and leave the session untouched.
-        let mut two = Session::open(&tag, SessionConfig { machines: 2, ..config }).unwrap();
-        assert!(two.load_profile(&saved).is_err(), "machine-count mismatch must fail");
-        assert!(two.load_profile("garbage").is_err());
-        let (tag_small, config_small) = {
-            let db = tpch::generate(0.004, 7);
-            (Arc::new(TagGraph::build(&db)), SessionConfig { machines: 4, ..Default::default() })
-        };
-        let mut other_graph = Session::open(&tag_small, config_small).unwrap();
-        assert!(other_graph.load_profile(&saved).is_err(), "wrong graph must fail");
-        // A single-machine session happily loads the profile part alone.
-        let (tag1, config1) = session(1);
-        let mut one = Session::open(&tag1, config1).unwrap();
-        let solo_saved = {
-            let (tag1b, config1b) = session(1);
-            let mut solo = Session::open(&tag1b, config1b).unwrap();
-            solo.run_sql(JOIN_SQL).unwrap();
-            solo.save_profile()
-        };
-        one.load_profile(&solo_saved).unwrap();
-        assert!(!one.accumulated_profile().is_empty());
+    fn prepared_query_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<PreparedQuery>();
     }
 
     #[test]
@@ -724,37 +571,6 @@ mod tests {
             );
         }
         assert!(s.migration_pending(), "tiny budget cannot finish in three steps");
-    }
-
-    #[test]
-    fn placement_hints_take_precedence_and_stay_per_query() {
-        let (tag, config) = session(6);
-        let mut s = Session::open(&tag, config).unwrap();
-        // A hint profile that pulls lineitem toward part.
-        let mut hint = TrafficProfile::new();
-        hint.record(
-            "lineitem.l_partkey",
-            vcsql_bsp::LabelTraffic { messages: 1000, bytes: 100_000, ..Default::default() },
-        );
-        hint.record(
-            "part.p_partkey",
-            vcsql_bsp::LabelTraffic { messages: 1000, bytes: 100_000, ..Default::default() },
-        );
-        let q17 = "SELECT p.p_name FROM part p, lineitem l WHERE p.p_partkey = l.l_partkey";
-        let unhinted = s.prepare(q17).unwrap();
-        let hinted = s.prepare(q17).unwrap().with_placement_hint(hint);
-        let session_placement = s.partitioning().unwrap().clone();
-        let (out_h, net_h) = s.execute(&hinted).unwrap();
-        // The hint did not touch the session's placement, and no migration
-        // was charged to the hinted run.
-        assert_eq!(net_h.migration_bytes, 0);
-        let placement_after = s.partitioning().unwrap();
-        for v in tag.graph().vertices() {
-            assert_eq!(session_placement.machine_of(v), placement_after.machine_of(v));
-        }
-        let (out_u, _) = s.execute(&unhinted).unwrap();
-        assert!(out_h.relation.same_bag_approx(&out_u.relation, 1e-9));
-        assert_eq!(out_h.stats.total_messages(), out_u.stats.total_messages());
     }
 
     /// The failure contract: an execution aborted by an unrecoverable
@@ -860,75 +676,5 @@ mod tests {
         );
         assert_eq!(net.rounds, free_net.rounds, "replayed rounds were double-billed");
         assert_eq!(faulty.stats().net.recovery_bytes, net.recovery_bytes);
-    }
-
-    /// Evacuating a crashed machine re-places its vertices deterministically
-    /// (vertex-id order, least-loaded survivor, lowest id on ties), drops
-    /// any pending migration, preserves results, and rejects impossible
-    /// requests without touching the session.
-    #[test]
-    fn evacuate_machine_is_deterministic_and_preserves_results() {
-        let (tag, config) = session(4);
-        let mut s = Session::open(&tag, config.clone()).unwrap();
-        let prepared = s.prepare(JOIN_SQL).unwrap();
-        let (before, _) = s.execute(&prepared).unwrap();
-        let moved = s.evacuate_machine(2).unwrap();
-        assert!(moved > 0, "machine 2 held no vertices");
-        assert!(!s.migration_pending(), "stale migration target survived the evacuation");
-        let placement = s.partitioning().unwrap();
-        assert_eq!(placement.machines(), 4, "machine count must not change");
-        assert_eq!(placement.load()[2], 0, "evacuated machine still owns vertices");
-        let evacuated: Vec<u16> = tag.graph().vertices().map(|v| placement.machine_of(v)).collect();
-
-        // A twin session following the same history lands on the identical
-        // placement.
-        let mut twin = Session::open(&tag, config.clone()).unwrap();
-        let tp = twin.prepare(JOIN_SQL).unwrap();
-        twin.execute(&tp).unwrap();
-        assert_eq!(twin.evacuate_machine(2).unwrap(), moved);
-        for (i, v) in tag.graph().vertices().enumerate() {
-            assert_eq!(evacuated[i], twin.partitioning().unwrap().machine_of(v));
-        }
-
-        // Queries keep answering correctly under the evacuated placement.
-        let (after, _) = s.execute(&prepared).unwrap();
-        assert!(after.relation.same_bag_approx(&before.relation, 1e-9));
-        assert_eq!(after.stats.total_messages(), before.stats.total_messages());
-
-        // Impossible evacuations are rejected.
-        assert!(s.evacuate_machine(9).is_err(), "out-of-range machine must fail");
-        let (tag1, config1) = session(1);
-        let mut one = Session::open(&tag1, config1).unwrap();
-        assert!(one.evacuate_machine(0).is_err(), "single machine has no survivors");
-    }
-
-    /// A prepared statement's cached hint placement is keyed on the machine
-    /// count: executing the same PreparedQuery on a session with a
-    /// different cluster size rebuilds the placement instead of silently
-    /// accounting against machines that don't exist.
-    #[test]
-    fn hint_placement_rebuilds_for_a_different_machine_count() {
-        let (tag, config) = session(6);
-        let mut hint = TrafficProfile::new();
-        hint.record(
-            "lineitem.l_partkey",
-            vcsql_bsp::LabelTraffic { messages: 10, bytes: 1000, ..Default::default() },
-        );
-        let q = "SELECT p.p_name FROM part p, lineitem l WHERE p.p_partkey = l.l_partkey";
-        let mut six = Session::open(&tag, config.clone()).unwrap();
-        let hinted = six.prepare(q).unwrap().with_placement_hint(hint.clone());
-        let (_, net6) = six.execute(&hinted).unwrap();
-
-        // Same PreparedQuery value, executed on a 2-machine session: must
-        // behave exactly like a hint prepared fresh on that session.
-        let mut two = Session::open(&tag, SessionConfig { machines: 2, ..config }).unwrap();
-        let (_, net_stale) = two.execute(&hinted).unwrap();
-        let fresh = two.prepare(q).unwrap().with_placement_hint(hint);
-        let (_, net_fresh) = two.execute(&fresh).unwrap();
-        assert_eq!(
-            net_stale.network_bytes, net_fresh.network_bytes,
-            "stale 6-machine hint placement leaked into the 2-machine session"
-        );
-        assert_ne!(net6.network_bytes, 0, "6-machine hinted run should have used the network");
     }
 }

@@ -156,73 +156,6 @@ impl PlacementController {
             self.pending = Some(pending);
         }
     }
-
-    /// Deterministically re-place a crashed machine's vertices: machine
-    /// `m`'s vertices are reassigned, in vertex-id order, each to the
-    /// currently least-loaded surviving machine (lowest machine id on
-    /// ties), and any in-flight migration is dropped — its target was
-    /// derived for loads that no longer exist. The machine count is
-    /// unchanged (`m` simply ends up empty), so a replacement machine is
-    /// refilled by later steps instead of by a special path. Returns the
-    /// number of vertices evacuated, or — leaving the placement unchanged —
-    /// an error text for an out-of-range `m`.
-    ///
-    /// Determinism: the walk order (vertex id) and the tie-break (machine
-    /// id) are both total orders independent of thread count or timing, so
-    /// every controller evacuating the same machine from the same placement
-    /// lands on the identical new placement.
-    pub fn evacuate(&mut self, m: u16) -> Result<u64, String> {
-        let machines = self.current.machines();
-        if m as usize >= machines {
-            return Err(format!("machine {m} out of range for {machines} machines"));
-        }
-        self.pending = None;
-        let n = self.tag.graph().vertex_count();
-        let mut assignment: Vec<u16> =
-            (0..n).map(|v| self.current.machine_of(v as VertexId)).collect();
-        let mut load = self.current.load();
-        let mut moved = 0u64;
-        for slot in assignment.iter_mut().filter(|slot| **slot == m) {
-            let target = (0..machines as u16)
-                .filter(|&t| t != m)
-                .min_by_key(|&t| (load[t as usize], t))
-                .expect("a controller has at least two machines, so one survives");
-            *slot = target;
-            load[m as usize] -= 1;
-            load[target as usize] += 1;
-            moved += 1;
-        }
-        self.current = Arc::new(Partitioning::from_assignment(assignment, machines));
-        Ok(moved)
-    }
-
-    /// Replace the placement and its standing profile with saved ones (a
-    /// warm start: converged by construction), dropping any in-flight
-    /// migration. Errors — leaving the controller unchanged — if `placement`
-    /// was built for a different machine count or graph.
-    pub fn restore(
-        &mut self,
-        placement: Partitioning,
-        profile: TrafficProfile,
-    ) -> Result<(), String> {
-        if placement.machines() != self.current.machines() {
-            return Err(format!(
-                "placement saved for {} machines, session has {}",
-                placement.machines(),
-                self.current.machines()
-            ));
-        }
-        let vertices = self.tag.graph().vertex_count();
-        if placement.load().iter().sum::<usize>() != vertices {
-            return Err(format!(
-                "placement saved for a different graph (want {vertices} vertices)"
-            ));
-        }
-        self.current = Arc::new(placement);
-        self.profile = profile;
-        self.pending = None;
-        Ok(())
-    }
 }
 
 /// The traffic knowledge an initial strategy starts with: a `Workload`

@@ -206,7 +206,7 @@ proptest! {
             Computation::new(&g, EngineConfig::with_threads(threads), |_| ());
         let assignment: Vec<u16> =
             g.vertices().map(|v| (v as usize % machines) as u16).collect();
-        comp.set_partitioning(Partitioning::from_assignment(assignment, machines));
+        comp.set_partitioning_shared(Arc::new(Partitioning::from_assignment(assignment, machines)));
         comp.activate(g.vertices());
         for _ in 0..supersteps {
             comp.superstep_simple(|ctx| {
@@ -385,7 +385,7 @@ proptest! {
         let analyzed = analyze(&parse(&sql).unwrap(), tag.schemas()).unwrap();
         let strategy = PartitionStrategy::Hash;
         let free = TagJoinExecutor::new(&tag, EngineConfig::sequential())
-            .with_partitioning(tag.partition(&strategy, machines))
+            .with_partitioning_shared(Arc::new(tag.partition(&strategy, machines)))
             .execute(&analyzed)
             .unwrap();
         prop_assert_eq!(
@@ -398,7 +398,7 @@ proptest! {
         let retries_needed = plan.len();
         let inj = Arc::new(FaultInjector::new(plan, checkpoint_every));
         let exec = TagJoinExecutor::new(&tag, EngineConfig::sequential())
-            .with_partitioning(tag.partition(&strategy, machines))
+            .with_partitioning_shared(Arc::new(tag.partition(&strategy, machines)))
             .with_fault_injector(Arc::clone(&inj));
         // Bounded retry: every fault fires at most once per injector, so at
         // most one rerun per planned fault is ever needed.

@@ -23,7 +23,7 @@ fn distributed_results_equal_single_machine() {
         let a = analyze(&parse(q.sql).unwrap(), tag.schemas()).unwrap();
         let single = TagJoinExecutor::new(&tag, EngineConfig::with_threads(2)).execute(&a).unwrap();
         let partitioned = TagJoinExecutor::new(&tag, EngineConfig::with_threads(2))
-            .with_partitioning(Partitioning::hash(tag.graph(), 6))
+            .with_partitioning_shared(Arc::new(Partitioning::hash(tag.graph(), 6)))
             .execute(&a)
             .unwrap();
         assert!(

@@ -9,8 +9,6 @@
 //!   repartitioning recovers to within 10% of a session profiled on TPC-DS
 //!   itself — without restarting the run — with migration bytes itemized in
 //!   `NetStats`.
-//! * Per-query placement hints override the session placement for q17-style
-//!   conflicts and leave the session's own placement untouched.
 
 use std::sync::Arc;
 use vcsql::bsp::EngineConfig;
@@ -134,38 +132,4 @@ fn drift_replay_recovers_self_profiled_traffic_within_ten_percent() {
         "adapted placement ships {adapted} bytes, more than 10% over the self-profiled \
          {self_profiled} bytes"
     );
-}
-
-/// Per-query placement hints: a q17-style part–lineitem query hinted with
-/// its own traffic profile must ship no more than it does under the
-/// session's TPC-H-wide placement (which favours the orders–lineitem chain),
-/// while results stay identical and the session placement is untouched.
-#[test]
-fn placement_hints_serve_q17_style_conflicts() {
-    let db = tpch::generate(0.02, 42);
-    let tag = Arc::new(TagGraph::build(&db));
-    let suite = tpch::queries();
-    let analyzed = analyze_suite(&tag, &suite);
-    let cluster = Cluster::new(6).engine(EngineConfig::with_threads(2)).static_placement();
-    let mut session = cluster.calibrated_session(&tag, &analyzed).unwrap();
-
-    let q17 = "SELECT p.p_name, l.l_quantity FROM part p, lineitem l \
-               WHERE p.p_partkey = l.l_partkey AND l.l_quantity < 10";
-    let q17_analyzed = vec![analyze(&parse(q17).unwrap(), tag.schemas()).unwrap()];
-    let hint = cluster.calibrate(&tag, &q17_analyzed).unwrap();
-
-    let unhinted = session.prepare(q17).unwrap();
-    let (out_u, net_u) = session.execute(&unhinted).unwrap();
-    let hinted = session.prepare(q17).unwrap().with_placement_hint(hint);
-    let (out_h, net_h) = session.execute(&hinted).unwrap();
-
-    assert!(out_h.relation.same_bag_approx(&out_u.relation, 1e-9), "hint changed the result");
-    assert_eq!(out_h.stats.total_messages(), out_u.stats.total_messages());
-    assert!(
-        net_h.network_bytes <= net_u.network_bytes,
-        "hinted placement ships more than the session placement: {} > {}",
-        net_h.network_bytes,
-        net_u.network_bytes
-    );
-    assert_eq!(net_h.migration_bytes, 0, "hinted runs never migrate the session placement");
 }

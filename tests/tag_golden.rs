@@ -86,8 +86,9 @@ fn structure(name: &str, seed: u64, db: &Database, out: &mut String) {
 /// traffic, sorted by label name (label-less sends show as `-`).
 fn traffic(db: &Database, queries: &[BenchQuery], out: &mut String) {
     let tag = TagGraph::build(db);
-    let exec = TagJoinExecutor::new(&tag, EngineConfig::sequential())
-        .with_partitioning(tag.partition(&PartitionStrategy::Hash, MACHINES));
+    let exec = TagJoinExecutor::new(&tag, EngineConfig::sequential()).with_partitioning_shared(
+        std::sync::Arc::new(tag.partition(&PartitionStrategy::Hash, MACHINES)),
+    );
     for q in queries {
         let plan = QueryPlan::prepare(q.sql, tag.schemas()).expect("plans");
         let stats = exec.execute_plan(&plan).expect("executes").stats;
