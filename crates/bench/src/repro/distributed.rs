@@ -40,13 +40,6 @@ pub(super) fn run(a: &Args) {
     let sf = a.sf();
     println!("\n## E13 — Distributed cluster simulation, 6 machines (paper Fig 16)\n");
     let spark = SparkModel::default();
-    // A fixed `--profile-from` profile is computed once, on its own graph;
-    // otherwise each suite profiles itself on the measurement loop's graph.
-    let fixed_profile: Option<TrafficProfile> =
-        a.profile_from.filter(|_| a.wants_workload()).map(|calib| {
-            let tag = TagGraph::build(&(calib.generate)(sf, SEED));
-            calibration_profile(&tag, &(calib.queries)(), spark.machines)
-        });
     for suite in SUITES {
         let queries = (suite.queries)();
         let db = (suite.generate)(sf, SEED);
@@ -55,15 +48,14 @@ pub(super) fn run(a: &Args) {
         let runtime = |secs: f64, net: &vcsql_dist::NetStats| {
             cluster.modelled_runtime(secs, net).expect("bandwidth validated at parse time")
         };
-        // Materialize the `workload` strategy once per measured workload.
+        // Materialize the `workload` strategy once per measured workload,
+        // profiled on the measurement loop's own graph.
         let workload_profile: Option<TrafficProfile> = a.wants_workload().then(|| {
-            let profile = fixed_profile
-                .clone()
-                .unwrap_or_else(|| calibration_profile(&tag, &queries, spark.machines));
+            let profile = calibration_profile(&tag, &queries, spark.machines);
             println!(
                 "({}: `workload` strategy calibrated on {}, {} profiled edge labels)\n",
                 suite.title,
-                a.profile_from.unwrap_or(suite).name,
+                suite.name,
                 profile.len()
             );
             profile

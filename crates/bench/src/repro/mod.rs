@@ -7,7 +7,7 @@
 //! in exactly one row, and the usage text (`repro --help`), every usage
 //! error, the `all` list and the dispatch are derived from the rows. The
 //! run functions the rows point at live in one module per experiment
-//! family. Only constraints *between* flags (`constraints`) are code.
+//! family.
 
 mod ablations;
 mod distributed;
@@ -47,7 +47,6 @@ static SUITES: [&Suite; 2] = [&TPCH, &TPCDS];
 pub struct Args {
     sfs: Vec<f64>,
     strategies: Option<Vec<PartitionStrategy>>,
-    profile_from: Option<&'static Suite>,
     bandwidth: f64,
     threads: Option<usize>,
     checkpoint_every: u64,
@@ -60,7 +59,6 @@ impl Default for Args {
         Args {
             sfs: vec![0.01, 0.02, 0.05],
             strategies: None,
-            profile_from: None,
             bandwidth: 1e9,
             threads: None,
             checkpoint_every: 2,
@@ -151,19 +149,6 @@ static PARTITIONING: Flag = Flag {
            per-edge-label traffic with a hash-placed run of the\n\
            profile workload, then re-partitions for it",
 };
-static PROFILE_FROM: Flag = Flag {
-    name: "--profile-from",
-    metavar: "m",
-    group: None,
-    set: |a, f, raw| {
-        let suite = SUITES.iter().find(|s| s.name == raw);
-        suite.map(|s| a.profile_from = Some(s)).ok_or_else(|| bad(f, raw, "tpch or tpcds"))
-    },
-    help: "workload whose observed traffic calibrates the\n\
-           `workload` strategy: tpch or tpcds (default: the\n\
-           workload being measured; crossing them shows how\n\
-           skew-sensitive the placement is)",
-};
 static BANDWIDTH: Flag = Flag {
     name: "--bandwidth",
     metavar: "n",
@@ -215,8 +200,8 @@ static SEED_FLAG: Flag = Flag {
 };
 
 /// Every value flag, in usage order.
-pub static FLAGS: [&Flag; 8] =
-    [&SF, &PARTITIONING, &PROFILE_FROM, &BANDWIDTH, &THREADS, &CHECKPOINT_EVERY, &KILL, &SEED_FLAG];
+pub static FLAGS: [&Flag; 7] =
+    [&SF, &PARTITIONING, &BANDWIDTH, &THREADS, &CHECKPOINT_EVERY, &KILL, &SEED_FLAG];
 
 /// One experiment: the flags it reads (any other flag is a usage error
 /// rather than silently ignored), whether `all` runs it, and its run
@@ -243,7 +228,7 @@ static TIMED: [&Flag; 2] = [&SF, &THREADS];
 const ALL: Mode = Mode {
     name: "all",
     summary: "everything above except",
-    flags: &[&SF, &PARTITIONING, &PROFILE_FROM, &BANDWIDTH, &THREADS],
+    flags: &[&SF, &PARTITIONING, &BANDWIDTH, &THREADS],
     in_all: false,
     run: |a| MODES.iter().filter(|m| m.in_all).for_each(|m| (m.run)(a)),
 };
@@ -317,7 +302,7 @@ pub static MODES: [Mode; 15] = [
         name: "distributed",
         summary: "Fig 16 + Tables 16-17: modelled runtime + network traffic per\n\
          placement strategy",
-        flags: &[&SF, &PARTITIONING, &PROFILE_FROM, &BANDWIDTH],
+        flags: &[&SF, &PARTITIONING, &BANDWIDTH],
         in_all: true,
         run: distributed::run,
     },
@@ -425,14 +410,6 @@ fn only_applies_to(flag: &Flag) -> String {
     format!("{} only applies to the {list} {noun}", flag.name)
 }
 
-/// Constraints between flags, checked once every value is validated.
-fn constraints(a: &Args) -> Result<(), &'static str> {
-    if a.profile_from.is_some() && !a.wants_workload() {
-        return Err("--profile-from requires --partitioning to include `workload`");
-    }
-    Ok(())
-}
-
 /// Parse a command line into the mode to run and its validated arguments;
 /// `Ok(None)` is a request for the usage text. A flag is checked against
 /// the mode's row before its value is looked at.
@@ -464,7 +441,6 @@ pub fn parse(argv: &[String]) -> Result<Option<(&'static Mode, Args)>, String> {
         }
         (flag.set)(&mut args, flag.name, raw)?;
     }
-    constraints(&args)?;
     Ok(Some((mode, args)))
 }
 

@@ -55,7 +55,7 @@ fn bad_sf_value_is_a_usage_error() {
 fn missing_flag_values_are_usage_errors() {
     assert_usage_exit("tpch --sf", "--sf needs a value");
     assert_usage_exit("distributed --partitioning", "--partitioning needs a value");
-    assert_usage_exit("distributed --profile-from", "--profile-from needs a value");
+    assert_usage_exit("all --partitioning", "--partitioning needs a value");
     assert_usage_exit("distributed --bandwidth", "--bandwidth needs a value");
 }
 
@@ -68,14 +68,7 @@ fn bad_partitioning_and_unknown_args_are_usage_errors() {
 }
 
 #[test]
-fn bad_profile_from_and_bandwidth_are_usage_errors() {
-    assert_usage_exit("distributed --profile-from mongodb", "bad --profile-from value");
-    // A profile source without a `workload` strategy to consume it would be
-    // silently ignored — reject it instead.
-    assert_usage_exit(
-        "distributed --profile-from tpch",
-        "--profile-from requires --partitioning to include `workload`",
-    );
+fn bad_bandwidth_is_a_usage_error() {
     // Non-positive or unparsable bandwidth must be a usage error, never the
     // panic `modelled_runtime` used to raise deep in the run.
     assert_usage_exit("distributed --bandwidth 0", "bad --bandwidth value");
@@ -87,10 +80,11 @@ fn bad_profile_from_and_bandwidth_are_usage_errors() {
 #[test]
 fn deleted_flags_are_unknown() {
     // The drift replay belongs to `benchmark/`'s `cluster_drift` and
-    // `tests/session.rs`, and `faults` writes no report: their flags are
+    // `tests/session.rs`, `faults` writes no report, and a profile from the
+    // other suite matches no edge label of the measured TAG: their flags are
     // plain unknown flags, on any mode.
     assert_usage_exit("faults --json x", "unknown flag");
-    for flag in ["sessions", "restart-at", "migration-budget"] {
+    for flag in ["sessions", "restart-at", "migration-budget", "profile-from"] {
         assert_usage_exit(&format!("distributed --{flag} 4"), "unknown flag");
     }
 }
@@ -208,15 +202,4 @@ fn distributed_smoke_reports_all_strategies() {
     assert!(stdout.contains("calibrated on tpch"), "{stdout}");
     assert!(stdout.contains("spark/tag traffic ratio"), "{stdout}");
     assert!(stdout.contains("edge cut"), "{stdout}");
-}
-
-#[test]
-fn distributed_smoke_cross_profiles_workloads() {
-    // Calibrating TPC-H's placement with TPC-DS traffic (and vice versa)
-    // must run end to end — the skew-sensitivity demonstration path.
-    let stdout = stdout_of(
-        "distributed --sf 0.004 --partitioning workload --profile-from tpcds --bandwidth 5e8",
-    );
-    assert!(stdout.contains("calibrated on tpcds"), "{stdout}");
-    assert!(stdout.contains("tag net (workload)"), "{stdout}");
 }

@@ -10,10 +10,10 @@
 //! server cannot starve a quiet one: each admission scan starts at the
 //! tenant *after* the last one served.
 
-use crate::lock;
 use std::collections::{HashSet, VecDeque};
 use std::sync::PoisonError;
 use vcsql_bsp::sync::{Condvar, Mutex};
+use vcsql_session::lock;
 
 /// Lifetime counters of the admission queue.
 #[derive(Debug, Clone, Copy, Default)]
@@ -151,11 +151,6 @@ impl AdmissionController {
         lock(&self.state).total_in_flight
     }
 
-    /// Executions in flight for one tenant.
-    pub fn in_flight(&self, tenant: usize) -> usize {
-        lock(&self.state).in_flight.get(tenant).copied().unwrap_or(0)
-    }
-
     /// Requests queued (not yet admitted) across all tenants.
     pub fn waiting(&self) -> usize {
         lock(&self.state).queues.iter().map(VecDeque::len).sum()
@@ -283,13 +278,10 @@ mod tests {
         let ctl = AdmissionController::new(2, 4);
         let a = ctl.acquire(0);
         let b = ctl.acquire(0);
-        assert_eq!(ctl.in_flight(0), 2);
         assert_eq!(ctl.total_in_flight(), 2);
         drop(a);
         drop(b);
         assert_eq!(ctl.total_in_flight(), 0);
-        // Tenant ids never seen report zero instead of panicking.
-        assert_eq!(ctl.in_flight(9), 0);
     }
 
     #[test]

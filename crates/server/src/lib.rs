@@ -1,17 +1,18 @@
 //! # vcsql-server — a multi-tenant query server over one shared TAG
 //!
 //! One process encodes the database once and serves many clients: a
-//! [`QueryServer`] owns the shared `Arc<TagGraph>`, a [`PlanCache`]
-//! (a statement planned for one tenant is a hit for all), an
-//! [`AdmissionController`] bounding in-flight executions, and —
-//! the part a single [`vcsql_session::Session`] cannot model — **one**
-//! placement that every tenant's traffic must share.
+//! [`QueryServer`] is a [`Host`] (the shared `Arc<TagGraph>`, one
+//! [`PlanCache`] — a statement planned for one tenant is a hit for all —,
+//! worker pool, fault injector and **one** placement every tenant's
+//! traffic must share), an [`AdmissionController`] bounding in-flight
+//! executions, and one [`Ledger`] per tenant.
 //!
 //! A lone session repartitions unilaterally: when its profile drifts it
 //! derives a fresh target and walks there. With several tenants over one
 //! graph that policy thrashes — each tenant drags the placement toward its
 //! own mix, and vertices ping-pong on every mix switch. The server instead
-//! drives the same [`PlacementController`] a session owns with an
+//! drives the same [`PlacementController`](vcsql_session::PlacementController)
+//! a session's host does with an
 //! **arbitrated vote** ([`Arbitration::Merged`]): each tenant votes with
 //! its exponentially decayed [`TrafficProfile`], the votes are merged
 //! byte-weighted (a tenant's weight is the traffic it actually generates)
@@ -21,10 +22,11 @@
 //! whose targets overwrite each other) is kept as the thrashing baseline
 //! `tests/arbitration.rs` measures it against; static serving is no policy
 //! of its own but a `drift_threshold` above 1, which no vote can cross. The
-//! vote source is all that separates a session from a one-tenant server.
+//! vote source is all that separates a session from a one-tenant server:
+//! both run every statement through [`Host::run`].
 //!
 //! Concurrency model: tenants call [`TenantSession::run_sql`] from any
-//! thread. Executions share the server's persistent
+//! thread. Executions share the host's persistent
 //! [`vcsql_bsp::WorkerPool`] (fan-outs are serialized by the
 //! pool's own run lock), the plan cache and the admission queue are one
 //! mutex each, every tenant's ledger (vote + counters) is one mutex, and
@@ -37,28 +39,18 @@
 mod admission;
 
 pub use admission::{AdmissionController, AdmissionPermit, AdmissionStats};
-pub use vcsql_session::{PlanCache, TenantCacheStats};
+pub use vcsql_session::{FailureStats, HostStats, Ledger, PlanCache};
 
-use std::sync::{Arc, PoisonError};
-use vcsql_bsp::sync::{Mutex, MutexGuard};
-use vcsql_bsp::{
-    EngineConfig, FaultInjector, PartitionStrategy, Partitioning, TrafficProfile, WorkerPool,
-};
+use std::sync::Arc;
+use vcsql_bsp::sync::Mutex;
+use vcsql_bsp::{EngineConfig, FaultInjector, PartitionStrategy, Partitioning, TrafficProfile};
 use vcsql_core::{ExecOutput, QueryPlan};
 use vcsql_dist::NetStats;
 use vcsql_relation::RelError;
-use vcsql_session::{execute_placed, validate_knobs, PlacementController};
+use vcsql_session::{lock, Host, SessionConfig};
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
-
-/// Poison-tolerant lock: the protected state is only ever mutated with the
-/// lock held and every mutation is panic-atomic at our level, so a poisoned
-/// lock just means some other execution panicked — its state is still
-/// consistent for everyone else.
-pub(crate) fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// How the server reconciles tenants' competing placement preferences.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -84,11 +76,10 @@ pub struct ServerConfig {
     /// BSP engine tuning, shared by every tenant's executions.
     pub engine: EngineConfig,
     /// Initial placement strategy. A [`PartitionStrategy::Workload`]
-    /// strategy also seeds the consensus profile with its calibration
-    /// profile.
+    /// strategy also seeds the controller's standing profile with its
+    /// calibration profile; tenants' votes start empty (only a session also
+    /// seeds its own vote with it).
     pub strategy: PartitionStrategy,
-    /// Plan-cache capacity (must be at least 1).
-    pub plan_cache_capacity: usize,
     /// Arbitration trigger: adapt when the vote's byte-weighted drift from
     /// the placement's profile exceeds this. Drift lives in `[0, 1]`, so any
     /// threshold above `1.0` serves the initial placement forever (static
@@ -124,7 +115,6 @@ impl Default for ServerConfig {
             machines: 1,
             engine: EngineConfig::default(),
             strategy: PartitionStrategy::Refined,
-            plan_cache_capacity: 64,
             drift_threshold: 0.25,
             migration_budget: 2048,
             profile_half_life: Some(8.0),
@@ -137,86 +127,14 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-tenant (and, aggregated, per-server) failure-isolation counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FailureStats {
-    /// Executions that panicked and were caught at the tenant boundary.
-    pub panics: u64,
-    /// Re-executions after transient faults (each retry counted).
-    pub retries: u64,
-    /// Machine crashes recovered from a checkpoint *inside* successful
-    /// executions (confined recovery; the query still answered).
-    pub recoveries: u64,
-}
-
-impl FailureStats {
-    /// Fold another tenant's (or attempt's) counters into this one.
-    pub fn add(&mut self, other: &FailureStats) {
-        self.panics += other.panics;
-        self.retries += other.retries;
-        self.recoveries += other.recoveries;
-    }
-}
-
-/// Lifetime counters across all tenants: [`QueryServer::stats`] folds the
-/// tenants' [`TenantStats`] and reads the placement controller's counters.
-#[derive(Debug, Clone, Default)]
-pub struct ServerStats {
-    /// Executions served.
-    pub queries: u64,
-    /// Arbitration targets derived (consensus drift threshold crossings).
-    pub adaptations: u64,
-    /// Migration steps that moved at least one vertex.
-    pub migration_steps: u64,
-    /// Vertices migrated across all arbitration steps.
-    pub migrated_vertices: u64,
-    /// Bytes of migrated vertex state.
-    pub migration_bytes: u64,
-    /// Cumulative network traffic over every execution, migrations
-    /// included.
-    pub net: NetStats,
-    /// Failure-isolation counters, across all tenants.
-    pub failures: FailureStats,
-}
-
-/// Counters one tenant accumulates.
-#[derive(Debug, Clone, Default)]
-pub struct TenantStats {
-    /// Executions this tenant ran.
-    pub queries: u64,
-    /// This tenant's cumulative network traffic, including the migration
-    /// bytes its executions triggered.
-    pub net: NetStats,
-    /// This tenant's failure-isolation counters: panics caught,
-    /// transient-fault retries, crash recoveries.
-    pub failures: FailureStats,
-}
-
-/// One tenant's server-side ledger, behind one mutex.
-#[derive(Debug, Default)]
-struct TenantState {
-    /// This tenant's decayed traffic profile — its arbitration vote.
-    profile: TrafficProfile,
-    stats: TenantStats,
-}
-
-/// The server: one shared TAG, one shared placement, one plan cache, one
-/// admission queue. Open per-client handles with
-/// [`QueryServer::open_session`]; everything on the server is `&self` and
-/// thread-safe.
+/// The server: one [`Host`], one admission queue, one ledger per tenant.
+/// Open per-client handles with [`QueryServer::open_session`]; everything
+/// on the server is `&self` and thread-safe.
 pub struct QueryServer {
-    tag: Arc<TagGraph>,
+    host: Host,
     config: ServerConfig,
-    cache: PlanCache,
-    /// The placement every tenant shares (`None` when `machines == 1`):
-    /// read to execute, stepped by arbitration.
-    placement: Option<Mutex<PlacementController>>,
-    tenants: Mutex<Vec<Arc<Mutex<TenantState>>>>,
+    tenants: Mutex<Vec<Arc<Mutex<Ledger>>>>,
     admission: AdmissionController,
-    /// Persistent worker runtime shared by every tenant's executions
-    /// (`None` for single-threaded engine configs). The pool's run lock
-    /// serializes fan-outs; workers park between queries.
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl std::fmt::Debug for QueryServer {
@@ -231,42 +149,30 @@ impl std::fmt::Debug for QueryServer {
 
 impl QueryServer {
     /// Start a server over `tag` (the handle is cloned; the graph itself
-    /// is shared). Validates the configuration the same way
-    /// [`vcsql_session::Session::open`] does, plus the server-only knobs:
-    /// positive admission bounds.
+    /// is shared). Validates the host knobs with [`Host::new`], plus the
+    /// server-only ones: positive admission bounds.
     pub fn start(tag: &Arc<TagGraph>, config: ServerConfig) -> Result<Arc<QueryServer>> {
         let invalid = |msg: String| RelError::Other(format!("server config: {msg}"));
-        validate_knobs(
-            "server",
-            config.machines,
-            config.plan_cache_capacity,
-            config.migration_budget,
-            config.drift_threshold,
-            config.profile_half_life,
-        )
-        .map_err(|e| invalid(e.to_string()))?;
         if config.max_in_flight_per_tenant == 0 || config.max_in_flight_total == 0 {
             return Err(invalid("admission bounds must admit at least one execution".into()));
         }
-        let placement = PlacementController::new(
-            tag,
-            config.machines,
-            &config.strategy,
-            config.drift_threshold,
-            config.migration_budget,
-        );
-        let pool =
-            (config.engine.threads > 1).then(|| Arc::new(WorkerPool::new(config.engine.threads)));
+        let knobs = SessionConfig {
+            machines: config.machines,
+            engine: config.engine,
+            strategy: config.strategy.clone(),
+            drift_threshold: config.drift_threshold,
+            migration_budget: config.migration_budget,
+            profile_half_life: config.profile_half_life,
+        };
+        let host = Host::new(tag, &knobs, config.fault_injector.clone())
+            .map_err(|e| invalid(e.to_string()))?;
         Ok(Arc::new(QueryServer {
-            tag: Arc::clone(tag),
-            cache: PlanCache::new(config.plan_cache_capacity),
-            placement: placement.map(Mutex::new),
+            host,
             tenants: Mutex::new(Vec::new()),
             admission: AdmissionController::new(
                 config.max_in_flight_per_tenant,
                 config.max_in_flight_total,
             ),
-            pool,
             config,
         }))
     }
@@ -275,24 +181,14 @@ impl QueryServer {
     /// in registration order.
     pub fn open_session(self: &Arc<Self>) -> TenantSession {
         let mut tenants = lock(&self.tenants);
-        let tenant = Arc::new(Mutex::new(TenantState::default()));
-        tenants.push(Arc::clone(&tenant));
-        TenantSession { server: Arc::clone(self), id: tenants.len() - 1, tenant }
+        let ledger = Arc::new(Mutex::new(Ledger::default()));
+        tenants.push(Arc::clone(&ledger));
+        TenantSession { server: Arc::clone(self), id: tenants.len() - 1, ledger }
     }
 
-    /// The TAG graph this server serves.
-    pub fn tag(&self) -> &TagGraph {
-        &self.tag
-    }
-
-    /// The server's configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
-    /// The shared plan cache (aggregate and per-tenant counters).
+    /// The shared plan cache (hit/miss counters over all tenants).
     pub fn plan_cache(&self) -> &PlanCache {
-        &self.cache
+        self.host.plan_cache()
     }
 
     /// Admission-queue counters.
@@ -303,47 +199,18 @@ impl QueryServer {
     /// The placement every tenant currently runs under (`None` on a single
     /// machine).
     pub fn partitioning(&self) -> Option<Arc<Partitioning>> {
-        self.read_placement(|p| Arc::clone(p.current()))
-    }
-
-    /// The standing consensus profile the current placement was derived
-    /// from (`None` on a single machine).
-    pub fn placement_profile(&self) -> Option<TrafficProfile> {
-        self.read_placement(|p| p.profile().clone())
+        self.host.partitioning()
     }
 
     /// True iff an arbitration walk is in flight.
     pub fn migration_pending(&self) -> bool {
-        self.read_placement(PlacementController::is_migrating).unwrap_or(false)
+        self.host.migration_pending()
     }
 
     /// Lifetime counters, across all tenants: the fold of every tenant's
     /// ledger plus the placement controller's counters.
-    pub fn stats(&self) -> ServerStats {
-        let mut stats = ServerStats::default();
-        for tenant in lock(&self.tenants).iter() {
-            let tenant = lock(tenant);
-            stats.queries += tenant.stats.queries;
-            stats.net.absorb(&tenant.stats.net);
-            stats.failures.add(&tenant.stats.failures);
-        }
-        self.read_placement(|p| {
-            stats.adaptations = p.adaptations;
-            stats.migration_steps = p.migration_steps;
-            stats.migrated_vertices = p.migrated_vertices;
-            stats.migration_bytes = p.migration_bytes;
-        });
-        stats
-    }
-
-    /// The persistent worker pool (`None` when the engine config is
-    /// single-threaded).
-    pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
-    }
-
-    fn read_placement<T>(&self, read: impl FnOnce(&PlacementController) -> T) -> Option<T> {
-        Some(read(&lock(self.placement.as_ref()?)))
+    pub fn stats(&self) -> HostStats {
+        self.host.stats(lock(&self.tenants).iter().map(|tenant| &**tenant))
     }
 
     /// Merge every tenant's decayed profile into one byte-weighted vote:
@@ -358,10 +225,10 @@ impl QueryServer {
         let mut vote = TrafficProfile::new();
         for tenant in lock(&self.tenants).iter() {
             let tenant = lock(tenant);
-            if tenant.profile.is_empty() {
+            if tenant.vote.is_empty() {
                 return None;
             }
-            vote.absorb(&tenant.profile);
+            vote.absorb(&tenant.vote);
         }
         Some(vote)
     }
@@ -369,13 +236,13 @@ impl QueryServer {
     /// The vote the arbitration policy hands the shared controller after
     /// one of `proposer`'s executions — the one thing a server does
     /// differently from a session, which always votes its own profile.
-    fn vote(&self, proposer: &Mutex<TenantState>) -> Option<TrafficProfile> {
+    fn vote(&self, proposer: &Mutex<Ledger>) -> Option<TrafficProfile> {
         match self.config.arbitration {
             Arbitration::Merged => self.merged_vote(),
             // Unilateral tenants don't wait for anyone, and a drifted one
             // overwrites another tenant's in-flight target with its own —
             // the thrash the merged policy exists to prevent.
-            Arbitration::Unilateral => Some(lock(proposer).profile.clone()),
+            Arbitration::Unilateral => Some(lock(proposer).vote.clone()),
         }
     }
 }
@@ -386,7 +253,7 @@ impl QueryServer {
 pub struct TenantSession {
     server: Arc<QueryServer>,
     id: usize,
-    tenant: Arc<Mutex<TenantState>>,
+    ledger: Arc<Mutex<Ledger>>,
 }
 
 impl TenantSession {
@@ -395,30 +262,24 @@ impl TenantSession {
         self.id
     }
 
-    /// The server this session belongs to.
-    pub fn server(&self) -> &Arc<QueryServer> {
-        &self.server
-    }
-
     /// Plan `sql` through the shared cache (planned at most once across
-    /// all tenants; the lookup is attributed to this tenant).
+    /// all tenants).
     pub fn prepare(&self, sql: &str) -> Result<Arc<QueryPlan>> {
-        self.server.cache.get_or_prepare(self.id, sql, self.server.tag.schemas())
+        self.server.host.prepare(sql)
     }
 
     /// Execute `sql` under the shared placement: admission first, then the
-    /// cached plan, then the run, then fold this run's traffic into the
-    /// tenant's decayed vote and give arbitration one step. The returned
-    /// [`NetStats`] itemizes any migration bytes this execution's
-    /// arbitration step shipped, plus checkpoint and recovery traffic when
-    /// fault injection is armed.
+    /// cached plan, then [`Host::run`] with this tenant's ledger and the
+    /// arbitration policy's vote. The returned [`NetStats`] itemizes any
+    /// migration bytes this execution's arbitration step shipped, plus
+    /// checkpoint and recovery traffic when fault injection is armed.
     ///
-    /// Failure isolation: a panicking execution is caught (by
-    /// [`execute_placed`]) and becomes a per-tenant [`RelError::Panicked`] —
-    /// the admission permit is released by its RAII drop on *every* exit
+    /// Failure isolation: a panicking execution is caught by the host and
+    /// becomes this tenant's [`RelError::Panicked`], prefixed `tenant N: `.
+    /// The admission permit is released by its RAII drop on *every* exit
     /// path (return, `?`, unwind), so a dying query never leaks an in-flight
-    /// slot, and no tenant or server state is mutated by a failed run except
-    /// the [`FailureStats`] that record it. Transient injected faults
+    /// slot, and a failed run mutates no tenant or server state except the
+    /// [`FailureStats`] that record it. Transient injected faults
     /// ([`RelError::Fault`] with `transient` set: dropped deliveries) are
     /// re-executed up to [`ServerConfig::max_retries`] times; crashes
     /// recover from checkpoints inside the engine.
@@ -427,91 +288,29 @@ impl TenantSession {
         // for the whole retry loop means a retrying query occupies one slot,
         // not one per attempt.
         let _permit = self.server.admission.acquire(self.id);
-        let cfg = &self.server.config;
-        let mut failures = FailureStats::default();
-        let outcome = (|| {
-            let plan = self.prepare(sql)?;
-            loop {
-                match execute_placed(
-                    &self.server.tag,
-                    cfg.engine,
-                    self.server.partitioning(),
-                    self.server.pool.as_ref(),
-                    cfg.fault_injector.as_ref(),
-                    &plan,
-                ) {
-                    Err(RelError::Fault { transient: true, .. })
-                        if failures.retries < cfg.max_retries as u64 =>
-                    {
-                        failures.retries += 1;
-                    }
-                    // Panics are never retried: unlike a planned transient
-                    // fault, a panic's cause is unknown and re-running it
-                    // would just burn the budget.
-                    Err(RelError::Panicked(msg)) => {
-                        failures.panics += 1;
-                        return Err(RelError::Panicked(format!("tenant {}: {msg}", self.id)));
-                    }
-                    done => return done,
-                }
-            }
-        })();
-        let mut tenant = lock(&self.tenant);
-        let (out, mut net) = match outcome {
-            Ok(done) => done,
-            Err(e) => {
-                // A failed execution leaves the tenant's profile, the
-                // shared placement and the query counters untouched; only
-                // the failure record lands.
-                tenant.stats.failures.add(&failures);
-                return Err(e);
-            }
-        };
-        failures.recoveries += out.stats.faults.crashes_recovered;
-        if let Some(h) = cfg.profile_half_life {
-            tenant.profile.decay(0.5f64.powf(1.0 / h));
-        }
-        tenant.profile.absorb(&TrafficProfile::from_run(&out.stats, self.server.tag.graph()));
-        drop(tenant);
-        if let Some(placement) = &self.server.placement {
-            // The vote is formed before the placement lock: it takes the
-            // tenant locks, and lock order is tenants → placement.
-            let vote = self.server.vote(&self.tenant);
-            lock(placement).step(
-                vote.as_ref(),
-                cfg.arbitration == Arbitration::Unilateral,
-                self.id,
-                &mut net,
-            );
-        }
-        // `net` now carries any migration bytes the step shipped.
-        let mut tenant = lock(&self.tenant);
-        tenant.stats.queries += 1;
-        tenant.stats.net.absorb(&net);
-        tenant.stats.failures.add(&failures);
-        Ok((out, net))
+        let plan = self.prepare(sql)?;
+        let server = &self.server;
+        let unilateral = server.config.arbitration == Arbitration::Unilateral;
+        let retries = server.config.max_retries;
+        let vote = || server.vote(&self.ledger);
+        server.host.run(&plan, &self.ledger, retries, unilateral, self.id, vote).map_err(
+            |e| match e {
+                RelError::Panicked(msg) => RelError::Panicked(format!("tenant {}: {msg}", self.id)),
+                e => e,
+            },
+        )
     }
 
-    /// This tenant's lifetime counters.
-    pub fn stats(&self) -> TenantStats {
-        lock(&self.tenant).stats.clone()
-    }
-
-    /// This tenant's current (decayed) arbitration vote.
-    pub fn profile(&self) -> TrafficProfile {
-        lock(&self.tenant).profile.clone()
-    }
-
-    /// This tenant's view of the shared plan cache.
-    pub fn cache_stats(&self) -> TenantCacheStats {
-        self.server.cache.tenant_stats(self.id)
+    /// This tenant's ledger: its vote and lifetime counters.
+    pub fn stats(&self) -> Ledger {
+        lock(&self.ledger).clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcsql_bsp::FaultPlan;
+    use vcsql_bsp::{FaultPlan, WorkerPool};
     use vcsql_core::TagJoinExecutor;
     use vcsql_workload::tpch;
 
@@ -535,7 +334,6 @@ mod tests {
         let (tag, config) = setup(1);
         let bad = [
             ServerConfig { machines: 0, ..config.clone() },
-            ServerConfig { plan_cache_capacity: 0, ..config.clone() },
             ServerConfig { migration_budget: 0, ..config.clone() },
             ServerConfig { drift_threshold: 0.0, ..config.clone() },
             ServerConfig { drift_threshold: f64::NAN, ..config.clone() },
@@ -564,10 +362,11 @@ mod tests {
         assert!(out_a.relation.same_bag_approx(&lone.relation, 1e-9));
         assert!(out_b.relation.same_bag_approx(&lone.relation, 1e-9));
         assert_eq!(net_a.network_bytes, 0, "single machine never uses the network");
-        // Alice planned, Bob hit the shared cache.
-        assert_eq!(alice.cache_stats(), TenantCacheStats { hits: 0, misses: 1 });
-        assert_eq!(bob.cache_stats(), TenantCacheStats { hits: 1, misses: 0 });
+        // Alice planned, Bob hit the shared cache: one miss, one hit, one
+        // plan allocation.
+        assert_eq!((server.plan_cache().misses(), server.plan_cache().hits()), (1, 1));
         assert_eq!(server.plan_cache().len(), 1);
+        assert!(Arc::ptr_eq(&alice.prepare(JOIN_SQL).unwrap(), &bob.prepare(JOIN_SQL).unwrap()));
         assert_eq!(server.stats().queries, 2);
         assert_eq!(alice.stats().queries, 1);
         assert_eq!(server.admission_stats().admitted, 2);
@@ -799,11 +598,13 @@ mod tests {
         assert_eq!(failures, FailureStats { panics: 1, retries: 2, recoveries: 0 });
         assert_eq!(queries, 11, "twelve concurrent runs, one panicked");
         assert!(net.migration_bytes > 0, "the mix must have moved the placement");
-        let controller = server
-            .read_placement(|p| {
-                (p.adaptations, p.migration_steps, p.migrated_vertices, p.migration_bytes)
-            })
-            .unwrap();
+        let controller = server.host.stats([]);
+        let controller = (
+            controller.adaptations,
+            controller.migration_steps,
+            controller.migrated_vertices,
+            controller.migration_bytes,
+        );
         assert_eq!(
             (
                 stats.adaptations,

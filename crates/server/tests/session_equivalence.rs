@@ -40,7 +40,6 @@ fn session_equals_a_one_tenant_merged_server_over_a_drift_schedule() {
         drift_threshold: server_config.drift_threshold,
         migration_budget: server_config.migration_budget,
         profile_half_life: server_config.profile_half_life,
-        ..SessionConfig::default()
     };
     let mut session = Session::open(&tag, session_config).unwrap();
     let server = QueryServer::start(&tag, server_config).unwrap();

@@ -4,28 +4,19 @@
 //! Plans depend only on the SQL text and the schemas, never on the data, so
 //! a host over one TAG can cache them indefinitely; the cache is bounded
 //! (least-recently-used eviction) so ad-hoc traffic cannot grow it without
-//! limit, and it keeps per-tenant hit/miss counters so operators can see
-//! whether their workload actually reuses statements. A session is tenant 0;
-//! a server shares one cache across its tenants, so a statement planned for
-//! one tenant is a hit for all of them.
+//! limit, and it counts hits and misses so operators can see whether their
+//! workload actually reuses statements. Every host keeps one; a server
+//! shares it across its tenants, so a statement planned for one tenant is a
+//! hit for all of them.
 //!
 //! [`Session::prepare`]: crate::Session::prepare
 
-use std::sync::{Arc, PoisonError};
-use vcsql_bsp::sync::{Mutex, MutexGuard};
+use crate::lock;
+use std::sync::Arc;
+use vcsql_bsp::sync::Mutex;
 use vcsql_core::QueryPlan;
 use vcsql_relation::schema::Schema;
 use vcsql_relation::{FxHashMap, RelError};
-
-/// One tenant's view of the cache: how often its lookups were served from
-/// plans already cached (by anyone) versus planned from scratch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to plan from scratch.
-    pub misses: u64,
-}
 
 /// A cached plan plus the stamp of its latest use.
 #[derive(Debug)]
@@ -40,19 +31,20 @@ struct Inner {
     plans: FxHashMap<String, Entry>,
     /// Monotonic stamp source.
     clock: u64,
-    /// Per-tenant counters, indexed by tenant id and grown on demand
-    /// (tenant ids are dense).
-    tenants: Vec<TenantCacheStats>,
+    /// Lookups served from the cache.
+    hits: u64,
+    /// Lookups that had to plan from scratch.
+    misses: u64,
 }
 
 /// A bounded LRU cache of prepared [`QueryPlan`]s, keyed by SQL text, with
-/// per-tenant hit/miss counters, behind one lock.
+/// hit/miss counters, behind one lock.
 ///
 /// Each plan carries the stamp of its latest use, from a counter bumped on
 /// every hit and insert. A hit is one map probe and a stamp write. An insert
 /// into a full cache evicts the smallest stamp, found by a scan over the
-/// `capacity` cached entries (128 in a default session, 64 in a default
-/// server) — and only after a miss, which has just paid for planning.
+/// `capacity` cached entries (128 in every host) — and only after a miss,
+/// which has just paid for planning.
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
@@ -67,44 +59,34 @@ impl PlanCache {
         PlanCache { capacity, inner: Mutex::new(Inner::default()) }
     }
 
-    /// Poison-tolerant lock: every mutation under it is panic-atomic, so a
-    /// poisoned lock still guards a consistent cache.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The one lookup path: consult the cache for `tenant`, and on a miss
-    /// plan `sql` against `schemas` *outside* the lock, so a cold compile
-    /// stalls no one, before inserting the result. Two tenants racing to
-    /// plan the same SQL both succeed; the first insert wins and both get
-    /// the same plan allocation. A planning error counts one miss, caches
-    /// nothing and is returned as is.
+    /// The one lookup path: consult the cache, and on a miss plan `sql`
+    /// against `schemas` *outside* the lock, so a cold compile stalls no
+    /// one, before inserting the result. Two callers racing to plan the same
+    /// SQL both succeed; the first insert wins and both get the same plan
+    /// allocation. A planning error counts one miss, caches nothing and is
+    /// returned as is.
     pub fn get_or_prepare(
         &self,
-        tenant: usize,
         sql: &str,
         schemas: &[Schema],
     ) -> Result<Arc<QueryPlan>, RelError> {
-        if let Some(plan) = self.get(tenant, sql) {
+        if let Some(plan) = self.get(sql) {
             return Ok(plan);
         }
         let plan = Arc::new(QueryPlan::prepare(sql, schemas)?);
         Ok(self.insert(sql, plan))
     }
 
-    /// Look up `sql` for `tenant`: a hit refreshes recency and counts toward
-    /// the tenant's hits, a miss counts toward its misses and returns `None`.
-    fn get(&self, tenant: usize, sql: &str) -> Option<Arc<QueryPlan>> {
-        let mut inner = self.lock();
-        let Inner { plans, clock, tenants } = &mut *inner;
-        if tenants.len() <= tenant {
-            tenants.resize(tenant + 1, TenantCacheStats::default());
-        }
+    /// Look up `sql`: a hit refreshes recency and counts one hit, a miss
+    /// counts one miss and returns `None`.
+    fn get(&self, sql: &str) -> Option<Arc<QueryPlan>> {
+        let mut inner = lock(&self.inner);
+        let Inner { plans, clock, hits, misses } = &mut *inner;
         let Some(entry) = plans.get_mut(sql) else {
-            tenants[tenant].misses += 1;
+            *misses += 1;
             return None;
         };
-        tenants[tenant].hits += 1;
+        *hits += 1;
         *clock += 1;
         entry.last_use = *clock;
         Some(Arc::clone(&entry.plan))
@@ -115,7 +97,7 @@ impl PlanCache {
     /// the same plan — the **first** insert wins and the cached plan is
     /// returned. Counts nothing (the preceding `get` already did).
     fn insert(&self, sql: &str, plan: Arc<QueryPlan>) -> Arc<QueryPlan> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         let Inner { plans, clock, .. } = &mut *inner;
         *clock += 1;
         if let Some(entry) = plans.get_mut(sql) {
@@ -133,12 +115,12 @@ impl PlanCache {
 
     /// True iff `sql` is currently cached (does not affect recency/stats).
     pub fn contains(&self, sql: &str) -> bool {
-        self.lock().plans.contains_key(sql)
+        lock(&self.inner).plans.contains_key(sql)
     }
 
     /// Cached plans right now.
     pub fn len(&self) -> usize {
-        self.lock().plans.len()
+        lock(&self.inner).plans.len()
     }
 
     /// True iff nothing is cached.
@@ -146,20 +128,14 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Lookups served from cache, over all tenants.
+    /// Lookups served from the cache.
     pub fn hits(&self) -> u64 {
-        self.lock().tenants.iter().map(|t| t.hits).sum()
+        lock(&self.inner).hits
     }
 
-    /// Lookups that had to plan from scratch, over all tenants.
+    /// Lookups that had to plan from scratch.
     pub fn misses(&self) -> u64 {
-        self.lock().tenants.iter().map(|t| t.misses).sum()
-    }
-
-    /// One tenant's hit/miss counters (zeros for a tenant that never looked
-    /// anything up).
-    pub fn tenant_stats(&self, tenant: usize) -> TenantCacheStats {
-        self.lock().tenants.get(tenant).copied().unwrap_or_default()
+        lock(&self.inner).misses
     }
 }
 
@@ -177,24 +153,19 @@ mod tests {
     }
 
     fn plan_for(cache: &PlanCache, sql: &str) -> Arc<QueryPlan> {
-        cache.get_or_prepare(0, sql, &schemas()).unwrap()
+        cache.get_or_prepare(sql, &schemas()).unwrap()
     }
 
     #[test]
-    fn tenants_share_plans_and_keep_private_counters() {
+    fn callers_share_one_plan_and_one_pair_of_counters() {
         let cache = PlanCache::new(8);
-        let s = schemas();
         let q = "SELECT r.a FROM r";
-        let first = cache.get_or_prepare(0, q, &s).unwrap();
-        let second = cache.get_or_prepare(1, q, &s).unwrap();
-        // One plan allocation serves both tenants.
+        let first = plan_for(&cache, q);
+        let second = plan_for(&cache, q);
+        // One plan allocation serves both callers: one miss, then one hit.
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.len(), 1);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.tenant_stats(0), TenantCacheStats { hits: 0, misses: 1 });
-        assert_eq!(cache.tenant_stats(1), TenantCacheStats { hits: 1, misses: 0 });
-        // A tenant that never looked up reads zeros, not a panic.
-        assert_eq!(cache.tenant_stats(7), TenantCacheStats::default());
     }
 
     #[test]
@@ -241,8 +212,8 @@ mod tests {
         let q = "SELECT r.b FROM r";
         // Two callers both missed and both planned (`get_or_prepare` plans
         // outside the lock, so this is the real race shape).
-        assert!(cache.get(0, q).is_none());
-        assert!(cache.get(1, q).is_none());
+        assert!(cache.get(q).is_none());
+        assert!(cache.get(q).is_none());
         let a = cache.insert(q, Arc::new(QueryPlan::prepare(q, &s).unwrap()));
         let b = cache.insert(q, Arc::new(QueryPlan::prepare(q, &s).unwrap()));
         assert!(Arc::ptr_eq(&a, &b), "first insert must win for every caller");
@@ -254,9 +225,9 @@ mod tests {
     #[test]
     fn failed_prepare_counts_one_miss_and_caches_nothing() {
         let cache = PlanCache::new(4);
-        assert!(cache.get_or_prepare(0, "SELECT nope FROM nowhere", &schemas()).is_err());
+        assert!(cache.get_or_prepare("SELECT nope FROM nowhere", &schemas()).is_err());
         assert!(cache.is_empty());
-        assert_eq!(cache.tenant_stats(0), TenantCacheStats { hits: 0, misses: 1 });
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
     }
 
     #[test]

@@ -163,7 +163,7 @@ mod tests {
         let old_net = NetStats::from_run(&old_out.stats);
         // The Cluster form of the same thing.
         let mut session = cluster.calibrated_session(&tag, workload).unwrap();
-        assert_eq!(session.placement_profile(), Some(&profile));
+        assert_eq!(session.placement_profile(), Some(profile));
         let (out, net) = session.run_sql(JOIN_SQL).unwrap();
         assert!(out.relation.same_bag_approx(&old_out.relation, 1e-9));
         assert_eq!(net.network_bytes, old_net.network_bytes);

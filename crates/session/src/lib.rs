@@ -15,17 +15,13 @@
 //! * [`Session::execute`] / [`Session::run_sql`] — run under the session's
 //!   current placement, fold the run's per-edge-label traffic into a
 //!   cross-query [`TrafficProfile`], and *adapt*: the accumulated profile
-//!   is the session's vote to its [`PlacementController`], which — when the
-//!   vote drifts (byte-weighted total-variation distance,
-//!   [`TrafficProfile::byte_drift`]) past the configured threshold —
-//!   derives a fresh `Workload` placement and migrates vertices toward it
-//!   incrementally — at most [`SessionConfig::migration_budget`] vertices
-//!   per execution, never above the balance cap — charging every migrated
-//!   vertex's state to [`NetStats`] so adaptation cost is honest.
+//!   is the session's vote to its [`PlacementController`], which migrates
+//!   vertices toward a `Workload` placement for it once the vote drifts.
 //!
-//! A placement belongs to the running session: every execution runs under
-//! [`PlacementController::current`], and the traffic profile the session
-//! learns never leaves the process and graph that observed it.
+//! A session is the one-ledger case of a [`Host`], the state and run path
+//! `vcsql-server` serves its tenants with too. A placement belongs to the
+//! running host, and the traffic profile the session learns never leaves
+//! the process and graph that observed it.
 //!
 //! [`Cluster`] is the builder that subsumes the old `vcsql-dist`
 //! calibrate→profile→execute free functions:
@@ -33,16 +29,18 @@
 
 mod cache;
 mod cluster;
+mod host;
 mod placement;
 
-pub use cache::{PlanCache, TenantCacheStats};
+pub use cache::PlanCache;
 pub use cluster::Cluster;
+pub use host::{FailureStats, Host, HostStats, Ledger};
 pub use placement::PlacementController;
 pub use vcsql_core::{ExecOutput, QueryPlan, TagJoinExecutor};
 pub use vcsql_dist::NetStats;
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
+use vcsql_bsp::sync::{Mutex, MutexGuard};
 use vcsql_bsp::{
     EngineConfig, FaultInjector, PartitionStrategy, Partitioning, TrafficProfile, WorkerPool,
 };
@@ -51,7 +49,15 @@ use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
 
-/// Configuration of a [`Session`].
+/// Poison-tolerant lock for every host lock: the protected state is only
+/// ever mutated with the lock held and every mutation is panic-atomic, so a
+/// poisoned lock just means some other execution panicked — its state is
+/// still consistent for everyone else.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Configuration of a [`Session`]: the knobs of its [`Host`].
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Simulated machines. `1` runs purely locally (no partitioning, no
@@ -63,8 +69,6 @@ pub struct SessionConfig {
     /// [`PartitionStrategy::Workload`] strategy also seeds the session's
     /// traffic knowledge with its calibration profile.
     pub strategy: PartitionStrategy,
-    /// Plan-cache capacity (must be at least 1).
-    pub plan_cache_capacity: usize,
     /// Online-repartitioning trigger: adapt when the accumulated traffic
     /// profile's byte-weighted drift from the placement's profile exceeds
     /// this. Drift lives in `[0, 1]`, so any threshold above `1.0` disables
@@ -89,7 +93,6 @@ impl Default for SessionConfig {
             machines: 1,
             engine: EngineConfig::default(),
             strategy: PartitionStrategy::Refined,
-            plan_cache_capacity: 128,
             drift_threshold: 0.25,
             migration_budget: 2048,
             profile_half_life: None,
@@ -97,43 +100,12 @@ impl Default for SessionConfig {
     }
 }
 
-/// Counters a session accumulates over its lifetime.
-#[derive(Debug, Clone, Default)]
-pub struct SessionStats {
-    /// Executions served (prepared or ad-hoc).
-    pub queries: u64,
-    /// Adaptation targets derived (drift threshold crossings).
-    pub adaptations: u64,
-    /// Migration steps that moved at least one vertex.
-    pub migration_steps: u64,
-    /// Vertices migrated across all adaptation steps.
-    pub migrated_vertices: u64,
-    /// Bytes of migrated vertex state (also itemized per query in the
-    /// returned [`NetStats`]).
-    pub migration_bytes: u64,
-    /// Cumulative network traffic over every execution, migrations included.
-    pub net: NetStats,
-}
-
 /// A prepared statement: a cached, reusable plan. It holds no placement
 /// and no interior mutability, so one statement may be shared across
 /// threads and executed on any session over the same TAG.
 #[derive(Debug)]
 pub struct PreparedQuery {
-    sql: String,
     plan: Arc<QueryPlan>,
-}
-
-impl PreparedQuery {
-    /// The SQL text this statement was prepared from.
-    pub fn sql(&self) -> &str {
-        &self.sql
-    }
-
-    /// The underlying plan.
-    pub fn plan(&self) -> &QueryPlan {
-        &self.plan
-    }
 }
 
 /// A long-lived query session over one TAG graph: prepared statements, a
@@ -142,76 +114,33 @@ impl PreparedQuery {
 /// [`Arc`], so any number of sessions (and a `vcsql-server` serving them)
 /// can share one TAG without lifetime coupling.
 pub struct Session {
-    tag: Arc<TagGraph>,
-    config: SessionConfig,
-    cache: PlanCache,
-    /// The placement and its adaptation state (`None` when `machines == 1`).
-    placement: Option<PlacementController>,
-    /// Persistent worker runtime shared across every execution this session
-    /// performs (`None` for single-threaded engine configs). Workers park
-    /// between queries, so prepared-query re-execution pays no thread churn.
-    workers: Option<Arc<WorkerPool>>,
-    /// Cross-query observed traffic, seeded with the initial strategy's
-    /// calibration profile — the session's vote to its controller.
-    accumulated: TrafficProfile,
-    /// Deterministic fault injection shared by every execution this session
-    /// runs (`None` = fault-free). Fired-once semantics span queries.
-    faults: Option<Arc<FaultInjector>>,
-    queries: u64,
-    net: NetStats,
+    host: Host,
+    /// The session's one ledger. Its vote starts from the initial
+    /// strategy's calibration profile and is what the session hands its
+    /// placement controller after every run.
+    ledger: Mutex<Ledger>,
 }
 
 impl Session {
     /// Open a session over `tag` (the handle is cloned; the graph itself is
-    /// shared). Validates the configuration with [`validate_knobs`].
+    /// shared). Validates the configuration with [`Host::new`].
     pub fn open(tag: &Arc<TagGraph>, config: SessionConfig) -> Result<Session> {
-        validate_knobs(
-            "session",
-            config.machines,
-            config.plan_cache_capacity,
-            config.migration_budget,
-            config.drift_threshold,
-            config.profile_half_life,
-        )?;
-        let placement = PlacementController::new(
-            tag,
-            config.machines,
-            &config.strategy,
-            config.drift_threshold,
-            config.migration_budget,
-        );
-        let cache = PlanCache::new(config.plan_cache_capacity);
-        // One persistent worker pool for the session's whole life: its OS
-        // threads spawn on the first superstep that actually fans out, and
-        // every query executed through this session reuses them.
-        let workers =
-            (config.engine.threads > 1).then(|| Arc::new(WorkerPool::new(config.engine.threads)));
-        Ok(Session {
-            tag: Arc::clone(tag),
-            accumulated: placement::calibration_profile(&config.strategy),
-            placement,
-            workers,
-            faults: None,
-            queries: 0,
-            net: NetStats::default(),
-            cache,
-            config,
-        })
+        let host = Host::new(tag, &config, None)?;
+        let vote = placement::calibration_profile(&config.strategy);
+        Ok(Session { host, ledger: Mutex::new(Ledger { vote, ..Ledger::default() }) })
     }
 
     /// The session's persistent worker pool (`None` when the engine config
     /// is single-threaded). Exposed for diagnostics and tests.
     pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.workers.as_ref()
+        self.host.pool.as_ref()
     }
 
     /// Prepare a statement: parse → analyze → GYO → TAG plan, served from
-    /// the plan cache when this SQL was prepared before. The session is the
-    /// cache's tenant 0 ([`PlanCache::get_or_prepare`], the server's lookup
-    /// path too), so a failed prepare counts one miss and caches nothing.
+    /// the plan cache when this SQL was prepared before. A failed prepare
+    /// counts one miss and caches nothing.
     pub fn prepare(&mut self, sql: &str) -> Result<PreparedQuery> {
-        let plan = self.cache.get_or_prepare(0, sql, self.tag.schemas())?;
-        Ok(PreparedQuery { sql: sql.to_string(), plan })
+        Ok(PreparedQuery { plan: self.host.prepare(sql)? })
     }
 
     /// Execute a prepared statement under the session's placement, returning
@@ -220,29 +149,14 @@ impl Session {
     /// execution's adaptation step performed and of any checkpoint/recovery
     /// traffic fault injection caused.
     ///
-    /// Failure contract: an execution that errors *or panics* mid-flight
-    /// leaves the session unchanged — no query counted, no traffic folded
-    /// into the accumulated profile, no adaptation step taken. Every session
-    /// mutation below happens after the fallible execution returns `Ok`.
+    /// Failure contract ([`Host::run`]'s, with no retries): an execution
+    /// that errors *or panics* mid-flight counts no query, folds no traffic
+    /// into the accumulated profile and takes no adaptation step; a panic
+    /// counts in `stats().failures.panics`, and a crash recovered inside a
+    /// successful run in `stats().failures.recoveries`.
     pub fn execute(&mut self, prepared: &PreparedQuery) -> Result<(ExecOutput, NetStats)> {
-        let (out, mut net) = execute_placed(
-            &self.tag,
-            self.config.engine,
-            self.placement.as_ref().map(|p| Arc::clone(p.current())),
-            self.workers.as_ref(),
-            self.faults.as_ref(),
-            prepared.plan(),
-        )?;
-        if let Some(h) = self.config.profile_half_life {
-            self.accumulated.decay(0.5f64.powf(1.0 / h));
-        }
-        self.accumulated.absorb(&TrafficProfile::from_run(&out.stats, self.tag.graph()));
-        self.queries += 1;
-        if let Some(placement) = &mut self.placement {
-            placement.step(Some(&self.accumulated), false, 0, &mut net);
-        }
-        self.net.absorb(&net);
-        Ok((out, net))
+        let ledger = &self.ledger;
+        self.host.run(&prepared.plan, ledger, 0, false, 0, || Some(lock(ledger).vote.clone()))
     }
 
     /// Prepare (through the cache) and execute in one call.
@@ -255,145 +169,45 @@ impl Session {
     /// from now on shares `injector`, so its fired-once fault semantics span
     /// queries. Injected faults surface from [`Session::execute`] as
     /// [`RelError::Fault`] (its `transient` flag is what retry policies
-    /// upstream match on) or [`RelError::Panicked`] and, per the failure
-    /// contract there, a failed execution leaves the session unchanged.
+    /// upstream match on) or [`RelError::Panicked`], under the failure
+    /// contract there.
     pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) {
-        self.faults = Some(injector);
-    }
-
-    /// The TAG graph this session serves.
-    pub fn tag(&self) -> &TagGraph {
-        &self.tag
-    }
-
-    /// The session's configuration.
-    pub fn config(&self) -> &SessionConfig {
-        &self.config
+        self.host.faults = Some(injector);
     }
 
     /// The current placement (`None` on a single machine). Mid-migration
     /// this is the in-between placement the next query will run under.
-    pub fn partitioning(&self) -> Option<&Partitioning> {
-        self.placement.as_ref().map(|p| &**p.current())
+    pub fn partitioning(&self) -> Option<Arc<Partitioning>> {
+        self.host.partitioning()
     }
 
     /// The cross-query observed traffic profile (seeded with the initial
     /// strategy's calibration profile, if it had one).
-    pub fn accumulated_profile(&self) -> &TrafficProfile {
-        &self.accumulated
+    pub fn accumulated_profile(&self) -> TrafficProfile {
+        lock(&self.ledger).vote.clone()
     }
 
     /// The profile the current placement was derived from (`None` on a
     /// single machine).
-    pub fn placement_profile(&self) -> Option<&TrafficProfile> {
-        self.placement.as_ref().map(PlacementController::profile)
+    pub fn placement_profile(&self) -> Option<TrafficProfile> {
+        self.host.placement_profile()
     }
 
     /// True iff an adaptation is mid-walk (a target placement exists that
     /// the session has not fully migrated to yet).
     pub fn migration_pending(&self) -> bool {
-        self.placement.as_ref().is_some_and(PlacementController::is_migrating)
+        self.host.migration_pending()
     }
 
-    /// Lifetime counters.
-    pub fn stats(&self) -> SessionStats {
-        let mut stats = SessionStats { queries: self.queries, net: self.net, ..Default::default() };
-        if let Some(p) = &self.placement {
-            stats.adaptations = p.adaptations;
-            stats.migration_steps = p.migration_steps;
-            stats.migrated_vertices = p.migrated_vertices;
-            stats.migration_bytes = p.migration_bytes;
-        }
-        stats
+    /// Lifetime counters: the session's ledger plus the placement
+    /// controller's counters.
+    pub fn stats(&self) -> HostStats {
+        self.host.stats([&self.ledger])
     }
 
     /// The plan cache (occupancy, hit/miss counters).
     pub fn plan_cache(&self) -> &PlanCache {
-        &self.cache
-    }
-}
-
-/// Run `plan` under a placement: assemble the executor from the host's
-/// shared pieces (graph, engine tuning, placement, worker pool, fault
-/// injector), execute, and split out the network share of the traffic. The
-/// one place hosts — [`Session::execute`], `vcsql-server`'s retry loop —
-/// start a placed run.
-///
-/// The executor borrows no host state mutably (everything shared arrives by
-/// `Arc`), so unwinding out of it cannot leave the host torn: a panic is
-/// caught here and becomes [`RelError::Panicked`], the same unchanged-host
-/// error path an `Err` takes.
-pub fn execute_placed(
-    tag: &TagGraph,
-    engine: EngineConfig,
-    placement: Option<Arc<Partitioning>>,
-    pool: Option<&Arc<WorkerPool>>,
-    faults: Option<&Arc<FaultInjector>>,
-    plan: &QueryPlan,
-) -> Result<(ExecOutput, NetStats)> {
-    let mut exec = TagJoinExecutor::new(tag, engine);
-    if let Some(p) = placement {
-        exec = exec.with_partitioning_shared(p);
-    }
-    if let Some(pool) = pool {
-        exec = exec.with_worker_pool(Arc::clone(pool));
-    }
-    if let Some(inj) = faults {
-        exec = exec.with_fault_injector(Arc::clone(inj));
-    }
-    let out = catch_unwind(AssertUnwindSafe(|| exec.execute_plan(plan))).map_err(|payload| {
-        RelError::Panicked(format!("execution panicked: {}", panic_message(&*payload)))
-    })??;
-    let net = NetStats::from_run(&out.stats);
-    Ok((out, net))
-}
-
-/// Best-effort text of a caught panic payload (`&str` and `String` cover
-/// every `panic!` in this workspace).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string panic payload")
-}
-
-/// Validate the knobs a [`SessionConfig`] and `vcsql-server`'s
-/// `ServerConfig` share (`who` names the host in the machine-count
-/// messages): 1 to `u16::MAX` machines, a non-empty plan cache, a positive
-/// migration budget, a positive finite drift threshold and a positive
-/// finite profile half-life when one is set.
-pub fn validate_knobs(
-    who: &str,
-    machines: usize,
-    plan_cache_capacity: usize,
-    migration_budget: usize,
-    drift_threshold: f64,
-    profile_half_life: Option<f64>,
-) -> Result<()> {
-    let invalid = |msg: String| Err(RelError::Other(msg));
-    if machines == 0 {
-        return invalid(format!("{who} needs at least one machine"));
-    }
-    if machines > u16::MAX as usize {
-        return invalid(format!("{who} machine count exceeds u16"));
-    }
-    if plan_cache_capacity == 0 {
-        return invalid("plan cache needs capacity for at least one plan".into());
-    }
-    if migration_budget == 0 {
-        return invalid("migration budget must allow at least one vertex per step".into());
-    }
-    if !drift_threshold.is_finite() || drift_threshold <= 0.0 {
-        return invalid(format!(
-            "drift threshold must be positive and finite, got {drift_threshold}"
-        ));
-    }
-    match profile_half_life {
-        Some(h) if !h.is_finite() || h <= 0.0 => {
-            invalid(format!("profile half-life must be positive and finite, got {h}"))
-        }
-        _ => Ok(()),
+        self.host.plan_cache()
     }
 }
 
@@ -448,8 +262,6 @@ mod tests {
     fn open_validates_configuration() {
         let (tag, config) = session(1);
         assert!(Session::open(&tag, SessionConfig { machines: 0, ..config.clone() }).is_err());
-        assert!(Session::open(&tag, SessionConfig { plan_cache_capacity: 0, ..config.clone() })
-            .is_err());
         assert!(
             Session::open(&tag, SessionConfig { migration_budget: 0, ..config.clone() }).is_err()
         );
@@ -594,7 +406,7 @@ mod tests {
         let err = s.execute(&prepared).unwrap_err();
         assert!(matches!(err, RelError::Fault { transient: false, .. }), "unexpected error: {err}");
         assert_eq!(s.stats().queries, queries, "failed run must not count as served");
-        assert_eq!(s.accumulated_profile(), &accumulated, "partial traffic leaked into profile");
+        assert_eq!(s.accumulated_profile(), accumulated, "partial traffic leaked into profile");
         assert_eq!(s.stats().net, net_before);
         assert_eq!(s.migration_pending(), pending_before);
         for (i, v) in tag.graph().vertices().enumerate() {
@@ -607,9 +419,10 @@ mod tests {
     }
 
     /// A panic inside execution is caught, surfaced as a per-query error,
-    /// and honors the same unchanged-session contract as error returns.
+    /// and honors the same failure contract as error returns: only the
+    /// ledger's failure counters record it.
     #[test]
-    fn panicking_execution_is_isolated_and_leaves_the_session_unchanged() {
+    fn panicking_execution_is_isolated_and_only_counted_as_a_failure() {
         let (tag, config) = session(2);
         let mut s = Session::open(&tag, config).unwrap();
         let prepared = s.prepare(JOIN_SQL).unwrap();
@@ -620,6 +433,7 @@ mod tests {
         assert!(msg.starts_with("execution panicked: "), "unexpected error: {msg}");
         assert!(msg.contains("injected compute fault"), "payload text lost: {msg}");
         assert_eq!(s.stats().queries, 0);
+        assert_eq!(s.stats().failures, FailureStats { panics: 1, ..Default::default() });
         assert!(s.accumulated_profile().is_empty(), "panicked run polluted the profile");
         assert!(!s.migration_pending());
         // The injector's panic fired once; the session stays usable.
@@ -676,5 +490,6 @@ mod tests {
         );
         assert_eq!(net.rounds, free_net.rounds, "replayed rounds were double-billed");
         assert_eq!(faulty.stats().net.recovery_bytes, net.recovery_bytes);
+        assert_eq!(faulty.stats().failures.recoveries, 1);
     }
 }

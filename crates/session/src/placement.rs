@@ -12,12 +12,14 @@
 //! execution's [`NetStats`], and adopt the vote as the standing profile
 //! when the walk ends.
 //!
-//! Callers differ only in the vote they feed it. A [`crate::Session`] owns
-//! a controller and votes with its accumulated profile; `vcsql-server`
-//! keeps one behind a lock and votes with the merged tenant consensus (or
-//! one tenant's profile — see `Arbitration`). A controller exists only for
-//! `machines > 1`: a single machine has no placement to control.
+//! Every [`crate::Host`] keeps one behind a lock and steps it after each
+//! run; callers differ only in the vote they feed it. A [`crate::Session`]
+//! votes with its own accumulated profile, `vcsql-server` with the merged
+//! tenant consensus (or one tenant's profile — see `Arbitration`). A
+//! controller exists only for `machines > 1`: a single machine has no
+//! placement to control.
 
+use crate::SessionConfig;
 use std::sync::Arc;
 use vcsql_bsp::{
     balance_cap, migrate_step, PartitionStrategy, Partitioning, TrafficProfile, VertexId,
@@ -67,24 +69,20 @@ pub struct PlacementController {
 }
 
 impl PlacementController {
-    /// Place `tag` over `machines` machines with `strategy`; `None` on a
-    /// single machine. A [`PartitionStrategy::Workload`] strategy also
-    /// seeds the standing profile with its calibration profile. The knobs
-    /// must already have passed [`crate::validate_knobs`].
-    pub fn new(
-        tag: &Arc<TagGraph>,
-        machines: usize,
-        strategy: &PartitionStrategy,
-        drift_threshold: f64,
-        migration_budget: usize,
-    ) -> Option<PlacementController> {
+    /// Place `tag` over `config.machines` machines with `config.strategy`;
+    /// `None` on a single machine. A [`PartitionStrategy::Workload`]
+    /// strategy also seeds the standing profile with its calibration
+    /// profile. The knobs must already have passed [`crate::Host::new`]'s
+    /// validation.
+    pub(crate) fn new(tag: &Arc<TagGraph>, config: &SessionConfig) -> Option<PlacementController> {
+        let machines = config.machines;
         (machines > 1).then(|| PlacementController {
             tag: Arc::clone(tag),
-            current: Arc::new(tag.partition(strategy, machines)),
-            profile: calibration_profile(strategy),
+            current: Arc::new(tag.partition(&config.strategy, machines)),
+            profile: calibration_profile(&config.strategy),
             pending: None,
-            drift_threshold,
-            migration_budget,
+            drift_threshold: config.drift_threshold,
+            migration_budget: config.migration_budget,
             cap: balance_cap(tag.graph().vertex_count(), machines, DEFAULT_BALANCE_SLACK),
             adaptations: 0,
             migration_steps: 0,
@@ -186,8 +184,8 @@ mod tests {
 
     fn controller(budget: usize) -> PlacementController {
         let tag = Arc::new(TagGraph::build(&tpch::generate(0.004, 42)));
-        PlacementController::new(&tag, 4, &PartitionStrategy::Refined, 0.25, budget)
-            .expect("four machines have a placement")
+        let config = SessionConfig { machines: 4, migration_budget: budget, ..Default::default() };
+        PlacementController::new(&tag, &config).expect("four machines have a placement")
     }
 
     /// A vote whose whole traffic sits on `label`; votes on different
@@ -201,7 +199,7 @@ mod tests {
     #[test]
     fn single_machine_has_no_controller() {
         let tag = Arc::new(TagGraph::build(&tpch::generate(0.004, 42)));
-        assert!(PlacementController::new(&tag, 1, &PartitionStrategy::Refined, 0.25, 8).is_none());
+        assert!(PlacementController::new(&tag, &SessionConfig::default()).is_none());
     }
 
     #[test]

@@ -34,4 +34,4 @@ pub use vcsql_workload as workload;
 
 pub use vcsql_bsp::{Fault, FaultError, FaultInjector, FaultPlan};
 pub use vcsql_server::{Arbitration, QueryServer, ServerConfig, TenantSession};
-pub use vcsql_session::{Cluster, PlanCache, PreparedQuery, Session, SessionConfig, SessionStats};
+pub use vcsql_session::{Cluster, HostStats, PlanCache, PreparedQuery, Session, SessionConfig};
