@@ -3,17 +3,18 @@
 //! This is the stand-in for the paper's reference RDBMSs: filters are pushed
 //! to base tables, joins run one at a time in a greedy smallest-first order
 //! (hash or sort-merge per [`ExecConfig`]), subqueries are evaluated first
-//! and turned into semi/anti-join key sets or scalar(-map) comparisons, and
-//! grouping/aggregation runs over the final joined result. It is also the
-//! correctness oracle for the vertex-centric executor: both must produce
-//! identical bags.
+//! and their checks ([`vcsql_query::subquery`]) applied at the scan of the
+//! one table they read, or else to the joined rows, and grouping/aggregation
+//! runs over the final joined result. It is also the correctness oracle for
+//! the vertex-centric executor: both must produce identical bags.
 
 use crate::row::{self, ColId, Inter};
-use vcsql_query::analyze::{Analyzed, OutputItem, SubqueryPred};
+use std::sync::Arc;
+use vcsql_query::analyze::{Analyzed, OutputItem};
+use vcsql_query::{lower_subquery, LoweredSubquery, SubqueryCheck, SubqueryResult};
 use vcsql_relation::agg::{Accumulator, AggFunc};
 use vcsql_relation::expr::{BoundExpr, CmpOp, ColRef, Expr};
-use vcsql_relation::schema::{Column, Schema};
-use vcsql_relation::{DataType, Database, RelError, Relation, Tuple, Value};
+use vcsql_relation::{Database, RelError, Relation, Value};
 
 type Result<T> = std::result::Result<T, RelError>;
 
@@ -34,10 +35,13 @@ pub struct ExecConfig {
 
 /// Execute an analyzed query against a database.
 pub fn execute(a: &Analyzed, db: &Database, cfg: ExecConfig) -> Result<Relation> {
-    // ---- subqueries first: reduce to key sets / scalar filters -------------
-    let mut derived: Vec<DerivedPred> = Vec::new();
+    // ---- subqueries first: each inner result, and the one table it reads ----
+    let mut subqueries = Vec::with_capacity(a.subqueries.len());
     for sq in &a.subqueries {
-        derived.push(eval_subquery(sq, a, db, cfg)?);
+        let LoweredSubquery { sub, check } = lower_subquery(sq);
+        let result = Arc::new(check.result(&execute(&sub, db, cfg)?));
+        let table = check.outer_table(a)?;
+        subqueries.push((check, result, table));
     }
 
     // ---- base tables with pushed-down filters -------------------------------
@@ -46,14 +50,12 @@ pub fn execute(a: &Analyzed, db: &Database, cfg: ExecConfig) -> Result<Relation>
         let rel = db.get(&binding.relation)?;
         let mut inter = Inter::from_relation(t, binding.schema.arity(), &rel.tuples);
         for f in &binding.filters {
-            let bound = bind_expr(f, a, &inter.cols)?;
+            let bound = bind_expr_cols(f, a, &inter.cols)?;
             inter = inter.filter(|row| bound.passes(row))?;
         }
-        // Subquery-derived constraints that touch only this table.
-        for d in &derived {
-            if d.single_table == Some(t) {
-                inter = d.apply(a, inter)?;
-            }
+        // Subquery checks that read only this table.
+        for (check, result, _) in subqueries.iter().filter(|(_, _, table)| *table == Some(t)) {
+            inter = apply_subquery(check, result, a, inter)?;
         }
         inters.push(inter);
     }
@@ -112,23 +114,29 @@ pub fn execute(a: &Analyzed, db: &Database, cfg: ExecConfig) -> Result<Relation>
 
     // ---- residual predicates --------------------------------------------------
     for f in &a.residual {
-        let bound = bind_expr(f, a, &result.cols)?;
+        let bound = bind_expr_cols(f, a, &result.cols)?;
         result = result.filter(|row| bound.passes(row))?;
     }
-    for d in &derived {
-        if d.single_table.is_none() {
-            result = d.apply(a, result)?;
-        }
+    for (check, sub, _) in subqueries.iter().filter(|(_, _, table)| table.is_none()) {
+        result = apply_subquery(check, sub, a, result)?;
     }
 
     finishing(a, result)
 }
 
-/// Positions of `cols` inside an intermediate's layout.
-fn inter_cols_positions(layout: &[ColId], cols: &[ColId]) -> Vec<usize> {
-    cols.iter()
-        .map(|c| layout.iter().position(|x| x == c).expect("derived predicate column present"))
-        .collect()
+/// Keep the rows of `inter` that pass a subquery's check.
+fn apply_subquery(
+    check: &SubqueryCheck,
+    result: &Arc<SubqueryResult>,
+    a: &Analyzed,
+    inter: Inter,
+) -> Result<Inter> {
+    let bound = check.bind(
+        Arc::clone(result),
+        |c| inter.col_index(c),
+        |e| bind_expr_cols(e, a, &inter.cols),
+    )?;
+    inter.filter(|row| bound.passes(row))
 }
 
 /// Grouping, aggregation, HAVING and projection.
@@ -151,7 +159,7 @@ pub fn finishing(a: &Analyzed, result: Inter) -> Result<Relation> {
             }
             rows.push(out);
         }
-        return build_output(a, rows);
+        return a.build_output(rows);
     }
 
     // Hash aggregation over group keys (a single global group when GROUP BY
@@ -165,10 +173,10 @@ pub fn finishing(a: &Analyzed, result: Inter) -> Result<Relation> {
         .iter()
         .map(|h| {
             let arg = match &h.arg {
-                Some(e) => Some(bind_expr(e, a, &result.cols)?),
+                Some(e) => Some(bind_expr_cols(e, a, &result.cols)?),
                 None => None,
             };
-            let rhs = bind_expr(&h.rhs, a, &result.cols)?;
+            let rhs = bind_expr_cols(&h.rhs, a, &result.cols)?;
             Ok((h.func, arg, h.op, rhs))
         })
         .collect::<Result<_>>()?;
@@ -237,7 +245,7 @@ pub fn finishing(a: &Analyzed, result: Inter) -> Result<Relation> {
         }
         rows.push(out);
     }
-    build_output(a, rows)
+    a.build_output(rows)
 }
 
 fn init_accs(items: &[ProjItem]) -> Vec<Accumulator> {
@@ -288,10 +296,6 @@ impl ProjItem {
 }
 
 /// Bind an (alias-qualified) expression against an intermediate layout.
-pub fn bind_expr(e: &Expr, a: &Analyzed, layout: &[ColId]) -> Result<BoundExpr> {
-    bind_expr_cols(e, a, layout)
-}
-
 fn bind_expr_cols(e: &Expr, a: &Analyzed, layout: &[ColId]) -> Result<BoundExpr> {
     e.bind(&|c: &ColRef| {
         let tc = a.resolve(c)?;
@@ -300,146 +304,4 @@ fn bind_expr_cols(e: &Expr, a: &Analyzed, layout: &[ColId]) -> Result<BoundExpr>
             .position(|&x| x == tc)
             .ok_or_else(|| RelError::Other(format!("column {c} not in intermediate layout")))
     })
-}
-
-/// Build the output relation, inferring column types from the first
-/// non-NULL value of each column.
-fn build_output(a: &Analyzed, rows: Vec<Vec<Value>>) -> Result<Relation> {
-    let names = a.output_names();
-    let mut types: Vec<DataType> = Vec::with_capacity(names.len());
-    for i in 0..names.len() {
-        let ty = rows.iter().filter_map(|r| r[i].data_type()).next().unwrap_or(DataType::Int);
-        types.push(ty);
-    }
-    let schema = Schema::new(
-        "result",
-        names.iter().zip(&types).map(|(n, t)| Column::new(n.clone(), *t)).collect(),
-    );
-    let mut rel = Relation::empty(schema);
-    for r in rows {
-        rel.push(Tuple::new(r))?;
-    }
-    Ok(rel)
-}
-
-// --------------------------------------------------------------------------
-// Subqueries
-// --------------------------------------------------------------------------
-
-/// Subquery results lowered to checkable predicates.
-pub struct DerivedPred {
-    /// Outer columns the predicate reads (in fixed order).
-    outer_cols: Vec<ColId>,
-    pred: LoweredPred,
-    /// When all outer columns live on one table, the predicate is pushed to
-    /// that table's scan.
-    single_table: Option<usize>,
-}
-
-/// The lowered predicate forms.
-pub enum LoweredPred {
-    /// Key-set membership (EXISTS / IN → semi; negated → anti).
-    InSet { keys: vcsql_relation::FxHashSet<Vec<Value>>, negated: bool },
-    /// `expr op scalar` with a per-correlation-key scalar map (empty
-    /// correlation = one global key).
-    ScalarCmp {
-        op: CmpOp,
-        map: vcsql_relation::FxHashMap<Vec<Value>, Value>,
-        /// Positions: the LAST outer col positions are the correlation key;
-        /// the expression is bound separately during checking.
-        expr: Expr,
-    },
-}
-
-impl LoweredPred {
-    /// Check a row. `pos` maps `outer_cols` order to row positions.
-    fn check(&self, row: &[Value], pos: &[usize]) -> Result<bool> {
-        match self {
-            LoweredPred::InSet { keys, negated } => {
-                let mut key = Vec::with_capacity(pos.len());
-                for &i in pos {
-                    if row[i].is_null() {
-                        // NULL never equals anything: EXISTS fails, NOT
-                        // EXISTS over an equality correlation holds.
-                        return Ok(*negated);
-                    }
-                    key.push(row[i].clone());
-                }
-                Ok(keys.contains(&key) != *negated)
-            }
-            LoweredPred::ScalarCmp { .. } => {
-                unreachable!("ScalarCmp checked via check_scalar with a bound expression")
-            }
-        }
-    }
-}
-
-/// Evaluate a subquery into a [`DerivedPred`] against the outer query.
-fn eval_subquery(
-    sq: &SubqueryPred,
-    _outer: &Analyzed,
-    db: &Database,
-    cfg: ExecConfig,
-) -> Result<DerivedPred> {
-    match vcsql_query::analyze::lower_subquery(sq) {
-        vcsql_query::analyze::LoweredSubquery::KeySet { sub, outer_cols, negated } => {
-            let rel = execute(&sub, db, cfg)?;
-            let keys = rel.tuples.iter().map(|t| t.0.to_vec()).collect();
-            let single = single_table_of(&outer_cols);
-            Ok(DerivedPred {
-                outer_cols,
-                pred: LoweredPred::InSet { keys, negated },
-                single_table: single,
-            })
-        }
-        vcsql_query::analyze::LoweredSubquery::ScalarMap {
-            sub,
-            outer_cols,
-            outer_expr,
-            op,
-            key_arity,
-        } => {
-            let rel = execute(&sub, db, cfg)?;
-            let mut map = vcsql_relation::FxHashMap::default();
-            for t in &rel.tuples {
-                map.insert(t.0[..key_arity].to_vec(), t.0[key_arity].clone());
-            }
-            Ok(DerivedPred {
-                outer_cols,
-                pred: LoweredPred::ScalarCmp { op, map, expr: outer_expr },
-                single_table: None,
-            })
-        }
-    }
-}
-
-fn single_table_of(cols: &[ColId]) -> Option<usize> {
-    let first = cols.first()?.0;
-    cols.iter().all(|c| c.0 == first).then_some(first)
-}
-
-impl DerivedPred {
-    /// Apply this predicate to an intermediate result (used for scalar
-    /// comparisons and multi-table key sets).
-    pub fn apply(&self, a: &Analyzed, inter: Inter) -> Result<Inter> {
-        match &self.pred {
-            LoweredPred::InSet { .. } => {
-                let pos = inter_cols_positions(&inter.cols, &self.outer_cols);
-                inter.filter(|row| self.pred.check(row, &pos))
-            }
-            LoweredPred::ScalarCmp { op, map, expr } => {
-                let bound = bind_expr(expr, a, &inter.cols)?;
-                let pos = inter_cols_positions(&inter.cols, &self.outer_cols);
-                inter.filter(|row| {
-                    let key: Vec<Value> = pos.iter().map(|&i| row[i].clone()).collect();
-                    let rhs = match map.get(&key) {
-                        Some(v) => v,
-                        None => return Ok(false), // no qualifying inner rows
-                    };
-                    let lhs = bound.eval(row)?;
-                    Ok(lhs.sql_cmp(rhs).map(|o| op.holds(o)) == Some(true))
-                })
-            }
-        }
-    }
 }

@@ -14,9 +14,9 @@ use std::sync::Arc;
 use vcsql_bsp::LabelId;
 use vcsql_query::analyze::{Analyzed, OutputItem};
 use vcsql_query::tagplan::{Step, TagPlan};
-use vcsql_query::AggClass;
+use vcsql_query::{AggClass, BoundSubquery, SubqueryResult};
 use vcsql_relation::agg::{Accumulator, AggFunc};
-use vcsql_relation::expr::{BoundExpr, CmpOp, ColRef, Expr};
+use vcsql_relation::expr::{BoundExpr, ColRef, Expr};
 use vcsql_relation::{FxHashMap, FxHashSet, RelError, Value};
 use vcsql_tag::TagGraph;
 
@@ -27,17 +27,7 @@ pub(crate) enum ResCheck {
     Expr(BoundExpr),
     /// Broken-cycle equality between two layout positions.
     Eq(usize, usize),
-    KeySet {
-        pos: Vec<usize>,
-        keys: Arc<FxHashSet<Vec<Value>>>,
-        negated: bool,
-    },
-    ScalarMap {
-        pos: Vec<usize>,
-        map: Arc<FxHashMap<Vec<Value>, Value>>,
-        expr: BoundExpr,
-        op: CmpOp,
-    },
+    Subquery(BoundSubquery),
 }
 
 impl ResCheck {
@@ -45,40 +35,9 @@ impl ResCheck {
         Ok(match self {
             ResCheck::Expr(e) => e.passes(row)?,
             ResCheck::Eq(a, b) => row[*a].sql_eq(&row[*b]) == Some(true),
-            ResCheck::KeySet { pos, keys, negated } => {
-                let mut key = Vec::with_capacity(pos.len());
-                for &p in pos {
-                    if row[p].is_null() {
-                        return Ok(*negated);
-                    }
-                    key.push(row[p].clone());
-                }
-                keys.contains(&key) != *negated
-            }
-            ResCheck::ScalarMap { pos, map, expr, op } => {
-                let key: Vec<Value> = pos.iter().map(|&p| row[p].clone()).collect();
-                match map.get(&key) {
-                    Some(rhs) => expr.eval(row)?.sql_cmp(rhs).map(|o| op.holds(o)) == Some(true),
-                    None => false,
-                }
-            }
+            ResCheck::Subquery(s) => s.passes(row)?,
         })
     }
-}
-
-/// Subquery results lowered for this executor.
-pub(crate) enum LoweredCheck {
-    KeySet {
-        outer_cols: Vec<(usize, usize)>,
-        keys: Arc<FxHashSet<Vec<Value>>>,
-        negated: bool,
-    },
-    ScalarMap {
-        outer_cols: Vec<(usize, usize)>,
-        map: Arc<FxHashMap<Vec<Value>, Value>>,
-        expr: Expr,
-        op: CmpOp,
-    },
 }
 
 /// A bound output item.
@@ -195,10 +154,12 @@ pub(crate) struct QueryCtx<'a> {
 }
 
 impl<'a> QueryCtx<'a> {
+    /// Bind `plan` to `tag`; `results` holds the result of each of the
+    /// plan's subqueries, in order.
     pub(crate) fn build(
         tag: &TagGraph,
         plan: &'a QueryPlan,
-        lowered: &[LoweredCheck],
+        results: &[Arc<SubqueryResult>],
     ) -> Result<QueryCtx<'a>> {
         let a = plan.analyzed();
         let dec = &plan.dec;
@@ -248,20 +209,13 @@ impl<'a> QueryCtx<'a> {
             note_col(&mut needed, j.left.0, j.left.1);
             note_col(&mut needed, j.right.0, j.right.1);
         }
-        for l in lowered {
-            match l {
-                LoweredCheck::KeySet { outer_cols, .. } => {
-                    for &(t, c) in outer_cols {
-                        note_col(&mut needed, t, c);
-                    }
-                }
-                LoweredCheck::ScalarMap { outer_cols, expr, .. } => {
-                    for &(t, c) in outer_cols {
-                        note_col(&mut needed, t, c);
-                    }
-                    note_expr(&mut needed, expr)?;
-                }
+        // Each subquery check is pushed to the one table it reads, if any.
+        let mut subqueries = Vec::with_capacity(results.len());
+        for ((_, check), result) in plan.subqueries.iter().zip(results) {
+            for (t, c) in check.columns(a)? {
+                note_col(&mut needed, t, c);
             }
+            subqueries.push((check, Arc::clone(result), check.outer_table(a)?));
         }
 
         // ---- row specs ----------------------------------------------------------
@@ -297,28 +251,6 @@ impl<'a> QueryCtx<'a> {
             })
             .collect();
 
-        // Which single table (if any) each lowered subquery check can be
-        // pushed to: all its outer columns and, for scalar comparisons, all
-        // columns of the compared expression must live on one table.
-        let mut fold_table: Vec<Option<usize>> = Vec::with_capacity(lowered.len());
-        for l in lowered {
-            let fold = match l {
-                LoweredCheck::KeySet { outer_cols, .. } => {
-                    single_table(outer_cols.iter().map(|&(t, _)| t))
-                }
-                LoweredCheck::ScalarMap { outer_cols, expr, .. } => {
-                    let mut cols = Vec::new();
-                    expr.columns(&mut cols);
-                    let mut tables: Vec<usize> = outer_cols.iter().map(|&(t, _)| t).collect();
-                    for c in &cols {
-                        tables.push(a.resolve(c)?.0);
-                    }
-                    single_table(tables.into_iter())
-                }
-            };
-            fold_table.push(fold);
-        }
-
         // ---- filters ------------------------------------------------------------
         let mut filters = Vec::with_capacity(n);
         for (t, binding) in a.tables.iter().enumerate() {
@@ -335,29 +267,14 @@ impl<'a> QueryCtx<'a> {
             };
             let exprs: Vec<BoundExpr> =
                 binding.filters.iter().map(bind_schema).collect::<Result<_>>()?;
-            let mut checks = Vec::new();
-            for (l, fold) in lowered.iter().zip(&fold_table) {
-                if *fold != Some(t) {
-                    continue;
-                }
-                match l {
-                    LoweredCheck::KeySet { outer_cols, keys, negated } => {
-                        checks.push(ResCheck::KeySet {
-                            pos: outer_cols.iter().map(|&(_, c)| c).collect(),
-                            keys: Arc::clone(keys),
-                            negated: *negated,
-                        });
-                    }
-                    LoweredCheck::ScalarMap { outer_cols, map, expr, op } => {
-                        checks.push(ResCheck::ScalarMap {
-                            pos: outer_cols.iter().map(|&(_, c)| c).collect(),
-                            map: Arc::clone(map),
-                            expr: bind_schema(expr)?,
-                            op: *op,
-                        });
-                    }
-                }
-            }
+            let checks = subqueries
+                .iter()
+                .filter(|(_, _, table)| *table == Some(t))
+                .map(|(check, result, _)| {
+                    let bound = check.bind(Arc::clone(result), |(_, c)| Ok(c), bind_schema)?;
+                    Ok(ResCheck::Subquery(bound))
+                })
+                .collect::<Result<_>>()?;
             filters.push(TupleFilter { exprs, checks });
         }
 
@@ -448,33 +365,9 @@ impl<'a> QueryCtx<'a> {
             residuals
                 .push(ResCheck::Eq(pos_of(j.left.0, j.left.1)?, pos_of(j.right.0, j.right.1)?));
         }
-        for (l, fold) in lowered.iter().zip(&fold_table) {
-            if fold.is_some() {
-                continue; // already pushed to a single table's scan
-            }
-            match l {
-                LoweredCheck::KeySet { outer_cols, keys, negated } => {
-                    residuals.push(ResCheck::KeySet {
-                        pos: outer_cols
-                            .iter()
-                            .map(|&(t, c)| pos_of(t, c))
-                            .collect::<Result<_>>()?,
-                        keys: Arc::clone(keys),
-                        negated: *negated,
-                    });
-                }
-                LoweredCheck::ScalarMap { outer_cols, map, expr, op } => {
-                    residuals.push(ResCheck::ScalarMap {
-                        pos: outer_cols
-                            .iter()
-                            .map(|&(t, c)| pos_of(t, c))
-                            .collect::<Result<_>>()?,
-                        map: Arc::clone(map),
-                        expr: bind_final(expr)?,
-                        op: *op,
-                    });
-                }
-            }
+        for (check, result, _) in subqueries.into_iter().filter(|(_, _, table)| table.is_none()) {
+            let bound = check.bind(result, |(t, c)| pos_of(t, c), bind_final)?;
+            residuals.push(ResCheck::Subquery(bound));
         }
 
         // ---- output items / group keys / having --------------------------------------------
@@ -604,12 +497,6 @@ impl<'a> QueryCtx<'a> {
         }
         Ok(())
     }
-}
-
-/// The unique table in `tables`, if all entries agree (and there is one).
-fn single_table(mut tables: impl Iterator<Item = usize>) -> Option<usize> {
-    let first = tables.next()?;
-    tables.all(|t| t == first).then_some(first)
 }
 
 /// Table `t`'s first visit to rows over `layout`, which becomes the layout

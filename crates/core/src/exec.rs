@@ -38,7 +38,7 @@
 //! treatment); the worst-case-optimal cycle program of Sections 6.1–6.2 is an
 //! ablation, run by `repro triangle-theta`.
 
-use crate::bind::{all_hold, LoweredCheck, ProjItem, QueryCtx, Visit};
+use crate::bind::{all_hold, ProjItem, QueryCtx, Visit};
 use crate::plan::QueryPlan;
 use crate::table::{str_payload, Partial, Table, TagMsg};
 use std::ops::ControlFlow;
@@ -48,10 +48,9 @@ use vcsql_bsp::{
     Computation, EngineConfig, FaultError, FaultInjector, LabelId, LabelTraffic, Partitioning,
     RunStats, VertexCtx, VertexId, WorkerPool,
 };
-use vcsql_query::analyze::{lower_subquery, Analyzed, LoweredSubquery};
+use vcsql_query::analyze::Analyzed;
 use vcsql_query::AggClass;
-use vcsql_relation::schema::{Column, Schema};
-use vcsql_relation::{DataType, FxHashMap, FxHashSet, RelError, Relation, Tuple, Value};
+use vcsql_relation::{FxHashMap, RelError, Relation, Value};
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -142,17 +141,18 @@ impl<'t> TagJoinExecutor<'t> {
     /// it never mutates it, so one plan can serve any number of executions
     /// (and any number of executors over the same schemas).
     pub fn execute_plan(&self, plan: &QueryPlan) -> Result<ExecOutput> {
-        let a = plan.analyzed();
         let mut stats = RunStats::default();
 
-        // ---- subqueries (recursive vertex-centric runs) --------------------
-        let mut lowered: Vec<LoweredCheck> = Vec::new();
-        for sq in &a.subqueries {
-            lowered.push(self.eval_subquery(sq, &mut stats)?);
+        // ---- subqueries: each inner plan runs first (reverse lookup) --------
+        let mut results = Vec::with_capacity(plan.subqueries.len());
+        for (sub, check) in &plan.subqueries {
+            let out = self.execute_plan(sub)?;
+            stats.absorb(&out.stats);
+            results.push(Arc::new(check.result(&out.relation)));
         }
 
         // ---- bind the plan to this TAG --------------------------------------
-        let q = QueryCtx::build(self.tag, plan, &lowered)?;
+        let q = QueryCtx::build(self.tag, plan, &results)?;
 
         // ---- engine ----------------------------------------------------------
         let mut comp: Computation<'_, St, TagMsg> =
@@ -503,7 +503,7 @@ impl<'t> TagJoinExecutor<'t> {
             AggClass::NoAgg => {
                 let mut rows: Vec<Box<[Value]>> = fin.rows;
                 rows.sort();
-                build_output(a, rows.into_iter().map(Vec::from).collect())
+                a.build_output(rows.into_iter().map(Vec::from).collect())
             }
             AggClass::Local => {
                 // One more superstep: group-key attribute vertices merge the
@@ -562,34 +562,7 @@ impl<'t> TagJoinExecutor<'t> {
             }
             rows.push(out);
         }
-        build_output(a, rows)
-    }
-
-    // ------------------------------------------------------------ subqueries
-
-    fn eval_subquery(
-        &self,
-        sq: &vcsql_query::analyze::SubqueryPred,
-        stats: &mut RunStats,
-    ) -> Result<LoweredCheck> {
-        match lower_subquery(sq) {
-            LoweredSubquery::KeySet { sub, outer_cols, negated } => {
-                let out = self.execute(&sub)?;
-                stats.absorb(&out.stats);
-                let keys: FxHashSet<Vec<Value>> =
-                    out.relation.tuples.iter().map(|t| t.0.to_vec()).collect();
-                Ok(LoweredCheck::KeySet { outer_cols, keys: Arc::new(keys), negated })
-            }
-            LoweredSubquery::ScalarMap { sub, outer_cols, outer_expr, op, key_arity } => {
-                let out = self.execute(&sub)?;
-                stats.absorb(&out.stats);
-                let mut map = FxHashMap::default();
-                for t in &out.relation.tuples {
-                    map.insert(t.0[..key_arity].to_vec(), t.0[key_arity].clone());
-                }
-                Ok(LoweredCheck::ScalarMap { outer_cols, map: Arc::new(map), expr: outer_expr, op })
-            }
-        }
+        a.build_output(rows)
     }
 }
 
@@ -861,30 +834,12 @@ fn merge_group(
     Ok(())
 }
 
-/// Build the output relation, inferring column types from the first non-NULL
-/// value per column.
-fn build_output(a: &Analyzed, rows: Vec<Vec<Value>>) -> Result<Relation> {
-    let names = a.output_names();
-    let mut types = Vec::with_capacity(names.len());
-    for i in 0..names.len() {
-        types.push(rows.iter().filter_map(|r| r[i].data_type()).next().unwrap_or(DataType::Int));
-    }
-    let schema = Schema::new(
-        "result",
-        names.iter().zip(&types).map(|(n, t)| Column::new(n.clone(), *t)).collect(),
-    );
-    let mut rel = Relation::empty(schema);
-    for r in rows {
-        rel.push(Tuple::new(r))?;
-    }
-    Ok(rel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vcsql_bsp::GraphBuilder;
-    use vcsql_relation::Database;
+    use vcsql_relation::schema::{Column, Schema};
+    use vcsql_relation::{DataType, Database, FxHashSet, Tuple};
 
     /// `R(a) ⋈ S(a, b) ⋈ T(b)`: `R(5)`, `S(4, 40)` and `T(70)` dangle at
     /// one end or the other, `S(2, 60)` finds no `T`, and `S(3, 30)` would

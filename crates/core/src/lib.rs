@@ -9,10 +9,11 @@
 //!   program of Algorithm 2 (bottom-up reduction, top-down reduction,
 //!   collection), plus the Section 7 operators: pushed-down selections and
 //!   projections, local/global/scalar aggregation, HAVING, and (correlated)
-//!   subqueries via semi/anti-join key sets and scalar maps. Cartesian
-//!   products across join-graph components run Section 6.3's Algorithm B.
-//! * [`plan::QueryPlan`] — a prepared statement: the analyzed query and its
-//!   TAG plans, reusable across executions.
+//!   subqueries by reverse lookup: the inner plans run first, and
+//!   `vcsql_query::subquery` judges the outer rows. Cartesian products
+//!   across join-graph components run Section 6.3's Algorithm B.
+//! * [`plan::QueryPlan`] — a prepared statement: the analyzed query, its
+//!   TAG plans and its subqueries' plans, reusable across executions.
 //! * [`table::Table`] — the collection phase's intermediate tables, rows of
 //!   tuple-vertex ids, and [`table::TagMsg`], the program's messages.
 //!

@@ -7,14 +7,15 @@
 //! that is independent of the data: the analyzed query, its GYO join-tree
 //! decomposition (one [`JoinTree`] per connected component, rerooted for
 //! local aggregation), the per-component [`TagPlan`]s and their traversal
-//! step lists. [`TagJoinExecutor::execute_plan`](crate::TagJoinExecutor::execute_plan)
+//! step lists, and each subquery lowered and planned in turn.
+//! [`TagJoinExecutor::execute_plan`](crate::TagJoinExecutor::execute_plan)
 //! runs a prepared plan as many times as needed; the `vcsql-session` crate
 //! caches plans behind a bounded SQL-keyed cache.
 
 use vcsql_query::analyze::{analyze, Analyzed};
 use vcsql_query::gyo::{decompose, Decomposition, JoinTree};
 use vcsql_query::tagplan::{Step, TagPlan};
-use vcsql_query::{parse, AggClass};
+use vcsql_query::{lower_subquery, parse, AggClass, LoweredSubquery, SubqueryCheck};
 use vcsql_relation::schema::Schema;
 use vcsql_relation::RelError;
 
@@ -34,13 +35,17 @@ pub struct QueryPlan {
     pub(crate) steps: Vec<Vec<Step>>,
     /// Component whose roots assemble the final result.
     pub(crate) primary: usize,
+    /// Each subquery of `analyzed`, lowered: the inner query's plan, run
+    /// before this one, and the check outer rows make against its result.
+    pub(crate) subqueries: Vec<(QueryPlan, SubqueryCheck)>,
 }
 
 impl QueryPlan {
     /// Plan an analyzed query: GYO decomposition, component rerooting for
-    /// local aggregation, TAG plans and traversal steps. Fails on query
-    /// shapes the vertex-centric executor cannot run (no tables, or a
-    /// self-join within one block, whose edge labels would be ambiguous).
+    /// local aggregation, TAG plans and traversal steps, then each lowered
+    /// subquery's plan. Fails on query shapes the vertex-centric executor
+    /// cannot run (no tables, or a self-join within one block, whose edge
+    /// labels would be ambiguous), in this block or a subquery's.
     pub fn new(analyzed: Analyzed) -> Result<QueryPlan> {
         let n = analyzed.tables.len();
         if n == 0 {
@@ -86,8 +91,16 @@ impl QueryPlan {
         let plans: Vec<TagPlan> =
             components.iter().map(|c| TagPlan::from_join_tree(c, &dec)).collect();
         let steps: Vec<Vec<Step>> = plans.iter().map(TagPlan::gen_steps).collect();
+        let subqueries = analyzed
+            .subqueries
+            .iter()
+            .map(|sq| {
+                let LoweredSubquery { sub, check } = lower_subquery(sq);
+                Ok((QueryPlan::new(sub)?, check))
+            })
+            .collect::<Result<_>>()?;
 
-        Ok(QueryPlan { analyzed, dec, components, plans, steps, primary })
+        Ok(QueryPlan { analyzed, dec, components, plans, steps, primary, subqueries })
     }
 
     /// Parse, analyze and plan a SQL string against `schemas` — the whole

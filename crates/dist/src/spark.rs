@@ -16,7 +16,8 @@
 //! *placement* of tuples is modelled statistically.
 
 use crate::netstats::{unsafe_row_bytes, NetStats};
-use vcsql_query::analyze::{lower_subquery, Analyzed, LoweredSubquery, TableBinding};
+use vcsql_query::analyze::{Analyzed, TableBinding};
+use vcsql_query::lower_subquery;
 use vcsql_relation::expr::{BoundExpr, ColRef, Expr};
 use vcsql_relation::{Database, FxHashMap, FxHashSet, RelError, Value};
 
@@ -91,11 +92,7 @@ impl SparkModel {
         // aggregate grouped by the correlation key, exactly the shape both
         // real engines execute.
         for sq in &a.subqueries {
-            let sub = match lower_subquery(sq) {
-                LoweredSubquery::KeySet { sub, .. } => sub,
-                LoweredSubquery::ScalarMap { sub, .. } => sub,
-            };
-            net.absorb(&self.run(&sub, db)?);
+            net.absorb(&self.run(&lower_subquery(sq).sub, db)?);
         }
 
         if a.tables.is_empty() {

@@ -19,7 +19,8 @@
 use crate::ast::{HavingPred, JoinKind, QExpr, SelectItem, SelectStmt};
 use vcsql_relation::agg::AggFunc;
 use vcsql_relation::expr::{CmpOp, ColRef, Expr};
-use vcsql_relation::{RelError, Schema};
+use vcsql_relation::schema::Column;
+use vcsql_relation::{DataType, RelError, Relation, Schema, Tuple, Value};
 
 type Result<T> = std::result::Result<T, RelError>;
 
@@ -82,8 +83,9 @@ impl OutputItem {
 pub enum SubqueryKind {
     /// `[NOT] EXISTS (...)` — semi/anti join on the correlation columns.
     Exists { negated: bool },
-    /// `outer_col [NOT] IN (SELECT inner_col ...)`.
-    In { outer: (usize, usize), inner_item: usize, negated: bool },
+    /// `outer_expr [NOT] IN (SELECT inner_col ...)`; `outer_expr` is a plain
+    /// column.
+    In { outer_expr: Expr, negated: bool },
     /// `outer_expr op (SELECT AGG(...) ...)` — scalar, possibly correlated.
     Scalar { outer_expr: Expr, op: CmpOp },
 }
@@ -132,14 +134,23 @@ impl Analyzed {
         )
     }
 
-    /// Output column names in order.
-    pub fn output_names(&self) -> Vec<String> {
-        self.items.iter().map(|i| i.name().to_string()).collect()
-    }
-
     /// True if any aggregate appears in the output.
     pub fn has_aggregates(&self) -> bool {
         self.items.iter().any(|i| matches!(i, OutputItem::Agg { .. }))
+    }
+
+    /// The output relation of `rows`, each column typed by its first
+    /// non-NULL value (`Int` when every value is NULL).
+    pub fn build_output(&self, rows: Vec<Vec<Value>>) -> Result<Relation> {
+        let columns = self.items.iter().enumerate().map(|(i, item)| {
+            let ty = rows.iter().find_map(|r| r[i].data_type()).unwrap_or(DataType::Int);
+            Column::new(item.name(), ty)
+        });
+        let mut rel = Relation::empty(Schema::new("result", columns.collect()));
+        for r in rows {
+            rel.push(Tuple::new(r))?;
+        }
+        Ok(rel)
     }
 }
 
@@ -362,20 +373,20 @@ fn analyze_scoped(
                 });
             }
             QExpr::InSubquery { expr, query, negated } => {
-                let col = match &expr {
-                    Expr::Col(c) => resolve_in(&tables, c)?,
-                    _ => {
-                        return Err(RelError::Other(
-                            "IN (subquery) requires a plain column on the left".into(),
-                        ))
-                    }
-                };
+                if !matches!(expr, Expr::Col(_)) {
+                    return Err(RelError::Other(
+                        "IN (subquery) requires a plain column on the left".into(),
+                    ));
+                }
+                let mut used = Vec::new();
+                let mut outer_cols = Vec::new();
+                let outer_expr = qualify(&expr, &tables, None, &mut used, &mut outer_cols)?;
                 let (sub, corr) = analyze_scoped(&query, catalog, Some(&tables))?;
                 if sub.items.len() != 1 {
                     return Err(RelError::Other("IN subquery must select one column".into()));
                 }
                 subqueries.push(SubqueryPred {
-                    kind: SubqueryKind::In { outer: col, inner_item: 0, negated },
+                    kind: SubqueryKind::In { outer_expr, negated },
                     sub: Box::new(sub),
                     correlations: corr,
                 });
@@ -388,6 +399,11 @@ fn analyze_scoped(
                 if sub.items.len() != 1 || !matches!(sub.items[0], OutputItem::Agg { .. }) {
                     return Err(RelError::Other(
                         "scalar subquery must select exactly one aggregate".into(),
+                    ));
+                }
+                if !sub.having.is_empty() {
+                    return Err(RelError::Other(
+                        "HAVING in a scalar subquery is not supported".into(),
                     ));
                 }
                 subqueries.push(SubqueryPred {
@@ -490,95 +506,6 @@ fn analyze_scoped(
     Ok((analyzed, correlations))
 }
 
-/// A subquery lowered to an executable shape shared by both executors
-/// (relational baseline and vertex-centric): run `sub`, then interpret its
-/// output rows per the variant.
-#[derive(Debug, Clone)]
-pub enum LoweredSubquery {
-    /// Run `sub`; its output rows form a key set; the outer row qualifies iff
-    /// its `outer_cols` key is (not) in the set.
-    KeySet { sub: Analyzed, outer_cols: Vec<(usize, usize)>, negated: bool },
-    /// Run `sub` (grouped by the correlation columns); its rows are
-    /// `(key..., scalar)`; the outer row qualifies iff
-    /// `outer_expr op map[outer_cols]`.
-    ScalarMap {
-        sub: Analyzed,
-        outer_cols: Vec<(usize, usize)>,
-        outer_expr: Expr,
-        op: CmpOp,
-        key_arity: usize,
-    },
-}
-
-/// Lower a subquery predicate into the executable shape: EXISTS projects the
-/// correlation columns, IN prepends the matched column, scalar subqueries
-/// group by the correlation key (the paper's reverse-lookup strategy, where
-/// the subquery is evaluated first and the outer query probes its result).
-pub fn lower_subquery(sq: &SubqueryPred) -> LoweredSubquery {
-    match &sq.kind {
-        SubqueryKind::Exists { negated } => {
-            let mut sub = (*sq.sub).clone();
-            sub.items = sq
-                .correlations
-                .iter()
-                .map(|c| OutputItem::Col {
-                    table: c.inner.0,
-                    col: c.inner.1,
-                    name: format!("k{}_{}", c.inner.0, c.inner.1),
-                })
-                .collect();
-            sub.group_by.clear();
-            sub.having.clear();
-            sub.agg_class = classify(&sub);
-            LoweredSubquery::KeySet {
-                sub,
-                outer_cols: sq.correlations.iter().map(|c| c.outer).collect(),
-                negated: *negated,
-            }
-        }
-        SubqueryKind::In { outer, inner_item, negated } => {
-            let mut sub = (*sq.sub).clone();
-            let mut items = vec![sub.items[*inner_item].clone()];
-            for c in &sq.correlations {
-                items.push(OutputItem::Col {
-                    table: c.inner.0,
-                    col: c.inner.1,
-                    name: format!("k{}_{}", c.inner.0, c.inner.1),
-                });
-            }
-            sub.items = items;
-            sub.agg_class = classify(&sub);
-            let mut outer_cols = vec![*outer];
-            outer_cols.extend(sq.correlations.iter().map(|c| c.outer));
-            LoweredSubquery::KeySet { sub, outer_cols, negated: *negated }
-        }
-        SubqueryKind::Scalar { outer_expr, op } => {
-            let mut sub = (*sq.sub).clone();
-            let agg_item = sub.items[0].clone();
-            let mut items: Vec<OutputItem> = sq
-                .correlations
-                .iter()
-                .map(|c| OutputItem::Col {
-                    table: c.inner.0,
-                    col: c.inner.1,
-                    name: format!("k{}_{}", c.inner.0, c.inner.1),
-                })
-                .collect();
-            items.push(agg_item);
-            sub.items = items;
-            sub.group_by = sq.correlations.iter().map(|c| c.inner).collect();
-            sub.agg_class = classify(&sub);
-            LoweredSubquery::ScalarMap {
-                sub,
-                outer_cols: sq.correlations.iter().map(|c| c.outer).collect(),
-                outer_expr: outer_expr.clone(),
-                op: *op,
-                key_arity: sq.correlations.len(),
-            }
-        }
-    }
-}
-
 /// Decide whether `a = b` is a correlation between `inner` and `outer`
 /// scopes (one side resolves only in each).
 fn correlation_of(
@@ -601,7 +528,7 @@ fn correlation_of(
 /// single attribute keys the groups (or one group key functionally
 /// determines the rest, approximated via primary keys); global when several
 /// independent attributes key the groups; scalar when there is no GROUP BY.
-fn classify(a: &Analyzed) -> AggClass {
+pub(crate) fn classify(a: &Analyzed) -> AggClass {
     let has_agg = a.has_aggregates() || !a.having.is_empty();
     if a.group_by.is_empty() {
         return if has_agg { AggClass::Scalar } else { AggClass::NoAgg };

@@ -11,11 +11,14 @@
 //!    residual filters and subquery predicates; classification of the
 //!    aggregation style (none / local / global / scalar — the classes of
 //!    paper Section 7 and Fig 15).
-//! 3. [`gyo`] — join hypergraph + GYO ear-removal: acyclicity test and join
+//! 3. [`subquery`] — subqueries by reverse lookup: [`lower_subquery`]
+//!    reshapes the inner query, and [`SubqueryResult::holds`] is the one
+//!    SQL three-valued rule both executors judge outer rows by.
+//! 4. [`gyo`] — join hypergraph + GYO ear-removal: acyclicity test and join
 //!    tree construction; cyclic queries get a cycle-breaking fallback (the
 //!    broken predicate is enforced as a residual filter) plus metadata for
 //!    the dedicated cycle executor.
-//! 4. [`tagplan`] — the paper's TAG plan (Section 5.1) built from the join
+//! 5. [`tagplan`] — the paper's TAG plan (Section 5.1) built from the join
 //!    tree, and `GenSteps` (Algorithm 1): the connected bottom-up traversal
 //!    producing the edge-label list that drives the vertex program.
 
@@ -24,6 +27,7 @@ pub mod ast;
 pub mod gyo;
 pub mod lexer;
 pub mod parser;
+pub mod subquery;
 pub mod tagplan;
 
 pub use analyze::{
@@ -33,4 +37,5 @@ pub use analyze::{
 pub use ast::{HavingPred, JoinKind, QExpr, SelectItem, SelectStmt, TableRef};
 pub use gyo::{decompose, Decomposition, JoinTree, JoinVar};
 pub use parser::parse;
+pub use subquery::{lower_subquery, BoundSubquery, LoweredSubquery, SubqueryCheck, SubqueryResult};
 pub use tagplan::{PlanNode, Step, TagPlan};

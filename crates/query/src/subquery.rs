@@ -1,0 +1,206 @@
+//! Subqueries by reverse lookup (paper Section 7): the inner query runs
+//! first, and every outer row probes its result.
+//!
+//! [`lower_subquery`] reshapes the inner query so each output row is its
+//! correlation key followed by a payload, and pairs it with a
+//! [`SubqueryCheck`], which folds those rows into a [`SubqueryResult`].
+//! [`SubqueryResult::holds`] is the one rule both executors apply, in SQL
+//! three-valued logic; only a TRUE predicate keeps the row. With `S` the
+//! inner rows whose key equals the outer row's (none when the outer key holds
+//! a NULL, which equals nothing, not even an inner NULL key):
+//!
+//! | predicate | TRUE iff |
+//! |---|---|
+//! | `EXISTS` / `NOT EXISTS` | `S` is non-empty / empty |
+//! | `x IN S` | `x` is non-NULL and `x ∈ S` |
+//! | `x NOT IN S` | `S` is empty, or `x` is non-NULL, `S` holds no NULL and `x ∉ S` |
+//! | `x op (SELECT agg ...)` | `x op agg(S)` is TRUE, where `agg(∅)` is 0 for COUNT and NULL otherwise |
+//!
+//! Analysis rejects HAVING in a scalar subquery: a key missing from the
+//! inner output could then mean either no inner row or a group HAVING
+//! dropped, and the two call for different values.
+//!
+//! Where an outer row is checked — at its table's scan, when the check reads
+//! one table, or on joined rows — is each executor's choice.
+
+use crate::analyze::{classify, Analyzed, OutputItem, SubqueryKind, SubqueryPred};
+use std::sync::Arc;
+use vcsql_relation::agg::Accumulator;
+use vcsql_relation::expr::{BoundExpr, CmpOp, Expr};
+use vcsql_relation::{FxHashMap, FxHashSet, RelError, Relation, Value};
+
+type Result<T> = std::result::Result<T, RelError>;
+
+/// A subquery predicate lowered to the reverse-lookup shape: run `sub`, then
+/// judge every outer row with `check`.
+#[derive(Debug, Clone)]
+pub struct LoweredSubquery {
+    /// The inner query, reshaped so each output row is the correlation key
+    /// followed by the payload: nothing for EXISTS, the selected column for
+    /// IN, the aggregate grouped by the key for a scalar comparison.
+    pub sub: Analyzed,
+    /// How an outer row reads `sub`'s output.
+    pub check: SubqueryCheck,
+}
+
+/// The outer half of a lowered subquery.
+#[derive(Debug, Clone)]
+pub struct SubqueryCheck {
+    /// Outer columns of the correlation key, in the order of `sub`'s key.
+    key: Vec<(usize, usize)>,
+    /// The outer value compared with the payload: IN's left side or the
+    /// scalar comparison's; `None` for EXISTS.
+    lhs: Option<Expr>,
+    test: Test,
+}
+
+/// Which predicate a check decides.
+#[derive(Debug, Clone)]
+enum Test {
+    Exists {
+        negated: bool,
+    },
+    In {
+        negated: bool,
+    },
+    /// `empty` is the aggregate of no inner rows.
+    Cmp {
+        op: CmpOp,
+        empty: Value,
+    },
+}
+
+/// Lower a subquery predicate: the inner query selects the correlation
+/// columns, then the IN column or the aggregate; a scalar subquery groups by
+/// the correlation columns.
+pub fn lower_subquery(sq: &SubqueryPred) -> LoweredSubquery {
+    let mut sub = (*sq.sub).clone();
+    let mut items: Vec<OutputItem> = sq
+        .correlations
+        .iter()
+        .map(|c| OutputItem::Col {
+            table: c.inner.0,
+            col: c.inner.1,
+            name: format!("k{}_{}", c.inner.0, c.inner.1),
+        })
+        .collect();
+    let (lhs, test) = match &sq.kind {
+        SubqueryKind::Exists { negated } => {
+            sub.group_by.clear();
+            sub.having.clear();
+            (None, Test::Exists { negated: *negated })
+        }
+        SubqueryKind::In { outer_expr, negated } => {
+            items.push(sub.items[0].clone());
+            (Some(outer_expr.clone()), Test::In { negated: *negated })
+        }
+        SubqueryKind::Scalar { outer_expr, op } => {
+            let OutputItem::Agg { func, .. } = sub.items[0] else {
+                unreachable!("analysis admits scalar subqueries of one aggregate")
+            };
+            items.push(sub.items[0].clone());
+            sub.group_by = sq.correlations.iter().map(|c| c.inner).collect();
+            let empty = Accumulator::new(func).finish();
+            (Some(outer_expr.clone()), Test::Cmp { op: *op, empty })
+        }
+    };
+    sub.items = items;
+    sub.agg_class = classify(&sub);
+    let key = sq.correlations.iter().map(|c| c.outer).collect();
+    LoweredSubquery { sub, check: SubqueryCheck { key, lhs, test } }
+}
+
+impl SubqueryCheck {
+    /// Fold the inner query's output rows into the result outer rows probe.
+    pub fn result(&self, inner: &Relation) -> SubqueryResult {
+        let mut groups: FxHashMap<Box<[Value]>, FxHashSet<Value>> = FxHashMap::default();
+        for t in &inner.tuples {
+            let (key, payload) = t.0.split_at(self.key.len());
+            if !key.iter().any(Value::is_null) {
+                groups.entry(key.into()).or_default().extend(payload.first().cloned());
+            }
+        }
+        SubqueryResult { test: self.test.clone(), groups }
+    }
+
+    /// The outer columns the check reads: the key's, then the left side's.
+    pub fn columns(&self, outer: &Analyzed) -> Result<Vec<(usize, usize)>> {
+        let mut refs = Vec::new();
+        if let Some(e) = &self.lhs {
+            e.columns(&mut refs);
+        }
+        let lhs = refs.iter().map(|c| outer.resolve(c));
+        self.key.iter().copied().map(Ok).chain(lhs).collect()
+    }
+
+    /// The one outer table every column the check reads lives on, if any:
+    /// where an executor may check the table's tuples before joining them.
+    pub fn outer_table(&self, outer: &Analyzed) -> Result<Option<usize>> {
+        let cols = self.columns(outer)?;
+        let first = cols.first().map(|&(t, _)| t);
+        Ok(first.filter(|&t| cols.iter().all(|&(u, _)| u == t)))
+    }
+
+    /// Bind the check to a row layout: `pos` places an outer column, `bind`
+    /// binds the left side.
+    pub fn bind(
+        &self,
+        result: Arc<SubqueryResult>,
+        pos: impl Fn((usize, usize)) -> Result<usize>,
+        bind: impl Fn(&Expr) -> Result<BoundExpr>,
+    ) -> Result<BoundSubquery> {
+        Ok(BoundSubquery {
+            key: self.key.iter().map(|&c| pos(c)).collect::<Result<_>>()?,
+            lhs: self.lhs.as_ref().map(bind).transpose()?,
+            result,
+        })
+    }
+}
+
+/// The inner query's output as outer rows see it: for every correlation key
+/// without a NULL that some inner row holds, the set of those rows'
+/// payloads (empty for EXISTS, the one aggregate for a scalar comparison).
+#[derive(Debug)]
+pub struct SubqueryResult {
+    test: Test,
+    groups: FxHashMap<Box<[Value]>, FxHashSet<Value>>,
+}
+
+impl SubqueryResult {
+    /// Whether the predicate is TRUE for an outer row with correlation key
+    /// `key` and left side `lhs` (see the module table).
+    pub fn holds(&self, key: &[Value], lhs: Option<&Value>) -> bool {
+        let s = if key.iter().any(Value::is_null) { None } else { self.groups.get(key) };
+        let x = lhs.unwrap_or(&Value::Null);
+        match &self.test {
+            &Test::Exists { negated } => s.is_some() != negated,
+            &Test::In { negated } => match s {
+                None => negated,
+                Some(_) if x.is_null() => false,
+                Some(s) if s.contains(x) => !negated,
+                Some(s) => negated && !s.contains(&Value::Null),
+            },
+            Test::Cmp { op, empty } => {
+                let rhs = s.and_then(|s| s.iter().next()).unwrap_or(empty);
+                x.sql_cmp(rhs).is_some_and(|o| op.holds(o))
+            }
+        }
+    }
+}
+
+/// A [`SubqueryCheck`] bound to one row layout, with its inner result.
+pub struct BoundSubquery {
+    key: Vec<usize>,
+    lhs: Option<BoundExpr>,
+    result: Arc<SubqueryResult>,
+}
+
+impl BoundSubquery {
+    /// Whether `row` passes the check; a left side that fails to evaluate
+    /// is the error.
+    pub fn passes(&self, row: &[Value]) -> Result<bool> {
+        let key: Vec<Value> = self.key.iter().map(|&p| row[p].clone()).collect();
+        let lhs = self.lhs.as_ref().map(|e| e.eval(row)).transpose()?;
+        Ok(self.result.holds(&key, lhs.as_ref()))
+    }
+}
