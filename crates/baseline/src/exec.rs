@@ -4,17 +4,17 @@
 //! to base tables, joins run one at a time in a greedy smallest-first order
 //! (hash or sort-merge per [`ExecConfig`]), subqueries are evaluated first
 //! and their checks ([`vcsql_query::subquery`]) applied at the scan of the
-//! one table they read, or else to the joined rows, and grouping/aggregation
-//! runs over the final joined result. It is also the correctness oracle for
-//! the vertex-centric executor: both must produce identical bags.
+//! one table they read, or else to the joined rows, and the joined rows fold
+//! into the statement's output ([`vcsql_query::output`]). It is also the
+//! correctness oracle for the vertex-centric executor: both must produce
+//! identical bags.
 
 use crate::row::{self, ColId, Inter};
 use std::sync::Arc;
-use vcsql_query::analyze::{Analyzed, OutputItem};
-use vcsql_query::{lower_subquery, LoweredSubquery, SubqueryCheck, SubqueryResult};
-use vcsql_relation::agg::{Accumulator, AggFunc};
-use vcsql_relation::expr::{BoundExpr, CmpOp, ColRef, Expr};
-use vcsql_relation::{Database, RelError, Relation, Value};
+use vcsql_query::analyze::Analyzed;
+use vcsql_query::{lower_subquery, Gather, LoweredSubquery, SubqueryCheck, SubqueryResult};
+use vcsql_relation::expr::{BoundExpr, ColRef, Expr};
+use vcsql_relation::{Database, RelError, Relation};
 
 type Result<T> = std::result::Result<T, RelError>;
 
@@ -50,7 +50,7 @@ pub fn execute(a: &Analyzed, db: &Database, cfg: ExecConfig) -> Result<Relation>
         let rel = db.get(&binding.relation)?;
         let mut inter = Inter::from_relation(t, binding.schema.arity(), &rel.tuples);
         for f in &binding.filters {
-            let bound = bind_expr_cols(f, a, &inter.cols)?;
+            let bound = a.bind_to_table(t, f)?;
             inter = inter.filter(|row| bound.passes(row))?;
         }
         // Subquery checks that read only this table.
@@ -121,7 +121,13 @@ pub fn execute(a: &Analyzed, db: &Database, cfg: ExecConfig) -> Result<Relation>
         result = apply_subquery(check, sub, a, result)?;
     }
 
-    finishing(a, result)
+    // ---- grouping, aggregation, HAVING and projection -----------------------
+    let out = a.output(|c| result.col_index(c), result.cols.len())?;
+    let mut gather = Gather::default();
+    for row in &result.rows {
+        gather.add(&out, row)?;
+    }
+    out.finish(gather)
 }
 
 /// Keep the rows of `inter` that pass a subquery's check.
@@ -137,162 +143,6 @@ fn apply_subquery(
         |e| bind_expr_cols(e, a, &inter.cols),
     )?;
     inter.filter(|row| bound.passes(row))
-}
-
-/// Grouping, aggregation, HAVING and projection.
-pub fn finishing(a: &Analyzed, result: Inter) -> Result<Relation> {
-    let has_group = !a.group_by.is_empty();
-    let has_agg = a.has_aggregates() || !a.having.is_empty();
-
-    if !has_group && !has_agg {
-        // Plain projection.
-        let mut rows = Vec::with_capacity(result.len());
-        let items: Vec<ProjItem> = a
-            .items
-            .iter()
-            .map(|item| ProjItem::bind(item, a, &result.cols))
-            .collect::<Result<_>>()?;
-        for row in &result.rows {
-            let mut out = Vec::with_capacity(items.len());
-            for item in &items {
-                out.push(item.eval_row(row)?);
-            }
-            rows.push(out);
-        }
-        return a.build_output(rows);
-    }
-
-    // Hash aggregation over group keys (a single global group when GROUP BY
-    // is absent).
-    let key_pos: Vec<usize> =
-        a.group_by.iter().map(|c| result.col_index(*c)).collect::<Result<_>>()?;
-    let items: Vec<ProjItem> =
-        a.items.iter().map(|item| ProjItem::bind(item, a, &result.cols)).collect::<Result<_>>()?;
-    let having_args: Vec<(AggFunc, Option<BoundExpr>, CmpOp, BoundExpr)> = a
-        .having
-        .iter()
-        .map(|h| {
-            let arg = match &h.arg {
-                Some(e) => Some(bind_expr_cols(e, a, &result.cols)?),
-                None => None,
-            };
-            let rhs = bind_expr_cols(&h.rhs, a, &result.cols)?;
-            Ok((h.func, arg, h.op, rhs))
-        })
-        .collect::<Result<_>>()?;
-
-    struct Group {
-        rep: Vec<Value>,
-        accs: Vec<Accumulator>,
-        having: Vec<Accumulator>,
-    }
-    let mut groups: vcsql_relation::FxHashMap<Vec<Value>, Group> =
-        vcsql_relation::FxHashMap::default();
-    // A scalar aggregate over zero rows must still produce one output row.
-    if !has_group {
-        groups.insert(
-            Vec::new(),
-            Group {
-                rep: vec![Value::Null; result.cols.len()],
-                accs: init_accs(&items),
-                having: a.having.iter().map(|h| Accumulator::new(h.func)).collect(),
-            },
-        );
-    }
-    for row in &result.rows {
-        let key: Vec<Value> = key_pos.iter().map(|&i| row[i].clone()).collect();
-        let g = groups.entry(key).or_insert_with(|| Group {
-            rep: row.clone(),
-            accs: init_accs(&items),
-            having: a.having.iter().map(|h| Accumulator::new(h.func)).collect(),
-        });
-        for (item, acc) in items.iter().zip(&mut g.accs) {
-            if let ProjItem::Agg { arg, .. } = item {
-                let v = match arg {
-                    Some(e) => e.eval(row)?,
-                    None => Value::Int(1),
-                };
-                acc.update(&v)?;
-            }
-        }
-        for ((_, arg, _, _), acc) in having_args.iter().zip(&mut g.having) {
-            let v = match arg {
-                Some(e) => e.eval(row)?,
-                None => Value::Int(1),
-            };
-            acc.update(&v)?;
-        }
-    }
-
-    // Deterministic output order: sort groups by key.
-    let mut entries: Vec<(Vec<Value>, Group)> = groups.into_iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut rows = Vec::with_capacity(entries.len());
-    'groups: for (_, g) in entries {
-        for ((_, _, op, rhs), acc) in having_args.iter().zip(&g.having) {
-            let rv = rhs.eval(&g.rep)?;
-            if acc.finish().sql_cmp(&rv).map(|o| op.holds(o)) != Some(true) {
-                continue 'groups;
-            }
-        }
-        let mut out = Vec::with_capacity(items.len());
-        for (item, acc) in items.iter().zip(&g.accs) {
-            out.push(match item {
-                ProjItem::Agg { .. } => acc.finish(),
-                other => other.eval_row(&g.rep)?,
-            });
-        }
-        rows.push(out);
-    }
-    a.build_output(rows)
-}
-
-fn init_accs(items: &[ProjItem]) -> Vec<Accumulator> {
-    items
-        .iter()
-        .map(|i| match i {
-            ProjItem::Agg { func, .. } => Accumulator::new(*func),
-            _ => Accumulator::new(AggFunc::CountStar), // placeholder, unused
-        })
-        .collect()
-}
-
-/// A bound select item.
-enum ProjItem {
-    Col(usize),
-    Expr(BoundExpr),
-    Agg { func: AggFunc, arg: Option<BoundExpr> },
-}
-
-impl ProjItem {
-    fn bind(item: &OutputItem, a: &Analyzed, layout: &[ColId]) -> Result<ProjItem> {
-        Ok(match item {
-            OutputItem::Col { table, col, .. } => {
-                let pos = layout
-                    .iter()
-                    .position(|&c| c == (*table, *col))
-                    .ok_or_else(|| RelError::Other("output column missing from result".into()))?;
-                ProjItem::Col(pos)
-            }
-            OutputItem::Expr { expr, .. } => ProjItem::Expr(bind_expr_cols(expr, a, layout)?),
-            OutputItem::Agg { func, arg, .. } => ProjItem::Agg {
-                func: *func,
-                arg: match arg {
-                    Some(e) => Some(bind_expr_cols(e, a, layout)?),
-                    None => None,
-                },
-            },
-        })
-    }
-
-    fn eval_row(&self, row: &[Value]) -> Result<Value> {
-        match self {
-            ProjItem::Col(i) => Ok(row[*i].clone()),
-            ProjItem::Expr(e) => e.eval(row),
-            ProjItem::Agg { .. } => Err(RelError::Other("aggregate outside grouping".into())),
-        }
-    }
 }
 
 /// Bind an (alias-qualified) expression against an intermediate layout.

@@ -4,18 +4,17 @@
 //! the plan's table/column references into this graph's vertex and edge
 //! labels, per-table tuple filters, the collection [`Visit`]s (what a tuple
 //! vertex does with the id rows it receives at each step), the final value
-//! layout and everything bound to it (residual checks, output items, group
-//! keys, HAVING expressions). The drivers in [`crate::exec`] only read the
-//! result; nothing here runs a superstep.
+//! layout and everything bound to it (residual checks and the statement's
+//! [`Output`]). The drivers in [`crate::exec`] only read the result; nothing
+//! here runs a superstep.
 
 use crate::plan::QueryPlan;
-use crate::table::{ColKey, Layout, Partial};
+use crate::table::{partial_bytes, ColKey, Layout};
 use std::sync::Arc;
 use vcsql_bsp::LabelId;
 use vcsql_query::analyze::{Analyzed, OutputItem};
 use vcsql_query::tagplan::{Step, TagPlan};
-use vcsql_query::{AggClass, BoundSubquery, SubqueryResult};
-use vcsql_relation::agg::{Accumulator, AggFunc};
+use vcsql_query::{AggClass, BoundSubquery, Output, SubqueryResult};
 use vcsql_relation::expr::{BoundExpr, ColRef, Expr};
 use vcsql_relation::{FxHashMap, FxHashSet, RelError, Value};
 use vcsql_tag::TagGraph;
@@ -37,23 +36,6 @@ impl ResCheck {
             ResCheck::Eq(a, b) => row[*a].sql_eq(&row[*b]) == Some(true),
             ResCheck::Subquery(s) => s.passes(row)?,
         })
-    }
-}
-
-/// A bound output item.
-pub(crate) enum ProjItem {
-    Col(usize),
-    Expr(BoundExpr),
-    Agg { func: AggFunc, arg: Option<BoundExpr> },
-}
-
-impl ProjItem {
-    pub(crate) fn eval(&self, row: &[Value]) -> Result<Value> {
-        match self {
-            ProjItem::Col(p) => Ok(row[*p].clone()),
-            ProjItem::Expr(e) => e.eval(row),
-            ProjItem::Agg { .. } => Err(RelError::Other("aggregate outside grouping".into())),
-        }
     }
 }
 
@@ -139,13 +121,10 @@ pub(crate) struct QueryCtx<'a> {
     pub(crate) final_layout: Vec<ColKey>,
     /// Residual checks bound to the final layout.
     pub(crate) residuals: Vec<ResCheck>,
-    /// Output items bound to the final layout.
-    pub(crate) items: Vec<ProjItem>,
-    /// Positions of group-by keys in the final layout.
-    pub(crate) group_pos: Vec<usize>,
-    /// HAVING argument expressions (bound) and rhs expressions (bound).
-    having_args: Vec<Option<BoundExpr>>,
-    pub(crate) having_rhs: Vec<BoundExpr>,
+    /// The statement's output bound to the final layout.
+    pub(crate) output: Output<'a>,
+    /// Wire size of one group's partial routed to an attribute vertex.
+    pub(crate) partial_bytes: usize,
     /// Edge label routing local-aggregation partials from the primary root
     /// to the group-key attribute vertex.
     pub(crate) la_route: Option<LabelId>,
@@ -254,17 +233,7 @@ impl<'a> QueryCtx<'a> {
         // ---- filters ------------------------------------------------------------
         let mut filters = Vec::with_capacity(n);
         for (t, binding) in a.tables.iter().enumerate() {
-            let bind_schema = |e: &Expr| -> Result<BoundExpr> {
-                e.bind(&|c: &ColRef| {
-                    let (tt, cc) = a.resolve(c)?;
-                    if tt != t {
-                        return Err(RelError::Other(format!(
-                            "filter for table {t} references table {tt}"
-                        )));
-                    }
-                    Ok(cc)
-                })
-            };
+            let bind_schema = |e: &Expr| a.bind_to_table(t, e);
             let exprs: Vec<BoundExpr> =
                 binding.filters.iter().map(bind_schema).collect::<Result<_>>()?;
             let checks = subqueries
@@ -370,30 +339,10 @@ impl<'a> QueryCtx<'a> {
             residuals.push(ResCheck::Subquery(bound));
         }
 
-        // ---- output items / group keys / having --------------------------------------------
-        let mut items = Vec::with_capacity(a.items.len());
-        for item in &a.items {
-            items.push(match item {
-                OutputItem::Col { table, col, .. } => ProjItem::Col(pos_of(*table, *col)?),
-                OutputItem::Expr { expr, .. } => ProjItem::Expr(bind_final(expr)?),
-                OutputItem::Agg { func, arg, .. } => ProjItem::Agg {
-                    func: *func,
-                    arg: match arg {
-                        Some(e) => Some(bind_final(e)?),
-                        None => None,
-                    },
-                },
-            });
-        }
-        let group_pos: Vec<usize> =
-            a.group_by.iter().map(|&(t, c)| pos_of(t, c)).collect::<Result<_>>()?;
-        let having_args: Vec<Option<BoundExpr>> = a
-            .having
-            .iter()
-            .map(|h| h.arg.as_ref().map(&bind_final).transpose())
-            .collect::<Result<_>>()?;
-        let having_rhs: Vec<BoundExpr> =
-            a.having.iter().map(|h| bind_final(&h.rhs)).collect::<Result<_>>()?;
+        // ---- output ------------------------------------------------------------------------
+        let output = a.output(|(t, c)| pos_of(t, c), final_layout.len())?;
+        let partial_bytes =
+            partial_bytes(a.group_by.len(), a.items.len() + a.having.len(), final_layout.len());
 
         // LA routing label: the primary root must own the first group column.
         let la_route = if a.agg_class == AggClass::Local {
@@ -421,10 +370,8 @@ impl<'a> QueryCtx<'a> {
             root_layouts,
             final_layout,
             residuals,
-            items,
-            group_pos,
-            having_args,
-            having_rhs,
+            output,
+            partial_bytes,
             la_route,
             step_labels,
         })
@@ -450,52 +397,6 @@ impl<'a> QueryCtx<'a> {
             .iter()
             .map(|&k| holder(&self.own_specs, tables, k).expect("every table is visited"))
             .collect()
-    }
-
-    /// Evaluate the output items for one final row (NoAgg path).
-    pub(crate) fn project_row(&self, row: &[Value]) -> Result<Box<[Value]>> {
-        let mut out = Vec::with_capacity(self.items.len());
-        for item in &self.items {
-            out.push(item.eval(row)?);
-        }
-        Ok(out.into_boxed_slice())
-    }
-
-    /// A fresh partial for a group, seeded with a representative row.
-    pub(crate) fn fresh_partial(&self, rep: &[Value]) -> Partial {
-        Partial {
-            accs: self
-                .items
-                .iter()
-                .map(|i| match i {
-                    ProjItem::Agg { func, .. } => Accumulator::new(*func),
-                    _ => Accumulator::new(AggFunc::CountStar),
-                })
-                .collect(),
-            having: self.analyzed.having.iter().map(|h| Accumulator::new(h.func)).collect(),
-            rep: rep.to_vec().into_boxed_slice(),
-        }
-    }
-
-    /// Feed one final row into a group's partial.
-    pub(crate) fn update_partial(&self, part: &mut Partial, row: &[Value]) -> Result<()> {
-        for (item, acc) in self.items.iter().zip(&mut part.accs) {
-            if let ProjItem::Agg { arg, .. } = item {
-                let v = match arg {
-                    Some(e) => e.eval(row)?,
-                    None => Value::Int(1),
-                };
-                acc.update(&v)?;
-            }
-        }
-        for (h, acc) in self.having_args.iter().zip(&mut part.having) {
-            let v = match h {
-                Some(e) => e.eval(row)?,
-                None => Value::Int(1),
-            };
-            acc.update(&v)?;
-        }
-        Ok(())
     }
 }
 

@@ -38,9 +38,9 @@
 //! treatment); the worst-case-optimal cycle program of Sections 6.1–6.2 is an
 //! ablation, run by `repro triangle-theta`.
 
-use crate::bind::{all_hold, ProjItem, QueryCtx, Visit};
+use crate::bind::{all_hold, QueryCtx, Visit};
 use crate::plan::QueryPlan;
-use crate::table::{str_payload, Partial, Table, TagMsg};
+use crate::table::{str_payload, Table, TagMsg};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use vcsql_bsp::program::Aggregator;
@@ -49,8 +49,8 @@ use vcsql_bsp::{
     RunStats, VertexCtx, VertexId, WorkerPool,
 };
 use vcsql_query::analyze::Analyzed;
-use vcsql_query::AggClass;
-use vcsql_relation::{FxHashMap, RelError, Relation, Value};
+use vcsql_query::{AggClass, Gather};
+use vcsql_relation::{RelError, Relation, Value};
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -395,7 +395,6 @@ impl<'t> TagJoinExecutor<'t> {
         secondary: Option<Table>,
     ) -> Result<Relation> {
         let tag = self.tag;
-        let a = q.analyzed;
         let root = q.steps[q.primary].len();
         // A final row holds the primary component's ids, then Algorithm B's
         // secondary ones; `reader` says where each final column is read.
@@ -406,22 +405,19 @@ impl<'t> TagJoinExecutor<'t> {
         let reader = q.reader(&tables);
         let width = reader.len();
 
-        // Aggregator: NoAgg gathers projected rows; aggregate classes gather
-        // partial groups (LA additionally *sends* partials to attribute
-        // vertices and only uses this for NULL-key fallback).
+        // Aggregator: projected rows or partial groups (LA additionally
+        // *sends* partials to attribute vertices and only uses this for the
+        // NULL-key fallback).
         #[derive(Default)]
         struct Fin {
-            rows: Vec<Box<[Value]>>,
-            groups: FxHashMap<Box<[Value]>, Partial>,
+            out: Gather,
             err: FirstError,
         }
         impl Aggregator for Fin {
-            fn merge(&mut self, mut other: Self) {
-                self.rows.append(&mut other.rows);
+            fn merge(&mut self, other: Self) {
                 self.err.merge(other.err);
-                for (k, p) in other.groups.drain() {
-                    self.err.ok(merge_group(&mut self.groups, k, p));
-                }
+                let merged = self.out.merge(other.out);
+                self.err.ok(merged);
             }
         }
 
@@ -439,130 +435,61 @@ impl<'t> TagJoinExecutor<'t> {
             let row = |i: usize| &cells[i * width..(i + 1) * width];
             // Residual predicates (cross-table filters, broken cycle
             // equalities, multi-table subquery checks), over every row
-            // before any is projected.
+            // before any is projected or grouped.
             let kept: Vec<usize> = (0..value.len())
                 .filter(|&i| g.err.ok(all_hold(&q.residuals, row(i))) == Some(true))
                 .collect();
-            if kept.is_empty() {
+            if q.analyzed.agg_class == AggClass::NoAgg {
+                for i in kept {
+                    g.err.ok(g.out.add(&q.output, row(i)));
+                }
                 return;
             }
-            match a.agg_class {
-                AggClass::NoAgg => {
-                    for &i in &kept {
-                        if let Some(out) = g.err.ok(q.project_row(row(i))) {
-                            g.rows.push(out);
-                        }
+            // This root's partial groups.
+            let mut local = Gather::default();
+            for i in kept {
+                g.err.ok(local.add(&q.output, row(i)));
+            }
+            let Some(label) = q.la_route else {
+                g.err.ok(g.out.merge(local));
+                return;
+            };
+            // Route each group's partial to the group-key attribute vertex
+            // along this root's own edge (Section 7, local aggregation); NULL
+            // keys (or a root without the edge) fall back to the aggregator.
+            let target = ctx.edges_with(label).first().map(|e| e.target);
+            for (key, group) in local.into_groups() {
+                match target.filter(|_| !key[0].is_null()) {
+                    Some(to) => {
+                        let msg = TagMsg::Partial(Arc::new((key, group)), q.partial_bytes);
+                        ctx.send_along(label, to, msg);
                     }
-                }
-                _ => {
-                    // Partial aggregation per group key.
-                    let mut local: FxHashMap<Box<[Value]>, Partial> = FxHashMap::default();
-                    for &i in &kept {
-                        let row = row(i);
-                        let key: Box<[Value]> =
-                            q.group_pos.iter().map(|&p| row[p].clone()).collect();
-                        let part = local.entry(key).or_insert_with(|| q.fresh_partial(row));
-                        g.err.ok(q.update_partial(part, row));
-                    }
-                    if a.agg_class == AggClass::Local {
-                        // Route each group's partial to the group-key
-                        // attribute vertex along this root's own edge
-                        // (Section 7, local aggregation); NULL keys (or
-                        // unmaterialized group columns) fall back to the
-                        // global aggregator.
-                        for (key, part) in local {
-                            let routed = q.la_route.and_then(|label| {
-                                if key[0].is_null() {
-                                    return None;
-                                }
-                                ctx.edges_with(label).first().map(|e| (label, e.target))
-                            });
-                            match routed {
-                                Some((label, target)) => ctx.send_along(
-                                    label,
-                                    target,
-                                    TagMsg::Partial(Arc::new((key, part))),
-                                ),
-                                None => {
-                                    g.err.ok(merge_group(&mut g.groups, key, part));
-                                }
-                            }
-                        }
-                    } else {
-                        for (key, part) in local {
-                            g.err.ok(merge_group(&mut g.groups, key, part));
-                        }
+                    None => {
+                        g.err.ok(g.out.insert(key, group));
                     }
                 }
             }
         })?;
         fin.err.check()?;
 
-        // ---- assemble output --------------------------------------------------
-        match a.agg_class {
-            AggClass::NoAgg => {
-                let mut rows: Vec<Box<[Value]>> = fin.rows;
-                rows.sort();
-                a.build_output(rows.into_iter().map(Vec::from).collect())
-            }
-            AggClass::Local => {
-                // One more superstep: group-key attribute vertices merge the
-                // partials they received (each group computed in parallel at
-                // its own vertex — the paper's local-aggregation strength)
-                // and hand them to the host through the aggregator. Every
-                // partial of a key is a message to one vertex, so its fold
-                // order is that vertex's message order.
-                let la =
-                    single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
-                        for m in ctx.messages() {
-                            if let TagMsg::Partial(kp) = m {
-                                g.err.ok(merge_group(&mut g.groups, kp.0.clone(), kp.1.clone()));
-                            }
-                        }
-                    })?;
-                fin.merge(la);
-                fin.err.check()?;
-                self.groups_to_output(a, q, fin.groups)
-            }
-            AggClass::Global | AggClass::Scalar => {
-                let mut groups = fin.groups;
-                if a.agg_class == AggClass::Scalar && groups.is_empty() {
-                    // SQL: aggregates over zero rows still yield one row.
-                    let rep: Box<[Value]> = vec![Value::Null; q.final_layout.len()].into();
-                    groups.insert(Box::from([]), q.fresh_partial(&rep));
+        if q.analyzed.agg_class == AggClass::Local {
+            // One more superstep: group-key attribute vertices merge the
+            // partials they received (each group computed in parallel at its
+            // own vertex — the paper's local-aggregation strength) and hand
+            // them to the host through the aggregator. Every partial of a key
+            // is a message to one vertex, so its fold order is that vertex's
+            // message order.
+            let la = single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
+                for m in ctx.messages() {
+                    if let TagMsg::Partial(kp, _) = m {
+                        g.err.ok(g.out.insert(kp.0.clone(), kp.1.clone()));
+                    }
                 }
-                self.groups_to_output(a, q, groups)
-            }
+            })?;
+            fin.merge(la);
+            fin.err.check()?;
         }
-    }
-
-    /// Turn merged groups into the output relation (HAVING + projection).
-    fn groups_to_output(
-        &self,
-        a: &Analyzed,
-        q: &QueryCtx,
-        groups: FxHashMap<Box<[Value]>, Partial>,
-    ) -> Result<Relation> {
-        let mut entries: Vec<(Box<[Value]>, Partial)> = groups.into_iter().collect();
-        entries.sort_by(|x, y| x.0.cmp(&y.0));
-        let mut rows = Vec::with_capacity(entries.len());
-        'groups: for (_, part) in entries {
-            for (i, h) in a.having.iter().enumerate() {
-                let rhs = q.having_rhs[i].eval(&part.rep)?;
-                if part.having[i].finish().sql_cmp(&rhs).map(|o| h.op.holds(o)) != Some(true) {
-                    continue 'groups;
-                }
-            }
-            let mut out = Vec::with_capacity(q.items.len());
-            for (item, acc) in q.items.iter().zip(&part.accs) {
-                out.push(match item {
-                    ProjItem::Agg { .. } => acc.finish(),
-                    other => other.eval(&part.rep)?,
-                });
-            }
-            rows.push(out);
-        }
-        a.build_output(rows)
+        q.output.finish(fin.out)
     }
 }
 
@@ -810,28 +737,6 @@ fn gather_site(q: &QueryCtx, order: &[usize], tag: &TagGraph, p: &Partitioning) 
         }
     }
     origin
-}
-
-/// Fold partial `p` into `groups` under `key`. Accumulators that cannot
-/// merge (a kind mismatch) are the statement's error.
-fn merge_group(
-    groups: &mut FxHashMap<Box<[Value]>, Partial>,
-    key: Box<[Value]>,
-    p: Partial,
-) -> Result<()> {
-    match groups.entry(key) {
-        std::collections::hash_map::Entry::Occupied(mut e) => {
-            let g = e.get_mut();
-            let accs = g.accs.iter_mut().zip(&p.accs);
-            for (a, b) in accs.chain(g.having.iter_mut().zip(&p.having)) {
-                a.merge(b)?;
-            }
-        }
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(p);
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

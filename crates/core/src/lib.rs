@@ -8,10 +8,14 @@
 //!   broken-cycle GHD → TAG plan → `GenSteps`), then the three-pass vertex
 //!   program of Algorithm 2 (bottom-up reduction, top-down reduction,
 //!   collection), plus the Section 7 operators: pushed-down selections and
-//!   projections, local/global/scalar aggregation, HAVING, and (correlated)
+//!   projections, local/global/scalar aggregation, and (correlated)
 //!   subqueries by reverse lookup: the inner plans run first, and
-//!   `vcsql_query::subquery` judges the outer rows. Cartesian products
-//!   across join-graph components run Section 6.3's Algorithm B.
+//!   `vcsql_query::subquery` judges the outer rows. Aggregation here is
+//!   only *where* partial groups form — per root, then at the group-key
+//!   attribute vertices (local) or in the aggregator (global, scalar);
+//!   `vcsql_query::output` owns what a group is and how groups, HAVING
+//!   and projection become output rows. Cartesian products across
+//!   join-graph components run Section 6.3's Algorithm B.
 //! * [`plan::QueryPlan`] — a prepared statement: the analyzed query, its
 //!   TAG plans and its subqueries' plans, reusable across executions.
 //! * [`table::Table`] — the collection phase's intermediate tables, rows of

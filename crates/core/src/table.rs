@@ -44,7 +44,7 @@
 
 use std::sync::Arc;
 use vcsql_bsp::{Message, VertexId};
-use vcsql_relation::agg::Accumulator;
+use vcsql_query::Group;
 use vcsql_relation::Value;
 
 /// A column key of an intermediate table.
@@ -272,25 +272,11 @@ impl Table {
     }
 }
 
-/// A partially aggregated group (what roots ship to aggregation vertices).
-#[derive(Debug, Clone)]
-pub struct Partial {
-    /// One accumulator per output item (placeholders for non-aggregates).
-    pub accs: Vec<Accumulator>,
-    /// Accumulators for HAVING predicates.
-    pub having: Vec<Accumulator>,
-    /// A representative final-layout row of the group (for evaluating
-    /// group-key expressions and HAVING right-hand sides).
-    pub rep: Box<[Value]>,
-}
-
-impl Partial {
-    /// Wire size of this partial shipped (or checkpointed) under group key
-    /// `key`: 16 bytes per key and representative value, 24 per
-    /// accumulator, a 32-byte envelope.
-    pub fn wire_bytes(&self, key: &[Value]) -> usize {
-        32 + key.len() * 16 + self.accs.len() * 24 + self.having.len() * 24 + self.rep.len() * 16
-    }
+/// Wire size of one group's partial shipped (or checkpointed) to an
+/// aggregation vertex: a 32-byte envelope, 16 bytes per group key and
+/// representative value, 24 per output item and HAVING predicate.
+pub(crate) fn partial_bytes(keys: usize, items_and_having: usize, width: usize) -> usize {
+    32 + keys * 16 + items_and_having * 24 + width * 16
 }
 
 /// Messages of the TAG-join vertex program.
@@ -301,9 +287,10 @@ pub enum TagMsg {
     Signal(VertexId),
     /// Collection-phase intermediate table (Algorithm 2, line 40).
     Table(Arc<Table>),
-    /// Aggregation-phase `(group key, partial aggregate)` routed to a
-    /// group-key attribute vertex (Section 7, local aggregation).
-    Partial(Arc<(Box<[Value]>, Partial)>),
+    /// Aggregation-phase `(group key, partial group)` routed to a group-key
+    /// attribute vertex (Section 7, local aggregation), with its wire size
+    /// (`partial_bytes`).
+    Partial(Arc<(Box<[Value]>, Group)>, usize),
 }
 
 impl Message for TagMsg {
@@ -311,7 +298,7 @@ impl Message for TagMsg {
         match self {
             TagMsg::Signal(_) => 8,
             TagMsg::Table(t) => t.approx_bytes(),
-            TagMsg::Partial(kp) => kp.1.wire_bytes(&kp.0),
+            TagMsg::Partial(_, bytes) => *bytes,
         }
     }
 }

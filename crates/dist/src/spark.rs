@@ -307,21 +307,8 @@ fn join_column_classes(
 /// Scan one table binding: its relation with single-table filters applied.
 fn scan(a: &Analyzed, db: &Database, t: usize, binding: &TableBinding) -> Result<Inter> {
     let rel = db.get(&binding.relation)?;
-    let bound: Vec<BoundExpr> = binding
-        .filters
-        .iter()
-        .map(|f| {
-            f.bind(&|c: &ColRef| {
-                let (tt, cc) = a.resolve(c)?;
-                if tt != t {
-                    return Err(RelError::Other(format!(
-                        "filter for table {t} references table {tt}"
-                    )));
-                }
-                Ok(cc)
-            })
-        })
-        .collect::<Result<_>>()?;
+    let bound: Vec<BoundExpr> =
+        binding.filters.iter().map(|f| a.bind_to_table(t, f)).collect::<Result<_>>()?;
     // Evaluation errors propagate like the real engines' (a query the
     // engines refuse to run must not yield a byte count here).
     let mut rows = Vec::new();

@@ -17,10 +17,10 @@
 //!   (none / local / global / scalar — paper Section 7).
 
 use crate::ast::{HavingPred, JoinKind, QExpr, SelectItem, SelectStmt};
+use crate::output::check_grouped;
 use vcsql_relation::agg::AggFunc;
 use vcsql_relation::expr::{CmpOp, ColRef, Expr};
-use vcsql_relation::schema::Column;
-use vcsql_relation::{DataType, RelError, Relation, Schema, Tuple, Value};
+use vcsql_relation::{RelError, Schema};
 
 type Result<T> = std::result::Result<T, RelError>;
 
@@ -137,20 +137,6 @@ impl Analyzed {
     /// True if any aggregate appears in the output.
     pub fn has_aggregates(&self) -> bool {
         self.items.iter().any(|i| matches!(i, OutputItem::Agg { .. }))
-    }
-
-    /// The output relation of `rows`, each column typed by its first
-    /// non-NULL value (`Int` when every value is NULL).
-    pub fn build_output(&self, rows: Vec<Vec<Value>>) -> Result<Relation> {
-        let columns = self.items.iter().enumerate().map(|(i, item)| {
-            let ty = rows.iter().find_map(|r| r[i].data_type()).unwrap_or(DataType::Int);
-            Column::new(item.name(), ty)
-        });
-        let mut rel = Relation::empty(Schema::new("result", columns.collect()));
-        for r in rows {
-            rel.push(Tuple::new(r))?;
-        }
-        Ok(rel)
     }
 }
 
@@ -503,6 +489,7 @@ fn analyze_scoped(
     }
     analyzed.having = having;
     analyzed.agg_class = classify(&analyzed);
+    check_grouped(&analyzed)?;
     Ok((analyzed, correlations))
 }
 

@@ -14,11 +14,16 @@
 //! 3. [`subquery`] — subqueries by reverse lookup: [`lower_subquery`]
 //!    reshapes the inner query, and [`SubqueryResult::holds`] is the one
 //!    SQL three-valued rule both executors judge outer rows by.
-//! 4. [`gyo`] — join hypergraph + GYO ear-removal: acyclicity test and join
+//! 4. [`output`] — a statement's output: [`Analyzed::output`] binds GROUP
+//!    BY, aggregates, HAVING and projection to an executor's row layout, and
+//!    [`Output::finish`] is the one place groups become output rows (the
+//!    no-input scalar row, HAVING, the SUM overflow error). Analysis refuses
+//!    output columns that are neither grouped nor aggregated.
+//! 5. [`gyo`] — join hypergraph + GYO ear-removal: acyclicity test and join
 //!    tree construction; cyclic queries get a cycle-breaking fallback (the
 //!    broken predicate is enforced as a residual filter) plus metadata for
 //!    the dedicated cycle executor.
-//! 5. [`tagplan`] — the paper's TAG plan (Section 5.1) built from the join
+//! 6. [`tagplan`] — the paper's TAG plan (Section 5.1) built from the join
 //!    tree, and `GenSteps` (Algorithm 1): the connected bottom-up traversal
 //!    producing the edge-label list that drives the vertex program.
 
@@ -26,6 +31,7 @@ pub mod analyze;
 pub mod ast;
 pub mod gyo;
 pub mod lexer;
+pub mod output;
 pub mod parser;
 pub mod subquery;
 pub mod tagplan;
@@ -36,6 +42,7 @@ pub use analyze::{
 };
 pub use ast::{HavingPred, JoinKind, QExpr, SelectItem, SelectStmt, TableRef};
 pub use gyo::{decompose, Decomposition, JoinTree, JoinVar};
+pub use output::{Gather, Group, Output};
 pub use parser::parse;
 pub use subquery::{lower_subquery, BoundSubquery, LoweredSubquery, SubqueryCheck, SubqueryResult};
 pub use tagplan::{PlanNode, Step, TagPlan};

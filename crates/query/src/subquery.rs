@@ -100,7 +100,7 @@ pub fn lower_subquery(sq: &SubqueryPred) -> LoweredSubquery {
             };
             items.push(sub.items[0].clone());
             sub.group_by = sq.correlations.iter().map(|c| c.inner).collect();
-            let empty = Accumulator::new(func).finish();
+            let empty = Accumulator::new(func).finish().expect("no input, no overflow");
             (Some(outer_expr.clone()), Test::Cmp { op: *op, empty })
         }
     };

@@ -42,11 +42,12 @@ impl fmt::Display for AggFunc {
 ///
 /// SUM/AVG accumulate in both integer and float domains and report an `Int`
 /// only if every input was an `Int` (SQL-style result typing, close enough
-/// for the workloads here).
+/// for the workloads here). An integer SUM runs in `i128`, so its result
+/// does not depend on input order; one outside `i64` fails to finish.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Accumulator {
     Count(u64),
-    Sum { int: i64, float: f64, any_float: bool, nonnull: u64 },
+    Sum { int: i128, float: f64, any_float: bool, nonnull: u64 },
     Avg { sum: f64, nonnull: u64 },
     Min(Option<Value>),
     Max(Option<Value>),
@@ -77,7 +78,7 @@ impl Accumulator {
             Accumulator::Sum { int, float, any_float, nonnull } => match v {
                 Value::Null => {}
                 Value::Int(i) => {
-                    *int = int.wrapping_add(*i);
+                    *int += i128::from(*i);
                     *float += *i as f64;
                     *nonnull += 1;
                 }
@@ -124,7 +125,7 @@ impl Accumulator {
                 Accumulator::Sum { int, float, any_float, nonnull },
                 Accumulator::Sum { int: i2, float: f2, any_float: af2, nonnull: n2 },
             ) => {
-                *int = int.wrapping_add(*i2);
+                *int += i2;
                 *float += f2;
                 *any_float |= af2;
                 *nonnull += n2;
@@ -157,9 +158,10 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Final value of the aggregate.
-    pub fn finish(&self) -> Value {
-        match self {
+    /// Final value of the aggregate; an integer SUM outside `i64` is an
+    /// error.
+    pub fn finish(&self) -> Result<Value> {
+        Ok(match self {
             Accumulator::Count(n) => Value::Int(*n as i64),
             Accumulator::Sum { int, float, any_float, nonnull } => {
                 if *nonnull == 0 {
@@ -167,7 +169,8 @@ impl Accumulator {
                 } else if *any_float {
                     Value::Float(*float)
                 } else {
-                    Value::Int(*int)
+                    let sum = i64::try_from(*int);
+                    Value::Int(sum.map_err(|_| RelError::Other("integer overflow in SUM".into()))?)
                 }
             }
             Accumulator::Avg { sum, nonnull } => {
@@ -178,7 +181,7 @@ impl Accumulator {
                 }
             }
             Accumulator::Min(v) | Accumulator::Max(v) => v.clone().unwrap_or(Value::Null),
-        }
+        })
     }
 }
 
@@ -192,7 +195,7 @@ mod tests {
         a.update(&Value::Int(1)).unwrap();
         a.update(&Value::Null).unwrap();
         a.update(&Value::str("x")).unwrap();
-        assert_eq!(a.finish(), Value::Int(2));
+        assert_eq!(a.finish().unwrap(), Value::Int(2));
     }
 
     #[test]
@@ -200,13 +203,26 @@ mod tests {
         let mut a = Accumulator::new(AggFunc::Sum);
         a.update(&Value::Int(1)).unwrap();
         a.update(&Value::Int(2)).unwrap();
-        assert_eq!(a.finish(), Value::Int(3));
+        assert_eq!(a.finish().unwrap(), Value::Int(3));
         a.update(&Value::Float(0.5)).unwrap();
-        assert_eq!(a.finish(), Value::Float(3.5));
+        assert_eq!(a.finish().unwrap(), Value::Float(3.5));
         // SUM of all NULLs is NULL.
         let mut b = Accumulator::new(AggFunc::Sum);
         b.update(&Value::Null).unwrap();
-        assert_eq!(b.finish(), Value::Null);
+        assert_eq!(b.finish().unwrap(), Value::Null);
+    }
+
+    #[test]
+    fn integer_sum_never_wraps() {
+        let sum = |vals: &[i64]| {
+            let mut a = Accumulator::new(AggFunc::Sum);
+            vals.iter().try_for_each(|&v| a.update(&Value::Int(v)))?;
+            a.finish()
+        };
+        assert_eq!(sum(&[i64::MAX, 1, -1]), Ok(Value::Int(i64::MAX)));
+        assert_eq!(sum(&[-1, 1, i64::MAX]), Ok(Value::Int(i64::MAX)));
+        let err = sum(&[i64::MAX, 1]).unwrap_err();
+        assert_eq!(err.to_string(), "integer overflow in SUM");
     }
 
     #[test]
@@ -216,7 +232,7 @@ mod tests {
             avg.update(&Value::Int(i)).unwrap();
         }
         avg.update(&Value::Null).unwrap();
-        assert_eq!(avg.finish(), Value::Float(2.5));
+        assert_eq!(avg.finish().unwrap(), Value::Float(2.5));
 
         let mut mn = Accumulator::new(AggFunc::Min);
         let mut mx = Accumulator::new(AggFunc::Max);
@@ -224,8 +240,8 @@ mod tests {
             mn.update(&v).unwrap();
             mx.update(&v).unwrap();
         }
-        assert_eq!(mn.finish(), Value::str("a"));
-        assert_eq!(mx.finish(), Value::str("c"));
+        assert_eq!(mn.finish().unwrap(), Value::str("a"));
+        assert_eq!(mx.finish().unwrap(), Value::str("c"));
     }
 
     #[test]
@@ -245,7 +261,7 @@ mod tests {
                 right.update(v).unwrap();
             }
             left.merge(&right).unwrap();
-            assert_eq!(left.finish(), whole.finish(), "{f}");
+            assert_eq!(left.finish().unwrap(), whole.finish().unwrap(), "{f}");
         }
     }
 

@@ -403,3 +403,105 @@ fn subquery_predicates_follow_sql_three_valued_logic() {
     let err = QueryPlan::prepare(having, tag.schemas()).unwrap_err();
     assert!(err.to_string().contains("HAVING"), "{err}");
 }
+
+/// Grouped output follows SQL, checked against hand-written bags on every
+/// engine arm, since both engines call one output layer
+/// (`vcsql_query::output`). Over `r(k, g, h, v)`, keyed by `k`, =
+/// {(1, 1, 1, 10), (2, 1, 2, NULL), (3, NULL, 1, 5), (4, NULL, 1, NULL),
+/// (5, 2, 2, NULL)} and `b(k, x)` = {(1, i64::MAX), (2, 1), (3, -1)}: NULL
+/// group keys form one group (under local aggregation, where a NULL key has
+/// no attribute vertex to go to); COUNT(*) counts rows, COUNT(col) non-NULL
+/// values; SUM/AVG/MIN/MAX of only NULLs are NULL; aggregates without GROUP
+/// BY give one row over no input, unless HAVING rejects it; HAVING over a
+/// NULL aggregate drops the group; an integer SUM outside `i64` is an
+/// error, whatever the order its inputs fold in. A column read outside an
+/// aggregate must be grouped, or on a table whose primary key is.
+#[test]
+fn grouped_output_follows_sql() {
+    let int = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+    let rel = |name: &str, cols: &[&str], rows: &[&[Option<i64>]]| {
+        let cols = cols.iter().map(|&c| Column::new(c, DataType::Int)).collect();
+        let rows = rows.iter().map(|r| Tuple::new(r.iter().map(|&v| int(v)).collect()));
+        let schema = Schema::new(name, cols).with_primary_key(&["k"]);
+        Relation::from_tuples(schema, rows.collect()).unwrap()
+    };
+    let mut db = Database::new();
+    let (n, max) = (None, Some(i64::MAX));
+    db.add(rel(
+        "r",
+        &["k", "g", "h", "v"],
+        &[
+            &[Some(1), Some(1), Some(1), Some(10)],
+            &[Some(2), Some(1), Some(2), n],
+            &[Some(3), n, Some(1), Some(5)],
+            &[Some(4), n, Some(1), n],
+            &[Some(5), Some(2), Some(2), n],
+        ],
+    ));
+    db.add(rel("b", &["k", "x"], &[&[Some(1), max], &[Some(2), Some(1)], &[Some(3), Some(-1)]]));
+    let tag = TagGraph::build(&db);
+    let overflow = "integer overflow in SUM";
+    let cases: [(&str, Result<&[&str], &str>); 10] = [
+        (
+            "SELECT r.g, COUNT(*), SUM(r.v) FROM r GROUP BY r.g",
+            Ok(&["1|2|10", "2|1|NULL", "NULL|2|5"]),
+        ),
+        ("SELECT COUNT(*), COUNT(r.v), COUNT(r.g) FROM r", Ok(&["5|2|3"])),
+        (
+            "SELECT r.h, SUM(r.v), AVG(r.v), MIN(r.v), MAX(r.v) FROM r GROUP BY r.h",
+            Ok(&["1|15|7.5|5|10", "2|NULL|NULL|NULL|NULL"]),
+        ),
+        ("SELECT COUNT(*), SUM(r.v) FROM r WHERE r.k > 9", Ok(&["0|NULL"])),
+        ("SELECT COUNT(*) FROM r WHERE r.k > 9 HAVING COUNT(*) > 0", Ok(&[])),
+        ("SELECT r.h, COUNT(*) FROM r GROUP BY r.h HAVING SUM(r.v) > 0", Ok(&["1|3"])),
+        (
+            "SELECT r.g, r.h, COUNT(*) FROM r GROUP BY r.g, r.h",
+            Ok(&["1|1|1", "1|2|1", "2|2|1", "NULL|1|2"]),
+        ),
+        ("SELECT r.k, r.v FROM r WHERE r.k < 3 GROUP BY r.k", Ok(&["1|10", "2|NULL"])),
+        ("SELECT SUM(b.x) FROM b WHERE b.k < 3", Err(overflow)),
+        ("SELECT SUM(b.x) FROM b", Ok(&["9223372036854775807"])),
+    ];
+    let bag = |rel: &Relation| {
+        let row = |t: &Tuple| t.values().map(Value::to_string).collect::<Vec<_>>().join("|");
+        let mut rows: Vec<String> = rel.tuples.iter().map(row).collect();
+        rows.sort_unstable();
+        rows
+    };
+    let mut wrong = Vec::new();
+    for (sql, want) in cases {
+        let plan = QueryPlan::prepare(sql, tag.schemas()).unwrap();
+        let mut got = Vec::new();
+        let parallel = EngineConfig::with_threads(4).with_parallel_threshold(0);
+        for (name, config) in [("tag-join", EngineConfig::sequential()), ("tag-join x4", parallel)]
+        {
+            let out = TagJoinExecutor::new(&tag, config).execute_plan(&plan);
+            got.push((name, out.map(|o| bag(&o.relation))));
+        }
+        for (name, join) in [("row-hash", JoinAlgo::Hash), ("sort-merge", JoinAlgo::SortMerge)] {
+            let out = baseline(plan.analyzed(), &db, ExecConfig { join });
+            got.push((name, out.map(|rel| bag(&rel))));
+        }
+        for (engine, got) in got {
+            let ok = match (&got, want) {
+                (Ok(rows), Ok(want)) => rows == want,
+                (Err(e), Err(want)) => e.to_string().contains(want),
+                _ => false,
+            };
+            if !ok {
+                wrong.push(format!("{engine}: {sql}: got {got:?}, want {want:?}"));
+            }
+        }
+    }
+    let refused = [
+        "SELECT r.v, COUNT(*) FROM r WHERE r.k = 2",
+        "SELECT r.g, COUNT(*) FROM r GROUP BY r.g HAVING COUNT(*) > r.v",
+    ];
+    for sql in refused {
+        match QueryPlan::prepare(sql, tag.schemas()) {
+            Err(e) if e.to_string().contains("must appear in GROUP BY") => {}
+            other => wrong.push(format!("{sql}: got {:?}, want refusal", other.map(|_| ()))),
+        }
+    }
+    assert!(wrong.is_empty(), "{} wrong answers:\n{}", wrong.len(), wrong.join("\n"));
+}
