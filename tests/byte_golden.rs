@@ -1,5 +1,6 @@
 //! Golden byte-accounting fixture: pins the per-strategy network-byte
-//! totals for the TPC-H suite at SF 0.01 on a 6-machine cluster.
+//! totals for the TPC-H suite at SF 0.01 on a 6-machine cluster, and the
+//! Spark shuffle model's totals for TPC-H and TPC-DS at the same scale.
 //!
 //! The wire-byte model (`Table::approx_bytes`, `NetStats`) is the basis of
 //! every spark/tag traffic ratio reported against the paper. Internal
@@ -15,9 +16,10 @@
 
 use std::sync::Arc;
 use vcsql::bsp::PartitionStrategy;
+use vcsql::dist::SparkModel;
 use vcsql::query::analyze::{analyze, Analyzed};
 use vcsql::tag::TagGraph;
-use vcsql::workload::tpch;
+use vcsql::workload::{tpcds, tpch, BenchQuery};
 use vcsql::Cluster;
 
 const SEED: u64 = 42;
@@ -68,5 +70,47 @@ fn tpch_sf001_network_totals_are_pinned() {
             "TPC-H SF 0.01 network-byte total changed for `{name}`: \
              got {total}, pinned {expected} — the wire-byte model moved"
         );
+    }
+}
+
+/// `(network_messages, network_bytes, rounds)` summed over a suite on the
+/// Spark model at one broadcast threshold.
+fn spark_suite_totals(
+    db: &vcsql::relation::Database,
+    queries: &[BenchQuery],
+    broadcast_threshold: u64,
+) -> (u64, u64, u64) {
+    let tag = TagGraph::build(db);
+    let spark = SparkModel { machines: MACHINES, broadcast_threshold };
+    let mut totals = (0, 0, 0);
+    for q in queries {
+        let a = analyze(&vcsql::query::parse(q.sql).unwrap(), tag.schemas()).unwrap();
+        let net = spark.run(&a, db).expect("spark model runs");
+        totals.0 += net.network_messages;
+        totals.1 += net.network_bytes;
+        totals.2 += net.rounds;
+    }
+    totals
+}
+
+#[test]
+fn spark_model_network_totals_are_pinned() {
+    let suites = [
+        ("TPC-H", tpch::generate(0.01, SEED), tpch::queries()),
+        ("TPC-DS", tpcds::generate(0.01, SEED), tpcds::queries()),
+    ];
+    let expected = [
+        [(0, (4_149, 509_909, 65)), (10 << 20, (3_627, 426_087, 41))],
+        [(0, (11_211, 857_618, 119)), (10 << 20, (19_621, 1_121_855, 68))],
+    ];
+    for ((name, db, queries), cases) in suites.iter().zip(expected) {
+        for (threshold, pinned) in cases {
+            let got = spark_suite_totals(db, queries, threshold);
+            assert_eq!(
+                got, pinned,
+                "{name} SF 0.01 Spark-model (messages, bytes, rounds) changed at \
+                 broadcast threshold {threshold}: got {got:?}, pinned {pinned:?}"
+            );
+        }
     }
 }
