@@ -9,11 +9,10 @@
 //! correctness oracle for the vertex-centric executor: both must produce
 //! identical bags.
 
-use crate::row::{self, ColId, Inter};
 use std::sync::Arc;
 use vcsql_query::analyze::Analyzed;
+use vcsql_query::rows::{self, Inter};
 use vcsql_query::{lower_subquery, Gather, LoweredSubquery, SubqueryCheck, SubqueryResult};
-use vcsql_relation::expr::{BoundExpr, ColRef, Expr};
 use vcsql_relation::{Database, RelError, Relation};
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -46,13 +45,8 @@ pub fn execute(a: &Analyzed, db: &Database, cfg: ExecConfig) -> Result<Relation>
 
     // ---- base tables with pushed-down filters -------------------------------
     let mut inters: Vec<Inter> = Vec::with_capacity(a.tables.len());
-    for (t, binding) in a.tables.iter().enumerate() {
-        let rel = db.get(&binding.relation)?;
-        let mut inter = Inter::from_relation(t, binding.schema.arity(), &rel.tuples);
-        for f in &binding.filters {
-            let bound = a.bind_to_table(t, f)?;
-            inter = inter.filter(|row| bound.passes(row))?;
-        }
+    for t in 0..a.tables.len() {
+        let mut inter = a.scan(t, db)?;
         // Subquery checks that read only this table.
         for (check, result, _) in subqueries.iter().filter(|(_, _, table)| *table == Some(t)) {
             inter = apply_subquery(check, result, a, inter)?;
@@ -62,7 +56,7 @@ pub fn execute(a: &Analyzed, db: &Database, cfg: ExecConfig) -> Result<Relation>
 
     // ---- greedy join order ---------------------------------------------------
     let n = inters.len();
-    let mut joined: Option<(Inter, Vec<bool>)> = None;
+    let mut result = Inter { cols: vec![], rows: vec![] };
     if n > 0 {
         let start = (0..n).min_by_key(|&i| inters[i].len()).unwrap();
         let mut in_set = vec![false; n];
@@ -70,51 +64,31 @@ pub fn execute(a: &Analyzed, db: &Database, cfg: ExecConfig) -> Result<Relation>
         let mut cur = inters[start].clone();
         for _ in 1..n {
             // Tables connected to the current set by some join predicate.
-            let mut candidates: Vec<usize> = (0..n)
-                .filter(|&t| {
-                    !in_set[t]
-                        && a.joins.iter().any(|j| {
-                            (in_set[j.left.0] && j.right.0 == t)
-                                || (in_set[j.right.0] && j.left.0 == t)
-                        })
-                })
-                .collect();
+            let mut candidates: Vec<usize> =
+                (0..n).filter(|&t| !in_set[t] && !a.join_pairs(&in_set, t).is_empty()).collect();
             candidates.sort_by_key(|&t| inters[t].len());
             let next = match candidates.first() {
                 Some(&t) => t,
                 // Disconnected: cross product with the smallest remaining.
                 None => (0..n).filter(|&t| !in_set[t]).min_by_key(|&t| inters[t].len()).unwrap(),
             };
-            let on: Vec<(ColId, ColId)> = a
-                .joins
-                .iter()
-                .filter_map(|j| {
-                    if in_set[j.left.0] && j.right.0 == next {
-                        Some((j.left, j.right))
-                    } else if in_set[j.right.0] && j.left.0 == next {
-                        Some((j.right, j.left))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
+            let on = a.join_pairs(&in_set, next);
             cur = if on.is_empty() {
-                row::cross_join(&cur, &inters[next])
+                rows::cross_join(&cur, &inters[next])
             } else {
                 match cfg.join {
-                    JoinAlgo::Hash => row::hash_join(&cur, &inters[next], &on)?,
-                    JoinAlgo::SortMerge => row::sort_merge_join(&cur, &inters[next], &on)?,
+                    JoinAlgo::Hash => rows::hash_join(&cur, &inters[next], &on)?,
+                    JoinAlgo::SortMerge => rows::sort_merge_join(&cur, &inters[next], &on)?,
                 }
             };
             in_set[next] = true;
         }
-        joined = Some((cur, in_set));
+        result = cur;
     }
-    let mut result = joined.map(|(i, _)| i).unwrap_or(Inter { cols: vec![], rows: vec![] });
 
     // ---- residual predicates --------------------------------------------------
     for f in &a.residual {
-        let bound = bind_expr_cols(f, a, &result.cols)?;
+        let bound = a.bind_to_layout(f, &result.cols)?;
         result = result.filter(|row| bound.passes(row))?;
     }
     for (check, sub, _) in subqueries.iter().filter(|(_, _, table)| table.is_none()) {
@@ -140,18 +114,7 @@ fn apply_subquery(
     let bound = check.bind(
         Arc::clone(result),
         |c| inter.col_index(c),
-        |e| bind_expr_cols(e, a, &inter.cols),
+        |e| a.bind_to_layout(e, &inter.cols),
     )?;
     inter.filter(|row| bound.passes(row))
-}
-
-/// Bind an (alias-qualified) expression against an intermediate layout.
-fn bind_expr_cols(e: &Expr, a: &Analyzed, layout: &[ColId]) -> Result<BoundExpr> {
-    e.bind(&|c: &ColRef| {
-        let tc = a.resolve(c)?;
-        layout
-            .iter()
-            .position(|&x| x == tc)
-            .ok_or_else(|| RelError::Other(format!("column {c} not in intermediate layout")))
-    })
 }

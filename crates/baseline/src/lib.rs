@@ -2,11 +2,10 @@
 //!
 //! The comparison systems of the paper's evaluation, rebuilt in miniature:
 //!
-//! * [`row`] — classical row-store operators: selection, hash join,
-//!   sort-merge join and cross join over provenance-tagged rows;
 //! * [`exec`] — a binary-join-at-a-time query executor over an
 //!   [`Analyzed`](vcsql_query::Analyzed) query (greedy smallest-first join
-//!   order), playing the role of PostgreSQL / RDBMS-X / RDBMS-Y row stores.
+//!   order) with the row operators of [`vcsql_query::rows`], playing the
+//!   role of PostgreSQL / RDBMS-X / RDBMS-Y row stores.
 //!   It doubles as the **correctness oracle** for the vertex-centric
 //!   executor;
 //! * [`columnar`] — a dictionary-encoded in-memory column store with
@@ -20,7 +19,6 @@
 pub mod columnar;
 pub mod exec;
 pub mod index;
-pub mod row;
 
 pub use columnar::ColumnarDatabase;
 pub use exec::{execute, ExecConfig, JoinAlgo};

@@ -20,7 +20,8 @@
 //!   [`TrafficProfile`]), from which a [`PartitionStrategy::Workload`]
 //!   placement is built;
 //! * [`SparkModel`] — a shuffle-join network-cost model that executes the
-//!   same plan with exact intermediate cardinalities and charges Spark-style
+//!   same plan with exact intermediate cardinalities (the row store's
+//!   operators, `vcsql_query::rows`) and charges Spark-style
 //!   exchanges (hash shuffles, broadcasts below the threshold);
 //! * [`modelled_runtime`] — combine measured local compute with modelled
 //!   network time at a given bandwidth (the paper's Fig 16 runtime model).
@@ -147,6 +148,7 @@ mod tests {
         assert_eq!(net.network_messages, 0);
         let workload = std::slice::from_ref(&a);
         assert!(tag_calibrate(&tag, workload, 0, EngineConfig::sequential()).is_err());
+        assert!(SparkModel { machines: 0, broadcast_threshold: 0 }.run(&a, &db).is_err());
     }
 
     #[test]

@@ -171,11 +171,9 @@ impl Uf {
     }
 }
 
-/// Compute join variables from the predicates.
-fn join_vars(
-    n_tables: usize,
-    joins: &[JoinPred],
-) -> (Vec<JoinVar>, FxHashMap<(usize, usize), usize>) {
+/// The join variables of the predicates (in order of first occurrence), and
+/// the variable id of every `(table, column)` they mention.
+pub fn join_vars(joins: &[JoinPred]) -> (Vec<JoinVar>, FxHashMap<(usize, usize), usize>) {
     // Index the (table, col) pairs that participate in joins.
     let mut pair_ids: FxHashMap<(usize, usize), usize> = FxHashMap::default();
     let mut pairs = Vec::new();
@@ -214,7 +212,6 @@ fn join_vars(
             var_of.insert(occ, v.id);
         }
     }
-    let _ = n_tables;
     (vars, var_of)
 }
 
@@ -297,7 +294,7 @@ pub fn decompose(n_tables: usize, joins: &[JoinPred]) -> Decomposition {
     let mut cyclic = false;
 
     loop {
-        let (vars, var_of) = join_vars(n_tables, &active);
+        let (vars, var_of) = join_vars(&active);
         // Vars per table.
         let mut table_vars: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
         for t in 0..n_tables {

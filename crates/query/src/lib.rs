@@ -26,6 +26,9 @@
 //! 6. [`tagplan`] — the paper's TAG plan (Section 5.1) built from the join
 //!    tree, and `GenSteps` (Algorithm 1): the connected bottom-up traversal
 //!    producing the edge-label list that drives the vertex program.
+//! 7. [`rows`] — the row operators (scan, hash / sort-merge / cross join
+//!    over provenance-tagged rows) that the row-store baseline and the Spark
+//!    shuffle model both execute plans with.
 
 pub mod analyze;
 pub mod ast;
@@ -33,6 +36,7 @@ pub mod gyo;
 pub mod lexer;
 pub mod output;
 pub mod parser;
+pub mod rows;
 pub mod subquery;
 pub mod tagplan;
 

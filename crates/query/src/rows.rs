@@ -1,10 +1,15 @@
-//! Row-store operators: the classical selection and join toolbox.
+//! Row operators: the classical selection and join toolbox.
 //!
 //! All operators work on a lightweight `(columns, rows)` representation where
 //! columns are identified by `(table, col)` pairs from the analyzed query, so
-//! intermediate results of multi-table plans can name their provenance.
+//! intermediate results of multi-table plans can name their provenance. Two
+//! consumers share them: the row-store baseline (`vcsql-baseline`, the
+//! correctness oracle) and the Spark shuffle model (`vcsql-dist`), whose
+//! exchange sizes are these operators' exact cardinalities.
 
-use vcsql_relation::{RelError, Tuple, Value};
+use crate::analyze::Analyzed;
+use vcsql_relation::expr::{BoundExpr, ColRef, Expr};
+use vcsql_relation::{Database, RelError, Tuple, Value};
 
 type Result<T> = std::result::Result<T, RelError>;
 
@@ -63,6 +68,48 @@ impl Inter {
     }
 }
 
+impl Analyzed {
+    /// Table `t` of `db` with its pushed-down filters applied.
+    pub fn scan(&self, t: usize, db: &Database) -> Result<Inter> {
+        let binding = &self.tables[t];
+        let rel = db.get(&binding.relation)?;
+        let mut inter = Inter::from_relation(t, binding.schema.arity(), &rel.tuples);
+        for f in &binding.filters {
+            let bound = self.bind_to_table(t, f)?;
+            inter = inter.filter(|row| bound.passes(row))?;
+        }
+        Ok(inter)
+    }
+
+    /// Bind an (alias-qualified) expression against an intermediate layout.
+    pub fn bind_to_layout(&self, e: &Expr, layout: &[ColId]) -> Result<BoundExpr> {
+        e.bind(&|c: &ColRef| {
+            let tc = self.resolve(c)?;
+            layout
+                .iter()
+                .position(|&x| x == tc)
+                .ok_or_else(|| RelError::Other(format!("column {c} not in intermediate layout")))
+        })
+    }
+
+    /// The equi-join pairs connecting the tables marked in `joined` to table
+    /// `next`, oriented `(joined column, next column)`, in `joins` order.
+    pub fn join_pairs(&self, joined: &[bool], next: usize) -> Vec<(ColId, ColId)> {
+        self.joins
+            .iter()
+            .filter_map(|j| {
+                if joined[j.left.0] && j.right.0 == next {
+                    Some((j.left, j.right))
+                } else if joined[j.right.0] && j.left.0 == next {
+                    Some((j.right, j.left))
+                } else {
+                    None
+                }
+            })
+            .collect()
+    }
+}
+
 /// Hash join `left ⋈ right` on the given column pairs (equi-join; NULL keys
 /// never match, per SQL).
 pub fn hash_join(left: &Inter, right: &Inter, on: &[(ColId, ColId)]) -> Result<Inter> {
@@ -117,8 +164,8 @@ pub fn hash_join(left: &Inter, right: &Inter, on: &[(ColId, ColId)]) -> Result<I
     Ok(out)
 }
 
-/// Sort-merge join on a single column pair (the classic RDBMS alternative;
-/// multi-key joins fall back to composite sort keys).
+/// Sort-merge join on the given column pairs (the classic RDBMS
+/// alternative), sorting both sides by their composite key.
 pub fn sort_merge_join(left: &Inter, right: &Inter, on: &[(ColId, ColId)]) -> Result<Inter> {
     let lkeys: Vec<usize> = on.iter().map(|&(l, _)| left.col_index(l)).collect::<Result<_>>()?;
     let rkeys: Vec<usize> = on.iter().map(|&(_, r)| right.col_index(r)).collect::<Result<_>>()?;
