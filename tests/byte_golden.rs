@@ -1,5 +1,5 @@
-//! Golden byte-accounting fixture: pins the per-strategy network-byte
-//! totals for the TPC-H suite at SF 0.01 on a 6-machine cluster, and the
+//! Golden byte-accounting fixture: pins each statement's network bytes per
+//! strategy for the TPC-H suite at SF 0.01 on a 6-machine cluster, and the
 //! Spark shuffle model's totals for TPC-H and TPC-DS at the same scale.
 //!
 //! The wire-byte model (`Table::approx_bytes`, `NetStats`) is the basis of
@@ -32,21 +32,42 @@ fn analyzed_suite(tag: &TagGraph) -> Vec<Analyzed> {
         .collect()
 }
 
-/// Total network bytes across the whole TPC-H suite under one strategy.
-fn suite_network_bytes(tag: &Arc<TagGraph>, strategy: PartitionStrategy) -> u64 {
+/// Network bytes of each TPC-H statement under one strategy, in suite order.
+fn statement_network_bytes(tag: &Arc<TagGraph>, strategy: PartitionStrategy) -> Vec<u64> {
     let mut session = Cluster::new(MACHINES)
         .static_placement()
         .strategy(strategy)
         .session(tag)
         .expect("session opens");
-    let mut total = 0u64;
-    for q in tpch::queries() {
-        let prepared = session.prepare(q.sql).expect("prepares");
-        let (_, net) = session.execute(&prepared).expect("executes");
-        total += net.network_bytes;
-    }
-    total
+    tpch::queries()
+        .iter()
+        .map(|q| {
+            let prepared = session.prepare(q.sql).expect("prepares");
+            let (_, net) = session.execute(&prepared).expect("executes");
+            net.network_bytes
+        })
+        .collect()
 }
+
+/// Network bytes of each TPC-H statement at SF 0.01 on 6 machines, under
+/// `hash`, `colocate`, `refined` and `workload` (profiled on this suite).
+const PINNED_TPCH: [(&str, [u64; 4]); 15] = [
+    ("q1", [0, 0, 0, 0]),
+    ("q2", [8_576, 512, 512, 0]),
+    ("q3", [1_856, 648, 624, 360]),
+    ("q4", [512, 384, 384, 384]),
+    ("q5", [4_144, 2_640, 2_296, 1_832]),
+    ("q6", [0, 0, 0, 0]),
+    ("q7", [34_816, 15_736, 16_784, 8_448]),
+    ("q10", [7_512, 2_800, 2_640, 2_272]),
+    ("q12", [6_952, 3_728, 3_448, 1_544]),
+    ("q14", [864, 448, 448, 336]),
+    ("q16", [1_400, 216, 216, 0]),
+    ("q17", [62_952, 57_760, 56_128, 61_336]),
+    ("q18", [70_088, 27_920, 26_600, 2_624]),
+    ("q19", [10_496, 9_280, 9_024, 7_104]),
+    ("q22", [0, 0, 0, 0]),
+];
 
 #[test]
 fn tpch_sf001_network_totals_are_pinned() {
@@ -56,20 +77,25 @@ fn tpch_sf001_network_totals_are_pinned() {
         .calibrate(&tag, &analyzed_suite(&tag))
         .expect("calibration succeeds");
 
-    let cases: [(PartitionStrategy, u64); 4] = [
-        (PartitionStrategy::Hash, 210_168),
-        (PartitionStrategy::CoLocate, 122_072),
-        (PartitionStrategy::Refined, 119_104),
-        (PartitionStrategy::Workload(profile), 86_240),
+    let ids: Vec<&str> = tpch::queries().iter().map(|q| q.id).collect();
+    assert_eq!(ids, PINNED_TPCH.map(|(id, _)| id), "the TPC-H suite changed");
+    let strategies = [
+        PartitionStrategy::Hash,
+        PartitionStrategy::CoLocate,
+        PartitionStrategy::Refined,
+        PartitionStrategy::Workload(profile),
     ];
-    for (strategy, expected) in cases {
+    for (k, strategy) in strategies.into_iter().enumerate() {
         let name = strategy.name();
-        let total = suite_network_bytes(&tag, strategy);
-        assert_eq!(
-            total, expected,
-            "TPC-H SF 0.01 network-byte total changed for `{name}`: \
-             got {total}, pinned {expected} — the wire-byte model moved"
-        );
+        let got = statement_network_bytes(&tag, strategy);
+        for ((id, pinned), got) in PINNED_TPCH.iter().zip(got) {
+            assert_eq!(
+                got, pinned[k],
+                "TPC-H SF 0.01 network bytes of {id} changed for `{name}`: \
+                 got {got}, pinned {} — the wire-byte model moved",
+                pinned[k]
+            );
+        }
     }
 }
 
