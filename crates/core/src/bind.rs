@@ -14,7 +14,7 @@ use std::sync::Arc;
 use vcsql_bsp::LabelId;
 use vcsql_query::analyze::{Analyzed, OutputItem};
 use vcsql_query::tagplan::{Step, TagPlan};
-use vcsql_query::{AggClass, BoundSubquery, Output, SubqueryResult};
+use vcsql_query::{AggClass, BoundSubquery, Correlation, Output, SubqueryResult};
 use vcsql_relation::expr::{BoundExpr, ColRef, Expr};
 use vcsql_relation::{FxHashMap, FxHashSet, RelError, Value};
 use vcsql_tag::TagGraph;
@@ -130,6 +130,57 @@ pub(crate) struct QueryCtx<'a> {
     pub(crate) la_route: Option<LabelId>,
     /// Edge LabelIds per traversal step (table, col).
     step_labels: FxHashMap<(usize, usize), LabelId>,
+    /// The table whose tuples pass only once admitted, when a [`Seed`]
+    /// ran before this (inner) query.
+    pub(crate) admit: Option<usize>,
+}
+
+/// A seeded subquery's correlation bound to one TAG: the outer key table's
+/// tuple vertices, its pushed-down filters and correlation column's edge
+/// label, and the inner correlation column's.
+pub(crate) struct Seed {
+    pub(crate) outer_rel: LabelId,
+    outer_filters: Vec<BoundExpr>,
+    pub(crate) outer_col: LabelId,
+    pub(crate) inner_col: LabelId,
+    pub(crate) inner_rel: LabelId,
+    /// The inner table whose tuples are admitted.
+    pub(crate) inner_table: usize,
+}
+
+impl Seed {
+    /// Bind correlation `c` of a subquery `sub` of `outer`; `None` when
+    /// either column has no attribute vertices in `tag`, and the subquery
+    /// runs unseeded.
+    pub(crate) fn bind(
+        tag: &TagGraph,
+        outer: &Analyzed,
+        sub: &Analyzed,
+        c: Correlation,
+    ) -> Result<Option<Seed>> {
+        let (ot, it) = (&outer.tables[c.outer.0], &sub.tables[c.inner.0]);
+        let labels = (
+            tag.relation_label(&ot.relation),
+            tag.column_label(&ot.relation, c.outer.1),
+            tag.column_label(&it.relation, c.inner.1),
+            tag.relation_label(&it.relation),
+        );
+        let (Some(outer_rel), Some(outer_col), Some(inner_col), Some(inner_rel)) = labels else {
+            return Ok(None);
+        };
+        let outer_filters =
+            ot.filters.iter().map(|e| outer.bind_to_table(c.outer.0, e)).collect::<Result<_>>()?;
+        let inner_table = c.inner.0;
+        Ok(Some(Seed { outer_rel, outer_filters, outer_col, inner_col, inner_rel, inner_table }))
+    }
+
+    /// Whether an outer key tuple may probe the subquery: no pushed-down
+    /// filter rejects it. A filter that fails to evaluate does not reject:
+    /// the outer query meets that error itself, and a seed may only admit
+    /// too much.
+    pub(crate) fn probes(&self, tuple: &[Value]) -> bool {
+        self.outer_filters.iter().all(|e| e.passes(tuple).unwrap_or(true))
+    }
 }
 
 impl<'a> QueryCtx<'a> {
@@ -190,7 +241,7 @@ impl<'a> QueryCtx<'a> {
         }
         // Each subquery check is pushed to the one table it reads, if any.
         let mut subqueries = Vec::with_capacity(results.len());
-        for ((_, check), result) in plan.subqueries.iter().zip(results) {
+        for ((_, check, _), result) in plan.subqueries.iter().zip(results) {
             for (t, c) in check.columns(a)? {
                 note_col(&mut needed, t, c);
             }
@@ -374,6 +425,7 @@ impl<'a> QueryCtx<'a> {
             partial_bytes,
             la_route,
             step_labels,
+            admit: None,
         })
     }
 

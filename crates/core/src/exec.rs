@@ -29,6 +29,15 @@
 //! aggregation fold into the engine's global aggregator — the paper's
 //! aggregation vertex.
 //!
+//! A subquery's inner plan runs first, in a computation of its own. When
+//! the plan seeds it (`vcsql_query::seed`), that computation starts with a
+//! seeding phase of three supersteps: the outer key table's tuple vertices
+//! that pass their filters signal along the outer correlation label, the
+//! attribute vertices reached forward along the inner one, and the inner
+//! tuple vertices reached are admitted. An inner tuple that was not
+//! admitted then fails its filter, after evaluating it, so the inner query
+//! aggregates only the keys some outer row can probe.
+//!
 //! Cartesian products across join-graph components follow Section 6.3's
 //! Algorithm B: secondary components are evaluated first, gathered, and
 //! shipped to the primary component's root vertices.
@@ -38,7 +47,7 @@
 //! treatment); the worst-case-optimal cycle program of Sections 6.1–6.2 is an
 //! ablation, run by `repro triangle-theta`.
 
-use crate::bind::{all_hold, QueryCtx, Visit};
+use crate::bind::{all_hold, QueryCtx, Seed, Visit};
 use crate::plan::QueryPlan;
 use crate::table::{str_payload, Table, TagMsg};
 use std::ops::ControlFlow;
@@ -64,6 +73,8 @@ pub struct St {
     marks: Box<[u64]>,
     /// Cached filter verdict for tuple vertices.
     pass: Option<bool>,
+    /// Whether a seed reached this tuple vertex (see [`QueryCtx::admit`]).
+    admitted: bool,
 }
 
 /// Execution result: the output relation plus the run's communication and
@@ -141,18 +152,26 @@ impl<'t> TagJoinExecutor<'t> {
     /// it never mutates it, so one plan can serve any number of executions
     /// (and any number of executors over the same schemas).
     pub fn execute_plan(&self, plan: &QueryPlan) -> Result<ExecOutput> {
+        self.run(plan, None)
+    }
+
+    /// Execute `plan`, seeded by `seed` when it is a seeded subquery's
+    /// inner plan.
+    fn run(&self, plan: &QueryPlan, seed: Option<&Seed>) -> Result<ExecOutput> {
         let mut stats = RunStats::default();
 
         // ---- subqueries: each inner plan runs first (reverse lookup) --------
         let mut results = Vec::with_capacity(plan.subqueries.len());
-        for (sub, check) in &plan.subqueries {
-            let out = self.execute_plan(sub)?;
+        for (sub, check, corr) in &plan.subqueries {
+            let bound = corr.map(|c| Seed::bind(self.tag, &plan.analyzed, &sub.analyzed, c));
+            let out = self.run(sub, bound.transpose()?.flatten().as_ref())?;
             stats.absorb(&out.stats);
             results.push(Arc::new(check.result(&out.relation)));
         }
 
         // ---- bind the plan to this TAG --------------------------------------
-        let q = QueryCtx::build(self.tag, plan, &results)?;
+        let mut q = QueryCtx::build(self.tag, plan, &results)?;
+        q.admit = seed.map(|s| s.inner_table);
 
         // ---- engine ----------------------------------------------------------
         let mut comp: Computation<'_, St, TagMsg> =
@@ -166,6 +185,10 @@ impl<'t> TagJoinExecutor<'t> {
         if let Some(inj) = &self.faults {
             comp.set_fault_injector(Arc::clone(inj));
             comp.set_state_sizer(st_state_bytes);
+        }
+
+        if let Some(seed) = seed {
+            self.run_seed(&mut comp, seed)?;
         }
 
         // Order components: primary last.
@@ -262,6 +285,32 @@ impl<'t> TagJoinExecutor<'t> {
     }
 
     // ------------------------------------------------------------------ plan
+
+    /// A seeded inner run's seeding phase (see the module docs).
+    fn run_seed(&self, comp: &mut Computation<'_, St, TagMsg>, s: &Seed) -> Result<()> {
+        let tag = self.tag;
+        comp.activate_label(s.outer_rel);
+        comp.run_phase(|comp, i| {
+            comp.superstep_simple(|ctx: &mut VertexCtx<'_, '_, St, TagMsg>| {
+                let vid = ctx.id();
+                match i {
+                    0 if !tag.tuple(vid).is_some_and(|t| s.probes(t)) => {}
+                    0 => send_along_marks(ctx, s.outer_col, true, || TagMsg::Signal(vid)),
+                    1 => send_along_marks(ctx, s.inner_col, true, || TagMsg::Signal(vid)),
+                    _ => {
+                        debug_assert_eq!(ctx.label(), s.inner_rel, "{vid} admitted off the seed");
+                        ctx.state.admitted = true;
+                    }
+                }
+            });
+            if i == 2 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .map_err(fault_to_rel)
+    }
 
     /// Run the three traversal passes for component `ci`, leaving the
     /// component's root tuple vertices active with pending id tables.
@@ -587,10 +636,10 @@ impl Aggregator for FirstError {
 }
 
 /// Checkpoint size of one vertex's [`St`] in bytes, in the 8-byte words of
-/// `TagMsg::byte_size`'s wire model: a header word, the mark bitmap's words
-/// and a word for a cached filter verdict.
+/// `TagMsg::byte_size`'s wire model: a header word, the mark bitmap's words,
+/// a word for a cached filter verdict and one for a seed's admission.
 fn st_state_bytes(st: &St) -> u64 {
-    8 * (1 + st.marks.len() as u64 + u64::from(st.pass.is_some()))
+    8 * (1 + st.marks.len() as u64 + u64::from(st.pass.is_some()) + u64::from(st.admitted))
 }
 
 /// Whether out-edge slot `i` carries a reduction mark.
@@ -655,7 +704,11 @@ fn passes_filter(
     }
     let verdict = match q.table_of_label.get(&ctx.label()) {
         Some(&t) => match tag.tuple(ctx.id()) {
-            Some(tuple) => q.filters[t].passes(tuple)?,
+            // Admission only after the filter: a seed narrows which tuples
+            // contribute, never which evaluate their filters.
+            Some(tuple) => {
+                q.filters[t].passes(tuple)? && (q.admit != Some(t) || ctx.state.admitted)
+            }
             None => true,
         },
         None => true, // attribute vertex (or unrelated relation)
@@ -829,11 +882,14 @@ mod tests {
         assert_eq!(checked, 2 * q.steps[ci].len(), "two join paths per step");
     }
 
-    /// A checkpoint copies a header word, the bitmap's words and a word for
-    /// a cached verdict: 8 bytes fresh, 24 for a 70-edge vertex once marked
-    /// (two words), 32 with its verdict cached.
+    /// A checkpoint copies a header word, the bitmap's words, a word for a
+    /// cached verdict and one for an admission: 8 bytes fresh, 24 for a
+    /// 70-edge vertex once marked (two words), 32 with its verdict cached,
+    /// 40 admitted too. In memory `St` stays 24 bytes: the flags share the
+    /// bitmap pointer's padding.
     #[test]
     fn st_state_bytes_prices_header_bitmap_words_and_verdict() {
+        assert_eq!(std::mem::size_of::<St>(), 24);
         let mut b = GraphBuilder::new();
         let vl = b.vertex_label("v");
         let label = b.edge_label("hub.spoke");
@@ -855,5 +911,6 @@ mod tests {
         assert_eq!(set, [69], "the last spoke sits in the second word's slot 5");
         assert_eq!(st_state_bytes(st), 24);
         assert_eq!(st_state_bytes(&St { pass: Some(true), ..st.clone() }), 32);
+        assert_eq!(st_state_bytes(&St { pass: Some(true), admitted: true, ..st.clone() }), 40);
     }
 }

@@ -7,7 +7,8 @@
 //! that is independent of the data: the analyzed query, its GYO join-tree
 //! decomposition (one [`JoinTree`] per connected component, rerooted for
 //! local aggregation), the per-component [`TagPlan`]s and their traversal
-//! step lists, and each subquery lowered and planned in turn.
+//! step lists, and each subquery lowered and planned in turn, with the
+//! correlation it is seeded through, if any.
 //! [`TagJoinExecutor::execute_plan`](crate::TagJoinExecutor::execute_plan)
 //! runs a prepared plan as many times as needed; the `vcsql-session` crate
 //! caches plans behind a bounded SQL-keyed cache.
@@ -15,7 +16,9 @@
 use vcsql_query::analyze::{analyze, Analyzed};
 use vcsql_query::gyo::{decompose, Decomposition, JoinTree};
 use vcsql_query::tagplan::{Step, TagPlan};
-use vcsql_query::{lower_subquery, parse, AggClass, LoweredSubquery, SubqueryCheck};
+use vcsql_query::{
+    lower_subquery, parse, seed, AggClass, Correlation, LoweredSubquery, SubqueryCheck,
+};
 use vcsql_relation::schema::Schema;
 use vcsql_relation::RelError;
 
@@ -36,8 +39,9 @@ pub struct QueryPlan {
     /// Component whose roots assemble the final result.
     pub(crate) primary: usize,
     /// Each subquery of `analyzed`, lowered: the inner query's plan, run
-    /// before this one, and the check outer rows make against its result.
-    pub(crate) subqueries: Vec<(QueryPlan, SubqueryCheck)>,
+    /// before this one, the check outer rows make against its result, and
+    /// the correlation that seeds the inner run ([`seed`]).
+    pub(crate) subqueries: Vec<(QueryPlan, SubqueryCheck, Option<Correlation>)>,
 }
 
 impl QueryPlan {
@@ -96,7 +100,7 @@ impl QueryPlan {
             .iter()
             .map(|sq| {
                 let LoweredSubquery { sub, check } = lower_subquery(sq);
-                Ok((QueryPlan::new(sub)?, check))
+                Ok((QueryPlan::new(sub)?, check, seed(sq, &analyzed)))
             })
             .collect::<Result<_>>()?;
 
@@ -160,6 +164,25 @@ mod tests {
     fn planning_rejects_self_joins_and_empty_from() {
         let err = QueryPlan::prepare("SELECT r1.a FROM r r1, r r2 WHERE r1.b = r2.a", &schemas());
         assert!(err.is_err(), "self-join within one block must fail at plan time");
+    }
+
+    /// The workloads' correlated scalar subqueries are seeded; their EXISTS,
+    /// IN and uncorrelated subqueries (q4, q18, q22, d_q94) are not.
+    #[test]
+    fn the_workloads_seed_exactly_their_correlated_scalar_subqueries() {
+        use vcsql_workload::{tpcds, tpch};
+        let mut seeded = Vec::new();
+        for (schemas, queries) in
+            [(tpch::schemas(), tpch::queries()), (tpcds::schemas(), tpcds::queries())]
+        {
+            for q in queries {
+                let plan = QueryPlan::prepare(q.sql, &schemas).unwrap();
+                if plan.subqueries.iter().any(|(_, _, seed)| seed.is_some()) {
+                    seeded.push(q.id);
+                }
+            }
+        }
+        assert_eq!(seeded, ["q2", "q17", "d_q3", "d_q32"]);
     }
 
     #[test]

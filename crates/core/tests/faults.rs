@@ -2,12 +2,14 @@
 //! phase layer must absorb: one query that visits all four driver sites —
 //! a secondary component's traversal and gather, the primary traversal, the
 //! finish superstep and the local-aggregation merge — is killed at every
-//! superstep index and must come out as if nothing happened.
+//! superstep index and must come out as if nothing happened. So must a
+//! seeded correlated scalar subquery, killed at every superstep of its
+//! inner run (the seeding phase included) and of its outer run.
 
 use std::sync::Arc;
 use vcsql_bsp::{EngineConfig, FaultInjector, FaultPlan, FaultTraffic, PartitionStrategy};
 use vcsql_core::{QueryPlan, TagJoinExecutor};
-use vcsql_query::AggClass;
+use vcsql_query::{seed, AggClass};
 use vcsql_tag::TagGraph;
 use vcsql_workload::tpch;
 
@@ -88,5 +90,67 @@ fn a_crash_at_every_superstep_of_a_cartesian_local_aggregate_changes_nothing() {
             sum.recovered_rounds,
         ];
         assert_eq!(got, pinned, "every={every}: checkpoint/recovery pricing moved");
+    }
+}
+
+/// q17's shape with `p.p_size < 10` as the outer filter: the correlated
+/// scalar subquery is seeded from `part`'s filter.
+const SEEDED: &str = "SELECT SUM(l.l_extendedprice) AS total FROM lineitem l, part p \
+                      WHERE p.p_partkey = l.l_partkey AND p.p_size < 10 \
+                      AND 5 * l.l_quantity < (SELECT SUM(l2.l_quantity) FROM lineitem l2 \
+                                              WHERE l2.l_partkey = p.p_partkey)";
+
+/// Supersteps of each computation, in run order: the inner run's three
+/// seeding supersteps, finish and local-aggregation merge, then the outer
+/// run's two-step traversal (three passes) and finish.
+const SEEDED_RUNS: [u64; 2] = [5, 7];
+
+#[test]
+fn a_crash_at_every_superstep_of_a_seeded_subquery_changes_nothing() {
+    let tag = TagGraph::build(&tpch::generate(0.01, 42));
+    let plan = QueryPlan::prepare(SEEDED, tag.schemas()).unwrap();
+    let a = plan.analyzed();
+    assert!(seed(&a.subqueries[0], a).is_some(), "the subquery must be seeded");
+
+    for engine in
+        [EngineConfig::sequential(), EngineConfig::with_threads(4).with_parallel_threshold(0)]
+    {
+        let run = |injector: Option<Arc<FaultInjector>>| {
+            let mut executor = TagJoinExecutor::new(&tag, engine).with_partitioning_shared(
+                Arc::new(tag.partition(&PartitionStrategy::Hash, MACHINES)),
+            );
+            if let Some(injector) = injector {
+                executor = executor.with_fault_injector(injector);
+            }
+            executor.execute_plan(&plan)
+        };
+        let base = run(None).unwrap();
+        assert!(!base.relation.tuples[0].0[0].is_null(), "some line item must qualify");
+        assert_eq!(base.stats.supersteps, SEEDED_RUNS.iter().sum::<u64>());
+
+        // Superstep `at` of run `r`: a crash pinned to `at` fires in the
+        // first run that reaches it, so every earlier run reaching `at`
+        // spends one crash before run `r`'s fires.
+        for (r, &len) in SEEDED_RUNS.iter().enumerate() {
+            for at in 0..len {
+                let crashes = 1 + SEEDED_RUNS[..r].iter().filter(|&&n| n > at).count();
+                for every in [1, 2] {
+                    let what =
+                        format!("threads={} every={every} run={r} crash={at}", engine.threads);
+                    let machine = (at % MACHINES as u64) as u32;
+                    let faults = (0..crashes).fold(FaultPlan::new(), |f, _| f.crash(machine, at));
+                    let injector = Arc::new(FaultInjector::new(faults, every));
+                    let out =
+                        run(Some(Arc::clone(&injector))).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_eq!(injector.fired_count(), crashes, "{what}: the crashes must fire");
+                    assert_eq!(out.stats.faults.crashes_recovered, crashes as u64, "{what}");
+                    assert!(
+                        out.relation.same_bag_approx(&base.relation, 0.0),
+                        "{what}: bag changed"
+                    );
+                    assert_eq!(out.stats.totals, base.stats.totals, "{what}");
+                }
+            }
+        }
     }
 }

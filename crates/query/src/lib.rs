@@ -48,5 +48,7 @@ pub use ast::{HavingPred, JoinKind, QExpr, SelectItem, SelectStmt, TableRef};
 pub use gyo::{decompose, Decomposition, JoinTree, JoinVar};
 pub use output::{Gather, Group, Output};
 pub use parser::parse;
-pub use subquery::{lower_subquery, BoundSubquery, LoweredSubquery, SubqueryCheck, SubqueryResult};
+pub use subquery::{
+    lower_subquery, seed, BoundSubquery, LoweredSubquery, SubqueryCheck, SubqueryResult,
+};
 pub use tagplan::{PlanNode, Step, TagPlan};

@@ -21,9 +21,11 @@
 //! dropped, and the two call for different values.
 //!
 //! Where an outer row is checked — at its table's scan, when the check reads
-//! one table, or on joined rows — is each executor's choice.
+//! one table, or on joined rows — is each executor's choice. So is whether
+//! the inner query first drops the keys no outer row can probe: [`seed`]
+//! names the correlation of the scalar subqueries where that is sound.
 
-use crate::analyze::{classify, Analyzed, OutputItem, SubqueryKind, SubqueryPred};
+use crate::analyze::{classify, Analyzed, Correlation, OutputItem, SubqueryKind, SubqueryPred};
 use std::sync::Arc;
 use vcsql_relation::agg::Accumulator;
 use vcsql_relation::expr::{BoundExpr, CmpOp, Expr};
@@ -108,6 +110,21 @@ pub fn lower_subquery(sq: &SubqueryPred) -> LoweredSubquery {
     sub.agg_class = classify(&sub);
     let key = sq.correlations.iter().map(|c| c.outer).collect();
     LoweredSubquery { sub, check: SubqueryCheck { key, lhs, test } }
+}
+
+/// The correlation a scalar subquery of `outer` may be seeded through: the
+/// inner query need only aggregate the keys that some outer key tuple
+/// passing its table's pushed-down filters holds, since no other outer row
+/// probes the result. `None` unless the subquery is a scalar comparison with
+/// exactly one correlation, the outer key table has a pushed-down filter and
+/// the two correlation columns share a type (so equal keys are equal values).
+pub fn seed(sq: &SubqueryPred, outer: &Analyzed) -> Option<Correlation> {
+    let [c] = sq.correlations[..] else { return None };
+    let ty = |a: &Analyzed, (t, col): (usize, usize)| a.tables[t].schema.columns[col].ty;
+    let seedable = matches!(sq.kind, SubqueryKind::Scalar { .. })
+        && !outer.tables[c.outer.0].filters.is_empty()
+        && ty(outer, c.outer) == ty(&sq.sub, c.inner);
+    seedable.then_some(c)
 }
 
 impl SubqueryCheck {

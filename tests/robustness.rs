@@ -6,7 +6,7 @@ use std::sync::Arc;
 use vcsql::baseline::{execute as baseline, ExecConfig, JoinAlgo};
 use vcsql::bsp::{EngineConfig, Partitioning};
 use vcsql::core::{QueryPlan, TagJoinExecutor};
-use vcsql::query::{analyze::analyze, parse};
+use vcsql::query::{analyze::analyze, parse, seed};
 use vcsql::relation::schema::{Column, Schema};
 use vcsql::relation::{DataType, Database, RelError, Relation, Tuple, Value};
 use vcsql::tag::{MaterializePolicy, TagGraph};
@@ -216,6 +216,7 @@ fn joins_on_ill_materialized_columns_error_instead_of_undercounting() {
 /// path, as it does in both relational baselines — never a dropped row, a
 /// skipped aggregate input or a tuple filtered out — and it is the same
 /// error on every thread count and through a session, which serves nothing.
+/// A seed that admits no inner tuple still evaluates every inner filter.
 #[test]
 fn expression_errors_fail_the_statement_instead_of_changing_the_answer() {
     let db = tpch::generate(0.01, 42);
@@ -235,6 +236,10 @@ fn expression_errors_fail_the_statement_instead_of_changing_the_answer() {
         // pushed-down filter during reduction
         "SELECT n.n_name FROM customer c, nation n \
          WHERE c.c_nationkey = n.n_nationkey AND c.c_acctbal + c.c_name > 0",
+        // inner filter of a seeded subquery whose seed admits nothing
+        "SELECT c.c_name FROM customer c WHERE c.c_nationkey = -1 AND c.c_acctbal > \
+         (SELECT AVG(o.o_totalprice) FROM orders o WHERE o.o_custkey = c.c_custkey \
+          AND o.o_totalprice + o.o_orderpriority > 0)",
     ];
     let configs =
         [EngineConfig::sequential(), EngineConfig::with_threads(2).with_parallel_threshold(0)];
@@ -347,10 +352,12 @@ fn stats_invariants() {
 /// subquery's `S` is the inner rows of the outer row's key, and a NULL key
 /// matches none (not even an inner NULL key); a correlated scalar subquery
 /// with no inner row compares against the aggregate of the empty set — 0
-/// for COUNT, NULL (never true) otherwise. HAVING in a scalar subquery is
-/// rejected at analysis: a key missing from the inner output could be a
-/// group HAVING dropped (value NULL) or no inner row at all (the empty-set
-/// aggregate), and the lowered inner query cannot tell them apart.
+/// for COUNT, NULL (never true) otherwise. The last four cases are seeded
+/// (TAG-join aggregates only the inner rows whose key an outer row passing
+/// `r.a <> …` holds) and must give the unseeded answer. HAVING in a scalar
+/// subquery is rejected at analysis: a key missing from the inner output
+/// could be a group HAVING dropped (value NULL) or no inner row at all (the
+/// empty-set aggregate), and the lowered inner query cannot tell them apart.
 #[test]
 fn subquery_predicates_follow_sql_three_valued_logic() {
     let int = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
@@ -363,7 +370,7 @@ fn subquery_predicates_follow_sql_three_valued_logic() {
     db.add(rel("r", ["a", "k"], &[[Some(1), Some(5)], [Some(2), None], [Some(3), Some(7)]]));
     db.add(rel("s", ["k", "v"], &[[None, Some(10)], [Some(7), Some(1)]]));
     let tag = TagGraph::build(&db);
-    let cases: [(&str, &[i64]); 12] = [
+    let cases: [(&str, &[i64]); 16] = [
         ("EXISTS (SELECT s.v FROM s WHERE s.k = r.k)", &[3]),
         ("NOT EXISTS (SELECT s.v FROM s WHERE s.k = r.k)", &[1, 2]),
         ("EXISTS (SELECT s.v FROM s WHERE s.v > 5)", &[1, 2, 3]),
@@ -376,6 +383,10 @@ fn subquery_predicates_follow_sql_three_valued_logic() {
         ("r.a > (SELECT COUNT(s.v) FROM s WHERE s.k = r.k)", &[1, 2, 3]),
         ("r.a < (SELECT AVG(s.v) FROM s WHERE s.k = r.k)", &[]),
         ("r.a > (SELECT COUNT(*) FROM s WHERE s.v > 100)", &[1, 2, 3]),
+        ("r.a <> 3 AND r.a > (SELECT COUNT(*) FROM s WHERE s.k = r.k)", &[1, 2]),
+        ("r.a <> 1 AND r.a > (SELECT COUNT(*) FROM s WHERE s.k = r.k)", &[2, 3]),
+        ("r.a <> 1 AND r.a > (SELECT AVG(s.v) FROM s WHERE s.k = r.k)", &[3]),
+        ("r.a <> 1 AND r.a < (SELECT AVG(s.v) FROM s WHERE s.k = r.k)", &[]),
     ];
     let bag = |rel: &Relation| {
         let mut a: Vec<i64> = rel.tuples.iter().map(|t| t.get(0).as_i64().unwrap()).collect();
@@ -383,9 +394,11 @@ fn subquery_predicates_follow_sql_three_valued_logic() {
         a
     };
     let mut wrong = Vec::new();
-    for (pred, want) in cases {
+    for (i, (pred, want)) in cases.into_iter().enumerate() {
         let sql = format!("SELECT r.a FROM r WHERE {pred}");
         let plan = QueryPlan::prepare(&sql, tag.schemas()).unwrap();
+        let a = plan.analyzed();
+        assert_eq!(seed(&a.subqueries[0], a).is_some(), i >= 12, "{pred}: seeded?");
         let tag_join = TagJoinExecutor::new(&tag, EngineConfig::sequential());
         let mut got = vec![("tag-join", bag(&tag_join.execute_plan(&plan).unwrap().relation))];
         for (name, join) in [("row-hash", JoinAlgo::Hash), ("sort-merge", JoinAlgo::SortMerge)] {
