@@ -6,7 +6,7 @@ use std::sync::Arc;
 use vcsql::baseline::{execute as baseline, ExecConfig, JoinAlgo};
 use vcsql::bsp::{EngineConfig, Partitioning};
 use vcsql::core::{QueryPlan, TagJoinExecutor};
-use vcsql::query::{analyze::analyze, parse, seed};
+use vcsql::query::{analyze::analyze, parse, seed, AggClass};
 use vcsql::relation::schema::{Column, Schema};
 use vcsql::relation::{DataType, Database, RelError, Relation, Tuple, Value};
 use vcsql::tag::{MaterializePolicy, TagGraph};
@@ -514,6 +514,107 @@ fn grouped_output_follows_sql() {
         match QueryPlan::prepare(sql, tag.schemas()) {
             Err(e) if e.to_string().contains("must appear in GROUP BY") => {}
             other => wrong.push(format!("{sql}: got {:?}, want refusal", other.map(|_| ()))),
+        }
+    }
+    assert!(wrong.is_empty(), "{} wrong answers:\n{}", wrong.len(), wrong.join("\n"));
+}
+
+/// Local aggregation (Section 7) folds each group exactly once, checked
+/// against hand-written bags on TAG-join (sequential and 4 threads) and
+/// row-hash. Over `r(id, name, v)`, keyed by `id`, = {(1, ann, 10), (2,
+/// ann, 20), (3, bob, 5), (4, NULL, 7), (5, NULL, 1), (6, cy, 3)} and
+/// `s(sid, rid, w)` = {(1, 1, 100), (2, 1, 200), (3, 2, 1), (4, 3, 4), (5,
+/// 3, 6), (6, 4, 2), (7, 5, 9)}: (a) grouping by `name, id` sends the
+/// partials of two groups to the `ann` attribute vertex; (b) a root joined
+/// to several `s` rows folds them into one partial; (c) a NULL first key has
+/// no attribute vertex and takes the aggregator fallback; (d) HAVING drops
+/// one routed group.
+#[test]
+fn local_aggregation_folds_each_group_once() {
+    let (int, name) = (|v: i64| Value::Int(v), |v: &str| Value::str(v));
+    let rel = |schema: Schema, key: &str, rows: Vec<Vec<Value>>| {
+        let rows = rows.into_iter().map(Tuple::new).collect();
+        Relation::from_tuples(schema.with_primary_key(&[key]), rows).unwrap()
+    };
+    let r = Schema::new(
+        "r",
+        vec![
+            Column::new("id", DataType::Int),
+            Column::new("name", DataType::Str),
+            Column::new("v", DataType::Int),
+        ],
+    );
+    let s = Schema::new(
+        "s",
+        ["sid", "rid", "w"].iter().map(|&c| Column::new(c, DataType::Int)).collect(),
+    );
+    let mut db = Database::new();
+    db.add(rel(
+        r,
+        "id",
+        vec![
+            vec![int(1), name("ann"), int(10)],
+            vec![int(2), name("ann"), int(20)],
+            vec![int(3), name("bob"), int(5)],
+            vec![int(4), Value::Null, int(7)],
+            vec![int(5), Value::Null, int(1)],
+            vec![int(6), name("cy"), int(3)],
+        ],
+    ));
+    let s_rows = [[1, 1, 100], [2, 1, 200], [3, 2, 1], [4, 3, 4], [5, 3, 6], [6, 4, 2], [7, 5, 9]];
+    db.add(rel(s, "sid", s_rows.iter().map(|row| row.iter().map(|&v| int(v)).collect()).collect()));
+    let tag = TagGraph::build(&db);
+    let cases: [(&str, &[&str]); 5] = [
+        (
+            "SELECT r.name, r.id, SUM(r.v) FROM r GROUP BY r.name, r.id",
+            &["ann|1|10", "ann|2|20", "bob|3|5", "cy|6|3", "NULL|4|7", "NULL|5|1"],
+        ),
+        (
+            "SELECT r.name, r.id, COUNT(*), SUM(s.w) FROM r, s WHERE r.id = s.rid \
+             GROUP BY r.name, r.id",
+            &["ann|1|2|300", "ann|2|1|1", "bob|3|2|10", "NULL|4|1|2", "NULL|5|1|9"],
+        ),
+        (
+            "SELECT r.name, COUNT(*), SUM(s.w), MIN(s.w) FROM r, s WHERE r.id = s.rid \
+             GROUP BY r.name",
+            &["ann|3|301|1", "bob|2|10|4", "NULL|2|11|2"],
+        ),
+        (
+            "SELECT r.name, COUNT(*), SUM(r.v) FROM r GROUP BY r.name",
+            &["ann|2|30", "bob|1|5", "cy|1|3", "NULL|2|8"],
+        ),
+        (
+            "SELECT r.name, SUM(s.w) FROM r, s WHERE r.id = s.rid GROUP BY r.name \
+             HAVING SUM(s.w) > 10",
+            &["ann|301", "NULL|11"],
+        ),
+    ];
+    let bag = |rel: &Relation| {
+        let row = |t: &Tuple| t.values().map(Value::to_string).collect::<Vec<_>>().join("|");
+        let mut rows: Vec<String> = rel.tuples.iter().map(row).collect();
+        rows.sort_unstable();
+        rows
+    };
+    let mut wrong = Vec::new();
+    for (sql, want) in cases {
+        let plan = QueryPlan::prepare(sql, tag.schemas()).unwrap();
+        assert_eq!(plan.analyzed().agg_class, AggClass::Local, "{sql}");
+        let mut want: Vec<String> = want.iter().map(|w| w.to_string()).collect();
+        want.sort_unstable();
+        let parallel = EngineConfig::with_threads(4).with_parallel_threshold(0);
+        let mut got = Vec::new();
+        for (engine, config) in
+            [("tag-join", EngineConfig::sequential()), ("tag-join x4", parallel)]
+        {
+            let out = TagJoinExecutor::new(&tag, config).execute_plan(&plan).unwrap();
+            got.push((engine, bag(&out.relation)));
+        }
+        let hash = baseline(plan.analyzed(), &db, ExecConfig { join: JoinAlgo::Hash }).unwrap();
+        got.push(("row-hash", bag(&hash)));
+        for (engine, got) in got {
+            if got != want {
+                wrong.push(format!("{engine}: {sql}: got {got:?}, want {want:?}"));
+            }
         }
     }
     assert!(wrong.is_empty(), "{} wrong answers:\n{}", wrong.len(), wrong.join("\n"));
