@@ -49,7 +49,7 @@
 
 use crate::bind::{all_hold, QueryCtx, Seed, Visit};
 use crate::plan::QueryPlan;
-use crate::table::{str_payload, Table, TagMsg};
+use crate::table::{str_payload, Partial, Table, TagMsg};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use vcsql_bsp::program::Aggregator;
@@ -58,23 +58,75 @@ use vcsql_bsp::{
     RunStats, VertexCtx, VertexId, WorkerPool,
 };
 use vcsql_query::analyze::Analyzed;
-use vcsql_query::{AggClass, Gather};
+use vcsql_query::{merge_accumulators, AggClass, Gather, Group};
+use vcsql_relation::agg::Accumulator;
 use vcsql_relation::{RelError, Relation, Value};
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
 
-/// Per-vertex state of the TAG-join program. `Clone` so the engine's
-/// fault-tolerance checkpoints can snapshot it.
+/// Per-vertex state of the TAG-join program, 24 bytes. `Clone` so the
+/// engine's fault-tolerance checkpoints can snapshot it.
+///
+/// The reduction marks (Algorithm 2 lines 9/19) are a bitmap over the
+/// vertex's CSR out-edges: bit `i` is set iff its `i`-th out-edge is
+/// marked. The first 64 bits live inline; only a hub, a vertex of more
+/// than 64 out-edges, allocates the words past the first.
 #[derive(Default, Clone)]
 pub struct St {
-    /// Reduction marks (Algorithm 2 lines 9/19): bit `i` is set iff the
-    /// vertex's `i`-th CSR out-edge is marked. Empty until the first signal.
-    marks: Box<[u64]>,
+    /// Marks of out-edges 0..64.
+    marks: u64,
+    /// Marks of out-edges 64 and up, word by word (hubs only).
+    hub: Option<Box<HubMarks>>,
+    /// The bitmap's words, `⌈out-degree / 64⌉`, from the first signal on;
+    /// 0 before it.
+    words: u32,
     /// Cached filter verdict for tuple vertices.
     pass: Option<bool>,
     /// Whether a seed reached this tuple vertex (see [`QueryCtx::admit`]).
     admitted: bool,
+}
+
+/// A hub's mark words past the first, behind a thin pointer so [`St`]
+/// keeps its size.
+#[derive(Clone)]
+struct HubMarks(Box<[u64]>);
+
+impl St {
+    /// Size the bitmap for `degree` out-edges, all unmarked: the first
+    /// signal's work.
+    fn open(&mut self, degree: usize) {
+        let words = degree.div_ceil(64);
+        self.words = words as u32;
+        if words > 1 {
+            self.hub = Some(Box::new(HubMarks(vec![0; words - 1].into())));
+        }
+    }
+
+    /// The mark word holding out-edge slot `i`, if the bitmap has one.
+    fn word(&mut self, i: usize) -> Option<&mut u64> {
+        match i / 64 {
+            0 => Some(&mut self.marks),
+            w => self.hub.as_mut().and_then(|h| h.0.get_mut(w - 1)),
+        }
+    }
+
+    /// Whether out-edge slot `i` carries a reduction mark.
+    fn marked(&self, i: usize) -> bool {
+        let word = match i / 64 {
+            0 => self.marks,
+            w => self.hub.as_ref().and_then(|h| h.0.get(w - 1)).map_or(0, |&w| w),
+        };
+        word >> (i % 64) & 1 == 1
+    }
+
+    /// Set or clear out-edge slot `i`'s mark.
+    fn set_mark(&mut self, i: usize, on: bool) {
+        if let Some(w) = self.word(i) {
+            let bit = 1 << (i % 64);
+            *w = if on { *w | bit } else { *w & !bit };
+        }
+    }
 }
 
 /// Execution result: the output relation plus the run's communication and
@@ -436,7 +488,9 @@ impl<'t> TagJoinExecutor<'t> {
     // --------------------------------------------------------------- finish
 
     /// Final superstep at the primary roots: read the rows' values, apply
-    /// residuals, aggregate, output.
+    /// residuals, aggregate, output. Nothing here allocates per root but
+    /// what a root ships or keeps: rows fold straight into the worker's
+    /// [`Gather`], and the cells and kept-row list are worker scratch.
     fn finish(
         &self,
         comp: &mut Computation<'_, St, TagMsg>,
@@ -453,14 +507,25 @@ impl<'t> TagJoinExecutor<'t> {
         }
         let reader = q.reader(&tables);
         let width = reader.len();
+        // A root with no traversal and nothing to pair with is its own row.
+        let alone = root == 0 && secondary.is_none();
+        let dups = &q.dups[q.plans[q.primary].root_table()];
+        let local = q.analyzed.agg_class == AggClass::Local;
 
-        // Aggregator: projected rows or partial groups (LA additionally
-        // *sends* partials to attribute vertices and only uses this for the
-        // NULL-key fallback).
+        // Aggregator: projected rows or groups (LA additionally *sends*
+        // partials to attribute vertices and only uses this for the NULL-key
+        // fallback), plus scratch reused from vertex to vertex.
         #[derive(Default)]
         struct Fin {
             out: Gather,
             err: FirstError,
+            /// The current root's cells, row-major.
+            cells: Vec<Value>,
+            /// The current root's rows the residuals keep.
+            kept: Vec<usize>,
+            /// The current attribute vertex's groups: the index of each
+            /// one's first partial among its messages, and its accumulators.
+            groups: Vec<(usize, Box<[Accumulator]>)>,
         }
         impl Aggregator for Fin {
             fn merge(&mut self, other: Self) {
@@ -474,65 +539,112 @@ impl<'t> TagJoinExecutor<'t> {
             if g.err.ok(passes_filter(ctx, q, tag)) != Some(true) {
                 return;
             }
-            let Some(mut value) = compute_value(ctx, q, tag, q.primary, root) else { return };
-            if let Some(sec) = &secondary {
-                value = value.product(sec);
-            }
-            debug_assert_eq!(value.cols(), q.final_layout, "unexpected final layout");
-            debug_assert_eq!(value.layout().tables, tables, "unexpected final tables");
-            let cells = read_values(tag, &value, &reader);
-            let row = |i: usize| &cells[i * width..(i + 1) * width];
+            let id = ctx.id();
+            g.cells.clear();
+            let value = if alone {
+                let Some(own) = tag.tuple(id) else { return };
+                if dups.iter().any(|&(x, y)| own[x] != own[y]) {
+                    return;
+                }
+                g.cells.extend(reader.iter().map(|&(_, col)| own[col].clone()));
+                None
+            } else {
+                let Some(mut value) = compute_value(ctx, q, tag, q.primary, root) else { return };
+                if let Some(sec) = &secondary {
+                    value = value.product(sec);
+                }
+                debug_assert_eq!(value.cols(), q.final_layout, "unexpected final layout");
+                debug_assert_eq!(value.layout().tables, tables, "unexpected final tables");
+                for ids in value.rows() {
+                    g.cells.extend(read_row(tag, ids, &reader));
+                }
+                Some(value)
+            };
+            let rows = value.as_ref().map_or(1, Table::len);
+            let row = |i: usize| &g.cells[i * width..(i + 1) * width];
             // Residual predicates (cross-table filters, broken cycle
             // equalities, multi-table subquery checks), over every row
             // before any is projected or grouped.
-            let kept: Vec<usize> = (0..value.len())
-                .filter(|&i| g.err.ok(all_hold(&q.residuals, row(i))) == Some(true))
-                .collect();
-            if q.analyzed.agg_class == AggClass::NoAgg {
-                for i in kept {
+            g.kept.clear();
+            for i in 0..rows {
+                if g.err.ok(all_hold(&q.residuals, row(i))) == Some(true) {
+                    g.kept.push(i);
+                }
+            }
+            if !local {
+                for &i in &g.kept {
                     g.err.ok(g.out.add(&q.output, row(i)));
                 }
                 return;
             }
-            // This root's partial groups.
-            let mut local = Gather::default();
-            for i in kept {
-                g.err.ok(local.add(&q.output, row(i)));
+            // Under local aggregation the root's table holds every group
+            // column, so the root's kept rows form one group.
+            let Some(&first) = g.kept.first() else { return };
+            let keys = q.output.keys();
+            let mut accs = q.output.accumulators();
+            for &i in &g.kept {
+                debug_assert!(keys.iter().all(|&p| row(i)[p] == row(first)[p]), "one group");
+                g.err.ok(q.output.fold(&mut accs, row(i)));
             }
-            let Some(label) = q.la_route else {
-                g.err.ok(g.out.merge(local));
-                return;
-            };
-            // Route each group's partial to the group-key attribute vertex
-            // along this root's own edge (Section 7, local aggregation); NULL
-            // keys (or a root without the edge) fall back to the aggregator.
-            let target = ctx.edges_with(label).first().map(|e| e.target);
-            for (key, group) in local.into_groups() {
-                match target.filter(|_| !key[0].is_null()) {
-                    Some(to) => {
-                        let msg = TagMsg::Partial(Arc::new((key, group)), q.partial_bytes);
-                        ctx.send_along(label, to, msg);
-                    }
-                    None => {
-                        g.err.ok(g.out.insert(key, group));
-                    }
+            // Route the partial to the group-key attribute vertex along this
+            // root's own edge (Section 7, local aggregation); a NULL key (or
+            // a root without the edge) falls back to the aggregator.
+            let route = q.la_route.filter(|_| !row(first)[keys[0]].is_null());
+            match route.and_then(|label| Some((label, ctx.edges_with(label).first()?.target))) {
+                Some((label, to)) => {
+                    let ids = match &value {
+                        Some(v) => v.rows().nth(first).expect("a kept row").into(),
+                        None => Box::from([id]),
+                    };
+                    let partial = Box::new(Partial { ids, accs });
+                    ctx.send_along(label, to, TagMsg::Partial(partial, q.partial_bytes));
+                }
+                None => {
+                    let group = Group::new(accs, row(first).into());
+                    g.err.ok(g.out.insert(q.output.key(row(first)), group));
                 }
             }
         })?;
         fin.err.check()?;
 
-        if q.analyzed.agg_class == AggClass::Local {
-            // One more superstep: group-key attribute vertices merge the
+        if local {
+            // One more superstep: group-key attribute vertices fold the
             // partials they received (each group computed in parallel at its
             // own vertex — the paper's local-aggregation strength) and hand
             // them to the host through the aggregator. Every partial of a key
             // is a message to one vertex, so its fold order is that vertex's
-            // message order.
+            // message order. Partials of one group share their key cells,
+            // compared by arena reads; the representative row is read once
+            // per group. Vertices hold distinct first keys, and fallback keys
+            // are NULL there, so no two groups appended share a key.
+            let key = |ids: &[VertexId], p: usize| {
+                let (pos, col) = reader[p];
+                &tag.tuple(ids[pos]).expect("partials hold tuple vertices")[col]
+            };
+            let same = |a: &[VertexId], b: &[VertexId]| {
+                q.output.keys().iter().all(|&p| key(a, p) == key(b, p))
+            };
             let la = single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
-                for m in ctx.messages() {
-                    if let TagMsg::Partial(kp, _) = m {
-                        g.err.ok(g.out.insert(kp.0.clone(), kp.1.clone()));
+                let partials = ctx.messages();
+                let partial = |m: usize| match &partials[m] {
+                    TagMsg::Partial(p, _) => Some(&**p),
+                    _ => None,
+                };
+                for m in 0..partials.len() {
+                    let Some(p) = partial(m) else { continue };
+                    let at =
+                        g.groups.iter_mut().find(|(f, _)| same(&partial(*f).unwrap().ids, &p.ids));
+                    match at {
+                        Some((_, accs)) => {
+                            g.err.ok(merge_accumulators(accs, &p.accs));
+                        }
+                        None => g.groups.push((m, p.accs.clone())),
                     }
+                }
+                for (m, accs) in g.groups.drain(..) {
+                    let ids = &partial(m).expect("a group's first partial").ids;
+                    let rep: Box<[Value]> = read_row(tag, ids, &reader).collect();
+                    g.out.append(q.output.key(&rep), Group::new(accs, rep));
                 }
             })?;
             fin.merge(la);
@@ -636,15 +748,11 @@ impl Aggregator for FirstError {
 }
 
 /// Checkpoint size of one vertex's [`St`] in bytes, in the 8-byte words of
-/// `TagMsg::byte_size`'s wire model: a header word, the mark bitmap's words,
-/// a word for a cached filter verdict and one for a seed's admission.
+/// `TagMsg::byte_size`'s wire model: a header word, the mark bitmap's words
+/// (none before the first signal), a word for a cached filter verdict and
+/// one for a seed's admission.
 fn st_state_bytes(st: &St) -> u64 {
-    8 * (1 + st.marks.len() as u64 + u64::from(st.pass.is_some()) + u64::from(st.admitted))
-}
-
-/// Whether out-edge slot `i` carries a reduction mark.
-fn marked(marks: &[u64], i: usize) -> bool {
-    marks.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    8 * (1 + u64::from(st.words) + u64::from(st.pass.is_some()) + u64::from(st.admitted))
 }
 
 /// Record reduction marks from incoming signals: union during bottom-up,
@@ -658,13 +766,13 @@ fn record_marks(ctx: &mut VertexCtx<'_, '_, St, TagMsg>, prev: Option<(LabelId, 
     let mut clear = replace;
     for m in ctx.messages() {
         let TagMsg::Signal(from) = m else { continue };
-        let marks = &mut ctx.state.marks;
-        if marks.is_empty() {
-            *marks = vec![0; edges.len().div_ceil(64)].into();
+        let st = &mut ctx.state;
+        if st.words == 0 {
+            st.open(edges.len());
         }
         if std::mem::take(&mut clear) {
             for i in run.clone() {
-                marks[i / 64] &= !(1 << (i % 64));
+                st.set_mark(i, false);
             }
         }
         // TAG edges are undirected with one label (footnote 3), so every
@@ -672,7 +780,7 @@ fn record_marks(ctx: &mut VertexCtx<'_, '_, St, TagMsg>, prev: Option<(LabelId, 
         let slot = edges[run.clone()].binary_search_by_key(from, |e| e.target);
         debug_assert!(slot.is_ok(), "signal from {from} travelled no edge labelled {label:?}");
         if let Ok(i) = slot.map(|i| run.start + i) {
-            marks[i / 64] |= 1 << (i % 64);
+            st.set_mark(i, true);
         }
     }
 }
@@ -687,7 +795,7 @@ fn send_along_marks(
 ) {
     let edges = ctx.edges();
     for i in ctx.graph().label_range(ctx.id(), label) {
-        if all || marked(&ctx.state.marks, i) {
+        if all || ctx.state.marked(i) {
             ctx.send_along(label, edges[i].target, msg());
         }
     }
@@ -758,18 +866,16 @@ fn compute_value(
     }
 }
 
-/// The values of `value`'s rows, row-major, in `reader`'s `(layout
-/// position, column)` order: where a statement reads the TAG's arena for
-/// its output.
-fn read_values(tag: &TagGraph, value: &Table, reader: &[(usize, usize)]) -> Vec<Value> {
-    let mut cells = Vec::with_capacity(value.len() * reader.len());
-    let mut tuples: Vec<&[Value]> = Vec::new();
-    for ids in value.rows() {
-        tuples.clear();
-        tuples.extend(ids.iter().map(|&id| tag.tuple(id).expect("rows hold tuple vertices")));
-        cells.extend(reader.iter().map(|&(pos, col)| tuples[pos][col].clone()));
-    }
-    cells
+/// The values of the row `ids`, in `reader`'s `(layout position, column)`
+/// order: where a statement reads the TAG's arena for its output.
+fn read_row<'a>(
+    tag: &'a TagGraph,
+    ids: &'a [VertexId],
+    reader: &'a [(usize, usize)],
+) -> impl Iterator<Item = Value> + 'a {
+    reader
+        .iter()
+        .map(|&(pos, col)| tag.tuple(ids[pos]).expect("rows hold tuple vertices")[col].clone())
 }
 
 /// The Algorithm B gather site: the machine holding the plurality of the
@@ -869,12 +975,12 @@ mod tests {
         for (j, step) in q.steps[ci].iter().enumerate() {
             let label = q.label(*step).unwrap();
             for v in g.vertices().filter(|&v| tag.is_tuple_vertex(v) == (j % 2 == 0)) {
-                let marks = &comp.states()[v as usize].marks;
+                let st = &comp.states()[v as usize];
                 for i in g.label_range(v, label) {
                     let target = g.out_edges(v)[i].target;
                     let tuple = if tag.is_tuple_vertex(v) { v } else { target };
                     let want = in_join.contains(&tuple);
-                    assert_eq!(marked(marks, i), want, "step {j}: edge {v} -> {target}");
+                    assert_eq!(st.marked(i), want, "step {j}: edge {v} -> {target}");
                     checked += usize::from(want);
                 }
             }
@@ -907,10 +1013,53 @@ mod tests {
         comp.superstep_simple(|ctx| ctx.send_along(label, hub, TagMsg::Signal(ctx.id())));
         comp.superstep_simple(|ctx| record_marks(ctx, Some((label, false))));
         let st = &comp.states()[hub as usize];
-        let set: Vec<usize> = (0..70).filter(|&i| marked(&st.marks, i)).collect();
+        let set: Vec<usize> = (0..70).filter(|&i| st.marked(i)).collect();
         assert_eq!(set, [69], "the last spoke sits in the second word's slot 5");
         assert_eq!(st_state_bytes(st), 24);
         assert_eq!(st_state_bytes(&St { pass: Some(true), ..st.clone() }), 32);
         assert_eq!(st_state_bytes(&St { pass: Some(true), admitted: true, ..st.clone() }), 40);
+    }
+
+    /// The inline word holds out-edge slots 0..64; slot 64 is the first a
+    /// hub keeps on the heap. Hubs of 64 and 65 spokes are signalled by the
+    /// spokes at slots 0, 63 and (on the larger hub) 64: each mark reads
+    /// back, and the bitmap is priced one word for 64 edges, two for 65.
+    #[test]
+    fn marks_cross_the_inline_word_at_edge_64() {
+        let mut b = GraphBuilder::new();
+        let vl = b.vertex_label("v");
+        let label = b.edge_label("hub.spoke");
+        let mut hubs = Vec::new();
+        for degree in [64, 65] {
+            let hub = b.add_vertex(vl);
+            let spokes: Vec<VertexId> = (0..degree).map(|_| b.add_vertex(vl)).collect();
+            for &spoke in &spokes {
+                b.add_undirected_edge(hub, spoke, label);
+            }
+            hubs.push((hub, spokes));
+        }
+        let g = b.finish();
+        let mut comp: Computation<'_, St, TagMsg> =
+            Computation::new(&g, EngineConfig::sequential(), |_| St::default());
+        let mut senders = Vec::new();
+        for (hub, spokes) in &hubs {
+            assert_eq!(st_state_bytes(&comp.states()[*hub as usize]), 8);
+            let slots = if spokes.len() == 64 { &[0, 63][..] } else { &[0, 63, 64] };
+            senders.extend(slots.iter().map(|&i| (spokes[i], *hub)));
+        }
+        comp.activate(senders.iter().map(|&(spoke, _)| spoke));
+        comp.superstep_simple(|ctx| {
+            let hub = senders.iter().find(|&&(spoke, _)| spoke == ctx.id()).unwrap().1;
+            ctx.send_along(label, hub, TagMsg::Signal(ctx.id()));
+        });
+        comp.superstep_simple(|ctx| record_marks(ctx, Some((label, false))));
+        for ((hub, spokes), (want, bytes)) in
+            hubs.iter().zip([(&[0, 63][..], 16), (&[0, 63, 64], 24)])
+        {
+            let st = &comp.states()[*hub as usize];
+            let set: Vec<usize> = (0..spokes.len()).filter(|&i| st.marked(i)).collect();
+            assert_eq!(set, want, "hub of {} edges", spokes.len());
+            assert_eq!(st_state_bytes(st), bytes, "hub of {} edges", spokes.len());
+        }
     }
 }

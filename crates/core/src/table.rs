@@ -44,7 +44,7 @@
 
 use std::sync::Arc;
 use vcsql_bsp::{Message, VertexId};
-use vcsql_query::Group;
+use vcsql_relation::agg::Accumulator;
 use vcsql_relation::Value;
 
 /// A column key of an intermediate table.
@@ -279,6 +279,19 @@ pub(crate) fn partial_bytes(keys: usize, items_and_having: usize, width: usize) 
     32 + keys * 16 + items_and_having * 24 + width * 16
 }
 
+/// One root's partial group under local aggregation (Section 7): ids, not
+/// values. Every kept row of a root is one group, so the root ships the
+/// tuple ids of its first kept row — the group-key attribute vertex reads
+/// the key and the representative row from the arena — and the
+/// accumulators all its kept rows folded into.
+#[derive(Debug, Clone)]
+pub struct Partial {
+    /// The first kept row's tuple ids, in final-row table order.
+    pub ids: Box<[VertexId]>,
+    /// The group's accumulators over the root's kept rows.
+    pub accs: Box<[Accumulator]>,
+}
+
 /// Messages of the TAG-join vertex program.
 #[derive(Debug, Clone)]
 pub enum TagMsg {
@@ -287,10 +300,11 @@ pub enum TagMsg {
     Signal(VertexId),
     /// Collection-phase intermediate table (Algorithm 2, line 40).
     Table(Arc<Table>),
-    /// Aggregation-phase `(group key, partial group)` routed to a group-key
-    /// attribute vertex (Section 7, local aggregation), with its wire size
-    /// (`partial_bytes`).
-    Partial(Arc<(Box<[Value]>, Group)>, usize),
+    /// Aggregation-phase partial group routed to a group-key attribute
+    /// vertex (Section 7, local aggregation), with its wire size
+    /// (`partial_bytes`: priced as the key and representative row it
+    /// stands for).
+    Partial(Box<Partial>, usize),
 }
 
 impl Message for TagMsg {

@@ -6,8 +6,11 @@
 //! binds an [`Output`] to the layout of its final rows
 //! ([`Analyzed::output`]), folds those rows into a [`Gather`] — in as many
 //! pieces, at as many places, as it likes, combined by [`Gather::merge`] and
-//! [`Gather::insert`] — and hands the result to [`Output::finish`]. The
-//! rules, in SQL's terms:
+//! [`Gather::insert`] — and hands the result to [`Output::finish`]. A place
+//! that knows its rows form one group folds them into bare accumulators
+//! ([`Output::fold`], [`merge_accumulators`]) and hands over the finished
+//! [`Group`]; one that also knows no other place holds its key skips the
+//! hashing ([`Gather::append`]). The rules, in SQL's terms:
 //!
 //! * rows with equal group keys form one group, NULL keys included;
 //! * aggregates without GROUP BY yield one row even over no input: COUNT 0,
@@ -70,19 +73,31 @@ pub struct Group {
 }
 
 impl Group {
-    /// Fold another partial of the same group in. Accumulators that cannot
-    /// merge (a kind mismatch) are the statement's error.
-    fn merge(&mut self, other: &Group) -> Result<()> {
-        self.accs.iter_mut().zip(&other.accs).try_for_each(|(a, b)| a.merge(b))
+    /// A group of the accumulators `accs` (from [`Output::accumulators`]),
+    /// represented by the row `rep`.
+    pub fn new(accs: Box<[Accumulator]>, rep: Box<[Value]>) -> Group {
+        Group { accs, rep }
     }
 }
 
+/// Fold another partial's accumulators of the same group into `accs`.
+/// Accumulators that cannot merge (a kind mismatch) are the statement's
+/// error.
+pub fn merge_accumulators(accs: &mut [Accumulator], other: &[Accumulator]) -> Result<()> {
+    accs.iter_mut().zip(other).try_for_each(|(a, b)| a.merge(b))
+}
+
 /// Final rows folded so far: projected rows of a statement without
-/// aggregation, else groups by key.
+/// aggregation, else groups by key — hashed, or appended by a caller that
+/// vouches their keys are distinct.
 #[derive(Debug, Default)]
 pub struct Gather {
     rows: Vec<Box<[Value]>>,
     groups: FxHashMap<Box<[Value]>, Group>,
+    appended: Vec<(Box<[Value]>, Group)>,
+    /// Scratch: the key [`Gather::add`] looks up, boxed only for a new
+    /// group.
+    probe: Vec<Value>,
 }
 
 impl Gather {
@@ -92,22 +107,21 @@ impl Gather {
             self.rows.push(out.project(row, |_| unreachable!("no aggregate without grouping"))?);
             return Ok(());
         }
-        let key: Box<[Value]> = out.keys.iter().map(|&p| row[p].clone()).collect();
-        let group = self.groups.entry(key).or_insert_with(|| out.group(row.into()));
-        for ((_, arg), acc) in out.aggs.iter().zip(group.accs.iter_mut()) {
-            let v = match arg {
-                Some(e) => e.eval(row)?,
-                None => Value::Int(1),
-            };
-            acc.update(&v)?;
+        self.probe.clear();
+        self.probe.extend(out.keys.iter().map(|&p| row[p].clone()));
+        if let Some(group) = self.groups.get_mut(self.probe.as_slice()) {
+            return out.fold(&mut group.accs, row);
         }
+        let mut group = out.group(row.into());
+        out.fold(&mut group.accs, row)?;
+        self.groups.insert(self.probe.as_slice().into(), group);
         Ok(())
     }
 
     /// Fold group `key`'s partial in.
     pub fn insert(&mut self, key: Box<[Value]>, group: Group) -> Result<()> {
         match self.groups.entry(key) {
-            Entry::Occupied(mut e) => e.get_mut().merge(&group),
+            Entry::Occupied(mut e) => merge_accumulators(&mut e.get_mut().accs, &group.accs),
             Entry::Vacant(e) => {
                 e.insert(group);
                 Ok(())
@@ -115,15 +129,18 @@ impl Gather {
         }
     }
 
+    /// Add group `key`, complete, without hashing it: the caller vouches
+    /// that no other group of this gather, or of any gather it meets in
+    /// [`Gather::merge`], has this key.
+    pub fn append(&mut self, key: Box<[Value]>, group: Group) {
+        self.appended.push((key, group));
+    }
+
     /// Fold another gather in: its rows follow these, its groups merge.
     pub fn merge(&mut self, mut other: Gather) -> Result<()> {
         self.rows.append(&mut other.rows);
+        self.appended.append(&mut other.appended);
         other.groups.into_iter().try_for_each(|(key, group)| self.insert(key, group))
-    }
-
-    /// The groups with their keys, in no particular order.
-    pub fn into_groups(self) -> impl Iterator<Item = (Box<[Value]>, Group)> {
-        self.groups.into_iter()
     }
 }
 
@@ -134,7 +151,8 @@ impl Output<'_> {
         if self.a.agg_class == AggClass::NoAgg {
             return build_output(self.a, gather.rows);
         }
-        let mut groups: Vec<(Box<[Value]>, Group)> = gather.into_groups().collect();
+        let mut groups: Vec<(Box<[Value]>, Group)> =
+            gather.groups.into_iter().chain(gather.appended).collect();
         if groups.is_empty() && self.a.agg_class == AggClass::Scalar {
             groups.push((Box::from([]), self.group(vec![Value::Null; self.width].into())));
         }
@@ -154,7 +172,34 @@ impl Output<'_> {
 
     /// A group with no row folded in yet, represented by `rep`.
     fn group(&self, rep: Box<[Value]>) -> Group {
-        Group { accs: self.aggs.iter().map(|&(func, _)| Accumulator::new(func)).collect(), rep }
+        Group { accs: self.accumulators(), rep }
+    }
+
+    /// Layout positions of the group keys.
+    pub fn keys(&self) -> &[usize] {
+        &self.keys
+    }
+
+    /// The group key of `row`.
+    pub fn key(&self, row: &[Value]) -> Box<[Value]> {
+        self.keys.iter().map(|&p| row[p].clone()).collect()
+    }
+
+    /// A group's accumulators with no row folded in yet.
+    pub fn accumulators(&self) -> Box<[Accumulator]> {
+        self.aggs.iter().map(|&(func, _)| Accumulator::new(func)).collect()
+    }
+
+    /// Fold `row` into its group's accumulators `accs`.
+    pub fn fold(&self, accs: &mut [Accumulator], row: &[Value]) -> Result<()> {
+        for ((_, arg), acc) in self.aggs.iter().zip(accs) {
+            let v = match arg {
+                Some(e) => e.eval(row)?,
+                None => Value::Int(1),
+            };
+            acc.update(&v)?;
+        }
+        Ok(())
     }
 
     /// The output items over `row`, aggregate `k` read by `agg(k)`.

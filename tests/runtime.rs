@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use vcsql::bsp::{EngineConfig, WorkerPool};
 use vcsql::core::TagJoinExecutor;
-use vcsql::query::{analyze::analyze, parse};
+use vcsql::query::{analyze::analyze, parse, AggClass};
 use vcsql::tag::TagGraph;
 use vcsql::workload::tpch;
 use vcsql::{Session, SessionConfig};
@@ -42,6 +42,28 @@ fn repeated_execution_is_thread_count_independent() {
             );
         }
         assert_eq!(pool.spawned_workers(), threads - 1, "workers spawned once, reused");
+    }
+}
+
+/// Local aggregation folds a group's partials at its group-key attribute
+/// vertex in message order, which delivery fixes for every thread count, so
+/// float sums agree to the last bit: q10 and q18's inner shape give equal
+/// bags on 1 thread and on 4 threads at threshold 0, with no tolerance.
+#[test]
+fn local_aggregation_is_bit_identical_across_thread_counts() {
+    let db = tpch::generate(0.01, 42);
+    let tag = TagGraph::build(&db);
+    let q10 = tpch::queries().into_iter().find(|q| q.id == "q10").unwrap().sql;
+    let q18_inner = "SELECT l.l_orderkey, SUM(l.l_quantity) AS qty FROM lineitem l \
+                     GROUP BY l.l_orderkey HAVING SUM(l.l_quantity) > 150";
+    for sql in [q10, q18_inner] {
+        let a = analyze(&parse(sql).unwrap(), tag.schemas()).unwrap();
+        assert_eq!(a.agg_class, AggClass::Local, "{sql}");
+        let one = TagJoinExecutor::new(&tag, EngineConfig::sequential()).execute(&a).unwrap();
+        assert!(!one.relation.is_empty(), "{sql}: no groups to compare");
+        let engine = EngineConfig::with_threads(4).with_parallel_threshold(0);
+        let four = TagJoinExecutor::new(&tag, engine).execute(&a).unwrap();
+        assert!(four.relation.same_bag_approx(&one.relation, 0.0), "{sql}: 4 threads differ");
     }
 }
 
