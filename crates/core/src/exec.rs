@@ -6,7 +6,8 @@
 //! 1. **Reduction, bottom-up** — active vertices send their id along edges
 //!    with the current step's label; a receiver marks its own edge back to
 //!    each sender — one bit per CSR out-edge in its [`St`], the slot found by
-//!    binary search in its `(label, target)`-sorted run. Tuple vertices
+//!    binary search in its `(label, target)`-sorted run; the first 64 bits
+//!    are inline, so only a hub allocates. Tuple vertices
 //!    check their pushed-down filters before forwarding (Section 7 selection
 //!    pushdown). By Lemma 5.1 this computes the projection/semijoin sequence
 //!    of a Yannakakis-style reducer.
@@ -22,12 +23,16 @@
 //!    exactly the rows that hold its id. No value is hashed or cloned.
 //!
 //! A final superstep at the plan root reads the rows' values from the TAG's
-//! arena — the only superstep that does — applies residual predicates,
-//! assembles output rows and performs aggregation: local aggregation routes
-//! partial aggregates to group-key attribute vertices (one extra superstep,
-//! whose merged groups leave through the aggregator), global and scalar
-//! aggregation fold into the engine's global aggregator — the paper's
-//! aggregation vertex.
+//! arena, applies residual predicates, assembles output rows and performs
+//! aggregation: global and scalar aggregation fold every kept row straight
+//! into the worker's share of the engine's global aggregator — the paper's
+//! aggregation vertex — with the cells as per-worker scratch, allocating
+//! nothing per root. Local aggregation folds a root's kept rows, one group,
+//! into one accumulator array and routes it, with the tuple ids of the
+//! root's first kept row, to the group-key attribute vertex: one extra
+//! superstep, where the vertex folds its partials in message order, reads
+//! each group's key and representative row from the arena, and hands the
+//! groups to the aggregator.
 //!
 //! A subquery's inner plan runs first, in a computation of its own. When
 //! the plan seeds it (`vcsql_query::seed`), that computation starts with a
@@ -97,7 +102,7 @@ impl St {
     /// signal's work.
     fn open(&mut self, degree: usize) {
         let words = degree.div_ceil(64);
-        self.words = words as u32;
+        self.words = u32::try_from(words).expect("a CSR range's words fit u32");
         if words > 1 {
             self.hub = Some(Box::new(HubMarks(vec![0; words - 1].into())));
         }
@@ -630,11 +635,10 @@ impl<'t> TagJoinExecutor<'t> {
                     TagMsg::Partial(p, _) => Some(&**p),
                     _ => None,
                 };
+                let ids = |m: usize| &partial(m).expect("a group starts at a partial").ids;
                 for m in 0..partials.len() {
                     let Some(p) = partial(m) else { continue };
-                    let at =
-                        g.groups.iter_mut().find(|(f, _)| same(&partial(*f).unwrap().ids, &p.ids));
-                    match at {
+                    match g.groups.iter_mut().find(|(first, _)| same(ids(*first), &p.ids)) {
                         Some((_, accs)) => {
                             g.err.ok(merge_accumulators(accs, &p.accs));
                         }
@@ -642,8 +646,7 @@ impl<'t> TagJoinExecutor<'t> {
                     }
                 }
                 for (m, accs) in g.groups.drain(..) {
-                    let ids = &partial(m).expect("a group's first partial").ids;
-                    let rep: Box<[Value]> = read_row(tag, ids, &reader).collect();
+                    let rep: Box<[Value]> = read_row(tag, ids(m), &reader).collect();
                     g.out.append(q.output.key(&rep), Group::new(accs, rep));
                 }
             })?;
