@@ -30,9 +30,9 @@
 //! nothing per root. Local aggregation folds a root's kept rows, one group,
 //! into one accumulator array and routes it, with the tuple ids of the
 //! root's first kept row, to the group-key attribute vertex: one extra
-//! superstep, where the vertex folds its partials in message order, reads
-//! each group's key and representative row from the arena, and hands the
-//! groups to the aggregator.
+//! superstep, where the vertex folds its partials in message order into its
+//! worker's share of the aggregator, hashed by key cells read from the
+//! arena; a group's representative row is read only when the group is new.
 //!
 //! A subquery's inner plan runs first, in a computation of its own. When
 //! the plan seeds it (`vcsql_query::seed`), that computation starts with a
@@ -63,8 +63,7 @@ use vcsql_bsp::{
     RunStats, VertexCtx, VertexId, WorkerPool,
 };
 use vcsql_query::analyze::Analyzed;
-use vcsql_query::{merge_accumulators, AggClass, Gather, Group};
-use vcsql_relation::agg::Accumulator;
+use vcsql_query::{AggClass, Gather};
 use vcsql_relation::{RelError, Relation, Value};
 use vcsql_tag::TagGraph;
 
@@ -513,8 +512,7 @@ impl<'t> TagJoinExecutor<'t> {
         let reader = q.reader(&tables);
         let width = reader.len();
         // A root with no traversal and nothing to pair with is its own row.
-        let alone = root == 0 && secondary.is_none();
-        let dups = &q.dups[q.plans[q.primary].root_table()];
+        let alone = (root == 0 && secondary.is_none()).then(|| q.plans[q.primary].root_table());
         let local = q.analyzed.agg_class == AggClass::Local;
 
         // Aggregator: projected rows or groups (LA additionally *sends*
@@ -528,9 +526,9 @@ impl<'t> TagJoinExecutor<'t> {
             cells: Vec<Value>,
             /// The current root's rows the residuals keep.
             kept: Vec<usize>,
-            /// The current attribute vertex's groups: the index of each
-            /// one's first partial among its messages, and its accumulators.
-            groups: Vec<(usize, Box<[Accumulator]>)>,
+            /// The group key of the current root's partial or of the
+            /// current partial at an attribute vertex.
+            key: Vec<Value>,
         }
         impl Aggregator for Fin {
             fn merge(&mut self, other: Self) {
@@ -546,11 +544,8 @@ impl<'t> TagJoinExecutor<'t> {
             }
             let id = ctx.id();
             g.cells.clear();
-            let value = if alone {
-                let Some(own) = tag.tuple(id) else { return };
-                if dups.iter().any(|&(x, y)| own[x] != own[y]) {
-                    return;
-                }
+            let value = if let Some(t) = alone {
+                let Some(own) = own_tuple(q, tag, t, id) else { return };
                 g.cells.extend(reader.iter().map(|&(_, col)| own[col].clone()));
                 None
             } else {
@@ -605,8 +600,9 @@ impl<'t> TagJoinExecutor<'t> {
                     ctx.send_along(label, to, TagMsg::Partial(partial, q.partial_bytes));
                 }
                 None => {
-                    let group = Group::new(accs, row(first).into());
-                    g.err.ok(g.out.insert(q.output.key(row(first)), group));
+                    g.key.clear();
+                    g.key.extend(keys.iter().map(|&p| row(first)[p].clone()));
+                    g.err.ok(g.out.insert(&g.key, &accs, || row(first).into()));
                 }
             }
         })?;
@@ -618,36 +614,19 @@ impl<'t> TagJoinExecutor<'t> {
             // own vertex — the paper's local-aggregation strength) and hand
             // them to the host through the aggregator. Every partial of a key
             // is a message to one vertex, so its fold order is that vertex's
-            // message order. Partials of one group share their key cells,
-            // compared by arena reads; the representative row is read once
-            // per group. Vertices hold distinct first keys, and fallback keys
-            // are NULL there, so no two groups appended share a key.
-            let key = |ids: &[VertexId], p: usize| {
-                let (pos, col) = reader[p];
-                &tag.tuple(ids[pos]).expect("partials hold tuple vertices")[col]
-            };
-            let same = |a: &[VertexId], b: &[VertexId]| {
-                q.output.keys().iter().all(|&p| key(a, p) == key(b, p))
-            };
+            // message order. A partial's key cells are read from the arena;
+            // its representative row only when its group is new.
+            let keys = q.output.keys();
             let la = single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
-                let partials = ctx.messages();
-                let partial = |m: usize| match &partials[m] {
-                    TagMsg::Partial(p, _) => Some(&**p),
-                    _ => None,
-                };
-                let ids = |m: usize| &partial(m).expect("a group starts at a partial").ids;
-                for m in 0..partials.len() {
-                    let Some(p) = partial(m) else { continue };
-                    match g.groups.iter_mut().find(|(first, _)| same(ids(*first), &p.ids)) {
-                        Some((_, accs)) => {
-                            g.err.ok(merge_accumulators(accs, &p.accs));
-                        }
-                        None => g.groups.push((m, p.accs.clone())),
-                    }
-                }
-                for (m, accs) in g.groups.drain(..) {
-                    let rep: Box<[Value]> = read_row(tag, ids(m), &reader).collect();
-                    g.out.append(q.output.key(&rep), Group::new(accs, rep));
+                for m in ctx.messages() {
+                    let TagMsg::Partial(p, _) = m else { continue };
+                    g.key.clear();
+                    g.key.extend(keys.iter().map(|&k| {
+                        let (pos, col) = reader[k];
+                        tag.tuple(p.ids[pos]).expect("partials hold tuple vertices")[col].clone()
+                    }));
+                    let rep = || read_row(tag, &p.ids, &reader).collect();
+                    g.err.ok(g.out.insert(&g.key, &p.accs, rep));
                 }
             })?;
             fin.merge(la);
@@ -847,10 +826,7 @@ fn compute_value(
     }));
     let Some(&t) = q.table_of_label.get(&ctx.label()) else { return incoming };
     let id = ctx.id();
-    let own = tag.tuple(id)?;
-    if q.dups[t].iter().any(|&(x, y)| own[x] != own[y]) {
-        return None;
-    }
+    let own = own_tuple(q, tag, t, id)?;
     let payload = |added: &[usize]| added.iter().map(|&c| str_payload(&own[c])).sum::<usize>();
     match (&q.visits[ci][step / 2], incoming) {
         (Visit::First { layout, added, .. }, None) if step == 0 => {
@@ -867,6 +843,13 @@ fn compute_value(
         (Visit::Again { pos }, Some(rows)) => Some(rows.select(*pos, id)),
         (_, None) => None,
     }
+}
+
+/// The columns of tuple vertex `id` of table `t`; `None` for another
+/// vertex, or when the tuple's columns of one join variable disagree.
+fn own_tuple<'t>(q: &QueryCtx, tag: &'t TagGraph, t: usize, id: VertexId) -> Option<&'t [Value]> {
+    let own = tag.tuple(id)?;
+    q.dups[t].iter().all(|&(x, y)| own[x] == own[y]).then_some(own)
 }
 
 /// The values of the row `ids`, in `reader`'s `(layout position, column)`

@@ -8,9 +8,7 @@
 //! pieces, at as many places, as it likes, combined by [`Gather::merge`] and
 //! [`Gather::insert`] — and hands the result to [`Output::finish`]. A place
 //! that knows its rows form one group folds them into bare accumulators
-//! ([`Output::fold`], [`merge_accumulators`]) and hands over the finished
-//! [`Group`]; one that also knows no other place holds its key skips the
-//! hashing ([`Gather::append`]). The rules, in SQL's terms:
+//! ([`Output::fold`]) and inserts those. The rules, in SQL's terms:
 //!
 //! * rows with equal group keys form one group, NULL keys included;
 //! * aggregates without GROUP BY yield one row even over no input: COUNT 0,
@@ -73,28 +71,19 @@ pub struct Group {
 }
 
 impl Group {
-    /// A group of the accumulators `accs` (from [`Output::accumulators`]),
-    /// represented by the row `rep`.
-    pub fn new(accs: Box<[Accumulator]>, rep: Box<[Value]>) -> Group {
-        Group { accs, rep }
+    /// Fold another partial's accumulators of this group in. Accumulators
+    /// that cannot merge (a kind mismatch) are the statement's error.
+    fn merge(&mut self, accs: &[Accumulator]) -> Result<()> {
+        self.accs.iter_mut().zip(accs).try_for_each(|(a, b)| a.merge(b))
     }
 }
 
-/// Fold another partial's accumulators of the same group into `accs`.
-/// Accumulators that cannot merge (a kind mismatch) are the statement's
-/// error.
-pub fn merge_accumulators(accs: &mut [Accumulator], other: &[Accumulator]) -> Result<()> {
-    accs.iter_mut().zip(other).try_for_each(|(a, b)| a.merge(b))
-}
-
 /// Final rows folded so far: projected rows of a statement without
-/// aggregation, else groups by key — hashed, or appended by a caller that
-/// vouches their keys are distinct.
+/// aggregation, else groups by key.
 #[derive(Debug, Default)]
 pub struct Gather {
     rows: Vec<Box<[Value]>>,
     groups: FxHashMap<Box<[Value]>, Group>,
-    appended: Vec<(Box<[Value]>, Group)>,
     /// Scratch: the key [`Gather::add`] looks up, boxed only for a new
     /// group.
     probe: Vec<Value>,
@@ -118,29 +107,37 @@ impl Gather {
         Ok(())
     }
 
-    /// Fold group `key`'s partial in.
-    pub fn insert(&mut self, key: Box<[Value]>, group: Group) -> Result<()> {
-        match self.groups.entry(key) {
-            Entry::Occupied(mut e) => merge_accumulators(&mut e.get_mut().accs, &group.accs),
-            Entry::Vacant(e) => {
-                e.insert(group);
-                Ok(())
-            }
+    /// Fold a partial of group `key` in: the accumulators `accs` (from
+    /// [`Output::accumulators`]) over some of its rows, represented by the
+    /// row `rep()` should the group be new here. Only a new group boxes its
+    /// key.
+    pub fn insert(
+        &mut self,
+        key: &[Value],
+        accs: &[Accumulator],
+        rep: impl FnOnce() -> Box<[Value]>,
+    ) -> Result<()> {
+        if let Some(group) = self.groups.get_mut(key) {
+            return group.merge(accs);
         }
-    }
-
-    /// Add group `key`, complete, without hashing it: the caller vouches
-    /// that no other group of this gather, or of any gather it meets in
-    /// [`Gather::merge`], has this key.
-    pub fn append(&mut self, key: Box<[Value]>, group: Group) {
-        self.appended.push((key, group));
+        self.groups.insert(key.into(), Group { accs: accs.into(), rep: rep() });
+        Ok(())
     }
 
     /// Fold another gather in: its rows follow these, its groups merge.
     pub fn merge(&mut self, mut other: Gather) -> Result<()> {
         self.rows.append(&mut other.rows);
-        self.appended.append(&mut other.appended);
-        other.groups.into_iter().try_for_each(|(key, group)| self.insert(key, group))
+        if self.groups.is_empty() {
+            self.groups = other.groups;
+            return Ok(());
+        }
+        other.groups.into_iter().try_for_each(|(key, group)| match self.groups.entry(key) {
+            Entry::Occupied(mut e) => e.get_mut().merge(&group.accs),
+            Entry::Vacant(e) => {
+                e.insert(group);
+                Ok(())
+            }
+        })
     }
 }
 
@@ -151,8 +148,7 @@ impl Output<'_> {
         if self.a.agg_class == AggClass::NoAgg {
             return build_output(self.a, gather.rows);
         }
-        let mut groups: Vec<(Box<[Value]>, Group)> =
-            gather.groups.into_iter().chain(gather.appended).collect();
+        let mut groups: Vec<(Box<[Value]>, Group)> = gather.groups.into_iter().collect();
         if groups.is_empty() && self.a.agg_class == AggClass::Scalar {
             groups.push((Box::from([]), self.group(vec![Value::Null; self.width].into())));
         }
@@ -178,11 +174,6 @@ impl Output<'_> {
     /// Layout positions of the group keys.
     pub fn keys(&self) -> &[usize] {
         &self.keys
-    }
-
-    /// The group key of `row`.
-    pub fn key(&self, row: &[Value]) -> Box<[Value]> {
-        self.keys.iter().map(|&p| row[p].clone()).collect()
     }
 
     /// A group's accumulators with no row folded in yet.
