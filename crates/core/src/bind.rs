@@ -2,7 +2,9 @@
 //!
 //! [`QueryCtx::build`] is the pass between planning and execution: it turns
 //! the plan's table/column references into this graph's vertex and edge
-//! labels, per-table tuple filters, the collection [`Visit`]s (what a tuple
+//! labels, per-table tuple filters, the steps each pass walks (the
+//! reduction-only branches whose keys are unique in this TAG leave the
+//! top-down and collection passes), the collection [`Visit`]s (what a tuple
 //! vertex does with the id rows it receives at each step), the final value
 //! layout and everything bound to it (residual checks and the statement's
 //! [`Output`]). The drivers in [`crate::exec`] only read the result; nothing
@@ -12,11 +14,11 @@ use crate::plan::QueryPlan;
 use crate::table::{partial_bytes, ColKey, Layout};
 use std::sync::Arc;
 use vcsql_bsp::LabelId;
-use vcsql_query::analyze::{Analyzed, OutputItem};
+use vcsql_query::analyze::Analyzed;
 use vcsql_query::tagplan::{Step, TagPlan};
 use vcsql_query::{AggClass, BoundSubquery, Correlation, Output, SubqueryResult};
 use vcsql_relation::expr::{BoundExpr, ColRef, Expr};
-use vcsql_relation::{FxHashMap, FxHashSet, RelError, Value};
+use vcsql_relation::{FxHashMap, RelError, Value};
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -108,12 +110,18 @@ pub(crate) struct QueryCtx<'a> {
     pub(crate) dups: Vec<Vec<(usize, usize)>>,
     /// One TAG plan per component (borrowed from the prepared plan).
     pub(crate) plans: &'a [TagPlan],
-    pub(crate) steps: &'a [Vec<Step>],
+    /// Per component, the edge labels of its `GenSteps` list: the bottom-up
+    /// reduction walks all of it.
+    pub(crate) steps: Vec<Vec<LabelId>>,
+    /// Per component, the labels of the `GenSteps` list of its plan without
+    /// the reduction-only branches whose keys are unique in this TAG: the
+    /// top-down reduction and the collection walk these.
+    pub(crate) kept: Vec<Vec<LabelId>>,
     /// Component whose roots assemble the final result.
     pub(crate) primary: usize,
     /// Per component, what its tuple vertices do at collection superstep
-    /// `2k` (entry `k`): the start table's visit at superstep 0, then one
-    /// per step that enters a table; the root's is last.
+    /// `2k` (entry `k`): the kept walk's start table's visit at superstep
+    /// 0, then one per step that enters a table; the root's is last.
     pub(crate) visits: Vec<Vec<Visit>>,
     /// Per component, the layout of the rows its roots hold.
     pub(crate) root_layouts: Vec<Arc<Layout>>,
@@ -128,8 +136,6 @@ pub(crate) struct QueryCtx<'a> {
     /// Edge label routing local-aggregation partials from the primary root
     /// to the group-key attribute vertex.
     pub(crate) la_route: Option<LabelId>,
-    /// Edge LabelIds per traversal step (table, col).
-    step_labels: FxHashMap<(usize, usize), LabelId>,
     /// The table whose tuples pass only once admitted, when a [`Seed`]
     /// ran before this (inner) query.
     pub(crate) admit: Option<usize>,
@@ -201,50 +207,9 @@ impl<'a> QueryCtx<'a> {
             var_of.insert(*k, *v as u32);
         }
 
-        // ---- needed columns per table --------------------------------------
-        let mut needed: Vec<FxHashSet<usize>> = vec![FxHashSet::default(); n];
-        let note_col = |needed: &mut Vec<FxHashSet<usize>>, t: usize, c: usize| {
-            needed[t].insert(c);
-        };
-        let note_expr = |needed: &mut Vec<FxHashSet<usize>>, e: &Expr| -> Result<()> {
-            let mut cols = Vec::new();
-            e.columns(&mut cols);
-            for c in cols {
-                let (t, col) = a.resolve(&c)?;
-                needed[t].insert(col);
-            }
-            Ok(())
-        };
-        for item in &a.items {
-            match item {
-                OutputItem::Col { table, col, .. } => note_col(&mut needed, *table, *col),
-                OutputItem::Expr { expr, .. } => note_expr(&mut needed, expr)?,
-                OutputItem::Agg { arg: Some(e), .. } => note_expr(&mut needed, e)?,
-                OutputItem::Agg { arg: None, .. } => {}
-            }
-        }
-        for &(t, c) in &a.group_by {
-            note_col(&mut needed, t, c);
-        }
-        for e in &a.residual {
-            note_expr(&mut needed, e)?;
-        }
-        for h in &a.having {
-            if let Some(e) = &h.arg {
-                note_expr(&mut needed, e)?;
-            }
-            note_expr(&mut needed, &h.rhs)?;
-        }
-        for j in &dec.broken {
-            note_col(&mut needed, j.left.0, j.left.1);
-            note_col(&mut needed, j.right.0, j.right.1);
-        }
         // Each subquery check is pushed to the one table it reads, if any.
         let mut subqueries = Vec::with_capacity(results.len());
         for ((_, check, _), result) in plan.subqueries.iter().zip(results) {
-            for (t, c) in check.columns(a)? {
-                note_col(&mut needed, t, c);
-            }
             subqueries.push((check, Arc::clone(result), check.outer_table(a)?));
         }
 
@@ -252,7 +217,7 @@ impl<'a> QueryCtx<'a> {
         // A table's tuples stand for: a Var key for each join variable
         // occurring in it, plus Plain keys for needed non-join columns.
         let mut own_specs: Vec<Vec<(ColKey, usize)>> = Vec::with_capacity(n);
-        for (t, needed_cols) in needed.iter().enumerate() {
+        for (t, needed_cols) in plan.needed.iter().enumerate() {
             let mut spec: Vec<(ColKey, usize)> = Vec::new();
             // Every occurrence of a variable in this table is listed: when a
             // variable occurs in several columns of one tuple (equalities
@@ -300,7 +265,6 @@ impl<'a> QueryCtx<'a> {
 
         // ---- plans (prebuilt, borrowed from the prepared QueryPlan) -----------
         let plans = plan.plans.as_slice();
-        let steps = plan.steps.as_slice();
         let primary = plan.primary;
 
         // ---- labels ---------------------------------------------------------------
@@ -313,32 +277,42 @@ impl<'a> QueryCtx<'a> {
             rel_label.push(label);
             table_of_label.insert(label, t);
         }
-        let mut step_labels = FxHashMap::default();
-        for steps in steps {
-            for s in steps {
-                let rel = &a.tables[s.table].relation;
-                let label = tag.column_label(rel, s.col).ok_or_else(|| {
-                    RelError::Other(format!(
-                        "join column {}.{} is not materialized as attribute vertices",
-                        rel, a.tables[s.table].schema.columns[s.col].name
-                    ))
-                })?;
-                step_labels.insert((s.table, s.col), label);
-            }
-        }
+        let column_label = |t: usize, c: usize| {
+            let rel = &a.tables[t].relation;
+            tag.column_label(rel, c).ok_or_else(|| {
+                RelError::Other(format!(
+                    "join column {}.{} is not materialized as attribute vertices",
+                    rel, a.tables[t].schema.columns[c].name
+                ))
+            })
+        };
 
-        // ---- collection visits ------------------------------------------------------
-        // A traversal walks the plan tree, so it alternates tuple and
-        // attribute vertices: tuple vertices compute at the even collection
-        // supersteps — the start table at 0, then the table each odd step
-        // enters (a step's label names its relation side), the root last.
+        // ---- steps and collection visits -------------------------------------------
+        // A branch whose keys are unique in this TAG extends every row it
+        // joins exactly once, and the bottom-up reduction already filtered
+        // the rows by it: the top-down and collection passes walk the plan
+        // without it. That walk alternates tuple and attribute vertices:
+        // tuple vertices compute at the even collection supersteps — its
+        // start table at 0, then the table each odd step enters (a step's
+        // label names its relation side), the root last.
+        let unique = |k: &Step| column_label(k.table, k.col).is_ok_and(|l| tag.is_unique(l));
+        let labels = |steps: &[Step]| -> Result<Vec<LabelId>> {
+            steps.iter().map(|s| column_label(s.table, s.col)).collect()
+        };
+        let (mut steps, mut kept) = (Vec::new(), Vec::new());
         let mut visits = Vec::with_capacity(plans.len());
         let mut root_layouts = Vec::with_capacity(plans.len());
-        for (plan, steps) in plans.iter().zip(steps) {
-            debug_assert!(steps.len().is_multiple_of(2), "a traversal ends at a relation");
+        for ((full, branches), plan) in plan.steps.iter().zip(&plan.branches).zip(plans) {
+            let mut dropped = vec![false; plan.len()];
+            for b in branches {
+                dropped[b.node] = b.keys.iter().all(unique);
+            }
+            let walked = plan.without(|n| dropped[n]);
+            let walk = walked.gen_steps();
+            debug_assert!(walk.len().is_multiple_of(2), "a traversal ends at a relation");
             let mut layout = Arc::new(Layout::default());
-            let mut vs = vec![first_visit(&own_specs, &mut layout, plan.start_table(), None)];
-            for s in steps.iter().skip(1).step_by(2) {
+            let mut vs = vec![first_visit(&own_specs, &mut layout, walked.start_table(), None)];
+            for s in walk.iter().skip(1).step_by(2) {
                 vs.push(match layout.tables.iter().position(|&t| t == s.table) {
                     Some(pos) => Visit::Again { pos },
                     None => {
@@ -349,11 +323,13 @@ impl<'a> QueryCtx<'a> {
             }
             visits.push(vs);
             root_layouts.push(layout);
+            steps.push(labels(full)?);
+            kept.push(labels(&walk)?);
         }
 
         // ---- final layout -----------------------------------------------------------
         let mut final_layout: Vec<ColKey> =
-            own_specs.iter().flat_map(|s| s.iter().map(|&(k, _)| k)).collect();
+            root_layouts.iter().flat_map(|l| l.cols.iter().copied()).collect();
         final_layout.sort_unstable();
         final_layout.dedup();
 
@@ -416,6 +392,7 @@ impl<'a> QueryCtx<'a> {
             dups,
             plans,
             steps,
+            kept,
             primary,
             visits,
             root_layouts,
@@ -424,7 +401,6 @@ impl<'a> QueryCtx<'a> {
             output,
             partial_bytes,
             la_route,
-            step_labels,
             admit: None,
         })
     }
@@ -432,14 +408,6 @@ impl<'a> QueryCtx<'a> {
     /// Vertex label whose tuple vertices start component `ci`'s traversal.
     pub(crate) fn start_label(&self, ci: usize) -> LabelId {
         self.rel_label[self.plans[ci].start_table()]
-    }
-
-    /// The edge label of a traversal step.
-    pub(crate) fn label(&self, s: Step) -> Result<LabelId> {
-        self.step_labels
-            .get(&(s.table, s.col))
-            .copied()
-            .ok_or_else(|| RelError::Other("unlabelled step".into()))
     }
 
     /// Where each final-layout column of a row over `tables` is read: the

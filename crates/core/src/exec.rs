@@ -1,7 +1,10 @@
 //! The TAG-join executor: SQL evaluation as a driven vertex-centric program.
 //!
 //! The driver realizes the paper's Algorithm 2 on the BSP engine, one
-//! superstep per traversal step, in three passes over the `GenSteps` list:
+//! superstep per traversal step, in three passes. The bottom-up reduction
+//! walks the plan's whole `GenSteps` list; the two later passes walk the
+//! *kept* list, the `GenSteps` list of the plan without the reduction-only
+//! branches whose keys are unique in this TAG (see [`crate::plan`]):
 //!
 //! 1. **Reduction, bottom-up** — active vertices send their id along edges
 //!    with the current step's label; a receiver marks its own edge back to
@@ -9,18 +12,25 @@
 //!    binary search in its `(label, target)`-sorted run; the first 64 bits
 //!    are inline, so only a hub allocates. Tuple vertices
 //!    check their pushed-down filters before forwarding (Section 7 selection
-//!    pushdown). By Lemma 5.1 this computes the projection/semijoin sequence
-//!    of a Yannakakis-style reducer.
-//! 2. **Reduction, top-down** — the reversed list; sends go only along edges
-//!    whose bit the bottom-up pass set, and receivers *replace* the bits of
-//!    that label's run, so surviving marks are exactly the edges of tuples
-//!    in the full join.
-//! 3. **Collection, bottom-up** — intermediate tables of tuple-vertex ids
-//!    ([`crate::table`]) flow along marked edges. Attribute vertices union
-//!    the tables they receive. A tuple vertex's first visit appends its id
-//!    to every row, checking by arena reads only the join variables the
-//!    traversed edge did not prove; a revisit on a backtracking step keeps
-//!    exactly the rows that hold its id. No value is hashed or cloned.
+//!    pushdown). A step that returns from a subtree sends only along the
+//!    edges its entry marked, so the pass is an exact semijoin reduction
+//!    (Lemma 5.1): a tuple vertex stays active only if it joins every table
+//!    of the subtrees walked below it.
+//! 2. **Reduction, top-down** — the reversed kept list; sends go only along
+//!    edges whose bit the bottom-up pass set, and receivers *replace* the
+//!    bits of that label's run, so surviving marks are exactly the edges of
+//!    tuples in the full join.
+//! 3. **Collection, bottom-up** — the kept list again: intermediate tables
+//!    of tuple-vertex ids ([`crate::table`]) flow along marked edges.
+//!    Attribute vertices union the tables they receive. A tuple vertex's
+//!    first visit appends its id to every row, checking by arena reads only
+//!    the join variables the traversed edge did not prove; a revisit on a
+//!    backtracking step keeps exactly the rows that hold its id. No value
+//!    is hashed or cloned.
+//!
+//! A skipped branch only filters: no output reads its tables, and each row
+//! of the kept tables extends into it exactly once, so the bag the kept
+//! rows make is the bag of the full join.
 //!
 //! A final superstep at the plan root reads the rows' values from the TAG's
 //! arena, applies residual predicates, assembles output rows and performs
@@ -368,8 +378,9 @@ impl<'t> TagJoinExecutor<'t> {
         .map_err(fault_to_rel)
     }
 
-    /// Run the three traversal passes for component `ci`, leaving the
-    /// component's root tuple vertices active with pending id tables.
+    /// Run the three traversal passes for component `ci` (the two later
+    /// ones over its kept list), leaving the component's root tuple
+    /// vertices active with pending id tables.
     /// A reduction superstep whose filter evaluation failed ends the phase
     /// with that error.
     ///
@@ -384,14 +395,15 @@ impl<'t> TagJoinExecutor<'t> {
         ci: usize,
     ) -> Result<()> {
         comp.activate_label(q.start_label(ci));
-        let descs = traversal(q, ci)?;
+        let descs = traversal(q, ci);
         if descs.is_empty() {
             return Ok(()); // single table: roots are the activated tuples
         }
         comp.run_phase(|comp, i| {
             let d = &descs[i];
             let mut err = match d.pass {
-                Pass::Red { down } => self.reduction_step(comp, q, d.cur, d.prev, down),
+                Pass::Up { all } => self.reduction_step(comp, q, d.cur, d.prev, all),
+                Pass::Down => self.reduction_step(comp, q, d.cur, d.prev, false),
                 Pass::Col { step } => {
                     self.collection_step(comp, q, ci, step, d.cur, d.prev);
                     FirstError::default()
@@ -406,7 +418,8 @@ impl<'t> TagJoinExecutor<'t> {
         .map_err(fault_to_rel)?
     }
 
-    /// One reduction superstep (Algorithm 2 lines 7-25), returning the
+    /// One reduction superstep (Algorithm 2 lines 7-25), sending along
+    /// every `cur` edge when `all`, else along the marked ones; returns the
     /// first filter evaluation that failed.
     fn reduction_step(
         &self,
@@ -414,7 +427,7 @@ impl<'t> TagJoinExecutor<'t> {
         q: &QueryCtx,
         cur: LabelId,
         prev: Option<(LabelId, bool)>,
-        down: bool,
+        all: bool,
     ) -> FirstError {
         let tag = self.tag;
         comp.superstep(|ctx: &mut VertexCtx<'_, '_, St, TagMsg>, err: &mut FirstError| {
@@ -425,9 +438,10 @@ impl<'t> TagJoinExecutor<'t> {
                 return;
             }
             // (c) send own id along edges with the current label; top-down
-            // sends follow bottom-up marks (line 17).
+            // sends follow bottom-up marks (line 17), and so does a
+            // bottom-up step that returns from a subtree.
             let vid = ctx.id();
-            send_along_marks(ctx, cur, !down, || TagMsg::Signal(vid));
+            send_along_marks(ctx, cur, all, || TagMsg::Signal(vid));
         })
         .1
     }
@@ -464,7 +478,7 @@ impl<'t> TagJoinExecutor<'t> {
         ci: usize,
     ) -> Result<Vec<(VertexId, Table)>> {
         let tag = self.tag;
-        let root = q.steps[ci].len();
+        let root = q.kept[ci].len();
         #[derive(Default)]
         struct Tables {
             pieces: Vec<(VertexId, Table)>,
@@ -502,7 +516,7 @@ impl<'t> TagJoinExecutor<'t> {
         secondary: Option<Table>,
     ) -> Result<Relation> {
         let tag = self.tag;
-        let root = q.steps[q.primary].len();
+        let root = q.kept[q.primary].len();
         // A final row holds the primary component's ids, then Algorithm B's
         // secondary ones; `reader` says where each final column is read.
         let mut tables = q.root_layouts[q.primary].tables.clone();
@@ -636,10 +650,12 @@ impl<'t> TagJoinExecutor<'t> {
     }
 }
 
-/// The pass a traversal superstep belongs to; a collection superstep knows
-/// its index in its pass.
+/// The pass a traversal superstep belongs to. A bottom-up step sends along
+/// every edge of its label unless it returns from a subtree; a collection
+/// step knows its index in its pass.
 enum Pass {
-    Red { down: bool },
+    Up { all: bool },
+    Down,
     Col { step: usize },
 }
 
@@ -652,28 +668,29 @@ struct Desc {
 }
 
 /// Component `ci`'s three passes flattened, one descriptor per superstep:
-/// reduction bottom-up, reduction top-down (reversed list; sends follow
-/// marks and receivers replace marks), collection bottom-up.
-fn traversal(q: &QueryCtx, ci: usize) -> Result<Vec<Desc>> {
-    let steps = &q.steps[ci];
-    let mut descs: Vec<Desc> = Vec::with_capacity(3 * steps.len());
+/// reduction bottom-up over the whole list, then reduction top-down over
+/// the kept list reversed (sends follow marks and receivers replace marks),
+/// then collection bottom-up over the kept list.
+///
+/// A label's second bottom-up step returns from the subtree its first
+/// entered, and sends only along the edges the entry marked: the attach
+/// node's vertices that entered, and survive the subtree, are its active
+/// vertices again, and no other. The pass is then the exact semijoin
+/// reduction that a branch the later passes skip relies on.
+fn traversal(q: &QueryCtx, ci: usize) -> Vec<Desc> {
+    let (full, kept) = (&q.steps[ci], &q.kept[ci]);
+    let up =
+        full.iter().enumerate().map(|(i, &cur)| (Pass::Up { all: !full[..i].contains(&cur) }, cur));
+    let passes = up
+        .chain(kept.iter().rev().map(|&cur| (Pass::Down, cur)))
+        .chain(kept.iter().enumerate().map(|(step, &cur)| (Pass::Col { step }, cur)));
     let mut prev: Option<(LabelId, bool)> = None;
-    for s in steps {
-        let cur = q.label(*s)?;
-        descs.push(Desc { pass: Pass::Red { down: false }, cur, prev });
-        prev = Some((cur, false));
-    }
-    for s in steps.iter().rev() {
-        let cur = q.label(*s)?;
-        descs.push(Desc { pass: Pass::Red { down: true }, cur, prev });
-        prev = Some((cur, true));
-    }
-    for (step, s) in steps.iter().enumerate() {
-        let cur = q.label(*s)?;
-        descs.push(Desc { pass: Pass::Col { step }, cur, prev });
-        prev = Some((cur, true));
-    }
-    Ok(descs)
+    passes
+        .map(|(pass, cur)| {
+            let replace = !matches!(pass, Pass::Up { .. });
+            Desc { pass, cur, prev: prev.replace((cur, replace)) }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -931,14 +948,18 @@ mod tests {
         // would record them too).
         let ci = q.primary;
         comp.activate_label(q.start_label(ci));
-        let descs = traversal(&q, ci).unwrap();
+        let descs = traversal(&q, ci);
         let mut in_flight = None;
         for d in &descs {
-            let Pass::Red { down } = d.pass else {
-                in_flight = d.prev;
-                break;
+            let all = match d.pass {
+                Pass::Up { all } => all,
+                Pass::Down => false,
+                Pass::Col { .. } => {
+                    in_flight = d.prev;
+                    break;
+                }
             };
-            assert!(exec.reduction_step(&mut comp, &q, d.cur, d.prev, down).0.is_none());
+            assert!(exec.reduction_step(&mut comp, &q, d.cur, d.prev, all).0.is_none());
         }
         comp.superstep_simple(|ctx| record_marks(ctx, in_flight));
 
@@ -958,8 +979,7 @@ mod tests {
 
         // Steps alternate tuple → attribute → tuple, starting from tuples.
         let mut checked = 0;
-        for (j, step) in q.steps[ci].iter().enumerate() {
-            let label = q.label(*step).unwrap();
+        for (j, &label) in q.steps[ci].iter().enumerate() {
             for v in g.vertices().filter(|&v| tag.is_tuple_vertex(v) == (j % 2 == 0)) {
                 let st = &comp.states()[v as usize];
                 for i in g.label_range(v, label) {

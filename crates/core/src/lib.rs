@@ -6,8 +6,10 @@
 //!
 //! * [`exec::TagJoinExecutor`] — the full pipeline: plan (GYO join tree /
 //!   broken-cycle GHD → TAG plan → `GenSteps`), then the three-pass vertex
-//!   program of Algorithm 2 (bottom-up reduction, top-down reduction,
-//!   collection), plus the Section 7 operators: pushed-down selections and
+//!   program of Algorithm 2 (bottom-up reduction over the whole plan,
+//!   top-down reduction and collection over the tables it keeps — a branch
+//!   that only filters, unique-keyed in the data, is left to the first
+//!   pass), plus the Section 7 operators: pushed-down selections and
 //!   projections, local/global/scalar aggregation, and (correlated)
 //!   subqueries by reverse lookup: the inner plans run first, and
 //!   `vcsql_query::subquery` judges the outer rows. Aggregation here is

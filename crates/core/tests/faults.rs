@@ -4,14 +4,15 @@
 //! finish superstep and the local-aggregation merge — is killed at every
 //! superstep index and must come out as if nothing happened. So must a
 //! seeded correlated scalar subquery, killed at every superstep of its
-//! inner run (the seeding phase included) and of its outer run.
+//! inner run (the seeding phase included) and of its outer run. So must a
+//! statement whose output-free branches leave the later passes.
 
 use std::sync::Arc;
 use vcsql_bsp::{EngineConfig, FaultInjector, FaultPlan, FaultTraffic, PartitionStrategy};
 use vcsql_core::{QueryPlan, TagJoinExecutor};
 use vcsql_query::{seed, AggClass};
 use vcsql_tag::TagGraph;
-use vcsql_workload::tpch;
+use vcsql_workload::{tpcds, tpch};
 
 /// Two join components with no predicate between them (Algorithm B ships
 /// the `p ⋈ ps` side to the `n ⋈ c` roots), grouped by one attribute.
@@ -26,8 +27,8 @@ const MACHINES: usize = 4;
 /// Per checkpoint interval, summed over a crash at every superstep:
 /// checkpoints, checkpoint bytes, recovery bytes, recovered vertices and
 /// recovered rounds.
-const PINNED_EVERY_1: [u64; 5] = [225, 4_629_120, 76_896, 9_095, 0];
-const PINNED_EVERY_3: [u64; 5] = [105, 2_183_160, 76_392, 9_095, 12];
+const PINNED_EVERY_1: [u64; 5] = [121, 2_476_496, 56_128, 6_676, 0];
+const PINNED_EVERY_3: [u64; 5] = [66, 1_358_368, 55_784, 6_676, 7];
 
 #[test]
 fn a_crash_at_every_superstep_of_a_cartesian_local_aggregate_changes_nothing() {
@@ -53,9 +54,12 @@ fn a_crash_at_every_superstep_of_a_cartesian_local_aggregate_changes_nothing() {
         };
         let base = run(None).unwrap();
         assert!(!base.relation.is_empty());
-        // Both traversals (three passes each), the gather, the finish and
-        // the local-aggregation merge.
-        assert_eq!(base.stats.supersteps, 3 * plan.traversal_steps() as u64 + 3);
+        // Both bottom-up reductions, the top-down reduction and the
+        // collection of `n ⋈ c` (two steps each: `part`, which no output
+        // reads, is unique-keyed from the `partsupp` root, so its branch
+        // leaves those passes), the gather, the finish and the
+        // local-aggregation merge.
+        assert_eq!(base.stats.supersteps, plan.traversal_steps() as u64 + 2 * 2 + 3);
 
         for every in [1, 3] {
             for crash in 0..base.stats.supersteps {
@@ -150,6 +154,50 @@ fn a_crash_at_every_superstep_of_a_seeded_subquery_changes_nothing() {
                     );
                     assert_eq!(out.stats.totals, base.stats.totals, "{what}");
                 }
+            }
+        }
+    }
+}
+
+/// TPC-DS q27: `date_dim`, `customer_dim` and `customer_demographics` only
+/// filter, and each is unique-keyed from the fact, so the top-down and
+/// collection passes skip their branches. Every superstep of the pruned
+/// traversal is a crash point.
+#[test]
+fn a_crash_at_every_superstep_of_a_pruned_statement_changes_nothing() {
+    let tag = TagGraph::build(&tpcds::generate(0.01, 42));
+    let q27 = tpcds::queries().into_iter().find(|q| q.id == "d_q27").unwrap();
+    let plan = QueryPlan::prepare(q27.sql, tag.schemas()).unwrap();
+
+    for engine in
+        [EngineConfig::sequential(), EngineConfig::with_threads(4).with_parallel_threshold(0)]
+    {
+        let run = |injector: Option<Arc<FaultInjector>>| {
+            let mut executor = TagJoinExecutor::new(&tag, engine).with_partitioning_shared(
+                Arc::new(tag.partition(&PartitionStrategy::Hash, MACHINES)),
+            );
+            if let Some(injector) = injector {
+                executor = executor.with_fault_injector(injector);
+            }
+            executor.execute_plan(&plan)
+        };
+        let base = run(None).unwrap();
+        assert!(!base.relation.is_empty());
+        // The bottom-up reduction over the whole plan, the top-down
+        // reduction and the collection over `store_sales`, `store` and
+        // `item` alone (four steps each), and the finish.
+        assert_eq!(base.stats.supersteps, plan.traversal_steps() as u64 + 2 * 4 + 1);
+
+        for every in [1, 2] {
+            for crash in 0..base.stats.supersteps {
+                let at = format!("threads={} every={every} crash={crash}", engine.threads);
+                let faults = FaultPlan::new().crash((crash % MACHINES as u64) as u32, crash);
+                let injector = Arc::new(FaultInjector::new(faults, every));
+                let out = run(Some(Arc::clone(&injector))).unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(injector.fired_count(), 1, "{at}: the crash must fire");
+                assert_eq!(out.stats.faults.crashes_recovered, 1, "{at}");
+                assert!(out.relation.same_bag_approx(&base.relation, 0.0), "{at}: bag changed");
+                assert_eq!(out.stats.totals, base.stats.totals, "{at}");
             }
         }
     }

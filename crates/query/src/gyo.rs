@@ -149,6 +149,21 @@ pub struct Decomposition {
     pub cyclic: bool,
 }
 
+impl Decomposition {
+    /// Where GYO roots `tables` alone, as it would a query over just them:
+    /// the table its ear removal leaves last. `tables` is a connected part
+    /// of one component, in ascending order.
+    pub fn root_of(&self, tables: &[usize]) -> usize {
+        let vars_of = |t: usize| {
+            self.vars.iter().filter(|v| v.tables().any(|u| u == t)).map(|v| v.id).collect()
+        };
+        let table_vars = tables.iter().map(|&t| (t, vars_of(t))).collect();
+        gyo_component(tables, &table_vars, &self.vars)
+            .expect("a connected part of a join tree is acyclic")
+            .root
+    }
+}
+
 /// Union-find.
 struct Uf(Vec<usize>);
 

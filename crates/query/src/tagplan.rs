@@ -9,8 +9,14 @@
 //! `GenSteps` linearizes the plan into a list of edge labels by a *connected
 //! bottom-up traversal* starting at the rightmost leaf. The list drives the
 //! vertex program: at superstep `i` active vertices send messages along their
-//! edges labelled `steps[i]` (paper Algorithm 2). Reversing the list gives
-//! the top-down reduction pass; reversing again drives the collection phase.
+//! edges labelled `steps[i]` (paper Algorithm 2), and the bottom-up reduction
+//! pass walks all of it.
+//!
+//! A subtree whose tables no output reads is *reduction-only*, a
+//! [`Branch`] of the plan ([`TagPlan::branches`]). The top-down reduction
+//! pass (reversed) and the collection pass walk the `GenSteps` list of the
+//! plan [`without`](TagPlan::without) each branch that extends every row it
+//! joins exactly once, which only the data can tell.
 
 use crate::gyo::{Decomposition, JoinTree};
 
@@ -40,6 +46,16 @@ pub struct TagPlan {
     /// label always references the relation side of the edge.
     pub in_label: Vec<Option<Step>>,
     pub root: usize,
+}
+
+/// A reduction-only subtree: its top node, and the labels that enter its
+/// relation nodes. When every label is unique in the data, each row the
+/// branch joins extends into it exactly once, and the top-down and
+/// collection passes may leave it out.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Branch {
+    pub node: usize,
+    pub keys: Vec<Step>,
 }
 
 impl TagPlan {
@@ -101,6 +117,43 @@ impl TagPlan {
             self.children[p].push(id);
         }
         id
+    }
+
+    /// The [`Branch`] of every reduction-only node, a node whose subtree
+    /// holds no `kept` table (the root always stays), in node order: a
+    /// branch nested in another follows it.
+    pub fn branches(&self, kept: impl Fn(usize) -> bool) -> Vec<Branch> {
+        let mut reduce_only = vec![false; self.len()];
+        // Children are numbered after their parents.
+        for n in (0..self.len()).rev() {
+            let holds =
+                n == self.root || matches!(self.nodes[n], PlanNode::Rel { table } if kept(table));
+            reduce_only[n] = !holds && self.children[n].iter().all(|&c| reduce_only[c]);
+        }
+        (0..self.len())
+            .filter(|&n| reduce_only[n])
+            .map(|node| {
+                let mut keys = Vec::new();
+                let mut stack = vec![node];
+                while let Some(m) = stack.pop() {
+                    if let PlanNode::Rel { .. } = self.nodes[m] {
+                        keys.push(self.in_label[m].expect("a branch hangs off a parent"));
+                    }
+                    stack.extend(&self.children[m]);
+                }
+                Branch { node, keys }
+            })
+            .collect()
+    }
+
+    /// The plan less the subtrees under the nodes `dropped` holds: node
+    /// ids stay, the dropped ones are no node's children.
+    pub fn without(&self, dropped: impl Fn(usize) -> bool) -> TagPlan {
+        let mut plan = self.clone();
+        for children in &mut plan.children {
+            children.retain(|&c| !dropped(c));
+        }
+        plan
     }
 
     /// The rightmost leaf: follow the last child from the root.
@@ -300,6 +353,35 @@ mod tests {
         }
     }
 
+    /// Leaving out the branches of the tables no output reads walks the
+    /// kept tables as planning them alone would: Figure 4 without T is the
+    /// plan of R, S and V, and the star without its rightmost dimension is
+    /// the star of the other two.
+    #[test]
+    fn the_walk_without_branches_is_gen_steps_of_the_kept_tables_alone() {
+        // The plan of `joins` over four tables, rooted at table 0.
+        let plan = |joins: &[JoinPred]| {
+            let mut dec = decompose(4, joins);
+            let c = dec.components.iter().position(|c| c.tables.contains(&0)).unwrap();
+            dec.components[c].reroot(0);
+            TagPlan::from_join_tree(&dec.components[c], &dec)
+        };
+        let (_, fig4) = figure4();
+        let star = [jp((0, 0), (1, 0)), jp((0, 1), (2, 0)), jp((0, 2), (3, 0))];
+        let last = plan(&star).start_table();
+        let others: Vec<JoinPred> = star.iter().copied().filter(|j| j.right.0 != last).collect();
+        for (full, dropped, alone) in [
+            (fig4, 2, plan(&[jp((1, 1), (3, 0)), jp((0, 0), (1, 0))])),
+            (plan(&star), last, plan(&others)),
+        ] {
+            let branches = full.branches(|t| t != dropped);
+            assert!(!branches.is_empty());
+            let walk = full.without(|n| branches.iter().any(|b| b.node == n));
+            assert_eq!(walk.gen_steps(), alone.gen_steps(), "without table {dropped}");
+            assert_eq!(walk.start_table(), alone.start_table());
+        }
+    }
+
     #[test]
     fn singleton_plan() {
         let dec = decompose(1, &[]);
@@ -339,8 +421,9 @@ mod prop_tests {
         /// step enters the root relation.
         #[test]
         fn gen_steps_structural_invariants(
-            (n, joins) in (2usize..7).prop_flat_map(|n| {
-                arb_acyclic_joins(n).prop_map(move |j| (n, j))
+            (n, joins, read) in (2usize..7).prop_flat_map(|n| {
+                (arb_acyclic_joins(n), prop::collection::vec(any::<bool>(), n))
+                    .prop_map(move |(j, read)| (n, j, read))
             }),
         ) {
             let dec = decompose(n, &joins);
@@ -348,6 +431,38 @@ mod prop_tests {
             prop_assert_eq!(dec.components.len(), 1);
             let plan = TagPlan::from_join_tree(&dec.components[0], &dec);
             let steps = plan.gen_steps();
+
+            // Under a random read set, every branch off the rightmost path
+            // is one closed, even-length run of the list that leaves its
+            // attach node and returns to it; the walk without every branch
+            // starts at a kept table.
+            let branches = plan.branches(|t| read[t]);
+            let rightmost = plan.rightmost_path();
+            for b in branches.iter().filter(|b| !rightmost.contains(&b.node)) {
+                let mut labels = vec![plan.in_label[b.node].unwrap()];
+                let mut stack = plan.children[b.node].clone();
+                while let Some(m) = stack.pop() {
+                    labels.push(plan.in_label[m].unwrap());
+                    stack.extend(&plan.children[m]);
+                }
+                let at: Vec<usize> =
+                    (0..steps.len()).filter(|&i| labels.contains(&steps[i])).collect();
+                let span = at[0]..at[at.len() - 1] + 1;
+                prop_assert_eq!(at.len(), span.len(), "branch {} is not one run", b.node);
+                prop_assert!(span.len() % 2 == 0, "branch {} has odd length", b.node);
+                let attach = plan.in_label[b.node];
+                prop_assert_eq!(Some(steps[span.start]), attach);
+                prop_assert_eq!(Some(steps[span.end - 1]), attach);
+            }
+            let kept = plan.without(|n| branches.iter().any(|b| b.node == n));
+            let start = kept.start_table();
+            prop_assert!(read[start] || start == plan.root_table(), "starts at table {}", start);
+            let walk = kept.gen_steps();
+            prop_assert_eq!(walk.len() % 2, 0);
+            if let (Some(first), Some(last)) = (walk.first(), walk.last()) {
+                prop_assert_eq!(first.table, kept.start_table());
+                prop_assert_eq!(last.table, plan.root_table());
+            }
 
             // Edge count: plan has len()-1 edges; steps length is between
             // edges (pure chain) and 2*edges (full backtracking).

@@ -312,17 +312,6 @@ impl TagBuilder {
             *slot += 1;
         }
         drop(links);
-        // `bucket[k]` is now where label `k`'s links end.
-        let mut from = 0;
-        for (label, &to) in edge_labels.iter().zip(&bucket) {
-            for &(tv, av) in &by_label[from..to] {
-                let label = label.expect("links follow materialized columns");
-                gb.add_undirected_edge(tv, av, label);
-            }
-            from = to;
-        }
-        drop(by_label);
-        let graph = gb.finish();
 
         // The value -> attribute-vertex index, moved over to compacted ids.
         attr_index.retain(|_, v| {
@@ -330,6 +319,27 @@ impl TagBuilder {
             *v = remap[*v as usize];
             kept
         });
+
+        // `bucket[k]` is now where label `k`'s links end. A label is unique
+        // when no attribute vertex meets two of its links: `stamp` (the
+        // spent `remap`) holds the last label each attribute vertex met.
+        let mut stamp = remap;
+        stamp.fill(u32::MAX);
+        let mut unique = vec![false; edge_labels.len()];
+        let mut from = 0;
+        for (k, (&label, &to)) in edge_labels.iter().zip(&bucket).enumerate() {
+            let mut once = true;
+            for &(tv, av) in &by_label[from..to] {
+                once &= std::mem::replace(&mut stamp[av as usize], k as u32) != k as u32;
+                gb.add_undirected_edge(tv, av, label.expect("links follow materialized columns"));
+            }
+            if let Some(label) = label {
+                unique[label.0 as usize] = once;
+            }
+            from = to;
+        }
+        drop((by_label, stamp));
+        let graph = gb.finish();
 
         // Per relation: LabelId of each column's edge label (None when the
         // policy skipped the column or refused one of its values).
@@ -346,7 +356,7 @@ impl TagBuilder {
             schemas.push(r.schema);
         }
 
-        TagGraph { graph, values, value_start, attr_index, schemas, col_labels }
+        TagGraph { graph, values, value_start, attr_index, schemas, col_labels, unique }
     }
 }
 
@@ -374,6 +384,8 @@ pub struct TagGraph {
     attr_index: FxHashMap<Value, VertexId>,
     schemas: Vec<Schema>,
     col_labels: FxHashMap<String, Vec<Option<LabelId>>>,
+    /// Per edge label, whether no attribute vertex has two of its edges.
+    unique: Vec<bool>,
 }
 
 impl TagGraph {
@@ -455,6 +467,13 @@ impl TagGraph {
     /// [`MaterializePolicy`]).
     pub fn column_label(&self, rel: &str, col: usize) -> Option<LabelId> {
         self.col_labels.get(rel).and_then(|v| v.get(col).copied().flatten())
+    }
+
+    /// Whether no attribute vertex has two edges labelled `label`: the
+    /// column's non-NULL values are distinct in this data, whatever the
+    /// schema declares.
+    pub fn is_unique(&self, label: LabelId) -> bool {
+        self.unique.get(label.0 as usize).copied().unwrap_or(false)
     }
 
     /// The edge label for `rel.column` by column name.
@@ -727,6 +746,36 @@ mod tests {
         assert!(tag.attr_vertex(&Value::Int(100)).is_none());
         // Value 10 still serves CUSTOMER_10.
         assert!(tag.attr_vertex(&Value::Int(10)).is_some());
+    }
+
+    /// A label is unique when no attribute vertex has two of its edges,
+    /// whatever other labels share the vertex: value 2 is a key of every
+    /// column it occurs in, and both orders share one date until one of
+    /// them is deleted.
+    #[test]
+    fn unique_labels_follow_the_live_data() {
+        let db = figure1_db();
+        let unique = |tag: &TagGraph, rel: &str, col: &str| {
+            tag.is_unique(tag.column_label_by_name(rel, col).unwrap())
+        };
+        let tag = TagGraph::build(&db);
+        for (rel, col) in [("NATION", "nationkey"), ("CUSTOMER", "custkey"), ("ORDER", "orderkey")]
+        {
+            assert!(unique(&tag, rel, col), "{rel}.{col}");
+        }
+        assert!(unique(&tag, "CUSTOMER", "nationkey"));
+        assert!(!unique(&tag, "ORDER", "odate"));
+
+        let mut b = TagBuilder::new(MaterializePolicy::default());
+        let mut last = None;
+        for rel in db.relations() {
+            b.add_schema(rel.schema.clone());
+            for t in &rel.tuples {
+                last = Some(b.insert_tuple(rel.name(), t.clone()).unwrap());
+            }
+        }
+        b.delete_tuple(last.unwrap()).unwrap(); // the second order
+        assert!(unique(&b.build(), "ORDER", "odate"));
     }
 
     /// Deleting is a tombstone per tuple: emptying a relation whose column

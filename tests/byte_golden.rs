@@ -54,12 +54,12 @@ fn statement_network_bytes(tag: &Arc<TagGraph>, strategy: PartitionStrategy) -> 
 const PINNED_TPCH: [(&str, [u64; 4]); 15] = [
     ("q1", [0, 0, 0, 0]),
     ("q2", [0, 0, 0, 0]),
-    ("q3", [1_856, 648, 624, 360]),
+    ("q3", [1_640, 616, 592, 328]),
     ("q4", [512, 384, 384, 384]),
-    ("q5", [4_144, 2_640, 2_296, 1_832]),
+    ("q5", [3_384, 2_152, 1_896, 1_504]),
     ("q6", [0, 0, 0, 0]),
-    ("q7", [34_816, 15_736, 16_784, 8_496]),
-    ("q10", [7_512, 2_800, 2_640, 2_264]),
+    ("q7", [30_144, 14_072, 15_376, 8_496]),
+    ("q10", [4_216, 2_624, 2_544, 1_568]),
     ("q12", [6_952, 3_728, 3_448, 1_512]),
     ("q14", [864, 448, 448, 336]),
     ("q16", [1_400, 216, 216, 0]),
