@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use vcsql::baseline::{execute as baseline, ExecConfig, JoinAlgo};
-use vcsql::bsp::{EngineConfig, Partitioning};
+use vcsql::bsp::{EngineConfig, Partitioning, WorkerPool};
 use vcsql::core::{QueryPlan, TagJoinExecutor};
 use vcsql::query::{analyze::analyze, parse, seed, AggClass};
 use vcsql::relation::schema::{Column, Schema};
@@ -757,4 +757,82 @@ fn output_free_branches_keep_the_bag() {
         }
     }
     assert!(wrong.is_empty(), "{} wrong answers:\n{}", wrong.len(), wrong.join("\n"));
+}
+
+/// The FROM orders a statement over `n` tables is checked under, as index
+/// permutations: all of them when there are at most 24, else 24 drawn by a
+/// fixed-seed shuffle.
+fn from_orders(n: usize) -> Vec<Vec<usize>> {
+    fn all(prefix: &mut Vec<usize>, n: usize, out: &mut Vec<Vec<usize>>) {
+        if prefix.len() == n {
+            out.push(prefix.clone());
+        }
+        for t in 0..n {
+            if !prefix.contains(&t) {
+                prefix.push(t);
+                all(prefix, n, out);
+                prefix.pop();
+            }
+        }
+    }
+    if (1..=n).product::<usize>() <= 24 {
+        let mut out = Vec::new();
+        all(&mut Vec::new(), n, &mut out);
+        return out;
+    }
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    (0..24)
+        .map(|_| {
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            order
+        })
+        .collect()
+}
+
+/// Reordering FROM changes neither engine's bag: every TPC-H and TPC-DS
+/// statement at SF 0.01, under each of its FROM orders (`from_orders`), on
+/// TAG-join sequential and on 4 threads at threshold 0, against the
+/// statement as written run sequentially.
+#[test]
+fn from_order_keeps_the_bag() {
+    let pool = Arc::new(WorkerPool::new(4));
+    let parallel = EngineConfig::with_threads(4).with_parallel_threshold(0);
+    let mut wrong = Vec::new();
+    for (db, queries) in
+        [(tpch::generate(0.01, 42), tpch::queries()), (tpcds::generate(0.01, 42), tpcds::queries())]
+    {
+        let tag = TagGraph::build(&db);
+        let engines = [
+            ("tag-join", TagJoinExecutor::new(&tag, EngineConfig::sequential())),
+            (
+                "tag-join x4",
+                TagJoinExecutor::new(&tag, parallel).with_worker_pool(Arc::clone(&pool)),
+            ),
+        ];
+        for q in queries {
+            let stmt = parse(q.sql).unwrap();
+            let want = engines[0].1.run_sql(q.sql).unwrap().relation;
+            for order in from_orders(stmt.from.len()) {
+                let mut permuted = stmt.clone();
+                permuted.from = order.iter().map(|&i| stmt.from[i].clone()).collect();
+                let plan = QueryPlan::new(analyze(&permuted, tag.schemas()).unwrap()).unwrap();
+                for (engine, exec) in &engines {
+                    let got = exec.execute_plan(&plan).unwrap().relation;
+                    if !got.same_bag_approx(&want, 1e-9) {
+                        wrong.push(format!("{engine}: {} under FROM order {order:?}", q.id));
+                    }
+                }
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{} wrong bags:\n{}", wrong.len(), wrong.join("\n"));
 }
