@@ -10,12 +10,13 @@
 //! [`Output`]). The drivers in [`crate::exec`] only read the result; nothing
 //! here runs a superstep.
 
+use crate::cost::Shape;
 use crate::plan::QueryPlan;
 use crate::table::{partial_bytes, ColKey, Layout};
 use std::sync::Arc;
 use vcsql_bsp::LabelId;
 use vcsql_query::analyze::Analyzed;
-use vcsql_query::tagplan::{Step, TagPlan};
+use vcsql_query::tagplan::Step;
 use vcsql_query::{AggClass, BoundSubquery, Correlation, Output, SubqueryResult};
 use vcsql_relation::expr::{BoundExpr, ColRef, Expr};
 use vcsql_relation::{FxHashMap, RelError, Value};
@@ -108,14 +109,13 @@ pub(crate) struct QueryCtx<'a> {
     /// Per table, the pairs of columns that hold one join variable: a tuple
     /// whose values there disagree joins nothing.
     pub(crate) dups: Vec<Vec<(usize, usize)>>,
-    /// One TAG plan per component (borrowed from the prepared plan).
-    pub(crate) plans: &'a [TagPlan],
+    /// The shape the plan runs in on this TAG.
+    pub(crate) shape: Arc<Shape>,
     /// Per component, the edge labels of its `GenSteps` list: the bottom-up
     /// reduction walks all of it.
     pub(crate) steps: Vec<Vec<LabelId>>,
-    /// Per component, the labels of the `GenSteps` list of its plan without
-    /// the reduction-only branches whose keys are unique in this TAG: the
-    /// top-down reduction and the collection walk these.
+    /// Per component, the labels of the shape's walk: the top-down
+    /// reduction and the collection walk these.
     pub(crate) kept: Vec<Vec<LabelId>>,
     /// Component whose roots assemble the final result.
     pub(crate) primary: usize,
@@ -263,8 +263,8 @@ impl<'a> QueryCtx<'a> {
             filters.push(TupleFilter { exprs, checks });
         }
 
-        // ---- plans (prebuilt, borrowed from the prepared QueryPlan) -----------
-        let plans = plan.plans.as_slice();
+        // ---- the shape chosen for this TAG --------------------------------------
+        let shape = plan.shape(tag)?;
         let primary = plan.primary;
 
         // ---- labels ---------------------------------------------------------------
@@ -288,30 +288,26 @@ impl<'a> QueryCtx<'a> {
         };
 
         // ---- steps and collection visits -------------------------------------------
-        // A branch whose keys are unique in this TAG extends every row it
-        // joins exactly once, and the bottom-up reduction already filtered
-        // the rows by it: the top-down and collection passes walk the plan
-        // without it. That walk alternates tuple and attribute vertices:
+        // The bottom-up reduction walks the chosen plan's list; the top-down
+        // and collection passes walk the plan without the branches whose
+        // keys are unique in this TAG, which extend every row they join
+        // exactly once and which the bottom-up reduction already filtered
+        // the rows by. That walk alternates tuple and attribute vertices:
         // tuple vertices compute at the even collection supersteps — its
         // start table at 0, then the table each odd step enters (a step's
         // label names its relation side), the root last.
-        let unique = |k: &Step| column_label(k.table, k.col).is_ok_and(|l| tag.is_unique(l));
         let labels = |steps: &[Step]| -> Result<Vec<LabelId>> {
             steps.iter().map(|s| column_label(s.table, s.col)).collect()
         };
         let (mut steps, mut kept) = (Vec::new(), Vec::new());
-        let mut visits = Vec::with_capacity(plans.len());
-        let mut root_layouts = Vec::with_capacity(plans.len());
-        for ((full, branches), plan) in plan.steps.iter().zip(&plan.branches).zip(plans) {
-            let mut dropped = vec![false; plan.len()];
-            for b in branches {
-                dropped[b.node] = b.keys.iter().all(unique);
-            }
-            let walked = plan.without(|n| dropped[n]);
-            let walk = walked.gen_steps();
+        let mut visits = Vec::with_capacity(shape.component_count());
+        let mut root_layouts = Vec::with_capacity(shape.component_count());
+        for ci in 0..shape.component_count() {
+            let walk = &shape.walk_steps[ci];
             debug_assert!(walk.len().is_multiple_of(2), "a traversal ends at a relation");
             let mut layout = Arc::new(Layout::default());
-            let mut vs = vec![first_visit(&own_specs, &mut layout, walked.start_table(), None)];
+            let start = shape.walks[ci].start_table();
+            let mut vs = vec![first_visit(&own_specs, &mut layout, start, None)];
             for s in walk.iter().skip(1).step_by(2) {
                 vs.push(match layout.tables.iter().position(|&t| t == s.table) {
                     Some(pos) => Visit::Again { pos },
@@ -323,8 +319,8 @@ impl<'a> QueryCtx<'a> {
             }
             visits.push(vs);
             root_layouts.push(layout);
-            steps.push(labels(full)?);
-            kept.push(labels(&walk)?);
+            steps.push(labels(&shape.steps[ci])?);
+            kept.push(labels(walk)?);
         }
 
         // ---- final layout -----------------------------------------------------------
@@ -374,7 +370,7 @@ impl<'a> QueryCtx<'a> {
         // LA routing label: the primary root must own the first group column.
         let la_route = if a.agg_class == AggClass::Local {
             let (gt, gc) = a.group_by[0];
-            if plan.components[primary].root == gt {
+            if shape.root_table(primary) == gt {
                 tag.column_label(&a.tables[gt].relation, gc)
             } else {
                 None
@@ -390,7 +386,7 @@ impl<'a> QueryCtx<'a> {
             filters,
             own_specs,
             dups,
-            plans,
+            shape,
             steps,
             kept,
             primary,
@@ -407,7 +403,12 @@ impl<'a> QueryCtx<'a> {
 
     /// Vertex label whose tuple vertices start component `ci`'s traversal.
     pub(crate) fn start_label(&self, ci: usize) -> LabelId {
-        self.rel_label[self.plans[ci].start_table()]
+        self.rel_label[self.shape.start_table(ci)]
+    }
+
+    /// Vertex label of component `ci`'s root tuple vertices.
+    pub(crate) fn root_label(&self, ci: usize) -> LabelId {
+        self.rel_label[self.shape.root_table(ci)]
     }
 
     /// Where each final-layout column of a row over `tables` is read: the

@@ -258,7 +258,7 @@ impl<'t> TagJoinExecutor<'t> {
         }
 
         // Order components: primary last.
-        let mut order: Vec<usize> = (0..q.plans.len()).collect();
+        let mut order: Vec<usize> = (0..q.shape.component_count()).collect();
         order.retain(|&i| i != q.primary);
         order.push(q.primary);
 
@@ -323,7 +323,7 @@ impl<'t> TagJoinExecutor<'t> {
     /// messages.
     fn cartesian_shipping(&self, q: &QueryCtx, sec: &Table, origin: Option<usize>) -> LabelTraffic {
         let graph = self.tag.graph();
-        let roots = graph.vertices_with_label(q.rel_label[q.plans[q.primary].root_table()]);
+        let roots = graph.vertices_with_label(q.root_label(q.primary));
         let rows = sec.len() as u64;
         let bytes = sec.approx_bytes() as u64;
         let mut traffic = LabelTraffic {
@@ -526,7 +526,7 @@ impl<'t> TagJoinExecutor<'t> {
         let reader = q.reader(&tables);
         let width = reader.len();
         // A root with no traversal and nothing to pair with is its own row.
-        let alone = (root == 0 && secondary.is_none()).then(|| q.plans[q.primary].root_table());
+        let alone = (root == 0 && secondary.is_none()).then(|| q.shape.root_table(q.primary));
         let local = q.analyzed.agg_class == AggClass::Local;
 
         // Aggregator: projected rows or groups (LA additionally *sends*
@@ -888,7 +888,7 @@ fn read_row<'a>(
 fn gather_site(q: &QueryCtx, order: &[usize], tag: &TagGraph, p: &Partitioning) -> usize {
     let mut tally = vec![0u64; p.machines()];
     for &ci in &order[..order.len() - 1] {
-        for &v in tag.graph().vertices_with_label(q.rel_label[q.plans[ci].root_table()]) {
+        for &v in tag.graph().vertices_with_label(q.root_label(ci)) {
             tally[p.machine_of(v) as usize] += 1;
         }
     }

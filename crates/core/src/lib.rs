@@ -29,10 +29,12 @@
 //! `repro cost-model` and `repro triangle-theta` experiments.
 
 mod bind;
+pub mod cost;
 pub mod exec;
 pub mod plan;
 pub mod table;
 
+pub use cost::Shape;
 pub use exec::{ExecOutput, TagJoinExecutor};
 pub use plan::QueryPlan;
 pub use table::{ColKey, Table, TagMsg};

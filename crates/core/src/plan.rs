@@ -24,15 +24,18 @@
 //! runs a prepared plan as many times as needed; the `vcsql-session` crate
 //! caches plans behind a bounded SQL-keyed cache.
 
+use crate::cost::{self, Shape};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vcsql_query::analyze::{analyze, Analyzed, OutputItem};
 use vcsql_query::gyo::{decompose, Decomposition, JoinTree};
-use vcsql_query::tagplan::{Branch, Step, TagPlan};
+use vcsql_query::tagplan::{Branch, TagPlan};
 use vcsql_query::{
     lower_subquery, parse, seed, AggClass, Correlation, LoweredSubquery, SubqueryCheck,
 };
 use vcsql_relation::expr::Expr;
 use vcsql_relation::schema::Schema;
 use vcsql_relation::{FxHashSet, RelError};
+use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
 
@@ -46,21 +49,42 @@ pub struct QueryPlan {
     /// keys, aggregate arguments, residuals, HAVING, broken-cycle
     /// equalities and subquery checks.
     pub(crate) needed: Vec<FxHashSet<usize>>,
-    /// Join-tree components after rerooting onto their kept tables and for
-    /// local aggregation.
-    pub(crate) components: Vec<JoinTree>,
-    /// One TAG plan per component, aligned with `components`.
-    pub(crate) plans: Vec<TagPlan>,
-    /// The `GenSteps` traversal list of each plan.
-    pub(crate) steps: Vec<Vec<Step>>,
-    /// The reduction-only branches of each plan's list.
-    pub(crate) branches: Vec<Vec<Branch>>,
+    /// Per join-tree component, one TAG plan per root it may run from
+    /// (children in no particular order), with its reduction-only branches.
+    pub(crate) components: Vec<Vec<Rooted>>,
     /// Component whose roots assemble the final result.
     pub(crate) primary: usize,
     /// Each subquery of `analyzed`, lowered: the inner query's plan, run
     /// before this one, the check outer rows make against its result, and
     /// the correlation that seeds the inner run ([`seed`]).
     pub(crate) subqueries: Vec<(QueryPlan, SubqueryCheck, Option<Correlation>)>,
+    /// The shape chosen for the last TAG this plan ran on.
+    memo: Memo,
+}
+
+/// A component's plan under one root: the TAG plan and the branches of the
+/// tables it keeps.
+#[derive(Debug, Clone)]
+pub(crate) struct Rooted {
+    pub(crate) plan: TagPlan,
+    pub(crate) branches: Vec<Branch>,
+}
+
+/// The [`Shape`] chosen for one TAG, by [`TagGraph::id`]. Clones carry it
+/// over.
+#[derive(Debug, Default)]
+struct Memo(Mutex<Option<(u64, Arc<Shape>)>>);
+
+impl Memo {
+    fn lock(&self) -> MutexGuard<'_, Option<(u64, Arc<Shape>)>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for Memo {
+    fn clone(&self) -> Memo {
+        Memo(Mutex::new(self.lock().clone()))
+    }
 }
 
 impl QueryPlan {
@@ -109,82 +133,82 @@ impl QueryPlan {
                 kept[t] |= v.occurrences[..i].iter().any(|&(u, _)| u == t);
             }
         }
-        let mut components = dec.components.clone();
-        for c in &mut components {
+        for c in &dec.components {
             for &t in c.extra_link_vars.keys() {
                 kept[t] = true;
                 kept[c.parent[&t].expect("a linked table has a parent")] = true;
             }
         }
-        // A root outside the part that connects the kept tables moves to
-        // where GYO roots that part alone; a component that reads nothing
-        // keeps its root. Every other table is kept too unless the column
-        // it joins its parent on is its declared key, the shape in which a
-        // branch can extend each row once. The data decides whether it
-        // does (`QueryCtx::build`); the key only shapes the plan.
-        for c in &mut components {
-            let reads = c.tables.iter().any(|&t| kept[t]);
-            loop {
-                let part = reads.then(|| spanning(c, &kept));
-                let rerooted = part.filter(|part| !part.contains(&c.root)).map(|part| {
-                    let mut tree = c.clone();
-                    tree.reroot(dec.root_of(&part));
-                    tree
-                });
-                let tree = rerooted.as_ref().unwrap_or(c);
-                let keyed = |t: usize| {
-                    let col = tree.link_var.get(&t).and_then(|&v| dec.vars[v].column_in(t));
-                    col.is_some_and(|col| analyzed.tables[t].schema.primary_key == [col])
-                };
-                let unkeyed: Vec<usize> =
-                    tree.tables.iter().copied().filter(|&t| !kept[t] && !keyed(t)).collect();
-                if unkeyed.is_empty() {
-                    if let Some(tree) = rerooted {
-                        *c = tree;
-                    }
-                    break;
-                }
-                for t in unkeyed {
-                    kept[t] = true;
-                }
-            }
-        }
-        let mut component_of = vec![0usize; n];
-        for (ci, c) in components.iter().enumerate() {
-            for &t in &c.tables {
-                component_of[t] = ci;
-            }
-        }
         // Primary: the component holding the (first) group-by table, else the
-        // one with the most tables.
+        // one with the most tables, the first relation name breaking a tie.
+        let first_name =
+            |c: &JoinTree| c.tables.iter().map(|&t| &analyzed.tables[t].relation).min();
         let primary = if let Some(&(gt, _)) = analyzed.group_by.first() {
-            component_of[gt]
+            dec.components.iter().position(|c| c.tables.contains(&gt)).expect("a table's component")
         } else {
-            (0..components.len()).max_by_key(|&i| components[i].tables.len()).unwrap_or(0)
+            (0..dec.components.len())
+                .min_by(|&x, &y| {
+                    let (x, y) = (&dec.components[x], &dec.components[y]);
+                    y.tables.len().cmp(&x.tables.len()).then(first_name(x).cmp(&first_name(y)))
+                })
+                .unwrap_or(0)
         };
-        // For local aggregation, root the primary tree at the group table so
-        // partials can be routed along the root's own group-column edge.
-        if analyzed.agg_class == AggClass::Local {
-            let gt = analyzed.group_by[0].0;
-            if components[primary].tables.contains(&gt) {
-                components[primary].reroot(gt);
-            }
-        }
-        let plans: Vec<TagPlan> =
-            components.iter().map(|c| TagPlan::from_join_tree(c, &dec)).collect();
-        let steps = plans.iter().map(TagPlan::gen_steps).collect();
-        let branches = plans.iter().map(|p| p.branches(|t| kept[t])).collect();
+        // The roots each component may run from. Local aggregation roots the
+        // primary tree at the group table, so partials can be routed along
+        // the root's own group-column edge; a component that reads nothing
+        // may root anywhere; any other roots in the part spanning its kept
+        // tables. Under a root, every table is kept too unless the column it
+        // joins its parent on is its declared key, the shape in which a
+        // branch can extend each row once; the data decides whether it does
+        // (`cost::choose`), the key only shapes the plan. Which way a parent
+        // edge points depends on the root, so each root has its own kept
+        // tables and branches.
+        let la_root = (analyzed.agg_class == AggClass::Local).then(|| analyzed.group_by[0].0);
+        let kept_under = |tree: &JoinTree| -> Vec<bool> {
+            let keyed = |t: usize| {
+                let col = tree.link_var.get(&t).and_then(|&v| dec.vars[v].column_in(t));
+                col.is_some_and(|col| analyzed.tables[t].schema.primary_key == [col])
+            };
+            (0..n).map(|t| kept[t] || (tree.tables.contains(&t) && !keyed(t))).collect()
+        };
+        let rooted_at = |c: &JoinTree, root: usize| {
+            let mut tree = c.clone();
+            tree.reroot(root);
+            tree
+        };
+        let components = dec
+            .components
+            .iter()
+            .enumerate()
+            .map(|(ci, c)| {
+                let roots = match la_root.filter(|t| ci == primary && c.tables.contains(t)) {
+                    Some(gt) => vec![gt],
+                    None => match spanning(c, &kept).first() {
+                        Some(&inside) => spanning(c, &kept_under(&rooted_at(c, inside))),
+                        None => c.tables.clone(),
+                    },
+                };
+                roots
+                    .into_iter()
+                    .map(|root| {
+                        let tree = rooted_at(c, root);
+                        let kept = kept_under(&tree);
+                        let plan = TagPlan::from_join_tree(&tree, &dec);
+                        let branches = plan.branches(|t| kept[t]);
+                        Rooted { plan, branches }
+                    })
+                    .collect()
+            })
+            .collect();
 
         Ok(QueryPlan {
             analyzed,
             dec,
             needed,
             components,
-            plans,
-            steps,
-            branches,
             primary,
             subqueries,
+            memo: Memo::default(),
         })
     }
 
@@ -201,15 +225,28 @@ impl QueryPlan {
 
     /// Number of join-graph components.
     pub fn component_count(&self) -> usize {
-        self.plans.len()
+        self.components.len()
     }
 
-    /// Total traversal steps over all components: the supersteps of the
-    /// bottom-up reduction. The top-down reduction and the collection each
-    /// run once more per step, less the reduction-only branches a binding
-    /// skips.
-    pub fn traversal_steps(&self) -> usize {
-        self.steps.iter().map(Vec::len).sum()
+    /// The shape this plan runs in on `tag` (see [`crate::cost`]): chosen
+    /// by cost on the first call for a TAG, the same `Arc` after that until
+    /// the plan runs on another TAG.
+    pub fn shape(&self, tag: &TagGraph) -> Result<Arc<Shape>> {
+        let mut memo = self.memo.lock();
+        if let Some((id, shape)) = &*memo {
+            if *id == tag.id() {
+                return Ok(Arc::clone(shape));
+            }
+        }
+        let shape = Arc::new(cost::choose(self, tag)?);
+        *memo = Some((tag.id(), Arc::clone(&shape)));
+        Ok(shape)
+    }
+
+    /// Run on `tag` in `shape` from now on, whatever it costs.
+    #[cfg(test)]
+    pub(crate) fn force(&self, tag: &TagGraph, shape: Shape) {
+        *self.memo.lock() = Some((tag.id(), Arc::new(shape)));
     }
 }
 
@@ -308,11 +345,10 @@ mod tests {
     fn prepare_builds_a_reusable_plan() {
         let plan = QueryPlan::prepare("SELECT r.a FROM r, s WHERE r.b = s.b", &schemas()).unwrap();
         assert_eq!(plan.component_count(), 1);
-        assert!(plan.traversal_steps() > 0);
         assert_eq!(plan.analyzed().tables.len(), 2);
         // Plans are plain values: clone and reuse freely.
         let copy = plan.clone();
-        assert_eq!(copy.traversal_steps(), plan.traversal_steps());
+        assert_eq!(copy.component_count(), plan.component_count());
     }
 
     #[test]
@@ -340,10 +376,10 @@ mod tests {
         assert_eq!(seeded, ["q2", "q17", "d_q3", "d_q32"]);
     }
 
-    /// The tables a statement leaves to the bottom-up reduction when the
-    /// data keeps them unique, by alias.
+    /// The tables a statement leaves to the bottom-up reduction under some
+    /// root when the data keeps them unique, by alias.
     fn output_free_tables(plan: &QueryPlan) -> Vec<&str> {
-        let keys = plan.branches.iter().flatten().flat_map(|b| &b.keys);
+        let keys = plan.components.iter().flatten().flat_map(|r| &r.branches).flat_map(|b| &b.keys);
         let mut tables: Vec<&str> =
             keys.map(|k| plan.analyzed.tables[k.table].alias.as_str()).collect();
         tables.sort_unstable();
@@ -352,8 +388,9 @@ mod tests {
     }
 
     /// Every TPC-DS statement collects a table no output reads; five TPC-H
-    /// statements do. `d_q96` reads nothing and keeps its `date_dim` root:
-    /// only `store`, unique-keyed from the fact, is left.
+    /// statements do, under every root their kept tables allow. `d_q96`
+    /// reads nothing and may root anywhere: from the fact, `date_dim` and
+    /// `store` are both unique-keyed, so both may be left.
     #[test]
     fn the_workloads_prune_exactly_their_output_free_tables() {
         use vcsql_workload::{tpcds, tpch};
@@ -393,7 +430,7 @@ mod tests {
             "d_q27: c cd d",
             "d_q32: d",
             "d_q94: d",
-            "d_q96: st",
+            "d_q96: d st",
             "d_q93: i",
         ];
         assert_eq!(pruned, want);
@@ -414,13 +451,80 @@ mod tests {
             let tag = TagGraph::build(&db);
             for q in queries {
                 let plan = QueryPlan::prepare(q.sql, tag.schemas()).unwrap();
-                for key in plan.branches.iter().flatten().flat_map(|b| &b.keys) {
+                for key in
+                    plan.components.iter().flatten().flat_map(|r| &r.branches).flat_map(|b| &b.keys)
+                {
                     let rel = &plan.analyzed.tables[key.table].relation;
                     let label = tag.column_label(rel, key.col).unwrap();
                     assert!(tag.is_unique(label), "{}: {rel} column {} repeats", q.id, key.col);
                 }
             }
         }
+    }
+
+    /// Each workload statement's chosen root and start table at SF 0.01,
+    /// seed 42, as `id: root < start` by alias (a statement over one table
+    /// roots and starts there). The start is the selective leaf: a filtered
+    /// dimension or the smaller side, never an unfiltered fact the rest of
+    /// the plan would have to reduce; the root is where the rows collect
+    /// with the fewest carried.
+    #[test]
+    fn the_workloads_choose_their_roots_and_starts() {
+        use vcsql_tag::TagGraph;
+        use vcsql_workload::{tpcds, tpch};
+        let mut chosen = Vec::new();
+        for (db, queries) in [
+            (tpch::generate(0.01, 42), tpch::queries()),
+            (tpcds::generate(0.01, 42), tpcds::queries()),
+        ] {
+            let tag = TagGraph::build(&db);
+            for q in queries {
+                let plan = QueryPlan::prepare(q.sql, tag.schemas()).unwrap();
+                let shape = plan.shape(&tag).unwrap();
+                let alias = |t: usize| plan.analyzed.tables[t].alias.as_str();
+                let (root, start) =
+                    (shape.root_table(plan.primary), shape.start_table(plan.primary));
+                chosen.push(format!("{}: {} < {}", q.id, alias(root), alias(start)));
+            }
+        }
+        let want = [
+            "q1: l < l",
+            "q2: ps < p",
+            "q3: o < c",
+            "q4: o < o",
+            "q5: n < r",
+            "q6: l < l",
+            "q7: l < n",
+            "q10: c < n",
+            "q12: l < o",
+            "q14: p < l",
+            "q16: ps < p",
+            "q17: l < p",
+            "q18: c < l",
+            "q19: l < p",
+            "q22: c < c",
+            "d_q37: ss < i",
+            "d_q82: ws < i",
+            "d_q84: cd < ca",
+            "d_q7: i < cd",
+            "d_q12: i < d",
+            "d_q15: ca < d",
+            "d_q50: st < d",
+            "d_q98: i < d",
+            "d_q56: i < d",
+            "d_q3: i < d",
+            "d_q22: cs < i",
+            "d_q45: ca < d",
+            "d_q69: ss < ca",
+            "d_q79: c < d",
+            "d_q88: ss < d",
+            "d_q27: i < cd",
+            "d_q32: cs < i",
+            "d_q94: ws < c",
+            "d_q96: ss < d",
+            "d_q93: ss < i",
+        ];
+        assert_eq!(chosen, want);
     }
 
     #[test]

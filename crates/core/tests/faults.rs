@@ -59,7 +59,10 @@ fn a_crash_at_every_superstep_of_a_cartesian_local_aggregate_changes_nothing() {
         // reads, is unique-keyed from the `partsupp` root, so its branch
         // leaves those passes), the gather, the finish and the
         // local-aggregation merge.
-        assert_eq!(base.stats.supersteps, plan.traversal_steps() as u64 + 2 * 2 + 3);
+        assert_eq!(
+            base.stats.supersteps,
+            plan.shape(&tag).unwrap().traversal_steps() as u64 + 2 * 2 + 3
+        );
 
         for every in [1, 3] {
             for crash in 0..base.stats.supersteps {
@@ -186,7 +189,10 @@ fn a_crash_at_every_superstep_of_a_pruned_statement_changes_nothing() {
         // The bottom-up reduction over the whole plan, the top-down
         // reduction and the collection over `store_sales`, `store` and
         // `item` alone (four steps each), and the finish.
-        assert_eq!(base.stats.supersteps, plan.traversal_steps() as u64 + 2 * 4 + 1);
+        assert_eq!(
+            base.stats.supersteps,
+            plan.shape(&tag).unwrap().traversal_steps() as u64 + 2 * 4 + 1
+        );
 
         for every in [1, 2] {
             for crash in 0..base.stats.supersteps {

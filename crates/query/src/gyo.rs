@@ -149,21 +149,6 @@ pub struct Decomposition {
     pub cyclic: bool,
 }
 
-impl Decomposition {
-    /// Where GYO roots `tables` alone, as it would a query over just them:
-    /// the table its ear removal leaves last. `tables` is a connected part
-    /// of one component, in ascending order.
-    pub fn root_of(&self, tables: &[usize]) -> usize {
-        let vars_of = |t: usize| {
-            self.vars.iter().filter(|v| v.tables().any(|u| u == t)).map(|v| v.id).collect()
-        };
-        let table_vars = tables.iter().map(|&t| (t, vars_of(t))).collect();
-        gyo_component(tables, &table_vars, &self.vars)
-            .expect("a connected part of a join tree is acyclic")
-            .root
-    }
-}
-
 /// Union-find.
 struct Uf(Vec<usize>);
 
@@ -295,9 +280,9 @@ fn gyo_component(
     }
     let root = remaining[0];
     parent.insert(root, None);
-    // Children were attached in removal order; reverse for a more natural
-    // "first ear removed is deepest" ordering — keep removal order, it is
-    // deterministic either way.
+    // Children are attached in removal order. Neither they nor the root
+    // shape a plan: the executor reroots the tree and orders every node's
+    // children by cost (`vcsql_core::cost`).
     Ok(JoinTree { tables: tables.to_vec(), root, parent, children, link_var, extra_link_vars })
 }
 

@@ -100,12 +100,20 @@ impl Default for SessionConfig {
     }
 }
 
-/// A prepared statement: a cached, reusable plan. It holds no placement
-/// and no interior mutability, so one statement may be shared across
-/// threads and executed on any session over the same TAG.
+/// A prepared statement: a cached, reusable plan. It holds no placement,
+/// and its plan's only interior state is the shape it memoizes per TAG
+/// ([`QueryPlan::shape`]), so one statement may be shared across threads
+/// and executed on any session over the same TAG.
 #[derive(Debug)]
 pub struct PreparedQuery {
     plan: Arc<QueryPlan>,
+}
+
+impl PreparedQuery {
+    /// The plan every execution of this statement runs.
+    pub fn plan(&self) -> &QueryPlan {
+        &self.plan
+    }
 }
 
 /// A long-lived query session over one TAG graph: prepared statements, a

@@ -6,6 +6,7 @@
 //! compacts the arena in place, buckets the links by label and hands them to
 //! [`GraphBuilder`], whose counting sort then has nothing left to sort.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use vcsql_bsp::{Graph, GraphBuilder, LabelId, PartitionStrategy, Partitioning, VertexId};
 use vcsql_relation::{fx, Database, FxHashMap, RelError, Relation, Schema, Tuple, Value};
 
@@ -320,21 +321,22 @@ impl TagBuilder {
             kept
         });
 
-        // `bucket[k]` is now where label `k`'s links end. A label is unique
-        // when no attribute vertex meets two of its links: `stamp` (the
+        // `bucket[k]` is now where label `k`'s links end. Each label counts
+        // its links and the attribute vertices they reach: `stamp` (the
         // spent `remap`) holds the last label each attribute vertex met.
         let mut stamp = remap;
         stamp.fill(u32::MAX);
-        let mut unique = vec![false; edge_labels.len()];
+        let mut counts = vec![EdgeCounts::default(); edge_labels.len()];
         let mut from = 0;
         for (k, (&label, &to)) in edge_labels.iter().zip(&bucket).enumerate() {
-            let mut once = true;
+            let mut distinct = 0;
             for &(tv, av) in &by_label[from..to] {
-                once &= std::mem::replace(&mut stamp[av as usize], k as u32) != k as u32;
+                distinct +=
+                    usize::from(std::mem::replace(&mut stamp[av as usize], k as u32) != k as u32);
                 gb.add_undirected_edge(tv, av, label.expect("links follow materialized columns"));
             }
             if let Some(label) = label {
-                unique[label.0 as usize] = once;
+                counts[label.0 as usize] = EdgeCounts { edges: to - from, distinct };
             }
             from = to;
         }
@@ -356,7 +358,16 @@ impl TagBuilder {
             schemas.push(r.schema);
         }
 
-        TagGraph { graph, values, value_start, attr_index, schemas, col_labels, unique }
+        TagGraph {
+            id: NEXT_TAG_ID.fetch_add(1, Ordering::Relaxed),
+            graph,
+            values,
+            value_start,
+            attr_index,
+            schemas,
+            col_labels,
+            counts,
+        }
     }
 }
 
@@ -384,8 +395,22 @@ pub struct TagGraph {
     attr_index: FxHashMap<Value, VertexId>,
     schemas: Vec<Schema>,
     col_labels: FxHashMap<String, Vec<Option<LabelId>>>,
-    /// Per edge label, whether no attribute vertex has two of its edges.
-    unique: Vec<bool>,
+    /// Per edge label, its edges and the attribute vertices they reach.
+    counts: Vec<EdgeCounts>,
+    /// Unique among the graphs this process built ([`TagGraph::id`]).
+    id: u64,
+}
+
+/// The ids [`TagBuilder::build`] hands out, one per graph.
+static NEXT_TAG_ID: AtomicU64 = AtomicU64::new(0);
+
+/// One edge label's size in a frozen [`TagGraph`]: its edges (one per
+/// non-NULL value of the column) and the distinct attribute vertices they
+/// reach.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EdgeCounts {
+    pub edges: usize,
+    pub distinct: usize,
 }
 
 impl TagGraph {
@@ -473,7 +498,19 @@ impl TagGraph {
     /// column's non-NULL values are distinct in this data, whatever the
     /// schema declares.
     pub fn is_unique(&self, label: LabelId) -> bool {
-        self.unique.get(label.0 as usize).copied().unwrap_or(false)
+        self.counts.get(label.0 as usize).is_some_and(|c| c.edges == c.distinct)
+    }
+
+    /// The edges labelled `label` and the attribute vertices they reach;
+    /// zero for a label the graph does not know.
+    pub fn edge_counts(&self, label: LabelId) -> EdgeCounts {
+        self.counts.get(label.0 as usize).copied().unwrap_or_default()
+    }
+
+    /// This graph's id, unique among the graphs this process built: what a
+    /// plan memoizes its choice for this graph under.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// The edge label for `rel.column` by column name.
@@ -748,23 +785,32 @@ mod tests {
         assert!(tag.attr_vertex(&Value::Int(10)).is_some());
     }
 
-    /// A label is unique when no attribute vertex has two of its edges,
-    /// whatever other labels share the vertex: value 2 is a key of every
-    /// column it occurs in, and both orders share one date until one of
-    /// them is deleted.
+    /// A label counts its live edges and the attribute vertices they reach,
+    /// whatever other labels share a vertex; it is unique when the two
+    /// agree. Value 2 is a key of every column it occurs in, and both
+    /// orders share one date until one of them is deleted; a third
+    /// customer of nation 1 makes `CUSTOMER.nationkey` repeat.
     #[test]
     fn unique_labels_follow_the_live_data() {
         let db = figure1_db();
-        let unique = |tag: &TagGraph, rel: &str, col: &str| {
-            tag.is_unique(tag.column_label_by_name(rel, col).unwrap())
+        let counts = |tag: &TagGraph, rel: &str, col: &str| {
+            let label = tag.column_label_by_name(rel, col).unwrap();
+            let c = tag.edge_counts(label);
+            assert_eq!(tag.is_unique(label), c.edges == c.distinct, "{rel}.{col}");
+            (c.edges, c.distinct)
         };
         let tag = TagGraph::build(&db);
-        for (rel, col) in [("NATION", "nationkey"), ("CUSTOMER", "custkey"), ("ORDER", "orderkey")]
-        {
-            assert!(unique(&tag, rel, col), "{rel}.{col}");
+        for (rel, col) in [
+            ("NATION", "nationkey"),
+            ("NATION", "name"),
+            ("CUSTOMER", "custkey"),
+            ("CUSTOMER", "nationkey"),
+            ("ORDER", "orderkey"),
+            ("ORDER", "custkey"),
+        ] {
+            assert_eq!(counts(&tag, rel, col), (2, 2), "{rel}.{col}");
         }
-        assert!(unique(&tag, "CUSTOMER", "nationkey"));
-        assert!(!unique(&tag, "ORDER", "odate"));
+        assert_eq!(counts(&tag, "ORDER", "odate"), (2, 1));
 
         let mut b = TagBuilder::new(MaterializePolicy::default());
         let mut last = None;
@@ -775,7 +821,14 @@ mod tests {
             }
         }
         b.delete_tuple(last.unwrap()).unwrap(); // the second order
-        assert!(unique(&b.build(), "ORDER", "odate"));
+        b.insert_tuple("CUSTOMER", Tuple::new(vec![Value::Int(11), Value::Int(1)])).unwrap();
+        let tag = b.build();
+        for (rel, col) in [("ORDER", "orderkey"), ("ORDER", "custkey"), ("ORDER", "odate")] {
+            assert_eq!(counts(&tag, rel, col), (1, 1), "{rel}.{col}");
+        }
+        assert_eq!(counts(&tag, "CUSTOMER", "custkey"), (3, 3));
+        assert_eq!(counts(&tag, "CUSTOMER", "nationkey"), (3, 2));
+        assert!(!tag.is_unique(tag.column_label_by_name("CUSTOMER", "nationkey").unwrap()));
     }
 
     /// Deleting is a tombstone per tuple: emptying a relation whose column

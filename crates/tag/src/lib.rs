@@ -30,4 +30,4 @@
 
 pub mod build;
 
-pub use build::{MaterializePolicy, TagBuilder, TagGraph, TagStats};
+pub use build::{EdgeCounts, MaterializePolicy, TagBuilder, TagGraph, TagStats};

@@ -56,16 +56,16 @@ const PINNED_TPCH: [(&str, [u64; 4]); 15] = [
     ("q2", [0, 0, 0, 0]),
     ("q3", [1_640, 616, 592, 328]),
     ("q4", [512, 384, 384, 384]),
-    ("q5", [3_384, 2_152, 1_896, 1_504]),
+    ("q5", [152, 56, 56, 120]),
     ("q6", [0, 0, 0, 0]),
-    ("q7", [30_144, 14_072, 15_376, 8_496]),
-    ("q10", [4_216, 2_624, 2_544, 1_568]),
+    ("q7", [13_736, 11_880, 11_080, 10_736]),
+    ("q10", [4_216, 2_624, 2_544, 1_576]),
     ("q12", [6_952, 3_728, 3_448, 1_512]),
     ("q14", [864, 448, 448, 336]),
-    ("q16", [1_400, 216, 216, 0]),
-    ("q17", [3_816, 3_488, 3_392, 3_640]),
-    ("q18", [70_088, 27_920, 26_600, 2_080]),
-    ("q19", [10_496, 9_280, 9_024, 7_104]),
+    ("q16", [1_384, 96, 96, 0]),
+    ("q17", [0, 0, 0, 0]),
+    ("q18", [70_088, 27_920, 26_600, 2_256]),
+    ("q19", [9_832, 8_896, 8_608, 9_136]),
     ("q22", [0, 0, 0, 0]),
 ];
 

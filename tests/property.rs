@@ -465,7 +465,10 @@ proptest! {
         let plan = QueryPlan::prepare(&sql, tag.schemas()).unwrap();
         // Two join variables over 2 + 3 tables make five plan edges; a
         // longer walk revisits some.
-        prop_assert!(plan.traversal_steps() > 5, "`{sql}` does not backtrack");
+        prop_assert!(
+            plan.shape(&tag).unwrap().traversal_steps() > 5,
+            "`{sql}` does not backtrack"
+        );
         let expected = baseline(plan.analyzed(), &db, ExecConfig::default()).unwrap();
         let exec = TagJoinExecutor::new(&tag, EngineConfig::with_threads(2));
         let got = exec.execute_plan(&plan).unwrap();
