@@ -4,8 +4,8 @@
 //! A [`QueryPlan`] holds, per component, one TAG plan per root its kept
 //! tables allow ([`crate::plan`]); the child order at every node is left
 //! open. It fixes where `GenSteps` starts (the rightmost leaf) and the order
-//! siblings are reduced in. [`choose`] prices every root and child order
-//! with [`estimate`], a System R-style simulation of the three passes
+//! siblings are reduced in. `choose` prices every root and child order
+//! with `estimate`, a System R-style simulation of the three passes
 //! (Selinger et al., SIGMOD 1979) over counts the TAG already holds, and
 //! keeps the cheapest [`Shape`]. Communication is the cost, as in Beame,
 //! Koutris & Suciu's model: signals and collection messages, plus the rows
@@ -14,7 +14,7 @@
 //!
 //! The inputs, per table `R` and edge label `l`:
 //! - `|R|`, its tuple vertices, and `sel(R)`, the share of them its
-//!   pushed-down filters pass, evaluated on at most [`SAMPLE`] tuple
+//!   pushed-down filters pass, evaluated on at most 1 024 tuple
 //!   vertices at a fixed stride (exact below that; subquery checks and seeds
 //!   are left out);
 //! - `edges(l)` and `distinct(l)`, the edges labelled `l` and the attribute

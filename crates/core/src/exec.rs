@@ -1,9 +1,11 @@
 //! The TAG-join executor: SQL evaluation as a driven vertex-centric program.
 //!
 //! The driver realizes the paper's Algorithm 2 on the BSP engine, one
-//! superstep per traversal step, in three passes. The bottom-up reduction
-//! walks the plan's whole `GenSteps` list; the two later passes walk the
-//! *kept* list, the `GenSteps` list of the plan without the reduction-only
+//! superstep per traversal step, in three passes over the shape the plan
+//! runs in on this TAG — the root and child order [`crate::cost`] chose.
+//! The bottom-up reduction walks the plan's whole `GenSteps` list, from the
+//! start leaf the cost model picked; the two later passes walk the *kept*
+//! list, the `GenSteps` list of the plan without the reduction-only
 //! branches whose keys are unique in this TAG (see [`crate::plan`]):
 //!
 //! 1. **Reduction, bottom-up** — active vertices send their id along edges

@@ -19,7 +19,9 @@
 //!   and projection become output rows. Cartesian products across
 //!   join-graph components run Section 6.3's Algorithm B.
 //! * [`plan::QueryPlan`] — a prepared statement: the analyzed query, its
-//!   TAG plans and its subqueries' plans, reusable across executions.
+//!   candidate TAG plans and its subqueries' plans, reusable across
+//!   executions; [`cost::Shape`] — the root and child order it runs in on
+//!   one TAG, chosen by cost from the TAG's own counts and memoized.
 //! * [`table::Table`] — the collection phase's intermediate tables, rows of
 //!   tuple-vertex ids, and [`table::TagMsg`], the program's messages.
 //!

@@ -1,15 +1,17 @@
-//! Reusable query plans: parse → analyze → GYO decomposition → TAG plan as a
-//! value, separated from execution.
+//! Reusable query plans: parse → analyze → GYO decomposition → TAG plans as
+//! a value, separated from execution.
 //!
 //! The paper's scheme encodes the database once and runs *many* queries
 //! against it, so planning must not be welded to execution the way a one-shot
 //! `run_sql` is. A [`QueryPlan`] captures everything about a SQL statement
 //! that is independent of the data: the analyzed query, the columns it reads,
-//! its GYO join-tree decomposition (one [`JoinTree`] per connected component,
-//! rerooted onto the tables it keeps and for local aggregation), the
-//! per-component [`TagPlan`]s, their traversal step lists and reduction-only
+//! its GYO join-tree decomposition, per connected component one [`TagPlan`]
+//! for each root the component may run from with its reduction-only
 //! [`Branch`]es, and each subquery lowered and planned in turn, with the
-//! correlation it is seeded through, if any.
+//! correlation it is seeded through, if any. Which root and which child
+//! order a component runs in depends on the data: [`QueryPlan::shape`]
+//! chooses them by cost once per TAG ([`crate::cost`]) and memoizes the
+//! choice in the plan.
 //!
 //! A table is *kept* when the statement reads one of its columns, when two
 //! of its columns hold one join variable, or when its join with a neighbour
@@ -19,7 +21,9 @@
 //! in reduction-only branches: Yannakakis' output phase, and Bagan, Durand &
 //! Grandjean's for free-connex queries, walks the kept tables alone, and so
 //! do the top-down reduction and the collection of a branch whose keys are
-//! unique in the data.
+//! unique in the data. A component roots inside the part spanning its kept
+//! tables (at the group table under local aggregation, anywhere when it
+//! reads nothing).
 //! [`TagJoinExecutor::execute_plan`](crate::TagJoinExecutor::execute_plan)
 //! runs a prepared plan as many times as needed; the `vcsql-session` crate
 //! caches plans behind a bounded SQL-keyed cache.
@@ -89,9 +93,9 @@ impl Clone for Memo {
 
 impl QueryPlan {
     /// Plan an analyzed query: each lowered subquery's plan, the columns
-    /// the statement reads, GYO decomposition, component rerooting onto the
-    /// kept tables and for local aggregation, then TAG plans, traversal
-    /// steps and reduction-only branches. Fails on query shapes the
+    /// the statement reads, GYO decomposition, then per component the roots
+    /// its kept tables allow and, per root, the TAG plan and its
+    /// reduction-only branches. Fails on query shapes the
     /// vertex-centric executor cannot run (no tables, or a self-join within
     /// one block, whose edge labels would be ambiguous), in this block or a
     /// subquery's.

@@ -5,7 +5,9 @@
 //! hyperedges are the tables (each covering its join variables). GYO
 //! reduction repeatedly removes "ears"; it empties the hypergraph iff the
 //! query is acyclic, and the ear/witness pairs form the join tree the paper
-//! builds its TAG plan from (Section 5.1).
+//! builds its TAG plan from (Section 5.1). GYO reduction is confluent: the
+//! cyclic core it leaves, and so the predicate [`decompose`] breaks, does
+//! not depend on the order tables are listed in.
 //!
 //! Cyclic queries: [`decompose`] breaks cycles by demoting join predicates to
 //! residual filters until GYO succeeds (sound — the demoted equality is still

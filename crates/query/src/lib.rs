@@ -25,7 +25,9 @@
 //!    the dedicated cycle executor.
 //! 6. [`tagplan`] — the paper's TAG plan (Section 5.1) built from the join
 //!    tree, and `GenSteps` (Algorithm 1): the connected bottom-up traversal
-//!    producing the edge-label list that drives the vertex program.
+//!    producing the edge-label list that drives the vertex program. The
+//!    join tree's root and child order carry no meaning here: the executor
+//!    (`vcsql_core::cost`) reroots it and orders children by cost.
 //! 7. [`rows`] — the row operators (scan, hash / sort-merge / cross join
 //!    over provenance-tagged rows) that the row-store baseline and the Spark
 //!    shuffle model both execute plans with.

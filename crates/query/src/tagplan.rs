@@ -7,10 +7,14 @@
 //! is labelled `R.A` where `A` is `X`'s column in `R`.
 //!
 //! `GenSteps` linearizes the plan into a list of edge labels by a *connected
-//! bottom-up traversal* starting at the rightmost leaf. The list drives the
-//! vertex program: at superstep `i` active vertices send messages along their
-//! edges labelled `steps[i]` (paper Algorithm 2), and the bottom-up reduction
-//! pass walks all of it.
+//! bottom-up traversal* starting at the rightmost leaf, the end of the
+//! last-child path from the root; siblings off that path are visited last
+//! to first. The list drives the vertex program: at superstep `i` active
+//! vertices send messages along their edges labelled `steps[i]` (paper
+//! Algorithm 2), and the bottom-up reduction pass walks all of it. The
+//! paper fixes neither the root nor the child order; the executor reroots
+//! the join tree and reorders each node's `children` by cost
+//! (`vcsql_core::cost`), which picks the start leaf.
 //!
 //! A subtree whose tables no output reads is *reduction-only*, a
 //! [`Branch`] of the plan ([`TagPlan::branches`]). The top-down reduction

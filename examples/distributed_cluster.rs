@@ -92,7 +92,7 @@ fn main() {
     );
     println!(
         "\n(the paper reports 9x on a real 6-machine cluster; the hash baseline \
-         reproduces ~3x, locality-aware placement recovers most of the rest, \
+         reproduces ~4x, locality-aware placement recovers most of the rest, \
          and profiling the workload's own traffic recovers the most)"
     );
 }
