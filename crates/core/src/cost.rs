@@ -392,9 +392,7 @@ struct Sim<'a> {
     messages: f64,
     /// Attribute nodes: the distinct values their vertices are drawn from.
     dom: Vec<f64>,
-    /// Signals and receivers of the step that entered the node.
-    entry: Vec<(f64, f64)>,
-    /// Attribute vertices of the parent that sent that step.
+    /// Relation nodes: the parent's attribute vertices that entered them.
     senders: Vec<f64>,
     /// Active vertices once the node's subtree is reduced.
     up: Vec<f64>,
@@ -415,7 +413,6 @@ impl<'a> Sim<'a> {
             c,
             messages: 0.0,
             dom: vec![0.0; n],
-            entry: vec![(0.0, 0.0); n],
             senders: vec![0.0; n],
             up: vec![0.0; n],
             last: vec![(0.0, 0.0); n],
@@ -451,7 +448,7 @@ impl<'a> Sim<'a> {
     /// The bottom-up pass: the rightmost path up from its leaf, each node's
     /// other children visited last to first. Returns the root's survivors.
     fn bottom_up(&mut self) -> f64 {
-        let path = path(self.p);
+        let path = self.p.rightmost_path();
         let leaf = path[path.len() - 1];
         let mut active = self.c.tuples[leaf] * self.c.sel[leaf];
         for i in (0..path.len()).rev() {
@@ -474,8 +471,7 @@ impl<'a> Sim<'a> {
     /// Enter child `c` of `p` from `active` vertices, reduce its subtree and
     /// return along the surviving marks; `p`'s vertices that stay active.
     fn excursion(&mut self, p: usize, c: usize, active: f64) -> f64 {
-        let (signals, receivers, mut below) = self.enter(p, c, c, active);
-        self.entry[c] = (signals, receivers);
+        let (entered, receivers, mut below) = self.enter(p, c, c, active);
         for &d in self.p.children[c].iter().rev() {
             below = self.excursion(c, d, below);
         }
@@ -483,7 +479,7 @@ impl<'a> Sim<'a> {
         let (signals, back) = if self.is_rel(c) {
             (below, reached(self.senders[c], below))
         } else {
-            let s = self.entry[c].0 * ratio(below, self.entry[c].1).min(1.0);
+            let s = entered * ratio(below, receivers).min(1.0);
             (s, s)
         };
         self.messages += signals;
@@ -496,7 +492,7 @@ impl<'a> Sim<'a> {
     /// pass and of the collection.
     fn top_down(&mut self, walk: &TagPlan, root: f64) {
         self.fin[walk.root] = root;
-        let path = path(walk);
+        let path = walk.rightmost_path();
         let mut stack = vec![walk.root];
         while let Some(p) = stack.pop() {
             for &c in &walk.children[p] {
@@ -513,8 +509,8 @@ impl<'a> Sim<'a> {
     }
 
     /// The rows the collection over `walk` carries.
-    fn collect(&mut self, walk: &TagPlan) -> f64 {
-        let path = path(walk);
+    fn collect(&self, walk: &TagPlan) -> f64 {
+        let path = walk.rightmost_path();
         let mut carried = 0.0;
         let mut rows = 1.0; // per vertex of the current node
         for i in (0..path.len()).rev() {
@@ -553,15 +549,6 @@ impl<'a> Sim<'a> {
             ratio(m * below, self.fin[p]) // the union of its neighbours'
         }
     }
-}
-
-/// The rightmost root-leaf path of `p`, root first.
-fn path(p: &TagPlan) -> Vec<usize> {
-    let mut path = vec![p.root];
-    while let Some(&c) = p.children[*path.last().expect("non-empty")].last() {
-        path.push(c);
-    }
-    path
 }
 
 #[cfg(test)]
@@ -628,6 +615,50 @@ mod tests {
                 "{suite}: chosen shapes send {chosen_total} messages, fewest {min_total}"
             );
         }
+    }
+
+    /// Past 720 combinations per root, each node's orders are tried once
+    /// with the others held: a fact with six dimensions, one of which has
+    /// two of its own, has 6!·2! = 1 440 combinations and is priced
+    /// 1 + 719 + 1 times, every candidate a reordering of the same plan. A
+    /// node with seven children keeps them in name order.
+    #[test]
+    fn wide_plans_are_ordered_one_node_at_a_time() {
+        use vcsql_query::analyze::JoinPred;
+        use vcsql_query::gyo::decompose;
+        let plan_of = |dims: usize, joins: &mut Vec<JoinPred>| {
+            joins.extend((1..=dims).map(|d| JoinPred { left: (0, d), right: (d, 0) }));
+            let mut dec = decompose(joins.len() + 1, joins);
+            dec.components[0].reroot(0);
+            TagPlan::from_join_tree(&dec.components[0], &dec)
+        };
+        let wide = plan_of(
+            6,
+            &mut vec![
+                JoinPred { left: (1, 1), right: (7, 0) },
+                JoinPred { left: (1, 2), right: (8, 0) },
+            ],
+        );
+        let sorted = |p: &TagPlan| {
+            let mut children = p.children.clone();
+            children.iter_mut().for_each(|c| c.sort_unstable());
+            children
+        };
+        let mut priced = 0;
+        orders(wide.clone(), &mut |p| {
+            priced += 1;
+            assert_eq!(sorted(p), sorted(&wide), "a reordering of the same plan");
+            Estimate { messages: p.gen_steps().len() as f64, ..Estimate::default() }
+        });
+        assert_eq!(priced, 1 + 719 + 1);
+
+        let widest = plan_of(7, &mut Vec::new());
+        let mut seen = Vec::new();
+        orders(widest.clone(), &mut |p| {
+            seen.push(p.children.clone());
+            Estimate::default()
+        });
+        assert_eq!(seen, [widest.children]);
     }
 
     /// Whether node `n` hangs under `p`'s root.

@@ -169,8 +169,8 @@ impl TagPlan {
         n
     }
 
-    /// The set of nodes on the rightmost root-leaf path.
-    fn rightmost_path(&self) -> Vec<usize> {
+    /// The nodes on the rightmost root-leaf path, root first.
+    pub fn rightmost_path(&self) -> Vec<usize> {
         let mut path = vec![self.root];
         let mut n = self.root;
         while let Some(&c) = self.children[n].last() {
