@@ -925,3 +925,36 @@ fn the_chosen_plan_holds_across_threads_placement_recovery_and_reuse() {
         }
     }
 }
+
+/// A plan chooses its shape once per TAG, not once: prepared once and run
+/// on a TAG whose dimension key is unique, then on one where it repeats, it
+/// leaves the branch out on the first and walks it on the second, where
+/// every fact row joining the repeated key doubles.
+#[test]
+fn a_plan_chooses_again_on_another_tag() {
+    let v = Value::Int;
+    let db = |dims: &[[i64; 2]]| {
+        let ints = |names: &[&str]| names.iter().map(|&c| Column::new(c, DataType::Int)).collect();
+        let rel = |name: &str, cols: &[&str], rows: Vec<[i64; 2]>| {
+            let rows = rows.into_iter().map(|r| Tuple::new(r.map(v).to_vec())).collect();
+            Relation::from_tuples(Schema::new(name, ints(cols)).with_primary_key(&[cols[0]]), rows)
+                .unwrap()
+        };
+        let mut db = Database::new();
+        db.add(rel("f", &["fid", "gk"], vec![[1, 1], [2, 2], [3, 1]]));
+        db.add(rel("g", &["gk", "z"], dims.to_vec()));
+        db
+    };
+    let sql = "SELECT f.fid FROM f, g WHERE f.gk = g.gk";
+    let unique = TagGraph::build(&db(&[[1, 5], [2, 6]]));
+    let repeated = TagGraph::build(&db(&[[1, 5], [1, 7], [2, 6]]));
+    let plan = QueryPlan::prepare(sql, unique.schemas()).unwrap();
+    for (tag, want) in [(&unique, vec![1, 2, 3]), (&repeated, vec![1, 1, 2, 3, 3])] {
+        let out =
+            TagJoinExecutor::new(tag, EngineConfig::sequential()).execute_plan(&plan).unwrap();
+        let mut got: Vec<i64> =
+            out.relation.tuples.iter().map(|t| t.0[0].as_i64().unwrap()).collect();
+        got.sort_unstable();
+        assert_eq!(got, want);
+    }
+}
