@@ -13,6 +13,7 @@ use std::sync::Arc;
 use vcsql_query::analyze::Analyzed;
 use vcsql_query::rows::{self, Inter};
 use vcsql_query::{lower_subquery, Gather, LoweredSubquery, SubqueryCheck, SubqueryResult};
+use vcsql_relation::expr::Predicate;
 use vcsql_relation::{Database, RelError, Relation};
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -88,8 +89,8 @@ pub fn execute(a: &Analyzed, db: &Database, cfg: ExecConfig) -> Result<Relation>
 
     // ---- residual predicates --------------------------------------------------
     for f in &a.residual {
-        let bound = a.bind_to_layout(f, &result.cols)?;
-        result = result.filter(|row| bound.passes(row))?;
+        let pred = Predicate::new(a.bind_to_layout(f, &result.cols)?);
+        result = result.filter(|row| pred.passes(row))?;
     }
     for (check, sub, _) in subqueries.iter().filter(|(_, _, table)| table.is_none()) {
         result = apply_subquery(check, sub, a, result)?;
@@ -99,7 +100,7 @@ pub fn execute(a: &Analyzed, db: &Database, cfg: ExecConfig) -> Result<Relation>
     let out = a.output(|c| result.col_index(c), result.cols.len())?;
     let mut gather = Gather::default();
     for row in &result.rows {
-        gather.add(&out, row)?;
+        gather.add(&out, row.as_slice())?;
     }
     out.finish(gather)
 }

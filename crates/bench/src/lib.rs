@@ -13,7 +13,7 @@ use vcsql_bsp::{EngineConfig, WorkerPool};
 use vcsql_core::TagJoinExecutor;
 use vcsql_query::analyze::{analyze, Analyzed};
 use vcsql_query::parse;
-use vcsql_relation::expr::Expr;
+use vcsql_relation::expr::{Expr, Predicate};
 use vcsql_relation::{Database, RelError, Relation};
 use vcsql_tag::TagGraph;
 
@@ -148,9 +148,9 @@ pub fn columnar_execute(a: &Analyzed, loaded: &Loaded) -> Result<Relation> {
         for f in &binding.filters {
             match vectorizable_column(f, a, t) {
                 Some(col) => {
-                    let bound = f.bind(&|_| Ok(0))?;
+                    let pred = Predicate::new(f.bind(&|_| Ok(0))?);
                     let pass = table.columns[col]
-                        .select(|v| bound.passes(std::slice::from_ref(v)).unwrap_or(false));
+                        .select(|v| pred.passes(std::slice::from_ref(v)).unwrap_or(false));
                     for (s, p) in selected.iter_mut().zip(&pass) {
                         *s &= *p;
                     }

@@ -18,7 +18,7 @@ use vcsql_bsp::LabelId;
 use vcsql_query::analyze::Analyzed;
 use vcsql_query::tagplan::Step;
 use vcsql_query::{AggClass, BoundSubquery, Correlation, Output, SubqueryResult};
-use vcsql_relation::expr::{BoundExpr, ColRef, Expr};
+use vcsql_relation::expr::{BoundExpr, ColRef, Expr, Predicate, Row};
 use vcsql_relation::{FxHashMap, RelError, Value};
 use vcsql_tag::TagGraph;
 
@@ -26,17 +26,20 @@ type Result<T> = std::result::Result<T, RelError>;
 
 /// Residual checks applied to final rows.
 pub(crate) enum ResCheck {
-    Expr(BoundExpr),
+    Expr(Predicate),
     /// Broken-cycle equality between two layout positions.
     Eq(usize, usize),
     Subquery(BoundSubquery),
 }
 
 impl ResCheck {
-    pub(crate) fn check(&self, row: &[Value]) -> Result<bool> {
+    pub(crate) fn check<R: Row + ?Sized>(&self, row: &R) -> Result<bool> {
         Ok(match self {
             ResCheck::Expr(e) => e.passes(row)?,
-            ResCheck::Eq(a, b) => row[*a].sql_eq(&row[*b]) == Some(true),
+            ResCheck::Eq(a, b) => {
+                let cell = |p: usize| row.cell(p).expect("residuals read the row");
+                cell(*a).sql_eq(cell(*b)) == Some(true)
+            }
             ResCheck::Subquery(s) => s.passes(row)?,
         })
     }
@@ -44,7 +47,7 @@ impl ResCheck {
 
 /// Per-table filters folded to tuple-vertex checks.
 pub(crate) struct TupleFilter {
-    exprs: Vec<BoundExpr>,
+    exprs: Vec<Predicate>,
     checks: Vec<ResCheck>,
 }
 
@@ -63,7 +66,7 @@ impl TupleFilter {
 
 /// Whether every check holds on `row`, stopping at the first that does not
 /// and propagating the first failed evaluation.
-pub(crate) fn all_hold(checks: &[ResCheck], row: &[Value]) -> Result<bool> {
+pub(crate) fn all_hold<R: Row + ?Sized>(checks: &[ResCheck], row: &R) -> Result<bool> {
     for c in checks {
         if !c.check(row)? {
             return Ok(false);
@@ -98,8 +101,9 @@ pub(crate) enum Visit {
 /// Precomputed execution context.
 pub(crate) struct QueryCtx<'a> {
     pub(crate) analyzed: &'a Analyzed,
-    /// Vertex label of each table's relation → table index.
-    pub(crate) table_of_label: FxHashMap<LabelId, usize>,
+    /// Vertex label of each table's relation → table index, indexed by
+    /// label (planning refuses self-joins, so one table per label).
+    table_of_label: Vec<Option<usize>>,
     /// Relation vertex labels per table.
     pub(crate) rel_label: Vec<LabelId>,
     /// Per-table tuple filters (over schema row layout).
@@ -146,7 +150,7 @@ pub(crate) struct QueryCtx<'a> {
 /// label, and the inner correlation column's.
 pub(crate) struct Seed {
     pub(crate) outer_rel: LabelId,
-    outer_filters: Vec<BoundExpr>,
+    outer_filters: Vec<Predicate>,
     pub(crate) outer_col: LabelId,
     pub(crate) inner_col: LabelId,
     pub(crate) inner_rel: LabelId,
@@ -174,8 +178,11 @@ impl Seed {
         let (Some(outer_rel), Some(outer_col), Some(inner_col), Some(inner_rel)) = labels else {
             return Ok(None);
         };
-        let outer_filters =
-            ot.filters.iter().map(|e| outer.bind_to_table(c.outer.0, e)).collect::<Result<_>>()?;
+        let outer_filters = ot
+            .filters
+            .iter()
+            .map(|e| outer.bind_to_table(c.outer.0, e).map(Predicate::new))
+            .collect::<Result<_>>()?;
         let inner_table = c.inner.0;
         Ok(Some(Seed { outer_rel, outer_filters, outer_col, inner_col, inner_rel, inner_table }))
     }
@@ -250,8 +257,11 @@ impl<'a> QueryCtx<'a> {
         let mut filters = Vec::with_capacity(n);
         for (t, binding) in a.tables.iter().enumerate() {
             let bind_schema = |e: &Expr| a.bind_to_table(t, e);
-            let exprs: Vec<BoundExpr> =
-                binding.filters.iter().map(bind_schema).collect::<Result<_>>()?;
+            let exprs = binding
+                .filters
+                .iter()
+                .map(|e| bind_schema(e).map(Predicate::new))
+                .collect::<Result<_>>()?;
             let checks = subqueries
                 .iter()
                 .filter(|(_, _, table)| *table == Some(t))
@@ -269,13 +279,17 @@ impl<'a> QueryCtx<'a> {
 
         // ---- labels ---------------------------------------------------------------
         let mut rel_label = Vec::with_capacity(n);
-        let mut table_of_label = FxHashMap::default();
+        let mut table_of_label = Vec::new();
         for (t, binding) in a.tables.iter().enumerate() {
             let label = tag.relation_label(&binding.relation).ok_or_else(|| {
                 RelError::Other(format!("relation `{}` absent from TAG graph", binding.relation))
             })?;
             rel_label.push(label);
-            table_of_label.insert(label, t);
+            let l = label.0 as usize;
+            if table_of_label.len() <= l {
+                table_of_label.resize(l + 1, None);
+            }
+            table_of_label[l] = Some(t);
         }
         let column_label = |t: usize, c: usize| {
             let rel = &a.tables[t].relation;
@@ -351,7 +365,7 @@ impl<'a> QueryCtx<'a> {
         // ---- residuals -----------------------------------------------------------------
         let mut residuals = Vec::new();
         for e in &a.residual {
-            residuals.push(ResCheck::Expr(bind_final(e)?));
+            residuals.push(ResCheck::Expr(Predicate::new(bind_final(e)?)));
         }
         for j in &dec.broken {
             residuals
@@ -399,6 +413,12 @@ impl<'a> QueryCtx<'a> {
             la_route,
             admit: None,
         })
+    }
+
+    /// The table whose relation's tuple vertices carry `label`, if any.
+    #[inline]
+    pub(crate) fn table_of(&self, label: LabelId) -> Option<usize> {
+        self.table_of_label.get(label.0 as usize).copied().flatten()
     }
 
     /// Vertex label whose tuple vertices start component `ci`'s traversal.

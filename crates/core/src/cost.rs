@@ -48,6 +48,7 @@
 use crate::plan::QueryPlan;
 use vcsql_query::analyze::Analyzed;
 use vcsql_query::tagplan::{PlanNode, Step, TagPlan};
+use vcsql_relation::expr::Predicate;
 use vcsql_relation::RelError;
 use vcsql_tag::TagGraph;
 
@@ -279,8 +280,11 @@ impl<'t> Inputs<'t> {
                 Some(label) => tag.graph().vertices_with_label(label),
                 None => &[],
             };
-            let filters: Vec<_> =
-                binding.filters.iter().map(|e| a.bind_to_table(t, e)).collect::<Result<_>>()?;
+            let filters: Vec<_> = binding
+                .filters
+                .iter()
+                .map(|e| a.bind_to_table(t, e).map(Predicate::new))
+                .collect::<Result<_>>()?;
             let n = vertices.len();
             let k = n.min(SAMPLE);
             let mut share = 1.0;

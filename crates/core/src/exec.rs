@@ -34,17 +34,18 @@
 //! of the kept tables extends into it exactly once, so the bag the kept
 //! rows make is the bag of the full join.
 //!
-//! A final superstep at the plan root reads the rows' values from the TAG's
-//! arena, applies residual predicates, assembles output rows and performs
-//! aggregation: global and scalar aggregation fold every kept row straight
-//! into the worker's share of the engine's global aggregator — the paper's
-//! aggregation vertex — with the cells as per-worker scratch, allocating
-//! nothing per root. Local aggregation folds a root's kept rows, one group,
-//! into one accumulator array and routes it, with the tuple ids of the
-//! root's first kept row, to the group-key attribute vertex: one extra
-//! superstep, where the vertex folds its partials in message order into its
-//! worker's share of the aggregator, hashed by key cells read from the
-//! arena; a group's representative row is read only when the group is new.
+//! A final superstep at the plan root reads the rows' values in place in the
+//! TAG's arena (references, not clones), applies residual predicates,
+//! assembles output rows and performs aggregation: global and scalar
+//! aggregation fold every kept row straight into the worker's share of the
+//! engine's global aggregator — the paper's aggregation vertex — with the
+//! cells as per-worker scratch, allocating nothing per root. Local
+//! aggregation folds a root's kept rows, one group, into one accumulator
+//! array and routes it, with the tuple ids of the root's first kept row, to
+//! the group-key attribute vertex: one extra superstep, where the vertex
+//! folds its partials in message order into its worker's share of the
+//! aggregator, hashed by key cells borrowed from the arena; a group's
+//! representative row is read only when the group is new.
 //!
 //! A subquery's inner plan runs first, in a computation of its own. When
 //! the plan seeds it (`vcsql_query::seed`), that computation starts with a
@@ -76,6 +77,7 @@ use vcsql_bsp::{
 };
 use vcsql_query::analyze::Analyzed;
 use vcsql_query::{AggClass, Gather};
+use vcsql_relation::expr::Row;
 use vcsql_relation::{RelError, Relation, Value};
 use vcsql_tag::TagGraph;
 
@@ -535,18 +537,16 @@ impl<'t> TagJoinExecutor<'t> {
         // partials to attribute vertices and only uses this for the NULL-key
         // fallback), plus scratch reused from vertex to vertex.
         #[derive(Default)]
-        struct Fin {
+        struct Fin<'t> {
             out: Gather,
             err: FirstError,
-            /// The current root's cells, row-major.
-            cells: Vec<Value>,
+            /// The current root's cells, row-major, read in place from the
+            /// TAG's arena.
+            cells: Vec<&'t Value>,
             /// The current root's rows the residuals keep.
             kept: Vec<usize>,
-            /// The group key of the current root's partial or of the
-            /// current partial at an attribute vertex.
-            key: Vec<Value>,
         }
-        impl Aggregator for Fin {
+        impl Aggregator for Fin<'_> {
             fn merge(&mut self, other: Self) {
                 self.err.merge(other.err);
                 let merged = self.out.merge(other.out);
@@ -562,7 +562,7 @@ impl<'t> TagJoinExecutor<'t> {
             g.cells.clear();
             let value = if let Some(t) = alone {
                 let Some(own) = own_tuple(q, tag, t, id) else { return };
-                g.cells.extend(reader.iter().map(|&(_, col)| own[col].clone()));
+                g.cells.extend(reader.iter().map(|&(_, col)| &own[col]));
                 None
             } else {
                 let Some(mut value) = compute_value(ctx, q, tag, q.primary, root) else { return };
@@ -616,9 +616,8 @@ impl<'t> TagJoinExecutor<'t> {
                     ctx.send_along(label, to, TagMsg::Partial(partial, q.partial_bytes));
                 }
                 None => {
-                    g.key.clear();
-                    g.key.extend(keys.iter().map(|&p| row(first)[p].clone()));
-                    g.err.ok(g.out.insert(&g.key, &accs, || row(first).into()));
+                    let key = keys.iter().map(|&p| row(first)[p]);
+                    g.err.ok(g.out.insert(key, &accs, || row(first).to_values()));
                 }
             }
         })?;
@@ -636,13 +635,12 @@ impl<'t> TagJoinExecutor<'t> {
             let la = single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
                 for m in ctx.messages() {
                     let TagMsg::Partial(p, _) = m else { continue };
-                    g.key.clear();
-                    g.key.extend(keys.iter().map(|&k| {
+                    let key = keys.iter().map(|&k| {
                         let (pos, col) = reader[k];
-                        tag.tuple(p.ids[pos]).expect("partials hold tuple vertices")[col].clone()
-                    }));
-                    let rep = || read_row(tag, &p.ids, &reader).collect();
-                    g.err.ok(g.out.insert(&g.key, &p.accs, rep));
+                        &tag.tuple(p.ids[pos]).expect("partials hold tuple vertices")[col]
+                    });
+                    let rep = || read_row(tag, &p.ids, &reader).cloned().collect();
+                    g.err.ok(g.out.insert(key, &p.accs, rep));
                 }
             })?;
             fin.merge(la);
@@ -811,8 +809,8 @@ fn passes_filter(
     if let Some(p) = ctx.state.pass {
         return Ok(p);
     }
-    let verdict = match q.table_of_label.get(&ctx.label()) {
-        Some(&t) => match tag.tuple(ctx.id()) {
+    let verdict = match q.table_of(ctx.label()) {
+        Some(t) => match tag.tuple(ctx.id()) {
             // Admission only after the filter: a seed narrows which tuples
             // contribute, never which evaluate their filters.
             Some(tuple) => {
@@ -843,7 +841,7 @@ fn compute_value(
         TagMsg::Table(t) => Some(&**t),
         _ => None,
     }));
-    let Some(&t) = q.table_of_label.get(&ctx.label()) else { return incoming };
+    let Some(t) = q.table_of(ctx.label()) else { return incoming };
     let id = ctx.id();
     let own = own_tuple(q, tag, t, id)?;
     let payload = |added: &[usize]| added.iter().map(|&c| str_payload(&own[c])).sum::<usize>();
@@ -872,15 +870,13 @@ fn own_tuple<'t>(q: &QueryCtx, tag: &'t TagGraph, t: usize, id: VertexId) -> Opt
 }
 
 /// The values of the row `ids`, in `reader`'s `(layout position, column)`
-/// order: where a statement reads the TAG's arena for its output.
-fn read_row<'a>(
-    tag: &'a TagGraph,
-    ids: &'a [VertexId],
-    reader: &'a [(usize, usize)],
-) -> impl Iterator<Item = Value> + 'a {
-    reader
-        .iter()
-        .map(|&(pos, col)| tag.tuple(ids[pos]).expect("rows hold tuple vertices")[col].clone())
+/// order, in place in the TAG's arena: where a statement reads its output.
+fn read_row<'t, 'r>(
+    tag: &'t TagGraph,
+    ids: &'r [VertexId],
+    reader: &'r [(usize, usize)],
+) -> impl Iterator<Item = &'t Value> + use<'t, 'r> {
+    reader.iter().map(|&(pos, col)| &tag.tuple(ids[pos]).expect("rows hold tuple vertices")[col])
 }
 
 /// The Algorithm B gather site: the machine holding the plurality of the

@@ -21,6 +21,7 @@ use vcsql_query::analyze::Analyzed;
 use vcsql_query::gyo::join_vars;
 use vcsql_query::lower_subquery;
 use vcsql_query::rows::{cross_join, hash_join, ColId, Inter};
+use vcsql_relation::expr::Predicate;
 use vcsql_relation::{Database, FxHashMap, FxHashSet, RelError, Value};
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -128,8 +129,8 @@ impl SparkModel {
                 pending.into_iter().partition(|(_, ts)| ts.iter().all(|&t| joined[t]));
             pending = rest;
             for (e, _) in ready {
-                let bound = a.bind_to_layout(e, &current.cols)?;
-                current = current.filter(|r| bound.passes(r))?;
+                let pred = Predicate::new(a.bind_to_layout(e, &current.cols)?);
+                current = current.filter(|r| pred.passes(r))?;
             }
         }
 

@@ -24,11 +24,18 @@
 //!
 //! Groups leave sorted by key; the rows of a statement without aggregation
 //! leave in the order the executor gathered them.
+//!
+//! Rows are read in place, as any [`Row`] of cells: a TAG root's rows are
+//! references into the graph's arena. Each aggregate's argument is an
+//! [`AggInput`] typed from its columns' schema types, and a group is found
+//! by hashing its key's borrowed cells; only a new group copies its key and
+//! representative row.
 
 use crate::analyze::{AggClass, Analyzed, OutputItem};
-use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 use vcsql_relation::agg::{Accumulator, AggFunc};
-use vcsql_relation::expr::{BoundExpr, CmpOp, ColRef, Expr};
+use vcsql_relation::expr::{AggInput, BoundExpr, CmpOp, ColRef, Expr, Row};
+use vcsql_relation::fx::FxHasher;
 use vcsql_relation::schema::Column;
 use vcsql_relation::{DataType, FxHashMap, RelError, Relation, Schema, Tuple, Value};
 
@@ -41,7 +48,7 @@ pub struct Output<'a> {
     /// Layout positions of the group keys.
     keys: Vec<usize>,
     /// Each accumulator of a group: the aggregate items', then HAVING's.
-    aggs: Vec<(AggFunc, Option<BoundExpr>)>,
+    aggs: Vec<AggInput>,
     having: Vec<Having>,
     /// Row width, for the representative row of the no-input scalar group.
     width: usize,
@@ -83,61 +90,103 @@ impl Group {
 #[derive(Debug, Default)]
 pub struct Gather {
     rows: Vec<Box<[Value]>>,
-    groups: FxHashMap<Box<[Value]>, Group>,
-    /// Scratch: the key [`Gather::add`] looks up, boxed only for a new
-    /// group.
-    probe: Vec<Value>,
+    groups: Groups,
+}
+
+/// Groups in arrival order, found by the hash of their key's cells, so a
+/// key is probed as borrowed cells (a row's, the TAG arena's) and copied
+/// only for a new group.
+#[derive(Debug, Default)]
+struct Groups {
+    /// Each group with its key's hash and its key.
+    list: Vec<(u64, Box<[Value]>, Group)>,
+    /// Per hash, the latest group with it.
+    head: FxHashMap<u64, u32>,
+    /// Per group, the group before it with the same hash ([`NONE`]: none).
+    prev: Vec<u32>,
+}
+
+/// The end of a hash's chain of groups.
+const NONE: u32 = u32::MAX;
+
+impl Groups {
+    /// The index of the group whose key is `key`, of hash `hash`.
+    fn find<'v>(&self, hash: u64, key: impl Iterator<Item = &'v Value> + Clone) -> Option<usize> {
+        let mut g = *self.head.get(&hash)?;
+        while g != NONE {
+            if self.list[g as usize].1.iter().eq(key.clone()) {
+                return Some(g as usize);
+            }
+            g = self.prev[g as usize];
+        }
+        None
+    }
+
+    /// Add a new group.
+    fn push(&mut self, hash: u64, key: Box<[Value]>, group: Group) {
+        let g = u32::try_from(self.list.len()).expect("groups fit u32");
+        self.prev.push(self.head.insert(hash, g).unwrap_or(NONE));
+        self.list.push((hash, key, group));
+    }
+}
+
+/// The hash of a key's cells.
+fn key_hash<'v>(key: impl Iterator<Item = &'v Value>) -> u64 {
+    let mut h = FxHasher::default();
+    key.for_each(|v| v.hash(&mut h));
+    h.finish()
 }
 
 impl Gather {
     /// Fold one final row in: projected, or into its group.
-    pub fn add(&mut self, out: &Output, row: &[Value]) -> Result<()> {
+    pub fn add<R: Row + ?Sized>(&mut self, out: &Output, row: &R) -> Result<()> {
         if out.a.agg_class == AggClass::NoAgg {
             self.rows.push(out.project(row, |_| unreachable!("no aggregate without grouping"))?);
             return Ok(());
         }
-        self.probe.clear();
-        self.probe.extend(out.keys.iter().map(|&p| row[p].clone()));
-        if let Some(group) = self.groups.get_mut(self.probe.as_slice()) {
-            return out.fold(&mut group.accs, row);
+        let key = out.keys.iter().map(|&p| row.cell(p).expect("group keys are in the row"));
+        let hash = key_hash(key.clone());
+        if let Some(g) = self.groups.find(hash, key.clone()) {
+            return out.fold(&mut self.groups.list[g].2.accs, row);
         }
-        let mut group = out.group(row.into());
+        let mut group = out.group(row.to_values());
         out.fold(&mut group.accs, row)?;
-        self.groups.insert(self.probe.as_slice().into(), group);
+        self.groups.push(hash, key.cloned().collect(), group);
         Ok(())
     }
 
-    /// Fold a partial of group `key` in: the accumulators `accs` (from
-    /// [`Output::accumulators`]) over some of its rows, represented by the
-    /// row `rep()` should the group be new here. Only a new group boxes its
-    /// key.
-    pub fn insert(
+    /// Fold a partial of the group keyed by the cells `key` in: the
+    /// accumulators `accs` (from [`Output::accumulators`]) over some of its
+    /// rows, represented by the row `rep()` should the group be new here.
+    /// Only a new group copies its key.
+    pub fn insert<'v>(
         &mut self,
-        key: &[Value],
+        key: impl Iterator<Item = &'v Value> + Clone,
         accs: &[Accumulator],
         rep: impl FnOnce() -> Box<[Value]>,
     ) -> Result<()> {
-        if let Some(group) = self.groups.get_mut(key) {
-            return group.merge(accs);
+        let hash = key_hash(key.clone());
+        if let Some(g) = self.groups.find(hash, key.clone()) {
+            return self.groups.list[g].2.merge(accs);
         }
-        self.groups.insert(key.into(), Group { accs: accs.into(), rep: rep() });
+        self.groups.push(hash, key.cloned().collect(), Group { accs: accs.into(), rep: rep() });
         Ok(())
     }
 
     /// Fold another gather in: its rows follow these, its groups merge.
     pub fn merge(&mut self, mut other: Gather) -> Result<()> {
         self.rows.append(&mut other.rows);
-        if self.groups.is_empty() {
+        if self.groups.list.is_empty() {
             self.groups = other.groups;
             return Ok(());
         }
-        other.groups.into_iter().try_for_each(|(key, group)| match self.groups.entry(key) {
-            Entry::Occupied(mut e) => e.get_mut().merge(&group.accs),
-            Entry::Vacant(e) => {
-                e.insert(group);
-                Ok(())
+        for (hash, key, group) in other.groups.list {
+            match self.groups.find(hash, key.iter()) {
+                Some(g) => self.groups.list[g].2.merge(&group.accs)?,
+                None => self.groups.push(hash, key, group),
             }
-        })
+        }
+        Ok(())
     }
 }
 
@@ -148,20 +197,22 @@ impl Output<'_> {
         if self.a.agg_class == AggClass::NoAgg {
             return build_output(self.a, gather.rows);
         }
-        let mut groups: Vec<(Box<[Value]>, Group)> = gather.groups.into_iter().collect();
+        let mut groups = gather.groups.list;
         if groups.is_empty() && self.a.agg_class == AggClass::Scalar {
-            groups.push((Box::from([]), self.group(vec![Value::Null; self.width].into())));
+            groups.push((0, Box::from([]), self.group(vec![Value::Null; self.width].into())));
         }
-        groups.sort_by(|x, y| x.0.cmp(&y.0));
+        // Keys are distinct, and `Value`'s order agrees with its equality:
+        // an unstable sort leaves the one order there is.
+        groups.sort_unstable_by(|x, y| x.1.cmp(&y.1));
         let mut rows = Vec::with_capacity(groups.len());
-        'groups: for (_, g) in groups {
+        'groups: for (_, _, g) in groups {
             for h in &self.having {
-                let rhs = h.rhs.eval(&g.rep)?;
+                let rhs = h.rhs.eval(&*g.rep)?;
                 if g.accs[h.acc].finish()?.sql_cmp(&rhs).map(|o| h.op.holds(o)) != Some(true) {
                     continue 'groups;
                 }
             }
-            rows.push(self.project(&g.rep, |k| g.accs[k].finish())?);
+            rows.push(self.project(&*g.rep, |k| g.accs[k].finish())?);
         }
         build_output(self.a, rows)
     }
@@ -178,23 +229,22 @@ impl Output<'_> {
 
     /// A group's accumulators with no row folded in yet.
     pub fn accumulators(&self) -> Box<[Accumulator]> {
-        self.aggs.iter().map(|&(func, _)| Accumulator::new(func)).collect()
+        self.aggs.iter().map(|input| Accumulator::new(input.func())).collect()
     }
 
-    /// Fold `row` into its group's accumulators `accs`.
-    pub fn fold(&self, accs: &mut [Accumulator], row: &[Value]) -> Result<()> {
-        for ((_, arg), acc) in self.aggs.iter().zip(accs) {
-            let v = match arg {
-                Some(e) => e.eval(row)?,
-                None => Value::Int(1),
-            };
-            acc.update(&v)?;
-        }
-        Ok(())
+    /// Fold `row` into its group's accumulators `accs`; the first
+    /// aggregate that fails to evaluate is the error.
+    #[inline]
+    pub fn fold<R: Row + ?Sized>(&self, accs: &mut [Accumulator], row: &R) -> Result<()> {
+        self.aggs.iter().zip(accs).try_for_each(|(input, acc)| input.feed(acc, row))
     }
 
     /// The output items over `row`, aggregate `k` read by `agg(k)`.
-    fn project(&self, row: &[Value], agg: impl Fn(usize) -> Result<Value>) -> Result<Box<[Value]>> {
+    fn project<R: Row + ?Sized>(
+        &self,
+        row: &R,
+        agg: impl Fn(usize) -> Result<Value>,
+    ) -> Result<Box<[Value]>> {
         let mut values = Vec::with_capacity(self.items.len());
         for item in &self.items {
             values.push(match item {
@@ -215,6 +265,20 @@ impl Analyzed {
         width: usize,
     ) -> Result<Output<'_>> {
         let bind = |e: &Expr| e.bind(&|c: &ColRef| pos(self.resolve(c)?));
+        // An aggregate's input, each position its argument reads typed by
+        // the column's schema type.
+        let input = |func: AggFunc, arg: &Option<Expr>| -> Result<AggInput> {
+            let Some(e) = arg else { return Ok(AggInput::new(func, None, |_| None)) };
+            let mut cols = Vec::new();
+            e.columns(&mut cols);
+            let mut types = Vec::with_capacity(cols.len());
+            for c in &cols {
+                let (t, col) = self.resolve(c)?;
+                types.push((pos((t, col))?, self.tables[t].schema.columns[col].ty));
+            }
+            let ty = |p: usize| types.iter().find(|&&(q, _)| q == p).map(|&(_, ty)| ty);
+            Ok(AggInput::new(func, Some(bind(e)?), ty))
+        };
         let mut aggs = Vec::new();
         let mut items = Vec::with_capacity(self.items.len());
         for item in &self.items {
@@ -224,14 +288,14 @@ impl Analyzed {
                 }
                 OutputItem::Expr { expr, .. } => Item::Value(bind(expr)?),
                 OutputItem::Agg { func, arg, .. } => {
-                    aggs.push((*func, arg.as_ref().map(bind).transpose()?));
+                    aggs.push(input(*func, arg)?);
                     Item::Agg(aggs.len() - 1)
                 }
             });
         }
         let mut having = Vec::with_capacity(self.having.len());
         for h in &self.having {
-            aggs.push((h.func, h.arg.as_ref().map(bind).transpose()?));
+            aggs.push(input(h.func, &h.arg)?);
             having.push(Having { acc: aggs.len() - 1, op: h.op, rhs: bind(&h.rhs)? });
         }
         let keys = self.group_by.iter().map(|&c| pos(c)).collect::<Result<_>>()?;

@@ -8,7 +8,7 @@
 //! exchange sizes are these operators' exact cardinalities.
 
 use crate::analyze::Analyzed;
-use vcsql_relation::expr::{BoundExpr, ColRef, Expr};
+use vcsql_relation::expr::{BoundExpr, ColRef, Expr, Predicate};
 use vcsql_relation::{Database, RelError, Tuple, Value};
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -75,8 +75,8 @@ impl Analyzed {
         let rel = db.get(&binding.relation)?;
         let mut inter = Inter::from_relation(t, binding.schema.arity(), &rel.tuples);
         for f in &binding.filters {
-            let bound = self.bind_to_table(t, f)?;
-            inter = inter.filter(|row| bound.passes(row))?;
+            let pred = Predicate::new(self.bind_to_table(t, f)?);
+            inter = inter.filter(|row| pred.passes(row))?;
         }
         Ok(inter)
     }

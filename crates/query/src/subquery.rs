@@ -28,7 +28,7 @@
 use crate::analyze::{classify, Analyzed, Correlation, OutputItem, SubqueryKind, SubqueryPred};
 use std::sync::Arc;
 use vcsql_relation::agg::Accumulator;
-use vcsql_relation::expr::{BoundExpr, CmpOp, Expr};
+use vcsql_relation::expr::{BoundExpr, CmpOp, Expr, Row};
 use vcsql_relation::{FxHashMap, FxHashSet, RelError, Relation, Value};
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -215,9 +215,16 @@ pub struct BoundSubquery {
 impl BoundSubquery {
     /// Whether `row` passes the check; a left side that fails to evaluate
     /// is the error.
-    pub fn passes(&self, row: &[Value]) -> Result<bool> {
-        let key: Vec<Value> = self.key.iter().map(|&p| row[p].clone()).collect();
+    pub fn passes<R: Row + ?Sized>(&self, row: &R) -> Result<bool> {
+        let cell = |p: usize| row.cell(p).expect("keys are in the row");
         let lhs = self.lhs.as_ref().map(|e| e.eval(row)).transpose()?;
-        Ok(self.result.holds(&key, lhs.as_ref()))
+        Ok(match self.key.as_slice() {
+            // A one-column key is probed in place.
+            &[p] => self.result.holds(std::slice::from_ref(cell(p)), lhs.as_ref()),
+            key => {
+                let key: Vec<Value> = key.iter().map(|&p| cell(p).clone()).collect();
+                self.result.holds(&key, lhs.as_ref())
+            }
+        })
     }
 }

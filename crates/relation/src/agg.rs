@@ -117,6 +117,49 @@ impl Accumulator {
         Ok(())
     }
 
+    /// Feed one non-NULL integer: `update(&Value::Int(i))` without the
+    /// value. COUNT counts it, SUM adds it to its `i128` (and to the float
+    /// total a later FLOAT input would report), AVG to its `f64`.
+    #[inline]
+    pub fn add_int(&mut self, i: i64) {
+        match self {
+            Accumulator::Count(n) => *n += 1,
+            Accumulator::Sum { int, float, nonnull, .. } => {
+                *int += i128::from(i);
+                *float += i as f64;
+                *nonnull += 1;
+            }
+            Accumulator::Avg { sum, nonnull } => {
+                *sum += i as f64;
+                *nonnull += 1;
+            }
+            Accumulator::Min(_) | Accumulator::Max(_) => {
+                self.update(&Value::Int(i)).expect("MIN and MAX take any value")
+            }
+        }
+    }
+
+    /// Feed one non-NULL float: `update(&Value::Float(x))` without the
+    /// value.
+    #[inline]
+    pub fn add_float(&mut self, x: f64) {
+        match self {
+            Accumulator::Count(n) => *n += 1,
+            Accumulator::Sum { float, any_float, nonnull, .. } => {
+                *float += x;
+                *any_float = true;
+                *nonnull += 1;
+            }
+            Accumulator::Avg { sum, nonnull } => {
+                *sum += x;
+                *nonnull += 1;
+            }
+            Accumulator::Min(_) | Accumulator::Max(_) => {
+                self.update(&Value::Float(x)).expect("MIN and MAX take any value")
+            }
+        }
+    }
+
     /// Merge another accumulator of the same function into this one.
     pub fn merge(&mut self, other: &Accumulator) -> Result<()> {
         match (self, other) {

@@ -4,7 +4,18 @@
 //! parser produces, referring to columns by optionally-qualified name) and a
 //! *bound* [`BoundExpr`] tree in which every column reference has been
 //! resolved to a position in a row layout. Binding happens once per query;
-//! evaluation is positional and allocation-free for the common cases.
+//! evaluation is positional and reads any [`Row`] of cells in place.
+//!
+//! [`BoundExpr::eval`] interprets a tree into a [`Value`]: projection, a
+//! HAVING right-hand side and anything else whose result is a value. Rows
+//! that are filtered or folded into aggregates go through typed kernels
+//! instead, compiled once per bind: a [`Predicate`] yields
+//! three-valued truth over borrowed cells, and an [`AggInput`] feeds an
+//! accumulator native `i64`/`f64` numbers typed from the schema.
+
+mod kernel;
+
+pub use kernel::{AggInput, Predicate};
 
 use crate::error::RelError;
 use crate::value::Value;
@@ -341,6 +352,61 @@ impl fmt::Display for Expr {
     }
 }
 
+/// Cells an expression reads by position: a tuple's own values, or
+/// references to values held elsewhere (the rows a TAG root reads from the
+/// graph's arena), so that neither is copied to be evaluated.
+pub trait Row {
+    /// The cell at position `i`, if the row is that wide.
+    fn cell(&self, i: usize) -> Option<&Value>;
+
+    /// The number of cells.
+    fn width(&self) -> usize;
+
+    /// The cells as owned values.
+    fn to_values(&self) -> Box<[Value]> {
+        (0..self.width()).filter_map(|i| self.cell(i).cloned()).collect()
+    }
+}
+
+impl Row for [Value] {
+    #[inline]
+    fn cell(&self, i: usize) -> Option<&Value> {
+        self.get(i)
+    }
+
+    fn width(&self) -> usize {
+        self.len()
+    }
+}
+
+impl<const N: usize> Row for [Value; N] {
+    #[inline]
+    fn cell(&self, i: usize) -> Option<&Value> {
+        self.get(i)
+    }
+
+    fn width(&self) -> usize {
+        N
+    }
+}
+
+impl Row for [&Value] {
+    #[inline]
+    fn cell(&self, i: usize) -> Option<&Value> {
+        self.get(i).copied()
+    }
+
+    fn width(&self) -> usize {
+        self.len()
+    }
+}
+
+/// Cell `i` of `row`; a row too short for it is an error.
+#[inline]
+fn cell<R: Row + ?Sized>(row: &R, i: usize) -> Result<&Value> {
+    row.cell(i).ok_or_else(|| RelError::Other(format!("row too short for column #{i}")))
+}
+
 /// An expression with column references resolved to row positions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BoundExpr {
@@ -364,12 +430,9 @@ impl BoundExpr {
     /// Evaluate against a positional row. NULL propagates per SQL semantics;
     /// logical operators use three-valued logic (represented as
     /// `Value::Null` for *unknown*).
-    pub fn eval(&self, row: &[Value]) -> Result<Value> {
+    pub fn eval<R: Row + ?Sized>(&self, row: &R) -> Result<Value> {
         Ok(match self {
-            BoundExpr::Col(i) => row
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| RelError::Other(format!("row too short for column #{i}")))?,
+            BoundExpr::Col(i) => cell(row, *i)?.clone(),
             BoundExpr::Lit(v) => v.clone(),
             BoundExpr::Cmp(op, a, b) => {
                 let (va, vb) = (a.eval(row)?, b.eval(row)?);
@@ -421,7 +484,7 @@ impl BoundExpr {
             },
             BoundExpr::Arith(op, a, b) => arith(*op, &a.eval(row)?, &b.eval(row)?)?,
             BoundExpr::Neg(e) => match e.eval(row)? {
-                Value::Int(i) => Value::Int(-i),
+                Value::Int(i) => Value::Int(i.wrapping_neg()),
                 Value::Float(x) => Value::Float(-x),
                 Value::Null => Value::Null,
                 other => {
@@ -468,17 +531,15 @@ impl BoundExpr {
             BoundExpr::IsNull { expr, negated } => {
                 Value::Bool(expr.eval(row)?.is_null() != *negated)
             }
-            BoundExpr::Func(f, args) => {
-                let vals: Vec<Value> = args.iter().map(|a| a.eval(row)).collect::<Result<_>>()?;
-                eval_func(*f, &vals)?
-            }
+            BoundExpr::Func(f, args) => match args.as_slice() {
+                [arg] => eval_func(*f, &arg.eval(row)?)?,
+                _ => {
+                    // Every argument is evaluated first, as for any call.
+                    args.iter().try_for_each(|a| a.eval(row).map(drop))?;
+                    return Err(RelError::Other(format!("{f} takes exactly one argument")));
+                }
+            },
         })
-    }
-
-    /// Evaluate as a predicate: SQL `WHERE` keeps a row only when the
-    /// condition is *true* (unknown behaves as false).
-    pub fn passes(&self, row: &[Value]) -> Result<bool> {
-        Ok(matches!(self.eval(row)?, Value::Bool(true)))
     }
 }
 
@@ -500,7 +561,7 @@ fn arith(op: ArithOp, a: &Value, b: &Value) -> Result<Value> {
         },
         // Date ± integer days.
         (Date(d), Int(n)) if matches!(op, ArithOp::Add | ArithOp::Sub) => {
-            let days = if op == ArithOp::Sub { -*n } else { *n };
+            let days = if op == ArithOp::Sub { n.wrapping_neg() } else { *n };
             Date(d.add_days(days as i32))
         }
         _ => {
@@ -529,50 +590,51 @@ fn arith(op: ArithOp, a: &Value, b: &Value) -> Result<Value> {
     })
 }
 
-fn eval_func(f: Func, args: &[Value]) -> Result<Value> {
+/// A one-argument function applied to its argument's value.
+fn eval_func(f: Func, v: &Value) -> Result<Value> {
+    match v {
+        Value::Date(d) => Ok(Value::Int(date_part(f, *d))),
+        Value::Null => Ok(Value::Null),
+        other => Err(RelError::type_mismatch("DATE", format!("{other}"))),
+    }
+}
+
+/// `YEAR` or `MONTH` of a date.
+fn date_part(f: Func, d: crate::value::Date) -> i64 {
     match f {
-        Func::Year | Func::Month => {
-            let [v] = args else {
-                return Err(RelError::Other(format!("{f} takes exactly one argument")));
-            };
-            match v {
-                Value::Date(d) => {
-                    Ok(Value::Int(if f == Func::Year { d.year() as i64 } else { d.month() as i64 }))
-                }
-                Value::Null => Ok(Value::Null),
-                other => Err(RelError::type_mismatch("DATE", format!("{other}"))),
-            }
-        }
+        Func::Year => d.year() as i64,
+        Func::Month => d.month() as i64,
     }
 }
 
 /// SQL `LIKE` matcher supporting `%` (any run) and `_` (any single char).
-/// Classic two-pointer algorithm with backtracking to the last `%`.
+/// Classic two-pointer algorithm with backtracking to the last `%`, over
+/// byte offsets that always sit on char boundaries, so `_` matches one
+/// `char` however many bytes it takes.
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
     let (mut pi, mut ti) = (0usize, 0usize);
-    let (mut star, mut star_ti) = (usize::MAX, 0usize);
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = pi;
-            star_ti = ti;
-            pi += 1;
-        } else if star != usize::MAX {
-            pi = star + 1;
-            star_ti += 1;
-            ti = star_ti;
-        } else {
-            return false;
+    let mut star: Option<(usize, usize)> = None;
+    while let Some(t) = text[ti..].chars().next() {
+        match pattern[pi..].chars().next() {
+            Some(p) if p == '_' || p == t => {
+                pi += p.len_utf8();
+                ti += t.len_utf8();
+            }
+            Some('%') => {
+                star = Some((pi, ti));
+                pi += 1;
+            }
+            _ => {
+                let Some((star_pi, star_ti)) = star else { return false };
+                // The last `%` absorbs one more char of the text.
+                let next_ti = star_ti + text[star_ti..].chars().next().map_or(1, char::len_utf8);
+                star = Some((star_pi, next_ti));
+                pi = star_pi + 1;
+                ti = next_ti;
+            }
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    pattern[pi..].chars().all(|c| c == '%')
 }
 
 #[cfg(test)]
@@ -597,7 +659,7 @@ mod tests {
         assert_eq!(b.eval(&[Value::Int(3), Value::Null]).unwrap(), Value::Bool(true));
         assert_eq!(b.eval(&[Value::Int(7), Value::Null]).unwrap(), Value::Bool(false));
         assert_eq!(b.eval(&[Value::Null, Value::Null]).unwrap(), Value::Null);
-        assert!(!b.passes(&[Value::Null, Value::Null]).unwrap());
+        assert!(!Predicate::new(b).passes(&[Value::Null, Value::Null][..]).unwrap());
     }
 
     #[test]
@@ -676,6 +738,19 @@ mod tests {
         assert!(like_match("a%b%c", "a-xx-b-yy-c"));
         assert!(!like_match("abc", "ab"));
         assert!(like_match("a_c", "abc"));
+    }
+
+    #[test]
+    fn like_wildcards_match_chars_not_bytes() {
+        assert!(like_match("a_c", "aéc"));
+        assert!(!like_match("a__c", "aéc"));
+        assert!(like_match("_rün%", "grüne Wiese"));
+        assert!(like_match("%ße", "Straße"));
+        assert!(!like_match("%ß", "Straße"));
+        assert!(like_match("%é_", "café!"));
+        assert!(!like_match("%é_", "café"));
+        assert!(like_match("日_語%", "日本語のテキスト"));
+        assert!(like_match("%%テ%", "日本語のテキスト"));
     }
 
     #[test]

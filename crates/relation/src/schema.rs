@@ -5,7 +5,7 @@
 //! the baselines use it to build indexes, so schemas carry it.
 
 use crate::error::RelError;
-use crate::value::DataType;
+use crate::value::{DataType, Value};
 use crate::Result;
 
 /// A column definition.
@@ -83,6 +83,25 @@ impl Schema {
     /// Number of columns.
     pub fn arity(&self) -> usize {
         self.columns.len()
+    }
+
+    /// Check that `values` is a row of this schema: one value per column,
+    /// each NULL or of its column's type.
+    pub fn check(&self, values: &[Value]) -> Result<()> {
+        if values.len() != self.arity() {
+            return Err(RelError::ArityMismatch { expected: self.arity(), found: values.len() });
+        }
+        for (col, v) in self.columns.iter().zip(values) {
+            if let Some(ty) = v.data_type() {
+                if ty != col.ty {
+                    return Err(RelError::type_mismatch(
+                        format!("{} for column {}.{}", col.ty, self.name, col.name),
+                        ty.to_string(),
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Resolve a column name to its position.

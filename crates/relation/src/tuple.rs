@@ -1,6 +1,5 @@
 //! Tuples and in-memory relations.
 
-use crate::error::RelError;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
@@ -83,24 +82,9 @@ impl Relation {
         Ok(rel)
     }
 
-    /// Append a tuple, checking arity and column types.
+    /// Append a tuple, checking arity and column types ([`Schema::check`]).
     pub fn push(&mut self, tuple: Tuple) -> Result<()> {
-        if tuple.arity() != self.schema.arity() {
-            return Err(RelError::ArityMismatch {
-                expected: self.schema.arity(),
-                found: tuple.arity(),
-            });
-        }
-        for (col, v) in self.schema.columns.iter().zip(tuple.values()) {
-            if let Some(ty) = v.data_type() {
-                if ty != col.ty {
-                    return Err(RelError::type_mismatch(
-                        format!("{} for column {}.{}", col.ty, self.schema.name, col.name),
-                        ty.to_string(),
-                    ));
-                }
-            }
-        }
+        self.schema.check(&tuple.0)?;
         self.tuples.push(tuple);
         Ok(())
     }

@@ -79,7 +79,7 @@ impl Date {
 
     /// This date shifted by a whole number of days.
     pub fn add_days(self, days: i32) -> Date {
-        Date(self.0 + days)
+        Date(self.0.wrapping_add(days))
     }
 }
 

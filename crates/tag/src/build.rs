@@ -159,7 +159,10 @@ impl TagBuilder {
 
     /// Insert one tuple of relation `rel`: creates its tuple vertex, creates
     /// any missing attribute vertices, and links them (steps (1)–(3) of the
-    /// encoding). Cost is local: O(arity) plus hash lookups.
+    /// encoding). Cost is local: O(arity) plus hash lookups. A tuple that is
+    /// not a row of the relation's schema is refused with
+    /// [`Relation::push`]'s error ([`Schema::check`]), so every cell of the
+    /// TAG is NULL or of its column's type.
     pub fn insert_tuple(&mut self, rel: &str, tuple: Tuple) -> Result<VertexId, RelError> {
         let r =
             self.relation_index(rel).ok_or_else(|| RelError::UnknownRelation(rel.to_string()))?;
@@ -170,15 +173,17 @@ impl TagBuilder {
     fn insert_row(
         &mut self,
         r: usize,
-        row: impl ExactSizeIterator<Item = Value>,
+        row: impl Iterator<Item = Value>,
     ) -> Result<VertexId, RelError> {
-        let arity = self.relations[r].schema.arity();
-        if row.len() != arity {
-            return Err(RelError::ArityMismatch { expected: arity, found: row.len() });
-        }
-        let tv = self.fresh_vertex(VLabel::Rel(r as u32));
+        let schema = &self.relations[r].schema;
+        let arity = schema.arity();
         let start = self.values.len();
         self.values.extend(row);
+        if let Err(e) = schema.check(&self.values[start..]) {
+            self.values.truncate(start);
+            return Err(e);
+        }
+        let tv = self.fresh_vertex(VLabel::Rel(r as u32), start);
         let first_edge_label = self.relations[r].first_edge_label;
         for c in 0..arity {
             let v = &self.values[start + c];
@@ -189,11 +194,19 @@ impl TagBuilder {
                 self.relations[r].refused[c] = true;
                 continue;
             }
-            let av = match self.attr_index.get(v) {
-                Some(&av) => av,
+            let av = match self.attr_index.get_key_value(v) {
+                Some((shared, &av)) => {
+                    // A string cell shares its attribute vertex's
+                    // allocation (the value index's key): one hot copy per
+                    // distinct value.
+                    if let Value::Str(_) = shared {
+                        self.values[start + c] = shared.clone();
+                    }
+                    av
+                }
                 None => {
                     let v = v.clone();
-                    let av = self.fresh_vertex(VLabel::Attr(attr_type(&v)));
+                    let av = self.fresh_vertex(VLabel::Attr(attr_type(&v)), self.values.len());
                     self.values.push(v.clone());
                     self.attr_index.insert(v, av);
                     av
@@ -217,11 +230,11 @@ impl TagBuilder {
         }
     }
 
-    /// A new vertex whose values start at the arena's current end.
-    fn fresh_vertex(&mut self, label: VLabel) -> VertexId {
+    /// A new vertex whose values start at arena offset `start`.
+    fn fresh_vertex(&mut self, label: VLabel, start: usize) -> VertexId {
         let id = self.vlabel.len() as VertexId;
         self.vlabel.push(label);
-        self.value_start.push(u32::try_from(self.values.len()).expect("arena offsets are u32"));
+        self.value_start.push(u32::try_from(start).expect("arena offsets are u32"));
         self.deleted.push(false);
         id
     }
