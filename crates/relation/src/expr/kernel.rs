@@ -84,8 +84,15 @@ impl Predicate {
     pub fn passes<R: Row + ?Sized>(&self, row: &R) -> Result<bool> {
         match self.truth.eval(row) {
             Ok(t) => Ok(t == Some(true)),
-            Err(Bail) => Ok(matches!(self.expr.eval(row)?, Value::Bool(true))),
+            Err(Bail) => self.interpret(row),
         }
+    }
+
+    /// The interpreter's verdict on `row`, where the kernel bailed.
+    #[cold]
+    #[inline(never)]
+    fn interpret<R: Row + ?Sized>(&self, row: &R) -> Result<bool> {
+        Ok(matches!(self.expr.eval(row)?, Value::Bool(true)))
     }
 }
 
@@ -250,13 +257,21 @@ impl Truth {
                 (!saw_null).then_some(false)
             }
             Truth::Not(t) => t.eval(row)?.map(|b| !b),
-            Truth::Interpret { expr, strict } => match expr.eval(row) {
-                Ok(Value::Bool(b)) => Some(b),
-                Ok(Value::Null) => None,
-                Ok(_) if !strict => Some(false),
-                _ => return Err(Bail),
-            },
+            Truth::Interpret { expr, strict } => interpret(expr, *strict, row)?,
         })
+    }
+}
+
+/// An interpreted node's truth (see [`Truth::Interpret`]); out of line, so
+/// the kernels around it stay small.
+#[cold]
+#[inline(never)]
+fn interpret<R: Row + ?Sized>(expr: &BoundExpr, strict: bool, row: &R) -> Kernel<Option<bool>> {
+    match expr.eval(row) {
+        Ok(Value::Bool(b)) => Ok(Some(b)),
+        Ok(Value::Null) => Ok(None),
+        Ok(_) if !strict => Ok(Some(false)),
+        _ => Err(Bail),
     }
 }
 
@@ -282,7 +297,6 @@ enum Int {
 impl Native for Int {
     type Out = i64;
 
-    #[inline]
     fn eval<R: Row + ?Sized>(&self, row: &R) -> Kernel<Option<i64>> {
         Ok(match self {
             Int::Col(i) => match cell(row, *i)? {
@@ -291,7 +305,7 @@ impl Native for Int {
                 _ => return Err(Bail),
             },
             Int::Lit(x) => *x,
-            Int::Arith(op, a, b) => match (a.eval(row)?, b.eval(row)?) {
+            Int::Arith(op, a, b) => match (a.operand(row)?, b.operand(row)?) {
                 (Some(x), Some(y)) => Some(match op {
                     ArithOp::Add => x.wrapping_add(y),
                     ArithOp::Sub => x.wrapping_sub(y),
@@ -300,7 +314,7 @@ impl Native for Int {
                 }),
                 _ => None,
             },
-            Int::Neg(a) => a.eval(row)?.map(i64::wrapping_neg),
+            Int::Neg(a) => a.operand(row)?.map(i64::wrapping_neg),
             Int::Part(f, i) => match cell(row, *i)? {
                 Value::Date(d) => Some(super::date_part(*f, *d)),
                 Value::Null => None,
@@ -329,7 +343,6 @@ enum Float {
 impl Native for Float {
     type Out = f64;
 
-    #[inline]
     fn eval<R: Row + ?Sized>(&self, row: &R) -> Kernel<Option<f64>> {
         Ok(match self {
             Float::Col(i) => match cell(row, *i)? {
@@ -338,7 +351,7 @@ impl Native for Float {
                 _ => return Err(Bail),
             },
             Float::Lit(x) => *x,
-            Float::Arith(op, a, b) => match (a.eval(row)?, b.eval(row)?) {
+            Float::Arith(op, a, b) => match (a.operand(row)?, b.operand(row)?) {
                 (Some(x), Some(y)) => match op {
                     ArithOp::Add => Some(x + y),
                     ArithOp::Sub => Some(x - y),
@@ -347,14 +360,47 @@ impl Native for Float {
                 },
                 _ => None,
             },
-            Float::Neg(a) => a.eval(row)?.map(|x| -x),
-            Float::Int(a) => a.eval(row)?.map(|x| x as f64),
-            Float::Div(a, b) => match (a.eval(row)?, b.eval(row)?) {
+            Float::Neg(a) => a.operand(row)?.map(|x| -x),
+            Float::Int(a) => a.operand(row)?.map(|x| x as f64),
+            Float::Div(a, b) => match (a.operand(row)?, b.operand(row)?) {
                 (Some(x), Some(y)) => (y != 0).then(|| x as f64 / y as f64),
                 _ => None,
             },
             Float::Case(c) => c.eval(row)?,
         })
+    }
+}
+
+impl Int {
+    /// This kernel's value, a column or a literal read without a call: a
+    /// call per leaf costs more than the arithmetic around it.
+    #[inline(always)]
+    fn operand<R: Row + ?Sized>(&self, row: &R) -> Kernel<Option<i64>> {
+        match self {
+            Int::Col(i) => match cell(row, *i)? {
+                Value::Int(x) => Ok(Some(*x)),
+                Value::Null => Ok(None),
+                _ => Err(Bail),
+            },
+            Int::Lit(x) => Ok(*x),
+            k => k.eval(row),
+        }
+    }
+}
+
+impl Float {
+    /// [`Int::operand`] for FLOAT kernels.
+    #[inline(always)]
+    fn operand<R: Row + ?Sized>(&self, row: &R) -> Kernel<Option<f64>> {
+        match self {
+            Float::Col(i) => match cell(row, *i)? {
+                Value::Float(x) => Ok(Some(*x)),
+                Value::Null => Ok(None),
+                _ => Err(Bail),
+            },
+            Float::Lit(x) => Ok(*x),
+            k => k.eval(row),
+        }
     }
 }
 
@@ -530,33 +576,29 @@ impl AggInput {
     #[inline]
     pub fn feed<R: Row + ?Sized>(&self, acc: &mut Accumulator, row: &R) -> Result<()> {
         match &self.feed {
-            Feed::Row => {
-                acc.add_int(1);
-                return Ok(());
-            }
-            Feed::Int(k) => {
-                if let Ok(x) = k.eval(row) {
-                    if let Some(x) = x {
-                        acc.add_int(x);
-                    }
-                    return Ok(());
-                }
-            }
-            Feed::Float(k) => {
-                if let Ok(x) = k.eval(row) {
-                    if let Some(x) = x {
-                        acc.add_float(x);
-                    }
-                    return Ok(());
-                }
-            }
-            Feed::Cell(i) => {
-                if let Some(v) = row.cell(*i) {
-                    return acc.update(v);
-                }
-            }
-            Feed::Interpret => {}
+            Feed::Row => acc.add_int(1),
+            Feed::Int(k) => match k.operand(row) {
+                Ok(x) => x.into_iter().for_each(|x| acc.add_int(x)),
+                Err(Bail) => return self.interpret(acc, row),
+            },
+            Feed::Float(k) => match k.operand(row) {
+                Ok(x) => x.into_iter().for_each(|x| acc.add_float(x)),
+                Err(Bail) => return self.interpret(acc, row),
+            },
+            Feed::Cell(i) => match row.cell(*i) {
+                Some(v) => return acc.update(v),
+                None => return self.interpret(acc, row),
+            },
+            Feed::Interpret => return self.interpret(acc, row),
         }
+        Ok(())
+    }
+
+    /// The interpreter's fold of `row`, where there is no kernel or it
+    /// bailed; out of line, so `feed` stays small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn interpret<R: Row + ?Sized>(&self, acc: &mut Accumulator, row: &R) -> Result<()> {
         match &self.arg {
             Some(e) => acc.update(&e.eval(row)?),
             None => acc.update(&Value::Int(1)),
