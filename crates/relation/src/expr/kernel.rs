@@ -578,11 +578,13 @@ impl AggInput {
         match &self.feed {
             Feed::Row => acc.add_int(1),
             Feed::Int(k) => match k.operand(row) {
-                Ok(x) => x.into_iter().for_each(|x| acc.add_int(x)),
+                Ok(Some(x)) => acc.add_int(x),
+                Ok(None) => {}
                 Err(Bail) => return self.interpret(acc, row),
             },
             Feed::Float(k) => match k.operand(row) {
-                Ok(x) => x.into_iter().for_each(|x| acc.add_float(x)),
+                Ok(Some(x)) => acc.add_float(x),
+                Ok(None) => {}
                 Err(Bail) => return self.interpret(acc, row),
             },
             Feed::Cell(i) => match row.cell(*i) {
