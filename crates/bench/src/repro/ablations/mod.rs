@@ -105,7 +105,6 @@ pub(super) fn reshuffle(a: &Args) {
     let mut session = Cluster::new(6)
         .strategy(PartitionStrategy::Hash)
         .engine(EngineConfig::with_threads(4))
-        .static_placement()
         .session(&tag)
         .unwrap();
     let mut rows = Vec::new();

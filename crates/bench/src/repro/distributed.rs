@@ -35,7 +35,7 @@ fn calibration_profile(tag: &TagGraph, queries: &[BenchQuery], machines: usize) 
 /// per TAG placement strategy (the locality-aware strategies are what close
 /// the gap to the paper's 9x spark/tag traffic ratio; `workload` re-weights
 /// them with traffic observed from a calibration run). Each strategy runs as
-/// one static-placement `Session`, so plans are prepared once per workload.
+/// one `Session`, so plans are prepared once per workload.
 pub(super) fn run(a: &Args) {
     let sf = a.sf();
     println!("\n## E13 — Distributed cluster simulation, 6 machines (paper Fig 16)\n");
@@ -44,7 +44,7 @@ pub(super) fn run(a: &Args) {
         let queries = (suite.queries)();
         let db = (suite.generate)(sf, SEED);
         let tag = Arc::new(TagGraph::build(&db));
-        let cluster = Cluster::new(spark.machines).bandwidth(a.bandwidth).static_placement();
+        let cluster = Cluster::new(spark.machines).bandwidth(a.bandwidth);
         let runtime = |secs: f64, net: &vcsql_dist::NetStats| {
             cluster.modelled_runtime(secs, net).expect("bandwidth validated at parse time")
         };
@@ -71,8 +71,7 @@ pub(super) fn run(a: &Args) {
             })
             .collect();
         // One session per strategy: the placement is built once at open and
-        // reused across the whole workload (static placement here —
-        // `benchmark/`'s `cluster_drift` is where adaptation is measured).
+        // reused across the whole workload.
         let mut sessions: Vec<_> = materialized
             .iter()
             .map(|s| (s, cluster.clone().strategy(s.clone()).session(&tag).expect("session opens")))

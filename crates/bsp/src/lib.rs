@@ -44,8 +44,7 @@ pub use fault::{Fault, FaultError, FaultInjector, FaultPlan};
 pub use graph::{Edge, Graph, GraphBuilder, VertexId};
 pub use interner::{Interner, LabelId};
 pub use partition::{
-    balance_cap, migrate_step, MigrationMove, MigrationStep, PartitionDiagnostics,
-    PartitionStrategy, Partitioning, DEFAULT_BALANCE_SLACK,
+    balance_cap, PartitionDiagnostics, PartitionStrategy, Partitioning, DEFAULT_BALANCE_SLACK,
 };
 pub use pool::WorkerPool;
 pub use program::{Aggregator, Message};

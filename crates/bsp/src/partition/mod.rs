@@ -35,11 +35,8 @@
 //! (`tests/robustness.rs`, `tests/partitioning.rs`).
 
 mod colocate;
-mod migrate;
 mod refine;
 mod workload;
-
-pub use migrate::{migrate_step, MigrationMove, MigrationStep};
 
 use crate::graph::{Graph, VertexId};
 use crate::stats::TrafficProfile;

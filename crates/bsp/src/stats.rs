@@ -247,67 +247,9 @@ impl TrafficProfile {
         self.entries.len()
     }
 
-    /// Total bytes over all profiled labels.
-    pub fn total_bytes(&self) -> u64 {
-        self.entries.values().map(|t| t.bytes).sum()
-    }
-
-    /// Byte-weighted drift between this profile and the `baseline` it is
-    /// compared against, as the total-variation distance between the two
-    /// per-label *byte share* distributions:
-    ///
-    /// ```text
-    /// drift = ½ · Σ_label | bytes_self(l)/total_self − bytes_base(l)/total_base |
-    /// ```
-    ///
-    /// The result is in `[0, 1]`: 0 means the traffic is spread over the
-    /// labels in exactly the baseline's proportions (placement derived from
-    /// the baseline still fits), 1 means the workloads are label-disjoint.
-    /// Two traffic-free profiles have drift 0; traffic against an empty
-    /// baseline (e.g. a placement that was never profiled) drifts maximally.
-    /// This is the trigger metric for online repartitioning (`vcsql-session`).
-    pub fn byte_drift(&self, baseline: &TrafficProfile) -> f64 {
-        let (ta, tb) = (self.total_bytes() as f64, baseline.total_bytes() as f64);
-        if ta == 0.0 && tb == 0.0 {
-            return 0.0;
-        }
-        if ta == 0.0 || tb == 0.0 {
-            return 1.0;
-        }
-        let mut dist = 0.0;
-        for (name, t) in &self.entries {
-            let base = baseline.get(name).map(|b| b.bytes).unwrap_or(0);
-            dist += (t.bytes as f64 / ta - base as f64 / tb).abs();
-        }
-        for (name, t) in &baseline.entries {
-            if !self.entries.contains_key(name) {
-                dist += t.bytes as f64 / tb;
-            }
-        }
-        dist / 2.0
-    }
-
     /// True iff no label has been profiled.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Exponentially decay every counter by `factor` in `[0, 1]` (floored to
-    /// whole counts). Applied once per observation period, a factor of
-    /// `0.5^(1/h)` gives the profile a half-life of `h` periods: old traffic
-    /// fades instead of pinning the placement to a workload that stopped
-    /// running. Labels stay present even when their counters reach zero —
-    /// "seen, now quiet" still differs from "never profiled" for the
-    /// `Workload` placement fallback.
-    pub fn decay(&mut self, factor: f64) {
-        assert!((0.0..=1.0).contains(&factor), "decay factor {factor} outside [0, 1]");
-        let scale = |n: u64| (n as f64 * factor).floor() as u64;
-        for t in self.entries.values_mut() {
-            t.messages = scale(t.messages);
-            t.bytes = scale(t.bytes);
-            t.network_messages = scale(t.network_messages);
-            t.network_bytes = scale(t.network_bytes);
-        }
     }
 }
 
@@ -375,71 +317,6 @@ mod tests {
         assert_eq!(r.total_messages(), 11);
         assert_eq!(r.total_bytes(), 108);
         assert_eq!(r.totals.network_bytes, 40);
-    }
-
-    #[test]
-    fn decay_scales_counters_and_keeps_labels() {
-        let mut p = TrafficProfile::new();
-        p.record(
-            "r.a",
-            LabelTraffic { messages: 100, bytes: 1000, network_messages: 10, network_bytes: 101 },
-        );
-        p.record("r.b", LabelTraffic { messages: 1, bytes: 1, ..Default::default() });
-        p.decay(0.5);
-        assert_eq!(
-            p.get("r.a").unwrap(),
-            LabelTraffic { messages: 50, bytes: 500, network_messages: 5, network_bytes: 50 }
-        );
-        // Floored to zero, but the label stays profiled.
-        assert_eq!(p.get("r.b"), Some(LabelTraffic::default()));
-        p.decay(0.0);
-        assert_eq!(p.get("r.a"), Some(LabelTraffic::default()));
-        assert_eq!(p.len(), 2);
-        // Identity decay is a no-op.
-        let mut q = TrafficProfile::new();
-        q.record("r.a", LabelTraffic { messages: 7, bytes: 9, ..Default::default() });
-        let before = q.clone();
-        q.decay(1.0);
-        assert_eq!(q, before);
-    }
-
-    #[test]
-    #[should_panic]
-    fn decay_rejects_out_of_range_factor() {
-        TrafficProfile::new().decay(1.5);
-    }
-
-    #[test]
-    fn byte_drift_is_a_bounded_distance() {
-        let mut a = TrafficProfile::new();
-        a.record("r.x", LabelTraffic { messages: 1, bytes: 100, ..Default::default() });
-        a.record("r.y", LabelTraffic { messages: 1, bytes: 100, ..Default::default() });
-        // Identical shares (scale-free): zero drift.
-        let mut a2 = TrafficProfile::new();
-        a2.record("r.x", LabelTraffic { messages: 9, bytes: 700, ..Default::default() });
-        a2.record("r.y", LabelTraffic { messages: 9, bytes: 700, ..Default::default() });
-        assert!(a.byte_drift(&a).abs() < 1e-12);
-        assert!(a.byte_drift(&a2).abs() < 1e-12);
-        // Label-disjoint traffic: maximal drift, symmetric.
-        let mut b = TrafficProfile::new();
-        b.record("s.z", LabelTraffic { messages: 1, bytes: 50, ..Default::default() });
-        assert!((a.byte_drift(&b) - 1.0).abs() < 1e-12);
-        assert!((b.byte_drift(&a) - 1.0).abs() < 1e-12);
-        // Half the bytes moved to a new label: drift 0.5.
-        let mut c = TrafficProfile::new();
-        c.record("r.x", LabelTraffic { messages: 1, bytes: 100, ..Default::default() });
-        c.record("s.z", LabelTraffic { messages: 1, bytes: 100, ..Default::default() });
-        assert!((a.byte_drift(&c) - 0.5).abs() < 1e-12);
-        // Empty cases.
-        let empty = TrafficProfile::new();
-        assert_eq!(empty.byte_drift(&empty), 0.0);
-        assert_eq!(a.byte_drift(&empty), 1.0);
-        assert_eq!(empty.byte_drift(&a), 1.0);
-        // Zero-byte entries count as no traffic.
-        let mut zeros = TrafficProfile::new();
-        zeros.record("r.x", LabelTraffic::default());
-        assert_eq!(a.byte_drift(&zeros), 1.0);
-        assert_eq!(a.total_bytes(), 200);
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //! * [`modelled_runtime`] — combine measured local compute with modelled
 //!   network time at a given bandwidth (the paper's Fig 16 runtime model).
 //!
-//! The multi-query lifecycle — prepared statements behind a plan cache, one
-//! placement shared across queries, *online* repartitioning as the mix
-//! drifts — lives in the `vcsql-session` crate (`Session` / `Cluster`), whose
-//! `Cluster::calibrated_session` is the one calibrate → profile → serve path
+//! The multi-query lifecycle — prepared statements behind a plan cache and
+//! one placement, fixed at open, shared across queries — lives in the
+//! `vcsql-session` crate (`Session` / `Cluster`), whose
+//! `Cluster::calibrated_session` is the one calibrate → place → serve path
 //! built on the functions above.
 
 pub mod netstats;

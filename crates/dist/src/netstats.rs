@@ -23,13 +23,9 @@ pub struct NetStats {
     /// Communication rounds: BSP supersteps (TAG) or exchange stages —
     /// shuffles plus broadcasts (Spark model).
     pub rounds: u64,
-    /// Of `network_messages`, those that were *vertex migrations*: online
-    /// repartitioning relocating a vertex's state to another machine
-    /// (`vcsql-session`'s adaptation loop). Itemized so adaptation cost is
-    /// visible, but included in the totals — shipping state is real traffic.
-    pub migration_messages: u64,
-    /// Of `network_bytes`, the bytes of migrated vertex state. Invariant:
-    /// `migration_bytes <= network_bytes`.
+    /// Kept only because `benchmark/` names it; no effect; removed with
+    /// ROADMAP item 7 (c). Always 0: placements are fixed at open, so no
+    /// vertex state ever migrates.
     pub migration_bytes: u64,
     /// Bytes written to superstep checkpoints (fault tolerance). **Not**
     /// included in `network_bytes`: checkpoints go to (simulated) stable
@@ -53,7 +49,7 @@ impl NetStats {
     /// and bytes, one round per superstep, and its fault-tolerance traffic
     /// — checkpoint writes go to stable storage (itemized, outside the
     /// totals), recovery re-ships the crashed partition's checkpoint state
-    /// over the wire (itemized and inside the totals, like migrations). The
+    /// over the wire (itemized and inside the totals). The
     /// engine keeps both out of its per-label `totals`, so nothing is
     /// double-billed; a fault-free run has all three counters zero.
     pub fn from_run(stats: &RunStats) -> NetStats {
@@ -74,8 +70,6 @@ impl NetStats {
         self.network_messages += other.network_messages;
         self.network_bytes += other.network_bytes;
         self.rounds += other.rounds;
-        self.migration_messages += other.migration_messages;
-        self.migration_bytes += other.migration_bytes;
         self.checkpoint_bytes += other.checkpoint_bytes;
         self.recovery_bytes += other.recovery_bytes;
         self.recovered_rounds += other.recovered_rounds;
@@ -88,17 +82,6 @@ impl NetStats {
         self.rounds += 1;
     }
 
-    /// Charge the relocation of `vertices` vertices totalling `bytes` of
-    /// state to the network (online repartitioning). Grows both the totals
-    /// and the itemized migration counters; migrations ride along existing
-    /// supersteps, so `rounds` is untouched.
-    pub fn record_migration(&mut self, vertices: u64, bytes: u64) {
-        self.network_messages += vertices;
-        self.network_bytes += bytes;
-        self.migration_messages += vertices;
-        self.migration_bytes += bytes;
-    }
-
     /// Charge `bytes` of checkpoint writes. Itemized only — checkpoints are
     /// stable-storage writes, not network traffic (see the field doc).
     pub fn record_checkpoint(&mut self, bytes: u64) {
@@ -106,8 +89,7 @@ impl NetStats {
     }
 
     /// Charge a crash recovery: `vertices` restored vertices totalling
-    /// `bytes` of re-shipped checkpoint state (network traffic, like
-    /// migrations), after rolling back `rounds` supersteps (itemized, not
+    /// `bytes` of re-shipped checkpoint state (network traffic), after rolling back `rounds` supersteps (itemized, not
     /// added to `rounds` — the replayed traffic is recorded once).
     pub fn record_recovery(&mut self, vertices: u64, bytes: u64, rounds: u64) {
         self.network_messages += vertices;
@@ -154,22 +136,6 @@ mod tests {
             a,
             NetStats { network_messages: 15, network_bytes: 150, rounds: 2, ..Default::default() }
         );
-    }
-
-    #[test]
-    fn migration_is_itemized_and_counted_in_totals() {
-        let mut n = NetStats::default();
-        n.record_exchange(10, 100);
-        n.record_migration(3, 48);
-        assert_eq!(n.network_messages, 13);
-        assert_eq!(n.network_bytes, 148);
-        assert_eq!(n.migration_messages, 3);
-        assert_eq!(n.migration_bytes, 48);
-        assert_eq!(n.rounds, 1, "migration must not add a round");
-        assert!(n.migration_bytes <= n.network_bytes);
-        let mut m = NetStats::default();
-        m.absorb(&n);
-        assert_eq!(m.migration_bytes, 48);
     }
 
     #[test]

@@ -112,9 +112,8 @@ impl Value {
     }
 
     /// Bytes this value occupies in the wire model every byte count in the
-    /// workspace is priced with (TAG messages, the Spark shuffle model,
-    /// migrated vertex state): one 8-byte word, plus the 8-byte-aligned
-    /// payload of a string.
+    /// workspace is priced with (TAG messages, the Spark shuffle model):
+    /// one 8-byte word, plus the 8-byte-aligned payload of a string.
     #[inline]
     pub fn wire_bytes(&self) -> usize {
         8 + match self {

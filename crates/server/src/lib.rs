@@ -3,38 +3,18 @@
 //! One process encodes the database once and serves many clients: a
 //! [`QueryServer`] is a [`Host`] (the shared `Arc<TagGraph>`, one
 //! [`PlanCache`] — a statement planned for one tenant is a hit for all —,
-//! worker pool, fault injector and **one** placement every tenant's
-//! traffic must share), an [`AdmissionController`] bounding in-flight
-//! executions, and one [`Ledger`] per tenant.
-//!
-//! A lone session repartitions unilaterally: when its profile drifts it
-//! derives a fresh target and walks there. With several tenants over one
-//! graph that policy thrashes — each tenant drags the placement toward its
-//! own mix, and vertices ping-pong on every mix switch. The server instead
-//! drives the same [`PlacementController`](vcsql_session::PlacementController)
-//! a session's host does with an
-//! **arbitrated vote** ([`Arbitration::Merged`]): each tenant votes with
-//! its exponentially decayed [`TrafficProfile`], the votes are merged
-//! byte-weighted (a tenant's weight is the traffic it actually generates)
-//! into one consensus workload, and only when *that* drifts past the
-//! threshold does the controller derive one target and migrate toward it
-//! under a global budget. [`Arbitration::Unilateral`] (per-tenant votes
-//! whose targets overwrite each other) is kept as the thrashing baseline
-//! `tests/arbitration.rs` measures it against; static serving is no policy
-//! of its own but a `drift_threshold` above 1, which no vote can cross. The
-//! vote source is all that separates a session from a one-tenant server:
-//! both run every statement through [`Host::run`].
+//! worker pool, fault injector and **one** placement, fixed at start, that
+//! every tenant's traffic shares), an [`AdmissionController`] bounding
+//! in-flight executions, and one [`Ledger`] per tenant. Every statement of
+//! every tenant runs through [`Host::run`], as a session's do.
 //!
 //! Concurrency model: tenants call [`TenantSession::run_sql`] from any
 //! thread. Executions share the host's persistent
 //! [`vcsql_bsp::WorkerPool`] (fan-outs are serialized by the
-//! pool's own run lock), the plan cache and the admission queue are one
-//! mutex each, every tenant's ledger (vote + counters) is one mutex, and
-//! the placement sits behind one mutex too: executing only clones its
-//! `Arc<Partitioning>` under it, and the arbitration step, which would
-//! block every reader under any lock, holds it to adapt. Lock order: tenant
-//! registry → tenant → placement. This crate spawns no thread: callers
-//! grant their own admission tickets.
+//! pool's own run lock) and its placement (an `Arc`, read without a lock);
+//! the plan cache and the admission queue are one mutex each, and every
+//! tenant's ledger is one mutex. Lock order: tenant registry → tenant. This
+//! crate spawns no thread: callers grant their own admission tickets.
 
 mod admission;
 
@@ -43,7 +23,7 @@ pub use vcsql_session::{FailureStats, HostStats, Ledger, PlanCache};
 
 use std::sync::Arc;
 use vcsql_bsp::sync::Mutex;
-use vcsql_bsp::{EngineConfig, FaultInjector, PartitionStrategy, Partitioning, TrafficProfile};
+use vcsql_bsp::{EngineConfig, FaultInjector, PartitionStrategy, Partitioning};
 use vcsql_core::{ExecOutput, QueryPlan};
 use vcsql_dist::NetStats;
 use vcsql_relation::RelError;
@@ -52,49 +32,31 @@ use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
 
-/// How the server reconciles tenants' competing placement preferences.
+/// Kept only because `benchmark/` names it; no effect; removed with
+/// ROADMAP item 7 (c).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Arbitration {
-    /// The arbitrated loop: merge every tenant's decayed profile
-    /// byte-weighted into one consensus workload, derive one target when
-    /// the *consensus* drifts, migrate under the global budget.
+    /// Kept only because `benchmark/` names it; no effect; removed with
+    /// ROADMAP item 7 (c).
     #[default]
     Merged,
-    /// The naive policy a fleet of independent sessions would apply: the
-    /// executing tenant's own profile drives the target, and a drifted
-    /// tenant overwrites another tenant's in-flight target. Kept as the
-    /// thrashing baseline.
-    Unilateral,
 }
 
 /// Configuration of a [`QueryServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Simulated machines. `1` serves purely locally (no partitioning, no
-    /// network accounting, no arbitration).
+    /// network accounting).
     pub machines: usize,
     /// BSP engine tuning, shared by every tenant's executions.
     pub engine: EngineConfig,
-    /// Initial placement strategy. A [`PartitionStrategy::Workload`]
-    /// strategy also seeds the controller's standing profile with its
-    /// calibration profile; tenants' votes start empty (only a session also
-    /// seeds its own vote with it).
+    /// Placement strategy, applied once at start.
     pub strategy: PartitionStrategy,
-    /// Arbitration trigger: adapt when the vote's byte-weighted drift from
-    /// the placement's profile exceeds this. Drift lives in `[0, 1]`, so any
-    /// threshold above `1.0` serves the initial placement forever (static
-    /// placement).
-    pub drift_threshold: f64,
-    /// Global migration budget: most vertices migrated per arbitration
-    /// step, across all tenants (must be at least 1).
-    pub migration_budget: usize,
-    /// Exponential forgetting of each tenant's traffic profile, as a
-    /// half-life in that tenant's executions (see
-    /// [`vcsql_session::SessionConfig::profile_half_life`]). The server
-    /// defaults this *on*: votes must track what tenants run now, not what
-    /// they ran at startup.
+    /// Kept only because `benchmark/` names it; no effect; removed with
+    /// ROADMAP item 7 (c).
     pub profile_half_life: Option<f64>,
-    /// How competing tenant preferences are reconciled.
+    /// Kept only because `benchmark/` names it; no effect; removed with
+    /// ROADMAP item 7 (c).
     pub arbitration: Arbitration,
     /// Most in-flight executions per tenant (must be at least 1).
     pub max_in_flight_per_tenant: usize,
@@ -115,8 +77,6 @@ impl Default for ServerConfig {
             machines: 1,
             engine: EngineConfig::default(),
             strategy: PartitionStrategy::Refined,
-            drift_threshold: 0.25,
-            migration_budget: 2048,
             profile_half_life: Some(8.0),
             arbitration: Arbitration::Merged,
             max_in_flight_per_tenant: 4,
@@ -141,7 +101,6 @@ impl std::fmt::Debug for QueryServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryServer")
             .field("machines", &self.config.machines)
-            .field("arbitration", &self.config.arbitration)
             .field("tenants", &lock(&self.tenants).len())
             .finish_non_exhaustive()
     }
@@ -160,9 +119,7 @@ impl QueryServer {
             machines: config.machines,
             engine: config.engine,
             strategy: config.strategy.clone(),
-            drift_threshold: config.drift_threshold,
-            migration_budget: config.migration_budget,
-            profile_half_life: config.profile_half_life,
+            ..SessionConfig::default()
         };
         let host = Host::new(tag, &knobs, config.fault_injector.clone())
             .map_err(|e| invalid(e.to_string()))?;
@@ -196,54 +153,16 @@ impl QueryServer {
         self.admission.stats()
     }
 
-    /// The placement every tenant currently runs under (`None` on a single
-    /// machine).
+    /// The placement every tenant runs under (`None` on a single machine),
+    /// fixed at start.
     pub fn partitioning(&self) -> Option<Arc<Partitioning>> {
         self.host.partitioning()
     }
 
-    /// True iff an arbitration walk is in flight.
-    pub fn migration_pending(&self) -> bool {
-        self.host.migration_pending()
-    }
-
     /// Lifetime counters, across all tenants: the fold of every tenant's
-    /// ledger plus the placement controller's counters.
+    /// ledger.
     pub fn stats(&self) -> HostStats {
         self.host.stats(lock(&self.tenants).iter().map(|tenant| &**tenant))
-    }
-
-    /// Merge every tenant's decayed profile into one byte-weighted vote:
-    /// `absorb` sums raw counters, so a tenant's weight in the consensus is
-    /// exactly the traffic it generates. `None` without a quorum, i.e.
-    /// unless every registered tenant has voted (executed at least once).
-    /// Deriving a target from a partial consensus is how a fleet of
-    /// unilateral sessions thrashes — the first tenant to run would drag
-    /// the shared placement toward its own mix before anyone else was heard
-    /// — so the merged policy abstains until every seated tenant has spoken.
-    fn merged_vote(&self) -> Option<TrafficProfile> {
-        let mut vote = TrafficProfile::new();
-        for tenant in lock(&self.tenants).iter() {
-            let tenant = lock(tenant);
-            if tenant.vote.is_empty() {
-                return None;
-            }
-            vote.absorb(&tenant.vote);
-        }
-        Some(vote)
-    }
-
-    /// The vote the arbitration policy hands the shared controller after
-    /// one of `proposer`'s executions — the one thing a server does
-    /// differently from a session, which always votes its own profile.
-    fn vote(&self, proposer: &Mutex<Ledger>) -> Option<TrafficProfile> {
-        match self.config.arbitration {
-            Arbitration::Merged => self.merged_vote(),
-            // Unilateral tenants don't wait for anyone, and a drifted one
-            // overwrites another tenant's in-flight target with its own —
-            // the thrash the merged policy exists to prevent.
-            Arbitration::Unilateral => Some(lock(proposer).vote.clone()),
-        }
     }
 }
 
@@ -269,10 +188,9 @@ impl TenantSession {
     }
 
     /// Execute `sql` under the shared placement: admission first, then the
-    /// cached plan, then [`Host::run`] with this tenant's ledger and the
-    /// arbitration policy's vote. The returned [`NetStats`] itemizes any
-    /// migration bytes this execution's arbitration step shipped, plus
-    /// checkpoint and recovery traffic when fault injection is armed.
+    /// cached plan, then [`Host::run`] with this tenant's ledger. The
+    /// returned [`NetStats`] itemizes checkpoint and recovery traffic when
+    /// fault injection is armed.
     ///
     /// Failure isolation: a panicking execution is caught by the host and
     /// becomes this tenant's [`RelError::Panicked`], prefixed `tenant N: `.
@@ -289,19 +207,14 @@ impl TenantSession {
         // not one per attempt.
         let _permit = self.server.admission.acquire(self.id);
         let plan = self.prepare(sql)?;
-        let server = &self.server;
-        let unilateral = server.config.arbitration == Arbitration::Unilateral;
-        let retries = server.config.max_retries;
-        let vote = || server.vote(&self.ledger);
-        server.host.run(&plan, &self.ledger, retries, unilateral, self.id, vote).map_err(
-            |e| match e {
-                RelError::Panicked(msg) => RelError::Panicked(format!("tenant {}: {msg}", self.id)),
-                e => e,
-            },
-        )
+        let retries = self.server.config.max_retries;
+        self.server.host.run(&plan, &self.ledger, retries).map_err(|e| match e {
+            RelError::Panicked(msg) => RelError::Panicked(format!("tenant {}: {msg}", self.id)),
+            e => e,
+        })
     }
 
-    /// This tenant's ledger: its vote and lifetime counters.
+    /// This tenant's ledger: its lifetime counters.
     pub fn stats(&self) -> Ledger {
         lock(&self.ledger).clone()
     }
@@ -334,11 +247,6 @@ mod tests {
         let (tag, config) = setup(1);
         let bad = [
             ServerConfig { machines: 0, ..config.clone() },
-            ServerConfig { migration_budget: 0, ..config.clone() },
-            ServerConfig { drift_threshold: 0.0, ..config.clone() },
-            ServerConfig { drift_threshold: f64::NAN, ..config.clone() },
-            ServerConfig { profile_half_life: Some(0.0), ..config.clone() },
-            ServerConfig { profile_half_life: Some(f64::INFINITY), ..config.clone() },
             ServerConfig { max_in_flight_per_tenant: 0, ..config.clone() },
             ServerConfig { max_in_flight_total: 0, ..config.clone() },
         ];
@@ -370,76 +278,6 @@ mod tests {
         assert_eq!(server.stats().queries, 2);
         assert_eq!(alice.stats().queries, 1);
         assert_eq!(server.admission_stats().admitted, 2);
-    }
-
-    #[test]
-    fn merged_arbitration_adapts_once_and_goes_quiet() {
-        let (tag, config) = setup(6);
-        let server = QueryServer::start(&tag, config).unwrap();
-        let t0 = server.open_session();
-        let t1 = server.open_session();
-        let lone =
-            TagJoinExecutor::new(&tag, EngineConfig::sequential()).run_sql(JOIN_SQL).unwrap();
-        let mut saw_migration = false;
-        for _ in 0..4 {
-            for t in [&t0, &t1] {
-                let (out, net) = t.run_sql(JOIN_SQL).unwrap();
-                assert!(out.relation.same_bag_approx(&lone.relation, 1e-9));
-                saw_migration |= net.migration_bytes > 0;
-                assert!(net.migration_bytes <= net.network_bytes);
-            }
-        }
-        // The empty consensus drifts maximally against real traffic, so the
-        // shared placement must have self-tuned...
-        assert!(saw_migration, "arbitrated migration never happened");
-        let stats = server.stats();
-        assert!(stats.adaptations >= 1);
-        assert!(stats.migrated_vertices > 0);
-        assert_eq!(stats.net.migration_bytes, stats.migration_bytes);
-        // ...and with both tenants running the same mix the consensus is
-        // stable: one more round must not migrate again.
-        let migrated_before = server.stats().migrated_vertices;
-        for t in [&t0, &t1] {
-            let (_, net) = t.run_sql(JOIN_SQL).unwrap();
-            assert_eq!(net.migration_bytes, 0, "steady consensus must not thrash");
-        }
-        assert_eq!(server.stats().migrated_vertices, migrated_before);
-        // Both tenants' traffic is itemized: the sum of tenant nets equals
-        // the server net.
-        let total = t0.stats().net.network_bytes + t1.stats().net.network_bytes;
-        assert_eq!(total, server.stats().net.network_bytes);
-    }
-
-    #[test]
-    fn unilateral_tenants_thrash_where_merged_tenants_settle() {
-        let (tag, config) = setup(4);
-        let run_mixed = |config: ServerConfig| -> u64 {
-            let server =
-                QueryServer::start(&tag, ServerConfig { migration_budget: 100_000, ..config })
-                    .unwrap();
-            let a = server.open_session();
-            let b = server.open_session();
-            // Two tenants with *conflicting* placement preferences: the
-            // 3-way join pulls lineitem toward orders, q17 pulls it toward
-            // part. Alternate them long enough for each policy to settle
-            // (or not).
-            for _ in 0..6 {
-                a.run_sql(JOIN_SQL).unwrap();
-                b.run_sql(Q17_SQL).unwrap();
-            }
-            server.stats().migration_bytes
-        };
-        let merged = run_mixed(config.clone());
-        let unilateral =
-            run_mixed(ServerConfig { arbitration: Arbitration::Unilateral, ..config.clone() });
-        // Drift lies in `[0, 1]`: a threshold of 2 never adapts.
-        let static_bytes = run_mixed(ServerConfig { drift_threshold: 2.0, ..config });
-        assert_eq!(static_bytes, 0, "static placement never migrates");
-        assert!(
-            merged < unilateral,
-            "arbitration must ship fewer migration bytes than the tenant fight \
-             (merged {merged} vs unilateral {unilateral})"
-        );
     }
 
     /// The tentpole's server guarantee: a panicking query releases its
@@ -554,7 +392,7 @@ mod tests {
     /// `QueryServer::stats` is a fold, not a second ledger: after a run
     /// mixing successes, a retried transient fault, an exhausted retry and
     /// a caught panic it equals the field-wise sum of every tenant's stats
-    /// plus the placement controller's counters — failed runs included.
+    /// — failed runs included.
     #[test]
     fn server_stats_are_the_fold_of_tenant_stats_and_controller_counters() {
         let (tag, config) = setup(4);
@@ -597,24 +435,6 @@ mod tests {
         assert_eq!((stats.queries, stats.net, stats.failures), (queries, net, failures));
         assert_eq!(failures, FailureStats { panics: 1, retries: 2, recoveries: 0 });
         assert_eq!(queries, 11, "twelve concurrent runs, one panicked");
-        assert!(net.migration_bytes > 0, "the mix must have moved the placement");
-        let controller = server.host.stats([]);
-        let controller = (
-            controller.adaptations,
-            controller.migration_steps,
-            controller.migrated_vertices,
-            controller.migration_bytes,
-        );
-        assert_eq!(
-            (
-                stats.adaptations,
-                stats.migration_steps,
-                stats.migrated_vertices,
-                stats.migration_bytes
-            ),
-            controller
-        );
-        assert_eq!(stats.migration_bytes, net.migration_bytes);
     }
 
     /// Machine crashes recover from checkpoints *inside* the execution: the

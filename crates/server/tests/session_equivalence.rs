@@ -1,16 +1,14 @@
-//! A `Session` is the single-tenant case of the server's arbitration loop.
+//! A `Session` is the single-tenant case of the server's host.
 //!
-//! Both hosts drive the same `PlacementController`; the only thing they
-//! differ in is the vote they feed it. With one tenant the merged consensus
-//! *is* that tenant's profile, so a one-tenant `Arbitration::Merged` server
-//! and a `Session` with the same knobs must be indistinguishable, statement
-//! by statement, over a schedule that drifts TPC-H → TPC-DS → TPC-H: the
-//! same `NetStats` (migration bytes included), the same machine for every
-//! vertex, the same adaptation and migration counters.
+//! Both run every statement through the same `Host::run` under one placement
+//! fixed at open, so a one-tenant server and a `Session` with the same knobs
+//! must be indistinguishable, statement by statement, over a schedule that
+//! drifts TPC-H → TPC-DS → TPC-H: the same `NetStats` and the same machine
+//! for every vertex.
 
 use std::sync::Arc;
 use vcsql_bsp::EngineConfig;
-use vcsql_server::{Arbitration, QueryServer, ServerConfig};
+use vcsql_server::{QueryServer, ServerConfig};
 use vcsql_session::{Session, SessionConfig};
 use vcsql_tag::TagGraph;
 use vcsql_workload::{tpcds, tpch};
@@ -24,22 +22,13 @@ fn session_equals_a_one_tenant_merged_server_over_a_drift_schedule() {
     }
     let tag = Arc::new(TagGraph::build(&db));
 
-    // A budget small enough that walks span several statements, so pending
-    // targets and in-between placements are compared too.
-    let server_config = ServerConfig {
-        machines: 4,
-        engine: EngineConfig::sequential(),
-        migration_budget: 300,
-        arbitration: Arbitration::Merged,
-        ..ServerConfig::default()
-    };
+    let server_config =
+        ServerConfig { machines: 4, engine: EngineConfig::sequential(), ..ServerConfig::default() };
     let session_config = SessionConfig {
         machines: server_config.machines,
         engine: server_config.engine,
         strategy: server_config.strategy.clone(),
-        drift_threshold: server_config.drift_threshold,
-        migration_budget: server_config.migration_budget,
-        profile_half_life: server_config.profile_half_life,
+        ..SessionConfig::default()
     };
     let mut session = Session::open(&tag, session_config).unwrap();
     let server = QueryServer::start(&tag, server_config).unwrap();
@@ -60,22 +49,6 @@ fn session_equals_a_one_tenant_merged_server_over_a_drift_schedule() {
                 q.id
             );
         }
-        let (ours, theirs) = (session.stats(), server.stats());
-        assert_eq!(
-            (ours.adaptations, ours.migration_steps, ours.migrated_vertices, ours.migration_bytes),
-            (
-                theirs.adaptations,
-                theirs.migration_steps,
-                theirs.migrated_vertices,
-                theirs.migration_bytes
-            ),
-            "statement {i} ({}): controller counters diverged",
-            q.id
-        );
-        assert_eq!(session.migration_pending(), server.migration_pending());
     }
-    let stats = session.stats();
-    assert!(stats.adaptations >= 2, "the schedule must drift there and back: {stats:?}");
-    assert!(stats.migration_steps > stats.adaptations, "walks must span statements: {stats:?}");
-    assert_eq!(stats.net, server.stats().net);
+    assert_eq!(session.stats().net, server.stats().net);
 }

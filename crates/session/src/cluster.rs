@@ -6,12 +6,13 @@
 //!
 //! ```ignore
 //! let cluster = Cluster::new(6).bandwidth(1e9).strategy(PartitionStrategy::Refined);
-//! let mut session = cluster.session(&tag)?;                 // static-shape placement
-//! let mut tuned = cluster.calibrated_session(&tag, &ws)?;   // calibrate → profile → serve
+//! let mut session = cluster.session(&tag)?;                 // shape-based placement
+//! let mut tuned = cluster.calibrated_session(&tag, &ws)?;   // calibrate → place → serve
 //! let (out, net) = tuned.run_sql(sql)?;
 //! let runtime = cluster.modelled_runtime(compute_secs, &net)?;
 //! ```
 
+use crate::host::check_machines;
 use crate::{NetStats, Session, SessionConfig};
 use std::sync::Arc;
 use vcsql_bsp::{EngineConfig, PartitionStrategy, TrafficProfile};
@@ -22,7 +23,7 @@ use vcsql_tag::TagGraph;
 type Result<T> = std::result::Result<T, RelError>;
 
 /// A simulated cluster: machine count, modelled bandwidth, placement
-/// strategy and session knobs. Build once, open any number of sessions.
+/// strategy and engine tuning. Build once, open any number of sessions.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     bytes_per_sec: f64,
@@ -31,8 +32,7 @@ pub struct Cluster {
 
 impl Cluster {
     /// A cluster of `machines` simulated machines with the default session
-    /// configuration (refined static placement, 1 GB/s modelled bandwidth,
-    /// adaptation on).
+    /// configuration (refined placement, 1 GB/s modelled bandwidth).
     pub fn new(machines: usize) -> Cluster {
         Cluster {
             bytes_per_sec: 1e9,
@@ -46,7 +46,7 @@ impl Cluster {
         self
     }
 
-    /// Initial placement strategy for sessions of this cluster.
+    /// Placement strategy for sessions of this cluster.
     pub fn strategy(mut self, strategy: PartitionStrategy) -> Cluster {
         self.config.strategy = strategy;
         self
@@ -58,17 +58,9 @@ impl Cluster {
         self
     }
 
-    /// Per-step migration budget (see [`SessionConfig::migration_budget`]).
-    pub fn migration_budget(mut self, budget: usize) -> Cluster {
-        self.config.migration_budget = budget;
-        self
-    }
-
-    /// Disable online repartitioning: sessions keep their initial placement
-    /// for their whole lifetime (drift is in `[0, 1]`, so a threshold of 2
-    /// can never trip). What the one-shot `vcsql-dist` entry points do.
-    pub fn static_placement(mut self) -> Cluster {
-        self.config.drift_threshold = 2.0;
+    /// Kept only because `benchmark/` names it; no effect; removed with
+    /// ROADMAP item 7 (c). Every session keeps its placement anyway.
+    pub fn static_placement(self) -> Cluster {
         self
     }
 
@@ -82,17 +74,17 @@ impl Cluster {
         Session::open(tag, self.config.clone())
     }
 
-    /// Phase 1 of the workload-aware loop: observe `workload`'s per-edge-
-    /// label traffic under the untuned hash baseline (every edge label of
-    /// the TAG covered, explicit zeros for untraversed columns).
+    /// Observe `workload`'s per-edge-label traffic under the untuned hash
+    /// baseline (every edge label of the TAG covered, explicit zeros for
+    /// untraversed columns). A machine count no session could open with is
+    /// the same error [`Cluster::session`] returns.
     pub fn calibrate(&self, tag: &TagGraph, workload: &[Analyzed]) -> Result<TrafficProfile> {
+        check_machines(self.config.machines)?;
         vcsql_dist::tag_calibrate(tag, workload, self.config.machines, self.config.engine)
     }
 
-    /// Calibrate on `calibrate_on`, then open a session whose initial
-    /// placement is derived from the observed profile. The session keeps
-    /// observing and re-adapts online as the real mix drifts away from the
-    /// calibration workload.
+    /// Calibrate on `calibrate_on`, then open a session placed once for the
+    /// observed profile.
     pub fn calibrated_session(
         &self,
         tag: &Arc<TagGraph>,
@@ -126,21 +118,29 @@ mod tests {
         let c = Cluster::new(6)
             .bandwidth(5e8)
             .strategy(PartitionStrategy::CoLocate)
-            .engine(EngineConfig::sequential())
-            .migration_budget(99);
+            .engine(EngineConfig::sequential());
         assert_eq!(c.config().machines, 6);
-        assert_eq!(c.config().migration_budget, 99);
         assert_eq!(c.config().strategy, PartitionStrategy::CoLocate);
         assert_eq!(c.config().engine.threads, 1);
-        assert!(c.clone().static_placement().config().drift_threshold > 1.0, "never adapts");
         let net = NetStats { network_bytes: 5u64 * 100_000_000, ..Default::default() };
         assert!((c.modelled_runtime(1.0, &net).unwrap() - 2.0).abs() < 1e-9);
         assert!(c.bandwidth(0.0).modelled_runtime(1.0, &net).is_err());
-        // Zero machines is an Err from every builder entry point — never a
-        // panic, and calibrated_session matches session's failure mode.
+        // Zero machines, or more than a `u16` can name, is the same Err from
+        // every builder entry point — never a panic. The count is only
+        // checked here: no machine is simulated and no thread starts.
         let tag = Arc::new(TagGraph::build(&tpch::generate(0.004, 1)));
-        assert!(Cluster::new(0).session(&tag).is_err());
-        assert!(Cluster::new(0).calibrated_session(&tag, &[]).is_err());
+        let a = analyze(&parse(JOIN_SQL).unwrap(), tag.schemas()).unwrap();
+        for machines in [0, 65_536] {
+            let c = Cluster::new(machines);
+            let Err(open) = c.session(&tag) else { panic!("{machines} machines opened") };
+            let expected = open.to_string();
+            let workload = std::slice::from_ref(&a);
+            assert_eq!(c.calibrate(&tag, workload).unwrap_err().to_string(), expected);
+            let Err(calibrated) = c.calibrated_session(&tag, workload) else {
+                panic!("{machines} machines opened a calibrated session")
+            };
+            assert_eq!(calibrated.to_string(), expected);
+        }
     }
 
     #[test]
@@ -148,14 +148,14 @@ mod tests {
         let db = tpch::generate(0.01, 42);
         let tag = Arc::new(TagGraph::build(&db));
         let a = analyze(&parse(JOIN_SQL).unwrap(), tag.schemas()).unwrap();
-        let cluster = Cluster::new(6).engine(EngineConfig::sequential()).static_placement();
+        let cluster = Cluster::new(6).engine(EngineConfig::sequential());
         let workload = std::slice::from_ref(&a);
 
         // The oracle: calibrate, place for the observed profile, run the
         // executor under that placement by hand.
         let profile =
             vcsql_dist::tag_calibrate(&tag, workload, 6, EngineConfig::sequential()).unwrap();
-        let placement = tag.partition(&PartitionStrategy::Workload(profile.clone()), 6);
+        let placement = tag.partition(&PartitionStrategy::Workload(profile), 6);
         let old_out = TagJoinExecutor::new(&tag, EngineConfig::sequential())
             .with_partitioning_shared(Arc::new(placement))
             .execute(&a)
@@ -163,7 +163,6 @@ mod tests {
         let old_net = NetStats::from_run(&old_out.stats);
         // The Cluster form of the same thing.
         let mut session = cluster.calibrated_session(&tag, workload).unwrap();
-        assert_eq!(session.placement_profile(), Some(profile));
         let (out, net) = session.run_sql(JOIN_SQL).unwrap();
         assert!(out.relation.same_bag_approx(&old_out.relation, 1e-9));
         assert_eq!(net.network_bytes, old_net.network_bytes);

@@ -2,18 +2,16 @@
 //!
 //! A [`Session`](crate::Session) and `vcsql-server`'s `QueryServer` serve
 //! queries the same way: plan through one [`PlanCache`], run under the one
-//! placement a [`PlacementController`] keeps, on one worker pool, under one
-//! fault injector, then fold the run into the caller's [`Ledger`] and give
-//! the controller one step with the caller's vote. A host differs from
-//! another only in how many ledgers it keeps and where the vote comes from:
-//! a session keeps one ledger and votes with it; a server keeps one per
-//! tenant and votes the merged consensus.
+//! placement fixed when the host was built, on one worker pool, under one
+//! fault injector, then fold the run into the caller's [`Ledger`]. A host
+//! differs from another only in how many ledgers it keeps: a session keeps
+//! one, a server one per tenant.
 
-use crate::{lock, PlacementController, PlanCache, SessionConfig};
+use crate::{lock, PlanCache, SessionConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use vcsql_bsp::sync::Mutex;
-use vcsql_bsp::{EngineConfig, FaultInjector, Partitioning, TrafficProfile, WorkerPool};
+use vcsql_bsp::{EngineConfig, FaultInjector, Partitioning, WorkerPool};
 use vcsql_core::{ExecOutput, QueryPlan, TagJoinExecutor};
 use vcsql_dist::NetStats;
 use vcsql_relation::RelError;
@@ -50,34 +48,32 @@ impl FailureStats {
 /// tenant.
 #[derive(Debug, Clone, Default)]
 pub struct Ledger {
-    /// The caller's decayed traffic profile — its vote on the placement.
-    pub vote: TrafficProfile,
     /// Executions served.
     pub queries: u64,
-    /// Cumulative network traffic, including the migration bytes this
-    /// caller's executions triggered.
+    /// Cumulative network traffic of this caller's executions.
     pub net: NetStats,
     /// Panics caught, transient-fault retries, crash recoveries.
     pub failures: FailureStats,
 }
 
-/// Lifetime counters of a host ([`Host::stats`]): the fold of its ledgers
-/// plus its placement controller's counters.
+/// Lifetime counters of a host ([`Host::stats`]): the fold of its ledgers.
 #[derive(Debug, Clone, Default)]
 pub struct HostStats {
     /// Executions served.
     pub queries: u64,
-    /// Adaptation targets derived (drift threshold crossings).
+    /// Kept only because `benchmark/` names it; no effect; removed with
+    /// ROADMAP item 7 (c). Always 0.
     pub adaptations: u64,
-    /// Migration steps that moved at least one vertex.
+    /// Kept only because `benchmark/` names it; no effect; removed with
+    /// ROADMAP item 7 (c). Always 0.
     pub migration_steps: u64,
-    /// Vertices migrated across all steps.
+    /// Kept only because `benchmark/` names it; no effect; removed with
+    /// ROADMAP item 7 (c). Always 0.
     pub migrated_vertices: u64,
-    /// Bytes of migrated vertex state (also itemized per query in the
-    /// returned [`NetStats`]).
+    /// Kept only because `benchmark/` names it; no effect; removed with
+    /// ROADMAP item 7 (c). Always 0.
     pub migration_bytes: u64,
-    /// Cumulative network traffic over every execution, migrations
-    /// included.
+    /// Cumulative network traffic over every execution.
     pub net: NetStats,
     /// Failure-isolation counters.
     pub failures: FailureStats,
@@ -91,10 +87,8 @@ pub struct Host {
     engine: EngineConfig,
     cache: PlanCache,
     /// The placement every execution runs under (`None` when
-    /// `machines == 1`): read to execute, stepped after each run. Executing
-    /// only clones its `Arc<Partitioning>` under the lock; the step holds it
-    /// to adapt.
-    placement: Option<Mutex<PlacementController>>,
+    /// `machines == 1`), fixed when the host is built.
+    placement: Option<Arc<Partitioning>>,
     /// Persistent worker runtime shared by every execution (`None` for
     /// single-threaded engine configs). Its OS threads spawn on the first
     /// superstep that fans out and park between queries.
@@ -102,46 +96,25 @@ pub struct Host {
     /// Deterministic fault injection shared by every execution (`None` =
     /// fault-free). Fired-once semantics span queries and callers.
     pub(crate) faults: Option<Arc<FaultInjector>>,
-    half_life: Option<f64>,
 }
 
 impl Host {
-    /// A host over `tag` with `config`'s knobs: 1 to `u16::MAX` machines, a
-    /// positive migration budget, a positive finite drift threshold and a
-    /// positive finite profile half-life when one is set.
+    /// A host over `tag` on 1 to `u16::MAX` machines, placed once with
+    /// `config.strategy` when `machines > 1`.
     pub fn new(
         tag: &Arc<TagGraph>,
         config: &SessionConfig,
         faults: Option<Arc<FaultInjector>>,
     ) -> Result<Host> {
-        let invalid = |msg: String| Err(RelError::Other(msg));
-        if config.machines == 0 {
-            return invalid("a host needs at least one machine".into());
-        }
-        if config.machines > u16::MAX as usize {
-            return invalid("machine count exceeds u16".into());
-        }
-        if config.migration_budget == 0 {
-            return invalid("migration budget must allow at least one vertex per step".into());
-        }
-        if !config.drift_threshold.is_finite() || config.drift_threshold <= 0.0 {
-            return invalid(format!(
-                "drift threshold must be positive and finite, got {}",
-                config.drift_threshold
-            ));
-        }
-        if let Some(h) = config.profile_half_life.filter(|h| !h.is_finite() || *h <= 0.0) {
-            return invalid(format!("profile half-life must be positive and finite, got {h}"));
-        }
-        let threads = config.engine.threads;
+        check_machines(config.machines)?;
+        let (machines, threads) = (config.machines, config.engine.threads);
         Ok(Host {
             tag: Arc::clone(tag),
             engine: config.engine,
             cache: PlanCache::new(PLAN_CACHE_CAPACITY),
-            placement: PlacementController::new(tag, config).map(Mutex::new),
+            placement: (machines > 1).then(|| Arc::new(tag.partition(&config.strategy, machines))),
             pool: (threads > 1).then(|| Arc::new(WorkerPool::new(threads))),
             faults,
-            half_life: config.profile_half_life,
         })
     }
 
@@ -151,32 +124,22 @@ impl Host {
         self.cache.get_or_prepare(sql, self.tag.schemas())
     }
 
-    /// The one run path of every host: execute `plan` under the current
+    /// The one run path of every host: execute `plan` under the host's
     /// placement, re-executing after transient injected faults (dropped
     /// deliveries) up to `max_retries` times, then fold the run into
-    /// `ledger` — decay and absorb its traffic into the vote, count the
-    /// query and its network share — and give the placement controller one
-    /// step with `vote()`. `may_retarget` and `proposer` are handed to
-    /// [`PlacementController::step`] as they are. The returned [`NetStats`]
-    /// itemizes any migration the step shipped, plus checkpoint and recovery
-    /// traffic when fault injection is armed.
+    /// `ledger`: count the query and its network share. The returned
+    /// [`NetStats`] itemizes checkpoint and recovery traffic when fault
+    /// injection is armed.
     ///
     /// Failure contract: a panic inside the engine is caught and becomes
     /// [`RelError::Panicked`] (never retried: its cause is unknown). A failed
-    /// execution leaves the vote, the placement and the query and network
-    /// counters untouched; only `ledger.failures` records it.
-    ///
-    /// `vote` runs with no lock held and before the placement lock is
-    /// taken, so it may lock ledgers: the lock order is ledgers →
-    /// placement.
+    /// execution leaves the query and network counters untouched; only
+    /// `ledger.failures` records it.
     pub fn run(
         &self,
         plan: &QueryPlan,
         ledger: &Mutex<Ledger>,
         max_retries: usize,
-        may_retarget: bool,
-        proposer: usize,
-        vote: impl FnOnce() -> Option<TrafficProfile>,
     ) -> Result<(ExecOutput, NetStats)> {
         let mut failures = FailureStats::default();
         let outcome = loop {
@@ -193,31 +156,20 @@ impl Host {
                 done => break done,
             }
         };
-        let (out, mut net) = match outcome {
-            Ok(done) => done,
-            Err(e) => {
-                lock(ledger).failures.add(&failures);
-                return Err(e);
-            }
-        };
-        failures.recoveries += out.stats.faults.crashes_recovered;
-        {
-            let mut ledger = lock(ledger);
-            if let Some(h) = self.half_life {
-                ledger.vote.decay(0.5f64.powf(1.0 / h));
-            }
-            ledger.vote.absorb(&TrafficProfile::from_run(&out.stats, self.tag.graph()));
-        }
-        if let Some(placement) = &self.placement {
-            let vote = vote();
-            lock(placement).step(vote.as_ref(), may_retarget, proposer, &mut net);
-        }
-        // `net` now carries any migration bytes the step shipped.
         let mut ledger = lock(ledger);
-        ledger.queries += 1;
-        ledger.net.absorb(&net);
-        ledger.failures.add(&failures);
-        Ok((out, net))
+        match outcome {
+            Ok((out, net)) => {
+                failures.recoveries += out.stats.faults.crashes_recovered;
+                ledger.queries += 1;
+                ledger.net.absorb(&net);
+                ledger.failures.add(&failures);
+                Ok((out, net))
+            }
+            Err(e) => {
+                ledger.failures.add(&failures);
+                Err(e)
+            }
+        }
     }
 
     /// Assemble the executor from the host's shared pieces, run `plan` and
@@ -226,8 +178,8 @@ impl Host {
     /// unwinding out of it cannot leave the host torn.
     fn execute(&self, plan: &QueryPlan) -> Result<(ExecOutput, NetStats)> {
         let mut exec = TagJoinExecutor::new(&self.tag, self.engine);
-        if let Some(p) = self.partitioning() {
-            exec = exec.with_partitioning_shared(p);
+        if let Some(p) = &self.placement {
+            exec = exec.with_partitioning_shared(Arc::clone(p));
         }
         if let Some(pool) = &self.pool {
             exec = exec.with_worker_pool(Arc::clone(pool));
@@ -248,24 +200,13 @@ impl Host {
         &self.cache
     }
 
-    /// The placement the next execution runs under (`None` on a single
-    /// machine). Mid-migration this is the in-between placement.
+    /// The placement every execution runs under (`None` on a single
+    /// machine): the same `Arc` for the host's whole lifetime.
     pub fn partitioning(&self) -> Option<Arc<Partitioning>> {
-        self.read_placement(|p| Arc::clone(p.current()))
+        self.placement.clone()
     }
 
-    /// The profile the current placement was derived from (`None` on a
-    /// single machine).
-    pub fn placement_profile(&self) -> Option<TrafficProfile> {
-        self.read_placement(|p| p.profile().clone())
-    }
-
-    /// True iff an adaptation is mid-walk.
-    pub fn migration_pending(&self) -> bool {
-        self.read_placement(PlacementController::is_migrating).unwrap_or(false)
-    }
-
-    /// Lifetime counters: `ledgers` folded, plus the placement controller's.
+    /// Lifetime counters: `ledgers` folded.
     pub fn stats<'a>(&self, ledgers: impl IntoIterator<Item = &'a Mutex<Ledger>>) -> HostStats {
         let mut stats = HostStats::default();
         for ledger in ledgers {
@@ -274,17 +215,17 @@ impl Host {
             stats.net.absorb(&ledger.net);
             stats.failures.add(&ledger.failures);
         }
-        self.read_placement(|p| {
-            stats.adaptations = p.adaptations;
-            stats.migration_steps = p.migration_steps;
-            stats.migrated_vertices = p.migrated_vertices;
-            stats.migration_bytes = p.migration_bytes;
-        });
         stats
     }
+}
 
-    fn read_placement<T>(&self, read: impl FnOnce(&PlacementController) -> T) -> Option<T> {
-        Some(read(&lock(self.placement.as_ref()?)))
+/// A host runs on 1 to `u16::MAX` machines; the error every entry point
+/// that opens or calibrates one returns otherwise.
+pub(crate) fn check_machines(machines: usize) -> Result<()> {
+    match machines {
+        0 => Err(RelError::Other("a host needs at least one machine".into())),
+        m if m > u16::MAX as usize => Err(RelError::Other("machine count exceeds u16".into())),
+        _ => Ok(()),
     }
 }
 

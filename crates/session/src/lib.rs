@@ -8,20 +8,21 @@
 //! model neither, so this crate owns the lifecycle:
 //!
 //! * [`Session::open`] — bind a [`TagGraph`] to a [`SessionConfig`] (machine
-//!   count, engine, initial placement strategy, adaptation knobs);
+//!   count, engine, placement strategy) and place the TAG once;
 //! * [`Session::prepare`] — parse → analyze → GYO → TAG plan once, behind a
 //!   bounded SQL-keyed [`PlanCache`] with hit/miss statistics, yielding a
 //!   reusable [`PreparedQuery`];
-//! * [`Session::execute`] / [`Session::run_sql`] — run under the session's
-//!   current placement, fold the run's per-edge-label traffic into a
-//!   cross-query [`TrafficProfile`], and *adapt*: the accumulated profile
-//!   is the session's vote to its [`PlacementController`], which migrates
-//!   vertices toward a `Workload` placement for it once the vote drifts.
+//! * [`Session::execute`] / [`Session::run_sql`] — run under that one
+//!   placement and count the run's network share in the session's ledger.
+//!
+//! The placement is fixed for the session's lifetime, as in the paper,
+//! which runs TAG-join under the placement made when the graph is loaded.
+//! Traffic-aware placement is decided before open: calibrate a workload
+//! with [`Cluster::calibrate`] and open with a
+//! [`PartitionStrategy::Workload`] strategy built from its profile.
 //!
 //! A session is the one-ledger case of a [`Host`], the state and run path
-//! `vcsql-server` serves its tenants with too. A placement belongs to the
-//! running host, and the traffic profile the session learns never leaves
-//! the process and graph that observed it.
+//! `vcsql-server` serves its tenants with too.
 //!
 //! [`Cluster`] is the builder that subsumes the old `vcsql-dist`
 //! calibrate→profile→execute free functions:
@@ -30,20 +31,16 @@
 mod cache;
 mod cluster;
 mod host;
-mod placement;
 
 pub use cache::PlanCache;
 pub use cluster::Cluster;
 pub use host::{FailureStats, Host, HostStats, Ledger};
-pub use placement::PlacementController;
 pub use vcsql_core::{ExecOutput, QueryPlan, TagJoinExecutor};
 pub use vcsql_dist::NetStats;
 
 use std::sync::{Arc, PoisonError};
 use vcsql_bsp::sync::{Mutex, MutexGuard};
-use vcsql_bsp::{
-    EngineConfig, FaultInjector, PartitionStrategy, Partitioning, TrafficProfile, WorkerPool,
-};
+use vcsql_bsp::{EngineConfig, FaultInjector, PartitionStrategy, Partitioning, WorkerPool};
 use vcsql_relation::RelError;
 use vcsql_tag::TagGraph;
 
@@ -61,29 +58,15 @@ pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Simulated machines. `1` runs purely locally (no partitioning, no
-    /// network accounting, no adaptation).
+    /// network accounting).
     pub machines: usize,
     /// BSP engine tuning.
     pub engine: EngineConfig,
-    /// Initial placement strategy (ignored when `machines == 1`). A
-    /// [`PartitionStrategy::Workload`] strategy also seeds the session's
-    /// traffic knowledge with its calibration profile.
+    /// Placement strategy, applied once at open (ignored when
+    /// `machines == 1`).
     pub strategy: PartitionStrategy,
-    /// Online-repartitioning trigger: adapt when the accumulated traffic
-    /// profile's byte-weighted drift from the placement's profile exceeds
-    /// this. Drift lives in `[0, 1]`, so any threshold above `1.0` disables
-    /// adaptation (static placement).
-    pub drift_threshold: f64,
-    /// Most vertices migrated per execution step while walking toward an
-    /// adaptation target (must be at least 1).
-    pub migration_budget: usize,
-    /// Exponential forgetting of the accumulated traffic profile, expressed
-    /// as a half-life in executions: before each execution's traffic is
-    /// folded in, every accumulated counter is scaled by `0.5^(1/h)`, so
-    /// traffic from `h` executions ago carries half the weight of fresh
-    /// traffic. Drift is share-based (scale-free), so decay changes *which
-    /// mix* the session adapts to — recent queries dominate — not how
-    /// eagerly it adapts. `None` keeps the original grow-forever profile.
+    /// Kept only because `benchmark/` names it; no effect; removed with
+    /// ROADMAP item 7 (c).
     pub profile_half_life: Option<f64>,
 }
 
@@ -93,8 +76,6 @@ impl Default for SessionConfig {
             machines: 1,
             engine: EngineConfig::default(),
             strategy: PartitionStrategy::Refined,
-            drift_threshold: 0.25,
-            migration_budget: 2048,
             profile_half_life: None,
         }
     }
@@ -117,15 +98,12 @@ impl PreparedQuery {
 }
 
 /// A long-lived query session over one TAG graph: prepared statements, a
-/// plan cache, one placement shared across queries, and online
-/// repartitioning as the observed workload drifts. The graph is held by
+/// plan cache and one placement shared across queries. The graph is held by
 /// [`Arc`], so any number of sessions (and a `vcsql-server` serving them)
 /// can share one TAG without lifetime coupling.
 pub struct Session {
     host: Host,
-    /// The session's one ledger. Its vote starts from the initial
-    /// strategy's calibration profile and is what the session hands its
-    /// placement controller after every run.
+    /// The session's one ledger.
     ledger: Mutex<Ledger>,
 }
 
@@ -134,8 +112,7 @@ impl Session {
     /// shared). Validates the configuration with [`Host::new`].
     pub fn open(tag: &Arc<TagGraph>, config: SessionConfig) -> Result<Session> {
         let host = Host::new(tag, &config, None)?;
-        let vote = placement::calibration_profile(&config.strategy);
-        Ok(Session { host, ledger: Mutex::new(Ledger { vote, ..Ledger::default() }) })
+        Ok(Session { host, ledger: Mutex::new(Ledger::default()) })
     }
 
     /// The session's persistent worker pool (`None` when the engine config
@@ -153,18 +130,15 @@ impl Session {
 
     /// Execute a prepared statement under the session's placement, returning
     /// the execution output and the network share of its traffic —
-    /// including, itemized, the bytes of any vertex migration this
-    /// execution's adaptation step performed and of any checkpoint/recovery
-    /// traffic fault injection caused.
+    /// including, itemized, any checkpoint/recovery traffic fault injection
+    /// caused.
     ///
     /// Failure contract ([`Host::run`]'s, with no retries): an execution
-    /// that errors *or panics* mid-flight counts no query, folds no traffic
-    /// into the accumulated profile and takes no adaptation step; a panic
-    /// counts in `stats().failures.panics`, and a crash recovered inside a
-    /// successful run in `stats().failures.recoveries`.
+    /// that errors *or panics* mid-flight counts no query and no traffic; a
+    /// panic counts in `stats().failures.panics`, and a crash recovered
+    /// inside a successful run in `stats().failures.recoveries`.
     pub fn execute(&mut self, prepared: &PreparedQuery) -> Result<(ExecOutput, NetStats)> {
-        let ledger = &self.ledger;
-        self.host.run(&prepared.plan, ledger, 0, false, 0, || Some(lock(ledger).vote.clone()))
+        self.host.run(&prepared.plan, &self.ledger, 0)
     }
 
     /// Prepare (through the cache) and execute in one call.
@@ -183,32 +157,13 @@ impl Session {
         self.host.faults = Some(injector);
     }
 
-    /// The current placement (`None` on a single machine). Mid-migration
-    /// this is the in-between placement the next query will run under.
+    /// The placement every execution runs under (`None` on a single
+    /// machine), fixed at open.
     pub fn partitioning(&self) -> Option<Arc<Partitioning>> {
         self.host.partitioning()
     }
 
-    /// The cross-query observed traffic profile (seeded with the initial
-    /// strategy's calibration profile, if it had one).
-    pub fn accumulated_profile(&self) -> TrafficProfile {
-        lock(&self.ledger).vote.clone()
-    }
-
-    /// The profile the current placement was derived from (`None` on a
-    /// single machine).
-    pub fn placement_profile(&self) -> Option<TrafficProfile> {
-        self.host.placement_profile()
-    }
-
-    /// True iff an adaptation is mid-walk (a target placement exists that
-    /// the session has not fully migrated to yet).
-    pub fn migration_pending(&self) -> bool {
-        self.host.migration_pending()
-    }
-
-    /// Lifetime counters: the session's ledger plus the placement
-    /// controller's counters.
+    /// Lifetime counters: the session's ledger.
     pub fn stats(&self) -> HostStats {
         self.host.stats([&self.ledger])
     }
@@ -270,52 +225,7 @@ mod tests {
     fn open_validates_configuration() {
         let (tag, config) = session(1);
         assert!(Session::open(&tag, SessionConfig { machines: 0, ..config.clone() }).is_err());
-        assert!(
-            Session::open(&tag, SessionConfig { migration_budget: 0, ..config.clone() }).is_err()
-        );
-        assert!(
-            Session::open(&tag, SessionConfig { drift_threshold: 0.0, ..config.clone() }).is_err()
-        );
-        assert!(Session::open(&tag, SessionConfig { drift_threshold: f64::NAN, ..config.clone() })
-            .is_err());
-        assert!(Session::open(
-            &tag,
-            SessionConfig { profile_half_life: Some(0.0), ..config.clone() }
-        )
-        .is_err());
-        assert!(Session::open(
-            &tag,
-            SessionConfig { profile_half_life: Some(f64::NAN), ..config.clone() }
-        )
-        .is_err());
         assert!(Session::open(&tag, config).is_ok());
-    }
-
-    #[test]
-    fn profile_decay_forgets_old_traffic() {
-        let (tag, mut config) = session(1);
-        config.profile_half_life = Some(1.0);
-        let mut s = Session::open(&tag, config).unwrap();
-        let (_, _) = s.run_sql(JOIN_SQL).unwrap();
-        let after_one = s.accumulated_profile().total_bytes();
-        assert!(after_one > 0);
-        // With a one-execution half-life the accumulated bytes converge to
-        // roughly 2x one execution's traffic (geometric series), not 10x.
-        for _ in 0..9 {
-            s.run_sql(JOIN_SQL).unwrap();
-        }
-        let after_ten = s.accumulated_profile().total_bytes();
-        assert!(
-            after_ten < 3 * after_one,
-            "decay must bound the accumulated profile: {after_ten} vs one-run {after_one}"
-        );
-        // Without decay the same ten runs accumulate linearly.
-        let (tag2, config2) = session(1);
-        let mut undecayed = Session::open(&tag2, config2).unwrap();
-        for _ in 0..10 {
-            undecayed.run_sql(JOIN_SQL).unwrap();
-        }
-        assert!(undecayed.accumulated_profile().total_bytes() >= 10 * after_one);
     }
 
     /// A prepared statement carries no per-session state, so it can be
@@ -345,58 +255,10 @@ mod tests {
         assert_eq!(s.stats().queries, 2);
     }
 
-    #[test]
-    fn session_self_tunes_from_a_static_strategy() {
-        let (tag, config) = session(6);
-        let mut s = Session::open(&tag, config).unwrap();
-        assert!(s.placement_profile().unwrap().is_empty());
-        let single =
-            TagJoinExecutor::new(&tag, EngineConfig::sequential()).run_sql(JOIN_SQL).unwrap();
-        let mut saw_migration = false;
-        for _ in 0..4 {
-            let (out, net) = s.run_sql(JOIN_SQL).unwrap();
-            // Adaptation never changes results or total message counts.
-            assert!(out.relation.same_bag_approx(&single.relation, 1e-9));
-            assert_eq!(out.stats.total_messages(), single.stats.total_messages());
-            saw_migration |= net.migration_bytes > 0;
-            assert!(net.migration_bytes <= net.network_bytes);
-        }
-        // The empty placement profile drifts maximally against real traffic,
-        // so the first executions must have started (and charged) an
-        // adaptation.
-        assert!(saw_migration, "self-tuning migration never happened");
-        assert!(s.stats().adaptations >= 1);
-        assert!(s.stats().migrated_vertices > 0);
-        assert_eq!(s.stats().net.migration_bytes, s.stats().migration_bytes);
-        // Once the placement profile matches the observed traffic, drift is
-        // tiny and the session goes quiet: the same workload does not keep
-        // migrating forever.
-        let before = s.stats().migrated_vertices;
-        let (_, net) = s.run_sql(JOIN_SQL).unwrap();
-        assert_eq!(net.migration_bytes, 0, "steady workload must not thrash");
-        assert_eq!(s.stats().migrated_vertices, before);
-    }
-
-    #[test]
-    fn migration_budget_bounds_each_step() {
-        let (tag, mut config) = session(4);
-        config.migration_budget = 7;
-        let mut s = Session::open(&tag, config).unwrap();
-        for _ in 0..3 {
-            let (_, net) = s.run_sql(JOIN_SQL).unwrap();
-            assert!(
-                net.migration_messages <= 7,
-                "step migrated {} vertices over budget 7",
-                net.migration_messages
-            );
-        }
-        assert!(s.migration_pending(), "tiny budget cannot finish in three steps");
-    }
-
     /// The failure contract: an execution aborted by an unrecoverable
     /// injected fault leaves every piece of session state — query count,
-    /// accumulated profile, placement, pending migration — exactly as it
-    /// was, and a retry (the fault fires once) succeeds normally.
+    /// network counters, placement — exactly as it was, and a retry (the
+    /// fault fires once) succeeds normally.
     #[test]
     fn failed_execution_leaves_the_session_unchanged() {
         let (tag, config) = session(4);
@@ -404,9 +266,7 @@ mod tests {
         let prepared = s.prepare(JOIN_SQL).unwrap();
         s.execute(&prepared).unwrap();
         let queries = s.stats().queries;
-        let accumulated = s.accumulated_profile().clone();
         let net_before = s.stats().net;
-        let pending_before = s.migration_pending();
         let placement: Vec<u16> =
             tag.graph().vertices().map(|v| s.partitioning().unwrap().machine_of(v)).collect();
         // Checkpointing disabled (interval 0): the crash is unrecoverable.
@@ -414,9 +274,7 @@ mod tests {
         let err = s.execute(&prepared).unwrap_err();
         assert!(matches!(err, RelError::Fault { transient: false, .. }), "unexpected error: {err}");
         assert_eq!(s.stats().queries, queries, "failed run must not count as served");
-        assert_eq!(s.accumulated_profile(), accumulated, "partial traffic leaked into profile");
         assert_eq!(s.stats().net, net_before);
-        assert_eq!(s.migration_pending(), pending_before);
         for (i, v) in tag.graph().vertices().enumerate() {
             assert_eq!(placement[i], s.partitioning().unwrap().machine_of(v));
         }
@@ -442,8 +300,6 @@ mod tests {
         assert!(msg.contains("injected compute fault"), "payload text lost: {msg}");
         assert_eq!(s.stats().queries, 0);
         assert_eq!(s.stats().failures, FailureStats { panics: 1, ..Default::default() });
-        assert!(s.accumulated_profile().is_empty(), "panicked run polluted the profile");
-        assert!(!s.migration_pending());
         // The injector's panic fired once; the session stays usable.
         let (out, _) = s.execute(&prepared).unwrap();
         let oneshot =

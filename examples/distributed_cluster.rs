@@ -7,10 +7,9 @@
 //! traffic observed during a hash-placed calibration run.
 //!
 //! Everything runs through the session API: one [`Cluster`] describes the
-//! simulated machines, each strategy gets a [`Session`] (static placement
-//! here, so strategies stay comparable; see `benchmark/`'s `cluster_drift`
-//! workload for the online-repartitioning loop), and every
-//! query is prepared once and served from the session's plan cache.
+//! simulated machines, each strategy gets a [`Session`] placed once at
+//! open, and every query is prepared once and served from the session's
+//! plan cache.
 //!
 //! Run with: `cargo run --release --example distributed_cluster`
 
@@ -25,7 +24,7 @@ fn main() {
     let db = tpch::generate(0.05, 42);
     let tag = Arc::new(TagGraph::build(&db));
     let spark = SparkModel { machines: 6, broadcast_threshold: 0 };
-    let cluster = Cluster::new(6).static_placement();
+    let cluster = Cluster::new(6);
 
     let queries: Vec<_> = tpch::queries().iter().map(|q| (q.id, q.sql)).collect();
 

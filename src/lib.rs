@@ -12,8 +12,8 @@
 //!    simulated [`Cluster`]), [`Session::prepare`] SQL once — parse, analyze,
 //!    GYO decomposition and TAG plan are cached behind a bounded plan cache —
 //!    and [`Session::execute`] the prepared statement as often as needed.
-//!    Distributed sessions observe their own traffic and repartition online
-//!    as the query mix drifts.
+//!    A distributed session places the graph once, at open, and serves
+//!    every query under that placement.
 //! 4. Underneath, [`core::TagJoinExecutor`] runs the plans on the
 //!    vertex-centric BSP engine in [`bsp`]; the reference relational engines
 //!    live in [`baseline`].

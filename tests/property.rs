@@ -2,16 +2,15 @@
 //! queries, the vertex-centric executor must agree with the relational
 //! baseline; TAG encoding must round-trip; incremental construction must
 //! equal bulk construction; every partitioning strategy must satisfy the
-//! placement invariants on random graphs and machine counts; incremental
-//! migration must respect its budget and balance cap, be deterministic for
-//! a fixed profile sequence, and never change session results.
+//! placement invariants on random graphs and machine counts; and a
+//! multi-machine session must never change results.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use vcsql::baseline::{execute as baseline, ExecConfig};
 use vcsql::bsp::{
-    balance_cap, migrate_step, Computation, EngineConfig, Graph, GraphBuilder, LabelId,
-    LabelTraffic, PartitionStrategy, Partitioning, TrafficProfile, VertexId, DEFAULT_BALANCE_SLACK,
+    balance_cap, Computation, EngineConfig, Graph, GraphBuilder, LabelId, PartitionStrategy,
+    Partitioning, VertexId, DEFAULT_BALANCE_SLACK,
 };
 use vcsql::core::{QueryPlan, TagJoinExecutor};
 use vcsql::query::{analyze::analyze, parse};
@@ -238,87 +237,9 @@ proptest! {
         prop_assert_eq!(none.network_messages, 0);
     }
 
-    /// Incremental migration invariants over a random *sequence* of traffic
-    /// profiles on a random TAG-shaped graph: every step moves at most
-    /// `budget` vertices, machines whose load grows stay under the balance
-    /// cap, the walk converges to the target when unblocked, and replaying
-    /// the identical profile sequence reproduces the identical placement.
-    #[test]
-    fn migration_respects_budget_cap_and_determinism(
-        tuples in 2usize..40,
-        attrs in 1usize..20,
-        edges in prop::collection::vec((0usize..64, 0usize..64), 1..120),
-        machines in 2usize..=6,
-        budget in 1usize..32,
-        profile_bytes in prop::collection::vec((0u64..10_000, 0u64..10_000), 1..4),
-    ) {
-        let g = bipartite_graph(tuples, attrs, &edges);
-        let is_anchor = |v: VertexId| (v as usize) >= tuples;
-        let n = g.vertex_count();
-        let cap = balance_cap(n, machines, DEFAULT_BALANCE_SLACK);
-        let run_sequence = || {
-            let mut placements = Vec::new();
-            let mut current = Partitioning::hash(&g, machines);
-            for &(rx, sy) in &profile_bytes {
-                let mut profile = TrafficProfile::new();
-                profile.record(
-                    "r.x",
-                    LabelTraffic { messages: rx / 8, bytes: rx, ..Default::default() },
-                );
-                profile.record(
-                    "s.y",
-                    LabelTraffic { messages: sy / 8, bytes: sy, ..Default::default() },
-                );
-                let target = PartitionStrategy::Workload(profile)
-                    .partition(&g, machines, &is_anchor);
-                // Walk all the way to this target (or a cap-blocked fixed
-                // point), checking per-step invariants.
-                for _ in 0..n + 2 {
-                    let before = current.load();
-                    let step = migrate_step(&current, &target, budget, cap);
-                    assert!(step.moves.len() <= budget, "budget exceeded");
-                    let after = step.partitioning.load();
-                    for m in 0..machines {
-                        if after[m] > before[m] {
-                            assert!(after[m] <= cap, "machine {m} grew past the cap");
-                        }
-                    }
-                    let done = step.remaining == 0 || step.moves.is_empty();
-                    current = step.partitioning;
-                    if done {
-                        break;
-                    }
-                }
-                // The walk must have reached a fixed point: either the
-                // target itself, or a cap-blocked state no budget can leave
-                // (e.g. a swap between two cap-saturated machines).
-                let final_step = migrate_step(&current, &target, n.max(1), cap);
-                assert!(
-                    final_step.moves.is_empty(),
-                    "walk stopped {} moves short of its fixed point",
-                    final_step.moves.len()
-                );
-                placements.push(current.clone());
-            }
-            placements
-        };
-        let first = run_sequence();
-        let second = run_sequence();
-        for (a, b) in first.iter().zip(&second) {
-            for v in g.vertices() {
-                prop_assert_eq!(
-                    a.machine_of(v),
-                    b.machine_of(v),
-                    "migration not deterministic for a fixed profile sequence"
-                );
-            }
-        }
-    }
-
-    /// A session with aggressive online repartitioning (tiny budget, low
-    /// drift threshold, random machine counts) must stay bag-identical to
-    /// the relational baseline, with single-machine message counts, on every
-    /// execution — adaptation is pure accounting.
+    /// A session on a random machine count must stay bag-identical to the
+    /// relational baseline, with single-machine message counts, on every
+    /// execution — placement is pure accounting.
     #[test]
     fn adaptive_sessions_preserve_results_on_random_chains(
         db in arb_db(3),
@@ -326,7 +247,6 @@ proptest! {
         agg in any::<bool>(),
         n in 2usize..=3,
         machines in 2usize..=6,
-        budget in 1usize..48,
     ) {
         let sql = chain_sql(n, filter, agg);
         let tag = Arc::new(TagGraph::build(&db));
@@ -340,25 +260,21 @@ proptest! {
             SessionConfig {
                 machines,
                 engine: EngineConfig::sequential(),
-                migration_budget: budget,
-                drift_threshold: 0.05,
                 ..SessionConfig::default()
             },
         )
         .unwrap();
         for round in 0..3 {
-            let (out, net) = session.run_sql(&sql).unwrap();
+            let (out, _) = session.run_sql(&sql).unwrap();
             prop_assert!(
                 out.relation.same_bag_approx(&expected, 1e-9),
-                "round {round}: adaptation changed the result of `{sql}`"
+                "round {round}: placement changed the result of `{sql}`"
             );
             prop_assert_eq!(
                 out.stats.total_messages(),
                 single.stats.total_messages(),
-                "round {}: adaptation changed the message count", round
+                "round {}: placement changed the message count", round
             );
-            prop_assert!(net.migration_messages as usize <= budget, "budget exceeded");
-            prop_assert!(net.migration_bytes <= net.network_bytes);
         }
     }
 

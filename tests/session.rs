@@ -4,28 +4,22 @@
 //! * Prepared execution (plan cache on) is bag-identical to the one-shot
 //!   `run_sql` across both workloads, and cached plans behave exactly like
 //!   fresh plans.
-//! * The drift replay: a session whose placement was calibrated on TPC-H
-//!   keeps serving as the mix drifts to TPC-DS, and its online
-//!   repartitioning recovers to within 10% of a session profiled on TPC-DS
-//!   itself — without restarting the run — with migration bytes itemized in
-//!   `NetStats`.
+//! * A host places its TAG once, at open: a session and a multi-tenant
+//!   server serve a schedule that drifts TPC-H → TPC-DS → TPC-H under that
+//!   one placement, and every statement ships exactly what a lone executor
+//!   ships under the same strategy.
 
 use std::sync::Arc;
-use vcsql::bsp::EngineConfig;
+use vcsql::bsp::{EngineConfig, PartitionStrategy};
 use vcsql::core::TagJoinExecutor;
-use vcsql::query::analyze::{analyze, Analyzed};
-use vcsql::query::parse;
+use vcsql::dist::NetStats;
 use vcsql::relation::Database;
 use vcsql::tag::TagGraph;
 use vcsql::workload::{tpcds, tpch};
-use vcsql::{Cluster, Session, SessionConfig};
-
-fn analyze_suite(tag: &TagGraph, queries: &[vcsql::workload::BenchQuery]) -> Vec<Analyzed> {
-    queries.iter().map(|q| analyze(&parse(q.sql).unwrap(), tag.schemas()).unwrap()).collect()
-}
+use vcsql::{QueryServer, ServerConfig, Session, SessionConfig};
 
 /// TPC-H and TPC-DS relation names are disjoint, so one database (and one
-/// TAG) can host both workloads — the substrate of the drift replay.
+/// TAG) can host both workloads.
 fn combined_db(sf: f64) -> Database {
     let mut db = tpch::generate(sf, 42);
     for rel in tpcds::generate(sf, 42).relations() {
@@ -73,63 +67,46 @@ fn prepared_execution_matches_run_sql_across_both_workloads() {
     assert_eq!(session.plan_cache().misses() as usize, all.len());
 }
 
-/// The drift replay acceptance criterion: TPC-H-calibrated placement, TPC-DS
-/// arrives, and after the session's online repartitioning the TPC-DS traffic
-/// is within 10% of what a TPC-DS-self-profiled session ships — without
-/// restarting the run. Migration cost is itemized in `NetStats` and visible
-/// in the session totals.
+/// The placement is fixed for a host's lifetime: over a schedule whose mix
+/// drifts TPC-H → TPC-DS → TPC-H, a 4-machine session and a 2-tenant server
+/// keep the very placement they opened with, and every statement's
+/// `NetStats` equals a lone executor's under `tag.partition(&Refined, 4)`.
 #[test]
-fn drift_replay_recovers_self_profiled_traffic_within_ten_percent() {
+fn placement_is_fixed_for_the_host_lifetime() {
     let db = combined_db(0.01);
     let tag = Arc::new(TagGraph::build(&db));
-    let tpch_suite = tpch::queries();
-    let tpcds_suite = tpcds::queries();
-    let tpch_analyzed = analyze_suite(&tag, &tpch_suite);
-    let tpcds_analyzed = analyze_suite(&tag, &tpcds_suite);
-    let cluster = Cluster::new(6).engine(EngineConfig::with_threads(2)).migration_budget(4096);
+    let engine = EngineConfig::sequential();
+    let machines = 4;
+    let lone = TagJoinExecutor::new(&tag, engine)
+        .with_partitioning_shared(Arc::new(tag.partition(&PartitionStrategy::Refined, machines)));
 
-    // The drifting session: placement from TPC-H traffic, adaptation on.
-    let mut session = cluster.calibrated_session(&tag, &tpch_analyzed).unwrap();
-    for q in &tpch_suite {
-        session.run_sql(q.sql).unwrap();
-    }
-    assert_eq!(
-        session.stats().migration_bytes,
-        0,
-        "serving the calibration workload itself must not trigger adaptation"
-    );
-    // The mix drifts: two TPC-DS rounds. The first absorbs the drift (and
-    // pays the migration); the second measures the adapted placement.
-    for q in &tpcds_suite {
-        session.run_sql(q.sql).unwrap();
-    }
-    let stats = session.stats();
-    assert!(stats.adaptations >= 1, "drift never triggered an adaptation");
-    assert!(stats.migration_bytes > 0, "adaptation migrated nothing");
-    assert_eq!(
-        stats.net.migration_bytes, stats.migration_bytes,
-        "migration bytes must be itemized in the cumulative NetStats"
-    );
-    let mut adapted = 0u64;
-    for q in &tpcds_suite {
+    let mut session =
+        Session::open(&tag, SessionConfig { machines, engine, ..SessionConfig::default() })
+            .unwrap();
+    let server =
+        QueryServer::start(&tag, ServerConfig { machines, engine, ..ServerConfig::default() })
+            .unwrap();
+    let tenants = [server.open_session(), server.open_session()];
+    let session_placement = session.partitioning().unwrap();
+    let server_placement = server.partitioning().unwrap();
+
+    let (h, ds) = (tpch::queries(), tpcds::queries());
+    let schedule = h.iter().chain(&ds).chain(&h);
+    for (i, q) in schedule.enumerate() {
+        let expected = NetStats::from_run(&lone.run_sql(q.sql).unwrap().stats);
         let (_, net) = session.run_sql(q.sql).unwrap();
-        adapted += net.network_bytes - net.migration_bytes;
+        assert_eq!(net, expected, "statement {i} ({}): session traffic", q.id);
+        let (_, net) = tenants[i % 2].run_sql(q.sql).unwrap();
+        assert_eq!(net, expected, "statement {i} ({}): tenant {} traffic", q.id, i % 2);
+        assert!(
+            Arc::ptr_eq(&session.partitioning().unwrap(), &session_placement),
+            "statement {i} ({}): the session's placement changed",
+            q.id
+        );
+        assert!(
+            Arc::ptr_eq(&server.partitioning().unwrap(), &server_placement),
+            "statement {i} ({}): the server's placement changed",
+            q.id
+        );
     }
-
-    // The yardstick: a static session profiled on TPC-DS itself.
-    let mut yardstick =
-        cluster.clone().static_placement().calibrated_session(&tag, &tpcds_analyzed).unwrap();
-    let mut self_profiled = 0u64;
-    for q in &tpcds_suite {
-        let (_, net) = yardstick.run_sql(q.sql).unwrap();
-        self_profiled += net.network_bytes;
-    }
-    // Within 10% of the self-profiled spark/tag byte ratio: the spark side
-    // is identical for both sessions, so the ratios are within 10% exactly
-    // when adapted bytes <= self-profiled bytes / 0.9.
-    assert!(
-        adapted as f64 <= self_profiled as f64 / 0.9,
-        "adapted placement ships {adapted} bytes, more than 10% over the self-profiled \
-         {self_profiled} bytes"
-    );
 }
