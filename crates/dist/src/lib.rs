@@ -57,7 +57,8 @@ type Result<T> = std::result::Result<T, RelError>;
 ///
 /// The profile records *total* per-label traffic, not the network share, so
 /// it is independent of the calibration placement; hash is used only because
-/// it is the cheap untuned baseline.
+/// it is the cheap untuned baseline. A placement holds 1 to `u16::MAX`
+/// machines; any other count is an error, returned before anything runs.
 pub fn tag_calibrate(
     tag: &TagGraph,
     workload: &[Analyzed],
@@ -66,6 +67,9 @@ pub fn tag_calibrate(
 ) -> Result<TrafficProfile> {
     if machines == 0 {
         return Err(RelError::Other("cluster needs at least one machine".into()));
+    }
+    if machines > u16::MAX as usize {
+        return Err(RelError::Other("machine count exceeds u16".into()));
     }
     let executor = TagJoinExecutor::new(tag, config)
         .with_partitioning_shared(Arc::new(tag.partition(&PartitionStrategy::Hash, machines)));
@@ -148,6 +152,10 @@ mod tests {
         assert_eq!(net.network_messages, 0);
         let workload = std::slice::from_ref(&a);
         assert!(tag_calibrate(&tag, workload, 0, EngineConfig::sequential()).is_err());
+        // One past what a placement can name: refused before placing, so
+        // no executor, engine or worker thread starts.
+        let too_many = u16::MAX as usize + 1;
+        assert!(tag_calibrate(&tag, workload, too_many, EngineConfig::sequential()).is_err());
         assert!(SparkModel { machines: 0, broadcast_threshold: 0 }.run(&a, &db).is_err());
     }
 
