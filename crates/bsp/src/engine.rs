@@ -10,9 +10,9 @@
 //!    messages to any vertex id it knows (its neighbours, or ids learned from
 //!    messages — the Pregel rule).
 //! 2. **barrier + delivery** — all outgoing messages become the next
-//!    superstep's message table.
+//!    superstep's message table, and all signals its edge bitmap.
 //! 3. **activation** — exactly the vertices that received at least one
-//!    message are active in the next superstep.
+//!    message or signal are active in the next superstep.
 //!
 //! The message table holds a superstep's messages grouped by target in
 //! three flat vectors: `active` (sorted, distinct targets), `inbox` and
@@ -32,6 +32,19 @@
 //! message is moved to its target's cursor. Every vertex therefore sees its
 //! messages ordered by source vertex, then send order — for every thread
 //! count. The table's vectors keep their capacity across supersteps.
+//!
+//! **The signal lane.** A signal says only which edge it travelled, the
+//! paper's reduction message (Algorithm 2, lines 13 and 18), so it carries
+//! no payload and bypasses the table: [`VertexCtx::signal_along`] names one
+//! of the sender's own out-edges, and delivery sets the bit of the edge
+//! back (the [`Graph::reverse_slot`] of the sent one) in an edge bitmap of
+//! one bit per CSR slot, where the receiver reads it with
+//! [`VertexCtx::signalled`]. A signal is counted exactly as an 8-byte
+//! message on its label, network included, so the lane changes how
+//! signals are stored, never what a run reports. In a step that carries
+//! signals, delivery collects the targets of both lanes in a |V|-bit
+//! scratch and reads the active list off it in vertex order; a target that
+//! got only signals has an empty message run.
 //!
 //! Threading: the compute phase runs on a persistent [`WorkerPool`]
 //! (attached via [`Computation::set_worker_pool`] or created lazily) —
@@ -53,6 +66,7 @@ use crate::pool::WorkerPool;
 use crate::program::{Aggregator, Message};
 use crate::recovery::FaultRuntime;
 use crate::stats::{LabelTraffic, RunStats, StepStats};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Default for [`EngineConfig::parallel_threshold`]: supersteps with fewer
@@ -110,6 +124,8 @@ pub struct VertexCtx<'a, 'p, V, M: Message> {
     /// The vertex's mutable user state.
     pub state: &'a mut V,
     msgs: &'a [M],
+    /// The pending signals' edge bitmap (empty when none is pending).
+    signals: &'a [u64],
     out: &'a mut Outbox<'p, M>,
 }
 
@@ -173,23 +189,82 @@ impl<'a, 'p, V, M: Message> VertexCtx<'a, 'p, V, M> {
     pub fn send_along(&mut self, label: LabelId, target: VertexId, msg: M) {
         self.out.send(self.vid, target, label, msg);
     }
+
+    /// Signal along this vertex's out-edge `slot` (a position in
+    /// [`VertexCtx::edges`]): the target is activated for the next
+    /// superstep, where [`VertexCtx::signalled`] shows it the edge back.
+    /// Counted as a [`SIGNAL_BYTES`]-byte message on `label`.
+    #[inline]
+    pub fn signal_along(&mut self, label: LabelId, slot: usize) {
+        let graph = self.graph;
+        let target = graph.out_edges(self.vid)[slot].target;
+        let back = graph.reverse_slot(graph.first_slot(self.vid) + slot);
+        debug_assert_eq!(
+            graph.out_edges(target)[back - graph.first_slot(target)].target,
+            self.vid,
+            "the reverse of slot {slot} points back at its sender"
+        );
+        self.out.signal(self.vid, target, label, back as u32);
+    }
+
+    /// The positions in `run`, a range of [`VertexCtx::edges`] positions, of
+    /// the out-edges a signal arrived along in the previous superstep, in
+    /// ascending order.
+    #[inline]
+    pub fn signalled(&self, run: Range<usize>) -> impl Iterator<Item = usize> + use<'a, V, M> {
+        let base = self.graph.first_slot(self.vid);
+        let (lo, hi) = (base + run.start, base + run.end);
+        let bits = self.signals;
+        let words = if bits.is_empty() || lo >= hi { 0..0 } else { lo / 64..(hi - 1) / 64 + 1 };
+        words.flat_map(move |w| {
+            // The word's bits inside `lo..hi`.
+            let from = lo.saturating_sub(w * 64).min(64);
+            let to = (hi - w * 64).min(64);
+            let mask = (u64::MAX >> (64 - (to - from))) << from;
+            let mut word = bits[w] & mask;
+            std::iter::from_fn(move || {
+                let bit = word.trailing_zeros() as usize;
+                word &= word.wrapping_sub(1);
+                (bit < 64).then(|| w * 64 + bit - base)
+            })
+        })
+    }
 }
 
-/// Per-worker outgoing messages: `(target, message)` in send order.
+/// The bytes a signal is counted as: the sender's id, what a reduction
+/// message carries in the paper's Algorithm 2.
+pub const SIGNAL_BYTES: u64 = 8;
+
+/// Per-worker outgoing messages, `(target, message)` in send order, and
+/// signals, `(target, reverse slot)` in send order.
 pub struct Outbox<'p, M: Message> {
     sent: Vec<(VertexId, M)>,
+    signals: Vec<(VertexId, u32)>,
     partitioning: Option<&'p Partitioning>,
-    /// Per-label traffic of this worker's sends — the only counters `send`
-    /// keeps; the superstep's totals are their sum. A superstep touches only
-    /// a handful of labels (TAG traversals: exactly one), so a linear-scan
-    /// vec beats a map on the send hot path.
+    /// Per-label traffic of this worker's sends and signals — the only
+    /// counters `count` keeps; the superstep's totals are their sum. A
+    /// superstep touches only a handful of labels (TAG traversals: exactly
+    /// one), so a linear-scan vec beats a map on the send hot path.
     per_label: Vec<(LabelId, LabelTraffic)>,
 }
 
 impl<'p, M: Message> Outbox<'p, M> {
     #[inline]
     fn send(&mut self, source: VertexId, target: VertexId, label: LabelId, msg: M) {
-        let size = msg.byte_size() as u64;
+        self.count(source, target, label, msg.byte_size() as u64);
+        self.sent.push((target, msg));
+    }
+
+    #[inline]
+    fn signal(&mut self, source: VertexId, target: VertexId, label: LabelId, back: u32) {
+        self.count(source, target, label, SIGNAL_BYTES);
+        self.signals.push((target, back));
+    }
+
+    /// Charge one message of `size` bytes from `source` to `target` to
+    /// `label`, and to the network when the two sit on different machines.
+    #[inline]
+    fn count(&mut self, source: VertexId, target: VertexId, label: LabelId, size: u64) {
         let crossing = self.partitioning.is_some_and(|p| p.crosses(source, target));
         let entry = match self.per_label.iter_mut().find(|(l, _)| *l == label) {
             Some((_, t)) => t,
@@ -204,7 +279,6 @@ impl<'p, M: Message> Outbox<'p, M> {
             entry.network_messages += 1;
             entry.network_bytes += size;
         }
-        self.sent.push((target, msg));
     }
 }
 
@@ -232,9 +306,18 @@ pub struct Computation<'g, V, M: Message> {
     pub(crate) active: Vec<VertexId>,
     pub(crate) inbox: Vec<M>,
     pub(crate) starts: Vec<usize>,
+    /// The pending signals, `(target, reverse slot)` in delivery order.
+    pub(crate) signals: Vec<(VertexId, u32)>,
+    /// The signal lane's edge bitmap: bit `s` is set iff a pending signal
+    /// arrived along slot `s`. Zero but for `signals`' bits; empty until
+    /// the first signal.
+    edge_bits: Vec<u64>,
     /// Delivery's per-vertex count, then cursor; all zero between
     /// supersteps.
     cursor: Vec<u32>,
+    /// Delivery's |V|-bit target set in a step that carries signals; all
+    /// zero between supersteps, empty until the first signal.
+    seen: Vec<u64>,
     pub(crate) stats: RunStats,
     pub(crate) partitioning: Option<Arc<Partitioning>>,
     /// Persistent worker runtime for parallel phases. Shared when the host
@@ -258,7 +341,10 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
             active: Vec::new(),
             inbox: Vec::new(),
             starts: vec![0],
+            signals: Vec::new(),
+            edge_bits: Vec::new(),
             cursor: vec![0; n],
+            seen: Vec::new(),
             stats: RunStats::default(),
             partitioning: None,
             workers: None,
@@ -302,8 +388,8 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
     }
 
     /// Replace the active set (deduplicated and sorted), with no messages.
-    /// A phase-boundary operation: no message may be in flight, since a
-    /// vertex left out of the new set would lose its messages (debug builds
+    /// A phase-boundary operation: no message or signal may be in flight,
+    /// since a vertex left out of the new set would lose it (debug builds
     /// assert it; release builds drop them).
     pub fn activate(&mut self, vertices: impl IntoIterator<Item = VertexId>) {
         debug_assert!(
@@ -311,7 +397,13 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
             "activate with {} messages in flight",
             self.inbox.len()
         );
+        debug_assert!(
+            self.signals.is_empty(),
+            "activate with {} signals in flight",
+            self.signals.len()
+        );
         self.inbox.clear();
+        self.set_signals(Vec::new());
         self.active.clear();
         self.active.extend(vertices);
         self.active.sort_unstable();
@@ -391,6 +483,7 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
         // distinct, so every chunk's vertices lie in its own range. A part
         // sits behind a lock that only its worker ever takes.
         let (active, inbox, starts) = (&self.active, &self.inbox, &self.starts);
+        let signals = self.edge_bits.as_slice();
         let graph = self.graph;
         let partitioning = self.partitioning.as_deref();
         let mut rest = self.states.as_mut_slice();
@@ -400,7 +493,12 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
                 let (lo, hi) = ((w * chunk).min(n), ((w + 1) * chunk).min(n));
                 let end = active.get(hi).map_or(graph.vertex_count(), |&v| v as usize);
                 let (states, tail) = std::mem::take(&mut rest).split_at_mut(end - first);
-                let out = Outbox { sent: Vec::new(), partitioning, per_label: Vec::new() };
+                let out = Outbox {
+                    sent: Vec::new(),
+                    signals: Vec::new(),
+                    partitioning,
+                    per_label: Vec::new(),
+                };
                 let part = (lo..hi, first as VertexId, states, out, G::default());
                 (rest, first) = (tail, end);
                 Mutex::new(part)
@@ -413,21 +511,22 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
             for (&v, run) in active[lo_hi.clone()].iter().zip(runs) {
                 let state = &mut states[(v - *first) as usize];
                 let msgs = &inbox[run[0]..run[1]];
-                let mut ctx = VertexCtx { vid: v, graph, state, msgs, out };
+                let mut ctx = VertexCtx { vid: v, graph, state, msgs, signals, out };
                 compute(&mut ctx, agg);
             }
         });
 
         // --- merge aggregates and counters ----------------------------------
         // The step's traffic totals are the sum of the per-label counters
-        // (the only ones `Outbox::send` keeps), so the per-label breakdown
+        // (the only ones `Outbox::count` keeps), so the per-label breakdown
         // adds up to the totals by construction.
         let mut step = StepStats { active_vertices: n as u64, ..Default::default() };
         let mut global = G::default();
         let mut outboxes = Vec::with_capacity(workers);
+        let mut signals = Vec::new();
         let mut step_labels: Vec<(LabelId, LabelTraffic)> = Vec::new();
         for part in parts {
-            let (.., out, agg) = part.into_inner().expect("a panicked phase never merges");
+            let (.., mut out, agg) = part.into_inner().expect("a panicked phase never merges");
             for (label, t) in &out.per_label {
                 step.add_traffic(t);
                 match step_labels.iter_mut().find(|(l, _)| l == label) {
@@ -437,31 +536,86 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
             }
             global.merge(agg);
             outboxes.push(out.sent);
+            signals.append(&mut out.signals);
         }
-        self.deliver(outboxes);
+        self.deliver(outboxes, signals);
         self.stats.record_step(step, &step_labels);
         (step, global)
     }
 
+    /// Replace the pending signals by `signals`: clear the consumed bits'
+    /// words, then set the new bits.
+    pub(crate) fn set_signals(&mut self, signals: Vec<(VertexId, u32)>) {
+        for &(_, slot) in &self.signals {
+            self.edge_bits[slot as usize / 64] = 0;
+        }
+        if !signals.is_empty() && self.edge_bits.is_empty() {
+            self.edge_bits = vec![0; self.graph.edge_count().div_ceil(64)];
+        }
+        for &(_, slot) in &signals {
+            self.edge_bits[slot as usize / 64] |= 1 << (slot % 64);
+        }
+        self.signals = signals;
+    }
+
     /// Replace the consumed message table by the outboxes' messages, by one
-    /// stable counting sort on target. `outboxes` come in worker order (=
-    /// source-vertex order), each holding its worker's sends in send order.
+    /// stable counting sort on target, and the consumed signals by
+    /// `signals`. `outboxes` come in worker order (= source-vertex order),
+    /// each holding its worker's sends in send order.
     #[allow(unsafe_code, reason = "one `set_len` over slots written exactly once")]
-    fn deliver(&mut self, outboxes: Vec<Vec<(VertexId, M)>>) {
+    fn deliver(&mut self, outboxes: Vec<Vec<(VertexId, M)>>, signals: Vec<(VertexId, u32)>) {
         let total = outboxes.iter().map(Vec::len).sum::<usize>();
         assert!(u32::try_from(total).is_ok(), "{total} messages in one superstep");
+        self.set_signals(signals);
         let cursor = &mut self.cursor;
         self.inbox.clear();
         self.active.clear();
-        // Count per target, collecting each target on its first message.
-        for &(t, _) in outboxes.iter().flatten() {
-            let c = &mut cursor[t as usize];
-            if *c == 0 {
-                self.active.push(t);
+        if self.signals.is_empty() {
+            // Count per target, collecting each target on its first message.
+            for &(t, _) in outboxes.iter().flatten() {
+                let c = &mut cursor[t as usize];
+                if *c == 0 {
+                    self.active.push(t);
+                }
+                *c += 1;
             }
-            *c += 1;
+            self.active.sort_unstable();
+        } else {
+            // Count per target, collecting each target of either lane on
+            // its first arrival in the bit set.
+            let (seen, active) = (&mut self.seen, &mut self.active);
+            seen.resize(cursor.len().div_ceil(64), 0);
+            let mut collect = |t: VertexId| {
+                let (word, bit) = (&mut seen[t as usize / 64], 1 << (t % 64));
+                if *word & bit == 0 {
+                    *word |= bit;
+                    active.push(t);
+                }
+            };
+            for &(t, _) in outboxes.iter().flatten() {
+                cursor[t as usize] += 1;
+                collect(t);
+            }
+            for &(t, _) in &self.signals {
+                collect(t);
+            }
+            // A few targets are sorted; many are read back off the bit set,
+            // which lists them in vertex order at a word per 64 vertices.
+            if active.len() * 16 < seen.len() {
+                active.sort_unstable();
+                for &t in active.iter() {
+                    seen[t as usize / 64] = 0;
+                }
+            } else {
+                active.clear();
+                for (w, word) in seen.iter_mut().enumerate() {
+                    while *word != 0 {
+                        active.push((w * 64) as VertexId + word.trailing_zeros());
+                        *word &= *word - 1;
+                    }
+                }
+            }
         }
-        self.active.sort_unstable();
         // Prefix sums: each target's cursor becomes its first slot.
         self.starts.clear();
         self.starts.push(0);
@@ -726,6 +880,140 @@ mod tests {
         assert!(labeled.network_messages > 0, "the 1-2 and 3-4 crossings are labeled");
     }
 
+    /// Signals are counted exactly as 8-byte messages on their label:
+    /// messages, bytes and the network share, per label and in total.
+    #[test]
+    fn signals_count_like_eight_byte_messages() {
+        let g = line(6);
+        let label = g.edge_label_id("next").unwrap();
+        let run = |signal: bool| {
+            let mut comp: Computation<'_, (), u64> = Computation::new(
+                &g,
+                EngineConfig::with_threads(3).with_parallel_threshold(0),
+                |_| (),
+            );
+            comp.set_partitioning_shared(Arc::new(Partitioning::from_assignment(
+                vec![0, 0, 1, 1, 0, 1],
+                2,
+            )));
+            comp.activate(g.vertices());
+            comp.superstep_simple(|ctx| {
+                for (slot, edge) in ctx.edges().iter().enumerate() {
+                    if signal {
+                        ctx.signal_along(label, slot);
+                    } else {
+                        ctx.send_along(label, edge.target, 1);
+                    }
+                }
+            });
+            comp.superstep_simple(|_| {});
+            comp.finish().1
+        };
+        let (signalled, sent) = (run(true), run(false));
+        assert_eq!(SIGNAL_BYTES, std::mem::size_of::<u64>() as u64);
+        assert_eq!(signalled.label_traffic(label), sent.label_traffic(label));
+        assert_eq!(signalled.label_traffic(label).messages, 10, "2*(n-1) directed edges");
+        assert!(signalled.label_traffic(label).network_messages > 0);
+        assert_eq!(signalled.totals, sent.totals);
+        assert_eq!(signalled.steps, sent.steps);
+    }
+
+    /// A vertex that got only signals runs with an empty inbox and sees the
+    /// edges back to its signallers; one that got both sees its messages in
+    /// source, then send order, as without signals. Three targets among 40
+    /// vertices are read off delivery's bit set, among 4000 sorted.
+    #[test]
+    fn signal_targets_are_active_beside_message_targets() {
+        for (n, threads) in [(40, 1), (40, 4), (4000, 1), (4000, 4)] {
+            let g = line(n);
+            let mut comp: Computation<'_, (Vec<u64>, Vec<VertexId>), u64> = Computation::new(
+                &g,
+                EngineConfig::with_threads(threads).with_parallel_threshold(0),
+                |_| (Vec::new(), Vec::new()),
+            );
+            let label = g.edge_label_id("next").unwrap();
+            comp.activate((0..n as VertexId).rev());
+            comp.superstep_simple(|ctx| {
+                let id = ctx.id();
+                ctx.send(7, 2 * id as u64);
+                // Vertex 20 signals both neighbours; 7's left one signals it.
+                for (slot, edge) in ctx.edges().iter().enumerate() {
+                    if id == 20 || edge.target == 7 && id == 6 {
+                        ctx.signal_along(label, slot);
+                    }
+                }
+                ctx.send(7, 2 * id as u64 + 1);
+            });
+            assert_eq!(comp.active(), &[7, 19, 21], "threads={threads}");
+            comp.superstep_simple(|ctx| {
+                let from: Vec<VertexId> =
+                    ctx.signalled(0..ctx.edges().len()).map(|i| ctx.edges()[i].target).collect();
+                *ctx.state = (ctx.messages().to_vec(), from);
+            });
+            let at = |v: usize| comp.states()[v].clone();
+            assert_eq!(at(7), ((0..2 * n as u64).collect(), vec![6]), "threads={threads}");
+            assert_eq!(at(19), (vec![], vec![20]), "threads={threads}");
+            assert_eq!(at(21), (vec![], vec![20]), "threads={threads}");
+            assert!(comp.halted());
+        }
+    }
+
+    /// A signalling program — every vertex signals along its marked edges,
+    /// and marks the edges it was signalled along — gives the same states
+    /// and statistics on every thread count.
+    #[test]
+    fn signals_are_independent_of_thread_count() {
+        let mut b = GraphBuilder::new();
+        let vl = b.vertex_label("v");
+        let labels = [b.edge_label("a"), b.edge_label("b")];
+        for _ in 0..97 {
+            b.add_vertex(vl);
+        }
+        for i in 0..97u32 {
+            b.add_undirected_edge(i, (i * 7 + 3) % 97, labels[0]);
+            b.add_undirected_edge(i, (i * 11 + 5) % 97, labels[1]);
+        }
+        let g = b.finish();
+        let run = |threads: usize| {
+            let mut comp: Computation<'_, u64, u64> = Computation::new(
+                &g,
+                EngineConfig::with_threads(threads).with_parallel_threshold(0),
+                |v| v as u64,
+            );
+            comp.activate((0..97).filter(|v| v % 3 == 0));
+            for step in 0..6 {
+                comp.superstep_simple(|ctx| {
+                    let degree = ctx.edges().len();
+                    for i in ctx.signalled(0..degree) {
+                        *ctx.state = ctx.state.wrapping_mul(131).wrapping_add(i as u64 + 1);
+                    }
+                    for (slot, edge) in ctx.edges().iter().enumerate() {
+                        if !(*ctx.state + slot as u64).is_multiple_of(3) {
+                            ctx.signal_along(edge.label, slot);
+                        }
+                    }
+                    if step % 2 == 0 {
+                        let id = ctx.id();
+                        ctx.send((id * 5) % 97, *ctx.state);
+                    }
+                    let folded = ctx.messages().iter().fold(*ctx.state, |a, &m| a ^ m);
+                    *ctx.state = folded;
+                });
+            }
+            comp.finish()
+        };
+        let (states, stats) = run(1);
+        assert!(stats.total_messages() > 0);
+        for threads in [2, 4, 7] {
+            let (s, t) = run(threads);
+            assert_eq!(s, states, "threads={threads}");
+            assert_eq!((t.totals, &t.steps), (stats.totals, &stats.steps), "threads={threads}");
+            for l in labels {
+                assert_eq!(t.label_traffic(l), stats.label_traffic(l), "threads={threads}");
+            }
+        }
+    }
+
     /// All-to-neighbours ping used by the runtime tests below, then a
     /// superstep that consumes it, so the next ping may activate again.
     fn ping_all(comp: &mut Computation<'_, u64, u64>, g: &Graph) {
@@ -837,6 +1125,20 @@ mod tests {
             Computation::new(&g, EngineConfig::sequential(), |_| ());
         comp.activate([0]);
         comp.superstep_simple(|ctx| ctx.send(1, 5));
+        comp.activate([2]);
+    }
+
+    /// Likewise with a signal in flight.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "signals in flight")]
+    fn activate_with_signals_in_flight_panics() {
+        let g = line(3);
+        let label = g.edge_label_id("next").unwrap();
+        let mut comp: Computation<'_, (), u64> =
+            Computation::new(&g, EngineConfig::sequential(), |_| ());
+        comp.activate([0]);
+        comp.superstep_simple(|ctx| ctx.signal_along(label, 0));
         comp.activate([2]);
     }
 }

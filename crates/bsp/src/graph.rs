@@ -7,10 +7,15 @@
 //!
 //! The paper models TAG edges as undirected (footnote 3): an undirected edge
 //! is two directed edges, one per endpoint, added by
-//! [`GraphBuilder::add_undirected_edge`].
+//! [`GraphBuilder::add_undirected_edge`]. Such a graph pairs every CSR slot
+//! `u → v` with the slot of `v → u` under the same label
+//! ([`Graph::reverse_slot`]), the index the engine's signal lane delivers
+//! through; it is built on first use, so a graph that never signals never
+//! pays for it.
 
 use crate::interner::{Interner, LabelId};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Vertex identifier — dense, starting at zero.
 pub type VertexId = u32;
@@ -124,7 +129,15 @@ impl GraphBuilder {
         for (v, l) in vlabel_of.iter().enumerate() {
             vertices_by_label[l.0 as usize].push(v as VertexId);
         }
-        Graph { vertex_labels, edge_labels, vlabel_of, offsets, edges, vertices_by_label }
+        Graph {
+            vertex_labels,
+            edge_labels,
+            vlabel_of,
+            offsets,
+            edges,
+            vertices_by_label,
+            reverse: OnceLock::new(),
+        }
     }
 }
 
@@ -137,6 +150,9 @@ pub struct Graph {
     offsets: Vec<u64>,
     edges: Vec<Edge>,
     vertices_by_label: Vec<Vec<VertexId>>,
+    /// For every slot `u → v`, the slot of `v → u` under the same label;
+    /// built on the first [`Graph::reverse_slot`] call.
+    reverse: OnceLock<Box<[u32]>>,
 }
 
 impl Graph {
@@ -170,6 +186,75 @@ impl Graph {
     pub fn label_range(&self, v: VertexId, label: LabelId) -> Range<usize> {
         let all = self.out_edges(v);
         all.partition_point(|e| e.label < label)..all.partition_point(|e| e.label <= label)
+    }
+
+    /// The global CSR slot of `v`'s first out-edge: `v`'s `i`-th out-edge
+    /// sits at slot `first_slot(v) + i`.
+    #[inline]
+    pub fn first_slot(&self, v: VertexId) -> usize {
+        self.offsets[v as usize] as usize
+    }
+
+    /// The slot of the edge back along `slot`: for slot `u → v` labelled
+    /// `l`, the slot of `v → u` labelled `l`. Parallel edges pair up in
+    /// order. The first call builds the index for every slot.
+    ///
+    /// # Panics
+    ///
+    /// If some edge has no reverse edge under its label (a graph built
+    /// with directed [`GraphBuilder::add_edge`] calls alone).
+    #[inline]
+    pub fn reverse_slot(&self, slot: usize) -> usize {
+        self.reverse.get_or_init(|| self.build_reverse())[slot] as usize
+    }
+
+    /// The reverse-slot index in O(E): visiting the slots in (label,
+    /// source) order, the edges into each vertex `v` arrive in exactly the
+    /// `(label, target)` order of `v`'s own out-edges, so one cursor per
+    /// vertex, walking its own range, pairs them up.
+    fn build_reverse(&self) -> Box<[u32]> {
+        let e = self.edges.len();
+        assert!(u32::try_from(e).is_ok(), "{e} edges overflow a u32 slot index");
+        // The slots grouped by label by a counting sort, each group in
+        // slot (= source) order.
+        let mut starts = vec![0u32; self.edge_labels.len() + 1];
+        for edge in &self.edges {
+            starts[edge.label.0 as usize + 1] += 1;
+        }
+        for l in 1..starts.len() {
+            starts[l] += starts[l - 1];
+        }
+        let mut by_label = vec![0u32; e];
+        for (slot, edge) in self.edges.iter().enumerate() {
+            let at = &mut starts[edge.label.0 as usize];
+            by_label[*at as usize] = slot as u32;
+            *at += 1;
+        }
+        let mut cursor: Vec<u64> = self.offsets[..self.vertex_count()].to_vec();
+        let mut reverse = vec![0u32; e].into_boxed_slice();
+        for &slot in &by_label {
+            let Edge { label, target } = self.edges[slot as usize];
+            let back = &mut cursor[target as usize];
+            let pair = self
+                .edges
+                .get(*back as usize)
+                .filter(|_| *back < self.offsets[target as usize + 1]);
+            assert!(
+                pair.is_some_and(|p| p.label == label),
+                "slot {slot} (to {target}, {label:?}) has no reverse edge"
+            );
+            reverse[slot as usize] = *back as u32;
+            *back += 1;
+        }
+        // The pairing matched labels; it matched endpoints iff each edge's
+        // reverse points back at its source.
+        for v in self.vertices() {
+            for slot in self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize {
+                let back = reverse[slot] as usize;
+                assert_eq!(self.edges[back].target, v, "slot {slot} has no reverse edge");
+            }
+        }
+        reverse
     }
 
     /// Out-edges of `v` carrying `label`: the [`Graph::label_range`] slice.
@@ -230,9 +315,10 @@ impl Graph {
     }
 
     /// Approximate footprint in bytes of the graph topology (not including
-    /// user vertex state).
+    /// user vertex state), the reverse-slot index included once it is built.
     pub fn deep_size(&self) -> usize {
-        self.vlabel_of.len() * std::mem::size_of::<LabelId>()
+        self.reverse.get().map_or(0, |r| r.len() * 4)
+            + self.vlabel_of.len() * std::mem::size_of::<LabelId>()
             + self.offsets.len() * 8
             + self.edges.len() * std::mem::size_of::<Edge>()
             + self.vertices_by_label.iter().map(|v| v.len() * 4 + 24).sum::<usize>()
@@ -319,6 +405,88 @@ mod tests {
             assert_eq!(got, labels, "spoke {s}");
             assert_eq!(g.degree_with_label(s, labels[1]), 1);
         }
+    }
+
+    /// Every slot's reverse pairs it back (`rev[rev[i]] == i`) with the
+    /// same label and the endpoints swapped.
+    fn assert_reverse_index(g: &Graph) {
+        for v in g.vertices() {
+            for (k, edge) in g.out_edges(v).iter().enumerate() {
+                let slot = g.first_slot(v) + k;
+                let back = g.reverse_slot(slot);
+                let t = edge.target;
+                let at = back.checked_sub(g.first_slot(t)).filter(|&i| i < g.degree(t));
+                let pair = at.map(|i| g.out_edges(t)[i]);
+                assert_eq!(pair, Some(Edge { label: edge.label, target: v }), "slot {slot}");
+                assert_eq!(g.reverse_slot(back), slot, "slot {slot}");
+            }
+        }
+    }
+
+    #[test]
+    fn reverse_slots_pair_every_edge_with_its_twin() {
+        let g = tiny();
+        assert_reverse_index(&g);
+        // a0's R.A run is r0, r1; r1's only edge is slot 2 (r0 has 0, 1).
+        let a0 = 2;
+        assert_eq!(g.reverse_slot(g.first_slot(a0) + 1), g.first_slot(1));
+    }
+
+    /// Edges fed hub-first, labels and spokes both descending, so `finish`
+    /// sorts the hub's range and the pairing follows the sorted order.
+    #[test]
+    fn reverse_slots_survive_sorted_ranges() {
+        let mut b = GraphBuilder::new();
+        let l = b.vertex_label("V");
+        let labels: Vec<LabelId> = (0..3).map(|i| b.edge_label(&format!("e{i}"))).collect();
+        let hub = b.add_vertex(l);
+        let spokes: Vec<VertexId> = (0..5).map(|_| b.add_vertex(l)).collect();
+        for &label in labels.iter().rev() {
+            for &s in spokes.iter().rev() {
+                b.add_undirected_edge(s, hub, label);
+            }
+        }
+        let g = b.finish();
+        assert_reverse_index(&g);
+    }
+
+    /// One vertex pair joined under two labels, and once more under the
+    /// first: each edge pairs with its twin of the same label, parallel
+    /// edges in order.
+    #[test]
+    fn reverse_slots_keep_labels_apart() {
+        let mut b = GraphBuilder::new();
+        let l = b.vertex_label("V");
+        let (x, y) = (b.edge_label("x"), b.edge_label("y"));
+        let u = b.add_vertex(l);
+        let v = b.add_vertex(l);
+        b.add_undirected_edge(u, v, y);
+        b.add_undirected_edge(u, v, x);
+        b.add_undirected_edge(v, u, x);
+        let g = b.finish();
+        assert_reverse_index(&g);
+        let labels = |w: VertexId| g.out_edges(w).iter().map(|e| e.label).collect::<Vec<_>>();
+        assert_eq!((labels(u), labels(v)), (vec![x, x, y], vec![x, x, y]));
+        assert_eq!((0..3).map(|i| g.reverse_slot(i)).collect::<Vec<_>>(), [3, 4, 5]);
+    }
+
+    #[test]
+    fn deep_size_counts_the_reverse_index_once_built() {
+        let g = tiny();
+        let before = g.deep_size();
+        g.reverse_slot(0);
+        assert_eq!(g.deep_size(), before + 4 * g.edge_count());
+    }
+
+    #[test]
+    #[should_panic(expected = "has no reverse edge")]
+    fn a_directed_edge_has_no_reverse_slot() {
+        let mut b = GraphBuilder::new();
+        let l = b.vertex_label("V");
+        let e = b.edge_label("e");
+        let (u, v) = (b.add_vertex(l), b.add_vertex(l));
+        b.add_edge(u, v, e);
+        b.finish().reverse_slot(0);
     }
 
     #[test]

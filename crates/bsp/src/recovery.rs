@@ -37,7 +37,7 @@
 //! outside the BSP traffic counters: a recovered run reports the same
 //! `totals`, `steps` and per-label traffic as a fault-free one.
 
-use crate::engine::Computation;
+use crate::engine::{Computation, SIGNAL_BYTES};
 use crate::fault::{FaultError, FaultInjector};
 use crate::graph::VertexId;
 use crate::program::Message;
@@ -48,13 +48,15 @@ use std::sync::Arc;
 /// A superstep checkpoint: everything needed to roll the computation back
 /// to the start of superstep `superstep` — per-vertex state, the message
 /// table (the active set and the messages delivered but not yet consumed),
-/// and the statistics as of that point (so a replay re-records identically).
+/// the pending signals, and the statistics as of that point (so a replay
+/// re-records identically).
 struct Snapshot<V, M: Message> {
     superstep: u64,
     states: Vec<V>,
     active: Vec<VertexId>,
     inbox: Vec<M>,
     starts: Vec<usize>,
+    signals: Vec<(VertexId, u32)>,
     stats: RunStats,
 }
 
@@ -81,19 +83,22 @@ pub(crate) struct FaultRuntime<V, M: Message> {
 
 impl<V: Send, M: Message> FaultRuntime<V, M> {
     /// Snapshot the full computation state and charge the checkpoint cost:
-    /// the active list (8 bytes per id) plus every vertex's state and every
-    /// pending message. Charged to the itemized `stats.faults` —
+    /// the active list (8 bytes per id) plus every vertex's state, every
+    /// pending message, and every pending signal at its counted
+    /// [`SIGNAL_BYTES`]. Charged to the itemized `stats.faults` —
     /// checkpoints model stable-storage writes, not network traffic.
     fn take_checkpoint(&mut self, comp: &mut Computation<'_, V, M>) {
         let bytes = comp.active.len() as u64 * 8
             + comp.states.iter().map(|state| (self.sizer)(state)).sum::<u64>()
-            + message_bytes(&comp.inbox);
+            + message_bytes(&comp.inbox)
+            + comp.signals.len() as u64 * SIGNAL_BYTES;
         self.checkpoint = Some(Snapshot {
             superstep: comp.stats.supersteps,
             states: comp.states.iter().map(self.clone_state).collect(),
             active: comp.active.clone(),
             inbox: comp.inbox.clone(),
             starts: comp.starts.clone(),
+            signals: comp.signals.clone(),
             stats: comp.stats.clone(),
         });
         comp.stats.faults.checkpoint_bytes += bytes;
@@ -101,13 +106,14 @@ impl<V: Send, M: Message> FaultRuntime<V, M> {
     }
 
     /// Roll back to the last checkpoint after machine `machine` crashed:
-    /// restore state and message table, rewind the statistics to the
-    /// snapshot (so the replayed supersteps re-record identically), and
-    /// charge the recovery — re-shipping the crashed machine's partition
-    /// share of the checkpoint, i.e. the states of its vertices and the
-    /// messages pending for them (the survivors still hold theirs; without
-    /// a partitioning the whole snapshot is charged), plus the rolled-back
-    /// rounds. Without a checkpoint the machine is lost for good.
+    /// restore state, message table and pending signals, rewind the
+    /// statistics to the snapshot (so the replayed supersteps re-record
+    /// identically), and charge the recovery — re-shipping the crashed
+    /// machine's partition share of the checkpoint, i.e. the states of its
+    /// vertices and the messages and signals pending for them (the
+    /// survivors still hold theirs; without a partitioning the whole
+    /// snapshot is charged), plus the rolled-back rounds. Without a
+    /// checkpoint the machine is lost for good.
     fn restore(&self, comp: &mut Computation<'_, V, M>, machine: u32) -> Result<(), FaultError> {
         let crashed_at = comp.stats.supersteps;
         let snap = self
@@ -129,6 +135,7 @@ impl<V: Send, M: Message> FaultRuntime<V, M> {
                 bytes += message_bytes(&snap.inbox[run[0]..run[1]]);
             }
         }
+        bytes += snap.signals.iter().filter(|&&(t, _)| lost(t)).count() as u64 * SIGNAL_BYTES;
         // Live fault counters survive the rewind: checkpoints taken and
         // recoveries performed are real costs even though the replayed
         // supersteps' traffic is recorded only once.
@@ -141,6 +148,7 @@ impl<V: Send, M: Message> FaultRuntime<V, M> {
         comp.active.clone_from(&snap.active);
         comp.inbox.clone_from(&snap.inbox);
         comp.starts.clone_from(&snap.starts);
+        comp.set_signals(snap.signals.clone());
         comp.stats = snap.stats.clone();
         comp.stats.faults = faults;
         Ok(())
@@ -521,6 +529,81 @@ mod tests {
         assert_eq!(comp.stats().supersteps, 1);
         assert_eq!(comp.stats().faults.crashes_recovered, 1);
         assert_eq!(comp.stats().faults.recovered_rounds, 0);
+    }
+
+    /// Four steps over `line(8)` on two machines: every vertex signals
+    /// along all its edges, then along its right edge, then its left one,
+    /// each step folding the edges it was signalled along into its state.
+    /// With `signal` off, 8-byte messages carrying the sender's id stand in
+    /// for the signals.
+    fn run_signals(g: &Graph, signal: bool, injector: Option<Arc<FaultInjector>>) -> Run {
+        let label = g.edge_label_id("next").expect("line graphs label their edges");
+        let mut comp = computation(g, 1, injector);
+        comp.activate(g.vertices());
+        comp.run_phase(|comp, i| {
+            comp.superstep_simple(|ctx| {
+                let me = ctx.id();
+                let from: Vec<VertexId> = if signal {
+                    let edges = ctx.edges();
+                    ctx.signalled(0..edges.len()).map(|s| edges[s].target).collect()
+                } else {
+                    ctx.messages().iter().map(|&m| m as VertexId).collect()
+                };
+                for f in from {
+                    *ctx.state = *ctx.state * 31 + u64::from(f) + 1;
+                }
+                for (slot, edge) in ctx.edges().iter().enumerate() {
+                    let go = match i {
+                        0 => true,
+                        1 => edge.target > me,
+                        2 => edge.target < me,
+                        _ => false,
+                    };
+                    match (go, signal) {
+                        (false, _) => {}
+                        (true, true) => ctx.signal_along(label, slot),
+                        (true, false) => ctx.send_along(label, edge.target, u64::from(me)),
+                    }
+                }
+            });
+            if i == 3 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })?;
+        Ok(comp.finish())
+    }
+
+    /// A crash right after a signalling superstep rolls the signals back
+    /// with the checkpoint: the bits of the step before are restored (the
+    /// replay reads the right edges), and checkpoint and recovery bytes
+    /// price each pending signal at 8 bytes, exactly as the 8-byte messages
+    /// that stand in for them.
+    #[test]
+    fn pending_signals_are_checkpointed_and_restored() {
+        let g = line(8);
+        let (base_states, base) = run_signals(&g, true, None).unwrap();
+        // Checkpoints at 0 and 2; machine 1 (odd vertices) crashes before
+        // superstep 3, with step 2's left signals pending: the rollback
+        // restores step 1's right signals and replays step 2.
+        let run = |signal: bool| {
+            let inj = Arc::new(FaultInjector::new(FaultPlan::new().crash(1, 3), 2));
+            let out = run_signals(&g, signal, Some(Arc::clone(&inj))).unwrap();
+            assert_eq!(inj.fired_count(), 1);
+            out
+        };
+        let (states, stats) = run(true);
+        assert_eq!(states, base_states, "the replay read the restored bits");
+        assert_eq!((stats.totals, &stats.steps), (base.totals, &base.steps));
+        let f = stats.faults;
+        assert_eq!((f.checkpoints, f.crashes_recovered, f.recovered_rounds), (2, 1, 1));
+        // At 0: 8 active ids and 8 states. At 2: 7 targets of step 1's
+        // right signals, 8 states and the 7 signals.
+        assert_eq!(f.checkpoint_bytes, (8 * 8 + 8 * 8) + (7 * 8 + 8 * 8 + 7 * SIGNAL_BYTES));
+        // Machine 1's 4 states and the 4 signals pending into it (1, 3, 5, 7).
+        assert_eq!(f.recovery_bytes, 4 * 8 + 4 * SIGNAL_BYTES);
+        assert_eq!(f, run(false).1.faults, "signals are priced as 8-byte messages");
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! list, the `GenSteps` list of the plan without the reduction-only
 //! branches whose keys are unique in this TAG (see [`crate::plan`]):
 //!
-//! 1. **Reduction, bottom-up** — active vertices send their id along edges
-//!    with the current step's label; a receiver marks its own edge back to
-//!    each sender — one bit per CSR out-edge in its [`St`], the slot found by
-//!    binary search in its `(label, target)`-sorted run; the first 64 bits
-//!    are inline, so only a hub allocates. Tuple vertices
+//! 1. **Reduction, bottom-up** — active vertices signal along edges with
+//!    the current step's label (the engine's payload-free signal lane,
+//!    counted as the paper's 8-byte id message); a receiver marks its own
+//!    edge back to each sender — one bit per CSR out-edge in its [`St`],
+//!    read straight off the bits the engine set for the edges back, with
+//!    no search; the first 64 bits are inline, so only a hub allocates.
+//!    Tuple vertices
 //!    check their pushed-down filters before forwarding (Section 7 selection
 //!    pushdown). A step that returns from a subtree sends only along the
 //!    edges its entry marked, so the pass is an exact semijoin reduction
@@ -365,8 +367,8 @@ impl<'t> TagJoinExecutor<'t> {
                 let vid = ctx.id();
                 match i {
                     0 if !tag.tuple(vid).is_some_and(|t| s.probes(t)) => {}
-                    0 => send_along_marks(ctx, s.outer_col, true, || TagMsg::Signal(vid)),
-                    1 => send_along_marks(ctx, s.inner_col, true, || TagMsg::Signal(vid)),
+                    0 => signal_along_marks(ctx, s.outer_col, true),
+                    1 => signal_along_marks(ctx, s.inner_col, true),
                     _ => {
                         debug_assert_eq!(ctx.label(), s.inner_rel, "{vid} admitted off the seed");
                         ctx.state.admitted = true;
@@ -441,11 +443,10 @@ impl<'t> TagJoinExecutor<'t> {
             if err.ok(passes_filter(ctx, q, tag)) != Some(true) {
                 return;
             }
-            // (c) send own id along edges with the current label; top-down
-            // sends follow bottom-up marks (line 17), and so does a
+            // (c) signal along edges with the current label; top-down
+            // signals follow bottom-up marks (line 17), and so does a
             // bottom-up step that returns from a subtree.
-            let vid = ctx.id();
-            send_along_marks(ctx, cur, all, || TagMsg::Signal(vid));
+            signal_along_marks(ctx, cur, all);
         })
         .1
     }
@@ -468,7 +469,7 @@ impl<'t> TagJoinExecutor<'t> {
             record_marks(ctx, prev);
             let Some(value) = compute_value(ctx, q, tag, ci, step) else { return };
             let value = Arc::new(value);
-            send_along_marks(ctx, cur, false, || TagMsg::Table(Arc::clone(&value)));
+            send_along_marks(ctx, cur, || TagMsg::Table(Arc::clone(&value)));
         });
     }
 
@@ -756,45 +757,52 @@ fn st_state_bytes(st: &St) -> u64 {
 
 /// Record reduction marks from incoming signals: union during bottom-up,
 /// replace during top-down (Algorithm 2 lines 9 and 19). A signal marks the
-/// receiver's own edge back to its sender, found by binary search in the
-/// receiver's `label` run (CSR ranges are `(label, target)`-sorted).
+/// receiver's own edge back to its sender: the slot the engine signalled.
+/// The first signal opens the bitmap and, when replacing, clears the
+/// `label` run.
 fn record_marks(ctx: &mut VertexCtx<'_, '_, St, TagMsg>, prev: Option<(LabelId, bool)>) {
     let Some((label, replace)) = prev else { return };
-    let edges = ctx.edges();
-    let run = ctx.graph().label_range(ctx.id(), label);
-    let mut clear = replace;
-    for m in ctx.messages() {
-        let TagMsg::Signal(from) = m else { continue };
+    let (graph, vid, degree) = (ctx.graph(), ctx.id(), ctx.edges().len());
+    let mut run = None;
+    for i in ctx.signalled(0..degree) {
         let st = &mut ctx.state;
-        if st.words == 0 {
-            st.open(edges.len());
-        }
-        if std::mem::take(&mut clear) {
-            for i in run.clone() {
-                st.set_mark(i, false);
+        let run = run.get_or_insert_with(|| {
+            if st.words == 0 {
+                st.open(degree);
             }
-        }
-        // TAG edges are undirected with one label (footnote 3), so every
-        // sender sits in the receiver's run.
-        let slot = edges[run.clone()].binary_search_by_key(from, |e| e.target);
-        debug_assert!(slot.is_ok(), "signal from {from} travelled no edge labelled {label:?}");
-        if let Ok(i) = slot.map(|i| run.start + i) {
-            st.set_mark(i, true);
+            let run = graph.label_range(vid, label);
+            if replace {
+                for i in run.clone() {
+                    st.set_mark(i, false);
+                }
+            }
+            run
+        });
+        // Every signal of a step travels its one label.
+        debug_assert!(run.contains(&i), "slot {i} of {vid} is not labelled {label:?}");
+        st.set_mark(i, true);
+    }
+}
+
+/// Signal along this vertex's `label` edges: every one when `all`, else
+/// only the marked ones.
+fn signal_along_marks(ctx: &mut VertexCtx<'_, '_, St, TagMsg>, label: LabelId, all: bool) {
+    for i in ctx.graph().label_range(ctx.id(), label) {
+        if all || ctx.state.marked(i) {
+            ctx.signal_along(label, i);
         }
     }
 }
 
-/// Send `msg()` along this vertex's `label` edges: every one when `all`,
-/// else only the marked ones.
+/// Send `msg()` along this vertex's marked `label` edges.
 fn send_along_marks(
     ctx: &mut VertexCtx<'_, '_, St, TagMsg>,
     label: LabelId,
-    all: bool,
     msg: impl Fn() -> TagMsg,
 ) {
     let edges = ctx.edges();
     for i in ctx.graph().label_range(ctx.id(), label) {
-        if all || ctx.state.marked(i) {
+        if ctx.state.marked(i) {
             ctx.send_along(label, edges[i].target, msg());
         }
     }
@@ -1014,7 +1022,7 @@ mod tests {
         assert_eq!(st_state_bytes(&comp.states()[hub as usize]), 8);
 
         comp.activate([70]);
-        comp.superstep_simple(|ctx| ctx.send_along(label, hub, TagMsg::Signal(ctx.id())));
+        comp.superstep_simple(|ctx| ctx.signal_along(label, 0));
         comp.superstep_simple(|ctx| record_marks(ctx, Some((label, false))));
         let st = &comp.states()[hub as usize];
         let set: Vec<usize> = (0..70).filter(|&i| st.marked(i)).collect();
@@ -1054,7 +1062,8 @@ mod tests {
         comp.activate(senders.iter().map(|&(spoke, _)| spoke));
         comp.superstep_simple(|ctx| {
             let hub = senders.iter().find(|&&(spoke, _)| spoke == ctx.id()).unwrap().1;
-            ctx.send_along(label, hub, TagMsg::Signal(ctx.id()));
+            assert_eq!(ctx.edges()[0].target, hub, "a spoke's one edge leads to its hub");
+            ctx.signal_along(label, 0);
         });
         comp.superstep_simple(|ctx| record_marks(ctx, Some((label, false))));
         for ((hub, spokes), (want, bytes)) in

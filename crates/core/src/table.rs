@@ -292,12 +292,11 @@ pub struct Partial {
     pub accs: Box<[Accumulator]>,
 }
 
-/// Messages of the TAG-join vertex program.
+/// Messages of the TAG-join vertex program. The reduction's signals
+/// (Algorithm 2, lines 13/18) carry no payload and travel the engine's
+/// signal lane instead ([`vcsql_bsp::VertexCtx::signal_along`]).
 #[derive(Debug, Clone)]
 pub enum TagMsg {
-    /// Reduction-phase signal carrying the sender's id (Algorithm 2,
-    /// lines 13/18).
-    Signal(VertexId),
     /// Collection-phase intermediate table (Algorithm 2, line 40).
     Table(Arc<Table>),
     /// Aggregation-phase partial group routed to a group-key attribute
@@ -310,7 +309,6 @@ pub enum TagMsg {
 impl Message for TagMsg {
     fn byte_size(&self) -> usize {
         match self {
-            TagMsg::Signal(_) => 8,
             TagMsg::Table(t) => t.approx_bytes(),
             TagMsg::Partial(_, bytes) => *bytes,
         }

@@ -580,6 +580,7 @@ impl TagGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcsql_bsp::Edge;
     use vcsql_relation::schema::Column;
     use vcsql_relation::{DataType, Date};
 
@@ -679,6 +680,33 @@ mod tests {
                     "edge between same-kind vertices"
                 );
             }
+        }
+    }
+
+    /// The engine's signal lane delivers along [`Graph::reverse_slot`]: on a
+    /// TAG every slot `u → v` pairs with the slot of `v → u` under its label,
+    /// and back (`rev[rev[i]] == i`).
+    #[test]
+    fn every_tag_edge_has_a_reverse_slot() {
+        for db in
+            [vcsql_workload::tpch::generate(0.01, 42), vcsql_workload::tpcds::generate(0.01, 42)]
+        {
+            let tag = TagGraph::build(&db);
+            let g = tag.graph();
+            let mut slot = 0;
+            for v in g.vertices() {
+                assert_eq!(g.first_slot(v), slot);
+                for edge in g.out_edges(v) {
+                    let back = g.reverse_slot(slot);
+                    let t = edge.target;
+                    let at = back.checked_sub(g.first_slot(t)).filter(|&i| i < g.degree(t));
+                    let pair = at.map(|i| g.out_edges(t)[i]);
+                    assert_eq!(pair, Some(Edge { label: edge.label, target: v }), "slot {slot}");
+                    assert_eq!(g.reverse_slot(back), slot, "slot {slot}");
+                    slot += 1;
+                }
+            }
+            assert_eq!(slot, g.edge_count());
         }
     }
 
