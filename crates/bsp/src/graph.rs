@@ -230,29 +230,25 @@ impl Graph {
             by_label[*at as usize] = slot as u32;
             *at += 1;
         }
-        let mut cursor: Vec<u64> = self.offsets[..self.vertex_count()].to_vec();
+        // Each vertex's cursor and the end of its range, side by side.
+        let mut cursor: Vec<[u32; 2]> =
+            self.offsets.windows(2).map(|w| [w[0] as u32, w[1] as u32]).collect();
         let mut reverse = vec![0u32; e].into_boxed_slice();
         for &slot in &by_label {
             let Edge { label, target } = self.edges[slot as usize];
-            let back = &mut cursor[target as usize];
-            let pair = self
-                .edges
-                .get(*back as usize)
-                .filter(|_| *back < self.offsets[target as usize + 1]);
+            let [back, end] = &mut cursor[target as usize];
             assert!(
-                pair.is_some_and(|p| p.label == label),
+                *back < *end && self.edges[*back as usize].label == label,
                 "slot {slot} (to {target}, {label:?}) has no reverse edge"
             );
-            reverse[slot as usize] = *back as u32;
+            reverse[slot as usize] = *back;
             *back += 1;
         }
-        // The pairing matched labels; it matched endpoints iff each edge's
-        // reverse points back at its source.
-        for v in self.vertices() {
-            for slot in self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize {
-                let back = reverse[slot] as usize;
-                assert_eq!(self.edges[back].target, v, "slot {slot} has no reverse edge");
-            }
+        // Every reverse lies in its edge's target's range under the edge's
+        // label; it leads back to the edge's source iff the pairing is an
+        // involution.
+        for (slot, &back) in reverse.iter().enumerate() {
+            assert_eq!(reverse[back as usize] as usize, slot, "slot {slot} has no reverse edge");
         }
         reverse
     }
@@ -486,6 +482,21 @@ mod tests {
         let e = b.edge_label("e");
         let (u, v) = (b.add_vertex(l), b.add_vertex(l));
         b.add_edge(u, v, e);
+        b.finish().reverse_slot(0);
+    }
+
+    /// A directed 3-cycle under one label: every edge finds an edge of its
+    /// label at its target, but none leads back.
+    #[test]
+    #[should_panic(expected = "has no reverse edge")]
+    fn a_directed_cycle_has_no_reverse_slots() {
+        let mut b = GraphBuilder::new();
+        let l = b.vertex_label("V");
+        let e = b.edge_label("e");
+        let vs: Vec<VertexId> = (0..3).map(|_| b.add_vertex(l)).collect();
+        for i in 0..3 {
+            b.add_edge(vs[i], vs[(i + 1) % 3], e);
+        }
         b.finish().reverse_slot(0);
     }
 
