@@ -566,6 +566,15 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
     fn deliver(&mut self, outboxes: Vec<Vec<(VertexId, M)>>, signals: Vec<(VertexId, u32)>) {
         let total = outboxes.iter().map(Vec::len).sum::<usize>();
         assert!(u32::try_from(total).is_ok(), "{total} messages in one superstep");
+        // Below, a send to a vertex outside the graph panics on the
+        // scratch, leaving the counts before it stale. A step that signals
+        // has a second scratch, the bit set, which a stale bit would
+        // corrupt unnoticed, so there such a send fails before any write.
+        let n = self.cursor.len();
+        assert!(
+            signals.is_empty() || outboxes.iter().flatten().all(|&(t, _)| (t as usize) < n),
+            "a message to a vertex outside the graph"
+        );
         self.set_signals(signals);
         let cursor = &mut self.cursor;
         self.inbox.clear();
@@ -1112,6 +1121,37 @@ mod tests {
         };
         assert!(step(&[0, 1]).is_err(), "vertex 99 does not exist");
         assert!(step(&[0]).is_err(), "vertex 2's count is stale");
+        let label = g.edge_label_id("next").unwrap();
+        let signal = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            comp.activate([1]);
+            comp.superstep_simple(|ctx| ctx.signal_along(label, 1));
+        }));
+        assert!(signal.is_err(), "a signal to vertex 2 meets its stale count too");
+    }
+
+    /// In a step that signals, a send outside the graph panics before
+    /// delivery writes anything, so the next step delivers cleanly.
+    #[test]
+    fn sends_outside_the_graph_beside_signals_leave_no_stale_scratch() {
+        let g = line(3);
+        let label = g.edge_label_id("next").unwrap();
+        let mut comp: Computation<'_, (), u64> =
+            Computation::new(&g, EngineConfig::sequential(), |_| ());
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            comp.activate([0]);
+            comp.superstep_simple(|ctx| {
+                ctx.signal_along(label, 0);
+                ctx.send(99, 1);
+            });
+        }));
+        assert!(r.is_err(), "vertex 99 does not exist");
+        comp.activate([0, 2]);
+        comp.superstep_simple(|ctx| {
+            ctx.signal_along(label, 0);
+            ctx.send(1, 1);
+        });
+        assert_eq!(comp.active(), &[1]);
+        assert_eq!(comp.inbox.len(), 2);
     }
 
     /// `activate` is a phase-boundary operation: with messages in flight a

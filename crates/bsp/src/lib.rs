@@ -39,9 +39,7 @@ pub mod recovery;
 pub mod stats;
 pub mod sync;
 
-pub use engine::{
-    Computation, EngineConfig, Outbox, VertexCtx, DEFAULT_PARALLEL_THRESHOLD, SIGNAL_BYTES,
-};
+pub use engine::{Computation, EngineConfig, Outbox, VertexCtx, DEFAULT_PARALLEL_THRESHOLD};
 pub use fault::{Fault, FaultError, FaultInjector, FaultPlan};
 pub use graph::{Edge, Graph, GraphBuilder, VertexId};
 pub use interner::{Interner, LabelId};
