@@ -763,23 +763,22 @@ fn st_state_bytes(st: &St) -> u64 {
 fn record_marks(ctx: &mut VertexCtx<'_, '_, St, TagMsg>, prev: Option<(LabelId, bool)>) {
     let Some((label, replace)) = prev else { return };
     let (graph, vid, degree) = (ctx.graph(), ctx.id(), ctx.edges().len());
-    let mut run = None;
+    let mut clear = replace;
     for i in ctx.signalled(0..degree) {
         let st = &mut ctx.state;
-        let run = run.get_or_insert_with(|| {
-            if st.words == 0 {
-                st.open(degree);
+        if st.words == 0 {
+            st.open(degree);
+        }
+        if std::mem::take(&mut clear) {
+            for i in graph.label_range(vid, label) {
+                st.set_mark(i, false);
             }
-            let run = graph.label_range(vid, label);
-            if replace {
-                for i in run.clone() {
-                    st.set_mark(i, false);
-                }
-            }
-            run
-        });
+        }
         // Every signal of a step travels its one label.
-        debug_assert!(run.contains(&i), "slot {i} of {vid} is not labelled {label:?}");
+        debug_assert!(
+            graph.label_range(vid, label).contains(&i),
+            "slot {i} of {vid} is not labelled {label:?}"
+        );
         st.set_mark(i, true);
     }
 }
