@@ -536,7 +536,11 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
             }
             global.merge(agg);
             outboxes.push(out.sent);
-            signals.append(&mut out.signals);
+            if signals.is_empty() {
+                signals = out.signals;
+            } else {
+                signals.append(&mut out.signals);
+            }
         }
         self.deliver(outboxes, signals);
         self.stats.record_step(step, &step_labels);
