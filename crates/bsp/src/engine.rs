@@ -197,7 +197,8 @@ impl<'a, 'p, V, M: Message> VertexCtx<'a, 'p, V, M> {
     #[inline]
     pub fn signal_along(&mut self, label: LabelId, slot: usize) {
         let graph = self.graph;
-        let target = graph.out_edges(self.vid)[slot].target;
+        let Edge { label: own, target } = graph.out_edges(self.vid)[slot];
+        debug_assert_eq!(own, label, "slot {slot} of {} is not labelled {label:?}", self.vid);
         let back = graph.reverse_slot(graph.first_slot(self.vid) + slot);
         debug_assert_eq!(
             graph.out_edges(target)[back - graph.first_slot(target)].target,

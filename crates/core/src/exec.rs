@@ -14,13 +14,12 @@
 //!    edge back to each sender — one bit per CSR out-edge in its [`St`],
 //!    read straight off the bits the engine set for the edges back, with
 //!    no search; the first 64 bits are inline, so only a hub allocates.
-//!    Tuple vertices
-//!    check their pushed-down filters before forwarding (Section 7 selection
-//!    pushdown). A step that returns from a subtree sends only along the
-//!    edges its entry marked, so the pass is an exact semijoin reduction
-//!    (Lemma 5.1): a tuple vertex stays active only if it joins every table
-//!    of the subtrees walked below it.
-//! 2. **Reduction, top-down** — the reversed kept list; sends go only along
+//!    Tuple vertices check their pushed-down filters before forwarding
+//!    (Section 7 selection pushdown). A step that returns from a subtree
+//!    signals only along the edges its entry marked, so the pass is an
+//!    exact semijoin reduction (Lemma 5.1): a tuple vertex stays active
+//!    only if it joins every table of the subtrees walked below it.
+//! 2. **Reduction, top-down** — the reversed kept list; signals go only along
 //!    edges whose bit the bottom-up pass set, and receivers *replace* the
 //!    bits of that label's run, so surviving marks are exactly the edges of
 //!    tuples in the full join.
