@@ -69,7 +69,7 @@
 use crate::bind::{all_hold, QueryCtx, Seed, Visit};
 use crate::plan::QueryPlan;
 use crate::table::{str_payload, Partial, Table, TagMsg};
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 use vcsql_bsp::program::Aggregator;
 use vcsql_bsp::{
@@ -130,22 +130,45 @@ impl St {
         }
     }
 
-    /// Whether out-edge slot `i` carries a reduction mark.
-    fn marked(&self, i: usize) -> bool {
-        let word = match i / 64 {
+    /// Mark word `w`, out-edge slots `64 w..64 w + 64`; 0 past the bitmap.
+    fn word_at(&self, w: usize) -> u64 {
+        match w {
             0 => self.marks,
             w => self.hub.as_ref().and_then(|h| h.0.get(w - 1)).map_or(0, |&w| w),
-        };
-        word >> (i % 64) & 1 == 1
-    }
-
-    /// Set or clear out-edge slot `i`'s mark.
-    fn set_mark(&mut self, i: usize, on: bool) {
-        if let Some(w) = self.word(i) {
-            let bit = 1 << (i % 64);
-            *w = if on { *w | bit } else { *w & !bit };
         }
     }
+
+    /// Whether out-edge slot `i` carries a reduction mark.
+    #[cfg(test)]
+    fn marked(&self, i: usize) -> bool {
+        self.word_at(i / 64) >> (i % 64) & 1 == 1
+    }
+
+    /// Mark out-edge slot `i`.
+    fn mark(&mut self, i: usize) {
+        if let Some(w) = self.word(i) {
+            *w |= 1 << (i % 64);
+        }
+    }
+
+    /// Clear the marks of the slots in `run`, a word at a time.
+    fn clear(&mut self, run: &Range<usize>) {
+        for (w, mask) in words(run) {
+            if let Some(word) = self.word(w * 64) {
+                *word &= !mask;
+            }
+        }
+    }
+}
+
+/// The mark words `run` spans, each with the mask of its slots in `run`.
+fn words(run: &Range<usize>) -> impl Iterator<Item = (usize, u64)> + use<> {
+    let (lo, hi) = (run.start, run.end);
+    let spanned = if lo < hi { lo / 64..(hi - 1) / 64 + 1 } else { 0..0 };
+    spanned.map(move |w| {
+        let (from, to) = (lo.saturating_sub(w * 64), (hi - w * 64).min(64));
+        (w, (u64::MAX >> (64 - (to - from))) << from)
+    })
 }
 
 /// Execution result: the output relation plus the run's communication and
@@ -769,26 +792,25 @@ fn record_marks(ctx: &mut VertexCtx<'_, '_, St, TagMsg>, prev: Option<(LabelId, 
             st.open(degree);
         }
         if std::mem::take(&mut clear) {
-            for i in graph.label_range(vid, label) {
-                st.set_mark(i, false);
-            }
+            st.clear(&graph.label_range(vid, label));
         }
         // Every signal of a step travels its one label.
         debug_assert!(
             graph.label_range(vid, label).contains(&i),
             "slot {i} of {vid} is not labelled {label:?}"
         );
-        st.set_mark(i, true);
+        st.mark(i);
     }
 }
 
 /// Signal along this vertex's `label` edges: every one when `all`, else
 /// only the marked ones.
 fn signal_along_marks(ctx: &mut VertexCtx<'_, '_, St, TagMsg>, label: LabelId, all: bool) {
-    for i in ctx.graph().label_range(ctx.id(), label) {
-        if all || ctx.state.marked(i) {
-            ctx.signal_along(label, i);
-        }
+    let run = ctx.graph().label_range(ctx.id(), label);
+    if all {
+        run.for_each(|i| ctx.signal_along(label, i));
+    } else {
+        each_marked(ctx, run, |ctx, i| ctx.signal_along(label, i));
     }
 }
 
@@ -798,10 +820,23 @@ fn send_along_marks(
     label: LabelId,
     msg: impl Fn() -> TagMsg,
 ) {
-    let edges = ctx.edges();
-    for i in ctx.graph().label_range(ctx.id(), label) {
-        if ctx.state.marked(i) {
-            ctx.send_along(label, edges[i].target, msg());
+    let (edges, run) = (ctx.edges(), ctx.graph().label_range(ctx.id(), label));
+    each_marked(ctx, run, |ctx, i| ctx.send_along(label, edges[i].target, msg()));
+}
+
+/// Call `f` with each marked slot of `run`, ascending, reading the bitmap a
+/// word at a time: a hub's long run with few marks costs a word per 64
+/// slots, not a test per slot.
+fn each_marked<'x, 'y>(
+    ctx: &mut VertexCtx<'x, 'y, St, TagMsg>,
+    run: Range<usize>,
+    mut f: impl FnMut(&mut VertexCtx<'x, 'y, St, TagMsg>, usize),
+) {
+    for (w, mask) in words(&run) {
+        let mut bits = ctx.state.word_at(w) & mask;
+        while bits != 0 {
+            f(ctx, w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
         }
     }
 }
@@ -1072,5 +1107,16 @@ mod tests {
             assert_eq!(set, want, "hub of {} edges", spokes.len());
             assert_eq!(st_state_bytes(st), bytes, "hub of {} edges", spokes.len());
         }
+        // Read a word at a time, the marks lead back to exactly the
+        // signalling spokes; a clear across the word boundary keeps the
+        // slots outside its run.
+        comp.activate(hubs.iter().map(|&(hub, _)| hub));
+        comp.superstep_simple(|ctx| signal_along_marks(ctx, label, false));
+        let mut back: Vec<VertexId> = senders.iter().map(|&(spoke, _)| spoke).collect();
+        back.sort_unstable();
+        assert_eq!(comp.active(), back);
+        let mut st = comp.states()[hubs[1].0 as usize].clone();
+        st.clear(&(1..65));
+        assert_eq!((0..65).filter(|&i| st.marked(i)).collect::<Vec<_>>(), [0]);
     }
 }
