@@ -67,6 +67,27 @@ fn local_aggregation_is_bit_identical_across_thread_counts() {
     }
 }
 
+/// A one-table local aggregation sums floats: each lineitem root ships one
+/// partial, and its part key's vertex folds them in message order, so the
+/// float sums of 2 and 4 threads at threshold 0 equal one thread's to the
+/// last bit, whatever shape a partial takes in memory.
+#[test]
+fn one_table_local_aggregation_is_bit_identical_across_thread_counts() {
+    let db = tpch::generate(0.01, 42);
+    let tag = TagGraph::build(&db);
+    let sql = "SELECT l.l_partkey, SUM(l.l_extendedprice) AS s, COUNT(*) AS n \
+               FROM lineitem l GROUP BY l.l_partkey";
+    let a = analyze(&parse(sql).unwrap(), tag.schemas()).unwrap();
+    assert_eq!(a.agg_class, AggClass::Local);
+    let one = TagJoinExecutor::new(&tag, EngineConfig::sequential()).execute(&a).unwrap();
+    assert!(!one.relation.is_empty(), "no groups to compare");
+    for threads in [2, 4] {
+        let engine = EngineConfig::with_threads(threads).with_parallel_threshold(0);
+        let out = TagJoinExecutor::new(&tag, engine).execute(&a).unwrap();
+        assert!(out.relation.same_bag_approx(&one.relation, 0.0), "{threads} threads differ");
+    }
+}
+
 /// One session pool serves many distinct prepared statements; workers spawn
 /// on the first parallel superstep and stay parked between queries.
 #[test]
