@@ -41,12 +41,13 @@
 //! aggregation fold every kept row straight into the worker's share of the
 //! engine's global aggregator — the paper's aggregation vertex — with the
 //! cells as per-worker scratch, allocating nothing per root. Local
-//! aggregation folds a root's kept rows, one group, into one accumulator
-//! array and routes it, with the tuple ids of the root's first kept row, to
-//! the group-key attribute vertex: one extra superstep, where the vertex
-//! folds its partials in message order into its worker's share of the
-//! aggregator, hashed by key cells borrowed from the arena; a group's
-//! representative row is read only when the group is new.
+//! aggregation folds a root's kept rows, one group, into the accumulators of
+//! a [`Partial`] that also holds the tuple ids of the root's first kept row,
+//! and routes it, one heap block, to the group-key attribute vertex: one
+//! extra superstep, where the vertex folds its partials in message order
+//! into its worker's share of the aggregator, hashed by key cells borrowed
+//! from the arena; a group's representative row is read only when the group
+//! is new.
 //!
 //! A subquery's inner plan runs first, in a computation of its own. When
 //! the plan seeds it (`vcsql_query::seed`), that computation starts with a
@@ -78,7 +79,6 @@ use vcsql_bsp::{
 };
 use vcsql_query::analyze::Analyzed;
 use vcsql_query::{AggClass, Gather};
-use vcsql_relation::expr::Row;
 use vcsql_relation::{RelError, Relation, Value};
 use vcsql_tag::TagGraph;
 
@@ -620,27 +620,29 @@ impl<'t> TagJoinExecutor<'t> {
             // column, so the root's kept rows form one group.
             let Some(&first) = g.kept.first() else { return };
             let keys = q.output.keys();
-            let mut accs = q.output.accumulators();
+            let ids = match &value {
+                Some(v) => v.rows().nth(first).expect("a kept row"),
+                None => std::slice::from_ref(&id),
+            };
+            let mut partial = Partial::new(ids, q.output.accumulators());
             for &i in &g.kept {
                 debug_assert!(keys.iter().all(|&p| row(i)[p] == row(first)[p]), "one group");
-                g.err.ok(q.output.fold(&mut accs, row(i)));
+                g.err.ok(q.output.fold(partial.accs_mut(), row(i)));
             }
             // Route the partial to the group-key attribute vertex along this
-            // root's own edge (Section 7, local aggregation); a NULL key (or
-            // a root without the edge) falls back to the aggregator.
+            // root's own edge (Section 7, local aggregation), boxed as its one
+            // heap block; a NULL key (or a root without the edge) falls back
+            // to the aggregator.
             let route = q.la_route.filter(|_| !row(first)[keys[0]].is_null());
             match route.and_then(|label| Some((label, ctx.edges_with(label).first()?.target))) {
                 Some((label, to)) => {
-                    let ids = match &value {
-                        Some(v) => v.rows().nth(first).expect("a kept row").into(),
-                        None => Box::from([id]),
-                    };
-                    let partial = Box::new(Partial { ids, accs });
-                    ctx.send_along(label, to, TagMsg::Partial(partial, q.partial_bytes));
+                    let msg = TagMsg::Partial(Box::new(partial), q.partial_bytes);
+                    ctx.send_along(label, to, msg);
                 }
                 None => {
                     let key = keys.iter().map(|&p| row(first)[p]);
-                    g.err.ok(g.out.insert(key, &accs, || row(first).to_values()));
+                    let rep = row(first).iter().copied();
+                    g.err.ok(g.out.insert(key, partial.accs(), rep));
                 }
             }
         })?;
@@ -658,12 +660,12 @@ impl<'t> TagJoinExecutor<'t> {
             let la = single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
                 for m in ctx.messages() {
                     let TagMsg::Partial(p, _) = m else { continue };
+                    let ids = p.ids();
                     let key = keys.iter().map(|&k| {
                         let (pos, col) = reader[k];
-                        &tag.tuple(p.ids[pos]).expect("partials hold tuple vertices")[col]
+                        &tag.tuple(ids[pos]).expect("partials hold tuple vertices")[col]
                     });
-                    let rep = || read_row(tag, &p.ids, &reader).cloned().collect();
-                    g.err.ok(g.out.insert(key, &p.accs, rep));
+                    g.err.ok(g.out.insert(key, p.accs(), read_row(tag, ids, &reader)));
                 }
             })?;
             fin.merge(la);

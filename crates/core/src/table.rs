@@ -42,6 +42,7 @@
 //! it — so the model is maintained incrementally and [`TagMsg::byte_size`] is
 //! O(1).
 
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use vcsql_bsp::{Message, VertexId};
 use vcsql_relation::agg::Accumulator;
@@ -284,12 +285,92 @@ pub(crate) fn partial_bytes(keys: usize, items_and_having: usize, width: usize) 
 /// tuple ids of its first kept row — the group-key attribute vertex reads
 /// the key and the representative row from the arena — and the
 /// accumulators all its kept rows folded into.
+///
+/// Both live inline, so a partial, boxed to ship, is one heap block: the
+/// root folds into it in place and the attribute vertex reads it in place.
+/// Only a final row of more than `INLINE_IDS` tables, or a statement of
+/// more than `INLINE_ACCS` accumulators, spills that part to a block of its
+/// own.
 #[derive(Debug, Clone)]
 pub struct Partial {
+    ids: Inline<VertexId, INLINE_IDS>,
+    accs: Inline<Accumulator, INLINE_ACCS>,
+}
+
+/// Tuple ids a [`Partial`] holds inline: final rows of the workloads' local
+/// aggregations join at most five tables.
+const INLINE_IDS: usize = 6;
+
+/// Accumulators a [`Partial`] holds inline: the workloads' local
+/// aggregations fold at most two (an output aggregate and a HAVING one).
+const INLINE_ACCS: usize = 2;
+
+impl Partial {
+    /// The partial of the first kept row `ids` with the accumulators `accs`
+    /// (fresh ones, for the root to fold into).
+    pub(crate) fn new(
+        ids: &[VertexId],
+        accs: impl ExactSizeIterator<Item = Accumulator>,
+    ) -> Partial {
+        Partial {
+            ids: Inline::new(ids.iter().copied(), || 0),
+            accs: Inline::new(accs, || Accumulator::Count(0)),
+        }
+    }
+
     /// The first kept row's tuple ids, in final-row table order.
-    pub ids: Box<[VertexId]>,
+    pub(crate) fn ids(&self) -> &[VertexId] {
+        &self.ids
+    }
+
     /// The group's accumulators over the root's kept rows.
-    pub accs: Box<[Accumulator]>,
+    pub(crate) fn accs(&self) -> &[Accumulator] {
+        &self.accs
+    }
+
+    /// The accumulators, for the root to fold its kept rows into.
+    pub(crate) fn accs_mut(&mut self) -> &mut [Accumulator] {
+        &mut self.accs
+    }
+}
+
+/// Up to `N` items in place (the rest of the array holds fillers), or more
+/// in a heap block of their own.
+#[derive(Debug, Clone)]
+enum Inline<T, const N: usize> {
+    Here(usize, [T; N]),
+    Heap(Box<[T]>),
+}
+
+impl<T, const N: usize> Inline<T, N> {
+    /// The items of `items`, unused places holding `fill()`.
+    fn new(mut items: impl ExactSizeIterator<Item = T>, fill: impl Fn() -> T) -> Self {
+        let len = items.len();
+        if len > N {
+            return Inline::Heap(items.collect());
+        }
+        Inline::Here(len, std::array::from_fn(|_| items.next().unwrap_or_else(&fill)))
+    }
+}
+
+impl<T, const N: usize> Deref for Inline<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            Inline::Here(len, items) => &items[..*len],
+            Inline::Heap(items) => items,
+        }
+    }
+}
+
+impl<T, const N: usize> DerefMut for Inline<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Inline::Here(len, items) => &mut items[..*len],
+            Inline::Heap(items) => items,
+        }
+    }
 }
 
 /// Messages of the TAG-join vertex program. The reduction's signals
@@ -439,5 +520,23 @@ mod tests {
         assert_eq!(p.rows().next(), Some(&[10, 30][..]));
         assert_eq!(p.approx_bytes(), 16 + 6 * 3 * 8 + 3 * (8 + 16));
         assert_eq!(r.product(&l).approx_bytes(), p.approx_bytes());
+    }
+
+    /// A partial wider than its inline arrays spills to the heap and still
+    /// holds every id and accumulator, in order.
+    #[test]
+    fn a_wide_partial_keeps_every_id_and_accumulator() {
+        for (ids, accs) in [(1, 1), (INLINE_IDS, INLINE_ACCS), (INLINE_IDS + 2, INLINE_ACCS + 1)] {
+            let ids: Vec<VertexId> = (10..).take(ids).collect();
+            let counts: Vec<Accumulator> = (0..accs as u64).map(Accumulator::Count).collect();
+            let mut p = Partial::new(&ids, counts.iter().cloned());
+            assert_eq!(p.ids(), ids);
+            assert_eq!(p.accs(), counts);
+            p.accs_mut().iter_mut().for_each(|a| a.update(&Value::Int(1)).unwrap());
+            assert_eq!(
+                p.clone().accs(),
+                (1..=accs as u64).map(Accumulator::Count).collect::<Vec<_>>()
+            );
+        }
     }
 }

@@ -48,7 +48,7 @@ pub use analyze::{
 };
 pub use ast::{HavingPred, JoinKind, QExpr, SelectItem, SelectStmt, TableRef};
 pub use gyo::{decompose, Decomposition, JoinTree, JoinVar};
-pub use output::{Gather, Group, Output};
+pub use output::{Gather, Output};
 pub use parser::parse;
 pub use subquery::{
     lower_subquery, seed, BoundSubquery, LoweredSubquery, SubqueryCheck, SubqueryResult,

@@ -28,11 +28,15 @@
 //! Rows are read in place, as any [`Row`] of cells: a TAG root's rows are
 //! references into the graph's arena. Each aggregate's argument is an
 //! [`AggInput`] typed from its columns' schema types, and a group is found
-//! by hashing its key's borrowed cells; only a new group copies its key and
-//! representative row.
+//! by hashing its key's borrowed cells. Groups live in flat arrays indexed
+//! by group number — keys, accumulators, representative rows — so a new
+//! group copies its key's and its representative row's cells into place and
+//! allocates nothing of its own; [`Output::finish`] sorts a permutation of
+//! group numbers by key and reads each group as slices.
 
 use crate::analyze::{AggClass, Analyzed, OutputItem};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use vcsql_relation::agg::{Accumulator, AggFunc};
 use vcsql_relation::expr::{AggInput, BoundExpr, CmpOp, ColRef, Expr, Row};
 use vcsql_relation::fx::FxHasher;
@@ -70,21 +74,6 @@ struct Having {
     rhs: BoundExpr,
 }
 
-/// One group's state: its accumulators and a representative row.
-#[derive(Debug, Clone)]
-pub struct Group {
-    accs: Box<[Accumulator]>,
-    rep: Box<[Value]>,
-}
-
-impl Group {
-    /// Fold another partial's accumulators of this group in. Accumulators
-    /// that cannot merge (a kind mismatch) are the statement's error.
-    fn merge(&mut self, accs: &[Accumulator]) -> Result<()> {
-        self.accs.iter_mut().zip(accs).try_for_each(|(a, b)| a.merge(b))
-    }
-}
-
 /// Final rows folded so far: projected rows of a statement without
 /// aggregation, else groups by key.
 #[derive(Debug, Default)]
@@ -93,13 +82,23 @@ pub struct Gather {
     groups: Groups,
 }
 
-/// Groups in arrival order, found by the hash of their key's cells, so a
-/// key is probed as borrowed cells (a row's, the TAG arena's) and copied
-/// only for a new group.
+/// Groups in arrival order, in flat arrays indexed by group number, found
+/// by the hash of their key's cells: a key is probed as borrowed cells (a
+/// row's, the TAG arena's) and a new group appends its key, accumulators and
+/// representative row in place, allocating nothing of its own.
 #[derive(Debug, Default)]
 struct Groups {
-    /// Each group with its key's hash and its key.
-    list: Vec<(u64, Box<[Value]>, Group)>,
+    /// Cells of a key, accumulators of a group and cells of a representative
+    /// row, as the first group set them.
+    key_w: usize,
+    acc_w: usize,
+    rep_w: usize,
+    /// The groups' keys, `key_w` cells each.
+    keys: Vec<Value>,
+    /// The groups' accumulators, `acc_w` each.
+    accs: Vec<Accumulator>,
+    /// The groups' representative rows, `rep_w` cells each.
+    reps: Vec<Value>,
     /// Per hash, the latest group with it.
     head: FxHashMap<u64, u32>,
     /// Per group, the group before it with the same hash ([`NONE`]: none).
@@ -110,11 +109,35 @@ struct Groups {
 const NONE: u32 = u32::MAX;
 
 impl Groups {
-    /// The index of the group whose key is `key`, of hash `hash`.
+    fn len(&self) -> usize {
+        self.prev.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.prev.is_empty()
+    }
+
+    fn key(&self, g: usize) -> &[Value] {
+        &self.keys[span(g, self.key_w)]
+    }
+
+    fn accs(&self, g: usize) -> &[Accumulator] {
+        &self.accs[span(g, self.acc_w)]
+    }
+
+    fn accs_mut(&mut self, g: usize) -> &mut [Accumulator] {
+        &mut self.accs[span(g, self.acc_w)]
+    }
+
+    fn rep(&self, g: usize) -> &[Value] {
+        &self.reps[span(g, self.rep_w)]
+    }
+
+    /// The number of the group whose key is `key`, of hash `hash`.
     fn find<'v>(&self, hash: u64, key: impl Iterator<Item = &'v Value> + Clone) -> Option<usize> {
         let mut g = *self.head.get(&hash)?;
         while g != NONE {
-            if self.list[g as usize].1.iter().eq(key.clone()) {
+            if self.key(g as usize).iter().eq(key.clone()) {
                 return Some(g as usize);
             }
             g = self.prev[g as usize];
@@ -122,12 +145,46 @@ impl Groups {
         None
     }
 
-    /// Add a new group.
-    fn push(&mut self, hash: u64, key: Box<[Value]>, group: Group) {
-        let g = u32::try_from(self.list.len()).expect("groups fit u32");
-        self.prev.push(self.head.insert(hash, g).unwrap_or(NONE));
-        self.list.push((hash, key, group));
+    /// Append a new group and return its number. Every group of a gather
+    /// has the widths of the first.
+    fn push(
+        &mut self,
+        hash: u64,
+        key: impl Iterator<Item = Value>,
+        accs: impl Iterator<Item = Accumulator>,
+        rep: impl Iterator<Item = Value>,
+    ) -> usize {
+        let g = self.len();
+        let widths = (self.keys.len(), self.accs.len(), self.reps.len());
+        self.keys.extend(key);
+        self.accs.extend(accs);
+        self.reps.extend(rep);
+        let new =
+            (self.keys.len() - widths.0, self.accs.len() - widths.1, self.reps.len() - widths.2);
+        if g == 0 {
+            (self.key_w, self.acc_w, self.rep_w) = new;
+        }
+        assert_eq!(new, (self.key_w, self.acc_w, self.rep_w), "one width per gather");
+        let id = u32::try_from(g).ok().filter(|&g| g != NONE).expect("groups fit u32");
+        self.prev.push(self.head.insert(hash, id).unwrap_or(NONE));
+        g
     }
+}
+
+/// Group `g`'s places in a flat array of `width` per group.
+fn span(g: usize, width: usize) -> Range<usize> {
+    g * width..(g + 1) * width
+}
+
+/// Fold another partial's accumulators of a group into `accs`. Accumulators
+/// that cannot merge (a kind mismatch) are the statement's error.
+fn merge_accs(accs: &mut [Accumulator], other: &[Accumulator]) -> Result<()> {
+    accs.iter_mut().zip(other).try_for_each(|(a, b)| a.merge(b))
+}
+
+/// Move a cell out, leaving NULL.
+fn take(v: &mut Value) -> Value {
+    std::mem::replace(v, Value::Null)
 }
 
 /// The hash of a key's cells.
@@ -146,44 +203,55 @@ impl Gather {
         }
         let key = out.keys.iter().map(|&p| row.cell(p).expect("group keys are in the row"));
         let hash = key_hash(key.clone());
-        if let Some(g) = self.groups.find(hash, key.clone()) {
-            return out.fold(&mut self.groups.list[g].2.accs, row);
-        }
-        let mut group = out.group(row.to_values());
-        out.fold(&mut group.accs, row)?;
-        self.groups.push(hash, key.cloned().collect(), group);
-        Ok(())
+        let g = match self.groups.find(hash, key.clone()) {
+            Some(g) => g,
+            None => {
+                let rep = (0..row.width()).filter_map(|i| row.cell(i).cloned());
+                self.groups.push(hash, key.cloned(), out.accumulators(), rep)
+            }
+        };
+        out.fold(self.groups.accs_mut(g), row)
     }
 
     /// Fold a partial of the group keyed by the cells `key` in: the
     /// accumulators `accs` (from [`Output::accumulators`]) over some of its
-    /// rows, represented by the row `rep()` should the group be new here.
-    /// Only a new group copies its key.
-    pub fn insert<'v>(
+    /// rows, represented by the row of cells `rep` should the group be new
+    /// here. Only a new group reads `rep`, and copies its cells and the
+    /// key's.
+    pub fn insert<'k, 'r>(
         &mut self,
-        key: impl Iterator<Item = &'v Value> + Clone,
+        key: impl Iterator<Item = &'k Value> + Clone,
         accs: &[Accumulator],
-        rep: impl FnOnce() -> Box<[Value]>,
+        rep: impl Iterator<Item = &'r Value>,
     ) -> Result<()> {
         let hash = key_hash(key.clone());
-        if let Some(g) = self.groups.find(hash, key.clone()) {
-            return self.groups.list[g].2.merge(accs);
+        match self.groups.find(hash, key.clone()) {
+            Some(g) => merge_accs(self.groups.accs_mut(g), accs),
+            None => {
+                self.groups.push(hash, key.cloned(), accs.iter().cloned(), rep.cloned());
+                Ok(())
+            }
         }
-        self.groups.push(hash, key.cloned().collect(), Group { accs: accs.into(), rep: rep() });
-        Ok(())
     }
 
     /// Fold another gather in: its rows follow these, its groups merge.
     pub fn merge(&mut self, mut other: Gather) -> Result<()> {
         self.rows.append(&mut other.rows);
-        if self.groups.list.is_empty() {
+        if self.groups.is_empty() {
             self.groups = other.groups;
             return Ok(());
         }
-        for (hash, key, group) in other.groups.list {
-            match self.groups.find(hash, key.iter()) {
-                Some(g) => self.groups.list[g].2.merge(&group.accs)?,
-                None => self.groups.push(hash, key, group),
+        let o = &mut other.groups;
+        for g in 0..o.len() {
+            let hash = key_hash(o.key(g).iter());
+            match self.groups.find(hash, o.key(g).iter()) {
+                Some(s) => merge_accs(self.groups.accs_mut(s), o.accs(g))?,
+                None => {
+                    let accs = o.accs[span(g, o.acc_w)].iter().cloned();
+                    let key = o.keys[span(g, o.key_w)].iter_mut().map(take);
+                    let rep = o.reps[span(g, o.rep_w)].iter_mut().map(take);
+                    self.groups.push(hash, key, accs, rep);
+                }
             }
         }
         Ok(())
@@ -197,29 +265,28 @@ impl Output<'_> {
         if self.a.agg_class == AggClass::NoAgg {
             return build_output(self.a, gather.rows);
         }
-        let mut groups = gather.groups.list;
+        let mut groups = gather.groups;
         if groups.is_empty() && self.a.agg_class == AggClass::Scalar {
-            groups.push((0, Box::from([]), self.group(vec![Value::Null; self.width].into())));
+            let rep = std::iter::repeat_n(Value::Null, self.width);
+            groups.push(0, std::iter::empty(), self.accumulators(), rep);
         }
         // Keys are distinct, and `Value`'s order agrees with its equality:
         // an unstable sort leaves the one order there is.
-        groups.sort_unstable_by(|x, y| x.1.cmp(&y.1));
-        let mut rows = Vec::with_capacity(groups.len());
-        'groups: for (_, _, g) in groups {
+        let n = u32::try_from(groups.len()).expect("groups fit u32");
+        let mut order: Vec<u32> = (0..n).collect();
+        order.sort_unstable_by(|&x, &y| groups.key(x as usize).cmp(groups.key(y as usize)));
+        let mut rows = Vec::with_capacity(order.len());
+        'groups: for g in order {
+            let (accs, rep) = (groups.accs(g as usize), groups.rep(g as usize));
             for h in &self.having {
-                let rhs = h.rhs.eval(&*g.rep)?;
-                if g.accs[h.acc].finish()?.sql_cmp(&rhs).map(|o| h.op.holds(o)) != Some(true) {
+                let rhs = h.rhs.eval(rep)?;
+                if accs[h.acc].finish()?.sql_cmp(&rhs).map(|o| h.op.holds(o)) != Some(true) {
                     continue 'groups;
                 }
             }
-            rows.push(self.project(&*g.rep, |k| g.accs[k].finish())?);
+            rows.push(self.project(rep, |k| accs[k].finish())?);
         }
         build_output(self.a, rows)
-    }
-
-    /// A group with no row folded in yet, represented by `rep`.
-    fn group(&self, rep: Box<[Value]>) -> Group {
-        Group { accs: self.accumulators(), rep }
     }
 
     /// Layout positions of the group keys.
@@ -228,8 +295,8 @@ impl Output<'_> {
     }
 
     /// A group's accumulators with no row folded in yet.
-    pub fn accumulators(&self) -> Box<[Accumulator]> {
-        self.aggs.iter().map(|input| Accumulator::new(input.func())).collect()
+    pub fn accumulators(&self) -> impl ExactSizeIterator<Item = Accumulator> + '_ {
+        self.aggs.iter().map(|input| Accumulator::new(input.func()))
     }
 
     /// Fold `row` into its group's accumulators `accs`; the first
@@ -354,4 +421,100 @@ fn build_output(a: &Analyzed, rows: Vec<Box<[Value]>>) -> Result<Relation> {
         rel.push(Tuple(r))?;
     }
     Ok(rel)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analyze::analyze;
+    use crate::parser::parse;
+
+    /// One table `t(k INT, g STR, x INT)`, keyed by `k`.
+    fn catalog() -> Vec<Schema> {
+        let columns = vec![
+            Column::new("k", DataType::Int),
+            Column::new("g", DataType::Str),
+            Column::new("x", DataType::Int),
+        ];
+        vec![Schema::new("t", columns).with_primary_key(&["k"])]
+    }
+
+    fn analyzed(sql: &str) -> Analyzed {
+        analyze(&parse(sql).unwrap(), &catalog()).unwrap()
+    }
+
+    fn row(k: i64, g: &str, x: i64) -> [Value; 3] {
+        [Value::Int(k), Value::str(g), Value::Int(x)]
+    }
+
+    /// The output of `rows` folded into one gather per slice of `parts`,
+    /// merged in order.
+    fn run(a: &Analyzed, parts: &[&[[Value; 3]]]) -> Vec<Vec<Value>> {
+        let out = a.output(|(_, col)| Ok(col), 3).unwrap();
+        let mut gather = Gather::default();
+        for part in parts {
+            let mut piece = Gather::default();
+            for r in *part {
+                piece.add(&out, r).unwrap();
+            }
+            gather.merge(piece).unwrap();
+        }
+        let rel = out.finish(gather).unwrap();
+        rel.tuples.into_iter().map(|t| t.0.into_vec()).collect()
+    }
+
+    #[test]
+    fn two_keys_under_one_hash_are_both_found() {
+        let mut groups = Groups::default();
+        let (a, b) = ([Value::Int(1)], [Value::str("b")]);
+        let fresh = || std::iter::once(Accumulator::Count(0));
+        groups.push(7, a.iter().cloned(), fresh(), std::iter::empty());
+        groups.push(7, b.iter().cloned(), fresh(), std::iter::empty());
+        assert_eq!(groups.find(7, a.iter()), Some(0));
+        assert_eq!(groups.find(7, b.iter()), Some(1));
+        assert_eq!(groups.find(7, [Value::Int(2)].iter()), None);
+        assert_eq!(groups.find(8, a.iter()), None);
+    }
+
+    #[test]
+    fn merge_folds_a_shared_group_and_keeps_each_gathers_own() {
+        let a = analyzed("SELECT t.g, SUM(t.x) AS s FROM t GROUP BY t.g");
+        let left = [row(1, "a", 1), row(2, "shared", 2)];
+        let right = [row(3, "shared", 3), row(4, "b", 4)];
+        let rows = run(&a, &[&left, &right]);
+        let expect = [("a", 1), ("b", 4), ("shared", 5)];
+        let expect: Vec<Vec<Value>> =
+            expect.iter().map(|&(g, s)| vec![Value::str(g), Value::Int(s)]).collect();
+        assert_eq!(rows, expect);
+    }
+
+    #[test]
+    fn finish_returns_groups_in_key_order() {
+        let a = analyzed("SELECT t.x, COUNT(*) AS n FROM t GROUP BY t.x");
+        let rows =
+            run(&a, &[&[row(1, "a", 30), row(2, "b", 10), row(3, "c", 20), row(4, "d", 10)]]);
+        let keys: Vec<&Value> = rows.iter().map(|r| &r[0]).collect();
+        assert_eq!(keys, [&Value::Int(10), &Value::Int(20), &Value::Int(30)]);
+        assert_eq!(rows[0][1], Value::Int(2));
+    }
+
+    #[test]
+    fn scalar_aggregate_over_no_input_gives_one_row() {
+        let a = analyzed("SELECT COUNT(*) AS n, SUM(t.x) AS s FROM t");
+        assert_eq!(run(&a, &[]), [vec![Value::Int(0), Value::Null]]);
+    }
+
+    #[test]
+    fn having_drops_a_group() {
+        let a = analyzed("SELECT t.g, SUM(t.x) AS s FROM t GROUP BY t.g HAVING SUM(t.x) > 5");
+        let rows = run(&a, &[&[row(1, "a", 1), row(2, "b", 4), row(3, "b", 3)]]);
+        assert_eq!(rows, [vec![Value::str("b"), Value::Int(7)]]);
+    }
+
+    #[test]
+    fn aggregates_without_group_by_fold_into_one_group() {
+        let a = analyzed("SELECT COUNT(*) AS n, MAX(t.x) AS m FROM t");
+        let rows = run(&a, &[&[row(1, "a", 5), row(2, "b", 9)], &[row(3, "c", 7)]]);
+        assert_eq!(rows, [vec![Value::Int(3), Value::Int(9)]]);
+    }
 }

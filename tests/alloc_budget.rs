@@ -1,0 +1,128 @@
+//! Allocation budget of grouped aggregation — a host-independent guard for
+//! "a group or a local-aggregation partial is not a heap object of its own".
+//!
+//! A counting global allocator (hence an integration-test binary of its own)
+//! measures two statements over TPC-H SF 0.1 after a warm-up run:
+//!
+//! * q18's inner shape on a sequential TAG-join executor. Every lineitem
+//!   tuple is a root of its own that ships one partial to its order key's
+//!   attribute vertex, so the partial's one heap block is the only
+//!   allocation a root may make: the budget is 1.2 per root plus a constant
+//!   (the engine's and the plan's arrays). Three boxes per root and three
+//!   per new group made it 3.8.
+//! * A row-store `GROUP BY` folding every lineitem row into its own group
+//!   through the statement's [`Gather`]. Groups are flat arrays, so only an
+//!   output row allocates: the budget is one per output row plus a
+//!   constant. A boxed key, accumulator array and representative row per
+//!   group added 3 per group.
+//!
+//! The count is taken per thread, so it repeats exactly whatever else the
+//! test harness is doing.
+
+#![allow(unsafe_code, reason = "a counting `GlobalAlloc` cannot be written without `unsafe`")]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use vcsql::bsp::EngineConfig;
+use vcsql::core::TagJoinExecutor;
+use vcsql::query::{analyze::analyze, parse, AggClass, Gather};
+use vcsql::relation::Relation;
+use vcsql::tag::TagGraph;
+use vcsql::workload::tpch;
+
+/// The system allocator, counting every `alloc` and `realloc` of the
+/// calling thread.
+struct Counting;
+
+thread_local! {
+    /// Const-initialized and without a destructor, so reading it inside the
+    /// allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator, which
+// upholds `GlobalAlloc`'s contract; the counter is a plain thread-local.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations the calling thread makes while running `f`.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// What a statement may allocate whatever its input size: the plan's and
+/// the engine's arrays, the gather's flat arrays and their doublings, the
+/// output relation's vector. The local aggregation below makes about 600 of
+/// these, the row-store grouping about 100.
+const CONSTANT: u64 = 1_000;
+
+#[test]
+fn local_aggregation_allocates_one_block_per_root() {
+    let db = tpch::generate(0.1, 42);
+    let tag = TagGraph::build(&db);
+    let sql = "SELECT l.l_orderkey, SUM(l.l_quantity) AS qty FROM lineitem l \
+               GROUP BY l.l_orderkey HAVING SUM(l.l_quantity) > 150";
+    let a = analyze(&parse(sql).unwrap(), tag.schemas()).unwrap();
+    assert_eq!(a.agg_class, AggClass::Local);
+    let exec = TagJoinExecutor::new(&tag, EngineConfig::sequential());
+    let warm = exec.execute(&a).unwrap();
+    let (out, allocations) = allocations_of(|| exec.execute(&a).unwrap());
+    assert!(out.relation.same_bag(&warm.relation));
+    let roots = db.get("lineitem").unwrap().len() as u64;
+    assert!(roots > 5_000, "{roots} lineitem roots is too few to tell");
+    assert!(
+        allocations * 5 <= roots * 6 + CONSTANT * 5,
+        "q18's inner query made {allocations} allocations for {roots} roots \
+         ({:.2} per root; the budget is 1.2 plus {CONSTANT})",
+        allocations as f64 / roots as f64
+    );
+}
+
+#[test]
+fn row_store_grouping_allocates_per_output_row() {
+    let db = tpch::generate(0.1, 42);
+    let sql = "SELECT l.l_orderkey, l.l_partkey, SUM(l.l_quantity) AS qty, COUNT(*) AS n \
+               FROM lineitem l GROUP BY l.l_orderkey, l.l_partkey";
+    let a = analyze(&parse(sql).unwrap(), &tpch::schemas()).unwrap();
+    let lineitem = db.get("lineitem").unwrap();
+    let width = lineitem.schema.columns.len();
+    let out = a.output(|(_, col)| Ok(col), width).unwrap();
+    let run = || -> Relation {
+        let mut gather = Gather::default();
+        for t in &lineitem.tuples {
+            gather.add(&out, &*t.0).unwrap();
+        }
+        out.finish(gather).unwrap()
+    };
+    let warm = run();
+    let (rel, allocations) = allocations_of(run);
+    assert!(rel.same_bag(&warm));
+    let groups = rel.len() as u64;
+    assert!(groups >= 5_000, "{groups} groups is too few to tell");
+    assert!(
+        allocations <= groups + CONSTANT,
+        "grouping made {allocations} allocations for {groups} output rows \
+         (the budget is one per row plus {CONSTANT})"
+    );
+}
