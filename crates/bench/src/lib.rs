@@ -7,14 +7,12 @@
 
 pub mod repro;
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use vcsql_baseline::{execute as row_execute, ColumnarDatabase, ExecConfig, JoinAlgo};
-use vcsql_bsp::{EngineConfig, WorkerPool};
-use vcsql_core::TagJoinExecutor;
-use vcsql_query::analyze::{analyze, Analyzed};
-use vcsql_query::parse;
+use vcsql_query::analyze::Analyzed;
 use vcsql_relation::expr::{Expr, Predicate};
 use vcsql_relation::{Database, RelError, Relation};
+use vcsql_session::Session;
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -34,6 +32,8 @@ pub enum System {
 }
 
 impl System {
+    /// Every system in declaration order, so `sys as usize` is its index
+    /// here and in per-system arrays.
     pub const ALL: [System; 4] =
         [System::TagJoin, System::RowHash, System::RowSortMerge, System::Columnar];
 
@@ -47,37 +47,20 @@ impl System {
     }
 }
 
-/// Everything loaded once per (benchmark, scale factor).
+/// Everything loaded once per (benchmark, scale factor). The TAG is shared
+/// so a [`Session`] can be opened over it.
 pub struct Loaded {
     pub db: Database,
-    pub tag: TagGraph,
+    pub tag: Arc<TagGraph>,
     pub columnar: ColumnarDatabase,
 }
 
 impl Loaded {
     pub fn new(db: Database) -> Loaded {
-        let tag = TagGraph::build(&db);
+        let tag = Arc::new(TagGraph::build(&db));
         let columnar = ColumnarDatabase::from_database(&db);
         Loaded { db, tag, columnar }
     }
-}
-
-/// Process-wide persistent [`WorkerPool`] per thread count, so repeated
-/// timed runs (every query of a whole `repro` invocation)
-/// reuse parked workers instead of measuring pool construction. Pools are
-/// cheap until their first fan-out, so keeping one per distinct thread
-/// count for the process lifetime costs nothing at rest.
-pub fn shared_pool(threads: usize) -> Arc<WorkerPool> {
-    type PoolSlot = (usize, Arc<WorkerPool>);
-    static POOLS: OnceLock<Mutex<Vec<PoolSlot>>> = OnceLock::new();
-    let pools = POOLS.get_or_init(|| Mutex::new(Vec::new()));
-    let mut pools = pools.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some((_, pool)) = pools.iter().find(|(t, _)| *t == threads) {
-        return Arc::clone(pool);
-    }
-    let pool = Arc::new(WorkerPool::new(threads));
-    pools.push((threads, Arc::clone(&pool)));
-    pool
 }
 
 /// Time a closure, returning (result, seconds).
@@ -88,46 +71,38 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// Parse + analyze a query against the loaded schemas.
-pub fn prepare(loaded: &Loaded, sql: &str) -> Result<Analyzed> {
-    analyze(&parse(sql)?, loaded.tag.schemas())
-}
-
-/// Run one query on one system, returning the result and wall seconds.
-/// Only the TAG system reads `engine`; the baselines are single-threaded by
-/// design. `EngineConfig::default()`'s thread count follows
-/// `available_parallelism` and therefore **varies across hosts** —
-/// measurements that must be comparable should pin a count.
-pub fn run_system_with(
-    loaded: &Loaded,
-    system: System,
-    a: &Analyzed,
-    engine: EngineConfig,
-) -> Result<(Relation, f64)> {
-    match system {
-        System::TagJoin => {
-            let mut exec = TagJoinExecutor::new(&loaded.tag, engine);
-            if engine.threads > 1 {
-                exec = exec.with_worker_pool(shared_pool(engine.threads));
-            }
-            let (out, secs) = time(|| exec.execute(a));
-            Ok((out?.relation, secs))
-        }
-        System::RowHash => {
-            let (out, secs) =
-                time(|| row_execute(a, &loaded.db, ExecConfig { join: JoinAlgo::Hash }));
-            Ok((out?, secs))
-        }
+/// One statement's wall seconds on each system, indexed by [`System`] (in
+/// [`System::ALL`] order). Each system runs it once untimed, then once
+/// timed: TAG-join runs the statement `session` planned, and its untimed
+/// run chooses the plan's shape, so neither planning nor the cost model is
+/// timed. Every untimed bag must equal row-hash's. Only TAG-join reads the
+/// session's engine; the baselines are single-threaded by design.
+pub fn time_systems(loaded: &Loaded, session: &mut Session, sql: &str) -> Result<[f64; 4]> {
+    let prepared = session.prepare(sql)?;
+    let a = prepared.plan().analyzed();
+    let mut run = |sys| match sys {
+        System::TagJoin => session.execute(&prepared).map(|(out, _)| out.relation),
+        System::RowHash => row_execute(a, &loaded.db, ExecConfig { join: JoinAlgo::Hash }),
         System::RowSortMerge => {
-            let (out, secs) =
-                time(|| row_execute(a, &loaded.db, ExecConfig { join: JoinAlgo::SortMerge }));
-            Ok((out?, secs))
+            row_execute(a, &loaded.db, ExecConfig { join: JoinAlgo::SortMerge })
         }
-        System::Columnar => {
-            let (out, secs) = time(|| columnar_execute(a, loaded));
-            Ok((out?, secs))
+        System::Columnar => columnar_execute(a, loaded),
+    };
+    let mut bags = Vec::new();
+    let mut secs = [0.0; 4];
+    for sys in System::ALL {
+        bags.push(run(sys)?);
+        let (out, s) = time(|| run(sys));
+        out?;
+        secs[sys as usize] = s;
+    }
+    let reference = &bags[System::RowHash as usize];
+    for (sys, bag) in System::ALL.iter().zip(&bags) {
+        if !bag.same_bag_approx(reference, 1e-9) {
+            return Err(RelError::Other(format!("{}'s bag differs from row_hash's", sys.name())));
         }
     }
+    Ok(secs)
 }
 
 /// The column-store hybrid: single-column filters are evaluated vectorized
@@ -226,41 +201,35 @@ pub fn speedup(base: f64, other: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcsql_query::{analyze::analyze, parse};
+    use vcsql_session::SessionConfig;
     use vcsql_workload::tpch;
 
     #[test]
     fn all_systems_agree_on_a_query() {
         let loaded = Loaded::new(tpch::generate(0.01, 5));
-        let a = prepare(
+        let mut session = Session::open(&loaded.tag, SessionConfig::default()).unwrap();
+        let secs = time_systems(
             &loaded,
+            &mut session,
             "SELECT n.n_name, COUNT(*) AS cnt FROM nation n, customer c \
              WHERE n.n_nationkey = c.c_nationkey AND c.c_acctbal > 0 GROUP BY n.n_name",
         )
-        .unwrap();
-        let (reference, _) =
-            run_system_with(&loaded, System::RowHash, &a, EngineConfig::default()).unwrap();
-        for sys in System::ALL {
-            let (out, secs) = run_system_with(&loaded, sys, &a, EngineConfig::default()).unwrap();
-            assert!(out.same_bag_approx(&reference, 1e-9), "{} differs", sys.name());
-            assert!(secs >= 0.0);
-        }
+        .expect("every system's bag equals row-hash's");
+        assert!(secs.iter().all(|&s| s >= 0.0));
     }
 
     #[test]
     fn vectorized_filter_detection() {
         let loaded = Loaded::new(tpch::generate(0.01, 5));
-        let a = prepare(
-            &loaded,
-            "SELECT c.c_name FROM customer c WHERE c.c_acctbal > 0 AND c.c_mktsegment = 'BUILDING'",
-        )
-        .unwrap();
+        let sql =
+            "SELECT c.c_name FROM customer c WHERE c.c_acctbal > 0 AND c.c_mktsegment = 'BUILDING'";
+        let a = analyze(&parse(sql).unwrap(), loaded.tag.schemas()).unwrap();
         for f in &a.tables[0].filters {
             assert!(vectorizable_column(f, &a, 0).is_some());
         }
-        let (out, _) =
-            run_system_with(&loaded, System::Columnar, &a, EngineConfig::default()).unwrap();
-        let (reference, _) =
-            run_system_with(&loaded, System::RowHash, &a, EngineConfig::default()).unwrap();
+        let out = columnar_execute(&a, &loaded).unwrap();
+        let reference = row_execute(&a, &loaded.db, ExecConfig { join: JoinAlgo::Hash }).unwrap();
         assert!(out.same_bag_approx(&reference, 1e-9));
     }
 

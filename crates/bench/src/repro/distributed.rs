@@ -83,9 +83,11 @@ pub(super) fn run(a: &Args) {
         for (q, analyzed) in queries.iter().zip(analyze_suite(&tag, &queries)) {
             let mut row = vec![q.id.to_string()];
             for (i, (_, session)) in sessions.iter_mut().enumerate() {
-                // Prepare outside the timed region (planning is setup, paid
-                // once per statement); time the execution itself.
+                // Prepare and choose the shape outside the timed region
+                // (planning is setup, paid once per statement); time the
+                // execution itself.
                 let prepared = session.prepare(q.sql).expect("prepares");
+                prepared.plan().shape(&tag).expect("shape chosen");
                 let ((_, net), secs) = time(|| session.execute(&prepared).unwrap());
                 tag_totals[i] += net.network_bytes;
                 // Modelled runtime: measured local work + network at `bw`.

@@ -1,35 +1,27 @@
 //! E1–E12: the single-machine experiments — loading, sizes, per-query
 //! runtimes across the four systems and their drill-downs, working sets.
+//! The drill-downs read the runtime table's own timings.
 
 use super::{Args, Suite, SEED, SUITES, TPCDS, TPCH};
-use crate::{ms, prepare, print_table, run_system_with, speedup, time, Loaded, System};
+use crate::{ms, print_table, speedup, time, time_systems, System};
 use std::collections::BTreeMap;
-use vcsql_bsp::EngineConfig;
 use vcsql_query::AggClass;
 use vcsql_relation::mem::human_bytes;
 use vcsql_relation::Database;
+use vcsql_session::{Session, SessionConfig};
 use vcsql_tag::TagGraph;
+use vcsql_workload::BenchQuery;
 
 /// Deep size of the TPC protocol's PK/FK indexes over `db`.
 fn index_bytes(db: &Database) -> usize {
     db.relations().flat_map(vcsql_baseline::index::build_pk_fk_indexes).map(|i| i.deep_size()).sum()
 }
 
-/// Wall seconds of one workload query on every system, by system name.
-fn time_systems(loaded: &Loaded, sql: &str, engine: EngineConfig) -> BTreeMap<&'static str, f64> {
-    let a = prepare(loaded, sql).expect("workload query analyzes");
-    System::ALL
-        .iter()
-        .map(|&sys| (sys.name(), run_system_with(loaded, sys, &a, engine).expect("query runs").1))
-        .collect()
-}
-
 /// TAG-join's time and its speedup over each relational engine.
-fn tag_vs_others(secs: &BTreeMap<&str, f64>) -> Vec<String> {
-    let of = |sys: System| secs[sys.name()];
-    let tag = of(System::TagJoin);
+fn tag_vs_others(secs: &[f64; 4]) -> Vec<String> {
+    let tag = secs[System::TagJoin as usize];
     let vs = [System::RowHash, System::RowSortMerge, System::Columnar];
-    std::iter::once(ms(tag)).chain(vs.map(|other| speedup(tag, of(other)))).collect()
+    std::iter::once(ms(tag)).chain(vs.map(|other| speedup(tag, secs[other as usize]))).collect()
 }
 
 /// E1 — Tables 1-2: loading times.
@@ -105,57 +97,74 @@ pub(super) fn sizes(a: &Args) {
     }
 }
 
+/// E3–E6/E14 and, at the last SF, E7/E8 — TPC-H runtimes and drill-down.
 pub(super) fn tpch(a: &Args) {
-    runtimes(&TPCH, a);
+    tpch_classes(&runtimes(&TPCH, a), a.sf());
 }
 
+/// E3–E6/E14 and, at the last SF, E9–E11 — TPC-DS runtimes and drill-downs.
 pub(super) fn tpcds(a: &Args) {
-    runtimes(&TPCDS, a);
+    let timed = runtimes(&TPCDS, a);
+    tpcds_matrix(&timed, a.sf());
+    tpcds_classes(&timed, a.sf());
+    agg_breakdown(&timed, a.sf());
 }
 
-/// E3/E4/E5/E6/E14 — per-query and aggregate runtimes across systems.
-fn runtimes(suite: &Suite, a: &Args) {
+/// Each statement of a suite with its wall seconds per system.
+type Timed = Vec<(BenchQuery, [f64; 4])>;
+
+/// Per-query and total runtimes across systems at each SF, from one timing
+/// pass per SF ([`time_systems`] over one session per SF). Returns the last
+/// SF's timings, which the drill-down tables read. A statement that fails,
+/// or whose bag differs from row-hash's, exits 1.
+fn runtimes(suite: &Suite, a: &Args) -> Timed {
     println!("\n## {} runtimes (paper Fig 13, Tables 8-14), ms\n", suite.title);
+    let mut timed = Vec::new();
     for &sf in &a.sfs {
         let loaded = suite.load(sf);
-        let mut totals: BTreeMap<&str, f64> = BTreeMap::new();
-        let mut rows = Vec::new();
-        for q in (suite.queries)() {
-            let secs = time_systems(&loaded, q.sql, a.engine());
-            let mut row = vec![q.id.to_string()];
-            for sys in System::ALL {
-                *totals.entry(sys.name()).or_insert(0.0) += secs[sys.name()];
-                row.push(ms(secs[sys.name()]));
-            }
-            rows.push(row);
-        }
+        let config = SessionConfig { engine: a.engine(), ..Default::default() };
+        let mut session = Session::open(&loaded.tag, config).expect("session opens");
+        timed = (suite.queries)()
+            .into_iter()
+            .map(|q| match time_systems(&loaded, &mut session, q.sql) {
+                Ok(secs) => (q, secs),
+                Err(e) => {
+                    eprintln!("repro: {} {} at SF {sf}: {e}", suite.name, q.id);
+                    std::process::exit(1);
+                }
+            })
+            .collect();
+        let mut rows: Vec<Vec<String>> = timed
+            .iter()
+            .map(|(q, secs)| std::iter::once(q.id.to_string()).chain(secs.map(ms)).collect())
+            .collect();
+        let totals = System::ALL.map(|s| timed.iter().map(|(_, secs)| secs[s as usize]).sum());
         rows.push(
             std::iter::once(format!("**total (SF {sf})**"))
-                .chain(System::ALL.iter().map(|s| format!("**{}**", ms(totals[s.name()]))))
+                .chain(totals.map(|t| format!("**{}**", ms(t))))
                 .collect(),
         );
         let mut headers = vec![format!("query @ SF {sf}")];
         headers.extend(System::ALL.iter().map(|s| s.name().to_string()));
         print_table(&headers, &rows);
     }
+    timed
 }
 
 /// E7/E8 — Tables 3-4: TPC-H class drill-down.
-pub(super) fn tpch_classes(a: &Args) {
-    println!("\n## E7/E8 — TPC-H drill-down (paper Tables 3-4)\n");
-    let loaded = TPCH.load(a.sf());
+fn tpch_classes(timed: &Timed, sf: f64) {
+    println!("\n## E7/E8 — TPC-H drill-down @ SF {sf} (paper Tables 3-4)\n");
     let mut la_rows = Vec::new();
     let mut ga_rows = Vec::new();
-    for q in (TPCH.queries)() {
-        let secs = time_systems(&loaded, q.sql, a.engine());
+    for (q, secs) in timed {
         if q.class == AggClass::Local || q.correlated {
             let class = if q.correlated { "corr" } else { "LA" };
             let mut row = vec![q.id.to_string(), class.to_string()];
-            row.extend(tag_vs_others(&secs));
+            row.extend(tag_vs_others(secs));
             la_rows.push(row);
         } else {
             let mut row = vec![q.id.to_string(), format!("{:?}", q.class)];
-            row.extend(System::ALL.iter().map(|s| ms(secs[s.name()])));
+            row.extend(secs.map(ms));
             ga_rows.push(row);
         }
     }
@@ -169,16 +178,14 @@ pub(super) fn tpch_classes(a: &Args) {
 }
 
 /// E9 — Table 5: win/competitive/lose counts.
-pub(super) fn tpcds_matrix(a: &Args) {
-    println!("\n## E9 — TPC-DS outcome matrix (paper Table 5)\n");
-    let loaded = TPCDS.load(a.sf());
-    let queries = (TPCDS.queries)();
+fn tpcds_matrix(timed: &Timed, sf: f64) {
+    println!("\n## E9 — TPC-DS outcome matrix @ SF {sf} (paper Table 5)\n");
     let mut counts: BTreeMap<&str, (u32, u32, u32)> = BTreeMap::new();
-    for q in &queries {
-        let secs = time_systems(&loaded, q.sql, a.engine());
-        let tag = secs[System::TagJoin.name()];
-        for (&sys, &other) in secs.iter().filter(|(&sys, _)| sys != System::TagJoin.name()) {
-            let e = counts.entry(sys).or_insert((0, 0, 0));
+    for (_, secs) in timed {
+        let tag = secs[System::TagJoin as usize];
+        for sys in [System::RowHash, System::RowSortMerge, System::Columnar] {
+            let other = secs[sys as usize];
+            let e = counts.entry(sys.name()).or_insert((0, 0, 0));
             if other > tag * 1.2 {
                 e.0 += 1; // outperforms
             } else if tag > other * 1.2 {
@@ -192,21 +199,21 @@ pub(super) fn tpcds_matrix(a: &Args) {
         .iter()
         .map(|(s, (w, c, l))| vec![s.to_string(), w.to_string(), c.to_string(), l.to_string()])
         .collect();
-    println!("total queries: {}\n", queries.len());
+    println!("total queries: {}\n", timed.len());
     print_table(&["vs system", "outperforms", "competitive", "worse"], &rows);
 }
 
 /// E10 — Table 6: per-class TPC-DS speedups.
-pub(super) fn tpcds_classes(a: &Args) {
-    println!("\n## E10 — TPC-DS per-class speedups (paper Table 6)\n");
-    let loaded = TPCDS.load(a.sf());
-    let mut rows = Vec::new();
-    for q in (TPCDS.queries)() {
-        let secs = time_systems(&loaded, q.sql, a.engine());
-        let mut row = vec![q.id.to_string(), format!("{:?}", q.class)];
-        row.extend(tag_vs_others(&secs));
-        rows.push(row);
-    }
+fn tpcds_classes(timed: &Timed, sf: f64) {
+    println!("\n## E10 — TPC-DS per-class speedups @ SF {sf} (paper Table 6)\n");
+    let rows: Vec<Vec<String>> = timed
+        .iter()
+        .map(|(q, secs)| {
+            let mut row = vec![q.id.to_string(), format!("{:?}", q.class)];
+            row.extend(tag_vs_others(secs));
+            row
+        })
+        .collect();
     print_table(
         &["query", "class", "tag_join ms", "vs row_hash", "vs row_merge", "vs columnar_im"],
         &rows,
@@ -214,23 +221,20 @@ pub(super) fn tpcds_classes(a: &Args) {
 }
 
 /// E11 — Fig 15: aggregate runtime by aggregation class.
-pub(super) fn agg_breakdown(a: &Args) {
-    println!("\n## E11 — TPC-DS aggregate runtime by aggregation class (paper Fig 15), ms\n");
-    let loaded = TPCDS.load(a.sf());
-    let mut per_class: BTreeMap<String, BTreeMap<&str, f64>> = BTreeMap::new();
-    for q in (TPCDS.queries)() {
+fn agg_breakdown(timed: &Timed, sf: f64) {
+    println!(
+        "\n## E11 — TPC-DS aggregate runtime by aggregation class @ SF {sf} (paper Fig 15), ms\n"
+    );
+    let mut per_class: BTreeMap<String, [f64; 4]> = BTreeMap::new();
+    for (q, secs) in timed {
         let class = per_class.entry(format!("{:?}", q.class)).or_default();
-        for (sys, s) in time_systems(&loaded, q.sql, a.engine()) {
-            *class.entry(sys).or_insert(0.0) += s;
+        for (sum, s) in class.iter_mut().zip(secs) {
+            *sum += s;
         }
     }
     let rows: Vec<Vec<String>> = per_class
         .iter()
-        .map(|(class, m)| {
-            std::iter::once(class.clone())
-                .chain(System::ALL.iter().map(|s| ms(m[s.name()])))
-                .collect()
-        })
+        .map(|(class, sums)| std::iter::once(class.clone()).chain(sums.map(ms)).collect())
         .collect();
     let mut headers = vec!["class".to_string()];
     headers.extend(System::ALL.iter().map(|s| s.name().to_string()));

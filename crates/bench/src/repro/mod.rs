@@ -234,7 +234,7 @@ const ALL: Mode = Mode {
 };
 
 /// Every mode, in usage (and `all`) order.
-pub static MODES: [Mode; 15] = [
+pub static MODES: [Mode; 11] = [
     Mode {
         name: "loading",
         summary: "Tables 1-2: data loading times",
@@ -251,45 +251,22 @@ pub static MODES: [Mode; 15] = [
     },
     Mode {
         name: "tpch",
-        summary: "Fig 13(a) + Tables 8-10/14: TPC-H runtimes",
+        summary: "Fig 13(a) + Tables 8-10/14: TPC-H runtimes; at the last SF\n\
+         also Tables 3-4 (LA/correlated, GA/scalar), from the same\n\
+         timings",
         flags: &TIMED,
         in_all: true,
         run: local::tpch,
     },
     Mode {
         name: "tpcds",
-        summary: "Fig 13(b) + Tables 11-13/14: TPC-DS runtimes",
+        summary: "Fig 13(b) + Tables 11-13/14: TPC-DS runtimes; at the last\n\
+         SF also Table 5 (outperform/competitive/worse counts), Table 6\n\
+         (per-class speedups) and Fig 15 (by aggregation class), from\n\
+         the same timings",
         flags: &TIMED,
         in_all: true,
         run: local::tpcds,
-    },
-    Mode {
-        name: "tpch-classes",
-        summary: "Tables 3-4: LA/correlated speedups, GA/scalar runtimes",
-        flags: &TIMED,
-        in_all: true,
-        run: local::tpch_classes,
-    },
-    Mode {
-        name: "tpcds-matrix",
-        summary: "Table 5: outperform/competitive/worse counts",
-        flags: &TIMED,
-        in_all: true,
-        run: local::tpcds_matrix,
-    },
-    Mode {
-        name: "tpcds-classes",
-        summary: "Table 6: per-class speedups",
-        flags: &TIMED,
-        in_all: true,
-        run: local::tpcds_classes,
-    },
-    Mode {
-        name: "agg-breakdown",
-        summary: "Fig 15: runtimes grouped by aggregation class",
-        flags: &TIMED,
-        in_all: true,
-        run: local::agg_breakdown,
     },
     Mode {
         name: "memory",

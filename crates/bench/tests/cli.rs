@@ -5,6 +5,7 @@
 
 use std::process::{Command, Output};
 use vcsql_bench::repro::{FLAGS, MODES};
+use vcsql_workload::{tpcds, tpch, BenchQuery};
 
 /// `repro <cmdline>` (whitespace-separated arguments), not yet spawned.
 fn command(cmdline: &str) -> Command {
@@ -121,8 +122,7 @@ fn every_flag_is_a_usage_error_on_every_mode_that_does_not_list_it() {
     );
     assert_usage_exit(
         "distributed --threads 4",
-        "--threads only applies to the per-query runtime modes (tpch, tpcds, tpch-classes, \
-         tpcds-matrix, tpcds-classes, agg-breakdown, all)",
+        "--threads only applies to the per-query runtime modes (tpch, tpcds, all)",
     );
 }
 
@@ -202,4 +202,57 @@ fn distributed_smoke_reports_all_strategies() {
     assert!(stdout.contains("calibrated on tpch"), "{stdout}");
     assert!(stdout.contains("spark/tag traffic ratio"), "{stdout}");
     assert!(stdout.contains("edge cut"), "{stdout}");
+}
+
+/// The section of `stdout` under the `## ` heading containing `heading`.
+fn section<'a>(stdout: &'a str, heading: &str) -> &'a str {
+    stdout
+        .split("\n## ")
+        .find(|s| s.lines().next().is_some_and(|l| l.contains(heading)))
+        .unwrap_or_else(|| panic!("no `{heading}` section:\n{stdout}"))
+}
+
+/// First cells of every body row of every table in `section`, sorted, bold
+/// total rows left out.
+fn statement_ids(section: &str) -> Vec<&str> {
+    let mut in_body = false;
+    let mut ids = Vec::new();
+    for line in section.lines() {
+        if !line.starts_with('|') {
+            in_body = false;
+        } else if line.starts_with("|---") {
+            in_body = true;
+        } else if in_body && !line.starts_with("| **") {
+            ids.extend(line.trim_matches('|').split('|').next().map(str::trim));
+        }
+    }
+    ids.sort_unstable();
+    ids
+}
+
+fn assert_one_row_per_statement(section: &str, queries: &[BenchQuery]) {
+    let mut want: Vec<&str> = queries.iter().map(|q| q.id).collect();
+    want.sort_unstable();
+    assert_eq!(statement_ids(section), want, "{section}");
+}
+
+#[test]
+fn runtime_modes_print_every_table_from_one_pass() {
+    // Fig 13 and its drill-downs come from one timing pass per suite, whose
+    // bags are checked against row-hash's (a mismatch exits 1).
+    let stdout = stdout_of("tpch --sf 0.01 --threads 1");
+    let queries = tpch::queries();
+    assert_one_row_per_statement(section(&stdout, "TPC-H runtimes (paper Fig 13"), &queries);
+    let drill_down = section(&stdout, "(paper Tables 3-4)");
+    assert!(drill_down.contains("### Table 3 shape") && drill_down.contains("### Table 4 shape"));
+    assert_one_row_per_statement(drill_down, &queries);
+
+    let stdout = stdout_of("tpcds --sf 0.01 --threads 1");
+    let queries = tpcds::queries();
+    assert_one_row_per_statement(section(&stdout, "TPC-DS runtimes (paper Fig 13"), &queries);
+    let matrix = section(&stdout, "(paper Table 5)");
+    assert!(matrix.contains(&format!("total queries: {}", queries.len())), "{matrix}");
+    assert_one_row_per_statement(section(&stdout, "(paper Table 6)"), &queries);
+    let by_class = section(&stdout, "(paper Fig 15)");
+    assert!(by_class.contains("| Local |"), "{by_class}");
 }
