@@ -5,7 +5,7 @@ use super::{Args, SEED, SUITES};
 use crate::{print_table, time};
 use std::sync::Arc;
 use vcsql_bsp::{PartitionStrategy, TrafficProfile};
-use vcsql_dist::SparkModel;
+use vcsql_dist::{modelled_runtime, NetStats, SparkModel, MODELLED_BANDWIDTH};
 use vcsql_query::analyze::Analyzed;
 use vcsql_relation::mem::human_bytes;
 use vcsql_session::Cluster;
@@ -44,9 +44,10 @@ pub(super) fn run(a: &Args) {
         let queries = (suite.queries)();
         let db = (suite.generate)(sf, SEED);
         let tag = Arc::new(TagGraph::build(&db));
-        let cluster = Cluster::new(spark.machines).bandwidth(a.bandwidth);
-        let runtime = |secs: f64, net: &vcsql_dist::NetStats| {
-            cluster.modelled_runtime(secs, net).expect("bandwidth validated at parse time")
+        let cluster = Cluster::new(spark.machines);
+        let runtime = |secs: f64, net: &NetStats| {
+            modelled_runtime(secs, net, MODELLED_BANDWIDTH)
+                .expect("the modelled bandwidth is positive")
         };
         // Materialize the `workload` strategy once per measured workload,
         // profiled on the measurement loop's own graph.
@@ -90,7 +91,8 @@ pub(super) fn run(a: &Args) {
                 prepared.plan().shape(&tag).expect("shape chosen");
                 let ((_, net), secs) = time(|| session.execute(&prepared).unwrap());
                 tag_totals[i] += net.network_bytes;
-                // Modelled runtime: measured local work + network at `bw`.
+                // Modelled runtime: measured local work + network at
+                // `MODELLED_BANDWIDTH`.
                 tag_times[i] += runtime(secs, &net);
                 row.push(human_bytes(net.network_bytes as usize));
             }

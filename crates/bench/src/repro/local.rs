@@ -30,8 +30,7 @@ pub(super) fn loading(a: &Args) {
     for suite in SUITES {
         let mut rows = Vec::new();
         for &sf in &a.sfs {
-            let db = (suite.generate)(sf, SEED);
-            let (_, gen_s) = time(|| (suite.generate)(sf, SEED));
+            let (db, gen_s) = time(|| (suite.generate)(sf, SEED));
             let (_, tag_s) = time(|| TagGraph::build(&db));
             let (_, row_s) = time(|| {
                 // Row store load: copy tuples + build PK/FK indexes (the TPC

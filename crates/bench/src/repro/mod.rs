@@ -47,7 +47,6 @@ static SUITES: [&Suite; 2] = [&TPCH, &TPCDS];
 pub struct Args {
     sfs: Vec<f64>,
     strategies: Option<Vec<PartitionStrategy>>,
-    bandwidth: f64,
     threads: Option<usize>,
     checkpoint_every: u64,
     kill: (u32, u64),
@@ -59,7 +58,6 @@ impl Default for Args {
         Args {
             sfs: vec![0.01, 0.02, 0.05],
             strategies: None,
-            bandwidth: 1e9,
             threads: None,
             checkpoint_every: 2,
             kill: (1, 3),
@@ -149,16 +147,6 @@ static PARTITIONING: Flag = Flag {
            per-edge-label traffic with a hash-placed run of the\n\
            profile workload, then re-partitions for it",
 };
-static BANDWIDTH: Flag = Flag {
-    name: "--bandwidth",
-    metavar: "n",
-    group: None,
-    set: |a, f, raw| {
-        positive_f64(f, raw, "a positive number of bytes/sec").map(|b| a.bandwidth = b)
-    },
-    help: "modelled network bandwidth in bytes/sec for the\n\
-           distributed runtime model (default 1e9)",
-};
 static THREADS: Flag = Flag {
     name: "--threads",
     metavar: "n",
@@ -200,8 +188,7 @@ static SEED_FLAG: Flag = Flag {
 };
 
 /// Every value flag, in usage order.
-pub static FLAGS: [&Flag; 7] =
-    [&SF, &PARTITIONING, &BANDWIDTH, &THREADS, &CHECKPOINT_EVERY, &KILL, &SEED_FLAG];
+pub static FLAGS: [&Flag; 6] = [&SF, &PARTITIONING, &THREADS, &CHECKPOINT_EVERY, &KILL, &SEED_FLAG];
 
 /// One experiment: the flags it reads (any other flag is a usage error
 /// rather than silently ignored), whether `all` runs it, and its run
@@ -228,7 +215,7 @@ static TIMED: [&Flag; 2] = [&SF, &THREADS];
 const ALL: Mode = Mode {
     name: "all",
     summary: "everything above except",
-    flags: &[&SF, &PARTITIONING, &BANDWIDTH, &THREADS],
+    flags: &[&SF, &PARTITIONING, &THREADS],
     in_all: false,
     run: |a| MODES.iter().filter(|m| m.in_all).for_each(|m| (m.run)(a)),
 };
@@ -279,7 +266,7 @@ pub static MODES: [Mode; 11] = [
         name: "distributed",
         summary: "Fig 16 + Tables 16-17: modelled runtime + network traffic per\n\
          placement strategy",
-        flags: &[&SF, &PARTITIONING, &BANDWIDTH],
+        flags: &[&SF, &PARTITIONING],
         in_all: true,
         run: distributed::run,
     },

@@ -57,7 +57,6 @@ fn missing_flag_values_are_usage_errors() {
     assert_usage_exit("tpch --sf", "--sf needs a value");
     assert_usage_exit("distributed --partitioning", "--partitioning needs a value");
     assert_usage_exit("all --partitioning", "--partitioning needs a value");
-    assert_usage_exit("distributed --bandwidth", "--bandwidth needs a value");
 }
 
 #[test]
@@ -69,25 +68,17 @@ fn bad_partitioning_and_unknown_args_are_usage_errors() {
 }
 
 #[test]
-fn bad_bandwidth_is_a_usage_error() {
-    // Non-positive or unparsable bandwidth must be a usage error, never the
-    // panic `modelled_runtime` used to raise deep in the run.
-    assert_usage_exit("distributed --bandwidth 0", "bad --bandwidth value");
-    assert_usage_exit("distributed --bandwidth -3", "bad --bandwidth value");
-    assert_usage_exit("distributed --bandwidth fast", "bad --bandwidth value");
-    assert_usage_exit("distributed --bandwidth inf", "bad --bandwidth value");
-}
-
-#[test]
 fn deleted_flags_are_unknown() {
     // The drift replay belongs to `benchmark/`'s `cluster_drift` and
-    // `tests/session.rs`, `faults` writes no report, and a profile from the
-    // other suite matches no edge label of the measured TAG: their flags are
-    // plain unknown flags, on any mode.
+    // `tests/session.rs`, `faults` writes no report, a profile from the
+    // other suite matches no edge label of the measured TAG, and the
+    // modelled bandwidth is one constant: their flags are plain unknown
+    // flags, on any mode.
     assert_usage_exit("faults --json x", "unknown flag");
     for flag in ["sessions", "restart-at", "migration-budget", "profile-from"] {
         assert_usage_exit(&format!("distributed --{flag} 4"), "unknown flag");
     }
+    assert_usage_exit("distributed --bandwidth 1e9", "unknown flag");
 }
 
 #[test]
@@ -115,10 +106,6 @@ fn every_flag_is_a_usage_error_on_every_mode_that_does_not_list_it() {
     assert_usage_exit(
         "loading --partitioning hash",
         "--partitioning only applies to the `distributed` (or `all`) mode",
-    );
-    assert_usage_exit(
-        "tpch --bandwidth 5e8",
-        "--bandwidth only applies to the `distributed` (or `all`) mode",
     );
     assert_usage_exit(
         "distributed --threads 4",

@@ -12,9 +12,8 @@
 //! reserved [`LabelId::NONE`] bucket for label-less sends. Summed over all
 //! labels the breakdown always equals the totals. A breakdown resolved to
 //! label *names* is a [`TrafficProfile`]: the observed per-label traffic of a
-//! calibration run, serializable to a small text format so one process can
-//! profile a workload and a later one can partition for it (the
-//! `PartitionStrategy::Workload` placement in [`crate::partition`]).
+//! calibration run, handed in memory to the placement that partitions for it
+//! (the `PartitionStrategy::Workload` placement in [`crate::partition`]).
 
 use crate::graph::Graph;
 use crate::interner::LabelId;

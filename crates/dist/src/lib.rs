@@ -11,26 +11,26 @@
 //!
 //! This crate makes the claim reproducible without a cluster:
 //!
-//! * [`TagGraph::partition`] (in `vcsql-tag`) places the TAG graph over `k`
-//!   simulated machines with a [`PartitionStrategy`]; the real TAG-join
-//!   executor run under that `Partitioning` counts every message whose source and target vertices
+//! * [`TagGraph::partition`](vcsql_tag::TagGraph::partition) (in
+//!   `vcsql-tag`) places the TAG graph over `k` simulated machines with a
+//!   [`PartitionStrategy`]; the real TAG-join executor run under that
+//!   `Partitioning` counts every message whose source and target vertices
 //!   live on different machines, and [`NetStats::from_run`] itemizes them;
-//! * [`tag_calibrate`] — phase 1 of the workload-aware loop: a calibration
-//!   run under the hash baseline observes per-edge-label traffic (a
-//!   [`TrafficProfile`]), from which a [`PartitionStrategy::Workload`]
-//!   placement is built;
 //! * [`SparkModel`] — a shuffle-join network-cost model that executes the
 //!   same plan with exact intermediate cardinalities (the row store's
 //!   operators, `vcsql_query::rows`) and charges Spark-style
 //!   exchanges (hash shuffles, broadcasts below the threshold);
 //! * [`modelled_runtime`] — combine measured local compute with modelled
-//!   network time at a given bandwidth (the paper's Fig 16 runtime model).
+//!   network time at a bandwidth, [`MODELLED_BANDWIDTH`] in `repro
+//!   distributed` (the paper's Fig 16 runtime model).
 //!
 //! The multi-query lifecycle — prepared statements behind a plan cache and
 //! one placement, fixed at open, shared across queries — lives in the
-//! `vcsql-session` crate (`Session` / `Cluster`), whose
-//! `Cluster::calibrated_session` is the one calibrate → place → serve path
-//! built on the functions above.
+//! `vcsql-session` crate (`Session` / `Cluster`). Its `Cluster::calibrate`
+//! is phase 1 of the workload-aware loop: a run under the hash baseline
+//! observes per-edge-label traffic (a [`TrafficProfile`]), from which a
+//! [`PartitionStrategy::Workload`] placement is built, and
+//! `Cluster::calibrated_session` is the one calibrate → place → serve path.
 
 pub mod netstats;
 pub mod spark;
@@ -39,55 +39,19 @@ pub use netstats::{unsafe_row_bytes, NetStats};
 pub use spark::SparkModel;
 pub use vcsql_bsp::{PartitionDiagnostics, PartitionStrategy, TrafficProfile};
 
-use std::sync::Arc;
-use vcsql_bsp::EngineConfig;
-use vcsql_core::TagJoinExecutor;
-use vcsql_query::analyze::Analyzed;
 use vcsql_relation::RelError;
-use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
 
-/// Phase 1 of the workload-aware loop: run `workload` once under the hash
-/// baseline on `machines` simulated machines and return the observed
-/// per-edge-label [`TrafficProfile`], covering every edge label of the TAG
-/// (labels the workload never traversed get explicit zeros, so the
-/// `Workload` placement spends no locality on them rather than falling back
-/// to static weights).
-///
-/// The profile records *total* per-label traffic, not the network share, so
-/// it is independent of the calibration placement; hash is used only because
-/// it is the cheap untuned baseline. A placement holds 1 to `u16::MAX`
-/// machines; any other count is an error, returned before anything runs.
-pub fn tag_calibrate(
-    tag: &TagGraph,
-    workload: &[Analyzed],
-    machines: usize,
-    config: EngineConfig,
-) -> Result<TrafficProfile> {
-    if machines == 0 {
-        return Err(RelError::Other("cluster needs at least one machine".into()));
-    }
-    if machines > u16::MAX as usize {
-        return Err(RelError::Other("machine count exceeds u16".into()));
-    }
-    let executor = TagJoinExecutor::new(tag, config)
-        .with_partitioning_shared(Arc::new(tag.partition(&PartitionStrategy::Hash, machines)));
-    let mut profile = TrafficProfile::new();
-    for a in workload {
-        let out = executor.execute(a)?;
-        profile.absorb(&TrafficProfile::from_run(&out.stats, tag.graph()));
-    }
-    profile.cover_graph(tag.graph());
-    Ok(profile)
-}
+/// The modelled network bandwidth in bytes per second: 1 Gbit/s, the figure
+/// the benchmark harness prices its `dist.modelled_s` metric at too.
+pub const MODELLED_BANDWIDTH: f64 = 125_000_000.0;
 
 /// Modelled end-to-end runtime: local compute plus network transfer at
 /// `bytes_per_sec` (the paper's Fig 16 combines both the same
 /// way; latency per round is dominated by transfer at these sizes).
 ///
-/// Bandwidth comes from callers' configuration (e.g. `repro --bandwidth`),
-/// so a non-positive or non-finite value is an error, not a panic.
+/// A non-positive or non-finite bandwidth is an error, not a panic.
 pub fn modelled_runtime(compute_secs: f64, net: &NetStats, bytes_per_sec: f64) -> Result<f64> {
     if !bytes_per_sec.is_finite() || bytes_per_sec <= 0.0 {
         return Err(RelError::Other(format!(
@@ -100,8 +64,12 @@ pub fn modelled_runtime(compute_secs: f64, net: &NetStats, bytes_per_sec: f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcsql_core::ExecOutput;
+    use std::sync::Arc;
+    use vcsql_bsp::EngineConfig;
+    use vcsql_core::{ExecOutput, TagJoinExecutor};
+    use vcsql_query::analyze::Analyzed;
     use vcsql_query::{analyze::analyze, parse};
+    use vcsql_tag::TagGraph;
     use vcsql_workload::tpch;
 
     fn analyzed(tag: &TagGraph, sql: &str) -> Analyzed {
@@ -150,12 +118,6 @@ mod tests {
             run_with(&tag, &a, 1, &PartitionStrategy::Hash, EngineConfig::sequential()).unwrap();
         assert_eq!(net.network_bytes, 0);
         assert_eq!(net.network_messages, 0);
-        let workload = std::slice::from_ref(&a);
-        assert!(tag_calibrate(&tag, workload, 0, EngineConfig::sequential()).is_err());
-        // One past what a placement can name: refused before placing, so
-        // no executor, engine or worker thread starts.
-        let too_many = u16::MAX as usize + 1;
-        assert!(tag_calibrate(&tag, workload, too_many, EngineConfig::sequential()).is_err());
         assert!(SparkModel { machines: 0, broadcast_threshold: 0 }.run(&a, &db).is_err());
     }
 
@@ -279,44 +241,5 @@ mod tests {
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(modelled_runtime(0.5, &net, bad).is_err(), "bandwidth {bad} accepted");
         }
-    }
-
-    #[test]
-    fn calibration_profile_covers_graph_and_sees_join_labels() {
-        let db = tpch::generate(0.01, 11);
-        let tag = TagGraph::build(&db);
-        let a = analyzed(&tag, JOIN_SQL);
-        let profile =
-            tag_calibrate(&tag, std::slice::from_ref(&a), 6, EngineConfig::sequential()).unwrap();
-        // Every edge label of the graph is covered (explicit zeros included).
-        assert_eq!(profile.len(), tag.graph().edge_labels().len());
-        // The traversed join columns carried traffic; untouched columns did
-        // not.
-        assert!(profile.get("lineitem.l_orderkey").unwrap().bytes > 0);
-        assert!(profile.get("orders.o_custkey").unwrap().bytes > 0);
-        assert_eq!(profile.get("part.p_name").unwrap().bytes, 0);
-    }
-
-    #[test]
-    fn profiled_run_preserves_results_and_beats_hash() {
-        let db = tpch::generate(0.02, 42);
-        let tag = TagGraph::build(&db);
-        let a = analyzed(&tag, JOIN_SQL);
-        let local = TagJoinExecutor::new(&tag, EngineConfig::sequential()).execute(&a).unwrap();
-        let (_, hash) =
-            run_with(&tag, &a, 6, &PartitionStrategy::Hash, EngineConfig::sequential()).unwrap();
-        let profile =
-            tag_calibrate(&tag, std::slice::from_ref(&a), 6, EngineConfig::sequential()).unwrap();
-        assert!(!profile.is_empty());
-        let workload = PartitionStrategy::Workload(profile);
-        let (out, net) = run_with(&tag, &a, 6, &workload, EngineConfig::sequential()).unwrap();
-        assert!(out.relation.same_bag_approx(&local.relation, 1e-9));
-        assert_eq!(out.stats.total_messages(), local.stats.total_messages());
-        assert!(
-            net.network_bytes <= hash.network_bytes,
-            "workload {} > hash {}",
-            net.network_bytes,
-            hash.network_bytes
-        );
     }
 }

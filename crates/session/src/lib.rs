@@ -24,9 +24,9 @@
 //! A session is the one-ledger case of a [`Host`], the state and run path
 //! `vcsql-server` serves its tenants with too.
 //!
-//! [`Cluster`] is the builder that subsumes the old `vcsql-dist`
-//! calibrate→profile→execute free functions:
-//! `Cluster::new(machines).bandwidth(..).strategy(..).session(&tag)`.
+//! [`Cluster`] is the builder that opens sessions and owns calibration
+//! (the calibrate → place → serve path):
+//! `Cluster::new(machines).strategy(..).session(&tag)`.
 
 mod cache;
 mod cluster;

@@ -10,47 +10,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use vcsql_bsp::{Graph, GraphBuilder, LabelId, PartitionStrategy, Partitioning, VertexId};
 use vcsql_relation::{fx, Database, FxHashMap, RelError, Relation, Schema, Tuple, Value};
 
-/// Decides which columns receive attribute vertices (paper Section 3).
+/// The longest string that gets an attribute vertex, in bytes: long
+/// descriptions and comments are unlikely join keys (paper Section 3).
 ///
-/// Refusal is per column where joins are concerned: a column the policy
-/// skips has no edge label at all, and a column *any* of whose non-NULL
-/// values the policy refused (a string over `max_string_len`) keeps the
-/// edges of its other values but reports no
-/// [`column label`](TagGraph::column_label) — a join through it would miss
-/// the refused values silently, so binding such a join is an error instead.
-#[derive(Debug, Clone)]
-pub struct MaterializePolicy {
-    /// Materialize strings only up to this length (long descriptions and
-    /// comments are unlikely join keys). `None` = no limit.
-    pub max_string_len: Option<usize>,
-    /// Extra `(relation, column)` pairs to skip on top of the schema's
-    /// per-column `materialize` flags.
-    pub skip: Vec<(String, String)>,
-}
+/// Refusal is per column where joins are concerned: a column whose schema
+/// does not [`materialize`](vcsql_relation::schema::Column::materialize) it
+/// has no edge label at all, and a column *any* of whose non-NULL values is
+/// a string over this cap keeps the edges of its other values but reports
+/// no [`column label`](TagGraph::column_label) — a join through it would
+/// miss the refused values silently, so binding such a join is an error
+/// instead.
+const MAX_KEY_STRING_LEN: usize = 64;
 
-impl Default for MaterializePolicy {
-    fn default() -> Self {
-        MaterializePolicy { max_string_len: Some(64), skip: Vec::new() }
-    }
-}
-
-impl MaterializePolicy {
-    /// Materialize everything the schema allows, regardless of length.
-    pub fn all() -> Self {
-        MaterializePolicy { max_string_len: None, skip: Vec::new() }
-    }
-
-    fn column_allowed(&self, schema: &Schema, col: usize) -> bool {
-        let c = &schema.columns[col];
-        c.materialize && !self.skip.iter().any(|(r, n)| r == &schema.name && n == &c.name)
-    }
-
-    /// Whether a non-NULL value gets an attribute vertex.
-    fn value_allowed(&self, v: &Value) -> bool {
-        match v {
-            Value::Str(s) => self.max_string_len.is_none_or(|m| s.len() <= m),
-            _ => true,
-        }
+/// Whether a non-NULL value of a materialized column gets an attribute
+/// vertex.
+fn value_allowed(v: &Value) -> bool {
+    match v {
+        Value::Str(s) => s.len() <= MAX_KEY_STRING_LEN,
+        _ => true,
     }
 }
 
@@ -79,13 +56,12 @@ enum VLabel {
     Attr(u8),
 }
 
-/// A registered relation: its schema plus what inserting a tuple needs per
-/// column, decided once.
+/// A registered relation: its schema (whose `materialize` flags decide
+/// which columns get attribute vertices), which of its columns a long string
+/// was refused in, and where its edge-label numbers start.
 struct Registered {
     schema: Schema,
-    /// Columns that receive attribute vertices under the builder's policy.
-    materialized: Vec<bool>,
-    /// Materialized columns that held a non-NULL value the policy refused.
+    /// Materialized columns that held a string over [`MAX_KEY_STRING_LEN`].
     refused: Vec<bool>,
     /// Builder-wide number of column 0's edge label `rel.col`; column `c`'s
     /// is `first_edge_label + c`.
@@ -109,7 +85,6 @@ struct Link {
 /// paper's "no reorganization" maintenance claim. Freezing into the CSR
 /// [`Graph`] used by the engine is a linear pass.
 pub struct TagBuilder {
-    policy: MaterializePolicy,
     relations: Vec<Registered>,
     /// Per vertex, in id order: its label, where its values start in
     /// `values`, and whether it is a deleted tuple vertex.
@@ -125,11 +100,16 @@ pub struct TagBuilder {
     attr_index: FxHashMap<Value, VertexId>,
 }
 
+impl Default for TagBuilder {
+    fn default() -> TagBuilder {
+        TagBuilder::new()
+    }
+}
+
 impl TagBuilder {
-    /// Empty builder with the given policy.
-    pub fn new(policy: MaterializePolicy) -> TagBuilder {
+    /// Empty builder.
+    pub fn new() -> TagBuilder {
         TagBuilder {
-            policy,
             relations: Vec::new(),
             vlabel: Vec::new(),
             value_start: Vec::new(),
@@ -141,16 +121,16 @@ impl TagBuilder {
     }
 
     /// Register a relation's schema (needed before inserting its tuples).
+    /// Its columns' [`materialize`](vcsql_relation::schema::Column::materialize)
+    /// flags decide which of them get attribute vertices.
     pub fn add_schema(&mut self, schema: Schema) {
         if self.relation_index(&schema.name).is_some() {
             return;
         }
-        let materialized: Vec<bool> =
-            (0..schema.arity()).map(|c| self.policy.column_allowed(&schema, c)).collect();
         let refused = vec![false; schema.arity()];
         let first_edge_label =
             self.relations.last().map_or(0, |r| r.first_edge_label + r.schema.arity() as u32);
-        self.relations.push(Registered { schema, materialized, refused, first_edge_label });
+        self.relations.push(Registered { schema, refused, first_edge_label });
     }
 
     fn relation_index(&self, rel: &str) -> Option<usize> {
@@ -187,10 +167,10 @@ impl TagBuilder {
         let first_edge_label = self.relations[r].first_edge_label;
         for c in 0..arity {
             let v = &self.values[start + c];
-            if !self.relations[r].materialized[c] || v.is_null() {
+            if !self.relations[r].schema.columns[c].materialize || v.is_null() {
                 continue; // NULL never joins; no vertex for it
             }
-            if !self.policy.value_allowed(v) {
+            if !value_allowed(v) {
                 self.relations[r].refused[c] = true;
                 continue;
             }
@@ -243,7 +223,6 @@ impl TagBuilder {
     /// isolated-attribute vertices are dropped and ids are compacted.
     pub fn build(self) -> TagGraph {
         let TagBuilder {
-            policy: _,
             relations,
             vlabel,
             mut value_start,
@@ -273,9 +252,9 @@ impl TagBuilder {
         let mut edge_labels: Vec<Option<LabelId>> = Vec::new();
         for r in &relations {
             rel_labels.push(gb.vertex_label(&r.schema.name));
-            for (col, &materialized) in r.schema.columns.iter().zip(&r.materialized) {
+            for col in &r.schema.columns {
                 let name = format!("{}.{}", r.schema.name, col.name);
-                edge_labels.push(materialized.then(|| gb.edge_label(&name)));
+                edge_labels.push(col.materialize.then(|| gb.edge_label(&name)));
             }
         }
 
@@ -357,7 +336,7 @@ impl TagBuilder {
         let graph = gb.finish();
 
         // Per relation: LabelId of each column's edge label (None when the
-        // policy skipped the column or refused one of its values).
+        // column is not materialized or one of its values was refused).
         let mut col_labels: FxHashMap<String, Vec<Option<LabelId>>> = FxHashMap::default();
         let mut schemas = Vec::with_capacity(relations.len());
         for r in relations {
@@ -427,14 +406,9 @@ pub struct EdgeCounts {
 }
 
 impl TagGraph {
-    /// Encode a whole database with the default policy.
+    /// Encode a whole database.
     pub fn build(db: &Database) -> TagGraph {
-        TagGraph::build_with_policy(db, MaterializePolicy::default())
-    }
-
-    /// Encode a whole database with an explicit materialization policy.
-    pub fn build_with_policy(db: &Database, policy: MaterializePolicy) -> TagGraph {
-        let mut b = TagBuilder::new(policy);
+        let mut b = TagBuilder::new();
         for rel in db.relations() {
             b.add_schema(rel.schema.clone());
         }
@@ -501,8 +475,7 @@ impl TagGraph {
     }
 
     /// The edge label for `rel.column` (None if the column is not
-    /// materialized, or held a value the policy refused — see
-    /// [`MaterializePolicy`]).
+    /// materialized, or held a string too long to be a join key).
     pub fn column_label(&self, rel: &str, col: usize) -> Option<LabelId> {
         self.col_labels.get(rel).and_then(|v| v.get(col).copied().flatten())
     }
@@ -775,12 +748,47 @@ mod tests {
         assert_eq!(tag.tuple(tv).unwrap()[1], Value::Float(9.99));
     }
 
+    /// The string-key cap is inclusive: a 64-byte value is a join key, and
+    /// one 65-byte value takes its column's label away while the column's
+    /// other values keep their edges.
+    #[test]
+    fn string_key_cap_is_64_bytes() {
+        let build = |longest: &str| {
+            let schema = Schema::new("R", vec![Column::new("s", DataType::Str)]);
+            let rows = ["short", longest].map(|s| Tuple::new(vec![Value::str(s)]));
+            let mut db = Database::new();
+            db.add(Relation::from_tuples(schema, rows.into()).unwrap());
+            TagGraph::build(&db)
+        };
+        let edge_labels = |tag: &TagGraph, v: &str| -> Vec<String> {
+            let g = tag.graph();
+            let av = tag.attr_vertex(&Value::str(v)).expect("attribute vertex");
+            g.out_edges(av).iter().map(|e| g.edge_label_name(e.label).to_string()).collect()
+        };
+
+        let at_cap = "x".repeat(64);
+        let tag = build(&at_cap);
+        assert!(tag.column_label_by_name("R", "s").is_some());
+        assert_eq!(edge_labels(&tag, &at_cap), ["R.s"]);
+        assert_eq!(edge_labels(&tag, "short"), ["R.s"]);
+
+        let over = "x".repeat(65);
+        let tag = build(&over);
+        assert_eq!(tag.column_label_by_name("R", "s"), None);
+        assert!(tag.attr_vertex(&Value::str(&over)).is_none());
+        assert_eq!(edge_labels(&tag, "short"), ["R.s"]);
+        // The refused value still sits in its tuple.
+        let rl = tag.relation_label("R").unwrap();
+        let tv = tag.graph().vertices_with_label(rl)[1];
+        assert_eq!(tag.tuple(tv).unwrap(), [Value::str(&over)]);
+    }
+
     #[test]
     fn incremental_insert_equals_bulk_build() {
         let db = figure1_db();
         let bulk = TagGraph::build(&db);
 
-        let mut b = TagBuilder::new(MaterializePolicy::default());
+        let mut b = TagBuilder::new();
         for rel in db.relations() {
             b.add_schema(rel.schema.clone());
         }
@@ -800,7 +808,7 @@ mod tests {
     #[test]
     fn delete_removes_tuple_and_its_edges() {
         let db = figure1_db();
-        let mut b = TagBuilder::new(MaterializePolicy::default());
+        let mut b = TagBuilder::new();
         for rel in db.relations() {
             b.add_schema(rel.schema.clone());
         }
@@ -853,7 +861,7 @@ mod tests {
         }
         assert_eq!(counts(&tag, "ORDER", "odate"), (2, 1));
 
-        let mut b = TagBuilder::new(MaterializePolicy::default());
+        let mut b = TagBuilder::new();
         let mut last = None;
         for rel in db.relations() {
             b.add_schema(rel.schema.clone());
@@ -878,7 +886,7 @@ mod tests {
     #[test]
     fn deleting_a_hub_relation_touches_each_link_once() {
         let n = 1_000;
-        let mut b = TagBuilder::new(MaterializePolicy::default());
+        let mut b = TagBuilder::new();
         b.add_schema(Schema::new(
             "R",
             vec![Column::new("k", DataType::Int), Column::new("g", DataType::Int)],
@@ -902,7 +910,7 @@ mod tests {
 
     #[test]
     fn insert_rejects_unknown_relation_and_bad_arity() {
-        let mut b = TagBuilder::new(MaterializePolicy::default());
+        let mut b = TagBuilder::new();
         b.add_schema(Schema::new("R", vec![Column::new("a", DataType::Int)]));
         assert!(b.insert_tuple("S", Tuple::new(vec![Value::Int(1)])).is_err());
         assert!(b.insert_tuple("R", Tuple::new(vec![Value::Int(1), Value::Int(2)])).is_err());

@@ -16,10 +16,12 @@
 //! edge label. The encoding is query-independent and linear in the database
 //! size.
 //!
-//! The paper's materialization policy (Section 3) is honoured: columns whose
-//! values are "tricky" to join on (floats) or unlikely join keys (long text)
-//! can skip attribute vertices and live only in the tuple state; see
-//! [`MaterializePolicy`].
+//! The paper's materialization policy (Section 3) is honoured: a column
+//! whose schema does not
+//! [`materialize`](vcsql_relation::schema::Column::materialize) it (floats,
+//! whose equality is "tricky", by default) gets no attribute vertices and
+//! lives only in the tuple state, and a string over 64 bytes (long text, an
+//! unlikely join key) gets none either and takes its column out of joins.
 //!
 //! [`TagBuilder`] is the mutable form supporting the paper's cheap local
 //! maintenance (inserting a tuple appends its vertices and links, deleting
@@ -30,4 +32,4 @@
 
 pub mod build;
 
-pub use build::{EdgeCounts, MaterializePolicy, TagBuilder, TagGraph, TagStats};
+pub use build::{EdgeCounts, TagBuilder, TagGraph, TagStats};

@@ -18,7 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use vcsql_relation::Database;
-use vcsql_tag::{MaterializePolicy, TagBuilder, TagGraph};
+use vcsql_tag::{TagBuilder, TagGraph};
 use vcsql_workload::{tpcds, tpch};
 
 /// The system allocator, counting every `alloc` and `realloc` of the
@@ -87,7 +87,7 @@ fn tpcds_build_allocates_per_array_not_per_vertex() {
 #[test]
 fn delete_tuple_allocates_nothing() {
     let db = tpch::generate(0.01, 42);
-    let mut b = TagBuilder::new(MaterializePolicy::default());
+    let mut b = TagBuilder::new();
     let mut vertices = Vec::new();
     for rel in db.relations() {
         b.add_schema(rel.schema.clone());

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use vcsql_relation::schema::{Column, Schema};
 use vcsql_relation::{DataType, Tuple, Value};
-use vcsql_tag::{MaterializePolicy, TagBuilder, TagGraph};
+use vcsql_tag::{TagBuilder, TagGraph};
 
 /// r(k, g), s(k, g, name), t(k, g): `g` has three distinct values, so its
 /// attribute vertices are hubs shared by all three relations.
@@ -35,7 +35,7 @@ fn row(rel: usize, k: i64, g: i64) -> Tuple {
 }
 
 fn builder() -> TagBuilder {
-    let mut b = TagBuilder::new(MaterializePolicy::default());
+    let mut b = TagBuilder::new();
     for s in schemas() {
         b.add_schema(s);
     }

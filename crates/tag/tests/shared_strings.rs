@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use vcsql_relation::schema::{Column, Schema};
 use vcsql_relation::{DataType, Database, Relation, Tuple, Value};
-use vcsql_tag::{MaterializePolicy, TagBuilder, TagGraph};
+use vcsql_tag::{TagBuilder, TagGraph};
 
 /// Longer than the default policy's 64-byte limit.
 const LONG: &str = "a comment far too long to be a join key, so the policy refuses it!!";
@@ -92,7 +92,7 @@ fn string_cells_share_their_attribute_vertex_after_build() {
 
 #[test]
 fn string_cells_share_their_attribute_vertex_after_insert_tuple() {
-    let mut b = TagBuilder::new(MaterializePolicy::default());
+    let mut b = TagBuilder::new();
     b.add_schema(schema());
     for i in 0..12 {
         b.insert_tuple("item", row(i)).unwrap();
@@ -104,7 +104,7 @@ fn string_cells_share_their_attribute_vertex_after_insert_tuple() {
 
 #[test]
 fn a_value_of_the_wrong_type_is_refused_as_relation_push_refuses_it() {
-    let mut b = TagBuilder::new(MaterializePolicy::default());
+    let mut b = TagBuilder::new();
     b.add_schema(schema());
     b.insert_tuple("item", row(0)).unwrap();
     let bad = [

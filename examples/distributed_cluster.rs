@@ -38,9 +38,10 @@ fn main() {
         })
         .collect();
     let profile = cluster.calibrate(&tag, &analyzed).unwrap();
-    println!("calibrated traffic profile: {} edge labels (text form feeds later runs)\n", {
+    println!(
+        "calibrated traffic profile: {} edge labels (handed to the workload placement in memory)\n",
         profile.len()
-    });
+    );
 
     // One session per strategy; each builds its placement once and reuses it
     // (and its cached plans) for the whole workload.

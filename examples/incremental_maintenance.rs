@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example incremental_maintenance`
 
 use std::sync::Arc;
-use vcsql::tag::{MaterializePolicy, TagBuilder};
+use vcsql::tag::TagBuilder;
 use vcsql::workload::tpch;
 use vcsql::{Session, SessionConfig};
 
@@ -13,7 +13,7 @@ fn main() {
     let db = tpch::generate(0.01, 42);
 
     // Build incrementally, tuple by tuple, through the mutable builder.
-    let mut builder = TagBuilder::new(MaterializePolicy::default());
+    let mut builder = TagBuilder::new();
     for rel in db.relations() {
         builder.add_schema(rel.schema.clone());
     }

@@ -16,7 +16,7 @@ use vcsql::core::{QueryPlan, TagJoinExecutor};
 use vcsql::query::{analyze::analyze, parse};
 use vcsql::relation::schema::{Column, Schema};
 use vcsql::relation::{DataType, Database, Relation, Tuple, Value};
-use vcsql::tag::{MaterializePolicy, TagBuilder, TagGraph};
+use vcsql::tag::{TagBuilder, TagGraph};
 use vcsql::{FaultInjector, FaultPlan, Session, SessionConfig};
 
 /// A random database of `n` binary int tables t0(a,b), t1(a,b), ... with
@@ -408,7 +408,7 @@ proptest! {
     #[test]
     fn incremental_build_equals_bulk(db in arb_db(2), delete_first in any::<bool>()) {
         let bulk = TagGraph::build(&db);
-        let mut b = TagBuilder::new(MaterializePolicy::default());
+        let mut b = TagBuilder::new();
         for rel in db.relations() {
             b.add_schema(rel.schema.clone());
         }

@@ -11,7 +11,7 @@ use vcsql::core::{QueryPlan, TagJoinExecutor};
 use vcsql::query::{analyze::analyze, parse, seed, AggClass};
 use vcsql::relation::schema::{Column, Schema};
 use vcsql::relation::{DataType, Database, RelError, Relation, Tuple, Value};
-use vcsql::tag::{MaterializePolicy, TagGraph};
+use vcsql::tag::TagGraph;
 use vcsql::workload::{tpcds, tpch};
 use vcsql::{Session, SessionConfig};
 
@@ -156,9 +156,10 @@ fn outer_joins_are_a_clean_planner_error_on_every_sql_path() {
     assert_eq!(session.stats().queries, 0, "a refused statement was counted as served");
 }
 
-/// A join through a column the materialization policy refused — wholly
-/// (`skip`) or for one over-long value — must be the bind error, never a
-/// short count: the refused values have no attribute vertex to meet at.
+/// A join through a column the TAG did not materialize — wholly (the
+/// schema's `materialize` flag is off) or for one over-long value — must be
+/// the bind error, never a short count: the refused values have no
+/// attribute vertex to meet at.
 #[test]
 fn joins_on_ill_materialized_columns_error_instead_of_undercounting() {
     let count = |rel: &Relation| rel.tuples[0].get(0).clone();
@@ -174,22 +175,21 @@ fn joins_on_ill_materialized_columns_error_instead_of_undercounting() {
         }
     };
 
-    // A column skipped by policy has no edge label at all.
-    let db = tpch::generate(0.01, 42);
+    // A column the schema does not materialize has no edge label at all.
+    let mut db = tpch::generate(0.01, 42);
     let sql = "SELECT COUNT(*) FROM nation n, region r WHERE n.n_regionkey = r.r_regionkey";
-    let policy = MaterializePolicy {
-        skip: vec![("nation".to_string(), "n_regionkey".to_string())],
-        ..MaterializePolicy::default()
-    };
-    let tag = TagGraph::build_with_policy(&db, policy);
+    let default = TagGraph::build(&db);
+    let ok = TagJoinExecutor::new(&default, EngineConfig::sequential()).run_sql(sql).unwrap();
+    assert_eq!(count(&ok.relation), Value::Int(25), "the generated schema answers");
+    let nation = &mut db.get_mut("nation").unwrap().schema;
+    let k = nation.column_index("n_regionkey").unwrap();
+    nation.columns[k] = Column::unindexed("n_regionkey", DataType::Int);
+    let tag = TagGraph::build(&db);
     assert_eq!(tag.column_label_by_name("nation", "n_regionkey"), None);
     assert_eq!(tag.graph().edge_label_id("nation.n_regionkey"), None);
     check(&db, &tag, sql, 25);
-    let default = TagGraph::build(&db);
-    let ok = TagJoinExecutor::new(&default, EngineConfig::sequential()).run_sql(sql).unwrap();
-    assert_eq!(count(&ok.relation), Value::Int(25), "default policy answers");
 
-    // One value over `max_string_len` takes the whole column out of joins.
+    // One string over the 64-byte key cap takes the whole column out of joins.
     let long = "k".repeat(100);
     let mut db = Database::new();
     for name in ["a", "b"] {
@@ -207,11 +207,6 @@ fn joins_on_ill_materialized_columns_error_instead_of_undercounting() {
     assert_eq!(tag.column_label_by_name("a", "k"), None);
     assert!(tag.column_label_by_name("a", "v").is_some());
     check(&db, &tag, "SELECT COUNT(*) FROM a, b WHERE a.k = b.k", 2);
-    let all = TagGraph::build_with_policy(&db, MaterializePolicy::all());
-    let ok = TagJoinExecutor::new(&all, EngineConfig::sequential())
-        .run_sql("SELECT COUNT(*) FROM a, b WHERE a.k = b.k")
-        .unwrap();
-    assert_eq!(count(&ok.relation), Value::Int(2), "no length limit, no refusal");
 }
 
 /// An expression that fails to evaluate fails the statement on the TAG-join
