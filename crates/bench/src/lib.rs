@@ -71,12 +71,18 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
+/// Timed runs per statement and system in [`time_systems`]: one timed run
+/// left suite totals ±20–30% apart between identical invocations on a
+/// 2-core host.
+const TIMED_RUNS: usize = 3;
+
 /// One statement's wall seconds on each system, indexed by [`System`] (in
-/// [`System::ALL`] order). Each system runs it once untimed, then once
-/// timed: TAG-join runs the statement `session` planned, and its untimed
-/// run chooses the plan's shape, so neither planning nor the cost model is
-/// timed. Every untimed bag must equal row-hash's. Only TAG-join reads the
-/// session's engine; the baselines are single-threaded by design.
+/// [`System::ALL`] order). Each system runs it once untimed, then
+/// `TIMED_RUNS` times timed, and reports the median: TAG-join runs the
+/// statement `session` planned, and its untimed run chooses the plan's
+/// shape, so neither planning nor the cost model is timed. Every untimed
+/// bag must equal row-hash's. Only TAG-join reads the session's engine; the
+/// baselines are single-threaded by design.
 pub fn time_systems(loaded: &Loaded, session: &mut Session, sql: &str) -> Result<[f64; 4]> {
     let prepared = session.prepare(sql)?;
     let a = prepared.plan().analyzed();
@@ -92,9 +98,14 @@ pub fn time_systems(loaded: &Loaded, session: &mut Session, sql: &str) -> Result
     let mut secs = [0.0; 4];
     for sys in System::ALL {
         bags.push(run(sys)?);
-        let (out, s) = time(|| run(sys));
-        out?;
-        secs[sys as usize] = s;
+        let mut runs = [0.0; TIMED_RUNS];
+        for r in &mut runs {
+            let (out, s) = time(|| run(sys));
+            out?;
+            *r = s;
+        }
+        runs.sort_unstable_by(f64::total_cmp);
+        secs[sys as usize] = runs[TIMED_RUNS / 2];
     }
     let reference = &bags[System::RowHash as usize];
     for (sys, bag) in System::ALL.iter().zip(&bags) {

@@ -869,10 +869,10 @@ fn passes_filter(
 
 /// Collection-phase value at a vertex in collection superstep `step` of
 /// component `ci` (its roots compute at `steps.len()`): an attribute vertex
-/// unions the tables it received; a tuple vertex visits them, or is the one
-/// row of a traversal that starts at it. `None` when there is nothing to
-/// send: no table arrived, or the tuple's columns of one join variable
-/// disagree.
+/// unions the tables it received; a tuple vertex visits them in place, or
+/// is the one row of a traversal that starts at it. `None` when there is
+/// nothing to send: no table arrived, or the tuple's columns of one join
+/// variable disagree.
 fn compute_value(
     ctx: &VertexCtx<'_, '_, St, TagMsg>,
     q: &QueryCtx,
@@ -880,28 +880,27 @@ fn compute_value(
     ci: usize,
     step: usize,
 ) -> Option<Table> {
-    let incoming = Table::union(ctx.messages().iter().filter_map(|m| match m {
+    let incoming = ctx.messages().iter().filter_map(|m| match m {
         TagMsg::Table(t) => Some(&**t),
         _ => None,
-    }));
-    let Some(t) = q.table_of(ctx.label()) else { return incoming };
+    });
+    let Some(t) = q.table_of(ctx.label()) else { return Table::union(incoming) };
     let id = ctx.id();
     let own = own_tuple(q, tag, t, id)?;
     let payload = |added: &[usize]| added.iter().map(|&c| str_payload(&own[c])).sum::<usize>();
-    match (&q.visits[ci][step / 2], incoming) {
-        (Visit::First { layout, added, .. }, None) if step == 0 => {
+    match &q.visits[ci][step / 2] {
+        Visit::First { layout, added, .. } if step == 0 && incoming.clone().next().is_none() => {
             Some(Table::single(Arc::clone(layout), id, payload(added)))
         }
-        (Visit::First { layout, checks, added }, Some(rows)) => {
+        Visit::First { layout, checks, added } => {
             let agree = |ids: &[VertexId]| {
                 checks.iter().all(|&(pos, col, own_col)| {
                     tag.tuple(ids[pos]).is_some_and(|other| other[col] == own[own_col])
                 })
             };
-            Some(rows.extend(Arc::clone(layout), id, payload(added), agree))
+            Table::extend(incoming, Arc::clone(layout), id, payload(added), agree)
         }
-        (Visit::Again { pos }, Some(rows)) => Some(rows.select(*pos, id)),
-        (_, None) => None,
+        Visit::Again { pos } => Table::select(incoming, *pos, id),
     }
 }
 

@@ -27,11 +27,13 @@
 //!
 //! # Storage
 //!
-//! A table is a sequence of immutable row-major chunks behind `Arc`s.
-//! [`Table::union`] splices whole chunks instead of copying rows, so fanning a
-//! collection table out to many vertices (or accumulating incoming tables at
-//! one) is O(chunks), and [`Table::select`] reuses every chunk it keeps
-//! whole. Chunk boundaries carry no meaning.
+//! A table is one contiguous row-major buffer of `u32` words: each row is
+//! its ids, then its string payload in bytes. A tuple vertex extends or
+//! selects straight over the tables it received ([`Table::extend`],
+//! [`Table::select`] take them all), so only an attribute vertex's
+//! [`Table::union`] copies rows into one buffer: O(rows), at most one scan
+//! more than every consumer of the union makes anyway. Fanning a table out
+//! along many edges shares it behind one `Arc` ([`TagMsg::Table`]).
 //!
 //! # Wire model
 //!
@@ -73,18 +75,38 @@ pub struct Layout {
     pub cols: Vec<ColKey>,
 }
 
-/// One immutable segment of a [`Table`]: each row is the layout's
-/// `tables.len()` ids followed by the row's string payload in bytes.
+/// An intermediate table: a shared [`Layout`] plus contiguous rows of
+/// tuple-vertex ids.
 #[derive(Debug)]
-struct Chunk {
+pub struct Table {
+    layout: Arc<Layout>,
+    /// Row-major rows: the layout's `tables.len()` ids, then the row's
+    /// string payload in bytes.
     words: Vec<u32>,
-    /// Sum of the rows' payloads.
+    /// Sum of the rows' payloads (incremental wire model).
     str_bytes: usize,
 }
 
-impl Chunk {
-    fn with_capacity(words: usize) -> Chunk {
-        Chunk { words: Vec::with_capacity(words), str_bytes: 0 }
+impl Table {
+    /// An empty table over `layout`.
+    pub fn empty(layout: Arc<Layout>) -> Table {
+        Table::with_capacity(layout, 0)
+    }
+
+    /// An empty table over `layout` with room for `rows` rows.
+    fn with_capacity(layout: Arc<Layout>, rows: usize) -> Table {
+        let words = Vec::with_capacity(rows * (layout.tables.len() + 1));
+        Table { layout, words, str_bytes: 0 }
+    }
+
+    /// A tuple vertex's own one-row table (the first visit of a traversal's
+    /// start): `layout` names its table alone, and its `payload` is that of
+    /// every column the layout lists.
+    pub fn single(layout: Arc<Layout>, id: VertexId, payload: usize) -> Table {
+        debug_assert_eq!(layout.tables.len(), 1, "a single row names one tuple");
+        let mut t = Table::with_capacity(layout, 1);
+        t.push(&[id], &[], payload);
+        t
     }
 
     /// Append a row: `ids`, then `more` ids, with `payload` string bytes.
@@ -94,52 +116,6 @@ impl Chunk {
         self.words.extend_from_slice(more);
         self.words.push(payload as u32);
         self.str_bytes += payload;
-    }
-}
-
-/// An intermediate table: a shared [`Layout`] plus chunked rows of
-/// tuple-vertex ids.
-#[derive(Debug, Clone)]
-pub struct Table {
-    layout: Arc<Layout>,
-    /// Shared storage; cloning a table or unioning tables bumps refcounts.
-    chunks: Vec<Arc<Chunk>>,
-    /// Total row count across chunks (incremental, O(1) reads).
-    len: usize,
-    /// Total padded string payload across chunks (incremental wire model).
-    str_bytes: usize,
-}
-
-impl Table {
-    /// An empty table over `layout`.
-    pub fn empty(layout: Arc<Layout>) -> Table {
-        Table { layout, chunks: Vec::new(), len: 0, str_bytes: 0 }
-    }
-
-    /// A tuple vertex's own one-row table (the first visit of a traversal's
-    /// start): `layout` names its table alone, and its `payload` is that of
-    /// every column the layout lists.
-    pub fn single(layout: Arc<Layout>, id: VertexId, payload: usize) -> Table {
-        debug_assert_eq!(layout.tables.len(), 1, "a single row names one tuple");
-        let mut chunk = Chunk::with_capacity(2);
-        chunk.push(&[id], &[], payload);
-        Table::from_chunk(layout, chunk)
-    }
-
-    fn from_chunk(layout: Arc<Layout>, chunk: Chunk) -> Table {
-        let mut t = Table::empty(layout);
-        t.add(Arc::new(chunk));
-        t
-    }
-
-    /// Append a chunk, keeping the counters; empty chunks are dropped.
-    fn add(&mut self, chunk: Arc<Chunk>) {
-        let rows = chunk.words.len() / (self.layout.tables.len() + 1);
-        if rows > 0 {
-            self.len += rows;
-            self.str_bytes += chunk.str_bytes;
-            self.chunks.push(chunk);
-        }
     }
 
     /// The layout every row shares.
@@ -154,12 +130,12 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.len
+        self.words.len() / (self.layout.tables.len() + 1)
     }
 
     /// True iff no rows.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.words.is_empty()
     }
 
     /// Approximate serialized payload bytes (used for message accounting):
@@ -169,13 +145,12 @@ impl Table {
     /// comparisons are like for like. O(1): both terms are maintained
     /// incrementally at construction.
     pub fn approx_bytes(&self) -> usize {
-        16 + self.len * self.layout.cols.len() * 8 + self.str_bytes
+        16 + self.len() * self.layout.cols.len() * 8 + self.str_bytes
     }
 
     /// Rows with their payload word: `tables.len() + 1` words each.
     fn words(&self) -> impl Iterator<Item = &[u32]> {
-        let stride = self.layout.tables.len() + 1;
-        self.chunks.iter().flat_map(move |c| c.words.chunks_exact(stride))
+        self.words.chunks_exact(self.layout.tables.len() + 1)
     }
 
     /// Rows as id slices, one id per layout table, in layout order.
@@ -184,64 +159,72 @@ impl Table {
         self.words().map(move |w| &w[..width])
     }
 
-    /// Union of same-layout tables (bag semantics). Shares chunk storage
-    /// with every operand — the first included — so no row is copied.
-    pub fn union<'a>(tables: impl IntoIterator<Item = &'a Table>) -> Option<Table> {
-        let mut out: Option<Table> = None;
+    /// Union of same-layout tables (bag semantics): every operand's rows in
+    /// operand order, copied into one buffer. `None` for no operand.
+    pub fn union<'a>(
+        tables: impl IntoIterator<Item = &'a Table, IntoIter: Clone>,
+    ) -> Option<Table> {
+        let tables = tables.into_iter();
+        let first = tables.clone().next()?;
+        let rows = tables.clone().map(Table::len).sum();
+        let mut out = Table::with_capacity(Arc::clone(&first.layout), rows);
         for t in tables {
-            match &mut out {
-                None => out = Some(t.clone()),
-                Some(acc) => {
-                    debug_assert_eq!(acc.layout, t.layout, "union of mismatched layouts");
-                    acc.chunks.extend(t.chunks.iter().cloned());
-                    acc.len += t.len;
-                    acc.str_bytes += t.str_bytes;
-                }
-            }
+            debug_assert_eq!(out.layout, t.layout, "union of mismatched layouts");
+            out.words.extend_from_slice(&t.words);
+            out.str_bytes += t.str_bytes;
         }
-        out
+        Some(out)
     }
 
-    /// A tuple vertex's first visit: every row `keep` accepts, extended by
-    /// the vertex's `id` and `payload` — the padded strings of the columns it
-    /// adds. `layout` is this table's with the vertex's table appended.
-    pub fn extend(
-        &self,
+    /// A tuple vertex's first visit over the `tables` it received: every row
+    /// `keep` accepts, in table and then row order, extended by the vertex's
+    /// `id` and `payload` — the padded strings of the columns it adds.
+    /// `layout` is the tables' with the vertex's table appended. `None` for
+    /// no table.
+    pub fn extend<'a>(
+        tables: impl IntoIterator<Item = &'a Table, IntoIter: Clone>,
         layout: Arc<Layout>,
         id: VertexId,
         payload: usize,
         mut keep: impl FnMut(&[VertexId]) -> bool,
-    ) -> Table {
-        let width = self.layout.tables.len();
-        debug_assert_eq!(layout.tables.len(), width + 1, "a visit appends one table");
-        let mut out = Chunk::with_capacity(self.len * (width + 2));
-        for w in self.words() {
-            if keep(&w[..width]) {
-                out.push(&w[..width], &[id], w[width] as usize + payload);
+    ) -> Option<Table> {
+        let tables = tables.into_iter();
+        tables.clone().next()?;
+        let rows = tables.clone().map(Table::len).sum();
+        let mut out = Table::with_capacity(layout, rows);
+        let width = out.layout.tables.len() - 1;
+        for t in tables {
+            debug_assert_eq!(t.layout.tables.len(), width, "a visit appends one table");
+            for w in t.words() {
+                if keep(&w[..width]) {
+                    out.push(&w[..width], &[id], w[width] as usize + payload);
+                }
             }
         }
-        Table::from_chunk(layout, out)
+        Some(out)
     }
 
-    /// A tuple vertex's revisit: the rows whose id at layout position `pos`
-    /// is `id`. Chunks kept whole are shared, the others rebuilt.
-    pub fn select(&self, pos: usize, id: VertexId) -> Table {
-        let stride = self.layout.tables.len() + 1;
-        let mut out = Table::empty(Arc::clone(&self.layout));
-        for chunk in &self.chunks {
-            let rows = chunk.words.chunks_exact(stride);
-            let kept = rows.clone().filter(|w| w[pos] == id).count();
-            if kept == rows.len() {
-                out.add(Arc::clone(chunk));
-            } else if kept > 0 {
-                let mut part = Chunk::with_capacity(kept * stride);
-                for w in rows.filter(|w| w[pos] == id) {
-                    part.push(&w[..stride - 1], &[], w[stride - 1] as usize);
-                }
-                out.add(Arc::new(part));
+    /// A tuple vertex's revisit over the `tables` it received: the rows
+    /// whose id at layout position `pos` is `id`, in table and then row
+    /// order. `None` for no table.
+    pub fn select<'a>(
+        tables: impl IntoIterator<Item = &'a Table, IntoIter: Clone>,
+        pos: usize,
+        id: VertexId,
+    ) -> Option<Table> {
+        let tables = tables.into_iter();
+        let first = tables.clone().next()?;
+        let own = |w: &&[u32]| w[pos] == id;
+        let rows = tables.clone().map(|t| t.words().filter(own).count()).sum();
+        let mut out = Table::with_capacity(Arc::clone(&first.layout), rows);
+        let width = out.layout.tables.len();
+        for t in tables {
+            debug_assert_eq!(out.layout, t.layout, "select over mismatched layouts");
+            for w in t.words().filter(own) {
+                out.push(&w[..width], &[], w[width] as usize);
             }
         }
-        out
+        Some(out)
     }
 
     /// Cross product with a table over disjoint tables and columns (Section
@@ -256,11 +239,11 @@ impl Table {
         let layout = Arc::new(Layout { tables, cols });
 
         let (w, v) = (self.layout.tables.len(), other.layout.tables.len());
-        let mut out = Chunk::with_capacity(self.len * other.len * (w + v + 1));
+        let mut out = Table::with_capacity(layout, self.len() * other.len());
         let mut emit = |a: &[u32], b: &[u32]| {
             out.push(&a[..w], &b[..v], (a[w] + b[v]) as usize);
         };
-        if self.len <= other.len {
+        if self.len() <= other.len() {
             for a in self.words() {
                 other.words().for_each(|b| emit(a, b));
             }
@@ -269,7 +252,7 @@ impl Table {
                 self.words().for_each(|a| emit(a, b));
             }
         }
-        Table::from_chunk(layout, out)
+        out
     }
 }
 
@@ -445,7 +428,7 @@ mod tests {
         let payload: usize = added.iter().map(str_payload).sum();
         assert_eq!(payload, 8 + 16);
         let l = layout(vec![0, 1], vec![X, col(0, 1), col(1, 1), col(1, 2)]);
-        let t = rows.extend(l, 20, payload, |_| true);
+        let t = Table::extend([&rows], l, 20, payload, |_| true).unwrap();
         let rows: Vec<&[VertexId]> = t.rows().collect();
         assert_eq!(rows, [[10, 20], [11, 20]]);
         let want = [
@@ -457,7 +440,7 @@ mod tests {
 
         // A row the caller's check rejects leaves with its payload.
         let l = layout(vec![0, 1], vec![X, col(0, 1), col(1, 1), col(1, 2)]);
-        let one = names().extend(l, 20, payload, |ids| ids[0] == 11);
+        let one = Table::extend([&names()], l, 20, payload, |ids| ids[0] == 11).unwrap();
         assert_eq!(one.approx_bytes(), value_row_bytes(4, &want[1..]));
     }
 
@@ -466,32 +449,65 @@ mod tests {
         // Rows from tuples 10 and 11 (identical except for the string) meet
         // at tuple 11's revisit: it keeps its own row only.
         let t = names();
-        let own = t.select(0, 11);
+        let own = Table::select([&t], 0, 11).unwrap();
         assert_eq!(own.rows().collect::<Vec<_>>(), [[11]]);
         assert_eq!(own.approx_bytes(), value_row_bytes(2, &[vec![Value::Int(1), s("abcdefghi")]]));
-        // A chunk kept whole is shared, not copied; no match is empty.
-        assert!(Arc::ptr_eq(&own.chunks[0], &t.chunks[1]));
-        let none = t.select(0, 12);
+        // No match is an empty table; no incoming table is no table.
+        let none = Table::select([&t], 0, 12).unwrap();
         assert!(none.is_empty());
         assert_eq!(none.approx_bytes(), 16);
+        assert!(Table::select([], 0, 11).is_none());
     }
 
     #[test]
-    fn union_splices_chunks_and_adds_bytes() {
+    fn union_keeps_operand_then_row_order_and_adds_bytes() {
         let a = names();
-        let b = names().select(0, 10);
+        let b = Table::select([&names()], 0, 10).unwrap();
         let u = Table::union([&a, &b]).unwrap();
         assert_eq!(u.len(), 3);
-        assert_eq!(u.chunks.len(), 3);
-        assert!(Arc::ptr_eq(&u.chunks[0], &a.chunks[0]));
-        assert!(Arc::ptr_eq(&u.chunks[2], &b.chunks[0]));
+        assert_eq!(u.rows().collect::<Vec<_>>(), [[10], [11], [10]]);
         let rows = [
             vec![Value::Int(1), s("abc")],
             vec![Value::Int(1), s("abcdefghi")],
             vec![Value::Int(1), s("abc")],
         ];
         assert_eq!(u.approx_bytes(), value_row_bytes(2, &rows));
+        assert_eq!(u.approx_bytes(), a.approx_bytes() + b.approx_bytes() - 16);
         assert!(Table::union(std::iter::empty::<&Table>()).is_none());
+    }
+
+    /// Incoming tables over `(x, name)`: the names, tuple 12 alone, and an
+    /// empty one.
+    fn incoming() -> [Table; 3] {
+        let l = layout(vec![0], vec![X, col(0, 1)]);
+        let twelve = Table::single(Arc::clone(&l), 12, str_payload(&s("abcdefghijklmnopq")));
+        [names(), twelve, Table::empty(l)]
+    }
+
+    #[test]
+    fn extend_over_several_tables_equals_extend_over_their_union() {
+        let tables = incoming();
+        let union = Table::union(&tables).unwrap();
+        let l = layout(vec![0, 1], vec![X, col(0, 1), col(1, 1)]);
+        for keep in [|_: &[VertexId]| true, |ids: &[VertexId]| ids[0] != 11] {
+            let many = Table::extend(&tables, Arc::clone(&l), 20, 8, keep).unwrap();
+            let one = Table::extend([&union], Arc::clone(&l), 20, 8, keep).unwrap();
+            assert_eq!(many.rows().collect::<Vec<_>>(), one.rows().collect::<Vec<_>>());
+            assert_eq!(many.approx_bytes(), one.approx_bytes());
+        }
+        assert!(Table::extend([], l, 20, 8, |_| true).is_none());
+    }
+
+    #[test]
+    fn select_over_several_tables_equals_select_over_their_union() {
+        let tables = incoming();
+        let union = Table::union(&tables).unwrap();
+        for id in [10, 11, 12, 13] {
+            let many = Table::select(&tables, 0, id).unwrap();
+            let one = Table::select([&union], 0, id).unwrap();
+            assert_eq!(many.rows().collect::<Vec<_>>(), one.rows().collect::<Vec<_>>());
+            assert_eq!(many.approx_bytes(), one.approx_bytes());
+        }
     }
 
     #[test]

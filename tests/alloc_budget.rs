@@ -1,8 +1,9 @@
-//! Allocation budget of grouped aggregation — a host-independent guard for
-//! "a group or a local-aggregation partial is not a heap object of its own".
+//! Allocation budgets of grouped aggregation and collection —
+//! host-independent guards for "a group or a local-aggregation partial is
+//! not a heap object of its own" and "a collection table is one heap block".
 //!
 //! A counting global allocator (hence an integration-test binary of its own)
-//! measures two statements over TPC-H SF 0.1 after a warm-up run:
+//! measures three statements after a warm-up run, two over TPC-H SF 0.1:
 //!
 //! * q18's inner shape on a sequential TAG-join executor. Every lineitem
 //!   tuple is a root of its own that ships one partial to its order key's
@@ -16,6 +17,15 @@
 //!   constant. A boxed key, accumulator array and representative row per
 //!   group added 3 per group.
 //!
+//! and one over TPC-DS SF 0.5:
+//!
+//! * d_q50 on a sequential TAG-join executor: store sales fan in to their
+//!   few store and date vertices, so collection (tables extended, selected,
+//!   unioned and shipped) is most of its work. A table is one row buffer
+//!   behind one `Arc`, so the budget is 1.25 allocations per vertex-step
+//!   (a vertex active in a superstep) plus a constant. `Arc`-shared chunks,
+//!   one per row, made it 1.8.
+//!
 //! The count is taken per thread, so it repeats exactly whatever else the
 //! test harness is doing.
 
@@ -28,7 +38,7 @@ use vcsql::core::TagJoinExecutor;
 use vcsql::query::{analyze::analyze, parse, AggClass, Gather};
 use vcsql::relation::Relation;
 use vcsql::tag::TagGraph;
-use vcsql::workload::tpch;
+use vcsql::workload::{tpcds, tpch};
 
 /// The system allocator, counting every `alloc` and `realloc` of the
 /// calling thread.
@@ -124,5 +134,25 @@ fn row_store_grouping_allocates_per_output_row() {
         allocations <= groups + CONSTANT,
         "grouping made {allocations} allocations for {groups} output rows \
          (the budget is one per row plus {CONSTANT})"
+    );
+}
+
+#[test]
+fn collection_allocates_about_one_block_per_vertex_step() {
+    let db = tpcds::generate(0.5, 42);
+    let tag = TagGraph::build(&db);
+    let q = tpcds::queries().into_iter().find(|q| q.id == "d_q50").unwrap();
+    let a = analyze(&parse(q.sql).unwrap(), tag.schemas()).unwrap();
+    let exec = TagJoinExecutor::new(&tag, EngineConfig::sequential());
+    let warm = exec.execute(&a).unwrap();
+    let (out, allocations) = allocations_of(|| exec.execute(&a).unwrap());
+    assert!(out.relation.same_bag(&warm.relation));
+    let steps: u64 = out.stats.steps.iter().map(|s| s.active_vertices).sum();
+    assert!(steps > 5_000, "{steps} vertex-steps is too few to tell");
+    assert!(
+        allocations * 4 <= steps * 5 + CONSTANT * 4,
+        "d_q50 made {allocations} allocations over {steps} vertex-steps \
+         ({:.2} per vertex-step; the budget is 1.25 plus {CONSTANT})",
+        allocations as f64 / steps as f64
     );
 }
