@@ -5,8 +5,20 @@
 //! DESIGN.md's experiment index for the mapping from paper tables/figures to
 //! modes.
 
+/// `println!` through [`emit`], so a closed stdout ends the process
+/// quietly instead of panicking.
+macro_rules! outln {
+    () => {
+        $crate::emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 pub mod repro;
 
+use std::io::{ErrorKind, Write};
 use std::sync::Arc;
 use vcsql_baseline::{execute as row_execute, ColumnarDatabase, ExecConfig, JoinAlgo};
 use vcsql_query::analyze::Analyzed;
@@ -183,7 +195,22 @@ fn vectorizable_column(f: &Expr, a: &Analyzed, t: usize) -> Option<usize> {
 
 /// Print a markdown table and the blank line that ends it.
 pub fn print_table(headers: &[impl std::borrow::Borrow<str>], rows: &[Vec<String>]) {
-    println!("{}", markdown_table(headers, rows));
+    outln!("{}", markdown_table(headers, rows));
+}
+
+/// Write `args` to stdout through its lock. A closed stdout — its reader
+/// went away, as in `repro … | head` — ends the process quietly with status
+/// 0; any other write error ends it with a message and status 1.
+pub fn emit(args: std::fmt::Arguments<'_>) {
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(args).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("repro: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 fn markdown_table(headers: &[impl std::borrow::Borrow<str>], rows: &[Vec<String>]) -> String {

@@ -20,7 +20,7 @@ use vcsql_workload::synthetic;
 
 /// A1 — §4.1.2: two-way join communication vs the min(IN, OUT) bound.
 pub(super) fn cost_model(_: &Args) {
-    println!("\n## A1 — Two-way join communication vs analytic bounds (paper §4.1.2)\n");
+    outln!("\n## A1 — Two-way join communication vs analytic bounds (paper §4.1.2)\n");
     let mut rows = Vec::new();
     for b_domain in [10i64, 100, 1000, 10_000] {
         let db = synthetic::two_way_db(2000, b_domain, SEED);
@@ -49,7 +49,7 @@ pub(super) fn cost_model(_: &Args) {
 
 /// A2 — §6.1.2: triangle θ sweep.
 pub(super) fn triangle_theta(_: &Args) {
-    println!("\n## A2 — Triangle heavy/light θ sweep (paper §6.1.2)\n");
+    outln!("\n## A2 — Triangle heavy/light θ sweep (paper §6.1.2)\n");
     let db = synthetic::cycle_db(3, 3000, 400, SEED);
     let tag = TagGraph::build(&db);
     let names = ["e0", "e1", "e2"];
@@ -78,7 +78,7 @@ pub(super) fn triangle_theta(_: &Args) {
 
 /// A4 — §5.2.2: no-reshuffle property vs join chain length.
 pub(super) fn reshuffle(a: &Args) {
-    println!("\n## A4 — Reshuffle bytes vs join-chain length (paper §5.2.2)\n");
+    outln!("\n## A4 — Reshuffle bytes vs join-chain length (paper §5.2.2)\n");
     let db = (TPCH.generate)(a.sf(), SEED);
     let tag = Arc::new(TagGraph::build(&db));
     let chains = [

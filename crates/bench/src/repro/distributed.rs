@@ -38,7 +38,7 @@ fn calibration_profile(tag: &TagGraph, queries: &[BenchQuery], machines: usize) 
 /// one `Session`, so plans are prepared once per workload.
 pub(super) fn run(a: &Args) {
     let sf = a.sf();
-    println!("\n## E13 — Distributed cluster simulation, 6 machines (paper Fig 16)\n");
+    outln!("\n## E13 — Distributed cluster simulation, 6 machines (paper Fig 16)\n");
     let spark = SparkModel::default();
     for suite in SUITES {
         let queries = (suite.queries)();
@@ -53,7 +53,7 @@ pub(super) fn run(a: &Args) {
         // profiled on the measurement loop's own graph.
         let workload_profile: Option<TrafficProfile> = a.wants_workload().then(|| {
             let profile = calibration_profile(&tag, &queries, spark.machines);
-            println!(
+            outln!(
                 "({}: `workload` strategy calibrated on {}, {} profiled edge labels)\n",
                 suite.title,
                 suite.name,
@@ -112,12 +112,12 @@ pub(super) fn run(a: &Args) {
         let mut headers = vec!["query".to_string()];
         headers.extend(sessions.iter().map(|(s, _)| format!("tag net ({})", s.name())));
         headers.push("spark_model net".to_string());
-        println!("### {} @ SF {sf} — network traffic per query\n", suite.title);
+        outln!("### {} @ SF {sf} — network traffic per query\n", suite.title);
         print_table(&headers, &rows);
-        println!("spark_model modelled runtime: {spark_time:.3}s\n");
+        outln!("spark_model modelled runtime: {spark_time:.3}s\n");
         for (i, (s, session)) in sessions.iter().enumerate() {
             let d = session.partitioning().expect("6 machines").diagnostics(tag.graph());
-            println!(
+            outln!(
                 "{:>9}: spark/tag traffic ratio = {:5.1}x | modelled runtime {:7.3}s | \
                  edge cut {:5.1}% | load imbalance {:.2}",
                 s.name(),
@@ -127,6 +127,6 @@ pub(super) fn run(a: &Args) {
                 d.load_imbalance,
             );
         }
-        println!();
+        outln!();
     }
 }

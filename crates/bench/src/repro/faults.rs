@@ -44,7 +44,7 @@ pub(super) fn run(a: &Args) {
     let (sf, checkpoint_every, seed) = (a.sf(), a.checkpoint_every, a.seed);
     let (kill_machine, kill_superstep) = a.kill;
     let machines = (kill_machine as usize + 1).max(4);
-    println!(
+    outln!(
         "\n## E17 — Fault-tolerant execution @ SF {sf}: crash machine {kill_machine} before \
          superstep {kill_superstep}, seed {seed}, {machines} machines\n"
     );
@@ -146,7 +146,7 @@ pub(super) fn run(a: &Args) {
                 ]
             })
             .collect();
-        println!("### {workload} — all result bags identical to fault-free\n");
+        outln!("### {workload} — all result bags identical to fault-free\n");
         print_table(
             &[
                 "ckpt every",

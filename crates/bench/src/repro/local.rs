@@ -26,7 +26,7 @@ fn tag_vs_others(secs: &[f64; 4]) -> Vec<String> {
 
 /// E1 — Tables 1-2: loading times.
 pub(super) fn loading(a: &Args) {
-    println!("\n## E1 — Loading times (paper Tables 1-2), seconds\n");
+    outln!("\n## E1 — Loading times (paper Tables 1-2), seconds\n");
     for suite in SUITES {
         let mut rows = Vec::new();
         for &sf in &a.sfs {
@@ -54,7 +54,7 @@ pub(super) fn loading(a: &Args) {
                 format!("{tag_s:.3}"),
             ]);
         }
-        println!("### {}\n", suite.title);
+        outln!("### {}\n", suite.title);
         print_table(
             &["SF", "tuples", "generate", "row+index load", "columnar load", "TAG load"],
             &rows,
@@ -64,7 +64,7 @@ pub(super) fn loading(a: &Args) {
 
 /// E2 — Fig 14 / Table 15: loaded sizes.
 pub(super) fn sizes(a: &Args) {
-    println!("\n## E2 — Loaded data sizes (paper Fig 14 / Table 15)\n");
+    outln!("\n## E2 — Loaded data sizes (paper Fig 14 / Table 15)\n");
     for suite in SUITES {
         let mut rows = Vec::new();
         for &sf in &a.sfs {
@@ -80,7 +80,7 @@ pub(super) fn sizes(a: &Args) {
                 format!("{}", stats.edges / 2),
             ]);
         }
-        println!("### {}\n", suite.title);
+        outln!("### {}\n", suite.title);
         print_table(
             &[
                 "SF",
@@ -117,7 +117,7 @@ type Timed = Vec<(BenchQuery, [f64; 4])>;
 /// SF's timings, which the drill-down tables read. A statement that fails,
 /// or whose bag differs from row-hash's, exits 1.
 fn runtimes(suite: &Suite, a: &Args) -> Timed {
-    println!("\n## {} runtimes (paper Fig 13, Tables 8-14), ms\n", suite.title);
+    outln!("\n## {} runtimes (paper Fig 13, Tables 8-14), ms\n", suite.title);
     let mut timed = Vec::new();
     for &sf in &a.sfs {
         let loaded = suite.load(sf);
@@ -152,7 +152,7 @@ fn runtimes(suite: &Suite, a: &Args) -> Timed {
 
 /// E7/E8 — Tables 3-4: TPC-H class drill-down.
 fn tpch_classes(timed: &Timed, sf: f64) {
-    println!("\n## E7/E8 — TPC-H drill-down @ SF {sf} (paper Tables 3-4)\n");
+    outln!("\n## E7/E8 — TPC-H drill-down @ SF {sf} (paper Tables 3-4)\n");
     let mut la_rows = Vec::new();
     let mut ga_rows = Vec::new();
     for (q, secs) in timed {
@@ -167,18 +167,18 @@ fn tpch_classes(timed: &Timed, sf: f64) {
             ga_rows.push(row);
         }
     }
-    println!("### Table 3 shape: LA / correlated queries — TAG-join time and speedups\n");
+    outln!("### Table 3 shape: LA / correlated queries — TAG-join time and speedups\n");
     print_table(
         &["query", "class", "tag_join ms", "vs row_hash", "vs row_merge", "vs columnar_im"],
         &la_rows,
     );
-    println!("### Table 4 shape: GA / scalar queries — absolute times (ms)\n");
+    outln!("### Table 4 shape: GA / scalar queries — absolute times (ms)\n");
     print_table(&["query", "class", "tag_join", "row_hash", "row_merge", "columnar_im"], &ga_rows);
 }
 
 /// E9 — Table 5: win/competitive/lose counts.
 fn tpcds_matrix(timed: &Timed, sf: f64) {
-    println!("\n## E9 — TPC-DS outcome matrix @ SF {sf} (paper Table 5)\n");
+    outln!("\n## E9 — TPC-DS outcome matrix @ SF {sf} (paper Table 5)\n");
     let mut counts: BTreeMap<&str, (u32, u32, u32)> = BTreeMap::new();
     for (_, secs) in timed {
         let tag = secs[System::TagJoin as usize];
@@ -198,13 +198,13 @@ fn tpcds_matrix(timed: &Timed, sf: f64) {
         .iter()
         .map(|(s, (w, c, l))| vec![s.to_string(), w.to_string(), c.to_string(), l.to_string()])
         .collect();
-    println!("total queries: {}\n", timed.len());
+    outln!("total queries: {}\n", timed.len());
     print_table(&["vs system", "outperforms", "competitive", "worse"], &rows);
 }
 
 /// E10 — Table 6: per-class TPC-DS speedups.
 fn tpcds_classes(timed: &Timed, sf: f64) {
-    println!("\n## E10 — TPC-DS per-class speedups @ SF {sf} (paper Table 6)\n");
+    outln!("\n## E10 — TPC-DS per-class speedups @ SF {sf} (paper Table 6)\n");
     let rows: Vec<Vec<String>> = timed
         .iter()
         .map(|(q, secs)| {
@@ -221,7 +221,7 @@ fn tpcds_classes(timed: &Timed, sf: f64) {
 
 /// E11 — Fig 15: aggregate runtime by aggregation class.
 fn agg_breakdown(timed: &Timed, sf: f64) {
-    println!(
+    outln!(
         "\n## E11 — TPC-DS aggregate runtime by aggregation class @ SF {sf} (paper Fig 15), ms\n"
     );
     let mut per_class: BTreeMap<String, [f64; 4]> = BTreeMap::new();
@@ -242,7 +242,7 @@ fn agg_breakdown(timed: &Timed, sf: f64) {
 
 /// E12 — Table 7: working-set bytes.
 pub(super) fn memory(a: &Args) {
-    println!("\n## E12 — Working-set bytes during execution (paper Table 7)\n");
+    outln!("\n## E12 — Working-set bytes during execution (paper Table 7)\n");
     let sf = a.sf();
     for suite in SUITES {
         let loaded = suite.load(sf);
@@ -254,7 +254,7 @@ pub(super) fn memory(a: &Args) {
             vec!["columnar (dictionary)".into(), human_bytes(loaded.columnar.deep_size())],
             vec!["TAG graph (+payloads)".into(), human_bytes(loaded.tag.stats().bytes)],
         ];
-        println!("### {} @ SF {sf}\n", suite.title);
+        outln!("### {} @ SF {sf}\n", suite.title);
         print_table(&["engine", "resident bytes"], &rows);
     }
 }

@@ -413,7 +413,7 @@ pub fn parse(argv: &[String]) -> Result<Option<(&'static Mode, Args)>, String> {
 pub fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match parse(&argv) {
-        Ok(None) => print!("{}", usage()),
+        Ok(None) => crate::emit(format_args!("{}", usage())),
         Ok(Some((mode, args))) => (mode.run)(&args),
         Err(msg) => {
             eprint!("repro: {msg}\n\n{}", usage());

@@ -3,7 +3,7 @@
 //! happy path must keep producing the experiment tables. The binary is
 //! spawned for real via the path Cargo exports to integration tests.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use vcsql_bench::repro::{FLAGS, MODES};
 use vcsql_workload::{tpcds, tpch, BenchQuery};
 
@@ -175,6 +175,24 @@ fn help_prints_usage_and_exits_zero() {
     let out = repro("--help");
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage: repro"));
+}
+
+/// A reader that goes away before the first line (`repro … | head -0`)
+/// ends the run quietly: status 0, nothing on stderr, no panic backtrace.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    for cmdline in ["--help", "cost-model", "tpcds --sf 0.01 --threads 1"] {
+        let mut child = command(cmdline)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("repro binary spawns");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("repro runs to its end");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{cmdline}: stderr {stderr}");
+        assert!(stderr.is_empty(), "{cmdline}: stderr {stderr}");
+    }
 }
 
 #[test]

@@ -27,7 +27,7 @@
 //!
 //! Delivery is one counting sort by target on the calling thread. The
 //! outboxes are taken in worker order, which is source-vertex order;
-//! messages are counted per target in a `u32` scratch of |V| entries that
+//! messages are counted per target in a `u32` cursor of |V| entries that
 //! is zero between supersteps, the distinct targets are sorted, and each
 //! message is moved to its target's cursor. Every vertex therefore sees its
 //! messages ordered by source vertex, then send order — for every thread
@@ -45,6 +45,19 @@
 //! signals, delivery collects the targets of both lanes in a |V|-bit
 //! scratch and reads the active list off it in vertex order; a target that
 //! got only signals has an empty message run.
+//!
+//! **Scratch.** The arrays sized by the graph — the states, the delivery
+//! cursor, the |V|-bit target and touched sets, the edge bitmap — form a
+//! [`Scratch`]. A host that runs many computations over one graph hands a
+//! finished run's scratch to the next ([`Computation::with_scratch`],
+//! [`Computation::into_scratch`]), so a run's set-up and tear-down cost what
+//! it touched, not |V|: every superstep sets its active vertices' bits in
+//! the touched set (compute hands out `&mut` to those states only), and
+//! `into_scratch` resets exactly those states and clears the pending
+//! signals' bitmap words. The cursor and the target set are already zero
+//! between supersteps. A checkpoint rollback replaces the states wholesale
+//! with states of an earlier superstep, whose changes the touched set,
+//! which only grows, already covers.
 //!
 //! Threading: the compute phase runs on a persistent [`WorkerPool`]
 //! (attached via [`Computation::set_worker_pool`] or created lazily) —
@@ -293,6 +306,48 @@ fn fan_out<F: Fn(usize) + Sync>(pool: Option<&WorkerPool>, n: usize, job: &F) {
     }
 }
 
+/// The graph-sized arrays of a [`Computation`], kept between runs over one
+/// graph (module docs, **Scratch**). Between runs the states are those of
+/// the `init` passed to [`Computation::into_scratch`], and every other
+/// array is zero. It holds no message table: the table's vectors grow with
+/// a run's traffic, not with the graph.
+pub struct Scratch<V> {
+    states: Vec<V>,
+    cursor: Vec<u32>,
+    seen: Vec<u64>,
+    edge_bits: Vec<u64>,
+    touched: Vec<u64>,
+}
+
+impl<V> Scratch<V> {
+    /// Fresh arrays for `n` vertices; the edge bitmap and the target set
+    /// stay empty until the first signal.
+    fn fresh(n: usize, init: impl Fn(VertexId) -> V) -> Scratch<V> {
+        Scratch {
+            states: (0..n as VertexId).map(init).collect(),
+            cursor: vec![0; n],
+            seen: Vec::new(),
+            edge_bits: Vec::new(),
+            touched: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    /// Whether these arrays fit `graph`: the vertex-sized ones were all
+    /// built for one vertex count, the edge bitmap for an edge count.
+    fn fits(&self, graph: &Graph) -> bool {
+        self.states.len() == graph.vertex_count()
+            && [0, graph.edge_count().div_ceil(64)].contains(&self.edge_bits.len())
+    }
+
+    /// Whether every array but the states is zero, as between runs.
+    fn is_clean(&self) -> bool {
+        self.cursor.iter().all(|&c| c == 0)
+            && [&self.seen, &self.edge_bits, &self.touched]
+                .iter()
+                .all(|a| a.iter().all(|&w| w == 0))
+    }
+}
+
 /// A running vertex-centric computation: graph + states + message table +
 /// statistics. The `pub(crate)` fields are what a checkpoint captures and a
 /// rollback rewinds ([`crate::recovery`]).
@@ -319,6 +374,9 @@ pub struct Computation<'g, V, M: Message> {
     /// Delivery's |V|-bit target set in a step that carries signals; all
     /// zero between supersteps, empty until the first signal.
     seen: Vec<u64>,
+    /// The |V|-bit set of vertices active in some superstep: the only
+    /// states a run can have changed.
+    touched: Vec<u64>,
     pub(crate) stats: RunStats,
     pub(crate) partitioning: Option<Arc<Partitioning>>,
     /// Persistent worker runtime for parallel phases. Shared when the host
@@ -334,23 +392,61 @@ pub struct Computation<'g, V, M: Message> {
 impl<'g, V: Send, M: Message> Computation<'g, V, M> {
     /// Create a computation with per-vertex state produced by `init`.
     pub fn new(graph: &'g Graph, config: EngineConfig, init: impl Fn(VertexId) -> V) -> Self {
-        let n = graph.vertex_count();
+        Computation::with_scratch(graph, config, None, init)
+    }
+
+    /// Create a computation on `scratch`, the arrays an earlier run over a
+    /// graph of this size returned from [`Computation::into_scratch`] with
+    /// the same `init`; fresh arrays from `init` when there is none or it
+    /// does not fit.
+    pub fn with_scratch(
+        graph: &'g Graph,
+        config: EngineConfig,
+        scratch: Option<Scratch<V>>,
+        init: impl Fn(VertexId) -> V,
+    ) -> Self {
+        let scratch = match scratch {
+            Some(s) if s.fits(graph) => {
+                debug_assert!(s.is_clean(), "a returned scratch has a nonzero cursor or bit set");
+                s
+            }
+            _ => Scratch::fresh(graph.vertex_count(), init),
+        };
+        let Scratch { states, cursor, seen, edge_bits, touched } = scratch;
         Computation {
             graph,
             config,
-            states: (0..n as VertexId).map(init).collect(),
+            states,
             active: Vec::new(),
             inbox: Vec::new(),
             starts: vec![0],
             signals: Vec::new(),
-            edge_bits: Vec::new(),
-            cursor: vec![0; n],
-            seen: Vec::new(),
+            edge_bits,
+            cursor,
+            seen,
+            touched,
             stats: RunStats::default(),
             partitioning: None,
             workers: None,
             faults: None,
         }
+    }
+
+    /// End the run and return its arrays for the next one: the states of
+    /// every vertex that was ever active are set back to `init(v)` (the
+    /// others were never handed out), and the pending signals' bitmap words
+    /// are cleared. Costs what the run touched, not |V|.
+    pub fn into_scratch(mut self, init: impl Fn(VertexId) -> V) -> Scratch<V> {
+        self.set_signals(Vec::new());
+        for (w, word) in self.touched.iter_mut().enumerate() {
+            while *word != 0 {
+                let v = (w * 64) as VertexId + word.trailing_zeros();
+                self.states[v as usize] = init(v);
+                *word &= *word - 1;
+            }
+        }
+        let Computation { states, cursor, seen, edge_bits, touched, .. } = self;
+        Scratch { states, cursor, seen, edge_bits, touched }
     }
 
     /// Attach a shared persistent [`WorkerPool`] for parallel phases.
@@ -468,6 +564,9 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
         // recorded so the count matches the driver's step sequence).
         // Delivery orders messages the same way for any worker count.
         let workers = n.min(if n >= self.config.parallel_threshold { threads } else { 1 });
+        for &v in &self.active {
+            self.touched[v as usize / 64] |= 1 << (v % 64);
+        }
         let chunk = n.div_ceil(workers.max(1));
         // The persistent runtime. Creating the pool is free (OS threads
         // spawn on its first fan-out), so a multi-thread config makes one
@@ -1032,6 +1131,47 @@ mod tests {
                 assert_eq!(t.label_traffic(l), stats.label_traffic(l), "threads={threads}");
             }
         }
+    }
+
+    /// A scratch given back by one run starts the next exactly as fresh
+    /// arrays would: the states the run touched are reset, and the bits of
+    /// the signals it left pending are cleared. A scratch sized for another
+    /// graph is not used.
+    #[test]
+    fn a_returned_scratch_starts_the_next_run_fresh() {
+        let g = line(200);
+        let label = g.edge_label_id("next").unwrap();
+        let init = |v: VertexId| 3 * v as u64;
+        let run = |scratch: Option<Scratch<u64>>| {
+            let config = EngineConfig::with_threads(2).with_parallel_threshold(0);
+            let mut comp = Computation::<u64, u64>::with_scratch(&g, config, scratch, init);
+            comp.activate([3, 64, 130, 199]);
+            comp.superstep_simple(|ctx| {
+                *ctx.state += 1000;
+                for slot in 0..ctx.edges().len() {
+                    ctx.signal_along(label, slot);
+                }
+            });
+            comp.superstep_simple(|ctx| {
+                *ctx.state += ctx.signalled(0..ctx.edges().len()).count() as u64;
+                ctx.signal_along(label, 0);
+            });
+            let (states, stats) = (comp.states().to_vec(), comp.stats().clone());
+            (states, stats, comp.into_scratch(init))
+        };
+        let (states, stats, scratch) = run(None);
+        assert!(scratch.is_clean(), "the pending signals' bits were cleared");
+        assert!(scratch.states.iter().enumerate().all(|(v, &s)| s == init(v as VertexId)));
+        let (again, again_stats, scratch) = run(Some(scratch));
+        assert_eq!((again, again_stats), (states, stats));
+        let small = line(10);
+        let comp = Computation::<u64, u64>::with_scratch(
+            &small,
+            EngineConfig::sequential(),
+            Some(scratch),
+            init,
+        );
+        assert_eq!(comp.states().len(), 10, "a scratch of another size is replaced");
     }
 
     /// All-to-neighbours ping used by the runtime tests below, then a

@@ -112,7 +112,7 @@ impl FaultTraffic {
 }
 
 /// Accumulated statistics for a whole computation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     pub supersteps: u64,
     pub totals: StepStats,

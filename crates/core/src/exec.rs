@@ -58,6 +58,15 @@
 //! admitted then fails its filter, after evaluating it, so the inner query
 //! aggregates only the keys some outer row can probe.
 //!
+//! Engine state: every computation — the outer query's and each subquery
+//! run's — takes its graph-sized arrays, the [`St`] per vertex among them,
+//! from the executor's scratch pool when a host attached one
+//! ([`TagJoinExecutor::with_scratch_pool`]), and gives them back at the end
+//! of a successful run, reset where it touched them
+//! ([`Computation::into_scratch`]). Runs are sequential within one
+//! execution, so a subquery's run hands its scratch to the run after it.
+//! A bare executor builds and frees fresh arrays per run.
+//!
 //! Cartesian products across join-graph components follow Section 6.3's
 //! Algorithm B: secondary components are evaluated first, gathered, and
 //! shipped to the primary component's root vertices.
@@ -71,11 +80,12 @@ use crate::bind::{all_hold, QueryCtx, Seed, Visit};
 use crate::plan::QueryPlan;
 use crate::table::{str_payload, Partial, Table, TagMsg};
 use std::ops::{ControlFlow, Range};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use vcsql_bsp::program::Aggregator;
+use vcsql_bsp::sync::Mutex;
 use vcsql_bsp::{
     Computation, EngineConfig, FaultError, FaultInjector, LabelId, LabelTraffic, Partitioning,
-    RunStats, VertexCtx, VertexId, WorkerPool,
+    RunStats, Scratch, VertexCtx, VertexId, WorkerPool,
 };
 use vcsql_query::analyze::Analyzed;
 use vcsql_query::{AggClass, Gather};
@@ -179,19 +189,32 @@ pub struct ExecOutput {
     pub stats: RunStats,
 }
 
+/// Engine scratches kept between executions over one TAG
+/// ([`TagJoinExecutor::with_scratch_pool`]): one per execution that ran at
+/// the same time as another, at most.
+pub type ScratchPool = Mutex<Vec<Scratch<St>>>;
+
 /// The vertex-centric SQL executor over a TAG graph.
 pub struct TagJoinExecutor<'t> {
     tag: &'t TagGraph,
     config: EngineConfig,
     partitioning: Option<Arc<Partitioning>>,
     workers: Option<Arc<WorkerPool>>,
+    scratches: Option<Arc<ScratchPool>>,
     faults: Option<Arc<FaultInjector>>,
 }
 
 impl<'t> TagJoinExecutor<'t> {
     /// New executor with the given engine configuration.
     pub fn new(tag: &'t TagGraph, config: EngineConfig) -> Self {
-        TagJoinExecutor { tag, config, partitioning: None, workers: None, faults: None }
+        TagJoinExecutor {
+            tag,
+            config,
+            partitioning: None,
+            workers: None,
+            scratches: None,
+            faults: None,
+        }
     }
 
     /// Arm a fault injector: every computation this executor starts
@@ -212,6 +235,18 @@ impl<'t> TagJoinExecutor<'t> {
     /// that execute many queries (a `Session`) attach one pool at open.
     pub fn with_worker_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.workers = Some(pool);
+        self
+    }
+
+    /// Attach a shared pool of engine scratches: every computation this
+    /// executor starts (including subquery runs) borrows one, or builds
+    /// fresh arrays when the pool is empty, and a run that succeeds gives
+    /// its scratch back, reset where it touched the states. A run that
+    /// fails or panics drops its scratch. Two runs never hold one scratch
+    /// at once. Hosts that execute many queries attach one pool at open;
+    /// without one, every run builds and frees its |V|-sized arrays.
+    pub fn with_scratch_pool(mut self, pool: Arc<ScratchPool>) -> Self {
+        self.scratches = Some(pool);
         self
     }
 
@@ -268,8 +303,10 @@ impl<'t> TagJoinExecutor<'t> {
         q.admit = seed.map(|s| s.inner_table);
 
         // ---- engine ----------------------------------------------------------
+        // A subquery's run above gave back the scratch this run takes.
+        let scratch = self.scratches.as_deref().and_then(|p| lock(p).pop());
         let mut comp: Computation<'_, St, TagMsg> =
-            Computation::new(self.tag.graph(), self.config, |_| St::default());
+            Computation::with_scratch(self.tag.graph(), self.config, scratch, |_| St::default());
         if let Some(p) = &self.partitioning {
             comp.set_partitioning_shared(Arc::clone(p));
         }
@@ -330,6 +367,10 @@ impl<'t> TagJoinExecutor<'t> {
         let out = self.finish(&mut comp, &q, secondary)?;
 
         stats.absorb(comp.stats());
+        if let Some(pool) = &self.scratches {
+            let scratch = comp.into_scratch(|_| St::default());
+            lock(pool).push(scratch);
+        }
         Ok(ExecOutput { relation: out, stats })
     }
 
@@ -735,6 +776,12 @@ where
 
 /// Map an engine fault to the executor's error type; retry-worthiness
 /// travels in the variant, so hosts (the server's retry loop) match on it.
+/// The scratch pool's lock. A poisoned lock only means another execution
+/// panicked: a push or pop is all it ever did under the lock.
+fn lock(pool: &ScratchPool) -> vcsql_bsp::sync::MutexGuard<'_, Vec<Scratch<St>>> {
+    pool.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn fault_to_rel(e: FaultError) -> RelError {
     RelError::Fault { transient: e.is_transient(), message: e.to_string() }
 }

@@ -37,6 +37,6 @@ pub mod plan;
 pub mod table;
 
 pub use cost::Shape;
-pub use exec::{ExecOutput, TagJoinExecutor};
+pub use exec::{ExecOutput, ScratchPool, TagJoinExecutor};
 pub use plan::QueryPlan;
 pub use table::{ColKey, Table, TagMsg};

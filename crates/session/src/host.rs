@@ -12,7 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use vcsql_bsp::sync::Mutex;
 use vcsql_bsp::{EngineConfig, FaultInjector, Partitioning, WorkerPool};
-use vcsql_core::{ExecOutput, QueryPlan, TagJoinExecutor};
+use vcsql_core::{ExecOutput, QueryPlan, ScratchPool, TagJoinExecutor};
 use vcsql_dist::NetStats;
 use vcsql_relation::RelError;
 use vcsql_tag::TagGraph;
@@ -80,8 +80,9 @@ pub struct HostStats {
 }
 
 /// The state every host of one TAG shares across its callers: the graph,
-/// engine tuning, plan cache, placement, worker pool and fault injector.
-/// Everything is `&self`, so one host serves any number of threads.
+/// engine tuning, plan cache, placement, worker pool, engine scratches and
+/// fault injector. Everything is `&self`, so one host serves any number of
+/// threads.
 pub struct Host {
     tag: Arc<TagGraph>,
     engine: EngineConfig,
@@ -93,6 +94,10 @@ pub struct Host {
     /// single-threaded engine configs). Its OS threads spawn on the first
     /// superstep that fans out and park between queries.
     pub(crate) pool: Option<Arc<WorkerPool>>,
+    /// The engine's graph-sized arrays, kept between executions: one per
+    /// execution that ran at the same time as another, each lent to one
+    /// execution at a time.
+    scratches: Arc<ScratchPool>,
     /// Deterministic fault injection shared by every execution (`None` =
     /// fault-free). Fired-once semantics span queries and callers.
     pub(crate) faults: Option<Arc<FaultInjector>>,
@@ -114,6 +119,7 @@ impl Host {
             cache: PlanCache::new(PLAN_CACHE_CAPACITY),
             placement: (machines > 1).then(|| Arc::new(tag.partition(&config.strategy, machines))),
             pool: (threads > 1).then(|| Arc::new(WorkerPool::new(threads))),
+            scratches: Arc::new(ScratchPool::new(Vec::new())),
             faults,
         })
     }
@@ -175,9 +181,11 @@ impl Host {
     /// Assemble the executor from the host's shared pieces, run `plan` and
     /// split out the network share of its traffic. The executor borrows no
     /// host state mutably (everything shared arrives by `Arc`), so
-    /// unwinding out of it cannot leave the host torn.
+    /// unwinding out of it cannot leave the host torn: a run that panics
+    /// drops the scratch it borrowed instead of giving it back.
     fn execute(&self, plan: &QueryPlan) -> Result<(ExecOutput, NetStats)> {
-        let mut exec = TagJoinExecutor::new(&self.tag, self.engine);
+        let mut exec = TagJoinExecutor::new(&self.tag, self.engine)
+            .with_scratch_pool(Arc::clone(&self.scratches));
         if let Some(p) = &self.placement {
             exec = exec.with_partitioning_shared(Arc::clone(p));
         }

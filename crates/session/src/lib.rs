@@ -255,14 +255,29 @@ mod tests {
         assert_eq!(s.stats().queries, 2);
     }
 
+    /// A lone executor's run of `plan` under the session's placement, on
+    /// fresh engine arrays.
+    fn fresh_run(
+        tag: &TagGraph,
+        config: &SessionConfig,
+        s: &Session,
+        plan: &QueryPlan,
+    ) -> ExecOutput {
+        let mut exec = TagJoinExecutor::new(tag, config.engine);
+        if let Some(p) = s.partitioning() {
+            exec = exec.with_partitioning_shared(p);
+        }
+        exec.execute_plan(plan).unwrap()
+    }
+
     /// The failure contract: an execution aborted by an unrecoverable
     /// injected fault leaves every piece of session state — query count,
-    /// network counters, placement — exactly as it was, and a retry (the
-    /// fault fires once) succeeds normally.
+    /// network counters, placement, engine scratch — exactly as it was, and
+    /// a retry (the fault fires once) succeeds normally.
     #[test]
     fn failed_execution_leaves_the_session_unchanged() {
         let (tag, config) = session(4);
-        let mut s = Session::open(&tag, config).unwrap();
+        let mut s = Session::open(&tag, config.clone()).unwrap();
         let prepared = s.prepare(JOIN_SQL).unwrap();
         s.execute(&prepared).unwrap();
         let queries = s.stats().queries;
@@ -278,10 +293,15 @@ mod tests {
         for (i, v) in tag.graph().vertices().enumerate() {
             assert_eq!(placement[i], s.partitioning().unwrap().machine_of(v));
         }
-        // The fault fired once; the retry runs clean and is counted.
-        let (out, _) = s.execute(&prepared).unwrap();
-        assert!(!out.relation.is_empty());
-        assert_eq!(s.stats().queries, queries + 1);
+        // The fault fired once; the retry runs clean and is counted, and
+        // it and the run after it count exactly what a fresh run counts.
+        let fresh = fresh_run(&tag, &config, &s, prepared.plan());
+        for round in 1..=2 {
+            let (out, _) = s.execute(&prepared).unwrap();
+            assert!(out.relation.same_bag_approx(&fresh.relation, 1e-9));
+            assert_eq!(out.stats, fresh.stats, "run {round} after the failure");
+            assert_eq!(s.stats().queries, queries + round);
+        }
     }
 
     /// A panic inside execution is caught, surfaced as a per-query error,
@@ -290,22 +310,26 @@ mod tests {
     #[test]
     fn panicking_execution_is_isolated_and_only_counted_as_a_failure() {
         let (tag, config) = session(2);
-        let mut s = Session::open(&tag, config).unwrap();
+        let mut s = Session::open(&tag, config.clone()).unwrap();
         let prepared = s.prepare(JOIN_SQL).unwrap();
+        s.execute(&prepared).unwrap();
         s.set_fault_injector(Arc::new(FaultInjector::new(FaultPlan::new().compute_panic(1), 0)));
         let err = s.execute(&prepared).unwrap_err();
         assert!(matches!(err, RelError::Panicked(_)), "unexpected error: {err}");
         let msg = format!("{err}");
         assert!(msg.starts_with("execution panicked: "), "unexpected error: {msg}");
         assert!(msg.contains("injected compute fault"), "payload text lost: {msg}");
-        assert_eq!(s.stats().queries, 0);
-        assert_eq!(s.stats().failures, FailureStats { panics: 1, ..Default::default() });
-        // The injector's panic fired once; the session stays usable.
-        let (out, _) = s.execute(&prepared).unwrap();
-        let oneshot =
-            TagJoinExecutor::new(&tag, EngineConfig::sequential()).run_sql(JOIN_SQL).unwrap();
-        assert!(out.relation.same_bag_approx(&oneshot.relation, 1e-9));
         assert_eq!(s.stats().queries, 1);
+        assert_eq!(s.stats().failures, FailureStats { panics: 1, ..Default::default() });
+        // The injector's panic fired once; the session stays usable, and
+        // its runs count exactly what a fresh run counts.
+        let fresh = fresh_run(&tag, &config, &s, prepared.plan());
+        for round in 1..=2 {
+            let (out, _) = s.execute(&prepared).unwrap();
+            assert!(out.relation.same_bag_approx(&fresh.relation, 1e-9));
+            assert_eq!(out.stats, fresh.stats, "run {round} after the panic");
+            assert_eq!(s.stats().queries, 1 + round);
+        }
     }
 
     /// A dropped delivery is the one injected fault worth retrying as is, and

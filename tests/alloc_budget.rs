@@ -26,6 +26,15 @@
 //!   (a vertex active in a superstep) plus a constant. `Arc`-shared chunks,
 //!   one per row, made it 1.8.
 //!
+//! The allocator also records the largest single allocation, which guards
+//! one more budget, over TPC-DS SF 0.5:
+//!
+//! * d_q84's second execution through a `Session` allocates nothing of
+//!   |V| × 4 bytes or more: the engine's graph-sized arrays (24 B of state
+//!   and a 4 B delivery cursor per vertex) come from the host's scratch,
+//!   which the first execution gave back. Building them per statement
+//!   allocated |V| × 24 and |V| × 4 bytes on every run.
+//!
 //! The count is taken per thread, so it repeats exactly whatever else the
 //! test harness is doing.
 
@@ -33,28 +42,38 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 use vcsql::bsp::EngineConfig;
 use vcsql::core::TagJoinExecutor;
 use vcsql::query::{analyze::analyze, parse, AggClass, Gather};
 use vcsql::relation::Relation;
 use vcsql::tag::TagGraph;
 use vcsql::workload::{tpcds, tpch};
+use vcsql::{Session, SessionConfig};
 
 /// The system allocator, counting every `alloc` and `realloc` of the
-/// calling thread.
+/// calling thread and recording the largest.
 struct Counting;
 
 thread_local! {
     /// Const-initialized and without a destructor, so reading it inside the
     /// allocator never allocates.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes of the largest `alloc` or `realloc` since the last reset.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Count one allocation of `size` bytes.
+fn record(size: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    LARGEST.with(|l| l.set(l.get().max(size)));
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator, which
-// upholds `GlobalAlloc`'s contract; the counter is a plain thread-local.
+// upholds `GlobalAlloc`'s contract; the counters are plain thread-locals.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        record(layout.size());
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
@@ -65,7 +84,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        record(new_size);
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -79,6 +98,14 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The largest single allocation, in bytes, the calling thread makes while
+/// running `f`.
+fn largest_allocation_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
 }
 
 /// What a statement may allocate whatever its input size: the plan's and
@@ -154,5 +181,24 @@ fn collection_allocates_about_one_block_per_vertex_step() {
         "d_q50 made {allocations} allocations over {steps} vertex-steps \
          ({:.2} per vertex-step; the budget is 1.25 plus {CONSTANT})",
         allocations as f64 / steps as f64
+    );
+}
+
+#[test]
+fn a_session_statement_allocates_no_graph_sized_array() {
+    let tag = Arc::new(TagGraph::build(&tpcds::generate(0.5, 42)));
+    let q = tpcds::queries().into_iter().find(|q| q.id == "d_q84").unwrap();
+    let config = SessionConfig { engine: EngineConfig::sequential(), ..SessionConfig::default() };
+    let mut session = Session::open(&tag, config).unwrap();
+    let prepared = session.prepare(q.sql).unwrap();
+    let (warm, _) = session.execute(&prepared).unwrap();
+    let ((out, _), largest) = largest_allocation_of(|| session.execute(&prepared).unwrap());
+    assert!(out.relation.same_bag(&warm.relation));
+    let vertices = tag.graph().vertex_count();
+    assert!(vertices > 10_000, "{vertices} vertices is too few to tell");
+    assert!(
+        largest < vertices * 4,
+        "d_q84's second execution allocated {largest} bytes at once, at least |V| × 4 = {}",
+        vertices * 4
     );
 }
