@@ -3,16 +3,17 @@
 //! This is the stand-in for the paper's reference RDBMSs: filters are pushed
 //! to base tables, joins run one at a time in a greedy smallest-first order
 //! (hash or sort-merge per [`ExecConfig`]), subqueries are evaluated first
-//! and their checks ([`vcsql_query::subquery`]) applied at the scan of the
-//! one table they read, or else to the joined rows, and the joined rows fold
-//! into the statement's output ([`vcsql_query::output`]). It is also the
+//! — an inner query's rows fold straight into its probe table — and their
+//! checks ([`vcsql_query::subquery`]) applied at the scan of the one table
+//! they read, or else to the joined rows, and the joined rows fold into the
+//! statement's output ([`vcsql_query::output`]). It is also the
 //! correctness oracle for the vertex-centric executor: both must produce
 //! identical bags.
 
 use std::sync::Arc;
 use vcsql_query::analyze::Analyzed;
 use vcsql_query::rows::{self, Inter};
-use vcsql_query::{lower_subquery, Gather, LoweredSubquery, SubqueryCheck, SubqueryResult};
+use vcsql_query::{lower_subquery, Gather, LoweredSubquery, Output, SubqueryCheck, SubqueryResult};
 use vcsql_relation::expr::Predicate;
 use vcsql_relation::{Database, RelError, Relation};
 
@@ -35,13 +36,26 @@ pub struct ExecConfig {
 
 /// Execute an analyzed query against a database.
 pub fn execute(a: &Analyzed, db: &Database, cfg: ExecConfig) -> Result<Relation> {
+    let (out, gather) = run(a, db, cfg, None)?;
+    out.finish(gather)
+}
+
+/// Run `a` up to its output: the output bound to the final rows (in probe
+/// mode for an inner query, whose `check` binds it) and everything gathered.
+fn run<'a>(
+    a: &'a Analyzed,
+    db: &Database,
+    cfg: ExecConfig,
+    check: Option<&SubqueryCheck>,
+) -> Result<(Output<'a>, Gather)> {
     // ---- subqueries first: each inner result, and the one table it reads ----
     let mut subqueries = Vec::with_capacity(a.subqueries.len());
     for sq in &a.subqueries {
         let LoweredSubquery { sub, check } = lower_subquery(sq);
-        let result = Arc::new(check.result(&execute(&sub, db, cfg)?));
+        let (out, gather) = run(&sub, db, cfg, Some(&check))?;
+        let result = check.finish(&out, gather)?;
         let table = check.outer_table(a)?;
-        subqueries.push((check, result, table));
+        subqueries.push((check, Arc::new(result), table));
     }
 
     // ---- base tables with pushed-down filters -------------------------------
@@ -97,12 +111,15 @@ pub fn execute(a: &Analyzed, db: &Database, cfg: ExecConfig) -> Result<Relation>
     }
 
     // ---- grouping, aggregation, HAVING and projection -----------------------
-    let out = a.output(|c| result.col_index(c), result.cols.len())?;
+    let mut out = a.output(|c| result.col_index(c), result.cols.len())?;
+    if let Some(check) = check {
+        out = check.bind_inner(out);
+    }
     let mut gather = Gather::default();
     for row in &result.rows {
         gather.add(&out, row.as_slice())?;
     }
-    out.finish(gather)
+    Ok((out, gather))
 }
 
 /// Keep the rows of `inter` that pass a subquery's check.

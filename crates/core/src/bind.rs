@@ -17,7 +17,7 @@ use std::sync::Arc;
 use vcsql_bsp::LabelId;
 use vcsql_query::analyze::Analyzed;
 use vcsql_query::tagplan::Step;
-use vcsql_query::{AggClass, BoundSubquery, Correlation, Output, SubqueryResult};
+use vcsql_query::{AggClass, BoundSubquery, Correlation, Output, SubqueryCheck, SubqueryResult};
 use vcsql_relation::expr::{BoundExpr, ColRef, Expr, Predicate, Row};
 use vcsql_relation::{FxHashMap, RelError, Value};
 use vcsql_tag::TagGraph;
@@ -198,11 +198,13 @@ impl Seed {
 
 impl<'a> QueryCtx<'a> {
     /// Bind `plan` to `tag`; `results` holds the result of each of the
-    /// plan's subqueries, in order.
+    /// plan's subqueries, in order. An inner query's plan binds its output
+    /// through its subquery's `check`, in probe mode.
     pub(crate) fn build(
         tag: &TagGraph,
         plan: &'a QueryPlan,
         results: &[Arc<SubqueryResult>],
+        check: Option<&SubqueryCheck>,
     ) -> Result<QueryCtx<'a>> {
         let a = plan.analyzed();
         let dec = &plan.dec;
@@ -377,7 +379,10 @@ impl<'a> QueryCtx<'a> {
         }
 
         // ---- output ------------------------------------------------------------------------
-        let output = a.output(|(t, c)| pos_of(t, c), final_layout.len())?;
+        let mut output = a.output(|(t, c)| pos_of(t, c), final_layout.len())?;
+        if let Some(check) = check {
+            output = check.bind_inner(output);
+        }
         let partial_bytes =
             partial_bytes(a.group_by.len(), a.items.len() + a.having.len(), final_layout.len());
 

@@ -43,13 +43,18 @@
 //! cells as per-worker scratch, allocating nothing per root. Local
 //! aggregation folds a root's kept rows, one group, into the accumulators of
 //! a [`Partial`] that also holds the tuple ids of the root's first kept row,
-//! and routes it, one heap block, to the group-key attribute vertex: one
-//! extra superstep, where the vertex folds its partials in message order
-//! into its worker's share of the aggregator, hashed by key cells borrowed
-//! from the arena; a group's representative row is read only when the group
-//! is new.
+//! and routes it, one heap block, to the group-key attribute vertex; a root
+//! that is its own one row routes its tuple id instead, no heap block. One
+//! extra superstep finishes the groups there: every partial of a group
+//! shares its routed key, so the vertex holds all of them. It folds them in
+//! message order into one accumulator set per group (its worker's scratch),
+//! judges each group by HAVING, and inserts only the groups it keeps into
+//! its worker's share of the aggregator, once each, reading a group's
+//! representative row only then.
 //!
-//! A subquery's inner plan runs first, in a computation of its own. When
+//! A subquery's inner plan runs first, in a computation of its own, and its
+//! rows or kept groups fold straight into the subquery's probe table
+//! (`vcsql_query::subquery`): the inner query builds no output relation. When
 //! the plan seeds it (`vcsql_query::seed`), that computation starts with a
 //! seeding phase of three supersteps: the outer key table's tuple vertices
 //! that pass their filters signal along the outer correlation label, the
@@ -88,7 +93,10 @@ use vcsql_bsp::{
     RunStats, Scratch, VertexCtx, VertexId, WorkerPool,
 };
 use vcsql_query::analyze::Analyzed;
-use vcsql_query::{AggClass, Gather};
+use vcsql_query::output::merge_accs;
+use vcsql_query::{AggClass, Gather, Output, SubqueryCheck};
+use vcsql_relation::agg::Accumulator;
+use vcsql_relation::expr::Row;
 use vcsql_relation::{RelError, Relation, Value};
 use vcsql_tag::TagGraph;
 
@@ -281,25 +289,33 @@ impl<'t> TagJoinExecutor<'t> {
     /// it never mutates it, so one plan can serve any number of executions
     /// (and any number of executors over the same schemas).
     pub fn execute_plan(&self, plan: &QueryPlan) -> Result<ExecOutput> {
-        self.run(plan, None)
+        let mut stats = RunStats::default();
+        let (output, gather) = self.run(plan, None, None, &mut stats)?;
+        Ok(ExecOutput { relation: output.finish(gather)?, stats })
     }
 
-    /// Execute `plan`, seeded by `seed` when it is a seeded subquery's
-    /// inner plan.
-    fn run(&self, plan: &QueryPlan, seed: Option<&Seed>) -> Result<ExecOutput> {
-        let mut stats = RunStats::default();
-
+    /// Run `plan` up to its output, adding its runs' statistics to `stats`:
+    /// the output bound to the final rows and everything gathered. An inner
+    /// query's plan binds its output through its subquery's `check`, in
+    /// probe mode, and is seeded by `seed` when the plan seeds it.
+    fn run<'p>(
+        &self,
+        plan: &'p QueryPlan,
+        check: Option<&SubqueryCheck>,
+        seed: Option<&Seed>,
+        stats: &mut RunStats,
+    ) -> Result<(Output<'p>, Gather)> {
         // ---- subqueries: each inner plan runs first (reverse lookup) --------
         let mut results = Vec::with_capacity(plan.subqueries.len());
         for (sub, check, corr) in &plan.subqueries {
             let bound = corr.map(|c| Seed::bind(self.tag, &plan.analyzed, &sub.analyzed, c));
-            let out = self.run(sub, bound.transpose()?.flatten().as_ref())?;
-            stats.absorb(&out.stats);
-            results.push(Arc::new(check.result(&out.relation)));
+            let seed = bound.transpose()?.flatten();
+            let (output, gather) = self.run(sub, Some(check), seed.as_ref(), stats)?;
+            results.push(Arc::new(check.finish(&output, gather)?));
         }
 
         // ---- bind the plan to this TAG --------------------------------------
-        let mut q = QueryCtx::build(self.tag, plan, &results)?;
+        let mut q = QueryCtx::build(self.tag, plan, &results, check)?;
         q.admit = seed.map(|s| s.inner_table);
 
         // ---- engine ----------------------------------------------------------
@@ -364,14 +380,14 @@ impl<'t> TagJoinExecutor<'t> {
 
         // Primary component traversal + finish.
         self.run_traversal(&mut comp, &q, q.primary)?;
-        let out = self.finish(&mut comp, &q, secondary)?;
+        let gather = self.finish(&mut comp, &q, secondary)?;
 
         stats.absorb(comp.stats());
         if let Some(pool) = &self.scratches {
             let scratch = comp.into_scratch(|_| St::default());
             lock(pool).push(scratch);
         }
-        Ok(ExecOutput { relation: out, stats })
+        Ok((q.output, gather))
     }
 
     /// Outbound half of the Algorithm B accounting (Section 6.3): every
@@ -574,7 +590,8 @@ impl<'t> TagJoinExecutor<'t> {
     // --------------------------------------------------------------- finish
 
     /// Final superstep at the primary roots: read the rows' values, apply
-    /// residuals, aggregate, output. Nothing here allocates per root but
+    /// residuals, aggregate; under local aggregation, one more superstep at
+    /// the group-key attribute vertices. Nothing here allocates per root but
     /// what a root ships or keeps: rows fold straight into the worker's
     /// [`Gather`], and the cells and kept-row list are worker scratch.
     fn finish(
@@ -582,7 +599,7 @@ impl<'t> TagJoinExecutor<'t> {
         comp: &mut Computation<'_, St, TagMsg>,
         q: &QueryCtx,
         secondary: Option<Table>,
-    ) -> Result<Relation> {
+    ) -> Result<Gather> {
         let tag = self.tag;
         let root = q.kept[q.primary].len();
         // A final row holds the primary component's ids, then Algorithm B's
@@ -598,8 +615,8 @@ impl<'t> TagJoinExecutor<'t> {
         let local = q.analyzed.agg_class == AggClass::Local;
 
         // Aggregator: projected rows or groups (LA additionally *sends*
-        // partials to attribute vertices and only uses this for the NULL-key
-        // fallback), plus scratch reused from vertex to vertex.
+        // partials to attribute vertices and uses this at the roots only for
+        // the NULL-key fallback), plus scratch reused from vertex to vertex.
         #[derive(Default)]
         struct Fin<'t> {
             out: Gather,
@@ -609,6 +626,8 @@ impl<'t> TagJoinExecutor<'t> {
             cells: Vec<&'t Value>,
             /// The current root's rows the residuals keep.
             kept: Vec<usize>,
+            /// The current attribute vertex's first group's accumulators.
+            accs: Vec<Accumulator>,
         }
         impl Aggregator for Fin<'_> {
             fn merge(&mut self, other: Self) {
@@ -636,7 +655,7 @@ impl<'t> TagJoinExecutor<'t> {
                 debug_assert_eq!(value.cols(), q.final_layout, "unexpected final layout");
                 debug_assert_eq!(value.layout().tables, tables, "unexpected final tables");
                 for ids in value.rows() {
-                    g.cells.extend(read_row(tag, ids, &reader));
+                    g.cells.extend(IdRow { tag, ids, reader: &reader }.all());
                 }
                 Some(value)
             };
@@ -658,27 +677,32 @@ impl<'t> TagJoinExecutor<'t> {
                 return;
             }
             // Under local aggregation the root's table holds every group
-            // column, so the root's kept rows form one group.
+            // column, so the root's kept rows form one group. It goes to the
+            // group-key attribute vertex along this root's own edge (Section
+            // 7, local aggregation); a NULL key (or a root without the edge)
+            // falls back to the aggregator.
             let Some(&first) = g.kept.first() else { return };
             let keys = q.output.keys();
-            let ids = match &value {
-                Some(v) => v.rows().nth(first).expect("a kept row"),
-                None => std::slice::from_ref(&id),
+            let route = q.la_route.filter(|_| !row(first)[keys[0]].is_null());
+            let to = route.and_then(|label| Some((label, ctx.edges_with(label).first()?.target)));
+            let ids = match (&value, to) {
+                // A root that is its own one row ships its id: the vertex
+                // folds the row.
+                (None, Some((label, to))) => {
+                    return ctx.send_along(label, to, TagMsg::Row(id, q.partial_bytes));
+                }
+                (Some(v), _) => v.rows().nth(first).expect("a kept row"),
+                (None, None) => std::slice::from_ref(&id),
             };
             let mut partial = Partial::new(ids, q.output.accumulators());
             for &i in &g.kept {
                 debug_assert!(keys.iter().all(|&p| row(i)[p] == row(first)[p]), "one group");
                 g.err.ok(q.output.fold(partial.accs_mut(), row(i)));
             }
-            // Route the partial to the group-key attribute vertex along this
-            // root's own edge (Section 7, local aggregation), boxed as its one
-            // heap block; a NULL key (or a root without the edge) falls back
-            // to the aggregator.
-            let route = q.la_route.filter(|_| !row(first)[keys[0]].is_null());
-            match route.and_then(|label| Some((label, ctx.edges_with(label).first()?.target))) {
+            match to {
+                // The partial travels as its one heap block.
                 Some((label, to)) => {
-                    let msg = TagMsg::Partial(Box::new(partial), q.partial_bytes);
-                    ctx.send_along(label, to, msg);
+                    ctx.send_along(label, to, TagMsg::Partial(Box::new(partial), q.partial_bytes));
                 }
                 None => {
                     let key = keys.iter().map(|&p| row(first)[p]);
@@ -690,30 +714,127 @@ impl<'t> TagJoinExecutor<'t> {
         fin.err.check()?;
 
         if local {
-            // One more superstep: group-key attribute vertices fold the
-            // partials they received (each group computed in parallel at its
-            // own vertex — the paper's local-aggregation strength) and hand
-            // them to the host through the aggregator. Every partial of a key
-            // is a message to one vertex, so its fold order is that vertex's
-            // message order. A partial's key cells are read from the arena;
-            // its representative row only when its group is new.
-            let keys = q.output.keys();
+            // One more superstep: every partial of a group shares its routed
+            // key, so each group-key attribute vertex holds every partial of
+            // its groups. It folds them in message order, one accumulator set
+            // per group, judges each group by HAVING there (each group
+            // computed in parallel at its own vertex — the paper's
+            // local-aggregation strength) and hands the groups it keeps to
+            // the host through the aggregator.
             let la = single_step(comp, |ctx: &mut VertexCtx<'_, '_, St, TagMsg>, g: &mut Fin| {
-                for m in ctx.messages() {
-                    let TagMsg::Partial(p, _) = m else { continue };
-                    let ids = p.ids();
-                    let key = keys.iter().map(|&k| {
-                        let (pos, col) = reader[k];
-                        &tag.tuple(ids[pos]).expect("partials hold tuple vertices")[col]
-                    });
-                    g.err.ok(g.out.insert(key, p.accs(), read_row(tag, ids, &reader)));
-                }
+                let msgs = ctx.messages();
+                let folded = fold_groups(&q.output, msgs, tag, &reader, &mut g.accs, &mut g.out);
+                g.err.ok(folded);
             })?;
             fin.merge(la);
             fin.err.check()?;
         }
-        q.output.finish(fin.out)
+        Ok(fin.out)
     }
+}
+
+/// A final row by its tuple ids, each cell read in place in the TAG's arena
+/// when asked for, in `reader`'s `(layout position, column)` order: where a
+/// statement reads its output, and how a group-key attribute vertex reads a
+/// partial's key and representative row, and a lone root's row.
+#[derive(Clone, Copy)]
+struct IdRow<'t, 'r> {
+    tag: &'t TagGraph,
+    ids: &'r [VertexId],
+    reader: &'r [(usize, usize)],
+}
+
+impl<'t, 'r> IdRow<'t, 'r> {
+    /// The cell at final-row position `i`.
+    fn at(self, i: usize) -> &'t Value {
+        let (pos, col) = self.reader[i];
+        &self.tag.tuple(self.ids[pos]).expect("rows hold tuple vertices")[col]
+    }
+
+    /// The cells at `positions`.
+    fn cells<'k>(
+        self,
+        positions: &'k [usize],
+    ) -> impl Iterator<Item = &'t Value> + Clone + use<'t, 'r, 'k> {
+        positions.iter().map(move |&i| self.at(i))
+    }
+
+    /// Every cell of the row.
+    fn all(self) -> impl Iterator<Item = &'t Value> + use<'t, 'r> {
+        (0..self.reader.len()).map(move |i| self.at(i))
+    }
+}
+
+impl Row for IdRow<'_, '_> {
+    fn cell(&self, i: usize) -> Option<&Value> {
+        (i < self.reader.len()).then(|| self.at(i))
+    }
+
+    fn width(&self) -> usize {
+        self.reader.len()
+    }
+}
+
+/// The LA superstep at one group-key attribute vertex: fold the partials of
+/// `msgs` in message order, one accumulator set per group — `accs` is the
+/// scratch of the first group — and insert the groups HAVING keeps into
+/// `out`. A partial's row is read by its ids, through `reader`.
+///
+/// Merging in message order is the merge sequence a gather of every partial
+/// would make, and folding a lone root's row into a group's accumulators
+/// gives the bits merging its one-row partial gave, so results do not
+/// depend on where groups finish. A routed column need not determine the
+/// group (`GROUP BY r.name, r.id` routes on `name`): partials are grouped
+/// by the full key, and a vertex that meets a second key folds the rest in
+/// a gather of its own.
+fn fold_groups(
+    output: &Output,
+    msgs: &[TagMsg],
+    tag: &TagGraph,
+    reader: &[(usize, usize)],
+    accs: &mut Vec<Accumulator>,
+    out: &mut Gather,
+) -> Result<()> {
+    let keys = output.keys();
+    let at = |ids| IdRow { tag, ids, reader };
+    // A partial's accumulators into `accs`: a root's, or a lone root's row
+    // folded into fresh ones.
+    let open = |accs: &mut Vec<Accumulator>, row: &IdRow, p: Option<&[Accumulator]>| {
+        accs.clear();
+        let Some(p) = p else {
+            accs.extend(output.accumulators());
+            return output.fold(accs, row);
+        };
+        accs.extend_from_slice(p);
+        Ok(())
+    };
+    let mut parts = msgs.iter().filter_map(TagMsg::partial).map(|(ids, p)| (at(ids), p));
+    let Some((first, p)) = parts.next() else { return Ok(()) };
+    open(accs, &first, p)?;
+    let mut other = None;
+    for (row, p) in parts.by_ref() {
+        if !row.cells(keys).eq(first.cells(keys)) {
+            other = Some((row, p));
+            break;
+        }
+        match p {
+            Some(p) => merge_accs(accs, p)?,
+            None => output.fold(accs, &row)?,
+        }
+    }
+    let Some(other) = other else {
+        if output.keeps(accs, &first)? {
+            out.insert(first.cells(keys), accs, first.all())?;
+        }
+        return Ok(());
+    };
+    let mut groups = Gather::default();
+    groups.insert(first.cells(keys), accs, first.all())?;
+    for (row, p) in std::iter::once(other).chain(parts) {
+        open(accs, &row, p)?;
+        groups.insert(row.cells(keys), accs, row.all())?;
+    }
+    out.insert_kept(output, groups)
 }
 
 /// The pass a traversal superstep belongs to. A bottom-up step sends along
@@ -958,16 +1079,6 @@ fn own_tuple<'t>(q: &QueryCtx, tag: &'t TagGraph, t: usize, id: VertexId) -> Opt
     q.dups[t].iter().all(|&(x, y)| own[x] == own[y]).then_some(own)
 }
 
-/// The values of the row `ids`, in `reader`'s `(layout position, column)`
-/// order, in place in the TAG's arena: where a statement reads its output.
-fn read_row<'t, 'r>(
-    tag: &'t TagGraph,
-    ids: &'r [VertexId],
-    reader: &'r [(usize, usize)],
-) -> impl Iterator<Item = &'t Value> + use<'t, 'r> {
-    reader.iter().map(|&(pos, col)| &tag.tuple(ids[pos]).expect("rows hold tuple vertices")[col])
-}
-
 /// The Algorithm B gather site: the machine holding the plurality of the
 /// secondary components' root tuple vertices (lowest machine id on ties) —
 /// the natural place to assemble the combined secondary result before
@@ -1026,7 +1137,7 @@ mod tests {
         let g = tag.graph();
         let sql = "SELECT r.a, t.b FROM r, s, t WHERE r.a = s.a AND s.b = t.b AND s.b <> 30";
         let plan = QueryPlan::prepare(sql, tag.schemas()).unwrap();
-        let q = QueryCtx::build(&tag, &plan, &[]).unwrap();
+        let q = QueryCtx::build(&tag, &plan, &[], None).unwrap();
         let exec = TagJoinExecutor::new(&tag, EngineConfig::sequential());
         let mut comp = Computation::new(g, exec.config, |_| St::default());
 

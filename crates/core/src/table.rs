@@ -368,13 +368,29 @@ pub enum TagMsg {
     /// (`partial_bytes`: priced as the key and representative row it
     /// stands for).
     Partial(Box<Partial>, usize),
+    /// The partial of a root that is its own one row, as that tuple's id:
+    /// the attribute vertex folds the row. Priced as the partial it stands
+    /// for, and no heap block.
+    Row(VertexId, usize),
+}
+
+impl TagMsg {
+    /// A partial's tuple ids and accumulators; `None` accumulators for a
+    /// [`TagMsg::Row`], whose one row the receiver folds.
+    pub(crate) fn partial(&self) -> Option<(&[VertexId], Option<&[Accumulator]>)> {
+        match self {
+            TagMsg::Partial(p, _) => Some((p.ids(), Some(p.accs()))),
+            TagMsg::Row(id, _) => Some((std::slice::from_ref(id), None)),
+            TagMsg::Table(_) => None,
+        }
+    }
 }
 
 impl Message for TagMsg {
     fn byte_size(&self) -> usize {
         match self {
             TagMsg::Table(t) => t.approx_bytes(),
-            TagMsg::Partial(_, bytes) => *bytes,
+            TagMsg::Partial(_, bytes) | TagMsg::Row(_, bytes) => *bytes,
         }
     }
 }

@@ -352,6 +352,7 @@ fn analyze_scoped(
             }
             QExpr::Exists { query, negated } => {
                 let (sub, corr) = analyze_scoped(&query, catalog, Some(&tables))?;
+                refuse_correlated_one_row_having(&sub, &corr, "EXISTS")?;
                 subqueries.push(SubqueryPred {
                     kind: SubqueryKind::Exists { negated },
                     sub: Box::new(sub),
@@ -371,6 +372,7 @@ fn analyze_scoped(
                 if sub.items.len() != 1 {
                     return Err(RelError::Other("IN subquery must select one column".into()));
                 }
+                refuse_correlated_one_row_having(&sub, &corr, "IN")?;
                 subqueries.push(SubqueryPred {
                     kind: SubqueryKind::In { outer_expr, negated },
                     sub: Box::new(sub),
@@ -390,6 +392,11 @@ fn analyze_scoped(
                 if !sub.having.is_empty() {
                     return Err(RelError::Other(
                         "HAVING in a scalar subquery is not supported".into(),
+                    ));
+                }
+                if !sub.group_by.is_empty() {
+                    return Err(RelError::Other(
+                        "GROUP BY in a scalar subquery is not supported".into(),
                     ));
                 }
                 subqueries.push(SubqueryPred {
@@ -491,6 +498,24 @@ fn analyze_scoped(
     analyzed.agg_class = classify(&analyzed);
     check_grouped(&analyzed)?;
     Ok((analyzed, correlations))
+}
+
+/// Refuse a correlated EXISTS or IN subquery over an aggregate without
+/// GROUP BY that has HAVING: its one row per outer row exists only when
+/// HAVING holds over that row's inner rows, possibly none, and the lowered
+/// inner query sees no key that no inner row holds.
+fn refuse_correlated_one_row_having(
+    sub: &Analyzed,
+    corr: &[Correlation],
+    what: &str,
+) -> Result<()> {
+    if sub.agg_class == AggClass::Scalar && !sub.having.is_empty() && !corr.is_empty() {
+        return Err(RelError::Other(format!(
+            "HAVING in a correlated {what} subquery over an aggregate without GROUP BY \
+             is not supported"
+        )));
+    }
+    Ok(())
 }
 
 /// Decide whether `a = b` is a correlation between `inner` and `outer`

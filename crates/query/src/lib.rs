@@ -12,7 +12,8 @@
 //!    aggregation style (none / local / global / scalar — the classes of
 //!    paper Section 7 and Fig 15).
 //! 3. [`subquery`] — subqueries by reverse lookup: [`lower_subquery`]
-//!    reshapes the inner query, and [`SubqueryResult::holds`] is the one
+//!    reshapes the inner query, its rows fold straight into a probe table
+//!    ([`SubqueryCheck::finish`]), and [`SubqueryResult::holds`] is the one
 //!    SQL three-valued rule both executors judge outer rows by.
 //! 4. [`output`] — a statement's output: [`Analyzed::output`] binds GROUP
 //!    BY, aggregates, HAVING and projection to an executor's row layout, and

@@ -8,7 +8,11 @@
 //! pieces, at as many places, as it likes, combined by [`Gather::merge`] and
 //! [`Gather::insert`] — and hands the result to [`Output::finish`]. A place
 //! that knows its rows form one group folds them into bare accumulators
-//! ([`Output::fold`]) and inserts those. The rules, in SQL's terms:
+//! ([`Output::fold`]) and inserts those; a place that holds every row of its
+//! groups may judge them by HAVING there ([`Output::keeps`],
+//! [`Gather::insert_kept`]) and insert only those it keeps, since
+//! [`Output::finish`], which judges every group, keeps them again. The
+//! rules, in SQL's terms:
 //!
 //! * rows with equal group keys form one group, NULL keys included;
 //! * aggregates without GROUP BY yield one row even over no input: COUNT 0,
@@ -24,6 +28,13 @@
 //!
 //! Groups leave sorted by key; the rows of a statement without aggregation
 //! leave in the order the executor gathered them.
+//!
+//! A lowered subquery's inner query ([`crate::subquery`]) binds its output
+//! in probe mode instead: a row without aggregation goes straight into the
+//! gather's probe table — its correlation key, borrowed on a hit and copied
+//! only when new, and the payload the predicate reads — and a grouped inner
+//! query's groups that HAVING keeps go there at the end, unsorted. No output
+//! row or relation is built for an inner query.
 //!
 //! Rows are read in place, as any [`Row`] of cells: a TAG root's rows are
 //! references into the graph's arena. Each aggregate's argument is an
@@ -41,7 +52,7 @@ use vcsql_relation::agg::{Accumulator, AggFunc};
 use vcsql_relation::expr::{AggInput, BoundExpr, CmpOp, ColRef, Expr, Row};
 use vcsql_relation::fx::FxHasher;
 use vcsql_relation::schema::Column;
-use vcsql_relation::{DataType, FxHashMap, RelError, Relation, Schema, Tuple, Value};
+use vcsql_relation::{DataType, FxHashMap, FxHashSet, RelError, Relation, Schema, Tuple, Value};
 
 type Result<T> = std::result::Result<T, RelError>;
 
@@ -56,6 +67,29 @@ pub struct Output<'a> {
     having: Vec<Having>,
     /// Row width, for the representative row of the no-input scalar group.
     width: usize,
+    /// Set for a lowered subquery's inner query: rows and groups go to the
+    /// gather's probe table.
+    probe: Option<ProbeSpec>,
+}
+
+/// Where a probe table reads an inner row's key, and what it keeps of its
+/// payload, the output item after the key.
+#[derive(Debug)]
+struct ProbeSpec {
+    /// Layout positions of the correlation key's cells.
+    key: Vec<usize>,
+    keep: Keep,
+}
+
+/// What a probe table keeps of each inner row's payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Keep {
+    /// Nothing: EXISTS reads only whether a key is there.
+    Nothing,
+    /// Every distinct payload of a key: IN's set.
+    Set,
+    /// A key's one payload: a scalar comparison's aggregate.
+    One,
 }
 
 /// A bound output item.
@@ -75,11 +109,26 @@ struct Having {
 }
 
 /// Final rows folded so far: projected rows of a statement without
-/// aggregation, else groups by key.
+/// aggregation, else groups by key; in probe mode, an inner query's rows
+/// without aggregation go to its probe table instead.
 #[derive(Debug, Default)]
 pub struct Gather {
     rows: Vec<Box<[Value]>>,
     groups: Groups,
+    probe: Probe,
+}
+
+/// A lowered subquery's probe table: every correlation key an inner row (or
+/// a kept inner group) holds, without a NULL, numbered in arrival order and
+/// found by the hash of its borrowed cells as a group is, with what the
+/// predicate reads of the key's payloads.
+#[derive(Debug, Default)]
+pub(crate) struct Probe {
+    /// The keys; a scalar comparison's aggregate is its key's one
+    /// representative cell.
+    keys: Groups,
+    /// IN's payloads, by key number.
+    members: FxHashSet<(u32, Value)>,
 }
 
 /// Groups in arrival order, in flat arrays indexed by group number, found
@@ -169,6 +218,91 @@ impl Groups {
         self.prev.push(self.head.insert(hash, id).unwrap_or(NONE));
         g
     }
+
+    /// Fold `other`'s groups in: a shared key's accumulators merge, a new
+    /// key's group moves over. `placed(o, g)` says that `other`'s group `o`
+    /// is now group `g` here.
+    fn absorb(&mut self, mut other: Groups, mut placed: impl FnMut(usize, usize)) -> Result<()> {
+        if self.is_empty() {
+            (0..other.len()).for_each(|g| placed(g, g));
+            *self = other;
+            return Ok(());
+        }
+        let o = &mut other;
+        for g in 0..o.len() {
+            let hash = key_hash(o.key(g).iter());
+            let to = match self.find(hash, o.key(g).iter()) {
+                Some(s) => {
+                    merge_accs(self.accs_mut(s), o.accs(g))?;
+                    s
+                }
+                None => {
+                    let accs = o.accs[span(g, o.acc_w)].iter().cloned();
+                    let key = o.keys[span(g, o.key_w)].iter_mut().map(take);
+                    let rep = o.reps[span(g, o.rep_w)].iter_mut().map(take);
+                    self.push(hash, key, accs, rep)
+                }
+            };
+            placed(g, to);
+        }
+        Ok(())
+    }
+}
+
+impl Probe {
+    /// Insert an inner row's or kept group's `key` cells and, as `keep`
+    /// asks, its payload, evaluated only then. A key holding a NULL equals
+    /// no outer key and is left out.
+    fn insert<'v>(
+        &mut self,
+        key: impl Iterator<Item = &'v Value> + Clone,
+        keep: Keep,
+        payload: impl FnOnce() -> Result<Value>,
+    ) -> Result<()> {
+        if key.clone().any(Value::is_null) {
+            return Ok(());
+        }
+        let payload = if keep == Keep::Nothing { None } else { Some(payload()?) };
+        let hash = key_hash(key.clone());
+        let g = match self.keys.find(hash, key.clone()) {
+            Some(g) => g,
+            None => {
+                let one = payload.clone().filter(|_| keep == Keep::One);
+                self.keys.push(hash, key.cloned(), std::iter::empty(), one.into_iter())
+            }
+        };
+        if let (Keep::Set, Some(v)) = (keep, payload) {
+            self.members.insert((g as u32, v));
+        }
+        Ok(())
+    }
+
+    /// Fold another worker's probe table in.
+    fn merge(&mut self, other: Probe) -> Result<()> {
+        let mut to = Vec::with_capacity(other.keys.len());
+        self.keys.absorb(other.keys, |_, g| to.push(g as u32))?;
+        self.members.extend(other.members.into_iter().map(|(g, v)| (to[g as usize], v)));
+        Ok(())
+    }
+
+    /// The number of the key whose cells are `key`, if an inner row holds
+    /// it; a key holding a NULL matches none.
+    pub(crate) fn find<'v>(&self, key: impl Iterator<Item = &'v Value> + Clone) -> Option<usize> {
+        if key.clone().any(Value::is_null) {
+            return None;
+        }
+        self.keys.find(key_hash(key.clone()), key)
+    }
+
+    /// Whether some inner row of key `g` has payload `v` (IN only).
+    pub(crate) fn has(&self, g: usize, v: &Value) -> bool {
+        self.members.contains(&(g as u32, v.clone()))
+    }
+
+    /// Key `g`'s one payload (a scalar comparison only).
+    pub(crate) fn one(&self, g: usize) -> &Value {
+        &self.keys.rep(g)[0]
+    }
 }
 
 /// Group `g`'s places in a flat array of `width` per group.
@@ -178,7 +312,7 @@ fn span(g: usize, width: usize) -> Range<usize> {
 
 /// Fold another partial's accumulators of a group into `accs`. Accumulators
 /// that cannot merge (a kind mismatch) are the statement's error.
-fn merge_accs(accs: &mut [Accumulator], other: &[Accumulator]) -> Result<()> {
+pub fn merge_accs(accs: &mut [Accumulator], other: &[Accumulator]) -> Result<()> {
     accs.iter_mut().zip(other).try_for_each(|(a, b)| a.merge(b))
 }
 
@@ -197,8 +331,15 @@ fn key_hash<'v>(key: impl Iterator<Item = &'v Value>) -> u64 {
 impl Gather {
     /// Fold one final row in: projected, or into its group.
     pub fn add<R: Row + ?Sized>(&mut self, out: &Output, row: &R) -> Result<()> {
+        let no_agg = |_| unreachable!("no aggregate without grouping");
         if out.a.agg_class == AggClass::NoAgg {
-            self.rows.push(out.project(row, |_| unreachable!("no aggregate without grouping"))?);
+            match &out.probe {
+                Some(p) => {
+                    let key = p.key.iter().map(|&c| row.cell(c).expect("keys are in the row"));
+                    self.probe.insert(key, p.keep, || out.payload(p, row, no_agg))?;
+                }
+                None => self.rows.push(out.project(row, no_agg)?),
+            }
             return Ok(());
         }
         let key = out.keys.iter().map(|&p| row.cell(p).expect("group keys are in the row"));
@@ -234,27 +375,25 @@ impl Gather {
         }
     }
 
-    /// Fold another gather in: its rows follow these, its groups merge.
-    pub fn merge(&mut self, mut other: Gather) -> Result<()> {
-        self.rows.append(&mut other.rows);
-        if self.groups.is_empty() {
-            self.groups = other.groups;
-            return Ok(());
-        }
-        let o = &mut other.groups;
-        for g in 0..o.len() {
-            let hash = key_hash(o.key(g).iter());
-            match self.groups.find(hash, o.key(g).iter()) {
-                Some(s) => merge_accs(self.groups.accs_mut(s), o.accs(g))?,
-                None => {
-                    let accs = o.accs[span(g, o.acc_w)].iter().cloned();
-                    let key = o.keys[span(g, o.key_w)].iter_mut().map(take);
-                    let rep = o.reps[span(g, o.rep_w)].iter_mut().map(take);
-                    self.groups.push(hash, key, accs, rep);
-                }
+    /// Insert the groups of `complete` that HAVING keeps, in arrival order:
+    /// a place that holds every partial of its groups judges them there.
+    pub fn insert_kept(&mut self, out: &Output, complete: Gather) -> Result<()> {
+        let groups = complete.groups;
+        for g in 0..groups.len() {
+            let (accs, rep) = (groups.accs(g), groups.rep(g));
+            if out.keeps(accs, rep)? {
+                self.insert(groups.key(g).iter(), accs, rep.iter())?;
             }
         }
         Ok(())
+    }
+
+    /// Fold another gather in: its rows follow these, its groups and probe
+    /// keys merge.
+    pub fn merge(&mut self, mut other: Gather) -> Result<()> {
+        self.rows.append(&mut other.rows);
+        self.groups.absorb(other.groups, |_, _| {})?;
+        self.probe.merge(other.probe)
     }
 }
 
@@ -265,28 +404,88 @@ impl Output<'_> {
         if self.a.agg_class == AggClass::NoAgg {
             return build_output(self.a, gather.rows);
         }
-        let mut groups = gather.groups;
-        if groups.is_empty() && self.a.agg_class == AggClass::Scalar {
-            let rep = std::iter::repeat_n(Value::Null, self.width);
-            groups.push(0, std::iter::empty(), self.accumulators(), rep);
-        }
+        let groups = self.groups(gather.groups);
         // Keys are distinct, and `Value`'s order agrees with its equality:
         // an unstable sort leaves the one order there is.
         let n = u32::try_from(groups.len()).expect("groups fit u32");
         let mut order: Vec<u32> = (0..n).collect();
         order.sort_unstable_by(|&x, &y| groups.key(x as usize).cmp(groups.key(y as usize)));
         let mut rows = Vec::with_capacity(order.len());
-        'groups: for g in order {
+        for g in order {
             let (accs, rep) = (groups.accs(g as usize), groups.rep(g as usize));
-            for h in &self.having {
-                let rhs = h.rhs.eval(rep)?;
-                if accs[h.acc].finish()?.sql_cmp(&rhs).map(|o| h.op.holds(o)) != Some(true) {
-                    continue 'groups;
-                }
+            if self.keeps(accs, rep)? {
+                rows.push(self.project(rep, |k| accs[k].finish())?);
             }
-            rows.push(self.project(rep, |k| accs[k].finish())?);
         }
         build_output(self.a, rows)
+    }
+
+    /// An inner query's probe table of everything gathered: its rows' keys
+    /// as gathered, or the keys of the groups HAVING keeps, in arrival
+    /// order, the no-input scalar group added.
+    pub(crate) fn probe_table(&self, gather: Gather) -> Result<Probe> {
+        let p = self.probe.as_ref().expect("an inner query's output is bound in probe mode");
+        let mut probe = gather.probe;
+        if self.a.agg_class == AggClass::NoAgg {
+            return Ok(probe);
+        }
+        let groups = self.groups(gather.groups);
+        for g in 0..groups.len() {
+            let (accs, rep) = (groups.accs(g), groups.rep(g));
+            if self.keeps(accs, rep)? {
+                let key = p.key.iter().map(|&c| &rep[c]);
+                probe.insert(key, p.keep, || self.payload(p, rep, |k| accs[k].finish()))?;
+            }
+        }
+        Ok(probe)
+    }
+
+    /// The gathered groups, with the one row aggregates without GROUP BY
+    /// yield over no input.
+    fn groups(&self, mut groups: Groups) -> Groups {
+        if groups.is_empty() && self.a.agg_class == AggClass::Scalar {
+            let rep = std::iter::repeat_n(Value::Null, self.width);
+            groups.push(0, std::iter::empty(), self.accumulators(), rep);
+        }
+        groups
+    }
+
+    /// Whether every HAVING predicate is TRUE for the group of accumulators
+    /// `accs` and representative row `rep`.
+    pub fn keeps<R: Row + ?Sized>(&self, accs: &[Accumulator], rep: &R) -> Result<bool> {
+        for h in &self.having {
+            let rhs = h.rhs.eval(rep)?;
+            if accs[h.acc].finish()?.sql_cmp(&rhs).map(|o| h.op.holds(o)) != Some(true) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Bind the output to a lowered subquery's probe table: the first
+    /// `keys` items are the correlation key's columns, and the item after
+    /// them is the payload, kept as `keep` says.
+    pub(crate) fn probing(mut self, keys: usize, keep: Keep) -> Self {
+        let key = self.items[..keys].iter().map(|item| match item {
+            Item::Value(BoundExpr::Col(c)) => *c,
+            _ => unreachable!("a lowered subquery's key items are columns"),
+        });
+        self.probe = Some(ProbeSpec { key: key.collect(), keep });
+        self
+    }
+
+    /// The payload item of the row or group `row`, aggregate `k` read by
+    /// `agg(k)`.
+    fn payload<R: Row + ?Sized>(
+        &self,
+        p: &ProbeSpec,
+        row: &R,
+        agg: impl Fn(usize) -> Result<Value>,
+    ) -> Result<Value> {
+        match &self.items[p.key.len()] {
+            Item::Value(e) => e.eval(row),
+            Item::Agg(k) => agg(*k),
+        }
     }
 
     /// Layout positions of the group keys.
@@ -366,7 +565,7 @@ impl Analyzed {
             having.push(Having { acc: aggs.len() - 1, op: h.op, rhs: bind(&h.rhs)? });
         }
         let keys = self.group_by.iter().map(|&c| pos(c)).collect::<Result<_>>()?;
-        Ok(Output { a: self, items, keys, aggs, having, width })
+        Ok(Output { a: self, items, keys, aggs, having, width, probe: None })
     }
 
     /// Bind an expression to table `t`'s own rows, where column `c` is at
@@ -509,6 +708,28 @@ mod tests {
         let a = analyzed("SELECT t.g, SUM(t.x) AS s FROM t GROUP BY t.g HAVING SUM(t.x) > 5");
         let rows = run(&a, &[&[row(1, "a", 1), row(2, "b", 4), row(3, "b", 3)]]);
         assert_eq!(rows, [vec![Value::str("b"), Value::Int(7)]]);
+    }
+
+    /// An inner query's rows folded into two workers' probe tables, merged:
+    /// a key both hold keeps the payloads of both, renumbered.
+    #[test]
+    fn probe_tables_merge_keys_and_payloads() {
+        let a = analyzed("SELECT t.k FROM t WHERE t.x IN (SELECT u.x FROM t u WHERE u.g = t.g)");
+        let crate::LoweredSubquery { sub, check } = crate::lower_subquery(&a.subqueries[0]);
+        let out = check.bind_inner(sub.output(|(_, col)| Ok(col), 3).unwrap());
+        let mut gather = Gather::default();
+        for part in [[row(1, "a", 1), row(2, "b", 2)], [row(3, "c", 5), row(4, "a", 3)]] {
+            let mut piece = Gather::default();
+            part.iter().for_each(|r| piece.add(&out, r).unwrap());
+            gather.merge(piece).unwrap();
+        }
+        let result = check.finish(&out, gather).unwrap();
+        let holds = |g: &str, x: Option<i64>| {
+            let x = x.map_or(Value::Null, Value::Int);
+            result.holds([Value::str(g)].iter(), Some(&x))
+        };
+        assert!(holds("a", Some(1)) && holds("a", Some(3)) && holds("c", Some(5)));
+        assert!(!holds("b", Some(3)) && !holds("a", None) && !holds("d", Some(1)));
     }
 
     #[test]

@@ -3,8 +3,13 @@
 //!
 //! [`lower_subquery`] reshapes the inner query so each output row is its
 //! correlation key followed by a payload, and pairs it with a
-//! [`SubqueryCheck`], which folds those rows into a [`SubqueryResult`].
-//! [`SubqueryResult::holds`] is the one rule both executors apply, in SQL
+//! [`SubqueryCheck`]. An executor binds the inner query's output through the
+//! check ([`SubqueryCheck::bind_inner`]), so its gather folds the inner rows
+//! — or, for a grouped inner query, the groups HAVING keeps, unsorted —
+//! straight into a probe table keyed by the correlation key, and
+//! [`SubqueryCheck::finish`] makes that table the [`SubqueryResult`]: no
+//! output relation of the inner query is built. Both executors take this one
+//! path. [`SubqueryResult::holds`] is the one rule both apply, in SQL
 //! three-valued logic; only a TRUE predicate keeps the row. With `S` the
 //! inner rows whose key equals the outer row's (none when the outer key holds
 //! a NULL, which equals nothing, not even an inner NULL key):
@@ -16,20 +21,32 @@
 //! | `x NOT IN S` | `S` is empty, or `x` is non-NULL, `S` holds no NULL and `x ∉ S` |
 //! | `x op (SELECT agg ...)` | `x op agg(S)` is TRUE, where `agg(∅)` is 0 for COUNT and NULL otherwise |
 //!
-//! Analysis rejects HAVING in a scalar subquery: a key missing from the
-//! inner output could then mean either no inner row or a group HAVING
-//! dropped, and the two call for different values.
+//! A grouped inner query of EXISTS or IN is grouped by the correlation
+//! columns too, so each of its groups lies within one outer row's `S`.
+//! An aggregate without GROUP BY yields exactly one row for every outer row:
+//! a correlated `x [NOT] IN` over one is lowered as the scalar `x = agg` (or
+//! `x <> agg`), and EXISTS over one is TRUE (NOT EXISTS FALSE) for every
+//! outer row, NULL keys included.
+//!
+//! Analysis rejects HAVING in a scalar subquery, and in a correlated EXISTS or
+//! IN over an aggregate without GROUP BY: a key missing from the inner output
+//! could then mean either no inner row or a group HAVING dropped, and the two
+//! call for different values. It rejects GROUP BY in a scalar subquery, whose
+//! groups could be several rows, or none where COUNT's would be 0.
 //!
 //! Where an outer row is checked — at its table's scan, when the check reads
 //! one table, or on joined rows — is each executor's choice. So is whether
 //! the inner query first drops the keys no outer row can probe: [`seed`]
 //! names the correlation of the scalar subqueries where that is sound.
 
-use crate::analyze::{classify, Analyzed, Correlation, OutputItem, SubqueryKind, SubqueryPred};
+use crate::analyze::{
+    classify, AggClass, Analyzed, Correlation, OutputItem, SubqueryKind, SubqueryPred,
+};
+use crate::output::{Gather, Keep, Output, Probe};
 use std::sync::Arc;
 use vcsql_relation::agg::Accumulator;
 use vcsql_relation::expr::{BoundExpr, CmpOp, Expr, Row};
-use vcsql_relation::{FxHashMap, FxHashSet, RelError, Relation, Value};
+use vcsql_relation::{RelError, Value};
 
 type Result<T> = std::result::Result<T, RelError>;
 
@@ -74,41 +91,49 @@ enum Test {
 
 /// Lower a subquery predicate: the inner query selects the correlation
 /// columns, then the IN column or the aggregate; a scalar subquery groups by
-/// the correlation columns.
+/// the correlation columns, and so does a grouped inner query of EXISTS or
+/// IN, next to its own GROUP BY (see the module docs for the forms over an
+/// aggregate without GROUP BY).
 pub fn lower_subquery(sq: &SubqueryPred) -> LoweredSubquery {
     let mut sub = (*sq.sub).clone();
-    let mut items: Vec<OutputItem> = sq
-        .correlations
-        .iter()
-        .map(|c| OutputItem::Col {
-            table: c.inner.0,
-            col: c.inner.1,
-            name: format!("k{}_{}", c.inner.0, c.inner.1),
-        })
-        .collect();
+    // One inner row per outer row: an aggregate without GROUP BY.
+    let one_row = sub.agg_class == AggClass::Scalar;
+    let mut corr = &sq.correlations[..];
     let (lhs, test) = match &sq.kind {
-        SubqueryKind::Exists { negated } => {
-            sub.group_by.clear();
-            sub.having.clear();
+        // One row for every outer row, or (uncorrelated) none when HAVING
+        // rejects it: the key plays no part, so run it uncorrelated.
+        SubqueryKind::Exists { negated } if one_row => {
+            corr = &[];
             (None, Test::Exists { negated: *negated })
         }
+        SubqueryKind::Exists { negated } => {
+            sub.items.clear();
+            (None, Test::Exists { negated: *negated })
+        }
+        SubqueryKind::In { outer_expr, negated } if one_row && !corr.is_empty() => {
+            let op = if *negated { CmpOp::Ne } else { CmpOp::Eq };
+            (Some(outer_expr.clone()), Test::cmp(&sub, op))
+        }
         SubqueryKind::In { outer_expr, negated } => {
-            items.push(sub.items[0].clone());
             (Some(outer_expr.clone()), Test::In { negated: *negated })
         }
-        SubqueryKind::Scalar { outer_expr, op } => {
-            let OutputItem::Agg { func, .. } = sub.items[0] else {
-                unreachable!("analysis admits scalar subqueries of one aggregate")
-            };
-            items.push(sub.items[0].clone());
-            sub.group_by = sq.correlations.iter().map(|c| c.inner).collect();
-            let empty = Accumulator::new(func).finish().expect("no input, no overflow");
-            (Some(outer_expr.clone()), Test::Cmp { op: *op, empty })
-        }
+        SubqueryKind::Scalar { outer_expr, op } => (Some(outer_expr.clone()), Test::cmp(&sub, *op)),
     };
-    sub.items = items;
+    if sub.agg_class != AggClass::NoAgg {
+        for c in corr {
+            if !sub.group_by.contains(&c.inner) {
+                sub.group_by.push(c.inner);
+            }
+        }
+    }
+    let key = corr.iter().map(|c| OutputItem::Col {
+        table: c.inner.0,
+        col: c.inner.1,
+        name: format!("k{}_{}", c.inner.0, c.inner.1),
+    });
+    sub.items.splice(0..0, key);
     sub.agg_class = classify(&sub);
-    let key = sq.correlations.iter().map(|c| c.outer).collect();
+    let key = corr.iter().map(|c| c.outer).collect();
     LoweredSubquery { sub, check: SubqueryCheck { key, lhs, test } }
 }
 
@@ -127,17 +152,37 @@ pub fn seed(sq: &SubqueryPred, outer: &Analyzed) -> Option<Correlation> {
     seedable.then_some(c)
 }
 
-impl SubqueryCheck {
-    /// Fold the inner query's output rows into the result outer rows probe.
-    pub fn result(&self, inner: &Relation) -> SubqueryResult {
-        let mut groups: FxHashMap<Box<[Value]>, FxHashSet<Value>> = FxHashMap::default();
-        for t in &inner.tuples {
-            let (key, payload) = t.0.split_at(self.key.len());
-            if !key.iter().any(Value::is_null) {
-                groups.entry(key.into()).or_default().extend(payload.first().cloned());
-            }
+impl Test {
+    /// The scalar comparison `op` against the one aggregate `sub` selects.
+    fn cmp(sub: &Analyzed, op: CmpOp) -> Test {
+        let OutputItem::Agg { func, .. } = sub.items[0] else {
+            unreachable!("analysis admits scalar subqueries of one aggregate")
+        };
+        let empty = Accumulator::new(func).finish().expect("no input, no overflow");
+        Test::Cmp { op, empty }
+    }
+
+    /// What the probe table keeps of an inner row's payload.
+    fn keep(&self) -> Keep {
+        match self {
+            Test::Exists { .. } => Keep::Nothing,
+            Test::In { .. } => Keep::Set,
+            Test::Cmp { .. } => Keep::One,
         }
-        SubqueryResult { test: self.test.clone(), groups }
+    }
+}
+
+impl SubqueryCheck {
+    /// Bind the lowered inner query's output in probe mode: every row or
+    /// kept group an executor gathers through it goes to the probe table.
+    pub fn bind_inner<'a>(&self, out: Output<'a>) -> Output<'a> {
+        out.probing(self.key.len(), self.test.keep())
+    }
+
+    /// The result outer rows probe: the probe table of everything the inner
+    /// query gathered through an output bound by [`SubqueryCheck::bind_inner`].
+    pub fn finish(&self, out: &Output, gather: Gather) -> Result<SubqueryResult> {
+        Ok(SubqueryResult { test: self.test.clone(), table: out.probe_table(gather)? })
     }
 
     /// The outer columns the check reads: the key's, then the left side's.
@@ -175,30 +220,35 @@ impl SubqueryCheck {
 }
 
 /// The inner query's output as outer rows see it: for every correlation key
-/// without a NULL that some inner row holds, the set of those rows'
-/// payloads (empty for EXISTS, the one aggregate for a scalar comparison).
+/// without a NULL that some inner row holds, what the predicate reads of
+/// those rows' payloads (nothing for EXISTS, their set for IN, the one
+/// aggregate for a scalar comparison).
 #[derive(Debug)]
 pub struct SubqueryResult {
     test: Test,
-    groups: FxHashMap<Box<[Value]>, FxHashSet<Value>>,
+    table: Probe,
 }
 
 impl SubqueryResult {
     /// Whether the predicate is TRUE for an outer row with correlation key
-    /// `key` and left side `lhs` (see the module table).
-    pub fn holds(&self, key: &[Value], lhs: Option<&Value>) -> bool {
-        let s = if key.iter().any(Value::is_null) { None } else { self.groups.get(key) };
+    /// cells `key` and left side `lhs` (see the module table).
+    pub fn holds<'v>(
+        &self,
+        key: impl Iterator<Item = &'v Value> + Clone,
+        lhs: Option<&Value>,
+    ) -> bool {
+        let s = self.table.find(key);
         let x = lhs.unwrap_or(&Value::Null);
         match &self.test {
             &Test::Exists { negated } => s.is_some() != negated,
             &Test::In { negated } => match s {
                 None => negated,
                 Some(_) if x.is_null() => false,
-                Some(s) if s.contains(x) => !negated,
-                Some(s) => negated && !s.contains(&Value::Null),
+                Some(g) if self.table.has(g, x) => !negated,
+                Some(g) => negated && !self.table.has(g, &Value::Null),
             },
             Test::Cmp { op, empty } => {
-                let rhs = s.and_then(|s| s.iter().next()).unwrap_or(empty);
+                let rhs = s.map_or(empty, |g| self.table.one(g));
                 x.sql_cmp(rhs).is_some_and(|o| op.holds(o))
             }
         }
@@ -216,15 +266,8 @@ impl BoundSubquery {
     /// Whether `row` passes the check; a left side that fails to evaluate
     /// is the error.
     pub fn passes<R: Row + ?Sized>(&self, row: &R) -> Result<bool> {
-        let cell = |p: usize| row.cell(p).expect("keys are in the row");
         let lhs = self.lhs.as_ref().map(|e| e.eval(row)).transpose()?;
-        Ok(match self.key.as_slice() {
-            // A one-column key is probed in place.
-            &[p] => self.result.holds(std::slice::from_ref(cell(p)), lhs.as_ref()),
-            key => {
-                let key: Vec<Value> = key.iter().map(|&p| cell(p).clone()).collect();
-                self.result.holds(&key, lhs.as_ref())
-            }
-        })
+        let key = self.key.iter().map(|&p| row.cell(p).expect("keys are in the row"));
+        Ok(self.result.holds(key, lhs.as_ref()))
     }
 }

@@ -3,14 +3,20 @@
 //! not a heap object of its own" and "a collection table is one heap block".
 //!
 //! A counting global allocator (hence an integration-test binary of its own)
-//! measures three statements after a warm-up run, two over TPC-H SF 0.1:
+//! measures four statements after a warm-up run, three over TPC-H SF 0.1:
 //!
 //! * q18's inner shape on a sequential TAG-join executor. Every lineitem
-//!   tuple is a root of its own that ships one partial to its order key's
-//!   attribute vertex, so the partial's one heap block is the only
-//!   allocation a root may make: the budget is 1.2 per root plus a constant
-//!   (the engine's and the plan's arrays). Three boxes per root and three
-//!   per new group made it 3.8.
+//!   tuple is a root of its own that ships its partial to its order key's
+//!   attribute vertex as its id, and the vertex folds the group, so a root
+//!   allocates nothing: the budget is 0.05 per root plus a constant (the
+//!   engine's and the plan's arrays, and an output row per kept group). A
+//!   boxed partial per root made it 1.1; three boxes per root and three per
+//!   new group made it 3.8.
+//! * q4 on a sequential TAG-join executor, whose EXISTS inner query folds
+//!   its lineitem rows straight into the subquery's probe table: the budget
+//!   is one allocation per distinct inner key plus a constant. An output
+//!   relation of the inner rows, a boxed row each, hashed again into a key
+//!   box and a payload set per key, made it about 3 per key.
 //! * A row-store `GROUP BY` folding every lineitem row into its own group
 //!   through the statement's [`Gather`]. Groups are flat arrays, so only an
 //!   output row allocates: the budget is one per output row plus a
@@ -44,7 +50,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 use vcsql::bsp::EngineConfig;
-use vcsql::core::TagJoinExecutor;
+use vcsql::core::{QueryPlan, TagJoinExecutor};
 use vcsql::query::{analyze::analyze, parse, AggClass, Gather};
 use vcsql::relation::Relation;
 use vcsql::tag::TagGraph;
@@ -129,10 +135,35 @@ fn local_aggregation_allocates_one_block_per_root() {
     let roots = db.get("lineitem").unwrap().len() as u64;
     assert!(roots > 5_000, "{roots} lineitem roots is too few to tell");
     assert!(
-        allocations * 5 <= roots * 6 + CONSTANT * 5,
+        allocations * 20 <= roots + CONSTANT * 20,
         "q18's inner query made {allocations} allocations for {roots} roots \
-         ({:.2} per root; the budget is 1.2 plus {CONSTANT})",
+         ({:.2} per root; the budget is 0.05 plus {CONSTANT})",
         allocations as f64 / roots as f64
+    );
+}
+
+#[test]
+fn an_exists_subquery_allocates_at_most_one_block_per_inner_key() {
+    let db = tpch::generate(0.1, 42);
+    let tag = TagGraph::build(&db);
+    let q4 = tpch::queries().into_iter().find(|q| q.id == "q4").unwrap();
+    let plan = QueryPlan::prepare(q4.sql, tag.schemas()).unwrap();
+    let exec = TagJoinExecutor::new(&tag, EngineConfig::sequential());
+    let warm = exec.execute_plan(&plan).unwrap();
+    let (out, allocations) = allocations_of(|| exec.execute_plan(&plan).unwrap());
+    assert!(out.relation.same_bag(&warm.relation));
+    // The inner query's keys: the orders with a line received late.
+    let lineitem = db.get("lineitem").unwrap();
+    let col = |name: &str| lineitem.schema.columns.iter().position(|c| c.name == name).unwrap();
+    let (order, commit, receipt) = (col("l_orderkey"), col("l_commitdate"), col("l_receiptdate"));
+    let late = lineitem.tuples.iter().filter(|t| t.get(commit) < t.get(receipt));
+    let keys = late.map(|t| t.get(order).clone()).collect::<std::collections::HashSet<_>>();
+    let keys = keys.len() as u64;
+    assert!(keys > 1_000, "{keys} inner keys is too few to tell");
+    assert!(
+        allocations <= keys + CONSTANT,
+        "q4 made {allocations} allocations for {keys} inner keys \
+         (the budget is one per key plus {CONSTANT})"
     );
 }
 
