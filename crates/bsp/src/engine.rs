@@ -12,7 +12,8 @@
 //! 2. **barrier + delivery** — all outgoing messages become the next
 //!    superstep's message table, and all signals its edge bitmap.
 //! 3. **activation** — exactly the vertices that received at least one
-//!    message or signal are active in the next superstep.
+//!    message or signal, or asked to stay ([`VertexCtx::stay`]), are active
+//!    in the next superstep.
 //!
 //! The message table holds a superstep's messages grouped by target in
 //! three flat vectors: `active` (sorted, distinct targets), `inbox` and
@@ -42,9 +43,10 @@
 //! [`VertexCtx::signalled`]. A signal is counted exactly as an 8-byte
 //! message on its label, network included, so the lane changes how
 //! signals are stored, never what a run reports. In a step that carries
-//! signals, delivery collects the targets of both lanes in a |V|-bit
-//! scratch and reads the active list off it in vertex order; a target that
-//! got only signals has an empty message run.
+//! signals (or where a vertex stays), delivery collects the targets of both
+//! lanes and the staying vertices in a |V|-bit scratch and reads the active
+//! list off it in vertex order; a target that got no message has an empty
+//! message run.
 //!
 //! **Scratch.** The arrays sized by the graph — the states, the delivery
 //! cursor, the |V|-bit target and touched sets, the edge bitmap — form a
@@ -221,6 +223,13 @@ impl<'a, 'p, V, M: Message> VertexCtx<'a, 'p, V, M> {
         self.out.signal(self.vid, target, label, back as u32);
     }
 
+    /// Stay active in the next superstep, with no message: Pregel's vertex
+    /// that does not vote to halt. Nothing is sent or counted.
+    #[inline]
+    pub fn stay(&mut self) {
+        self.out.stays.push(self.vid);
+    }
+
     /// The positions in `run`, a range of [`VertexCtx::edges`] positions, of
     /// the out-edges a signal arrived along in the previous superstep, in
     /// ascending order.
@@ -249,11 +258,13 @@ impl<'a, 'p, V, M: Message> VertexCtx<'a, 'p, V, M> {
 /// message carries in the paper's Algorithm 2.
 pub const SIGNAL_BYTES: u64 = 8;
 
-/// Per-worker outgoing messages, `(target, message)` in send order, and
-/// signals, `(target, reverse slot)` in send order.
+/// Per-worker outgoing messages, `(target, message)` in send order,
+/// signals, `(target, reverse slot)` in send order, and the vertices that
+/// stay active.
 pub struct Outbox<'p, M: Message> {
     sent: Vec<(VertexId, M)>,
     signals: Vec<(VertexId, u32)>,
+    stays: Vec<VertexId>,
     partitioning: Option<&'p Partitioning>,
     /// Per-label traffic of this worker's sends and signals — the only
     /// counters `count` keeps; the superstep's totals are their sum. A
@@ -596,6 +607,7 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
                 let out = Outbox {
                     sent: Vec::new(),
                     signals: Vec::new(),
+                    stays: Vec::new(),
                     partitioning,
                     per_label: Vec::new(),
                 };
@@ -623,7 +635,7 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
         let mut step = StepStats { active_vertices: n as u64, ..Default::default() };
         let mut global = G::default();
         let mut outboxes = Vec::with_capacity(workers);
-        let mut signals = Vec::new();
+        let (mut signals, mut stays) = (Vec::new(), Vec::new());
         let mut step_labels: Vec<(LabelId, LabelTraffic)> = Vec::new();
         for part in parts {
             let (.., mut out, agg) = part.into_inner().expect("a panicked phase never merges");
@@ -641,8 +653,9 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
             } else {
                 signals.append(&mut out.signals);
             }
+            stays.append(&mut out.stays);
         }
-        self.deliver(outboxes, signals);
+        self.deliver(outboxes, signals, &stays);
         self.stats.record_step(step, &step_labels);
         (step, global)
     }
@@ -664,16 +677,23 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
 
     /// Replace the consumed message table by the outboxes' messages, by one
     /// stable counting sort on target, and the consumed signals by
-    /// `signals`. `outboxes` come in worker order (= source-vertex order),
-    /// each holding its worker's sends in send order.
+    /// `signals`; the vertices that `stay` are targets with no message.
+    /// `outboxes` come in worker order (= source-vertex order), each holding
+    /// its worker's sends in send order.
     #[allow(unsafe_code, reason = "one `set_len` over slots written exactly once")]
-    fn deliver(&mut self, outboxes: Vec<Vec<(VertexId, M)>>, signals: Vec<(VertexId, u32)>) {
+    fn deliver(
+        &mut self,
+        outboxes: Vec<Vec<(VertexId, M)>>,
+        signals: Vec<(VertexId, u32)>,
+        stays: &[VertexId],
+    ) {
         let total = outboxes.iter().map(Vec::len).sum::<usize>();
         assert!(u32::try_from(total).is_ok(), "{total} messages in one superstep");
         // Below, a send to a vertex outside the graph panics on the
         // scratch, leaving the counts before it stale. A step that signals
-        // has a second scratch, the bit set, which a stale bit would
-        // corrupt unnoticed, so there such a send fails before any write.
+        // (or where a vertex stays) has a second scratch, the bit set, which
+        // a stale bit would corrupt unnoticed, so there such a send fails
+        // before any write.
         // Message-only steps keep their own collection path on purpose:
         // routing them through the bit set too (one bounds check, one
         // collect loop, then sort or scan) measured slower, `tpcds_seq`
@@ -681,15 +701,16 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
         // pairs; `tpch_seq` unmoved), and would change what
         // `sends_outside_the_graph_panic_and_a_stale_scratch_is_caught` pins.
         let n = self.cursor.len();
+        let bits = !signals.is_empty() || !stays.is_empty();
         assert!(
-            signals.is_empty() || outboxes.iter().flatten().all(|&(t, _)| (t as usize) < n),
+            !bits || outboxes.iter().flatten().all(|&(t, _)| (t as usize) < n),
             "a message to a vertex outside the graph"
         );
         self.set_signals(signals);
         let cursor = &mut self.cursor;
         self.inbox.clear();
         self.active.clear();
-        if self.signals.is_empty() {
+        if !bits {
             // Count per target, collecting each target on its first message.
             for &(t, _) in outboxes.iter().flatten() {
                 let c = &mut cursor[t as usize];
@@ -700,8 +721,8 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
             }
             self.active.sort_unstable();
         } else {
-            // Count per target, collecting each target of either lane on
-            // its first arrival in the bit set.
+            // Count per target, collecting each target of either lane, and
+            // each vertex that stays, on its first arrival in the bit set.
             let (seen, active) = (&mut self.seen, &mut self.active);
             seen.resize(cursor.len().div_ceil(64), 0);
             let mut collect = |t: VertexId| {
@@ -718,6 +739,7 @@ impl<'g, V: Send, M: Message> Computation<'g, V, M> {
             for &(t, _) in &self.signals {
                 collect(t);
             }
+            stays.iter().for_each(|&t| collect(t));
             // A few targets are sorted; many are read back off the bit set,
             // which lists them in vertex order at a word per 64 vertices.
             if active.len() * 16 < seen.len() {
@@ -820,6 +842,31 @@ mod tests {
         // right neighbour. 5 supersteps total (the last sends nothing).
         assert_eq!(stats.total_messages(), 4);
         assert_eq!(stats.supersteps, 5);
+    }
+
+    /// A vertex that stays is active in the next superstep with no message
+    /// and nothing counted, next to a message's target, on any thread count.
+    #[test]
+    fn a_vertex_that_stays_is_active_next_with_no_message() {
+        let g = line(5);
+        for config in [EngineConfig::sequential(), EngineConfig::with_threads(2)] {
+            let config = config.with_parallel_threshold(0);
+            let mut comp: Computation<'_, u64, u64> = Computation::new(&g, config, |_| 0);
+            comp.activate([1, 3]);
+            let step = comp.superstep_simple(|ctx| {
+                ctx.stay();
+                if ctx.id() == 3 {
+                    ctx.send(4, 7);
+                }
+            });
+            assert_eq!((step.messages, step.message_bytes), (1, 8));
+            assert_eq!(comp.active(), [1, 3, 4]);
+            comp.superstep_simple(|ctx| {
+                assert_eq!(ctx.messages(), if ctx.id() == 4 { &[7][..] } else { &[] });
+            });
+            assert!(comp.halted());
+            assert_eq!(comp.stats().total_messages(), 1);
+        }
     }
 
     #[test]

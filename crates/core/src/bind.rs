@@ -3,12 +3,13 @@
 //! [`QueryCtx::build`] is the pass between planning and execution: it turns
 //! the plan's table/column references into this graph's vertex and edge
 //! labels, per-table tuple filters, the steps each pass walks (the
-//! reduction-only branches whose keys are unique in this TAG leave the
-//! top-down and collection passes), the collection [`Visit`]s (what a tuple
-//! vertex does with the id rows it receives at each step), the final value
-//! layout and everything bound to it (residual checks and the statement's
-//! [`Output`]). The drivers in [`crate::exec`] only read the result; nothing
-//! here runs a superstep.
+//! semijoin branches, and the reduction-only branches whose keys are unique
+//! in this TAG, leave the top-down and collection passes), the labels that
+//! enter NOT EXISTS branches, the collection [`Visit`]s (what a tuple
+//! vertex does with the id rows it receives at each step, broken-cycle
+//! equalities included), the final value layout and everything bound to it
+//! (residual checks and the statement's [`Output`]). The drivers in
+//! [`crate::exec`] only read the result; nothing here runs a superstep.
 
 use crate::cost::Shape;
 use crate::plan::QueryPlan;
@@ -16,7 +17,7 @@ use crate::table::{partial_bytes, ColKey, Layout};
 use std::sync::Arc;
 use vcsql_bsp::LabelId;
 use vcsql_query::analyze::Analyzed;
-use vcsql_query::tagplan::Step;
+use vcsql_query::tagplan::{Part, Step};
 use vcsql_query::{AggClass, BoundSubquery, Correlation, Output, SubqueryCheck, SubqueryResult};
 use vcsql_relation::expr::{BoundExpr, ColRef, Expr, Predicate, Row};
 use vcsql_relation::{FxHashMap, RelError, Value};
@@ -27,8 +28,6 @@ type Result<T> = std::result::Result<T, RelError>;
 /// Residual checks applied to final rows.
 pub(crate) enum ResCheck {
     Expr(Predicate),
-    /// Broken-cycle equality between two layout positions.
-    Eq(usize, usize),
     Subquery(BoundSubquery),
 }
 
@@ -36,10 +35,6 @@ impl ResCheck {
     pub(crate) fn check<R: Row + ?Sized>(&self, row: &R) -> Result<bool> {
         Ok(match self {
             ResCheck::Expr(e) => e.passes(row)?,
-            ResCheck::Eq(a, b) => {
-                let cell = |p: usize| row.cell(p).expect("residuals read the row");
-                cell(*a).sql_eq(cell(*b)) == Some(true)
-            }
             ResCheck::Subquery(s) => s.passes(row)?,
         })
     }
@@ -87,7 +82,9 @@ pub(crate) enum Visit {
         layout: Arc<Layout>,
         /// `(layout position, its tuple's column, own column)` of each join
         /// variable the rows already hold and the traversed edge did not
-        /// prove: a row whose tuple disagrees with the vertex's is dropped.
+        /// prove, and of each broken-cycle equality whose other table the
+        /// rows already hold: a row whose tuple is not SQL-equal to the
+        /// vertex's there is dropped.
         checks: Vec<(usize, usize, usize)>,
         /// Own columns of the keys the visit adds, whose string payload
         /// every row gains.
@@ -121,6 +118,8 @@ pub(crate) struct QueryCtx<'a> {
     /// Per component, the labels of the shape's walk: the top-down
     /// reduction and the collection walk these.
     pub(crate) kept: Vec<Vec<LabelId>>,
+    /// Per component, the label into the top of each NOT EXISTS branch.
+    pub(crate) anti: Vec<Vec<LabelId>>,
     /// Component whose roots assemble the final result.
     pub(crate) primary: usize,
     /// Per component, what its tuple vertices do at collection superstep
@@ -208,7 +207,7 @@ impl<'a> QueryCtx<'a> {
     ) -> Result<QueryCtx<'a>> {
         let a = plan.analyzed();
         let dec = &plan.dec;
-        let n = a.tables.len();
+        let n = plan.table_count();
 
         // var_of as u32 keys.
         let mut var_of: FxHashMap<(usize, usize), u32> = FxHashMap::default();
@@ -257,13 +256,9 @@ impl<'a> QueryCtx<'a> {
 
         // ---- filters ------------------------------------------------------------
         let mut filters = Vec::with_capacity(n);
-        for (t, binding) in a.tables.iter().enumerate() {
+        for t in 0..n {
             let bind_schema = |e: &Expr| a.bind_to_table(t, e);
-            let exprs = binding
-                .filters
-                .iter()
-                .map(|e| bind_schema(e).map(Predicate::new))
-                .collect::<Result<_>>()?;
+            let exprs = plan.filters(t)?;
             let checks = subqueries
                 .iter()
                 .filter(|(_, _, table)| *table == Some(t))
@@ -282,9 +277,10 @@ impl<'a> QueryCtx<'a> {
         // ---- labels ---------------------------------------------------------------
         let mut rel_label = Vec::with_capacity(n);
         let mut table_of_label = Vec::new();
-        for (t, binding) in a.tables.iter().enumerate() {
-            let label = tag.relation_label(&binding.relation).ok_or_else(|| {
-                RelError::Other(format!("relation `{}` absent from TAG graph", binding.relation))
+        for t in 0..n {
+            let relation = &plan.table(t).relation;
+            let label = tag.relation_label(relation).ok_or_else(|| {
+                RelError::Other(format!("relation `{relation}` absent from TAG graph"))
             })?;
             rel_label.push(label);
             let l = label.0 as usize;
@@ -294,28 +290,45 @@ impl<'a> QueryCtx<'a> {
             table_of_label[l] = Some(t);
         }
         let column_label = |t: usize, c: usize| {
-            let rel = &a.tables[t].relation;
-            tag.column_label(rel, c).ok_or_else(|| {
+            let table = plan.table(t);
+            tag.column_label(&table.relation, c).ok_or_else(|| {
                 RelError::Other(format!(
                     "join column {}.{} is not materialized as attribute vertices",
-                    rel, a.tables[t].schema.columns[c].name
+                    table.relation, table.schema.columns[c].name
                 ))
             })
         };
 
         // ---- steps and collection visits -------------------------------------------
         // The bottom-up reduction walks the chosen plan's list; the top-down
-        // and collection passes walk the plan without the branches whose
-        // keys are unique in this TAG, which extend every row they join
-        // exactly once and which the bottom-up reduction already filtered
-        // the rows by. That walk alternates tuple and attribute vertices:
+        // and collection passes walk the plan without the semijoin branches
+        // and the branches whose keys are unique in this TAG, which extend
+        // every row they join at most once and which the bottom-up
+        // reduction already filtered the rows by. The labels into the tops
+        // of NOT EXISTS branches tell the bottom-up pass where to hold
+        // vertices. The walk alternates tuple and attribute vertices:
         // tuple vertices compute at the even collection supersteps — its
         // start table at 0, then the table each odd step enters (a step's
         // label names its relation side), the root last.
         let labels = |steps: &[Step]| -> Result<Vec<LabelId>> {
             steps.iter().map(|s| column_label(s.table, s.col)).collect()
         };
-        let (mut steps, mut kept) = (Vec::new(), Vec::new());
+        // Each broken-cycle equality (Section 6.1.1) is checked at the first
+        // visit of whichever of its two tables the walk reaches second, the
+        // first visit whose rows hold both columns: `cycle` lists, per table,
+        // the other side's key and its own column.
+        let key_of = |t: usize, c: usize| -> ColKey {
+            match var_of.get(&(t, c)) {
+                Some(&v) => ColKey::Var(v),
+                None => ColKey::Col { table: t as u16, col: c as u16 },
+            }
+        };
+        let mut cycle: Vec<Vec<(ColKey, usize)>> = vec![Vec::new(); n];
+        for j in &dec.broken {
+            cycle[j.left.0].push((key_of(j.right.0, j.right.1), j.left.1));
+            cycle[j.right.0].push((key_of(j.left.0, j.left.1), j.right.1));
+        }
+        let (mut steps, mut kept, mut anti) = (Vec::new(), Vec::new(), Vec::new());
         let mut visits = Vec::with_capacity(shape.component_count());
         let mut root_layouts = Vec::with_capacity(shape.component_count());
         for ci in 0..shape.component_count() {
@@ -323,13 +336,13 @@ impl<'a> QueryCtx<'a> {
             debug_assert!(walk.len().is_multiple_of(2), "a traversal ends at a relation");
             let mut layout = Arc::new(Layout::default());
             let start = shape.walks[ci].start_table();
-            let mut vs = vec![first_visit(&own_specs, &mut layout, start, None)];
+            let mut vs = vec![first_visit(&own_specs, &mut layout, start, None, &cycle[start])];
             for s in walk.iter().skip(1).step_by(2) {
                 vs.push(match layout.tables.iter().position(|&t| t == s.table) {
                     Some(pos) => Visit::Again { pos },
                     None => {
                         let proved = var_of.get(&(s.table, s.col)).copied();
-                        first_visit(&own_specs, &mut layout, s.table, proved)
+                        first_visit(&own_specs, &mut layout, s.table, proved, &cycle[s.table])
                     }
                 });
             }
@@ -337,6 +350,9 @@ impl<'a> QueryCtx<'a> {
             root_layouts.push(layout);
             steps.push(labels(&shape.steps[ci])?);
             kept.push(labels(walk)?);
+            let p = &shape.plans[ci];
+            let tops = (0..p.len()).filter(|&m| p.part[m] == Part::Anti);
+            anti.push(labels(&tops.map(|m| p.in_label[m].expect("a branch")).collect::<Vec<_>>())?);
         }
 
         // ---- final layout -----------------------------------------------------------
@@ -345,12 +361,6 @@ impl<'a> QueryCtx<'a> {
         final_layout.sort_unstable();
         final_layout.dedup();
 
-        let key_of = |t: usize, c: usize| -> ColKey {
-            match var_of.get(&(t, c)) {
-                Some(&v) => ColKey::Var(v),
-                None => ColKey::Col { table: t as u16, col: c as u16 },
-            }
-        };
         let pos_of = |t: usize, c: usize| -> Result<usize> {
             let k = key_of(t, c);
             final_layout
@@ -368,10 +378,6 @@ impl<'a> QueryCtx<'a> {
         let mut residuals = Vec::new();
         for e in &a.residual {
             residuals.push(ResCheck::Expr(Predicate::new(bind_final(e)?)));
-        }
-        for j in &dec.broken {
-            residuals
-                .push(ResCheck::Eq(pos_of(j.left.0, j.left.1)?, pos_of(j.right.0, j.right.1)?));
         }
         for (check, result, _) in subqueries.into_iter().filter(|(_, _, table)| table.is_none()) {
             let bound = check.bind(result, |(t, c)| pos_of(t, c), bind_final)?;
@@ -408,6 +414,7 @@ impl<'a> QueryCtx<'a> {
             shape,
             steps,
             kept,
+            anti,
             primary,
             visits,
             root_layouts,
@@ -449,12 +456,14 @@ impl<'a> QueryCtx<'a> {
 /// Table `t`'s first visit to rows over `layout`, which becomes the layout
 /// after it. `proved` is the join variable of the edge the rows travelled,
 /// equal on both sides by construction; every other variable the rows
-/// already hold is checked.
+/// already hold is checked, and so is every `(key, own column)` of `cycle`
+/// whose key they hold.
 fn first_visit(
     own_specs: &[Vec<(ColKey, usize)>],
     layout: &mut Arc<Layout>,
     t: usize,
     proved: Option<u32>,
+    cycle: &[(ColKey, usize)],
 ) -> Visit {
     let (mut checks, mut added) = (Vec::new(), Vec::new());
     let mut cols = layout.cols.clone();
@@ -468,6 +477,11 @@ fn first_visit(
             cols.push(k);
         } else if Some(k) != proved.map(ColKey::Var) {
             let (pos, col) = holder(own_specs, &layout.tables, k).expect("a held key has a table");
+            checks.push((pos, col, c));
+        }
+    }
+    for &(k, c) in cycle {
+        if let Some((pos, col)) = holder(own_specs, &layout.tables, k) {
             checks.push((pos, col, c));
         }
     }

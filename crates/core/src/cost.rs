@@ -34,21 +34,24 @@
 //! marks, the last bottom-up signals over it scaled to the parent's final
 //! survivors; the top-down pass and the collection each send `m(e)`
 //! messages per occurrence of `e` in the kept walk (one on its rightmost
-//! path, two elsewhere). Collection rows follow: a union at an attribute
+//! path, two elsewhere). A semijoin branch is priced like any subtree the
+//! bottom-up pass enters and leaves, except that the vertices entering the
+//! top of a NOT EXISTS branch that no signal comes back to are the ones
+//! that stay active. Collection rows follow: a union at an attribute
 //! vertex holds its neighbours' rows, a first visit keeps the rows, and a
 //! return to a tuple vertex carries the attribute vertex's whole union to
 //! each of its marked tuples, each keeping its own share. The cost is
 //! `messages + rows·ROW + roots·ROOT`.
 //!
 //! Ties go to the first candidate in name order: roots by relation name,
-//! children by their edge label's relation and column names, orders
-//! lexicographically. Nothing depends on a table's index, so the FROM order
-//! cannot change the plan, and nothing depends on threads or placement.
+//! children by their edge label's relation and column names, semijoin
+//! children first, orders lexicographically. A node's last child leads to
+//! the walk's start, so it is a semijoin only when every child is. Nothing
+//! depends on a table's index, so the FROM order cannot change the plan,
+//! and nothing depends on threads or placement.
 
 use crate::plan::QueryPlan;
-use vcsql_query::analyze::Analyzed;
-use vcsql_query::tagplan::{PlanNode, Step, TagPlan};
-use vcsql_relation::expr::Predicate;
+use vcsql_query::tagplan::{Part, PlanNode, Step, TagPlan};
 use vcsql_relation::RelError;
 use vcsql_tag::TagGraph;
 
@@ -127,7 +130,7 @@ impl Estimate {
 
 /// The cheapest shape of `plan` on `tag`.
 pub(crate) fn choose(plan: &QueryPlan, tag: &TagGraph) -> Result<Shape> {
-    let inputs = Inputs::gather(plan.analyzed(), tag)?;
+    let inputs = Inputs::gather(plan, tag)?;
     let chosen = (0..plan.components.len()).map(|ci| {
         let mut best: Option<Candidate> = None;
         each_candidate(plan, &inputs, ci, |est, p, dropped| {
@@ -175,10 +178,9 @@ pub(crate) fn each_candidate(
     ci: usize,
     mut f: impl FnMut(Estimate, &TagPlan, &[bool]),
 ) {
-    let a = plan.analyzed();
     let mut rooted: Vec<_> = plan.components[ci].iter().collect();
     rooted.sort_by(|x, y| {
-        let name = |r: &crate::plan::Rooted| &a.tables[r.plan.root_table()].relation;
+        let name = |r: &crate::plan::Rooted| &plan.table(r.plan.root_table()).relation;
         name(x).cmp(name(y))
     });
     let primary = ci == plan.primary;
@@ -186,9 +188,9 @@ pub(crate) fn each_candidate(
         let mut p = r.plan.clone();
         let mut dropped = vec![false; p.len()];
         for b in &r.branches {
-            dropped[b.node] = b.keys.iter().all(|&k| inputs.unique(k));
+            dropped[b.node] = b.semi || b.keys.iter().all(|&k| inputs.unique(k));
         }
-        let key = |n: usize| p.in_label[n].map(|s| inputs.name(s));
+        let key = |n: usize| (!p.is_semi(n), p.in_label[n].map(|s| inputs.name(s)));
         let keys: Vec<_> = (0..p.len()).map(key).collect();
         for children in &mut p.children {
             children.sort_by(|&x, &y| keys[x].cmp(&keys[y]));
@@ -215,7 +217,13 @@ fn orders(mut p: TagPlan, price: &mut impl FnMut(&TagPlan) -> Estimate) {
         }
         stack.extend(p.children[n].iter().rev());
     }
-    let perms: Vec<Vec<Vec<usize>>> = multi.iter().map(|&n| permutations(&p.children[n])).collect();
+    let semi_last = |order: &[usize]| {
+        order.last().is_some_and(|&l| p.is_semi(l)) && !order.iter().all(|&c| p.is_semi(c))
+    };
+    let perms: Vec<Vec<Vec<usize>>> = multi
+        .iter()
+        .map(|&n| permutations(&p.children[n]).into_iter().filter(|o| !semi_last(o)).collect())
+        .collect();
     let total = perms.iter().try_fold(1usize, |acc, ps| acc.checked_mul(ps.len()));
     if total.is_some_and(|t| t <= ORDERS) {
         let mut at = vec![0usize; multi.len()];
@@ -264,7 +272,7 @@ fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
 
 /// The statistics of one statement's tables on one TAG.
 pub(crate) struct Inputs<'t> {
-    a: &'t Analyzed,
+    plan: &'t QueryPlan,
     tag: &'t TagGraph,
     /// Per table, its tuple vertices.
     tuples: Vec<f64>,
@@ -273,18 +281,14 @@ pub(crate) struct Inputs<'t> {
 }
 
 impl<'t> Inputs<'t> {
-    pub(crate) fn gather(a: &'t Analyzed, tag: &'t TagGraph) -> Result<Inputs<'t>> {
+    pub(crate) fn gather(plan: &'t QueryPlan, tag: &'t TagGraph) -> Result<Inputs<'t>> {
         let (mut tuples, mut sel) = (Vec::new(), Vec::new());
-        for (t, binding) in a.tables.iter().enumerate() {
-            let vertices = match tag.relation_label(&binding.relation) {
+        for t in 0..plan.table_count() {
+            let vertices = match tag.relation_label(&plan.table(t).relation) {
                 Some(label) => tag.graph().vertices_with_label(label),
                 None => &[],
             };
-            let filters: Vec<_> = binding
-                .filters
-                .iter()
-                .map(|e| a.bind_to_table(t, e).map(Predicate::new))
-                .collect::<Result<_>>()?;
+            let filters = plan.filters(t)?;
             let n = vertices.len();
             let k = n.min(SAMPLE);
             let mut share = 1.0;
@@ -302,26 +306,26 @@ impl<'t> Inputs<'t> {
             tuples.push(n as f64);
             sel.push(share);
         }
-        Ok(Inputs { a, tag, tuples, sel })
+        Ok(Inputs { plan, tag, tuples, sel })
     }
 
     /// `(edges, distinct)` of step `s`'s label; zero when the column has
     /// none (binding reports why).
     fn counts(&self, s: Step) -> (f64, f64) {
-        let rel = &self.a.tables[s.table].relation;
+        let rel = &self.plan.table(s.table).relation;
         let c = self.tag.column_label(rel, s.col).map(|l| self.tag.edge_counts(l));
         c.map_or((0.0, 0.0), |c| (c.edges as f64, c.distinct as f64))
     }
 
     /// Whether step `s`'s label is unique in the TAG.
     pub(crate) fn unique(&self, s: Step) -> bool {
-        let rel = &self.a.tables[s.table].relation;
+        let rel = &self.plan.table(s.table).relation;
         self.tag.column_label(rel, s.col).is_some_and(|l| self.tag.is_unique(l))
     }
 
     /// Step `s`'s relation and column names: the order ties are broken in.
     fn name(&self, s: Step) -> (&str, &str) {
-        let t = &self.a.tables[s.table];
+        let t = self.plan.table(s.table);
         (&t.relation, &t.schema.columns[s.col].name)
     }
 }
@@ -488,7 +492,10 @@ impl<'a> Sim<'a> {
         };
         self.messages += signals;
         self.last[c] = (signals, back);
-        back
+        match self.p.part[c] {
+            Part::Anti => (active - back).max(0.0),
+            Part::Join | Part::Semi => back,
+        }
     }
 
     /// The top-down pass over `walk` from `root` survivors: the final
@@ -583,7 +590,7 @@ mod tests {
                 let plan = QueryPlan::prepare(q.sql, tag.schemas()).unwrap();
                 let shape = plan.shape(&tag).unwrap();
                 let chosen = messages(&plan);
-                let inputs = Inputs::gather(plan.analyzed(), &tag).unwrap();
+                let inputs = Inputs::gather(&plan, &tag).unwrap();
                 let mut counted = Vec::new();
                 let primary = plan.primary;
                 let mut candidates = Vec::new();

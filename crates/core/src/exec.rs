@@ -18,7 +18,10 @@
 //!    (Section 7 selection pushdown). A step that returns from a subtree
 //!    signals only along the edges its entry marked, so the pass is an
 //!    exact semijoin reduction (Lemma 5.1): a tuple vertex stays active
-//!    only if it joins every table of the subtrees walked below it.
+//!    only if it joins every table of the subtrees walked below it. The
+//!    pass also walks the semijoin branches of EXISTS subqueries, entered
+//!    from the outer correlation column and left again; a NOT EXISTS
+//!    branch keeps the complement (see [`traversal`]).
 //! 2. **Reduction, top-down** — the reversed kept list; signals go only along
 //!    edges whose bit the bottom-up pass set, and receivers *replace* the
 //!    bits of that label's run, so surviving marks are exactly the edges of
@@ -26,17 +29,19 @@
 //! 3. **Collection, bottom-up** — the kept list again: intermediate tables
 //!    of tuple-vertex ids ([`crate::table`]) flow along marked edges.
 //!    Attribute vertices union the tables they receive. A tuple vertex's
-//!    first visit appends its id to every row, checking by arena reads only
-//!    the join variables the traversed edge did not prove; a revisit on a
-//!    backtracking step keeps exactly the rows that hold its id. No value
-//!    is hashed or cloned.
+//!    first visit appends its id to every row, checking by arena reads,
+//!    with SQL equality, only the join variables the traversed edge did
+//!    not prove and the broken-cycle equalities whose other table the rows
+//!    hold; a revisit on a backtracking step keeps exactly the rows that
+//!    hold its id. No value is hashed or cloned.
 //!
 //! A skipped branch only filters: no output reads its tables, and each row
 //! of the kept tables extends into it exactly once, so the bag the kept
 //! rows make is the bag of the full join.
 //!
 //! A final superstep at the plan root reads the rows' values in place in the
-//! TAG's arena (references, not clones), applies residual predicates,
+//! TAG's arena (references, not clones), applies residual predicates (the
+//! cross-table filters and the subquery checks that read several tables),
 //! assembles output rows and performs aggregation: global and scalar
 //! aggregation fold every kept row straight into the worker's share of the
 //! engine's global aggregator — the paper's aggregation vertex — with the
@@ -52,16 +57,19 @@
 //! its worker's share of the aggregator, once each, reading a group's
 //! representative row only then.
 //!
-//! A subquery's inner plan runs first, in a computation of its own, and its
-//! rows or kept groups fold straight into the subquery's probe table
-//! (`vcsql_query::subquery`): the inner query builds no output relation. When
-//! the plan seeds it (`vcsql_query::seed`), that computation starts with a
-//! seeding phase of three supersteps: the outer key table's tuple vertices
-//! that pass their filters signal along the outer correlation label, the
-//! attribute vertices reached forward along the inner one, and the inner
-//! tuple vertices reached are admitted. An inner tuple that was not
-//! admitted then fails its filter, after evaluating it, so the inner query
-//! aggregates only the keys some outer row can probe.
+//! An EXISTS or NOT EXISTS the plan runs as a semijoin branch
+//! ([`crate::plan`]) is part of the walk above, in this computation, so
+//! crash recovery and the cost model cover it. Every other subquery's inner
+//! plan runs first, in a computation of its own, and its rows or kept
+//! groups fold straight into the subquery's probe table
+//! (`vcsql_query::subquery`): the inner query builds no output relation.
+//! When the plan seeds it (`vcsql_query::seed`), that computation starts
+//! with a seeding phase of three supersteps: the outer key table's tuple
+//! vertices that pass their filters signal along the outer correlation
+//! label, the attribute vertices reached forward along the inner one, and
+//! the inner tuple vertices reached are admitted. An inner tuple that was
+//! not admitted then fails its filter, after evaluating it, so the inner
+//! query aggregates only the keys some outer row can probe.
 //!
 //! Engine state: every computation — the outer query's and each subquery
 //! run's — takes its graph-sized arrays, the [`St`] per vertex among them,
@@ -76,10 +84,12 @@
 //! Algorithm B: secondary components are evaluated first, gathered, and
 //! shipped to the primary component's root vertices.
 //!
-//! Cyclic join graphs are handled by breaking the cycle (the demoted
-//! predicate is enforced as a residual equality — the Section 6.1.1 PK-FK
-//! treatment); the worst-case-optimal cycle program of Sections 6.1–6.2 is an
-//! ablation, run by `repro triangle-theta`.
+//! Cyclic join graphs are handled by breaking the cycle (the Section 6.1.1
+//! PK-FK treatment): the demoted equality is checked at the first visit of
+//! whichever of its two tables the kept walk reaches second, where the rows
+//! first hold both columns, not at the roots. The worst-case-optimal cycle
+//! program of Sections 6.1–6.2 is an ablation, run by `repro
+//! triangle-theta`.
 
 use crate::bind::{all_hold, QueryCtx, Seed, Visit};
 use crate::plan::QueryPlan;
@@ -122,6 +132,9 @@ pub struct St {
     pass: Option<bool>,
     /// Whether a seed reached this tuple vertex (see [`QueryCtx::admit`]).
     admitted: bool,
+    /// Whether the vertex entered a NOT EXISTS branch that has not come
+    /// back yet: it stays active until then.
+    held: bool,
 }
 
 /// A hub's mark words past the first, behind a thin pointer so [`St`]
@@ -487,10 +500,19 @@ impl<'t> TagJoinExecutor<'t> {
         comp.run_phase(|comp, i| {
             let d = &descs[i];
             let mut err = match d.pass {
-                Pass::Up { all } => self.reduction_step(comp, q, d.cur, d.prev, all),
-                Pass::Down => self.reduction_step(comp, q, d.cur, d.prev, false),
+                Pass::Up { all } => self.reduction_step(comp, q, d, all),
+                Pass::Down => self.reduction_step(comp, q, d, false),
                 Pass::Col { step } => {
                     self.collection_step(comp, q, ci, step, d.cur, d.prev);
+                    FirstError::default()
+                }
+                Pass::Check => {
+                    comp.superstep_simple(|ctx: &mut VertexCtx<'_, '_, St, TagMsg>| {
+                        let back = ctx.signalled(0..ctx.edges().len()).next().is_some();
+                        if std::mem::take(&mut ctx.state.held) && !back {
+                            ctx.stay();
+                        }
+                    });
                     FirstError::default()
                 }
             };
@@ -503,29 +525,44 @@ impl<'t> TagJoinExecutor<'t> {
         .map_err(fault_to_rel)?
     }
 
-    /// One reduction superstep (Algorithm 2 lines 7-25), sending along
-    /// every `cur` edge when `all`, else along the marked ones; returns the
-    /// first filter evaluation that failed.
+    /// One reduction superstep (Algorithm 2 lines 7-25) of descriptor `d`,
+    /// sending along every `d.cur` edge when `all`, else along the marked
+    /// ones; returns the first filter evaluation that failed.
     fn reduction_step(
         &self,
         comp: &mut Computation<'_, St, TagMsg>,
         q: &QueryCtx,
-        cur: LabelId,
-        prev: Option<(LabelId, bool)>,
+        d: &Desc,
         all: bool,
     ) -> FirstError {
         let tag = self.tag;
         comp.superstep(|ctx: &mut VertexCtx<'_, '_, St, TagMsg>, err: &mut FirstError| {
             // (a) record marks from the previous step's messages.
-            record_marks(ctx, prev);
-            // (b) tuple-vertex filter guard (selection pushdown).
+            let signalled = record_marks(ctx, d.prev);
+            // (b) a vertex held over a NOT EXISTS branch stays; it works
+            // only if a signal of this walk reached it too. Once the branch
+            // is back, a held vertex a signal came back to drops out.
+            if d.hold == Hold::Keep && ctx.state.held {
+                ctx.stay();
+                if !signalled {
+                    return;
+                }
+            }
+            if d.check && std::mem::take(&mut ctx.state.held) && signalled {
+                return;
+            }
+            // (c) tuple-vertex filter guard (selection pushdown).
             if err.ok(passes_filter(ctx, q, tag)) != Some(true) {
                 return;
             }
-            // (c) signal along edges with the current label; top-down
+            // (d) signal along edges with the current label; top-down
             // signals follow bottom-up marks (line 17), and so does a
             // bottom-up step that returns from a subtree.
-            signal_along_marks(ctx, cur, all);
+            signal_along_marks(ctx, d.cur, all);
+            if d.hold == Hold::Enter {
+                ctx.state.held = true;
+                ctx.stay();
+            }
         })
         .1
     }
@@ -661,9 +698,9 @@ impl<'t> TagJoinExecutor<'t> {
             };
             let rows = value.as_ref().map_or(1, Table::len);
             let row = |i: usize| &g.cells[i * width..(i + 1) * width];
-            // Residual predicates (cross-table filters, broken cycle
-            // equalities, multi-table subquery checks), over every row
-            // before any is projected or grouped.
+            // Residual predicates (cross-table filters, multi-table
+            // subquery checks), over every row before any is projected or
+            // grouped.
             g.kept.clear();
             for i in 0..rows {
                 if g.err.ok(all_hold(&q.residuals, row(i))) == Some(true) {
@@ -839,19 +876,37 @@ fn fold_groups(
 
 /// The pass a traversal superstep belongs to. A bottom-up step sends along
 /// every edge of its label unless it returns from a subtree; a collection
-/// step knows its index in its pass.
+/// step knows its index in its pass. A check step only drops the vertices
+/// a NOT EXISTS branch came back to, when the walk ends with its return.
 enum Pass {
     Up { all: bool },
     Down,
     Col { step: usize },
+    Check,
 }
 
-/// One traversal superstep: its pass, the label it sends along, and the
-/// label (with replace flag) of the signals it receives.
+/// What a bottom-up superstep does with the vertices held over a NOT
+/// EXISTS branch.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Hold {
+    /// No branch is open.
+    Off,
+    /// The step enters a branch: the vertices that pass their filters hold.
+    Enter,
+    /// A branch is open, its return step included: held vertices stay.
+    Keep,
+}
+
+/// One traversal superstep: its pass, the label it sends along, the label
+/// (with replace flag) of the signals it receives, and what it does with
+/// held vertices: hold them, keep them, or first drop the ones a branch
+/// came back to (`check`).
 struct Desc {
     pass: Pass,
     cur: LabelId,
     prev: Option<(LabelId, bool)>,
+    hold: Hold,
+    check: bool,
 }
 
 /// Component `ci`'s three passes flattened, one descriptor per superstep:
@@ -863,21 +918,43 @@ struct Desc {
 /// entered, and sends only along the edges the entry marked: the attach
 /// node's vertices that entered, and survive the subtree, are its active
 /// vertices again, and no other. The pass is then the exact semijoin
-/// reduction that a branch the later passes skip relies on.
+/// reduction that a branch the later passes skip relies on, an EXISTS
+/// branch among them.
+///
+/// A NOT EXISTS branch keeps the complement: the vertices that enter its
+/// top hold, staying active with no message until it comes back, and the
+/// superstep after its return drops the held vertices a signal came back
+/// to. The rest, NULL keys that entered nothing among them, go on. When
+/// the walk ends with the return, one check superstep does the dropping.
 fn traversal(q: &QueryCtx, ci: usize) -> Vec<Desc> {
-    let (full, kept) = (&q.steps[ci], &q.kept[ci]);
+    let (full, kept, anti) = (&q.steps[ci], &q.kept[ci], &q.anti[ci]);
     let up =
         full.iter().enumerate().map(|(i, &cur)| (Pass::Up { all: !full[..i].contains(&cur) }, cur));
     let passes = up
         .chain(kept.iter().rev().map(|&cur| (Pass::Down, cur)))
         .chain(kept.iter().enumerate().map(|(step, &cur)| (Pass::Col { step }, cur)));
     let mut prev: Option<(LabelId, bool)> = None;
-    passes
-        .map(|(pass, cur)| {
-            let replace = !matches!(pass, Pass::Up { .. });
-            Desc { pass, cur, prev: prev.replace((cur, replace)) }
-        })
-        .collect()
+    let (mut open, mut check) = (None, false);
+    let mut descs = Vec::new();
+    for (pass, cur) in passes {
+        let hold = match (&pass, open) {
+            (Pass::Up { .. }, Some(_)) => Hold::Keep,
+            (Pass::Up { all: true }, None) if anti.contains(&cur) => Hold::Enter,
+            _ => Hold::Off,
+        };
+        let replace = !matches!(pass, Pass::Up { .. });
+        let prev = prev.replace((cur, replace));
+        descs.push(Desc { pass, cur, prev, hold, check: std::mem::take(&mut check) });
+        match hold {
+            Hold::Enter => open = Some(cur),
+            Hold::Keep if open == Some(cur) => (open, check) = (None, true),
+            _ => {}
+        }
+    }
+    if check {
+        descs.push(Desc { pass: Pass::Check, cur: LabelId::NONE, prev, hold: Hold::Off, check });
+    }
+    descs
 }
 
 // ---------------------------------------------------------------------------
@@ -895,14 +972,14 @@ where
     comp.run_phase(|comp, _| ControlFlow::Break(comp.superstep(&compute).1)).map_err(fault_to_rel)
 }
 
-/// Map an engine fault to the executor's error type; retry-worthiness
-/// travels in the variant, so hosts (the server's retry loop) match on it.
 /// The scratch pool's lock. A poisoned lock only means another execution
 /// panicked: a push or pop is all it ever did under the lock.
 fn lock(pool: &ScratchPool) -> vcsql_bsp::sync::MutexGuard<'_, Vec<Scratch<St>>> {
     pool.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Map an engine fault to the executor's error type; retry-worthiness
+/// travels in the variant, so hosts (the server's retry loop) match on it.
 fn fault_to_rel(e: FaultError) -> RelError {
     RelError::Fault { transient: e.is_transient(), message: e.to_string() }
 }
@@ -941,22 +1018,25 @@ impl Aggregator for FirstError {
 
 /// Checkpoint size of one vertex's [`St`] in bytes, in the 8-byte words of
 /// `TagMsg::byte_size`'s wire model: a header word, the mark bitmap's words
-/// (none before the first signal), a word for a cached filter verdict and
-/// one for a seed's admission.
+/// (none before the first signal), a word for a cached filter verdict, one
+/// for a seed's admission and one for a hold.
 fn st_state_bytes(st: &St) -> u64 {
-    8 * (1 + u64::from(st.words) + u64::from(st.pass.is_some()) + u64::from(st.admitted))
+    let flags = u64::from(st.pass.is_some()) + u64::from(st.admitted) + u64::from(st.held);
+    8 * (1 + u64::from(st.words) + flags)
 }
 
 /// Record reduction marks from incoming signals: union during bottom-up,
 /// replace during top-down (Algorithm 2 lines 9 and 19). A signal marks the
 /// receiver's own edge back to its sender: the slot the engine signalled.
 /// The first signal opens the bitmap and, when replacing, clears the
-/// `label` run.
-fn record_marks(ctx: &mut VertexCtx<'_, '_, St, TagMsg>, prev: Option<(LabelId, bool)>) {
-    let Some((label, replace)) = prev else { return };
+/// `label` run. Returns whether a signal arrived.
+fn record_marks(ctx: &mut VertexCtx<'_, '_, St, TagMsg>, prev: Option<(LabelId, bool)>) -> bool {
+    let Some((label, replace)) = prev else { return false };
     let (graph, vid, degree) = (ctx.graph(), ctx.id(), ctx.edges().len());
     let mut clear = replace;
+    let mut signalled = false;
     for i in ctx.signalled(0..degree) {
+        signalled = true;
         let st = &mut ctx.state;
         if st.words == 0 {
             st.open(degree);
@@ -971,6 +1051,7 @@ fn record_marks(ctx: &mut VertexCtx<'_, '_, St, TagMsg>, prev: Option<(LabelId, 
         );
         st.mark(i);
     }
+    signalled
 }
 
 /// Signal along this vertex's `label` edges: every one when `all`, else
@@ -1061,9 +1142,11 @@ fn compute_value(
             Some(Table::single(Arc::clone(layout), id, payload(added)))
         }
         Visit::First { layout, checks, added } => {
+            // SQL equality: a NULL on either side equals nothing.
             let agree = |ids: &[VertexId]| {
                 checks.iter().all(|&(pos, col, own_col)| {
-                    tag.tuple(ids[pos]).is_some_and(|other| other[col] == own[own_col])
+                    let other = tag.tuple(ids[pos]);
+                    other.is_some_and(|other| other[col].sql_eq(&own[own_col]) == Some(true))
                 })
             };
             Table::extend(incoming, Arc::clone(layout), id, payload(added), agree)
@@ -1076,7 +1159,7 @@ fn compute_value(
 /// vertex, or when the tuple's columns of one join variable disagree.
 fn own_tuple<'t>(q: &QueryCtx, tag: &'t TagGraph, t: usize, id: VertexId) -> Option<&'t [Value]> {
     let own = tag.tuple(id)?;
-    q.dups[t].iter().all(|&(x, y)| own[x] == own[y]).then_some(own)
+    q.dups[t].iter().all(|&(x, y)| own[x].sql_eq(&own[y]) == Some(true)).then_some(own)
 }
 
 /// The Algorithm B gather site: the machine holding the plurality of the
@@ -1152,14 +1235,16 @@ mod tests {
             let all = match d.pass {
                 Pass::Up { all } => all,
                 Pass::Down => false,
-                Pass::Col { .. } => {
+                Pass::Col { .. } | Pass::Check => {
                     in_flight = d.prev;
                     break;
                 }
             };
-            assert!(exec.reduction_step(&mut comp, &q, d.cur, d.prev, all).0.is_none());
+            assert!(exec.reduction_step(&mut comp, &q, d, all).0.is_none());
         }
-        comp.superstep_simple(|ctx| record_marks(ctx, in_flight));
+        comp.superstep_simple(|ctx| {
+            record_marks(ctx, in_flight);
+        });
 
         let tuples = |name: &str| g.vertices_with_label(tag.relation_label(name).unwrap());
         let mut in_join = FxHashSet::default();
@@ -1193,10 +1278,10 @@ mod tests {
     }
 
     /// A checkpoint copies a header word, the bitmap's words, a word for a
-    /// cached verdict and one for an admission: 8 bytes fresh, 24 for a
-    /// 70-edge vertex once marked (two words), 32 with its verdict cached,
-    /// 40 admitted too. In memory `St` stays 24 bytes: the flags share the
-    /// bitmap pointer's padding.
+    /// cached verdict, one for an admission and one for a hold: 8 bytes
+    /// fresh, 24 for a 70-edge vertex once marked (two words), 32 with its
+    /// verdict cached, 40 admitted too, 48 held too. In memory `St` stays 24
+    /// bytes: the flags share the bitmap pointer's padding.
     #[test]
     fn st_state_bytes_prices_header_bitmap_words_and_verdict() {
         assert_eq!(std::mem::size_of::<St>(), 24);
@@ -1215,13 +1300,17 @@ mod tests {
 
         comp.activate([70]);
         comp.superstep_simple(|ctx| ctx.signal_along(label, 0));
-        comp.superstep_simple(|ctx| record_marks(ctx, Some((label, false))));
+        comp.superstep_simple(|ctx| {
+            record_marks(ctx, Some((label, false)));
+        });
         let st = &comp.states()[hub as usize];
         let set: Vec<usize> = (0..70).filter(|&i| st.marked(i)).collect();
         assert_eq!(set, [69], "the last spoke sits in the second word's slot 5");
         assert_eq!(st_state_bytes(st), 24);
         assert_eq!(st_state_bytes(&St { pass: Some(true), ..st.clone() }), 32);
         assert_eq!(st_state_bytes(&St { pass: Some(true), admitted: true, ..st.clone() }), 40);
+        let held = St { pass: Some(true), admitted: true, held: true, ..st.clone() };
+        assert_eq!(st_state_bytes(&held), 48);
     }
 
     /// The inline word holds out-edge slots 0..64; slot 64 is the first a
@@ -1257,7 +1346,9 @@ mod tests {
             assert_eq!(ctx.edges()[0].target, hub, "a spoke's one edge leads to its hub");
             ctx.signal_along(label, 0);
         });
-        comp.superstep_simple(|ctx| record_marks(ctx, Some((label, false))));
+        comp.superstep_simple(|ctx| {
+            record_marks(ctx, Some((label, false)));
+        });
         for ((hub, spokes), (want, bytes)) in
             hubs.iter().zip([(&[0, 63][..], 16), (&[0, 63, 64], 24)])
         {

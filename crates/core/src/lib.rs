@@ -10,7 +10,8 @@
 //!   top-down reduction and collection over the tables it keeps — a branch
 //!   that only filters, unique-keyed in the data, is left to the first
 //!   pass), plus the Section 7 operators: pushed-down selections and
-//!   projections, local/global/scalar aggregation, and (correlated)
+//!   projections, local/global/scalar aggregation, EXISTS and NOT EXISTS
+//!   as semijoin branches of the outer walk, and the other (correlated)
 //!   subqueries by reverse lookup: the inner plans run first, and
 //!   `vcsql_query::subquery` judges the outer rows. Aggregation here is
 //!   only *where* partial groups form — per root, then at the group-key

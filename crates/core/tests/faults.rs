@@ -5,7 +5,8 @@
 //! superstep index and must come out as if nothing happened. So must a
 //! seeded correlated scalar subquery, killed at every superstep of its
 //! inner run (the seeding phase included) and of its outer run. So must a
-//! statement whose output-free branches leave the later passes.
+//! statement whose output-free branches leave the later passes, and
+//! statements whose EXISTS or NOT EXISTS runs as a semijoin branch.
 
 use std::sync::Arc;
 use vcsql_bsp::{EngineConfig, FaultInjector, FaultPlan, FaultTraffic, PartitionStrategy};
@@ -171,29 +172,70 @@ fn a_crash_at_every_superstep_of_a_pruned_statement_changes_nothing() {
     let tag = TagGraph::build(&tpcds::generate(0.01, 42));
     let q27 = tpcds::queries().into_iter().find(|q| q.id == "d_q27").unwrap();
     let plan = QueryPlan::prepare(q27.sql, tag.schemas()).unwrap();
+    let base = every_crash_changes_nothing(&tag, &plan);
+    assert!(!base.relation.is_empty());
+    // The bottom-up reduction over the whole plan, the top-down reduction
+    // and the collection over `store_sales`, `store` and `item` alone (four
+    // steps each), and the finish.
+    assert_eq!(
+        base.stats.supersteps,
+        plan.shape(&tag).unwrap().traversal_steps() as u64 + 2 * 4 + 1
+    );
+}
 
+/// TPC-H q4's EXISTS and TPC-DS q94's, and a NOT EXISTS, run as semijoin
+/// branches in the outer query's one computation, so every superstep of
+/// it, the branch's included, is a crash point. q4 and the NOT EXISTS keep
+/// no walk but their one table: the bottom-up reduction enters and leaves
+/// the branch (four steps; the NOT EXISTS holds its customers over it and
+/// drops the ones a signal came back to in one more), then the finish and
+/// the local aggregation.
+#[test]
+fn a_crash_at_every_superstep_of_a_semijoin_branch_changes_nothing() {
+    let not_exists = "SELECT c.c_mktsegment, COUNT(*) AS n FROM customer c \
+                      WHERE NOT EXISTS (SELECT o.o_orderkey FROM orders o \
+                                        WHERE o.o_custkey = c.c_custkey \
+                                        AND o.o_orderpriority = '1-URGENT') \
+                      GROUP BY c.c_mktsegment";
+    let find = |queries: Vec<vcsql_workload::BenchQuery>, id| {
+        queries.into_iter().find(|q| q.id == id).unwrap().sql
+    };
+    for (db, sql, supersteps) in [
+        (tpch::generate(0.01, 42), find(tpch::queries(), "q4"), Some(4 + 2)),
+        (tpch::generate(0.01, 42), not_exists, Some(5 + 2)),
+        (tpcds::generate(0.01, 42), find(tpcds::queries(), "d_q94"), None),
+    ] {
+        let tag = TagGraph::build(&db);
+        let plan = QueryPlan::prepare(sql, tag.schemas()).unwrap();
+        assert_eq!((plan.semijoin_count(), plan.inner_plan_count()), (1, 0), "{sql}");
+        let base = every_crash_changes_nothing(&tag, &plan);
+        assert!(!base.relation.is_empty(), "{sql}");
+        if let Some(supersteps) = supersteps {
+            assert_eq!(base.stats.supersteps, supersteps, "{sql}");
+        }
+    }
+}
+
+/// Run `plan` on 4 hash-placed machines, sequentially and on 4 threads at
+/// threshold 0, fault-free and then with one crash at each superstep index,
+/// checkpointing every superstep and every second: each crash fires, is
+/// recovered, and changes neither the bag nor the traffic totals. Returns
+/// the sequential fault-free run.
+fn every_crash_changes_nothing(tag: &TagGraph, plan: &QueryPlan) -> vcsql_core::ExecOutput {
+    let mut first = None;
     for engine in
         [EngineConfig::sequential(), EngineConfig::with_threads(4).with_parallel_threshold(0)]
     {
         let run = |injector: Option<Arc<FaultInjector>>| {
-            let mut executor = TagJoinExecutor::new(&tag, engine).with_partitioning_shared(
+            let mut executor = TagJoinExecutor::new(tag, engine).with_partitioning_shared(
                 Arc::new(tag.partition(&PartitionStrategy::Hash, MACHINES)),
             );
             if let Some(injector) = injector {
                 executor = executor.with_fault_injector(injector);
             }
-            executor.execute_plan(&plan)
+            executor.execute_plan(plan)
         };
         let base = run(None).unwrap();
-        assert!(!base.relation.is_empty());
-        // The bottom-up reduction over the whole plan, the top-down
-        // reduction and the collection over `store_sales`, `store` and
-        // `item` alone (four steps each), and the finish.
-        assert_eq!(
-            base.stats.supersteps,
-            plan.shape(&tag).unwrap().traversal_steps() as u64 + 2 * 4 + 1
-        );
-
         for every in [1, 2] {
             for crash in 0..base.stats.supersteps {
                 let at = format!("threads={} every={every} crash={crash}", engine.threads);
@@ -206,5 +248,7 @@ fn a_crash_at_every_superstep_of_a_pruned_statement_changes_nothing() {
                 assert_eq!(out.stats.totals, base.stats.totals, "{at}");
             }
         }
+        first.get_or_insert(base);
     }
+    first.expect("two engines ran")
 }

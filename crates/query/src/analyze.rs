@@ -10,7 +10,9 @@
 //!   the join hypergraph;
 //! * **residual** — cross-table predicates that are not equi-joins (OR
 //!   groups, inequalities across tables, extra equalities between an already
-//!   joined pair); applied while output rows are assembled;
+//!   joined pair); applied while output rows are assembled. An OR residual
+//!   whose every disjunct tests one table's columns against constants also
+//!   lends that table the OR of those tests as a filter;
 //! * **subqueries** — EXISTS / IN / scalar-comparison subqueries, analyzed
 //!   recursively with their correlation predicates extracted;
 //! * **output** — select items resolved, aggregation class determined
@@ -436,6 +438,12 @@ fn analyze_scoped(
         }
     }
 
+    for e in &residual {
+        for (t, f) in implied_filters(e, &tables) {
+            tables[t].filters.push(f);
+        }
+    }
+
     let mut analyzed = Analyzed {
         tables,
         joins,
@@ -498,6 +506,45 @@ fn analyze_scoped(
     analyzed.agg_class = classify(&analyzed);
     check_grouped(&analyzed)?;
     Ok((analyzed, correlations))
+}
+
+/// The filters a cross-table OR residual implies: for each table `t` such
+/// that every disjunct holds a conjunct testing a column of `t` against
+/// constants, the OR over the disjuncts of those conjuncts. A row the
+/// residual keeps passes them, and they evaluate without error, so a table
+/// may drop the tuples they reject before any join while the residual stays
+/// (q19's containers and quantities).
+fn implied_filters(e: &Expr, tables: &[TableBinding]) -> Vec<(usize, Expr)> {
+    fn conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+        match e {
+            Expr::And(es) => es.iter().for_each(|e| conjuncts(e, out)),
+            e => out.push(e),
+        }
+    }
+    let Expr::Or(disjuncts) = e else { return Vec::new() };
+    let tested: Vec<Vec<(usize, &Expr)>> = disjuncts
+        .iter()
+        .map(|d| {
+            let mut cs = Vec::new();
+            conjuncts(d, &mut cs);
+            let table = |c: &Expr| Some(resolve_in(tables, c.column_vs_constant()?).ok()?.0);
+            cs.into_iter().filter_map(|c| Some((table(c)?, c))).collect()
+        })
+        .collect();
+    (0..tables.len())
+        .filter_map(|t| {
+            let on_t = |cs: &Vec<(usize, &Expr)>| {
+                let mut on: Vec<Expr> =
+                    cs.iter().filter(|&&(u, _)| u == t).map(|&(_, c)| c.clone()).collect();
+                match on.len() {
+                    0 => None,
+                    1 => on.pop(),
+                    _ => Some(Expr::And(on)),
+                }
+            };
+            Some((t, Expr::Or(tested.iter().map(on_t).collect::<Option<_>>()?)))
+        })
+        .collect()
 }
 
 /// Refuse a correlated EXISTS or IN subquery over an aggregate without
@@ -682,6 +729,26 @@ mod tests {
         assert_eq!(sq.correlations[0].outer, (0, 0));
         // Subquery keeps its own filter.
         assert_eq!(sq.sub.tables[0].filters.len(), 1);
+    }
+
+    /// An OR across tables lends each table whose columns every disjunct
+    /// tests against constants the OR of those tests, and stays a residual;
+    /// a table some disjunct leaves untested, or tests against another
+    /// column, gains nothing.
+    #[test]
+    fn or_residuals_imply_single_table_filters() {
+        let stmt = parse(
+            "SELECT c.c_name FROM customer c, orders o WHERE c.custkey = o.o_custkey \
+             AND ((c.c_name = 'a' AND o.total > 1 AND o.total < 5) \
+                  OR (c.c_name = 'b' AND o.total BETWEEN 7 AND 9) \
+                  OR (c.c_name = 'c' AND o.total > c.c_nationkey))",
+        )
+        .unwrap();
+        let a = analyze(&stmt, &catalog()).unwrap();
+        assert_eq!(a.residual.len(), 1);
+        let shown: Vec<String> = a.tables[0].filters.iter().map(|f| f.to_string()).collect();
+        assert_eq!(shown, ["((c.c_name = 'a') OR (c.c_name = 'b') OR (c.c_name = 'c'))"]);
+        assert!(a.tables[1].filters.is_empty(), "{:?}", a.tables[1].filters);
     }
 
     #[test]

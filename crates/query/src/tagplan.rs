@@ -21,6 +21,14 @@
 //! pass (reversed) and the collection pass walk the `GenSteps` list of the
 //! plan [`without`](TagPlan::without) each branch that extends every row it
 //! joins exactly once, which only the data can tell.
+//!
+//! An EXISTS or NOT EXISTS subquery may join the plan as a *semijoin*
+//! branch ([`TagPlan::with_semijoins`], [`Part`]): its inner tables hang at
+//! the attribute node of the outer correlation column, the bottom-up pass
+//! enters the branch from there and returns, and the later passes always
+//! leave it out, since a semijoin filters and never multiplies. A semijoin
+//! node is never on the rightmost path, so the traversal never starts in
+//! one.
 
 use crate::gyo::{Decomposition, JoinTree};
 
@@ -49,17 +57,34 @@ pub struct TagPlan {
     /// Label of the edge from `parent[n]` into `n` (None for the root). The
     /// label always references the relation side of the edge.
     pub in_label: Vec<Option<Step>>,
+    /// How each node's subtree takes part in the query.
+    pub part: Vec<Part>,
     pub root: usize,
 }
 
-/// A reduction-only subtree: its top node, and the labels that enter its
-/// relation nodes. When every label is unique in the data, each row the
-/// branch joins extends into it exactly once, and the top-down and
-/// collection passes may leave it out.
+/// How a plan node's subtree takes part in the query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Part {
+    /// A join: the node's rows join its parent's.
+    Join,
+    /// Inside an EXISTS branch, or inside a NOT EXISTS branch below its
+    /// top: the parent's vertices that reach a surviving vertex here stay.
+    Semi,
+    /// The top of a NOT EXISTS branch: the parent's vertices that enter it
+    /// stay only if none of them comes back.
+    Anti,
+}
+
+/// A reduction-only subtree: its top node, the labels that enter its
+/// relation nodes outside semijoin branches, and whether it is one. When
+/// it is a semijoin, or every label is unique in the data, each row the
+/// branch joins extends into it at most once where it matters, and the
+/// top-down and collection passes may leave it out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Branch {
     pub node: usize,
     pub keys: Vec<Step>,
+    pub semi: bool,
 }
 
 impl TagPlan {
@@ -72,6 +97,7 @@ impl TagPlan {
             children: Vec::new(),
             parent: Vec::new(),
             in_label: Vec::new(),
+            part: Vec::new(),
             root: 0,
         };
         let root_rel = plan.add_node(PlanNode::Rel { table: tree.root }, None, None);
@@ -117,15 +143,56 @@ impl TagPlan {
         self.children.push(Vec::new());
         self.parent.push(parent);
         self.in_label.push(label);
+        self.part.push(Part::Join);
         if let Some(p) = parent {
             self.children[p].push(id);
         }
         id
     }
 
+    /// Mark the semijoin branches: `semi(table)` is `Some(negated)` for
+    /// each table of an EXISTS (`false`) or NOT EXISTS (`true`) inner block.
+    /// Their relation nodes are [`Part::Semi`], and so is every attribute
+    /// node all of whose children are; the top of each NOT EXISTS branch,
+    /// its attribute node when that holds nothing else and else the inner
+    /// block's first relation node, is [`Part::Anti`].
+    pub fn with_semijoins(mut self, semi: impl Fn(usize) -> Option<bool>) -> TagPlan {
+        // Children are numbered after their parents.
+        for n in (0..self.len()).rev() {
+            let inside = match self.nodes[n] {
+                PlanNode::Rel { table } => semi(table).is_some(),
+                PlanNode::Attr { .. } => {
+                    let children = &self.children[n];
+                    !children.is_empty() && children.iter().all(|&c| self.part[c] != Part::Join)
+                }
+            };
+            if inside {
+                self.part[n] = Part::Semi;
+            }
+        }
+        for n in 0..self.len() {
+            let PlanNode::Rel { table } = self.nodes[n] else { continue };
+            if semi(table) != Some(true) {
+                continue;
+            }
+            let attach = self.parent[n].expect("an inner table hangs off the outer block");
+            if self.parent[attach].is_none_or(|p| self.part[p] == Part::Join) {
+                let top = if self.part[attach] == Part::Semi { attach } else { n };
+                self.part[top] = Part::Anti;
+            }
+        }
+        self
+    }
+
+    /// Whether node `n` is inside a semijoin branch.
+    pub fn is_semi(&self, n: usize) -> bool {
+        self.part[n] != Part::Join
+    }
+
     /// The [`Branch`] of every reduction-only node, a node whose subtree
     /// holds no `kept` table (the root always stays), in node order: a
-    /// branch nested in another follows it.
+    /// branch nested in another follows it. A semijoin's tables must not be
+    /// kept.
     pub fn branches(&self, kept: impl Fn(usize) -> bool) -> Vec<Branch> {
         let mut reduce_only = vec![false; self.len()];
         // Children are numbered after their parents.
@@ -140,12 +207,15 @@ impl TagPlan {
                 let mut keys = Vec::new();
                 let mut stack = vec![node];
                 while let Some(m) = stack.pop() {
+                    if self.is_semi(m) {
+                        continue;
+                    }
                     if let PlanNode::Rel { .. } = self.nodes[m] {
                         keys.push(self.in_label[m].expect("a branch hangs off a parent"));
                     }
                     stack.extend(&self.children[m]);
                 }
-                Branch { node, keys }
+                Branch { node, keys, semi: self.is_semi(node) }
             })
             .collect()
     }
@@ -160,10 +230,18 @@ impl TagPlan {
         plan
     }
 
-    /// The rightmost leaf: follow the last child from the root.
+    /// The last child of `n`, unless it is inside a semijoin branch: the
+    /// next node of the rightmost path. A node's semijoin children come
+    /// before its others (see [`TagPlan::gen_steps`]).
+    fn next_on_path(&self, n: usize) -> Option<usize> {
+        self.children[n].last().copied().filter(|&c| !self.is_semi(c))
+    }
+
+    /// The rightmost leaf: follow the last child from the root, up to a
+    /// semijoin branch.
     pub fn rightmost_leaf(&self) -> usize {
         let mut n = self.root;
-        while let Some(&c) = self.children[n].last() {
+        while let Some(c) = self.next_on_path(n) {
             n = c;
         }
         n
@@ -173,7 +251,7 @@ impl TagPlan {
     pub fn rightmost_path(&self) -> Vec<usize> {
         let mut path = vec![self.root];
         let mut n = self.root;
-        while let Some(&c) = self.children[n].last() {
+        while let Some(c) = self.next_on_path(n) {
             path.push(c);
             n = c;
         }
@@ -186,7 +264,16 @@ impl TagPlan {
     /// The traversal starts at the rightmost leaf, fully explores each
     /// subtree before moving to the parent, and revisits edges as needed to
     /// stay connected (each revisited edge contributes its label twice).
+    /// The rightmost child must be its parent's last, so a node whose last
+    /// child is a semijoin must have no other kind.
     pub fn gen_steps(&self) -> Vec<Step> {
+        debug_assert!(
+            (0..self.len()).all(|n| {
+                let c = &self.children[n];
+                c.last().is_none_or(|&l| !self.is_semi(l) || c.iter().all(|&c| self.is_semi(c)))
+            }),
+            "a semijoin child follows a join child"
+        );
         let rightmost = self.rightmost_path();
         let mut stack: Vec<Step> = Vec::new();
         self.dfs(self.root, &rightmost, &mut stack);
@@ -384,6 +471,48 @@ mod tests {
             assert_eq!(walk.gen_steps(), alone.gen_steps(), "without table {dropped}");
             assert_eq!(walk.start_table(), alone.start_table());
         }
+    }
+
+    /// An EXISTS over `l` hangs at the attribute node of `o.k`, on which
+    /// the outer block joins nothing, and an EXISTS over `s` and a NOT
+    /// EXISTS over `a` at the node of `o.c = c.c`. With semijoin children
+    /// first, no semijoin node is on the rightmost path: the walk starts at
+    /// `c`, enters each branch from its attach node and returns there, and
+    /// every branch is a semijoin the later passes leave out.
+    #[test]
+    fn semijoin_branches_are_entered_from_their_attach_node() {
+        // o(k, c) = 0, c(c) = 1, l(k) = 2, s(c) = 3, a(c) = 4.
+        let joins =
+            [jp((0, 1), (1, 0)), jp((0, 0), (2, 0)), jp((1, 0), (3, 0)), jp((1, 0), (4, 0))];
+        let mut dec = decompose(5, &joins);
+        dec.components[0].reroot(0);
+        let semi = |t: usize| [None, None, Some(false), Some(false), Some(true)][t];
+        let mut plan = TagPlan::from_join_tree(&dec.components[0], &dec).with_semijoins(semi);
+        let node = |t: usize| plan.nodes.iter().position(|&n| n == PlanNode::Rel { table: t });
+        let [c, l, s, a] = [1, 2, 3, 4].map(|t| node(t).unwrap());
+        let (ok, oc) = (plan.parent[l].unwrap(), plan.parent[c].unwrap());
+        assert_eq!([plan.part[ok], plan.part[l]], [Part::Semi, Part::Semi]);
+        assert_eq!([plan.parent[s], plan.parent[a]], [Some(oc), Some(oc)]);
+        assert_eq!(
+            [plan.part[oc], plan.part[s], plan.part[a]],
+            [Part::Join, Part::Semi, Part::Anti]
+        );
+        let part = plan.part.clone();
+        for children in &mut plan.children {
+            children.sort_by_key(|&n| part[n] == Part::Join);
+        }
+        assert_eq!(plan.rightmost_path(), [plan.root, oc, c]);
+        let steps: Vec<(usize, usize)> =
+            plan.gen_steps().iter().map(|s| (s.table, s.col)).collect();
+        let want = [(1, 0), (4, 0), (4, 0), (3, 0), (3, 0), (0, 1), (0, 0), (2, 0), (2, 0), (0, 0)];
+        assert_eq!(steps, want);
+        let branches = plan.branches(|t| t < 2);
+        let mut semis: Vec<usize> = branches.iter().map(|b| b.node).collect();
+        semis.sort_unstable();
+        let mut want = [ok, l, s, a];
+        want.sort_unstable();
+        assert_eq!(semis, want);
+        assert!(branches.iter().all(|b| b.semi && b.keys.is_empty()), "{branches:?}");
     }
 
     #[test]

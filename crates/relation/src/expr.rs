@@ -186,6 +186,43 @@ impl Expr {
         Expr::Cmp(op, Box::new(self), Box::new(other))
     }
 
+    /// The column of a comparison, BETWEEN, IN list or IS NULL that tests one
+    /// column against literals; `None` for any other shape. Such a predicate
+    /// evaluates without error on every row.
+    pub fn column_vs_constant(&self) -> Option<&ColRef> {
+        let lit = |e: &Expr| matches!(e, Expr::Lit(_));
+        match self {
+            Expr::Cmp(_, a, b) => match (&**a, &**b) {
+                (Expr::Col(c), l) | (l, Expr::Col(c)) if lit(l) => Some(c),
+                _ => None,
+            },
+            Expr::Between { expr, low, high } if lit(low) && lit(high) => match &**expr {
+                Expr::Col(c) => Some(c),
+                _ => None,
+            },
+            Expr::InList { expr, .. } | Expr::IsNull { expr, .. } => match &**expr {
+                Expr::Col(c) => Some(c),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// Whether this predicate evaluates without error on every row:
+    /// comparisons, BETWEEN, IN lists and IS NULL over columns and literals,
+    /// under AND, OR and NOT.
+    pub fn infallible(&self) -> bool {
+        let operand = |e: &Expr| matches!(e, Expr::Col(_) | Expr::Lit(_));
+        match self {
+            Expr::Cmp(_, a, b) => operand(a) && operand(b),
+            Expr::Between { expr, low, high } => operand(expr) && operand(low) && operand(high),
+            Expr::InList { expr, .. } | Expr::IsNull { expr, .. } => operand(expr),
+            Expr::And(es) | Expr::Or(es) => es.iter().all(Expr::infallible),
+            Expr::Not(e) => e.infallible(),
+            _ => false,
+        }
+    }
+
     /// Collect every column referenced by this expression.
     pub fn columns(&self, out: &mut Vec<ColRef>) {
         match self {

@@ -730,7 +730,6 @@ fn output_free_branches_keep_the_bag() {
     let k =
         Schema::new("k", vec![Column::new("gk", DataType::Int), Column::new("w", DataType::Str)]);
     db.add(rel(k, "gk", vec![vec![v(1), s("p")], vec![v(2), s("q")], vec![v(3), s("r")]]));
-    let tag = TagGraph::build(&db);
     let cases: [(&str, &[&str]); 12] = [
         // Depth 1, unique-keyed.
         ("SELECT f.fid, f.v FROM f, d WHERE f.dk = d.dk AND d.x > 5", &["3|30", "4|40", "7|70"]),
@@ -776,6 +775,15 @@ fn output_free_branches_keep_the_bag() {
         ("SELECT COUNT(*) FROM f, d, e WHERE f.dk = d.dk AND d.ek = e.ek AND e.y = 'keep'", &["3"]),
         ("SELECT COUNT(*) FROM f, g WHERE f.gk = g.gk", &["9"]),
     ];
+    let wrong = wrong_bags(&db, &cases);
+    assert!(wrong.is_empty(), "{} wrong answers:\n{}", wrong.len(), wrong.join("\n"));
+}
+
+/// The bags of `cases` over `db`, each `(sql, rows)` with a row's cells
+/// joined by `|`, on TAG-join sequential, on 4 threads at threshold 0 and
+/// on row-hash; the wrong answers, one line each.
+fn wrong_bags(db: &Database, cases: &[(&str, &[&str])]) -> Vec<String> {
+    let tag = TagGraph::build(db);
     let bag = |rel: &Relation| {
         let row = |t: &Tuple| t.values().map(Value::to_string).collect::<Vec<_>>().join("|");
         let mut rows: Vec<String> = rel.tuples.iter().map(row).collect();
@@ -783,7 +791,7 @@ fn output_free_branches_keep_the_bag() {
         rows
     };
     let mut wrong = Vec::new();
-    for (sql, want) in cases {
+    for &(sql, want) in cases {
         let plan = QueryPlan::prepare(sql, tag.schemas()).unwrap();
         let mut want: Vec<String> = want.iter().map(|w| w.to_string()).collect();
         want.sort_unstable();
@@ -795,7 +803,7 @@ fn output_free_branches_keep_the_bag() {
             let out = TagJoinExecutor::new(&tag, config).execute_plan(&plan).unwrap();
             got.push((engine, bag(&out.relation)));
         }
-        let hash = baseline(plan.analyzed(), &db, ExecConfig { join: JoinAlgo::Hash }).unwrap();
+        let hash = baseline(plan.analyzed(), db, ExecConfig { join: JoinAlgo::Hash }).unwrap();
         got.push(("row-hash", bag(&hash)));
         for (engine, got) in got {
             if got != want {
@@ -803,6 +811,128 @@ fn output_free_branches_keep_the_bag() {
             }
         }
     }
+    wrong
+}
+
+/// A relation of integer columns, NULL where a cell is `None`.
+fn ints(name: &str, cols: &[&str], rows: &[&[Option<i64>]]) -> Relation {
+    let cols = cols.iter().map(|&c| Column::new(c, DataType::Int)).collect();
+    let cell = |v: &Option<i64>| v.map_or(Value::Null, Value::Int);
+    let rows = rows.iter().map(|r| Tuple::new(r.iter().map(cell).collect()));
+    Relation::from_tuples(Schema::new(name, cols), rows.collect()).unwrap()
+}
+
+/// A join variable's columns the traversed edge did not prove are compared
+/// with SQL equality where rows are collected: with r(a, b) = s(a, b) =
+/// {(1, NULL), (2, 7)}, `r.b = s.b` holds for no row with a NULL, so the
+/// two-column join keeps `a = 2` alone, on TAG-join as on row-hash.
+#[test]
+fn collection_checks_compare_with_sql_equality() {
+    let rows: &[&[Option<i64>]] = &[&[Some(1), None], &[Some(2), Some(7)]];
+    let mut db = Database::new();
+    db.add(ints("r", &["a", "b"], rows));
+    db.add(ints("s", &["a", "b"], rows));
+    let cases: [(&str, &[&str]); 2] = [
+        ("SELECT r.a FROM r, s WHERE r.a = s.a AND r.b = s.b", &["2"]),
+        ("SELECT r.a, s.a FROM r, s WHERE r.b = s.b", &["2|2"]),
+    ];
+    let wrong = wrong_bags(&db, &cases);
+    assert!(wrong.is_empty(), "{} wrong answers:\n{}", wrong.len(), wrong.join("\n"));
+}
+
+/// EXISTS and NOT EXISTS run as semijoin branches of the outer walk, and
+/// their bags are SQL's on every engine arm: several matching inner rows
+/// keep an outer row once; NOT EXISTS over an empty inner table keeps
+/// every row; a NULL outer key makes EXISTS false and NOT EXISTS true; an
+/// inner filter that rejects every row empties EXISTS; a branch hangs under
+/// a multi-table outer block, at a key only it reads or at the outer join
+/// variable; a branch over two inner tables, and two branches in one
+/// statement.
+#[test]
+fn semijoin_branches_keep_the_bag() {
+    let mut db = Database::new();
+    db.add(ints(
+        "o",
+        &["ok", "c"],
+        &[
+            &[Some(1), Some(10)],
+            &[Some(2), Some(10)],
+            &[Some(3), None],
+            &[Some(4), Some(20)],
+            &[Some(5), Some(30)],
+        ],
+    ));
+    db.add(ints(
+        "l",
+        &["ok", "q"],
+        &[
+            &[Some(1), Some(5)],
+            &[Some(1), Some(6)],
+            &[Some(1), Some(7)],
+            &[Some(2), Some(1)],
+            &[Some(4), Some(9)],
+            &[None, Some(3)],
+        ],
+    ));
+    db.add(ints("e", &["ok"], &[]));
+    db.add(ints(
+        "c",
+        &["ck", "n"],
+        &[&[Some(10), Some(1)], &[Some(20), Some(2)], &[Some(40), Some(4)]],
+    ));
+    db.add(ints(
+        "t",
+        &["q", "w"],
+        &[&[Some(10), Some(100)], &[Some(9), Some(200)], &[Some(5), Some(300)]],
+    ));
+    let all: &[&str] = &["1", "2", "3", "4", "5"];
+    let cases: [(&str, &[&str]); 12] = [
+        ("SELECT o.ok FROM o WHERE EXISTS (SELECT l.q FROM l WHERE l.ok = o.ok)", &["1", "2", "4"]),
+        ("SELECT o.ok FROM o WHERE NOT EXISTS (SELECT e.ok FROM e WHERE e.ok = o.ok)", all),
+        ("SELECT o.ok FROM o WHERE EXISTS (SELECT c.n FROM c WHERE c.ck = o.c)", &["1", "2", "4"]),
+        ("SELECT o.ok FROM o WHERE NOT EXISTS (SELECT c.n FROM c WHERE c.ck = o.c)", &["3", "5"]),
+        ("SELECT o.ok FROM o WHERE EXISTS (SELECT l.q FROM l WHERE l.ok = o.ok AND l.q > 100)", &[]),
+        (
+            "SELECT o.ok FROM o WHERE NOT EXISTS (SELECT l.q FROM l WHERE l.ok = o.ok AND l.q > 100)",
+            all,
+        ),
+        (
+            "SELECT o.ok, c.n FROM o, c WHERE o.c = c.ck \
+             AND EXISTS (SELECT l.q FROM l WHERE l.ok = o.ok AND l.q > 5)",
+            &["1|1", "4|2"],
+        ),
+        (
+            "SELECT o.ok, c.n FROM o, c WHERE o.c = c.ck \
+             AND NOT EXISTS (SELECT l.q FROM l WHERE l.ok = o.ok AND l.q > 5)",
+            &["2|1"],
+        ),
+        (
+            "SELECT o.ok FROM o, c WHERE o.c = c.ck \
+             AND NOT EXISTS (SELECT t.w FROM t WHERE t.q = o.c)",
+            &["4"],
+        ),
+        (
+            "SELECT o.ok FROM o WHERE EXISTS (SELECT l.q FROM l, t WHERE l.q = t.q AND l.ok = o.ok)",
+            &["1", "4"],
+        ),
+        (
+            "SELECT o.ok FROM o \
+             WHERE NOT EXISTS (SELECT l.q FROM l, t WHERE l.q = t.q AND l.ok = o.ok)",
+            &["2", "3", "5"],
+        ),
+        (
+            "SELECT COUNT(*) FROM o WHERE EXISTS (SELECT l.q FROM l WHERE l.ok = o.ok) \
+             AND NOT EXISTS (SELECT t.w FROM t WHERE t.q = o.c)",
+            &["1"],
+        ),
+    ];
+    let tag = TagGraph::build(&db);
+    for (sql, _) in cases {
+        let plan = QueryPlan::prepare(sql, tag.schemas()).unwrap();
+        let subqueries = plan.analyzed().subqueries.len();
+        assert_eq!((plan.semijoin_count(), plan.inner_plan_count()), (subqueries, 0), "{sql}");
+    }
+    let wrong = wrong_bags(&db, &cases);
     assert!(wrong.is_empty(), "{} wrong answers:\n{}", wrong.len(), wrong.join("\n"));
 }
 
