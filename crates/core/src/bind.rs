@@ -20,7 +20,8 @@ use vcsql_query::analyze::Analyzed;
 use vcsql_query::tagplan::{Part, Step};
 use vcsql_query::{AggClass, BoundSubquery, Correlation, Output, SubqueryCheck, SubqueryResult};
 use vcsql_relation::expr::{BoundExpr, ColRef, Expr, Predicate, Row};
-use vcsql_relation::{FxHashMap, RelError, Value};
+use vcsql_relation::schema::Schema;
+use vcsql_relation::{DataType, FxHashMap, RelError, Value};
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -78,16 +79,16 @@ pub(crate) enum Visit {
     /// vertex's id (where the traversal starts, the vertex's id is the one
     /// row).
     First {
-        /// The rows' layout after the visit.
-        layout: Arc<Layout>,
         /// `(layout position, its tuple's column, own column)` of each join
         /// variable the rows already hold and the traversed edge did not
         /// prove, and of each broken-cycle equality whose other table the
         /// rows already hold: a row whose tuple is not SQL-equal to the
         /// vertex's there is dropped.
         checks: Vec<(usize, usize, usize)>,
-        /// Own columns of the keys the visit adds, whose string payload
-        /// every row gains.
+        /// Own string columns of the keys the visit adds, whose payload
+        /// every row gains. A column of another type adds none: every cell
+        /// of the TAG is NULL or of its column's type, so pricing a row
+        /// reads no other cell of the arena.
         added: Vec<usize>,
     },
     /// A revisit on a backtracking step: the rows whose id at layout
@@ -126,8 +127,10 @@ pub(crate) struct QueryCtx<'a> {
     /// `2k` (entry `k`): the kept walk's start table's visit at superstep
     /// 0, then one per step that enters a table; the root's is last.
     pub(crate) visits: Vec<Vec<Visit>>,
-    /// Per component, the layout of the rows its roots hold.
-    pub(crate) root_layouts: Vec<Arc<Layout>>,
+    /// Per component, the layout of the rows after each visit (entry `k`
+    /// for supersteps `2k` and `2k + 1`): a value does not carry its
+    /// layout, its receiver reads it here. The root's is last.
+    layouts: Vec<Vec<Arc<Layout>>>,
     /// The (sorted) final layout of value rows at the primary roots.
     pub(crate) final_layout: Vec<ColKey>,
     /// Residual checks bound to the final layout.
@@ -330,24 +333,29 @@ impl<'a> QueryCtx<'a> {
         }
         let (mut steps, mut kept, mut anti) = (Vec::new(), Vec::new(), Vec::new());
         let mut visits = Vec::with_capacity(shape.component_count());
-        let mut root_layouts = Vec::with_capacity(shape.component_count());
+        let mut layouts = Vec::with_capacity(shape.component_count());
         for ci in 0..shape.component_count() {
             let walk = &shape.walk_steps[ci];
             debug_assert!(walk.len().is_multiple_of(2), "a traversal ends at a relation");
             let mut layout = Arc::new(Layout::default());
             let start = shape.walks[ci].start_table();
-            let mut vs = vec![first_visit(&own_specs, &mut layout, start, None, &cycle[start])];
+            let visit = |layout: &mut _, t: usize, proved| {
+                first_visit(&own_specs, layout, t, &plan.table(t).schema, proved, &cycle[t])
+            };
+            let mut vs = vec![visit(&mut layout, start, None)];
+            let mut after = vec![Arc::clone(&layout)];
             for s in walk.iter().skip(1).step_by(2) {
                 vs.push(match layout.tables.iter().position(|&t| t == s.table) {
                     Some(pos) => Visit::Again { pos },
                     None => {
                         let proved = var_of.get(&(s.table, s.col)).copied();
-                        first_visit(&own_specs, &mut layout, s.table, proved, &cycle[s.table])
+                        visit(&mut layout, s.table, proved)
                     }
                 });
+                after.push(Arc::clone(&layout));
             }
             visits.push(vs);
-            root_layouts.push(layout);
+            layouts.push(after);
             steps.push(labels(&shape.steps[ci])?);
             kept.push(labels(walk)?);
             let p = &shape.plans[ci];
@@ -356,8 +364,10 @@ impl<'a> QueryCtx<'a> {
         }
 
         // ---- final layout -----------------------------------------------------------
-        let mut final_layout: Vec<ColKey> =
-            root_layouts.iter().flat_map(|l| l.cols.iter().copied()).collect();
+        let mut final_layout: Vec<ColKey> = layouts
+            .iter()
+            .flat_map(|l| l.last().expect("a start visit").cols.iter().copied())
+            .collect();
         final_layout.sort_unstable();
         final_layout.dedup();
 
@@ -417,7 +427,7 @@ impl<'a> QueryCtx<'a> {
             anti,
             primary,
             visits,
-            root_layouts,
+            layouts,
             final_layout,
             residuals,
             output,
@@ -438,6 +448,18 @@ impl<'a> QueryCtx<'a> {
         self.rel_label[self.shape.start_table(ci)]
     }
 
+    /// The layout of the rows a vertex of component `ci` holds after
+    /// computing at collection superstep `step` (its roots compute at
+    /// `kept[ci].len()`).
+    pub(crate) fn layout_at(&self, ci: usize, step: usize) -> &Arc<Layout> {
+        &self.layouts[ci][step / 2]
+    }
+
+    /// The layout of the rows component `ci`'s roots hold.
+    pub(crate) fn root_layout(&self, ci: usize) -> &Arc<Layout> {
+        self.layouts[ci].last().expect("a start visit")
+    }
+
     /// Vertex label of component `ci`'s root tuple vertices.
     pub(crate) fn root_label(&self, ci: usize) -> LabelId {
         self.rel_label[self.shape.root_table(ci)]
@@ -454,14 +476,15 @@ impl<'a> QueryCtx<'a> {
 }
 
 /// Table `t`'s first visit to rows over `layout`, which becomes the layout
-/// after it. `proved` is the join variable of the edge the rows travelled,
-/// equal on both sides by construction; every other variable the rows
-/// already hold is checked, and so is every `(key, own column)` of `cycle`
-/// whose key they hold.
+/// after it; `schema` is the table's. `proved` is the join variable of the
+/// edge the rows travelled, equal on both sides by construction; every
+/// other variable the rows already hold is checked, and so is every `(key,
+/// own column)` of `cycle` whose key they hold.
 fn first_visit(
     own_specs: &[Vec<(ColKey, usize)>],
     layout: &mut Arc<Layout>,
     t: usize,
+    schema: &Schema,
     proved: Option<u32>,
     cycle: &[(ColKey, usize)],
 ) -> Visit {
@@ -473,7 +496,9 @@ fn first_visit(
             continue; // the variable's further columns: equal, see `dups`
         }
         if layout.cols.binary_search(&k).is_err() {
-            added.push(c);
+            if schema.columns[c].ty == DataType::Str {
+                added.push(c);
+            }
             cols.push(k);
         } else if Some(k) != proved.map(ColKey::Var) {
             let (pos, col) = holder(own_specs, &layout.tables, k).expect("a held key has a table");
@@ -489,7 +514,7 @@ fn first_visit(
     let mut tables = layout.tables.clone();
     tables.push(t);
     *layout = Arc::new(Layout { tables, cols });
-    Visit::First { layout: Arc::clone(layout), checks, added }
+    Visit::First { checks, added }
 }
 
 /// The first of `tables` whose tuples stand for column `k`: its position

@@ -26,23 +26,28 @@
 //!    edges whose bit the bottom-up pass set, and receivers *replace* the
 //!    bits of that label's run, so surviving marks are exactly the edges of
 //!    tuples in the full join.
-//! 3. **Collection, bottom-up** — the kept list again: intermediate tables
+//! 3. **Collection, bottom-up** — the kept list again: intermediate rows
 //!    of tuple-vertex ids ([`crate::table`]) flow along marked edges.
-//!    Attribute vertices union the tables they receive. A tuple vertex's
+//!    Attribute vertices union the values they receive. A tuple vertex's
 //!    first visit appends its id to every row, checking by arena reads,
 //!    with SQL equality, only the join variables the traversed edge did
 //!    not prove and the broken-cycle equalities whose other table the rows
 //!    hold; a revisit on a backtracking step keeps exactly the rows that
-//!    hold its id. No value is hashed or cloned.
+//!    hold its id. No value is hashed or cloned, and only string cells are
+//!    read to price a row. Each vertex builds its rows in its worker's
+//!    scratch and sends one row of at most two ids inside each message,
+//!    with no heap block; more rows travel as one table behind one `Arc`.
 //!
 //! A skipped branch only filters: no output reads its tables, and each row
 //! of the kept tables extends into it exactly once, so the bag the kept
 //! rows make is the bag of the full join.
 //!
-//! A final superstep at the plan root reads the rows' values in place in the
-//! TAG's arena (references, not clones), applies residual predicates (the
-//! cross-table filters and the subquery checks that read several tables),
-//! assembles output rows and performs aggregation: global and scalar
+//! A final superstep at the plan root builds its final rows in worker
+//! scratch, straight from the values it received, with no table per root.
+//! It reads the rows' values in place in the TAG's arena (references, not
+//! clones), applies residual predicates (the cross-table filters and the
+//! subquery checks that read several tables), assembles output rows and
+//! performs aggregation: global and scalar
 //! aggregation fold every kept row straight into the worker's share of the
 //! engine's global aggregator — the paper's aggregation vertex — with the
 //! cells as per-worker scratch, allocating nothing per root. Local
@@ -93,7 +98,7 @@
 
 use crate::bind::{all_hold, QueryCtx, Seed, Visit};
 use crate::plan::QueryPlan;
-use crate::table::{str_payload, Partial, Table, TagMsg};
+use crate::table::{str_payload, Incoming, Partial, Rows, Table, TagMsg};
 use std::ops::{ControlFlow, Range};
 use std::sync::{Arc, PoisonError};
 use vcsql_bsp::program::Aggregator;
@@ -366,20 +371,17 @@ impl<'t> TagJoinExecutor<'t> {
         let mut gather = LabelTraffic::default();
         for &ci in &order[..order.len() - 1] {
             self.run_traversal(&mut comp, &q, ci)?;
-            let pieces = self.gather_component(&mut comp, &q, ci)?;
-            for (v, t) in &pieces {
-                let (rows, bytes) = (t.len() as u64, t.approx_bytes() as u64);
+            let (gathered, pieces) = self.gather_component(&mut comp, &q, ci)?;
+            for &(v, rows, bytes) in &pieces {
                 gather.messages += rows;
                 gather.bytes += bytes;
                 if let (Some(p), Some(o)) = (&self.partitioning, origin) {
-                    if p.machine_of(*v) as usize != o {
+                    if p.machine_of(v) as usize != o {
                         gather.network_messages += rows;
                         gather.network_bytes += bytes;
                     }
                 }
             }
-            let gathered = Table::union(pieces.iter().map(|(_, t)| t))
-                .unwrap_or_else(|| Table::empty(Arc::clone(&q.root_layouts[ci])));
             secondary = Some(match secondary {
                 None => gathered,
                 Some(prev) => prev.product(&gathered),
@@ -568,7 +570,9 @@ impl<'t> TagJoinExecutor<'t> {
     }
 
     /// One collection superstep (Algorithm 2 lines 28-44), the `step`-th of
-    /// component `ci`'s collection pass.
+    /// component `ci`'s collection pass. A vertex builds its value in its
+    /// worker's scratch, then sends one row inside each message, or more in
+    /// one table shared along its marked edges.
     fn collection_step(
         &self,
         comp: &mut Computation<'_, St, TagMsg>,
@@ -579,34 +583,41 @@ impl<'t> TagJoinExecutor<'t> {
         prev: Option<(LabelId, bool)>,
     ) {
         let tag = self.tag;
-        comp.superstep_simple(|ctx: &mut VertexCtx<'_, '_, St, TagMsg>| {
+        let layout = q.layout_at(ci, step);
+        comp.superstep(|ctx: &mut VertexCtx<'_, '_, St, TagMsg>, rows: &mut RowScratch| {
             // Signals still in flight from the reduction's last step update
-            // marks; tables are collected.
+            // marks; values are collected.
             record_marks(ctx, prev);
-            let Some(value) = compute_value(ctx, q, tag, ci, step) else { return };
-            let value = Arc::new(value);
-            send_along_marks(ctx, cur, || TagMsg::Table(Arc::clone(&value)));
+            if compute_value(ctx, q, tag, ci, step, &mut rows.0) {
+                let value = rows.0.to_msg(layout);
+                send_along_marks(ctx, cur, || value.clone());
+            }
         });
     }
 
-    /// Gather a (secondary) component's result tables from its roots, as
-    /// per-root pieces so the caller can attribute the gather traffic to the
-    /// machine each piece came from.
+    /// Gather a (secondary) component's result rows from its roots, in root
+    /// order, into one table, with each root's [`Piece`], so the caller can
+    /// attribute the gather traffic to the machine each piece came from.
     fn gather_component(
         &self,
         comp: &mut Computation<'_, St, TagMsg>,
         q: &QueryCtx,
         ci: usize,
-    ) -> Result<Vec<(VertexId, Table)>> {
+    ) -> Result<(Table, Vec<Piece>)> {
         let tag = self.tag;
         let root = q.kept[ci].len();
+        let layout = q.root_layout(ci);
         #[derive(Default)]
         struct Tables {
-            pieces: Vec<(VertexId, Table)>,
+            rows: Rows,
+            pieces: Vec<Piece>,
+            /// The current root's rows.
+            piece: Rows,
             err: FirstError,
         }
         impl Aggregator for Tables {
             fn merge(&mut self, mut other: Self) {
+                self.rows.append(&other.rows);
                 self.pieces.append(&mut other.pieces);
                 self.err.merge(other.err);
             }
@@ -616,12 +627,14 @@ impl<'t> TagJoinExecutor<'t> {
                 if g.err.ok(passes_filter(ctx, q, tag)) != Some(true) {
                     return;
                 }
-                if let Some(v) = compute_value(ctx, q, tag, ci, root) {
-                    g.pieces.push((ctx.id(), v));
+                if compute_value(ctx, q, tag, ci, root, &mut g.piece) {
+                    let bytes = g.piece.approx_bytes(layout.cols.len());
+                    g.pieces.push((ctx.id(), g.piece.len() as u64, bytes as u64));
+                    g.rows.append(&g.piece);
                 }
             })?;
         gathered.err.check()?;
-        Ok(gathered.pieces)
+        Ok((Table::new(Arc::clone(layout), gathered.rows), gathered.pieces))
     }
 
     // --------------------------------------------------------------- finish
@@ -641,7 +654,7 @@ impl<'t> TagJoinExecutor<'t> {
         let root = q.kept[q.primary].len();
         // A final row holds the primary component's ids, then Algorithm B's
         // secondary ones; `reader` says where each final column is read.
-        let mut tables = q.root_layouts[q.primary].tables.clone();
+        let mut tables = q.root_layout(q.primary).tables.clone();
         if let Some(sec) = &secondary {
             tables.extend_from_slice(&sec.layout().tables);
         }
@@ -665,6 +678,11 @@ impl<'t> TagJoinExecutor<'t> {
             kept: Vec<usize>,
             /// The current attribute vertex's first group's accumulators.
             accs: Vec<Accumulator>,
+            /// The current root's rows, read straight from what it received.
+            rows: Rows,
+            /// The current root's rows paired with Algorithm B's secondary
+            /// rows.
+            paired: Rows,
         }
         impl Aggregator for Fin<'_> {
             fn merge(&mut self, other: Self) {
@@ -685,18 +703,24 @@ impl<'t> TagJoinExecutor<'t> {
                 g.cells.extend(reader.iter().map(|&(_, col)| &own[col]));
                 None
             } else {
-                let Some(mut value) = compute_value(ctx, q, tag, q.primary, root) else { return };
-                if let Some(sec) = &secondary {
-                    value = value.product(sec);
+                if !compute_value(ctx, q, tag, q.primary, root, &mut g.rows) {
+                    return;
                 }
-                debug_assert_eq!(value.cols(), q.final_layout, "unexpected final layout");
-                debug_assert_eq!(value.layout().tables, tables, "unexpected final tables");
+                let value = match &secondary {
+                    Some(sec) => {
+                        g.paired.reset(tables.len());
+                        g.paired.product(&g.rows, sec.rows());
+                        &g.paired
+                    }
+                    None => &g.rows,
+                };
+                debug_assert_eq!(value.width(), tables.len(), "unexpected final tables");
                 for ids in value.rows() {
                     g.cells.extend(IdRow { tag, ids, reader: &reader }.all());
                 }
                 Some(value)
             };
-            let rows = value.as_ref().map_or(1, Table::len);
+            let rows = value.map_or(1, Rows::len);
             let row = |i: usize| &g.cells[i * width..(i + 1) * width];
             // Residual predicates (cross-table filters, multi-table
             // subquery checks), over every row before any is projected or
@@ -728,7 +752,7 @@ impl<'t> TagJoinExecutor<'t> {
                 (None, Some((label, to))) => {
                     return ctx.send_along(label, to, TagMsg::Row(id, q.partial_bytes));
                 }
-                (Some(v), _) => v.rows().nth(first).expect("a kept row"),
+                (Some(v), _) => v.row(first),
                 (None, None) => std::slice::from_ref(&id),
             };
             let mut partial = Partial::new(ids, q.output.accumulators());
@@ -984,6 +1008,19 @@ fn fault_to_rel(e: FaultError) -> RelError {
     RelError::Fault { transient: e.is_transient(), message: e.to_string() }
 }
 
+/// One root's piece of a gathered component: the root, its rows and their
+/// wire bytes.
+type Piece = (VertexId, u64, u64);
+
+/// A worker's rows for one superstep: each vertex refills them, so merging
+/// keeps nothing.
+#[derive(Default)]
+struct RowScratch(Rows);
+
+impl Aggregator for RowScratch {
+    fn merge(&mut self, _: Self) {}
+}
+
 /// The first expression error a superstep met, in vertex-id order: workers
 /// hold contiguous chunks of the sorted active list and merge in worker
 /// order, so every thread count reports the same error.
@@ -1117,31 +1154,35 @@ fn passes_filter(
 }
 
 /// Collection-phase value at a vertex in collection superstep `step` of
-/// component `ci` (its roots compute at `steps.len()`): an attribute vertex
-/// unions the tables it received; a tuple vertex visits them in place, or
-/// is the one row of a traversal that starts at it. `None` when there is
-/// nothing to send: no table arrived, or the tuple's columns of one join
-/// variable disagree.
+/// component `ci` (its roots compute at `steps.len()`), built in `out`: an
+/// attribute vertex unions the values it received; a tuple vertex visits
+/// their rows in place, or is the one row of a traversal that starts at it.
+/// `false` when there is nothing to send: no value arrived, or the tuple's
+/// columns of one join variable disagree.
 fn compute_value(
     ctx: &VertexCtx<'_, '_, St, TagMsg>,
     q: &QueryCtx,
     tag: &TagGraph,
     ci: usize,
     step: usize,
-) -> Option<Table> {
-    let incoming = ctx.messages().iter().filter_map(|m| match m {
-        TagMsg::Table(t) => Some(&**t),
-        _ => None,
-    });
-    let Some(t) = q.table_of(ctx.label()) else { return Table::union(incoming) };
+    out: &mut Rows,
+) -> bool {
+    out.reset(q.layout_at(ci, step).tables.len());
+    let width = step.checked_sub(1).map_or(0, |s| q.layout_at(ci, s).tables.len());
+    let incoming = Incoming::new(ctx.messages(), width);
+    let Some(t) = q.table_of(ctx.label()) else {
+        out.union(incoming);
+        return !incoming.is_empty();
+    };
     let id = ctx.id();
-    let own = own_tuple(q, tag, t, id)?;
+    let Some(own) = own_tuple(q, tag, t, id) else { return false };
     let payload = |added: &[usize]| added.iter().map(|&c| str_payload(&own[c])).sum::<usize>();
     match &q.visits[ci][step / 2] {
-        Visit::First { layout, added, .. } if step == 0 && incoming.clone().next().is_none() => {
-            Some(Table::single(Arc::clone(layout), id, payload(added)))
+        Visit::First { added, .. } if step == 0 && incoming.is_empty() => {
+            out.start(id, payload(added));
         }
-        Visit::First { layout, checks, added } => {
+        _ if incoming.is_empty() => return false,
+        Visit::First { checks, added } => {
             // SQL equality: a NULL on either side equals nothing.
             let agree = |ids: &[VertexId]| {
                 checks.iter().all(|&(pos, col, own_col)| {
@@ -1149,10 +1190,11 @@ fn compute_value(
                     other.is_some_and(|other| other[col].sql_eq(&own[own_col]) == Some(true))
                 })
             };
-            Table::extend(incoming, Arc::clone(layout), id, payload(added), agree)
+            out.extend(incoming, id, payload(added), agree);
         }
-        Visit::Again { pos } => Table::select(incoming, *pos, id),
+        Visit::Again { pos } => out.select(incoming, *pos, id),
     }
+    true
 }
 
 /// The columns of tuple vertex `id` of table `t`; `None` for another

@@ -183,6 +183,23 @@ fn a_crash_at_every_superstep_of_a_pruned_statement_changes_nothing() {
     );
 }
 
+/// TPC-DS q50: its store sales fan in to few store and date vertices, and
+/// nearly every collection value is one row of one or two ids, which
+/// travels inside its message. So a checkpoint holds inline rows in flight
+/// at every collection superstep, and local-aggregation partials at the
+/// last. Every superstep is a crash point, and the traffic is the one every
+/// value made as a table.
+#[test]
+fn a_crash_at_every_superstep_of_inline_collection_rows_changes_nothing() {
+    let tag = TagGraph::build(&tpcds::generate(0.01, 42));
+    let q50 = tpcds::queries().into_iter().find(|q| q.id == "d_q50").unwrap();
+    let plan = QueryPlan::prepare(q50.sql, tag.schemas()).unwrap();
+    let base = every_crash_changes_nothing(&tag, &plan);
+    assert!(!base.relation.is_empty());
+    let totals = base.stats.totals;
+    assert_eq!((base.stats.supersteps, totals.messages, totals.message_bytes), (10, 752, 11_960));
+}
+
 /// TPC-H q4's EXISTS and TPC-DS q94's, and a NOT EXISTS, run as semijoin
 /// branches in the outer query's one computation, so every superstep of
 /// it, the branch's included, is a crash point. q4 and the NOT EXISTS keep

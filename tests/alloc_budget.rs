@@ -1,6 +1,6 @@
 //! Allocation budgets of grouped aggregation and collection —
 //! host-independent guards for "a group or a local-aggregation partial is
-//! not a heap object of its own" and "a collection table is one heap block".
+//! not a heap object of its own" and "a one-row collection value is no heap block".
 //!
 //! A counting global allocator (hence an integration-test binary of its own)
 //! measures four statements after a warm-up run, three over TPC-H SF 0.1:
@@ -26,11 +26,14 @@
 //! and one over TPC-DS SF 0.5:
 //!
 //! * d_q50 on a sequential TAG-join executor: store sales fan in to their
-//!   few store and date vertices, so collection (tables extended, selected,
-//!   unioned and shipped) is most of its work. A table is one row buffer
-//!   behind one `Arc`, so the budget is 1.25 allocations per vertex-step
-//!   (a vertex active in a superstep) plus a constant. `Arc`-shared chunks,
-//!   one per row, made it 1.8.
+//!   few store and date vertices, so collection (rows extended, selected,
+//!   unioned and shipped) is most of its work. A vertex builds its rows in
+//!   worker scratch, and a value of one row of at most two ids travels
+//!   inside its message, so only the few values of several rows allocate:
+//!   the budget is 0.1 allocations per vertex-step (a vertex active in a
+//!   superstep) plus a constant, and it makes about 0.03. A table (one row
+//!   buffer behind one `Arc`) for every value made it 0.9; `Arc`-shared
+//!   chunks, one per row, made it 1.8.
 //!
 //! The allocator also records the largest single allocation, which guards
 //! one more budget, over TPC-DS SF 0.5:
@@ -208,9 +211,9 @@ fn collection_allocates_about_one_block_per_vertex_step() {
     let steps: u64 = out.stats.steps.iter().map(|s| s.active_vertices).sum();
     assert!(steps > 5_000, "{steps} vertex-steps is too few to tell");
     assert!(
-        allocations * 4 <= steps * 5 + CONSTANT * 4,
+        allocations * 10 <= steps + CONSTANT * 10,
         "d_q50 made {allocations} allocations over {steps} vertex-steps \
-         ({:.2} per vertex-step; the budget is 1.25 plus {CONSTANT})",
+         ({:.2} per vertex-step; the budget is 0.1 plus {CONSTANT})",
         allocations as f64 / steps as f64
     );
 }

@@ -69,6 +69,12 @@ const PINNED_TPCH: [(&str, [u64; 4]); 15] = [
     ("q22", [1_088, 1_040, 1_040, 1_024]),
 ];
 
+/// Vertices per machine of the `workload` placement above, calibrated on
+/// the suite's own traffic. Pinned next to the bytes it routes, so a
+/// re-capture can tell a routing change (these counts hold, a byte moves)
+/// from a re-placement (these counts move with the calibration).
+const PINNED_WORKLOAD_LOAD: [usize; MACHINES] = [463, 409, 375, 415, 390, 367];
+
 #[test]
 fn tpch_sf001_network_totals_are_pinned() {
     let db = tpch::generate(0.01, SEED);
@@ -76,6 +82,12 @@ fn tpch_sf001_network_totals_are_pinned() {
     let profile = Cluster::new(MACHINES)
         .calibrate(&tag, &analyzed_suite(&tag))
         .expect("calibration succeeds");
+    let workload = PartitionStrategy::Workload(profile);
+    assert_eq!(
+        tag.partition(&workload, MACHINES).load(),
+        PINNED_WORKLOAD_LOAD,
+        "the calibrated `workload` placement moved: the suite's traffic or the calibration changed"
+    );
 
     let ids: Vec<&str> = tpch::queries().iter().map(|q| q.id).collect();
     assert_eq!(ids, PINNED_TPCH.map(|(id, _)| id), "the TPC-H suite changed");
@@ -83,7 +95,7 @@ fn tpch_sf001_network_totals_are_pinned() {
         PartitionStrategy::Hash,
         PartitionStrategy::CoLocate,
         PartitionStrategy::Refined,
-        PartitionStrategy::Workload(profile),
+        workload,
     ];
     for (k, strategy) in strategies.into_iter().enumerate() {
         let name = strategy.name();

@@ -936,6 +936,110 @@ fn semijoin_branches_keep_the_bag() {
     assert!(wrong.is_empty(), "{} wrong answers:\n{}", wrong.len(), wrong.join("\n"));
 }
 
+/// Collection values at the inline width keep the bag and the traffic. A
+/// value of one row of at most two ids travels inside its message, any
+/// other as a table, and both read and price alike. On TAG-join
+/// sequential, on 4 threads at threshold 0 and on row-hash:
+///
+/// * a four-table chain whose rows outgrow the inline width mid-walk (one
+///   and two ids inline, three and four in tables), one key fanning out to
+///   two rows, with string payloads;
+/// * a star whose walk backtracks to its centre: the revisit selects from
+///   rows that left the centre inline, three ids wide by then;
+/// * a first visit whose SQL-equality check rejects the only row of a
+///   value, so the value sent on is an empty table, priced 16 bytes.
+///
+/// Messages and bytes are pinned at the values every collection value
+/// made as a table.
+#[test]
+fn collection_values_at_the_inline_width_keep_the_bag_and_the_traffic() {
+    let mut db = Database::new();
+    let names = [(1, "x"), (2, "abcdefghij"), (3, "y"), (4, "z")];
+    let rows = names.iter().map(|&(a, n)| Tuple::new(vec![Value::Int(a), Value::str(n)]));
+    let cols = vec![Column::new("a", DataType::Int), Column::new("name", DataType::Str)];
+    db.add(Relation::from_tuples(Schema::new("r", cols), rows.collect()).unwrap());
+    let rows: &[&[Option<i64>]] =
+        &[&[Some(1), Some(10)], &[Some(2), Some(20)], &[Some(2), Some(21)]];
+    db.add(ints("s", &["a", "b"], &[rows, &[&[Some(3), Some(30)], &[Some(5), Some(50)]]].concat()));
+    db.add(ints(
+        "t",
+        &["b", "c"],
+        &[
+            &[Some(10), Some(100)],
+            &[Some(20), Some(200)],
+            &[Some(21), Some(200)],
+            &[Some(30), Some(300)],
+        ],
+    ));
+    db.add(ints(
+        "u",
+        &["c", "w"],
+        &[
+            &[Some(100), Some(7)],
+            &[Some(200), Some(8)],
+            &[Some(300), Some(9)],
+            &[Some(300), Some(10)],
+        ],
+    ));
+    db.add(ints(
+        "m",
+        &["a", "b", "c"],
+        &[
+            &[Some(1), Some(10), Some(100)],
+            &[Some(2), Some(20), Some(200)],
+            &[Some(3), Some(30), Some(300)],
+            &[Some(2), Some(21), Some(999)],
+        ],
+    ));
+    db.add(ints("p", &["a", "b"], &[&[Some(1), Some(5)], &[Some(2), Some(6)]]));
+    db.add(ints(
+        "q",
+        &["a", "b", "c"],
+        &[&[Some(1), Some(5), Some(100)], &[Some(2), Some(7), Some(200)]],
+    ));
+    let chain = "SELECT r.name, s.b, t.c, u.w FROM r, s, t, u \
+                 WHERE r.a = s.a AND s.b = t.b AND t.c = u.c";
+    let star = "SELECT r.name, t.c, u.w FROM r, m, t, u \
+                WHERE r.a = m.a AND m.b = t.b AND m.c = u.c";
+    let check = "SELECT p.a, u.w FROM p, q, u WHERE p.a = q.a AND p.b = q.b AND q.c = u.c";
+    /// A statement, its bag, its `(root, start)` tables and its `(messages,
+    /// bytes)`.
+    type Case<'a> = (&'a str, &'a [&'a str], (usize, usize), (u64, u64));
+    // The chain walks r, s, t, u; the star t, m, u, m again, r; the check
+    // p, q (where `p.b = q.b` drops `(2, 6)`'s row), u.
+    let cases: [Case; 3] = [
+        (
+            chain,
+            &[
+                "x|10|100|7",
+                "abcdefghij|20|200|8",
+                "abcdefghij|21|200|8",
+                "y|30|300|9",
+                "y|30|300|10",
+            ],
+            (3, 0),
+            (70, 1_616),
+        ),
+        (star, &["x|100|7", "abcdefghij|200|8", "y|300|9", "y|300|10"], (0, 2), (81, 1_816)),
+        (check, &["1|7"], (2, 0), (24, 368)),
+    ];
+    let tag = TagGraph::build(&db);
+    let wrong = wrong_bags(&db, &cases.map(|(sql, want, ..)| (sql, want)));
+    assert!(wrong.is_empty(), "{} wrong answers:\n{}", wrong.len(), wrong.join("\n"));
+    let parallel = EngineConfig::with_threads(4).with_parallel_threshold(0);
+    for (sql, _, walk, pinned) in cases {
+        let plan = QueryPlan::prepare(sql, tag.schemas()).unwrap();
+        let shape = plan.shape(&tag).unwrap();
+        assert_eq!((shape.root_table(0), shape.start_table(0)), walk, "{sql}: another walk");
+        for config in [EngineConfig::sequential(), parallel] {
+            let totals =
+                TagJoinExecutor::new(&tag, config).execute_plan(&plan).unwrap().stats.totals;
+            let got = (totals.messages, totals.message_bytes);
+            assert_eq!(got, pinned, "{sql}: (messages, bytes) moved on {config:?}");
+        }
+    }
+}
+
 /// The FROM orders a statement over `n` tables is checked under, as index
 /// permutations: all of them when there are at most 24, else 24 drawn by a
 /// fixed-seed shuffle.
